@@ -6,10 +6,12 @@ base filtration level; hom elements are finite sums of generators with
 Novikov scalar coefficients.
 
 Maps act on the right, ``(x)f``, and are extended linearly over the
-coefficient ring.  Every sign in the package is produced by ``koszul_sign``,
-which commutes operators past elements one transposition at a time with the
-rule tau(x (x) y) = (-1)^{deg x * deg y} y (x) x.  Coefficients sit in even
-degrees, so only the generator degrees enter parities.
+coefficient ring.  ``koszul_sign`` is the literal sign rule: it commutes
+operators past elements one transposition at a time with the rule
+tau(x (x) y) = (-1)^{deg x * deg y} y (x) x.  The block engine in
+``morphisms`` uses its closed form for degree-0 family letters, tested
+against it.  Coefficients sit in even degrees, so only the generator degrees
+enter parities.
 """
 
 from __future__ import annotations

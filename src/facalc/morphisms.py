@@ -12,6 +12,10 @@ component calculus:
   three zones, apply f on the left zone, one component of r in the middle,
   g on the right, and concatenate.
 
+Rather than list every split, ``_path_sum`` sums over paths of cut
+positions that only nonzero letters extend.  Family letters have degree 0,
+so the Koszul sign is one factor per single slot (``_crossing_sign``).
+
 All infinite sums are bounded by level accounting: every empty block filled
 by a curvature component raises the level by at least the component's
 minimal level, so sums are cut off soundly at the window's energy cutoff.
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import levels, novikov, tcoalg
@@ -44,9 +47,7 @@ from .tcoalg import (
     Word,
     basis_words,
     join_flags,
-    seq_splits,
     truncate_element,
-    word_blocks,
 )
 
 # Component tables: {k: {key: HomElement}} with key = tuple of generator ids
@@ -143,7 +144,7 @@ class Cofunctor:
         self.convergence_bound = convergence_bound
         self.complete_upto = complete_upto
         self.compute = compute
-        self._cache: Dict[CompKey, HomElement] = {}
+        self._cache: Dict[Tuple[int, CompKey], HomElement] = {}
 
     def comp_value(self, w: Word) -> HomElement:
         k = len(w)
@@ -209,7 +210,7 @@ class Coderivation:
         self.variant = f.variant
         self.complete_upto = complete_upto
         self.compute = compute
-        self._cache: Dict[CompKey, HomElement] = {}
+        self._cache: Dict[Tuple[int, CompKey], HomElement] = {}
 
     @property
     def src(self) -> FiltQuiver:
@@ -364,126 +365,111 @@ def slot_value(
 ) -> Tuple[TensorElement, Flag]:
     """Apply the composite operator described by ``slots`` to x.
 
-    Signs are produced by the transposition oracle on block degrees: family
-    letters have operator degree 0, single slots the coderivation's degree.
+    Each term of x is evaluated by ``_path_sum``; the terms of all of them
+    are summed once, into a single ``TensorElement``.
     """
     inst = window.instance
-    singles = [i for i, s in enumerate(slots) if s.kind == "single"]
-    n_singles = len(singles)
+    families = [s.owner for s in slots if s.kind == "family"]
+    singles = [s.owner for s in slots if s.kind == "single"]
     first = slots[0].owner
     last = slots[-1].owner
     src_map = first.obj_map if isinstance(first, Cofunctor) else first.f.obj_map
     dst_map = last.obj_map if isinstance(last, Cofunctor) else last.g.obj_map
-    out = TensorElement.zero(src_map[x.src], dst_map[x.dst])
     any_curved, floor = _curvature_floor(slots)
 
+    terms: List[Tuple[Word, NovikovScalar]] = []
     for w, c in x.terms:
-        term_lvl = tcoalg.term_level(w, c, inst)
-        cap = _empty_cap(term_lvl, floor, window.cutoff) if any_curved else 0
-        pieces = _term_value(w, c, slots, n_singles, cap, any_curved, inst, out.src, out.dst)
-        out = out.add(pieces)
-
+        cap = _empty_cap(tcoalg.term_level(w, c, inst), floor, window.cutoff) if any_curved else 0
+        terms.extend(_path_sum(w, c, families, singles, cap))
+    out = TensorElement(src_map[x.src], dst_map[x.dst], terms)
     if length_truncate:
         return truncate_element(out, window)
     return out, Flag.SOUND
 
 
-def _term_value(
+def _crossing_sign(deg: int, tail_sdeg: int) -> int:
+    """Sign of a degree-deg operator crossing arguments of total degree
+    tail_sdeg: the closed form of ``koszul_sign`` for one single slot among
+    degree-0 family letters."""
+    return -1 if (deg * tail_sdeg) % 2 else 1
+
+
+def _path_sum(
     w: Word,
     c: NovikovScalar,
-    slots: Sequence[Slot],
-    n_singles: int,
+    families: Sequence[Cofunctor],
+    singles: Sequence[Coderivation],
     cap: int,
-    any_curved: bool,
-    instance: str,
-    out_src: str,
-    out_dst: str,
-) -> TensorElement:
-    terms: List[Tuple[Word, NovikovScalar]] = []
+) -> List[Tuple[Word, NovikovScalar]]:
+    """The terms of c times the value of the slots on the word w.
+
+    A left-to-right sweep over states (i, t, e): cut position i, zone t (the
+    number of single slots used) and e family empty blocks used so far.
+    Zone t reads letters of families[t] on blocks w[i:j], j > i, plus
+    curvature letters on w[i:i] while e + 1 < cap; the next single slot
+    reads w[i:j], j >= i, and crosses w[j:].  Every step goes to a
+    lexicographically larger state, so one pass in that order completes
+    each state before it is read.  A state counts as reached as soon as a
+    chain of nonzero letters arrives, even if its partial sums cancel: a
+    component is looked up exactly when the split enumeration would look
+    it up, so lazy components raise the same errors.  Partial sums are
+    keyed by the ids of the output generators, which hash fast.
+    """
     n = len(w)
-    single_owners = [s.owner for s in slots if s.kind == "single"]
-    single_degs = [o.deg for o in single_owners]
-    family_owners = [s.owner for s in slots if s.kind == "family"]
+    n_singles = len(singles)
+    objs = [w.at] + [g.dst for g in w.gens]
+    tail = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        tail[i] = tail[i + 1] + w.gens[i].sdeg
+    gens: Dict[int, HomGenerator] = {}
+    letters: Dict[Tuple[object, int, int], Tuple[Tuple[int, NovikovScalar], ...]] = {}
 
-    def assignments(k: int):
-        """Positions of single-slot blocks among k blocks, in slot order."""
-        if n_singles == 0:
-            yield ()
+    def letter(owner, i: int, j: int) -> Tuple[Tuple[int, NovikovScalar], ...]:
+        key = (owner, i, j)
+        if key not in letters:
+            terms = owner.comp_value(Word(objs[i], w.gens[i:j])).terms
+            gens.update((id(g), g) for g, _ in terms)
+            letters[key] = tuple((id(g), cl) for g, cl in terms)
+        return letters[key]
+
+    Partial = Dict[Tuple[int, ...], NovikovScalar]
+    states: Dict[Tuple[int, int, int], Partial] = {(0, 0, 0): {(): c}}
+    out: List[Tuple[Word, NovikovScalar]] = []
+
+    def step(partial: Partial, target, value, sign: int = 1) -> None:
+        if not value:
             return
-        yield from combinations(range(k), n_singles)
+        into = states.setdefault(target, {})
+        for prefix, cp in partial.items():
+            for gid, cl in value:
+                term = novikov.nov_mul(cp, cl)
+                if sign < 0:
+                    term = novikov.nov_neg(term)
+                key = prefix + (gid,)
+                into[key] = novikov.nov_add(into[key], term) if key in into else term
 
-    # A split with e empty blocks can carry at most one empty per single
-    # slot plus (cap - 1) curvature insertions; prune before building any
-    # block words.
-    family_empty_cap = max(cap - 1, 0) if any_curved else 0
-    max_empties = n_singles + family_empty_cap
-    max_k = n + max_empties
-    for k in range(n_singles, max_k + 1):
-        if k == 0:
-            # Empty split: pure counit/augmentation passage.
-            if n == 0:
-                terms.append((Word(out_src), c))
-            continue
-        for cuts in seq_splits(n, k, allow_empty=True):
-            bounds = (0,) + cuts + (n,)
-            empties = sum(1 for a, b in zip(bounds, bounds[1:]) if a == b)
-            if empties > max_empties:
-                continue
-            blocks = word_blocks(w, cuts)
-            for positions in assignments(k):
-                config = _assemble(
-                    blocks, positions, single_owners, single_degs,
-                    family_owners, cap, c,
-                )
-                if config is not None:
-                    terms.extend(config)
-    return TensorElement(out_src, out_dst, terms)
-
-
-def _assemble(
-    blocks: Tuple[Word, ...],
-    positions: Tuple[int, ...],
-    single_owners: List["Coderivation"],
-    single_degs: List[int],
-    family_owners: List["Cofunctor"],
-    cap: int,
-    coeff: NovikovScalar,
-) -> Optional[List[Tuple[Word, NovikovScalar]]]:
-    letters = []
-    op_degs = []
-    empties = 0
-    next_single = 0
-    for j, block in enumerate(blocks):
-        if next_single < len(positions) and positions[next_single] == j:
-            owner = single_owners[next_single]
-            op_degs.append(single_degs[next_single])
-            next_single += 1
-        else:
-            # Blocks between the t-th and (t+1)-st single belong to the
-            # (t+1)-st family zone.
-            owner = family_owners[next_single]
-            op_degs.append(0)
-            if len(block) == 0:
-                if owner.is_strict():
-                    return None
-                empties += 1
-                if empties >= cap:
-                    return None
-        letter = owner.comp_value(block)
-        if letter.is_zero():
-            return None
-        letters.append(letter)
-
-    sign = koszul_sign(op_degs, [b.sdeg for b in blocks])
-    start = coeff if sign == 1 else novikov.nov_neg(coeff)
-    expanded: List[Tuple[Tuple[HomGenerator, ...], NovikovScalar]] = [((), start)]
-    for letter in letters:
-        nxt = []
-        for gens, cc in expanded:
-            for g2, c2 in letter.terms:
-                nxt.append((gens + (g2,), novikov.nov_mul(cc, c2)))
-        expanded = nxt
-    return [(Word.from_gens(gens), cc) for gens, cc in expanded]
+    for i in range(n + 1):
+        for t in range(n_singles + 1):
+            family = families[t]
+            for e in range(max(cap, 1)):
+                partial = states.pop((i, t, e), None)
+                if partial is None:
+                    continue
+                if i == n and t == n_singles:
+                    out.extend(
+                        (Word.from_gens([gens[g] for g in key]) if key else Word(families[0].obj_map[w.at]), cp)
+                        for key, cp in partial.items()
+                    )
+                for j in range(i + 1, n + 1):
+                    step(partial, (j, t, e), letter(family, i, j))
+                if e + 1 < cap and not family.is_strict():
+                    step(partial, (i, t, e + 1), letter(family, i, i))
+                if t < n_singles:
+                    single = singles[t]
+                    for j in range(i, n + 1):
+                        sign = _crossing_sign(single.deg, tail[j])
+                        step(partial, (j, t + 1, e), letter(single, i, j), sign)
+    return out
 
 
 # ---------------------------------------------------------------------------

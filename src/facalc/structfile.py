@@ -75,9 +75,26 @@ def _expect(cond: bool, loc: str, msg: str) -> None:
         raise _fail(loc, msg)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_at(obj: dict, key: str, loc: str) -> list:
+    value = obj.get(key, [])
+    _expect(isinstance(value, list), f"{loc}.{key}", f"{key} must be a list")
+    return value
+
+
 def parse_level(obj, loc: str) -> Level:
     _expect(isinstance(obj, dict) and len(obj) == 1, loc, "level must be a one-key object")
     (key, val), = obj.items()
+    if key != "infinity":
+        _expect(
+            isinstance(val, (int, float, str)) and not isinstance(val, bool),
+            loc,
+            "level value must be a number or a string",
+        )
     try:
         if key == "rat":
             return levels.rat(Fraction(val))
@@ -88,7 +105,7 @@ def parse_level(obj, loc: str) -> Level:
         if key == "infinity":
             _expect(val is True, loc, "infinity level must be true")
             return levels.INFINITY
-    except (ValueError, ZeroDivisionError, FacalcError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError, FacalcError) as exc:
         raise _fail(loc, f"bad level value: {exc}") from None
     raise _fail(loc, f"unknown level kind {key!r}")
 
@@ -186,7 +203,7 @@ def load_model(text: str) -> Model:
 
     wobj = doc.get("window")
     _expect(isinstance(wobj, dict), "$.window", "window must be an object")
-    _expect(isinstance(wobj.get("max_len"), int), "$.window.max_len", "max_len must be an integer")
+    _expect(_is_int(wobj.get("max_len")), "$.window.max_len", "max_len must be an integer")
     cutoff = parse_level(wobj.get("cutoff"), "$.window.cutoff")
     _expect(cutoff.instance == monoid, "$.window.cutoff", "cutoff must live in the active instance")
     try:
@@ -196,23 +213,28 @@ def load_model(text: str) -> Model:
 
     model = Model(monoid, variant, window)
 
-    for qi, qobj in enumerate(doc.get("quivers", [])):
+    for qi, qobj in enumerate(_list_at(doc, "quivers", "$")):
         loc = f"$.quivers[{qi}]"
         _expect(isinstance(qobj, dict), loc, "quiver must be an object")
         name = qobj.get("name")
         _expect(isinstance(name, str) and name, f"{loc}.name", "quiver needs a name")
         _expect(name not in model.quivers, f"{loc}.name", f"duplicate quiver {name!r}")
         objs = qobj.get("objects")
-        _expect(isinstance(objs, list), f"{loc}.objects", "objects must be a list")
+        _expect(
+            isinstance(objs, list) and all(isinstance(o, str) for o in objs),
+            f"{loc}.objects",
+            "objects must be a list of names",
+        )
         gens = []
-        for gi, gobj in enumerate(qobj.get("generators", [])):
+        for gi, gobj in enumerate(_list_at(qobj, "generators", loc)):
             gloc = f"{loc}.generators[{gi}]"
             _expect(isinstance(gobj, dict), gloc, "generator must be an object")
             has_sdeg = "sdeg" in gobj
             has_deg = "deg" in gobj
             _expect(has_sdeg != has_deg, gloc, "give exactly one of 'sdeg' or 'deg'")
-            sdeg = gobj["sdeg"] if has_sdeg else shift_degree(gobj["deg"])
-            _expect(isinstance(sdeg, int), gloc, "degree must be an integer")
+            declared = gobj["sdeg"] if has_sdeg else gobj["deg"]
+            _expect(_is_int(declared), gloc, "degree must be an integer")
+            sdeg = declared if has_sdeg else shift_degree(declared)
             base = parse_level(gobj.get("base_level"), f"{gloc}.base_level")
             _expect(
                 base.instance == monoid and not base.is_infinite(),
@@ -233,7 +255,7 @@ def load_model(text: str) -> Model:
             raise ResolveError(f"{loc}: unknown quiver {name!r}")
         return model.quivers[name]
 
-    for bi, bobj in enumerate(doc.get("b_components", [])):
+    for bi, bobj in enumerate(_list_at(doc, "b_components", "$")):
         loc = f"$.b_components[{bi}]"
         _expect(isinstance(bobj, dict), loc, "entry must be an object")
         quiver = get_quiver(bobj.get("quiver"), loc)
@@ -245,7 +267,7 @@ def load_model(text: str) -> Model:
         except FacalcError as exc:
             raise _fail(loc, str(exc)) from None
 
-    for fi, fobj in enumerate(doc.get("functors", [])):
+    for fi, fobj in enumerate(_list_at(doc, "functors", "$")):
         loc = f"$.functors[{fi}]"
         _expect(isinstance(fobj, dict), loc, "functor must be an object")
         name = fobj.get("name")
@@ -260,7 +282,7 @@ def load_model(text: str) -> Model:
                 raise ResolveError(f"{loc}.obj_map: bad pair {x!r} -> {y!r}")
         comps = _parse_components(fobj.get("components", []), src, dst, variant, f"{loc}.components")
         bound = fobj.get("convergence_bound", 16)
-        _expect(isinstance(bound, int) and bound >= 1, f"{loc}.convergence_bound", "bad bound")
+        _expect(_is_int(bound) and bound >= 1, f"{loc}.convergence_bound", "bad bound")
         try:
             model.functors[name] = cofunctor_from_components(
                 name, src, dst, obj_map, comps, window, variant, convergence_bound=bound
@@ -270,7 +292,7 @@ def load_model(text: str) -> Model:
         except FacalcError as exc:
             raise _fail(loc, str(exc)) from None
 
-    for ri, robj in enumerate(doc.get("coderivations", [])):
+    for ri, robj in enumerate(_list_at(doc, "coderivations", "$")):
         loc = f"$.coderivations[{ri}]"
         _expect(isinstance(robj, dict), loc, "coderivation must be an object")
         name = robj.get("name")
@@ -282,7 +304,7 @@ def load_model(text: str) -> Model:
         f = model.functors[robj["from"]]
         g = model.functors[robj["to"]]
         deg = robj.get("degree")
-        _expect(isinstance(deg, int), f"{loc}.degree", "degree must be an integer")
+        _expect(_is_int(deg), f"{loc}.degree", "degree must be an integer")
         lvl = parse_level(robj.get("level"), f"{loc}.level")
         comps = _parse_components(robj.get("components", []), f.src, f.dst, variant, f"{loc}.components")
         try:
@@ -292,14 +314,14 @@ def load_model(text: str) -> Model:
         except FacalcError as exc:
             raise _fail(loc, str(exc)) from None
 
-    for ei, eobj in enumerate(doc.get("elements", [])):
+    for ei, eobj in enumerate(_list_at(doc, "elements", "$")):
         loc = f"$.elements[{ei}]"
         _expect(isinstance(eobj, dict), loc, "element must be an object")
         name = eobj.get("name")
         _expect(isinstance(name, str) and name, f"{loc}.name", "element needs a name")
         quiver = get_quiver(eobj.get("quiver"), loc)
         terms = []
-        for ti, tobj in enumerate(eobj.get("terms", [])):
+        for ti, tobj in enumerate(_list_at(eobj, "terms", loc)):
             tloc = f"{loc}.terms[{ti}]"
             _expect(isinstance(tobj, dict), tloc, "term must be an object")
             coeff = parse_scalar_at(tobj.get("coeff", "1*T^{0}*e^{0}"), variant, f"{tloc}.coeff")
@@ -336,12 +358,12 @@ def load_model(text: str) -> Model:
             if qname not in model.cats:
                 raise ResolveError(f"{loc}: quiver {qname!r} has no codifferential")
         functors = []
-        for fname in cobj.get("functors", []):
+        for fname in _list_at(cobj, "functors", loc):
             if fname not in model.functors:
                 raise ResolveError(f"{loc}.functors: unknown functor {fname!r}")
             functors.append(model.functors[fname])
         coders = []
-        for rname in cobj.get("coderivations", []):
+        for rname in _list_at(cobj, "coderivations", loc):
             if rname not in model.coderivations:
                 raise ResolveError(f"{loc}.coderivations: unknown coderivation {rname!r}")
             coders.append(model.coderivations[rname])

@@ -77,6 +77,45 @@ def test_exit_code_contract():
     assert code == 64
 
 
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+def _deg_without_sdeg(doc):
+    gen = doc["quivers"][0]["generators"][0]
+    del gen["sdeg"]
+    gen["deg"] = "x"
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (_set(["quivers"], 5), "$.quivers"),
+        (_set(["quivers", 0, "objects"], [[1]]), "$.quivers[0].objects"),
+        (_deg_without_sdeg, "$.quivers[0].generators[0]"),
+        (_set(["quivers", 0, "generators", 0, "base_level"], {"rat": [1]}),
+         "$.quivers[0].generators[0].base_level"),
+        (_set(["window", "max_len"], True), "$.window.max_len"),
+        (_set(["functors", 0, "convergence_bound"], True), "$.functors[0].convergence_bound"),
+        (_set(["coderivations", 0, "degree"], True), "$.coderivations[0].degree"),
+    ],
+)
+def test_malformed_fields_are_parse_errors(mutate, where, tmp_path):
+    doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text(encoding="utf-8"))
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = run(["check-b2", str(path)])
+    assert code == 64
+    assert text.startswith(f"parse error: {where}:")
+
+
 def test_window_override():
     # A tighter cutoff makes the curvature bound unreachable: undecided.
     code, _ = run(

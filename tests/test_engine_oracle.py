@@ -1,0 +1,479 @@
+"""The path-sum block engine against the literal split enumeration.
+
+``_term_value`` and ``_assemble`` below are the enumerator the engine
+replaced, kept unchanged as the oracle: it lists every split of a word into
+blocks and every placement of the single slots, and signs each
+configuration with the literal ``koszul_sign``.  The engine must agree with
+it on the value, on the truncation flag, on the set of components it looks
+up (lazy components are computed only when the enumerator would compute
+them) and on the errors lazy components raise.
+"""
+
+import zlib
+from fractions import Fraction
+from itertools import combinations
+from typing import List, Optional, Sequence, Tuple
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from facalc import levels, novikov
+from facalc.errors import ConvergenceUndecided
+from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
+from facalc.morphisms import (
+    Coderivation,
+    Cofunctor,
+    Slot,
+    _crossing_sign,
+    _curvature_floor,
+    _empty_cap,
+    _path_sum,
+    chain_slots,
+    comp_key,
+    slot_value,
+)
+from facalc.novikov import NovikovScalar
+from facalc.tcoalg import (
+    Flag,
+    TensorElement,
+    TruncWindow,
+    Word,
+    basis_words,
+    seq_splits,
+    truncate_element,
+    word_blocks,
+)
+
+from conftest import facalc_seed
+
+# ---------------------------------------------------------------------------
+# The oracle: the split enumerator, unchanged.
+
+
+def _term_value(
+    w: Word,
+    c: NovikovScalar,
+    slots: Sequence[Slot],
+    n_singles: int,
+    cap: int,
+    any_curved: bool,
+    instance: str,
+    out_src: str,
+    out_dst: str,
+) -> TensorElement:
+    terms: List[Tuple[Word, NovikovScalar]] = []
+    n = len(w)
+    single_owners = [s.owner for s in slots if s.kind == "single"]
+    single_degs = [o.deg for o in single_owners]
+    family_owners = [s.owner for s in slots if s.kind == "family"]
+
+    def assignments(k: int):
+        """Positions of single-slot blocks among k blocks, in slot order."""
+        if n_singles == 0:
+            yield ()
+            return
+        yield from combinations(range(k), n_singles)
+
+    # A split with e empty blocks can carry at most one empty per single
+    # slot plus (cap - 1) curvature insertions; prune before building any
+    # block words.
+    family_empty_cap = max(cap - 1, 0) if any_curved else 0
+    max_empties = n_singles + family_empty_cap
+    max_k = n + max_empties
+    for k in range(n_singles, max_k + 1):
+        if k == 0:
+            # Empty split: pure counit/augmentation passage.
+            if n == 0:
+                terms.append((Word(out_src), c))
+            continue
+        for cuts in seq_splits(n, k, allow_empty=True):
+            bounds = (0,) + cuts + (n,)
+            empties = sum(1 for a, b in zip(bounds, bounds[1:]) if a == b)
+            if empties > max_empties:
+                continue
+            blocks = word_blocks(w, cuts)
+            for positions in assignments(k):
+                config = _assemble(
+                    blocks, positions, single_owners, single_degs,
+                    family_owners, cap, c,
+                )
+                if config is not None:
+                    terms.extend(config)
+    return TensorElement(out_src, out_dst, terms)
+
+
+def _assemble(
+    blocks: Tuple[Word, ...],
+    positions: Tuple[int, ...],
+    single_owners: List["Coderivation"],
+    single_degs: List[int],
+    family_owners: List["Cofunctor"],
+    cap: int,
+    coeff: NovikovScalar,
+) -> Optional[List[Tuple[Word, NovikovScalar]]]:
+    letters = []
+    op_degs = []
+    empties = 0
+    next_single = 0
+    for j, block in enumerate(blocks):
+        if next_single < len(positions) and positions[next_single] == j:
+            owner = single_owners[next_single]
+            op_degs.append(single_degs[next_single])
+            next_single += 1
+        else:
+            # Blocks between the t-th and (t+1)-st single belong to the
+            # (t+1)-st family zone.
+            owner = family_owners[next_single]
+            op_degs.append(0)
+            if len(block) == 0:
+                if owner.is_strict():
+                    return None
+                empties += 1
+                if empties >= cap:
+                    return None
+        letter = owner.comp_value(block)
+        if letter.is_zero():
+            return None
+        letters.append(letter)
+
+    sign = koszul_sign(op_degs, [b.sdeg for b in blocks])
+    start = coeff if sign == 1 else novikov.nov_neg(coeff)
+    expanded: List[Tuple[Tuple[HomGenerator, ...], NovikovScalar]] = [((), start)]
+    for letter in letters:
+        nxt = []
+        for gens, cc in expanded:
+            for g2, c2 in letter.terms:
+                nxt.append((gens + (g2,), novikov.nov_mul(cc, c2)))
+        expanded = nxt
+    return [(Word.from_gens(gens), cc) for gens, cc in expanded]
+
+
+def oracle_slot_value(x, slots, window, length_truncate=True):
+    """``slot_value`` as it was around the enumerator."""
+    inst = window.instance
+    n_singles = sum(1 for s in slots if s.kind == "single")
+    first = slots[0].owner
+    last = slots[-1].owner
+    src_map = first.obj_map if isinstance(first, Cofunctor) else first.f.obj_map
+    dst_map = last.obj_map if isinstance(last, Cofunctor) else last.g.obj_map
+    out = TensorElement.zero(src_map[x.src], dst_map[x.dst])
+    any_curved, floor = _curvature_floor(slots)
+    for w, c in x.terms:
+        term_lvl = levels.level_add(w.base_level(inst), novikov.nov_level(c, inst))
+        cap = _empty_cap(term_lvl, floor, window.cutoff) if any_curved else 0
+        out = out.add(_term_value(w, c, slots, n_singles, cap, any_curved, inst, out.src, out.dst))
+    if length_truncate:
+        return truncate_element(out, window)
+    return out, Flag.SOUND
+
+
+# ---------------------------------------------------------------------------
+# Random owners over a 2-object quiver with odd and even degrees.
+
+R0 = levels.rat(0)
+QUIVER = FiltQuiver(
+    "Q",
+    ["X", "Y"],
+    [
+        HomGenerator("a", "X", "Y", 0, R0),
+        HomGenerator("c", "X", "Y", 1, R0),
+        HomGenerator("b", "Y", "X", 1, levels.rat("1/2")),
+        HomGenerator("x", "X", "X", 1, R0),
+        HomGenerator("y", "Y", "Y", 2, R0),
+    ],
+)
+IDENTITY = {"X": "X", "Y": "Y"}
+WORDS = basis_words(QUIVER, 6)
+TABLE_WORDS = [w for w in WORDS if 1 <= len(w) <= 3]
+SCALARS = [
+    novikov.one(),
+    novikov.monomial(-1),
+    novikov.monomial(2, 0, 1),
+    novikov.monomial(Fraction(1, 2), 1),
+    novikov.scalar([(1, 0, 0), (-3, Fraction(1, 2), 0)]),
+]
+# Curvature must have positive level for the sums to be bounded.
+CURVATURES = [
+    novikov.monomial(1, 1),
+    novikov.monomial(-2, Fraction(3, 2), 1),
+    novikov.scalar([(1, 1, 0), (1, 2, 0)]),
+]
+
+
+def _hash(salt: int, w: Word) -> int:
+    return zlib.crc32(f"{salt}:{comp_key(w)!r}".encode())
+
+
+def letter_for(salt: int, sparsity: int, w: Word, scalars=SCALARS) -> HomElement:
+    """A deterministic pseudo-random letter on w; zero on most words."""
+    h = _hash(salt, w)
+    if h % sparsity:
+        return HomElement.zero(w.src, w.dst)
+    terms = []
+    for k, g in enumerate(QUIVER.gens_between(w.src, w.dst)):
+        pick = (h >> (5 + 3 * k)) % 8
+        if pick < len(scalars):
+            terms.append((g, scalars[pick]))
+    return HomElement(w.src, w.dst, terms)
+
+
+class RaisingCompute:
+    """A lazy component rule that raises on the words chosen by ``hits``."""
+
+    def __init__(self, salt: int, sparsity: int, hits):
+        self.salt, self.sparsity, self.hits = salt, sparsity, hits
+
+    def __call__(self, w: Word) -> HomElement:
+        if self.hits(w):
+            raise ConvergenceUndecided(f"lazy component on {w!r}")
+        return letter_for(self.salt, self.sparsity, w)
+
+
+def _table(salt: int, sparsity: int, empties: bool, curved_scalars=CURVATURES):
+    comps = {}
+    for w in TABLE_WORDS:
+        v = letter_for(salt, sparsity, w)
+        if not v.is_zero():
+            comps.setdefault(len(w), {})[comp_key(w)] = v
+    if empties:
+        for obj in QUIVER.objects:
+            v = letter_for(salt + 1, 1, Word(obj), curved_scalars)
+            if not v.is_zero():
+                comps.setdefault(0, {})[obj] = v
+    return comps
+
+
+@st.composite
+def owner_specs(draw):
+    return {
+        "salt": draw(st.integers(0, 10**6)),
+        "sparsity": draw(st.integers(1, 3)),
+        "curved": draw(st.booleans()),
+        "lazy": draw(st.booleans()),
+        "raise_mod": draw(st.sampled_from([None, 5, 13])),
+        "deg": draw(st.integers(-1, 2)),
+    }
+
+
+def _compute(spec):
+    if not spec["lazy"]:
+        return None
+    mod = spec["raise_mod"]
+    return RaisingCompute(
+        spec["salt"] + 7,
+        spec["sparsity"],
+        (lambda w: _hash(spec["salt"] + 9, w) % mod == 0) if mod else (lambda w: False),
+    )
+
+
+def build_slots(family_specs, single_specs) -> List[Slot]:
+    families = [
+        Cofunctor(
+            f"f{i}", QUIVER, QUIVER, IDENTITY,
+            _table(sp["salt"], sp["sparsity"], sp["curved"]),
+            "rat", "nov", compute=_compute(sp),
+        )
+        for i, sp in enumerate(family_specs)
+    ]
+    if not single_specs:
+        return [Slot("family", families[0])]
+    chain = [
+        Coderivation(
+            f"r{i}", families[i], families[i + 1], sp["deg"], R0,
+            _table(sp["salt"], sp["sparsity"], True, SCALARS),
+            compute=_compute(sp),
+        )
+        for i, sp in enumerate(single_specs)
+    ]
+    return chain_slots(chain, families[0])
+
+
+@st.composite
+def slot_sequences(draw, max_singles=3):
+    n_singles = draw(st.sampled_from([0, 1, 2, 3][: max_singles + 1]))
+    family_specs = draw(st.lists(owner_specs(), min_size=n_singles + 1, max_size=n_singles + 1))
+    single_specs = draw(st.lists(owner_specs(), min_size=n_singles, max_size=n_singles))
+    return family_specs, single_specs
+
+
+def _max_word_len(n_singles: int, cap: int) -> int:
+    # The enumerator's cost grows like C(n + k, k) * C(k, singles) with up to
+    # k = n + singles + cap blocks; keep each example well under a second.
+    return max(2, min(6, 8 - n_singles - max(cap - 1, 0)))
+
+
+@st.composite
+def words(draw, max_len):
+    start = draw(st.sampled_from(QUIVER.objects))
+    gens = []
+    at = start
+    for _ in range(draw(st.integers(0, max_len))):
+        g = draw(st.sampled_from(QUIVER.gens_from(at)))
+        gens.append(g)
+        at = g.dst
+    return Word(start, tuple(gens))
+
+
+def record_lookups(slots, log):
+    """Shadow every owner's ``comp_value`` with one that logs its lookups."""
+    for s in slots:
+        owner = s.owner
+        owner.__dict__.pop("comp_value", None)
+        lookup = owner.comp_value
+
+        def logged(block, owner=owner, lookup=lookup):
+            log.add((owner.name, block))
+            return lookup(block)
+
+        owner.comp_value = logged
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except ConvergenceUndecided as exc:
+        return "raised", type(exc)
+
+
+def path_sum_element(w, c, slots, cap):
+    families = [s.owner for s in slots if s.kind == "family"]
+    singles = [s.owner for s in slots if s.kind == "single"]
+    return TensorElement(w.src, w.dst, _path_sum(w, c, families, singles, cap))
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+@seed(facalc_seed())
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_path_sum_matches_enumeration_per_term(data):
+    family_specs, single_specs = data.draw(slot_sequences())
+    cap = data.draw(st.integers(0, 4), label="cap")
+    w = data.draw(words(_max_word_len(len(single_specs), cap)), label="word")
+    c = data.draw(st.sampled_from(SCALARS), label="coeff")
+    slots = build_slots(family_specs, single_specs)
+    any_curved = _curvature_floor(slots)[0]
+
+    seen_oracle, seen_engine = set(), set()
+    record_lookups(slots, seen_oracle)
+    expected = outcome(lambda: _term_value(
+        w, c, slots, len(single_specs), cap, any_curved, "rat", w.src, w.dst
+    ))
+    record_lookups(slots, seen_engine)
+    got = outcome(lambda: path_sum_element(w, c, slots, cap))
+
+    assert got == expected
+    if expected[0] == "ok":
+        assert seen_engine == seen_oracle
+
+
+@st.composite
+def elements(draw, max_len=4):
+    src = draw(st.sampled_from(QUIVER.objects))
+    dst = draw(st.sampled_from(QUIVER.objects))
+    pool = [w for w in WORDS if w.src == src and w.dst == dst and len(w) <= max_len]
+    picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    return TensorElement(src, dst, [(w, draw(st.sampled_from(SCALARS))) for w in picked])
+
+
+@seed(facalc_seed())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_slot_value_matches_enumeration(data):
+    family_specs, single_specs = data.draw(slot_sequences(max_singles=2))
+    for sp in family_specs + single_specs:
+        sp["raise_mod"] = None
+    x = data.draw(elements(max_len=4 - len(single_specs)), label="x")
+    window = TruncWindow(
+        data.draw(st.integers(1, 6), label="max_len"),
+        levels.rat(data.draw(st.integers(1, 3), label="cutoff")),
+    )
+    truncate = data.draw(st.booleans(), label="length_truncate")
+    slots = build_slots(family_specs, single_specs)
+
+    seen_oracle, seen_engine = set(), set()
+    record_lookups(slots, seen_oracle)
+    expected = oracle_slot_value(x, slots, window, truncate)
+    record_lookups(slots, seen_engine)
+    got = slot_value(x, slots, window, truncate)
+
+    assert got == expected
+    assert seen_engine == seen_oracle
+
+
+def _lazy_family(hits) -> Cofunctor:
+    # Tabled letters on a and x only: the letter on b is zero, so no split
+    # of b.x.a reaches position 1 and the word x.a is never looked up.
+    compute = RaisingCompute(0, 1, hits)
+    table = {
+        1: {
+            ("a",): HomElement.from_gen(QUIVER.gen("a"), novikov.one()),
+            ("x",): HomElement.from_gen(QUIVER.gen("x"), novikov.one()),
+        }
+    }
+    return Cofunctor("lazy", QUIVER, QUIVER, IDENTITY, table, "rat", "nov",
+                     complete_upto=1, compute=compute)
+
+
+@pytest.mark.parametrize(
+    "chosen, raises",
+    [
+        (("b", "x", "a"), True),  # the one-block split looks up the whole word
+        (("x",), False),  # length 1 is tabled, never computed
+        (("x", "a"), False),  # reachable only behind the zero letter on b
+    ],
+)
+def test_lazy_errors_match_enumeration(chosen, raises):
+    w = Word.from_gens([QUIVER.gen(g) for g in ("b", "x", "a")])
+    for engine in ("oracle", "engine"):
+        slots = [Slot("family", _lazy_family(lambda u: comp_key(u) == chosen))]
+        if engine == "oracle":
+            run = lambda: _term_value(w, novikov.one(), slots, 0, 0, False, "rat", w.src, w.dst)
+        else:
+            run = lambda: path_sum_element(w, novikov.one(), slots, 0)
+        assert (outcome(run)[0] == "raised") == raises, engine
+
+
+@seed(facalc_seed())
+@settings(max_examples=200, deadline=None)
+@given(
+    arg_degs=st.lists(st.integers(-3, 3), min_size=1, max_size=7),
+    data=st.data(),
+)
+def test_crossing_sign_is_koszul_sign(arg_degs, data):
+    # Family letters have degree 0; single slots any degree.
+    op_degs = data.draw(st.lists(
+        st.one_of(st.just(0), st.integers(-3, 3)),
+        min_size=len(arg_degs), max_size=len(arg_degs),
+    ))
+    closed = 1
+    for i, d in enumerate(op_degs):
+        closed *= _crossing_sign(d, sum(arg_degs[i + 1:]))
+    assert closed == koszul_sign(op_degs, arg_degs)
+
+
+def test_cancelled_state_still_looks_up_its_components():
+    # On x.x.a the splits f(x) r(x) | ... and r(x) g(x) | ... reach the same
+    # cut with the same generators and opposite signs (r is odd and crosses
+    # one more odd x on the second).  The sum there is zero, yet the
+    # enumerator still looks up g on the last block a.
+    x, a = QUIVER.gen("x"), QUIVER.gen("a")
+    w = Word.from_gens([x, x, a])
+    one = novikov.one()
+    table = {1: {("x",): HomElement.from_gen(x, one)}}
+    for engine in ("oracle", "engine"):
+        f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, table, "rat", "nov")
+        g = Cofunctor("g", QUIVER, QUIVER, IDENTITY,
+                      {1: {**table[1], ("a",): HomElement.from_gen(a, one)}}, "rat", "nov")
+        r = Coderivation("r", f, g, 1, R0, table)
+        slots = [Slot("family", f), Slot("single", r), Slot("family", g)]
+        seen = set()
+        record_lookups(slots, seen)
+        if engine == "oracle":
+            value = _term_value(w, one, slots, 1, 0, False, "rat", w.src, w.dst)
+        else:
+            value = path_sum_element(w, one, slots, 0)
+        assert value.is_zero(), engine
+        assert ("g", Word.from_gens([a])) in seen, engine
