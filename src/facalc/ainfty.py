@@ -12,6 +12,11 @@ coderivations there is a unique induced degree-1 differential; its
 components are computed from the evaluation of coderivation chains against
 quiver words, and its square is checked by double insertion evaluated
 against basis words.
+
+Every check and every letter b0, b1, bn evaluates a basis word and folds
+the value through one morphism's components (``morphisms.family_value``,
+re-exported here); the letters are extracted with
+``morphisms._extract_components``.
 """
 
 from __future__ import annotations
@@ -27,16 +32,18 @@ from .morphisms import (
     Coderivation,
     Cofunctor,
     Components,
+    _extract_components,
+    _transport,
     chain_eval,
+    chain_slots,
     coderivation_from_components,
     coderivation_slots,
     cofunctor_slots,
-    comp_key,
+    family_value,  # re-exported: the fold is part of this module's API
     hom_truncate,
     identity_cofunctor,
     slot_value,
 )
-from .novikov import NovikovScalar
 from .tcoalg import Flag, TensorElement, TruncWindow, Word, basis_words
 
 
@@ -112,17 +119,6 @@ def word_name(w: Word) -> str:
     return f"[]@{w.at}" if len(w) == 0 else ".".join(g.gid for g in w.gens)
 
 
-def family_value(owner, x: TensorElement) -> HomElement:
-    """Feed every word of x through the component of its own length."""
-    if isinstance(owner, Coderivation):
-        out = HomElement.zero(owner.f.obj_map[x.src], owner.g.obj_map[x.dst])
-    else:
-        out = HomElement.zero(owner.obj_map[x.src], owner.obj_map[x.dst])
-    for w, c in x.terms:
-        out = out.add(owner.comp_value(w).scale(c))
-    return out
-
-
 def check_b_squared(cat: AInfCategory, window: TruncWindow, n_max: int) -> List[CheckEntry]:
     """Residuals of the square of the codifferential on basis words."""
     entries: List[CheckEntry] = []
@@ -130,10 +126,7 @@ def check_b_squared(cat: AInfCategory, window: TruncWindow, n_max: int) -> List[
     slots = coderivation_slots(cat.b)
     for w in basis_words(cat.quiver, n_max):
         try:
-            inner, _ = slot_value(
-                TensorElement.from_word(w, one), slots, window, length_truncate=False
-            )
-            residual = hom_truncate(family_value(cat.b, inner), window)
+            residual = hom_truncate(_transport(w, slots, cat.b, window, one), window)
             res_str = "0" if residual.is_zero() else _hom_str(residual)
             flag = "SOUND"
         except ConvergenceUndecided:
@@ -152,17 +145,8 @@ def check_ainf_functor(
     one = novikov.one(f.variant)
     for w in basis_words(src_cat.quiver, n_max):
         try:
-            fw, _ = slot_value(
-                TensorElement.from_word(w, one), cofunctor_slots(f), window, length_truncate=False
-            )
-            then_b = family_value(dst_cat.b, fw)
-            bw, _ = slot_value(
-                TensorElement.from_word(w, one),
-                coderivation_slots(src_cat.b),
-                window,
-                length_truncate=False,
-            )
-            then_f = family_value(f, bw)
+            then_b = _transport(w, cofunctor_slots(f), dst_cat.b, window, one)
+            then_f = _transport(w, coderivation_slots(src_cat.b), f, window, one)
             residual = hom_truncate(then_b.add(then_f.neg()), window)
             res_str = "0" if residual.is_zero() else _hom_str(residual)
             flag = "SOUND"
@@ -186,16 +170,11 @@ def _extract_coderivation(
     upto: Optional[int] = None,
 ) -> Coderivation:
     bound = window.max_len if upto is None else upto
-    comps: Components = {}
-    for w in basis_words(f.src, bound):
-        v = component(w)
-        if v is None or v.is_zero():
-            continue
-        comps.setdefault(len(w), {})[comp_key(w)] = hom_truncate(v, window)
+    comps, compute = _extract_components(component, f.src, window, bound)
     out = coderivation_from_components(
         name, f, g, deg, lvl, comps, complete_upto=bound
     )
-    out.compute = lambda w: hom_truncate(component(w), window)
+    out.compute = compute
     return out
 
 
@@ -210,18 +189,9 @@ def coder_b0(
     f then b, minus b then f."""
     one = novikov.one(f.variant)
 
-    def component(w: Word) -> Optional[HomElement]:
-        fw, _ = slot_value(
-            TensorElement.from_word(w, one), cofunctor_slots(f), window, length_truncate=False
-        )
-        fb = family_value(dst_cat.b, fw)
-        bw, _ = slot_value(
-            TensorElement.from_word(w, one),
-            coderivation_slots(src_cat.b),
-            window,
-            length_truncate=False,
-        )
-        bf = family_value(f, bw)
+    def component(w: Word) -> HomElement:
+        fb = _transport(w, cofunctor_slots(f), dst_cat.b, window, one)
+        bf = _transport(w, coderivation_slots(src_cat.b), f, window, one)
         return fb.add(bf.neg())
 
     return _extract_coderivation(
@@ -240,18 +210,9 @@ def coder_b1(
     one = novikov.one(r.variant)
     sign = -1 if r.deg % 2 else 1
 
-    def component(w: Word) -> Optional[HomElement]:
-        rw, _ = slot_value(
-            TensorElement.from_word(w, one), coderivation_slots(r), window, length_truncate=False
-        )
-        rb = family_value(dst_cat.b, rw)
-        bw, _ = slot_value(
-            TensorElement.from_word(w, one),
-            coderivation_slots(src_cat.b),
-            window,
-            length_truncate=False,
-        )
-        br = family_value(r, bw).rat_scale(-sign)
+    def component(w: Word) -> HomElement:
+        rb = _transport(w, coderivation_slots(r), dst_cat.b, window, one)
+        br = _transport(w, coderivation_slots(src_cat.b), r, window, one).rat_scale(-sign)
         return rb.add(br)
 
     return _extract_coderivation(
@@ -275,11 +236,8 @@ def coder_bn(
     for r in chain:
         lvl = levels.level_add(lvl, r.lvl)
 
-    def component(w: Word) -> Optional[HomElement]:
-        value, _ = chain_eval(
-            TensorElement.from_word(w, one), chain, window, length_truncate=False
-        )
-        return family_value(dst_cat.b, value)
+    def component(w: Word) -> HomElement:
+        return _transport(w, chain_slots(chain, chain[0].f), dst_cat.b, window, one)
 
     name = f"b{len(chain)}(" + ",".join(r.name for r in chain) + ")"
     return _extract_coderivation(

@@ -5,14 +5,18 @@ composition.
 coderivations) by splitting the element into alternating zones, applying the
 endpoint cofunctors and one component of each chain entry, and concatenating.
 
+``multi_box_splits`` splits a product of factor words into blocks; its
+interchange sign is ``koszul_sign`` per pair of factors.
+
 ``solve_psi`` inverts the pairing: given the values of a cofunctor on mixed
 elements (with the chain side a product of tensor factors), it recovers the
 unique family of coderivations whose evaluation reproduces those values.
 The recursion runs over the product of word lengths: the correction sum only
 involves strictly shorter factor words, and terminates because long words
-split trivially.  Every solved component is re-evaluated and compared against
-its defining values; a mismatch (the input was not actually compatible with
-the comultiplications) raises LeibnizResidual.
+split trivially.  Components are read off the values with
+``morphisms._extract_components``.  Every solved component is re-evaluated
+and compared against its defining values; a mismatch (the input was not
+actually compatible with the comultiplications) raises LeibnizResidual.
 
 ``compose_chain`` realizes composition of coderivation chains through the
 solver applied to iterated evaluation, and ``unit_chain`` the two-sided unit.
@@ -24,24 +28,21 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import levels, novikov, tcoalg
+from . import levels, novikov
 from .errors import FacalcError, LeibnizResidual
-from .filtquiver import FiltQuiver, HomGenerator
-from .levels import Level
+from .filtquiver import FiltQuiver, HomGenerator, koszul_sign
 from .morphisms import (
     Coderivation,
     Cofunctor,
-    Components,
+    _extract_components,
     chain_eval,
     coderivation_from_components,
     coderivation_slots,
     cofunctor_from_components,
-    comp_key,
     hom_truncate,
     identity_cofunctor,
     slot_value,
 )
-from .novikov import NovikovScalar
 from .tcoalg import (
     Flag,
     TensorElement,
@@ -100,7 +101,8 @@ def multi_box_splits(
 
     A block is a tuple with one sub-word per factor; with nonempty=True every
     block has positive total length.  The sign is the interchange sign of the
-    unshuffle: factor s blocks crossing later-factor blocks of earlier index.
+    unshuffle: for each pair of factors s < t, the ``koszul_sign`` of factor
+    t's blocks acting as operators on factor s's blocks.
     """
     q = len(cwords)
     per_factor = [list(seq_splits(len(w), k, allow_empty=True)) for w in cwords]
@@ -113,10 +115,7 @@ def multi_box_splits(
         sign = 1
         for s in range(q):
             for t in range(s + 1, q):
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        if (blocks[t][i].sdeg % 2) and (blocks[s][j].sdeg % 2):
-                            sign = -sign
+                sign *= koszul_sign([b.sdeg for b in blocks[t]], [b.sdeg for b in blocks[s]])
         yield tuple(tuple(blocks[s][i] for s in range(q)) for i in range(k)), sign
 
 
@@ -209,12 +208,11 @@ def solve_psi(
     # Objects: empty factor words define plain cofunctors.
     for objs in product(*(f.objects for f in factors)):
         empties = tuple(Word(o) for o in objs)
-        comps: Components = {}
-        for w in a_words:
-            value = phi(TensorElement.from_word(w, one), empties)
-            letter = hom_truncate(value.pr1_hom(), window)
-            if not letter.is_zero():
-                comps.setdefault(len(w), {})[comp_key(w)] = letter
+        comps, compute = _extract_components(
+            lambda w, _e=empties: phi(TensorElement.from_word(w, one), _e).pr1_hom(),
+            a_quiver,
+            window,
+        )
         obj_map = {x: phi_obj(x, objs) for x in a_quiver.objects}
         g = cofunctor_from_components(
             f"psi@{','.join(objs)}",
@@ -226,9 +224,7 @@ def solve_psi(
             variant,
         )
         g.complete_upto = window.max_len
-        g.compute = lambda w, _e=empties: hom_truncate(
-            phi(TensorElement.from_word(w, one), _e).pr1_hom(), window
-        )
+        g.compute = compute
         sol.objects[objs] = g
         # Consistency: the full cofunctor must reproduce phi on all words.
         for w in a_words:
@@ -255,11 +251,9 @@ def solve_psi(
                 rhs[w], _ = truncate_element(
                     _rhs_value(phi, sol, elem, cwords, window), window
                 )
-            comps: Components = {}
-            for w, value in rhs.items():
-                letter = hom_truncate(value.pr1_hom(), window)
-                if not letter.is_zero():
-                    comps.setdefault(len(w), {})[comp_key(w)] = letter
+            # Read the components off the values the check below needs;
+            # the lazy compute below evaluates words beyond the window.
+            comps, _ = _extract_components(lambda w: rhs[w].pr1_hom(), a_quiver, window)
             f0 = sol.object_at(cword_src(cwords))
             g0 = sol.object_at(cword_dst(cwords))
             deg = sum(w.sdeg for w in cwords)

@@ -16,6 +16,12 @@ Rather than list every split, ``_path_sum`` sums over paths of cut
 positions that only nonzero letters extend.  Family letters have degree 0,
 so the Koszul sign is one factor per single slot (``_crossing_sign``).
 
+Composition, push and pull are one operation: evaluate a basis word, then
+read the value through a second morphism's components (``family_value``,
+via ``_transport``).  ``_extract_components`` turns any such value map into
+a component table and the matching lazy ``compute``; ``ainfty`` and
+``evalhom`` extract through it too.
+
 All infinite sums are bounded by level accounting: every empty block filled
 by a curvature component raises the level by at least the component's
 minimal level, so sums are cut off soundly at the window's energy cutoff.
@@ -78,16 +84,10 @@ def hom_truncate(h: HomElement, window: TruncWindow) -> HomElement:
     return HomElement(h.src, h.dst, kept)
 
 
-def _validate_table(
-    comps: Components,
-    src_quiver: FiltQuiver,
-    endpoint_map: Callable[[str, str], Tuple[str, str]],
-    deg: int,
-    lvl: Level,
-    instance: str,
-    what: str,
-) -> None:
-    for k, table in comps.items():
+def _validate_table(owner: Union[Cofunctor, Coderivation], lvl: Level) -> None:
+    what = f"{owner.noun} {owner.name!r}"
+    instance = owner.instance
+    for k, table in owner.comps.items():
         for key, value in table.items():
             if value.is_zero():
                 continue
@@ -96,30 +96,54 @@ def _validate_table(
                 sdeg = 0
                 base = levels.zero(instance)
             else:
-                gens = [src_quiver.gen(gid) for gid in key]
+                gens = [owner.src.gen(gid) for gid in key]
                 w = Word.from_gens(gens)
                 src, dst = w.src, w.dst
                 sdeg = w.sdeg
                 base = w.base_level(instance)
-            want = endpoint_map(src, dst)
+            want = (owner.src_map[src], owner.dst_map[dst])
             if (value.src, value.dst) != want:
                 raise ObjectMismatch(
                     f"{what}: component at {key!r} lands in {(value.src, value.dst)}, expected {want}"
                 )
             for d in value.degree_pieces():
-                if d != sdeg + deg:
+                if d != sdeg + owner.deg:
                     raise DegreeMismatch(
-                        f"{what}: component at {key!r} has degree {d}, expected {sdeg + deg}"
+                        f"{what}: component at {key!r} has degree {d}, expected {sdeg + owner.deg}"
                     )
             need = levels.level_add(base, lvl)
             if not levels.level_leq(need, value.level(instance)):
                 raise LevelViolation(f"{what}: component at {key!r} violates level {need}")
 
 
+def _comp_value(self, w: Word) -> HomElement:
+    """The component of a cofunctor or coderivation at a basis word: the
+    stored value; beyond ``complete_upto`` the cached lazy ``compute``;
+    else zero, or an error past the bound of an extracted table."""
+    k = len(w)
+    key = comp_key(w)
+    value = self.comps.get(k, {}).get(key)
+    if value is not None:
+        return value
+    if self.compute is not None and (self.complete_upto is None or k > self.complete_upto):
+        cached = self._cache.get((k, key))
+        if cached is None:
+            cached = self.compute(w)
+            self._cache[(k, key)] = cached
+        return cached
+    if self.compute is None and self.complete_upto is not None and k > self.complete_upto:
+        raise FacalcError(
+            f"{self.noun} {self.name!r}: component at length {k} beyond extraction bound"
+        )
+    return HomElement.zero(self.src_map[w.src], self.dst_map[w.dst])
+
+
 class Cofunctor:
     """A degree-0, level-0 morphism into a completed tensor cocategory."""
 
     deg = 0
+    noun = "cofunctor"
+    comp_value = _comp_value
 
     def __init__(
         self,
@@ -146,23 +170,13 @@ class Cofunctor:
         self.compute = compute
         self._cache: Dict[Tuple[int, CompKey], HomElement] = {}
 
-    def comp_value(self, w: Word) -> HomElement:
-        k = len(w)
-        key = comp_key(w)
-        value = self.comps.get(k, {}).get(key)
-        if value is not None:
-            return value
-        if self.compute is not None and (self.complete_upto is None or k > self.complete_upto):
-            cached = self._cache.get((k, key))
-            if cached is None:
-                cached = self.compute(w)
-                self._cache[(k, key)] = cached
-            return cached
-        if self.compute is None and self.complete_upto is not None and k > self.complete_upto:
-            raise FacalcError(
-                f"cofunctor {self.name!r}: component at length {k} beyond extraction bound"
-            )
-        return HomElement.zero(self.obj_map[w.src], self.obj_map[w.dst])
+    @property
+    def src_map(self) -> Dict[str, str]:
+        return self.obj_map
+
+    @property
+    def dst_map(self) -> Dict[str, str]:
+        return self.obj_map
 
     def f0_values(self) -> Dict[str, HomElement]:
         if not hasattr(self, "_f0"):
@@ -186,6 +200,9 @@ class Cofunctor:
 
 class Coderivation:
     """An (f,g)-coderivation of a fixed degree and level, by components."""
+
+    noun = "coderivation"
+    comp_value = _comp_value
 
     def __init__(
         self,
@@ -220,23 +237,13 @@ class Coderivation:
     def dst(self) -> FiltQuiver:
         return self.f.dst
 
-    def comp_value(self, w: Word) -> HomElement:
-        k = len(w)
-        key = comp_key(w)
-        value = self.comps.get(k, {}).get(key)
-        if value is not None:
-            return value
-        if self.compute is not None and (self.complete_upto is None or k > self.complete_upto):
-            cached = self._cache.get((k, key))
-            if cached is None:
-                cached = self.compute(w)
-                self._cache[(k, key)] = cached
-            return cached
-        if self.compute is None and self.complete_upto is not None and k > self.complete_upto:
-            raise FacalcError(
-                f"coderivation {self.name!r}: component at length {k} beyond extraction bound"
-            )
-        return HomElement.zero(self.f.obj_map[w.src], self.g.obj_map[w.dst])
+    @property
+    def src_map(self) -> Dict[str, str]:
+        return self.f.obj_map
+
+    @property
+    def dst_map(self) -> Dict[str, str]:
+        return self.g.obj_map
 
     def is_zero_map(self) -> bool:
         return not any(self.comps.values())
@@ -257,15 +264,7 @@ def cofunctor_from_components(
 ) -> Cofunctor:
     """Validate degree/level/object constraints and the curvature condition."""
     f = Cofunctor(name, src, dst, obj_map, comps, window.instance, variant, convergence_bound)
-    _validate_table(
-        f.comps,
-        src,
-        lambda a, b: (obj_map[a], obj_map[b]),
-        0,
-        levels.zero(window.instance),
-        window.instance,
-        f"cofunctor {name!r}",
-    )
+    _validate_table(f, levels.zero(window.instance))
     f0 = f.f0_values()
     if f0:
         result = tensor_convergent(f0, window, convergence_bound)
@@ -286,15 +285,7 @@ def coderivation_from_components(
     complete_upto: Optional[int] = None,
 ) -> Coderivation:
     r = Coderivation(name, f, g, deg, lvl, comps, complete_upto)
-    _validate_table(
-        r.comps,
-        f.src,
-        lambda a, b: (f.obj_map[a], g.obj_map[b]),
-        deg,
-        lvl,
-        f.instance,
-        f"coderivation {name!r}",
-    )
+    _validate_table(r, lvl)
     return r
 
 
@@ -371,10 +362,8 @@ def slot_value(
     inst = window.instance
     families = [s.owner for s in slots if s.kind == "family"]
     singles = [s.owner for s in slots if s.kind == "single"]
-    first = slots[0].owner
-    last = slots[-1].owner
-    src_map = first.obj_map if isinstance(first, Cofunctor) else first.f.obj_map
-    dst_map = last.obj_map if isinstance(last, Cofunctor) else last.g.obj_map
+    src_map = slots[0].owner.src_map
+    dst_map = slots[-1].owner.dst_map
     any_curved, floor = _curvature_floor(slots)
 
     terms: List[Tuple[Word, NovikovScalar]] = []
@@ -483,38 +472,58 @@ def evaluate_coderivation(r: Coderivation, x: TensorElement, window: TruncWindow
     return slot_value(x, coderivation_slots(r), window)
 
 
+def family_value(owner: Union[Cofunctor, Coderivation], x: TensorElement) -> HomElement:
+    """Feed every word of x through the component of its own length: the
+    one fold that reads a value through a morphism's components."""
+    out = HomElement.zero(owner.src_map[x.src], owner.dst_map[x.dst])
+    for w, c in x.terms:
+        out = out.add(owner.comp_value(w).scale(c))
+    return out
+
+
+def _transport(
+    w: Word,
+    slots: Sequence[Slot],
+    owner: Union[Cofunctor, Coderivation],
+    window: TruncWindow,
+    one: NovikovScalar,
+) -> HomElement:
+    """Evaluate the basis word w through slots, then fold the untruncated
+    value through owner's components."""
+    value, _ = slot_value(TensorElement.from_word(w, one), slots, window, length_truncate=False)
+    return family_value(owner, value)
+
+
 def _extract_components(
-    value_on_word: Callable[[Word], HomElement],
+    value: Callable[[Word], HomElement],
     src_quiver: FiltQuiver,
-    max_len: int,
-) -> Components:
+    window: TruncWindow,
+    max_len: Optional[int] = None,
+) -> Tuple[Components, Callable[[Word], HomElement]]:
+    """The components of a morphism from its value on each basis word of
+    src_quiver up to max_len (default: the window length), in basis_words
+    order, each reduced by hom_truncate once; zeros are dropped.  Also
+    returns that truncated value map, the morphism's lazy ``compute``."""
+
+    def compute(w: Word) -> HomElement:
+        return hom_truncate(value(w), window)
+
     comps: Components = {}
-    for w in basis_words(src_quiver, max_len):
-        v = value_on_word(w)
-        if v.is_zero():
-            continue
-        comps.setdefault(len(w), {})[comp_key(w)] = v
-    return comps
+    for w in basis_words(src_quiver, window.max_len if max_len is None else max_len):
+        v = compute(w)
+        if not v.is_zero():
+            comps.setdefault(len(w), {})[comp_key(w)] = v
+    return comps, compute
 
 
 def compose_cofunctors(f: Cofunctor, g: Cofunctor, window: TruncWindow) -> Cofunctor:
     """Components of f then g: feed the full value of f through g's letters."""
     if f.dst.name != g.src.name:
         raise ObjectMismatch(f"cannot compose {f.name!r} with {g.name!r}")
-
-    def component(w: Word) -> HomElement:
-        value, _ = slot_value(
-            TensorElement.from_word(w, novikov.one(f.variant)),
-            cofunctor_slots(f),
-            window,
-            length_truncate=False,
-        )
-        target = HomElement.zero(g.obj_map[f.obj_map[w.src]], g.obj_map[f.obj_map[w.dst]])
-        for u, c in value.terms:
-            target = target.add(g.comp_value(u).scale(c))
-        return hom_truncate(target, window)
-
-    comps = _extract_components(component, f.src, window.max_len)
+    one = novikov.one(f.variant)
+    comps, compute = _extract_components(
+        lambda w: _transport(w, cofunctor_slots(f), g, window, one), f.src, window
+    )
     h = Cofunctor(
         f"{f.name}*{g.name}",
         f.src,
@@ -525,7 +534,7 @@ def compose_cofunctors(f: Cofunctor, g: Cofunctor, window: TruncWindow) -> Cofun
         f.variant,
         convergence_bound=max(f.convergence_bound, g.convergence_bound),
         complete_upto=window.max_len,
-        compute=component,
+        compute=compute,
     )
     f0 = h.f0_values()
     if f0:
@@ -539,22 +548,10 @@ def push_coderivation(r: Coderivation, h: Cofunctor, window: TruncWindow) -> Cod
     """The coderivation r pushed along h, between f.h and g.h."""
     if r.dst.name != h.src.name:
         raise ObjectMismatch("push: coderivation does not land in the source of h")
-
-    def component(w: Word) -> HomElement:
-        value, _ = slot_value(
-            TensorElement.from_word(w, novikov.one(r.variant)),
-            coderivation_slots(r),
-            window,
-            length_truncate=False,
-        )
-        target = HomElement.zero(
-            h.obj_map[r.f.obj_map[w.src]], h.obj_map[r.g.obj_map[w.dst]]
-        )
-        for u, c in value.terms:
-            target = target.add(h.comp_value(u).scale(c))
-        return hom_truncate(target, window)
-
-    comps = _extract_components(component, r.src, window.max_len)
+    one = novikov.one(r.variant)
+    comps, compute = _extract_components(
+        lambda w: _transport(w, coderivation_slots(r), h, window, one), r.src, window
+    )
     return Coderivation(
         f"{r.name}*{h.name}",
         compose_cofunctors(r.f, h, window),
@@ -563,7 +560,7 @@ def push_coderivation(r: Coderivation, h: Cofunctor, window: TruncWindow) -> Cod
         r.lvl,
         comps,
         complete_upto=window.max_len,
-        compute=component,
+        compute=compute,
     )
 
 
@@ -571,22 +568,10 @@ def pull_coderivation(e: Cofunctor, r: Coderivation, window: TruncWindow) -> Cod
     """The coderivation r pulled back along e, between e.f and e.g."""
     if e.dst.name != r.src.name:
         raise ObjectMismatch("pull: cofunctor does not land in the source of r")
-
-    def component(w: Word) -> HomElement:
-        value, _ = slot_value(
-            TensorElement.from_word(w, novikov.one(e.variant)),
-            cofunctor_slots(e),
-            window,
-            length_truncate=False,
-        )
-        target = HomElement.zero(
-            r.f.obj_map[e.obj_map[w.src]], r.g.obj_map[e.obj_map[w.dst]]
-        )
-        for u, c in value.terms:
-            target = target.add(r.comp_value(u).scale(c))
-        return hom_truncate(target, window)
-
-    comps = _extract_components(component, e.src, window.max_len)
+    one = novikov.one(e.variant)
+    comps, compute = _extract_components(
+        lambda w: _transport(w, cofunctor_slots(e), r, window, one), e.src, window
+    )
     return Coderivation(
         f"{e.name}*{r.name}",
         compose_cofunctors(e, r.f, window),
@@ -595,7 +580,7 @@ def pull_coderivation(e: Cofunctor, r: Coderivation, window: TruncWindow) -> Cod
         r.lvl,
         comps,
         complete_upto=window.max_len,
-        compute=component,
+        compute=compute,
     )
 
 

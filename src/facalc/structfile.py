@@ -80,6 +80,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _name_at(value, loc: str, required: bool = True):
+    """A name field: a string, or absent (None) where ``required`` is False
+    so that the lookup reports the name as unresolved."""
+    _expect(isinstance(value, str) or (value is None and not required), loc, "name must be a string")
+    return value
+
+
 def _list_at(obj: dict, key: str, loc: str) -> list:
     value = obj.get(key, [])
     _expect(isinstance(value, list), f"{loc}.{key}", f"{key} must be a list")
@@ -138,6 +145,7 @@ def _parse_hom_value(obj, quiver: FiltQuiver, variant: str, loc: str) -> HomElem
         ploc = f"{loc}[{i}]"
         _expect(isinstance(pair, list) and len(pair) == 2, ploc, "expected [generator, scalar]")
         gid, scal = pair
+        _name_at(gid, f"{ploc}[0]")
         try:
             g = quiver.gen(gid)
         except FacalcError:
@@ -161,6 +169,8 @@ def _parse_component_entry(entry, quiver: FiltQuiver, target: FiltQuiver, varian
     else:
         gids = entry["word"]
         _expect(isinstance(gids, list) and gids, loc, "'word' must be a non-empty list")
+        for i, gid in enumerate(gids):
+            _name_at(gid, f"{loc}.word[{i}]")
         try:
             gens = [quiver.gen(g) for g in gids]
         except FacalcError as exc:
@@ -229,6 +239,8 @@ def load_model(text: str) -> Model:
         for gi, gobj in enumerate(_list_at(qobj, "generators", loc)):
             gloc = f"{loc}.generators[{gi}]"
             _expect(isinstance(gobj, dict), gloc, "generator must be an object")
+            for key in ("id", "src", "dst"):
+                _name_at(gobj.get(key), f"{gloc}.{key}")
             has_sdeg = "sdeg" in gobj
             has_deg = "deg" in gobj
             _expect(has_sdeg != has_deg, gloc, "give exactly one of 'sdeg' or 'deg'")
@@ -250,7 +262,8 @@ def load_model(text: str) -> Model:
         except FacalcError as exc:
             raise _fail(loc, str(exc)) from None
 
-    def get_quiver(name, loc) -> FiltQuiver:
+    def get_quiver(obj: dict, key: str, loc: str) -> FiltQuiver:
+        name = _name_at(obj.get(key), f"{loc}.{key}", required=False)
         if name not in model.quivers:
             raise ResolveError(f"{loc}: unknown quiver {name!r}")
         return model.quivers[name]
@@ -258,7 +271,7 @@ def load_model(text: str) -> Model:
     for bi, bobj in enumerate(_list_at(doc, "b_components", "$")):
         loc = f"$.b_components[{bi}]"
         _expect(isinstance(bobj, dict), loc, "entry must be an object")
-        quiver = get_quiver(bobj.get("quiver"), loc)
+        quiver = get_quiver(bobj, "quiver", loc)
         comps = _parse_components(bobj.get("components", []), quiver, quiver, variant, f"{loc}.components")
         try:
             model.cats[quiver.name] = ainf_category(quiver, comps, window, variant)
@@ -273,13 +286,16 @@ def load_model(text: str) -> Model:
         name = fobj.get("name")
         _expect(isinstance(name, str) and name, f"{loc}.name", "functor needs a name")
         _expect(name not in model.functors, f"{loc}.name", f"duplicate functor {name!r}")
-        src = get_quiver(fobj.get("src"), loc)
-        dst = get_quiver(fobj.get("dst"), loc)
+        src = get_quiver(fobj, "src", loc)
+        dst = get_quiver(fobj, "dst", loc)
         obj_map = fobj.get("obj_map")
         _expect(isinstance(obj_map, dict), f"{loc}.obj_map", "obj_map must be an object")
         for x, y in obj_map.items():
             if x not in src.objects or y not in dst.objects:
                 raise ResolveError(f"{loc}.obj_map: bad pair {x!r} -> {y!r}")
+        for x in src.objects:
+            if x not in obj_map:
+                raise ResolveError(f"{loc}.obj_map: no image for object {x!r}")
         comps = _parse_components(fobj.get("components", []), src, dst, variant, f"{loc}.components")
         bound = fobj.get("convergence_bound", 16)
         _expect(_is_int(bound) and bound >= 1, f"{loc}.convergence_bound", "bad bound")
@@ -299,7 +315,7 @@ def load_model(text: str) -> Model:
         _expect(isinstance(name, str) and name, f"{loc}.name", "coderivation needs a name")
         _expect(name not in model.coderivations, f"{loc}.name", f"duplicate coderivation {name!r}")
         for side in ("from", "to"):
-            if robj.get(side) not in model.functors:
+            if _name_at(robj.get(side), f"{loc}.{side}", required=False) not in model.functors:
                 raise ResolveError(f"{loc}.{side}: unknown functor {robj.get(side)!r}")
         f = model.functors[robj["from"]]
         g = model.functors[robj["to"]]
@@ -319,7 +335,7 @@ def load_model(text: str) -> Model:
         _expect(isinstance(eobj, dict), loc, "element must be an object")
         name = eobj.get("name")
         _expect(isinstance(name, str) and name, f"{loc}.name", "element needs a name")
-        quiver = get_quiver(eobj.get("quiver"), loc)
+        quiver = get_quiver(eobj, "quiver", loc)
         terms = []
         for ti, tobj in enumerate(_list_at(eobj, "terms", loc)):
             tloc = f"{loc}.terms[{ti}]"
@@ -331,6 +347,8 @@ def load_model(text: str) -> Model:
             else:
                 gids = tobj.get("word")
                 _expect(isinstance(gids, list) and gids, tloc, "term needs 'word' or 'at'")
+                for i, gid in enumerate(gids):
+                    _name_at(gid, f"{tloc}.word[{i}]")
                 try:
                     w = Word.from_gens([quiver.gen(g) for g in gids])
                 except FacalcError as exc:
@@ -354,17 +372,18 @@ def load_model(text: str) -> Model:
         loc = "$.coder_quiver"
         cobj = doc["coder_quiver"]
         _expect(isinstance(cobj, dict), loc, "coder_quiver must be an object")
-        for qname in (cobj.get("source"), cobj.get("target")):
+        for key in ("source", "target"):
+            qname = _name_at(cobj.get(key), f"{loc}.{key}", required=False)
             if qname not in model.cats:
                 raise ResolveError(f"{loc}: quiver {qname!r} has no codifferential")
         functors = []
-        for fname in _list_at(cobj, "functors", loc):
-            if fname not in model.functors:
+        for i, fname in enumerate(_list_at(cobj, "functors", loc)):
+            if _name_at(fname, f"{loc}.functors[{i}]") not in model.functors:
                 raise ResolveError(f"{loc}.functors: unknown functor {fname!r}")
             functors.append(model.functors[fname])
         coders = []
-        for rname in _list_at(cobj, "coderivations", loc):
-            if rname not in model.coderivations:
+        for i, rname in enumerate(_list_at(cobj, "coderivations", loc)):
+            if _name_at(rname, f"{loc}.coderivations[{i}]") not in model.coderivations:
                 raise ResolveError(f"{loc}.coderivations: unknown coderivation {rname!r}")
             coders.append(model.coderivations[rname])
         model.coder_quiver = CoderQuiver(
@@ -375,20 +394,22 @@ def load_model(text: str) -> Model:
         loc = "$.psi"
         pobj = doc["psi"]
         _expect(isinstance(pobj, dict), loc, "psi must be an object")
-        source = get_quiver(pobj.get("source"), loc)
+        source = get_quiver(pobj, "source", loc)
         obj_map = pobj.get("obj_map", {})
         gen_map = pobj.get("gen_map", {})
+        for key, table in (("obj_map", obj_map), ("gen_map", gen_map)):
+            _expect(isinstance(table, dict), f"{loc}.{key}", f"{key} must be an object")
         for o, fname in obj_map.items():
             if o not in source.objects:
                 raise ResolveError(f"{loc}.obj_map: unknown object {o!r}")
-            if fname not in model.functors:
+            if _name_at(fname, f"{loc}.obj_map.{o}") not in model.functors:
                 raise ResolveError(f"{loc}.obj_map: unknown functor {fname!r}")
         for gid, rname in gen_map.items():
             try:
                 source.gen(gid)
             except FacalcError:
                 raise ResolveError(f"{loc}.gen_map: unknown generator {gid!r}") from None
-            if rname not in model.coderivations:
+            if _name_at(rname, f"{loc}.gen_map.{gid}") not in model.coderivations:
                 raise ResolveError(f"{loc}.gen_map: unknown coderivation {rname!r}")
         for o in source.objects:
             _expect(o in obj_map, loc, f"psi object map misses {o!r}")

@@ -426,30 +426,3 @@ def basis_words(
         frontier = nxt
     return sorted(words, key=Word.sort_key)
 
-
-# ---------------------------------------------------------------------------
-# Box products (pairs of words with the middle-four interchange sign)
-
-def box_sign(left_pars: Sequence[int], right_pars: Sequence[int]) -> int:
-    """Sign of unshuffling blocks: sum over i < j of right_i * left_j."""
-    sign = 1
-    for i in range(len(right_pars)):
-        for j in range(i + 1, len(left_pars)):
-            if (right_pars[i] % 2) and (left_pars[j] % 2):
-                sign = -sign
-    return sign
-
-
-def pair_reduced_delta_k(
-    w1: Word, w2: Word, k: int
-) -> Iterator[Tuple[Tuple[Tuple[Word, Word], ...], int]]:
-    """Reduced k-fold splits of w1 [box] w2: each paired block non-empty,
-    with the interchange sign from block degrees."""
-    for cuts1 in seq_splits(len(w1), k, allow_empty=True):
-        blocks1 = word_blocks(w1, cuts1)
-        for cuts2 in seq_splits(len(w2), k, allow_empty=True):
-            blocks2 = word_blocks(w2, cuts2)
-            if any(len(b1) + len(b2) == 0 for b1, b2 in zip(blocks1, blocks2)):
-                continue
-            sign = box_sign([b.sdeg for b in blocks1], [b.sdeg for b in blocks2])
-            yield tuple(zip(blocks1, blocks2)), sign

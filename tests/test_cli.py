@@ -93,27 +93,63 @@ def _deg_without_sdeg(doc):
     gen["deg"] = "x"
 
 
+def _psi(**fields):
+    """Add a solver section over quiver A of b1_only, with some fields set."""
+    section = {"source": "A", "obj_map": {"X": "idA"}, "gen_map": {"p": "r"}}
+    section.update(fields)
+    return _set(["psi"], section)
+
+
+BAD = [[1]]
+ONE_TERM = "1*T^{0}*e^{0}"
+MALFORMED = [
+    (_set(["quivers"], 5), "$.quivers", 64),
+    (_set(["quivers", 0, "objects"], BAD), "$.quivers[0].objects", 64),
+    (_deg_without_sdeg, "$.quivers[0].generators[0]", 64),
+    (_set(["quivers", 0, "generators", 0, "base_level"], {"rat": [1]}),
+     "$.quivers[0].generators[0].base_level", 64),
+    (_set(["window", "max_len"], True), "$.window.max_len", 64),
+    (_set(["functors", 0, "convergence_bound"], True), "$.functors[0].convergence_bound", 64),
+    (_set(["coderivations", 0, "degree"], True), "$.coderivations[0].degree", 64),
+    (_set(["quivers", 0, "generators", 0, "id"], BAD), "$.quivers[0].generators[0].id", 64),
+    (_set(["quivers", 0, "generators", 0, "src"], 5), "$.quivers[0].generators[0].src", 64),
+    (_set(["quivers", 0, "generators", 0, "dst"], BAD), "$.quivers[0].generators[0].dst", 64),
+    (_set(["b_components", 0, "quiver"], BAD), "$.b_components[0].quiver", 64),
+    (_set(["b_components", 0, "components", 0, "word"], BAD),
+     "$.b_components[0].components[0].word[0]", 64),
+    (_set(["b_components", 0, "components", 0, "value"], [[BAD, ONE_TERM]]),
+     "$.b_components[0].components[0].value[0][0]", 64),
+    (_set(["functors", 0, "src"], BAD), "$.functors[0].src", 64),
+    (_set(["functors", 0, "obj_map"], {}), "$.functors[0].obj_map", 65),
+    (_set(["coderivations", 0, "from"], BAD), "$.coderivations[0].from", 64),
+    (_set(["coderivations", 0, "to"], 5), "$.coderivations[0].to", 64),
+    (_set(["elements", 0, "quiver"], BAD), "$.elements[0].quiver", 64),
+    (_set(["elements", 0, "terms", 0, "word"], BAD), "$.elements[0].terms[0].word[0]", 64),
+    (_set(["coder_quiver", "source"], BAD), "$.coder_quiver.source", 64),
+    (_set(["coder_quiver", "functors"], BAD), "$.coder_quiver.functors[0]", 64),
+    (_set(["coder_quiver", "coderivations"], BAD), "$.coder_quiver.coderivations[0]", 64),
+    (_psi(source=BAD), "$.psi.source", 64),
+    (_psi(obj_map=BAD), "$.psi.obj_map", 64),
+    (_psi(gen_map=5), "$.psi.gen_map", 64),
+    (_psi(obj_map={"X": BAD}), "$.psi.obj_map.X", 64),
+    (_psi(gen_map={"p": BAD}), "$.psi.gen_map.p", 64),
+]
+
+
 @pytest.mark.parametrize(
-    "mutate, where",
-    [
-        (_set(["quivers"], 5), "$.quivers"),
-        (_set(["quivers", 0, "objects"], [[1]]), "$.quivers[0].objects"),
-        (_deg_without_sdeg, "$.quivers[0].generators[0]"),
-        (_set(["quivers", 0, "generators", 0, "base_level"], {"rat": [1]}),
-         "$.quivers[0].generators[0].base_level"),
-        (_set(["window", "max_len"], True), "$.window.max_len"),
-        (_set(["functors", 0, "convergence_bound"], True), "$.functors[0].convergence_bound"),
-        (_set(["coderivations", 0, "degree"], True), "$.coderivations[0].degree"),
-    ],
+    "mutate, where, code",
+    MALFORMED,
+    ids=[f"{mutate.__name__}-{where}" for mutate, where, _ in MALFORMED],
 )
-def test_malformed_fields_are_parse_errors(mutate, where, tmp_path):
+def test_malformed_fields_are_parse_errors(mutate, where, code, tmp_path):
     doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text(encoding="utf-8"))
     mutate(doc)
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, text = run(["check-b2", str(path)])
-    assert code == 64
-    assert text.startswith(f"parse error: {where}:")
+    got, text = run(["check-b2", str(path)])
+    assert got == code
+    kind = {64: "parse", 65: "resolve"}[code]
+    assert text.startswith(f"{kind} error: {where}:")
 
 
 def test_window_override():

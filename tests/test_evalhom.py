@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
 from facalc.errors import LeibnizResidual
@@ -27,7 +28,7 @@ from facalc.morphisms import (
 )
 from facalc.tcoalg import TensorElement, TruncWindow, Word, basis_words, truncate_element
 
-from conftest import loop_quiver
+from conftest import facalc_seed, loop_quiver
 
 ONE = novikov.one()
 W = TruncWindow(4, levels.rat(3))
@@ -120,6 +121,76 @@ def test_multi_box_splits_signs():
         key = tuple(tuple(len(w) for w in blk) for blk in blocks)
         got[key] = sign
     assert got == {((1, 0), (0, 1)): 1, ((0, 1), (1, 0)): -1}
+
+
+def test_box_conilpotence():
+    # With conilpotence indices n, m (smallest with the iterate vanishing),
+    # the paired element dies at index n + m - 1.
+    Q1 = loop_quiver("Q1", sdegs=(0, 1))
+    Q2 = loop_quiver("Q2", sdegs=(1,))
+    for w1 in basis_words(Q1, 3, include_empty=False):
+        for w2 in basis_words(Q2, 3, include_empty=False):
+            n, m = len(w1) + 1, len(w2) + 1
+            assert list(multi_box_splits((w1, w2), n + m - 1, nonempty=True)) == []
+            assert list(multi_box_splits((w1, w2), len(w1) + len(w2), nonempty=True)) != []
+
+
+def test_box_interchange_sign():
+    # [(a (x) b) box (c (x) d)] -> (-1)^{deg b deg c} (a box c) (x) (b box d).
+    Q1 = loop_quiver("Q1", sdegs=(1, 0))
+    Q2 = loop_quiver("Q2", sdegs=(1,))
+    a, b = Q1.gen("g0"), Q1.gen("g1")
+    c = d = Q2.gen("g0")
+    w1 = Word.from_gens([a, b])
+    w2 = Word.from_gens([c, d])
+    splits = {
+        tuple((len(p), len(q)) for p, q in key): sign
+        for key, sign in multi_box_splits((w1, w2), 2, nonempty=True)
+    }
+    # The letterwise split pairs (a,c) with (b,d): deg b = 0, deg c = 1.
+    assert splits[((1, 1), (1, 1))] == 1
+    w1r = Word.from_gens([b, a])  # now the second left letter is odd
+    splits = {
+        tuple((len(p), len(q)) for p, q in key): sign
+        for key, sign in multi_box_splits((w1r, w2), 2, nonempty=True)
+    }
+    assert splits[((1, 1), (1, 1))] == -1
+
+
+def loop_interchange_sign(blocks):
+    """Literal interchange sign of an unshuffle, one transposition at a
+    time: blocks[s][i] is factor s's sub-word in block i, and factor t's
+    block i crosses factor s's block j whenever s < t and i < j."""
+    q, k = len(blocks), len(blocks[0])
+    sign = 1
+    for s in range(q):
+        for t in range(s + 1, q):
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if (blocks[t][i].sdeg % 2) and (blocks[s][j].sdeg % 2):
+                        sign = -sign
+    return sign
+
+
+@seed(facalc_seed())
+@settings(max_examples=150, deadline=None)
+@given(
+    factors=st.lists(
+        st.lists(st.sampled_from(["g0", "g1", "g2"]), min_size=0, max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+    k=st.integers(min_value=1, max_value=4),
+    nonempty=st.booleans(),
+)
+def test_multi_box_splits_sign_matches_loop(factors, k, nonempty):
+    Q = loop_quiver("F", sdegs=(0, 1, -1))
+    cwords = tuple(
+        Word.from_gens([Q.gen(g) for g in gids]) if gids else Word("X") for gids in factors
+    )
+    for blocks, sign in multi_box_splits(cwords, k, nonempty=nonempty):
+        per_factor = [[blk[s] for blk in blocks] for s in range(len(cwords))]
+        assert sign == loop_interchange_sign(per_factor)
 
 
 def make_fixture_psi(Q, ida, letter_map, max_len=2):

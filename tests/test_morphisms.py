@@ -1,8 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from facalc import levels, novikov
+from facalc.ainfty import coder_b0, coder_b1, coder_bn
 from facalc.errors import ConvergenceUndecided, DegreeMismatch, ObjectMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
 from facalc.morphisms import (
@@ -11,16 +13,19 @@ from facalc.morphisms import (
     augmentation_defect,
     coderivation_from_components,
     cofunctor_from_components,
+    comp_key,
     compose_cofunctors,
     defect_to_f0,
     evaluate_coderivation,
     evaluate_cofunctor,
+    hom_truncate,
     identity_cofunctor,
     leibniz_residual,
     pull_coderivation,
     push_coderivation,
     tensor_convergent,
 )
+from facalc.structfile import load_model_file
 from facalc.tcoalg import (
     Flag,
     TensorElement,
@@ -497,3 +502,43 @@ def test_undecided_on_level_zero_curvature_sums():
     )
     with pytest.raises(ConvergenceUndecided):
         evaluate_cofunctor(f, augmentation_eta("X", "nov"), W)
+
+
+def _fixture_morphisms(cutoff):
+    """compose, push, pull and the coder-quiver letters b0, b1, bn built
+    from the committed fixtures, at their lengths and the given cutoff."""
+    fixtures = Path(__file__).parent / "fixtures"
+    b1, curved, cmin = (
+        load_model_file(str(fixtures / f"{name}.json"))
+        for name in ("b1_only", "curved_compose", "curved_min")
+    )
+    A, idA, fbad, r = b1.cats["A"], b1.functors["idA"], b1.functors["fbad"], b1.coderivations["r"]
+    Am, s = cmin.cats["A"], cmin.coderivations["s"]
+    W, Wc, Wm = (TruncWindow(m.window.max_len, cutoff) for m in (b1, curved, cmin))
+    return [
+        (compose_cofunctors(idA, idA, W), W),
+        (compose_cofunctors(curved.functors["fc"], curved.functors["gq"], Wc), Wc),
+        (push_coderivation(r, idA, W), W),
+        (pull_coderivation(idA, r, W), W),
+        (coder_b0(fbad, A, A, W), W),
+        (coder_b1(r, A, A, W), W),
+        (coder_b1(s, Am, Am, Wm), Wm),
+        (coder_bn((r, r), A, A, W), W),
+        (coder_bn((s, s), Am, Am, Wm), Wm),
+    ]
+
+
+@pytest.mark.parametrize("cutoff", ["3", "1"])
+def test_lazy_compute_matches_extracted_components(cutoff):
+    # At cutoff 1 the truncation drops terms of coder_b1(s) on curved_min, so
+    # an extraction or a lazy path that skips hom_truncate fails here.
+    for owner, window in _fixture_morphisms(levels.rat(cutoff)):
+        assert owner.compute is not None and owner.complete_upto is not None
+        for w in basis_words(owner.src, owner.complete_upto):
+            stored = owner.comps.get(len(w), {}).get(comp_key(w))
+            got = owner.compute(w)
+            assert got == hom_truncate(got, window), (owner, w)
+            if stored is None:
+                assert got.is_zero(), (owner, w)
+            else:
+                assert got == stored, (owner, w)

@@ -17,7 +17,6 @@ from facalc.tcoalg import (
     cut_delta,
     delta_k,
     mu_concat,
-    pair_reduced_delta_k,
     reduced_delta_k,
     truncate_element,
 )
@@ -165,40 +164,6 @@ def test_projection_compatibility():
             key: c for key, c in cut_delta(x).items() if len(key[0]) and len(key[1])
         }
         assert projected == reduced_delta_k(x, 2)
-
-
-def test_box_conilpotence():
-    # With conilpotence indices n, m (smallest with the iterate vanishing),
-    # the paired element dies at index n + m - 1.
-    Q1 = loop_quiver("Q1", sdegs=(0, 1))
-    Q2 = loop_quiver("Q2", sdegs=(1,))
-    for w1 in basis_words(Q1, 3, include_empty=False):
-        for w2 in basis_words(Q2, 3, include_empty=False):
-            n, m = len(w1) + 1, len(w2) + 1
-            assert list(pair_reduced_delta_k(w1, w2, n + m - 1)) == []
-            assert list(pair_reduced_delta_k(w1, w2, len(w1) + len(w2))) != []
-
-
-def test_box_interchange_sign():
-    # [(a (x) b) box (c (x) d)] -> (-1)^{deg b deg c} (a box c) (x) (b box d).
-    Q1 = loop_quiver("Q1", sdegs=(1, 0))
-    Q2 = loop_quiver("Q2", sdegs=(1,))
-    a, b = Q1.gen("g0"), Q1.gen("g1")
-    c = d = Q2.gen("g0")
-    w1 = Word.from_gens([a, b])
-    w2 = Word.from_gens([c, d])
-    splits = {
-        tuple((len(p), len(q)) for p, q in key): sign
-        for key, sign in pair_reduced_delta_k(w1, w2, 2)
-    }
-    # The letterwise split pairs (a,c) with (b,d): deg b = 0, deg c = 1.
-    assert splits[((1, 1), (1, 1))] == 1
-    w1r = Word.from_gens([b, a])  # now the second left letter is odd
-    splits = {
-        tuple((len(p), len(q)) for p, q in key): sign
-        for key, sign in pair_reduced_delta_k(w1r, w2, 2)
-    }
-    assert splits[((1, 1), (1, 1))] == -1
 
 
 def test_mu_concat():
