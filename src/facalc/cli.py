@@ -129,6 +129,14 @@ def _task(model: Model, name: str) -> dict:
     return task
 
 
+def _task_name(task: dict, where: str, field: str) -> Optional[str]:
+    """The name a task gives in `field`, or None; it must be a string."""
+    name = task.get(field)
+    if name is not None and not isinstance(name, str):
+        raise ParseError(f"$.tasks.{where}.{field}", "name must be a string")
+    return name
+
+
 def _pick_functor(model: Model, name: Optional[str], loc: str) -> Cofunctor:
     if name is None:
         if len(model.functors) == 1:
@@ -163,7 +171,8 @@ def cmd_check_b2(model: Model, path: str, args) -> Report:
 def cmd_check_functor(model: Model, path: str, args) -> Report:
     window = _override_window(model, args.window)
     task = _task(model, "check_functor")
-    f = _pick_functor(model, args.functor or task.get("functor"), "check-functor")
+    name = args.functor or _task_name(task, "check_functor", "functor")
+    f = _pick_functor(model, name, "check-functor")
     for qname in (f.src.name, f.dst.name):
         if qname not in model.cats:
             raise ResolveError(f"check-functor: quiver {qname!r} has no codifferential")
@@ -214,8 +223,8 @@ def _result_doc(model: Model, quivers: List[FiltQuiver], functors: List[Cofuncto
 def cmd_compose(model: Model, path: str, args):
     window = _override_window(model, args.window)
     task = _task(model, "compose")
-    f = _pick_functor(model, args.f or task.get("f"), "compose")
-    g = _pick_functor(model, args.g or task.get("g"), "compose")
+    f = _pick_functor(model, args.f or _task_name(task, "compose", "f"), "compose")
+    g = _pick_functor(model, args.g or _task_name(task, "compose", "g"), "compose")
     h = compose_cofunctors(f, g, window)
     return dump_document(_result_doc(model, [f.src, g.dst], [h], [])), EXIT_OK
 
@@ -223,8 +232,8 @@ def cmd_compose(model: Model, path: str, args):
 def cmd_push(model: Model, path: str, args):
     window = _override_window(model, args.window)
     task = _task(model, "push")
-    r = _pick_coderivation(model, args.r or task.get("r"), "push")
-    h = _pick_functor(model, args.h or task.get("h"), "push")
+    r = _pick_coderivation(model, args.r or _task_name(task, "push", "r"), "push")
+    h = _pick_functor(model, args.h or _task_name(task, "push", "h"), "push")
     out = push_coderivation(r, h, window)
     return dump_document(
         _result_doc(model, [r.src, h.dst], [out.f, out.g], [out])
@@ -234,8 +243,8 @@ def cmd_push(model: Model, path: str, args):
 def cmd_pull(model: Model, path: str, args):
     window = _override_window(model, args.window)
     task = _task(model, "pull")
-    e = _pick_functor(model, args.e or task.get("e"), "pull")
-    r = _pick_coderivation(model, args.r or task.get("r"), "pull")
+    e = _pick_functor(model, args.e or _task_name(task, "pull", "e"), "pull")
+    r = _pick_coderivation(model, args.r or _task_name(task, "pull", "r"), "pull")
     out = pull_coderivation(e, r, window)
     return dump_document(
         _result_doc(model, [e.src, r.dst], [out.f, out.g], [out])
@@ -245,14 +254,19 @@ def cmd_pull(model: Model, path: str, args):
 def cmd_eval(model: Model, path: str, args):
     window = _override_window(model, args.window)
     task = _task(model, "eval")
-    elem_name = args.element or task.get("element")
+    elem_name = args.element or _task_name(task, "eval", "element")
     if elem_name not in model.elements:
         raise ResolveError(f"eval: unknown element {elem_name!r}")
     x = model.elements[elem_name]
     chain_names = args.chain.split(",") if args.chain else task.get("chain", [])
+    if not isinstance(chain_names, list):
+        raise ParseError("$.tasks.eval.chain", "chain must be a list of names")
+    for i, name in enumerate(chain_names):
+        if not isinstance(name, str):
+            raise ParseError(f"$.tasks.eval.chain[{i}]", "name must be a string")
     chain = [_pick_coderivation(model, n, "eval") for n in chain_names]
     boundary = None
-    bname = args.boundary or task.get("boundary")
+    bname = args.boundary or _task_name(task, "eval", "boundary")
     if bname is not None:
         boundary = _pick_functor(model, bname, "eval")
     if not chain and boundary is None:

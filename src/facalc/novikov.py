@@ -16,6 +16,11 @@ Three variants are supported:
 Completed infinite series are represented only through truncation: every
 stored scalar is finite, and working modulo an energy cutoff models one stage
 of the completion limit.
+
+Every ``NovikovScalar`` is normal: terms strictly increasing in (energy,
+exponent), nonzero ``Fraction`` coefficients, each term valid for the variant.
+``scalar`` and ``parse_scalar`` are the only constructors that coerce and
+validate raw input; the ring operations rely on the invariant and do neither.
 """
 
 from __future__ import annotations
@@ -65,18 +70,12 @@ def scalar(terms: Iterable[tuple] = (), variant: str = NOV) -> NovikovScalar:
     """Build a scalar from raw (coeff, energy, expo) triples, normalizing."""
     if variant not in VARIANTS:
         raise FacalcError(f"unknown coefficient variant {variant!r}")
-    merged: dict = {}
+    valid = []
     for c, lam, n in terms:
-        c = Fraction(c)
-        lam = Fraction(lam)
-        n = int(n)
+        c, lam, n = Fraction(c), Fraction(lam), int(n)
         _validate_term(variant, c, lam, n)
-        key = (lam, n)
-        merged[key] = merged.get(key, Fraction(0)) + c
-    normal = tuple(
-        (c, lam, n) for (lam, n), c in sorted(merged.items()) if c != 0
-    )
-    return NovikovScalar(normal, variant)
+        valid.append((c, lam, n))
+    return _merge(valid, variant)
 
 
 def zero(variant: str = NOV) -> NovikovScalar:
@@ -97,9 +96,26 @@ def _check_variant(x: NovikovScalar, y: NovikovScalar) -> str:
     return x.variant
 
 
+def _merge(terms: Iterable[Term], variant: str) -> NovikovScalar:
+    """Sum valid terms of equal (energy, exponent), drop zeros and sort."""
+    merged: dict = {}
+    for c, lam, n in terms:
+        key = (lam.numerator, lam.denominator, n)
+        if key in merged:
+            merged[key][2] += c
+        else:
+            merged[key] = [lam, n, c]
+    kept = sorted(t for t in merged.values() if t[2])
+    return NovikovScalar(tuple((c, lam, n) for lam, n, c in kept), variant)
+
+
 def nov_add(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
     variant = _check_variant(x, y)
-    return scalar(list(x.terms) + list(y.terms), variant)
+    if not y.terms:
+        return x
+    if not x.terms:
+        return y
+    return _merge(x.terms + y.terms, variant)
 
 
 def nov_neg(x: NovikovScalar) -> NovikovScalar:
@@ -112,17 +128,27 @@ def nov_sub(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
 
 def nov_mul(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
     variant = _check_variant(x, y)
-    prods = [
-        (cx * cy, lx + ly, nx + ny)
-        for cx, lx, nx in x.terms
-        for cy, ly, ny in y.terms
-    ]
-    return scalar(prods, variant)
+    if len(x.terms) > len(y.terms):
+        x, y = y, x
+    if not x.terms:
+        return x
+    if len(x.terms) > 1:
+        prods = [(cx * cy, lx + ly, nx + ny) for cx, lx, nx in x.terms for cy, ly, ny in y.terms]
+        return _merge(prods, variant)
+    # A monomial factor scales and shifts y term by term, which keeps y normal.
+    (c, lam, n), = x.terms
+    if lam or n:
+        return NovikovScalar(tuple((c * cy, lam + ly, n + ny) for cy, ly, ny in y.terms), variant)
+    if c == 1:
+        return y
+    return NovikovScalar(tuple((c * cy, ly, ny) for cy, ly, ny in y.terms), variant)
 
 
 def nov_rat_mul(q, x: NovikovScalar) -> NovikovScalar:
     q = Fraction(q)
-    return scalar([(q * c, lam, n) for c, lam, n in x.terms], x.variant)
+    if not q:
+        return NovikovScalar((), x.variant)
+    return NovikovScalar(tuple((q * c, lam, n) for c, lam, n in x.terms), x.variant)
 
 
 def term_level(energy: Fraction, instance: str) -> Level:

@@ -134,19 +134,37 @@ MALFORMED = [
     (_psi(obj_map={"X": BAD}), "$.psi.obj_map.X", 64),
     (_psi(gen_map={"p": BAD}), "$.psi.gen_map.p", 64),
 ]
+# Task fields are read by the command that runs the task, not by the loader.
+MALFORMED_TASKS = [
+    (_set(["tasks", "check_functor", "functor"], BAD), "$.tasks.check_functor.functor",
+     "check-functor"),
+    (_set(["tasks", "compose", "f"], BAD), "$.tasks.compose.f", "compose"),
+    (_set(["tasks", "compose", "g"], 5), "$.tasks.compose.g", "compose"),
+    (_set(["tasks", "push", "r"], {}), "$.tasks.push.r", "push"),
+    (_set(["tasks", "push", "h"], BAD), "$.tasks.push.h", "push"),
+    (_set(["tasks", "pull", "e"], True), "$.tasks.pull.e", "pull"),
+    (_set(["tasks", "pull", "r"], BAD), "$.tasks.pull.r", "pull"),
+    (_set(["tasks", "eval", "element"], [1]), "$.tasks.eval.element", "eval"),
+    (_set(["tasks", "eval", "boundary"], 5), "$.tasks.eval.boundary", "eval"),
+    (_set(["tasks", "eval", "chain"], "r"), "$.tasks.eval.chain", "eval"),
+    (_set(["tasks", "eval", "chain"], ["r", BAD]), "$.tasks.eval.chain[1]", "eval"),
+]
+CASES = [(m, w, c, "check-b2") for m, w, c in MALFORMED] + [
+    (m, w, 64, command) for m, w, command in MALFORMED_TASKS
+]
 
 
 @pytest.mark.parametrize(
-    "mutate, where, code",
-    MALFORMED,
-    ids=[f"{mutate.__name__}-{where}" for mutate, where, _ in MALFORMED],
+    "mutate, where, code, command",
+    CASES,
+    ids=[f"{mutate.__name__}-{where}" for mutate, where, _, _ in CASES],
 )
-def test_malformed_fields_are_parse_errors(mutate, where, code, tmp_path):
+def test_malformed_fields_are_parse_errors(mutate, where, code, command, tmp_path):
     doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text(encoding="utf-8"))
     mutate(doc)
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    got, text = run(["check-b2", str(path)])
+    got, text = run([command, str(path)])
     assert got == code
     kind = {64: "parse", 65: "resolve"}[code]
     assert text.startswith(f"{kind} error: {where}:")

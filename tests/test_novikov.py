@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
 from facalc.errors import FacalcError, VariantMismatch
 from facalc.levels import INFINITY, rat
 from facalc.novikov import (
+    NOV,
+    NOV0,
+    PLAIN,
+    VARIANTS,
     NovikovScalar,
     format_scalar,
     monomial,
@@ -14,12 +18,15 @@ from facalc.novikov import (
     nov_level,
     nov_mul,
     nov_neg,
+    nov_rat_mul,
     nov_truncate,
     one,
     parse_scalar,
     scalar,
     zero,
 )
+
+from conftest import facalc_seed
 
 coeffs = st.fractions(max_denominator=6).filter(lambda q: q != 0)
 energies = st.fractions(max_denominator=4)
@@ -144,3 +151,160 @@ def test_variant_rules():
     # Plain rationals sit at level zero.
     assert nov_level(one("q"), "discrete") == levels.discrete(0)
     assert nov_level(zero("q"), "discrete") == INFINITY
+
+
+# -- The kernel against the literal oracle it replaces ------------------------
+#
+# The oracle sends every sum and product back through the validating
+# constructor, as the kernel once did; the kernel relies on its operands
+# being normal instead.
+
+
+def literal_scalar(terms, variant):
+    merged = {}
+    for c, lam, n in terms:
+        c = Fraction(c)
+        lam = Fraction(lam)
+        n = int(n)
+        if variant == NOV0 and lam < 0:
+            raise FacalcError("nov0 energy below 0")
+        if variant == PLAIN and (lam != 0 or n != 0):
+            raise FacalcError("q admits only T^0 e^0")
+        key = (lam, n)
+        merged[key] = merged.get(key, Fraction(0)) + c
+    normal = tuple((c, lam, n) for (lam, n), c in sorted(merged.items()) if c != 0)
+    return NovikovScalar(normal, variant)
+
+
+def literal_add(x, y):
+    assert x.variant == y.variant
+    return literal_scalar(list(x.terms) + list(y.terms), x.variant)
+
+
+def literal_mul(x, y):
+    assert x.variant == y.variant
+    prods = [
+        (cx * cy, lx + ly, nx + ny)
+        for cx, lx, nx in x.terms
+        for cy, ly, ny in y.terms
+    ]
+    return literal_scalar(prods, x.variant)
+
+
+def literal_rat_mul(q, x):
+    q = Fraction(q)
+    return literal_scalar([(q * c, lam, n) for c, lam, n in x.terms], x.variant)
+
+
+def assert_normal(x: NovikovScalar) -> None:
+    keys = [(lam, n) for _, lam, n in x.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for c, lam, n in x.terms:
+        assert type(c) is Fraction and c != 0
+        assert type(lam) is Fraction and type(n) is int
+        assert x.variant != NOV0 or lam >= 0
+        assert x.variant != PLAIN or (lam, n) == (0, 0)
+
+
+def raw_terms(variant, min_size=0, max_size=5):
+    energy = {NOV: energies, NOV0: energies.map(abs), PLAIN: st.just(Fraction(0))}[variant]
+    expo = st.just(0) if variant == PLAIN else expos
+    return st.lists(st.tuples(coeffs, energy, expo), min_size=min_size, max_size=max_size)
+
+
+def kernel_scalars(variant):
+    """Zero, the unit, monomials and sums with cancelling and merging terms."""
+    return st.one_of(
+        st.just(zero(variant)),
+        st.just(one(variant)),
+        raw_terms(variant, 1, 1).map(lambda ts: scalar(ts, variant)),
+        raw_terms(variant).map(lambda ts: scalar(ts, variant)),
+    )
+
+
+def multi_term_scalars(variant):
+    distinct = st.lists(st.tuples(energies.map(abs), expos), min_size=2, max_size=5, unique=True)
+    return st.tuples(distinct, st.lists(coeffs, min_size=5, max_size=5)).map(
+        lambda kc: scalar([(c, lam, n) for (lam, n), c in zip(*kc)], variant)
+    )
+
+
+rats = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), st.fractions(max_denominator=6))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_literal_oracle(variant, data):
+    x = data.draw(kernel_scalars(variant), label="x")
+    y = data.draw(kernel_scalars(variant), label="y")
+    q = data.draw(rats, label="q")
+    cases = [
+        (nov_mul(x, y), literal_mul(x, y)),
+        (nov_mul(y, x), literal_mul(y, x)),
+        (nov_add(x, y), literal_add(x, y)),
+        (nov_add(y, x), literal_add(y, x)),
+        (nov_add(x, nov_neg(x)), literal_add(x, nov_neg(x))),
+        (nov_rat_mul(q, x), literal_rat_mul(q, x)),
+        (nov_rat_mul(0, x), literal_rat_mul(0, x)),
+    ]
+    for got, want in cases:
+        assert got == want
+        assert_normal(got)
+    assert nov_add(x, nov_neg(x)) == zero(variant)
+    assert nov_rat_mul(0, x) == zero(variant)
+
+
+@pytest.mark.parametrize("variant", [NOV, NOV0])
+@seed(facalc_seed())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_monomial_times_multi_term_matches_literal_oracle(variant, data):
+    m = data.draw(raw_terms(variant, 1, 1).map(lambda ts: scalar(ts, variant)), label="m")
+    z = data.draw(multi_term_scalars(variant), label="z")
+    assert len(m.terms) == 1 and len(z.terms) >= 2
+    for got, want in [(nov_mul(m, z), literal_mul(m, z)), (nov_mul(z, m), literal_mul(z, m))]:
+        assert got == want
+        assert_normal(got)
+    # Adding part of z's negation cancels those terms and keeps the rest.
+    part = NovikovScalar(nov_neg(z).terms[::2], variant)
+    assert nov_add(z, part) == literal_add(z, part) == NovikovScalar(z.terms[1::2], variant)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@seed(facalc_seed())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unit_and_zero_operands(variant, data):
+    x = data.draw(kernel_scalars(variant), label="x")
+    unit, nothing = one(variant), zero(variant)
+    assert nov_mul(unit, x) == nov_mul(x, unit) == literal_mul(unit, x) == x
+    assert nov_mul(nothing, x) == nov_mul(x, nothing) == literal_mul(nothing, x) == nothing
+    assert nov_add(nothing, x) == nov_add(x, nothing) == literal_add(nothing, x) == x
+    for got in (nov_mul(unit, x), nov_mul(nothing, x), nov_add(nothing, x), nov_add(x, nothing)):
+        assert got.variant == variant
+        assert_normal(got)
+
+
+MULTI = scalar([(2, 0, 0), (-3, 1, 1)], NOV0)
+
+
+@pytest.mark.parametrize(
+    "op, x, y",
+    [
+        (nov_mul, monomial(2, 1, 1, NOV), MULTI),
+        (nov_mul, MULTI, monomial(2, 1, 1, NOV)),
+        (nov_mul, one(NOV), MULTI),
+        (nov_mul, MULTI, one(NOV)),
+        (nov_mul, one(PLAIN), one(NOV)),
+        (nov_mul, zero(NOV), MULTI),
+        (nov_mul, MULTI, zero(PLAIN)),
+        (nov_add, zero(NOV), MULTI),
+        (nov_add, MULTI, zero(PLAIN)),
+        (nov_add, one(PLAIN), one(NOV0)),
+    ],
+)
+def test_fast_paths_check_the_variant(op, x, y):
+    with pytest.raises(VariantMismatch):
+        op(x, y)
