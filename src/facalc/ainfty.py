@@ -15,19 +15,20 @@ against basis words.
 
 Every check and every letter b0, b1, bn evaluates a basis word and folds
 the value through one morphism's components (``morphisms.family_value``,
-re-exported here); the letters are extracted with
-``morphisms._extract_components``.
+re-exported here).  The letters come from one builder, ``_letter``, over
+one value map, ``_letter_value``; ``check_ainf_functor`` reads its residual
+from that map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import levels, novikov, tcoalg
 from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch
 from .filtquiver import FiltQuiver, HomElement, koszul_sign
-from .levels import Level
 from .morphisms import (
     Coderivation,
     Cofunctor,
@@ -38,7 +39,6 @@ from .morphisms import (
     chain_slots,
     coderivation_from_components,
     coderivation_slots,
-    cofunctor_slots,
     family_value,  # re-exported: the fold is part of this module's API
     hom_truncate,
     identity_cofunctor,
@@ -119,130 +119,112 @@ def word_name(w: Word) -> str:
     return f"[]@{w.at}" if len(w) == 0 else ".".join(g.gid for g in w.gens)
 
 
-def check_b_squared(cat: AInfCategory, window: TruncWindow, n_max: int) -> List[CheckEntry]:
-    """Residuals of the square of the codifferential on basis words."""
+def _word_checks(
+    relation: str, quiver: FiltQuiver, n_max: int, value: Callable[[Word], HomElement], window: TruncWindow
+) -> List[CheckEntry]:
+    """One entry per basis word w: the residual value(w) modulo the window,
+    or UNDECIDED when its sums cannot be bounded."""
     entries: List[CheckEntry] = []
-    one = novikov.one(cat.variant)
-    slots = coderivation_slots(cat.b)
-    for w in basis_words(cat.quiver, n_max):
+    for w in basis_words(quiver, n_max):
         try:
-            residual = hom_truncate(_transport(w, slots, cat.b, window, one), window)
-            res_str = "0" if residual.is_zero() else _hom_str(residual)
-            flag = "SOUND"
+            res_str, flag = _hom_str(hom_truncate(value(w), window)), "SOUND"
         except ConvergenceUndecided:
             res_str, flag = "?", "UNDECIDED"
-        entries.append(CheckEntry("b2", len(w), word_name(w), res_str, flag))
+        entries.append(CheckEntry(relation, len(w), word_name(w), res_str, flag))
     return entries
+
+
+def check_b_squared(cat: AInfCategory, window: TruncWindow, n_max: int) -> List[CheckEntry]:
+    """Residuals of the square of the codifferential on basis words."""
+    one = novikov.one(cat.variant)
+    slots = coderivation_slots(cat.b)
+    return _word_checks("b2", cat.quiver, n_max, lambda w: _transport(w, slots, cat.b, window, one), window)
 
 
 def check_ainf_functor(
     f: Cofunctor, src_cat: AInfCategory, dst_cat: AInfCategory, window: TruncWindow, n_max: int
 ) -> List[CheckEntry]:
-    """Compare both composites of f with the codifferentials, word by word."""
+    """Compare both composites of f with the codifferentials, word by word:
+    the residual of the letter b0(f)."""
     if f.src.name != src_cat.quiver.name or f.dst.name != dst_cat.quiver.name:
         raise ObjectMismatch("functor does not run between the given structures")
-    entries: List[CheckEntry] = []
-    one = novikov.one(f.variant)
-    for w in basis_words(src_cat.quiver, n_max):
-        try:
-            then_b = _transport(w, cofunctor_slots(f), dst_cat.b, window, one)
-            then_f = _transport(w, coderivation_slots(src_cat.b), f, window, one)
-            residual = hom_truncate(then_b.add(then_f.neg()), window)
-            res_str = "0" if residual.is_zero() else _hom_str(residual)
-            flag = "SOUND"
-        except ConvergenceUndecided:
-            res_str, flag = "?", "UNDECIDED"
-        entries.append(CheckEntry("functor", len(w), word_name(w), res_str, flag))
-    return entries
+    value = _letter_value((), f, src_cat, dst_cat, window)
+    return _word_checks("functor", src_cat.quiver, n_max, value, window)
 
 
 # ---------------------------------------------------------------------------
 # The induced differential on coderivation quivers
 
-def _extract_coderivation(
-    name: str,
-    f: Cofunctor,
-    g: Cofunctor,
-    deg: int,
-    lvl: Level,
-    component,
-    window: TruncWindow,
-    upto: Optional[int] = None,
+def _letter_value(
+    chain: Sequence[Coderivation], boundary: Cofunctor, src_cat: AInfCategory,
+    dst_cat: AInfCategory, window: TruncWindow,
+) -> Callable[[Word], HomElement]:
+    """The letter collapsing ``chain`` on basis words: the chain (the
+    boundary cofunctor when empty), then dst_cat.b; for a chain of length 0
+    or 1, minus (-1)^deg times src_cat.b folded through its entry or the
+    boundary."""
+    one = novikov.one(boundary.variant)
+    slots = chain_slots(chain, boundary)
+    src_slots = coderivation_slots(src_cat.b)
+    inner = None if len(chain) > 1 else (chain[0] if chain else boundary)
+    odd = sum(r.deg for r in chain) % 2
+
+    def value(w: Word) -> HomElement:
+        out = _transport(w, slots, dst_cat.b, window, one)
+        back = None if inner is None else _transport(w, src_slots, inner, window, one)
+        if back is None or back.is_zero():
+            return out
+        negated = [(g, c if odd else novikov.nov_neg(c)) for g, c in back.terms]
+        return HomElement(out.src, out.dst, list(out.terms) + negated)
+
+    return value
+
+
+def _letter(
+    chain: Sequence[Coderivation], boundary: Cofunctor, src_cat: AInfCategory,
+    dst_cat: AInfCategory, window: TruncWindow, upto: Optional[int],
 ) -> Coderivation:
+    """``_letter_value`` as the coderivation b{len}(names or boundary),
+    extracted up to ``upto`` (default: the window length), lazy beyond."""
+    f = chain[0].f if chain else boundary
+    names = ",".join(r.name for r in chain) or boundary.name
+    lvl = reduce(levels.level_add, (r.lvl for r in chain)) if chain else levels.zero(window.instance)
     bound = window.max_len if upto is None else upto
-    comps, compute = _extract_components(component, f.src, window, bound)
+    value = _letter_value(chain, f, src_cat, dst_cat, window)
+    comps, compute = _extract_components(value, f.src, window, bound)
     out = coderivation_from_components(
-        name, f, g, deg, lvl, comps, complete_upto=bound
+        f"b{len(chain)}({names})", f, chain[-1].g if chain else f,
+        1 + sum(r.deg for r in chain), lvl, comps, complete_upto=bound,
     )
     out.compute = compute
     return out
 
 
 def coder_b0(
-    f: Cofunctor,
-    src_cat: AInfCategory,
-    dst_cat: AInfCategory,
-    window: TruncWindow,
+    f: Cofunctor, src_cat: AInfCategory, dst_cat: AInfCategory, window: TruncWindow,
     upto: Optional[int] = None,
 ) -> Coderivation:
     """The (f,f)-coderivation measuring the failure of f to be a functor:
     f then b, minus b then f."""
-    one = novikov.one(f.variant)
-
-    def component(w: Word) -> HomElement:
-        fb = _transport(w, cofunctor_slots(f), dst_cat.b, window, one)
-        bf = _transport(w, coderivation_slots(src_cat.b), f, window, one)
-        return fb.add(bf.neg())
-
-    return _extract_coderivation(
-        f"b0({f.name})", f, f, 1, levels.zero(window.instance), component, window, upto
-    )
+    return _letter((), f, src_cat, dst_cat, window, upto)
 
 
 def coder_b1(
-    r: Coderivation,
-    src_cat: AInfCategory,
-    dst_cat: AInfCategory,
-    window: TruncWindow,
+    r: Coderivation, src_cat: AInfCategory, dst_cat: AInfCategory, window: TruncWindow,
     upto: Optional[int] = None,
 ) -> Coderivation:
     """Differential of a single coderivation: r then b, minus (-1)^r b then r."""
-    one = novikov.one(r.variant)
-    sign = -1 if r.deg % 2 else 1
-
-    def component(w: Word) -> HomElement:
-        rb = _transport(w, coderivation_slots(r), dst_cat.b, window, one)
-        br = _transport(w, coderivation_slots(src_cat.b), r, window, one).rat_scale(-sign)
-        return rb.add(br)
-
-    return _extract_coderivation(
-        f"b1({r.name})", r.f, r.g, r.deg + 1, r.lvl, component, window, upto
-    )
+    return _letter((r,), r.f, src_cat, dst_cat, window, upto)
 
 
 def coder_bn(
-    chain: Sequence[Coderivation],
-    src_cat: AInfCategory,
-    dst_cat: AInfCategory,
-    window: TruncWindow,
+    chain: Sequence[Coderivation], src_cat: AInfCategory, dst_cat: AInfCategory, window: TruncWindow,
     upto: Optional[int] = None,
 ) -> Coderivation:
     """Higher components: evaluate the chain, then one codifferential letter."""
     if len(chain) < 2:
         raise FacalcError("coder_bn needs a chain of length >= 2")
-    one = novikov.one(chain[0].variant)
-    deg = 1 + sum(r.deg for r in chain)
-    lvl = levels.zero(window.instance)
-    for r in chain:
-        lvl = levels.level_add(lvl, r.lvl)
-
-    def component(w: Word) -> HomElement:
-        return _transport(w, chain_slots(chain, chain[0].f), dst_cat.b, window, one)
-
-    name = f"b{len(chain)}(" + ",".join(r.name for r in chain) + ")"
-    return _extract_coderivation(
-        name, chain[0].f, chain[-1].g, deg, lvl, component, window, upto
-    )
+    return _letter(chain, chain[0].f, src_cat, dst_cat, window, upto)
 
 
 @dataclass
@@ -263,19 +245,14 @@ class CoderQuiver:
         upto: Optional[int] = None,
     ) -> Coderivation:
         """The single coderivation obtained by collapsing a (possibly empty)
-        sub-chain with one codifferential; cached by names and bound."""
-        if not chain:
-            key = ("b0", boundary.name, upto)
-            if key not in self.b_cache:
-                self.b_cache[key] = coder_b0(boundary, self.source, self.target, window, upto)
-        elif len(chain) == 1:
-            key = ("b1", chain[0].name, upto)
-            if key not in self.b_cache:
-                self.b_cache[key] = coder_b1(chain[0], self.source, self.target, window, upto)
-        else:
-            key = ("bn",) + tuple(r.name for r in chain) + (upto,)
-            if key not in self.b_cache:
-                self.b_cache[key] = coder_bn(chain, self.source, self.target, window, upto)
+        sub-chain with one codifferential; cached by names and bound (the
+        boundary names the letter only when the sub-chain is empty)."""
+        key = (tuple(r.name for r in chain) or boundary.name, upto)
+        if key not in self.b_cache:
+            build, arg = (
+                (coder_bn, chain) if len(chain) > 1 else (coder_b1, chain[0]) if chain else (coder_b0, boundary)
+            )
+            self.b_cache[key] = build(arg, self.source, self.target, window, upto)
         return self.b_cache[key]
 
 
@@ -310,44 +287,52 @@ def coder_differential_terms(
     return out
 
 
+def _chain_checks(
+    relation: str, Q: CoderQuiver, n_max: int, word_len_max: int, residual
+) -> List[CheckEntry]:
+    """One entry per listed chain and basis word a; ``residual(chain,
+    boundary)`` maps a to (residual or None for an empty sum, flag).  A
+    chain whose sums cannot be bounded ends with one UNDECIDED entry."""
+    entries: List[CheckEntry] = []
+    for chain, boundary in _chains(Q, n_max):
+        name = _chain_name(chain, boundary)
+        try:
+            value = residual(chain, boundary)
+            for a in basis_words(Q.source.quiver, word_len_max):
+                res, flag = value(a)
+                res_str = "0" if res is None or res.is_zero() else repr(res)
+                entries.append(CheckEntry(relation, len(chain), f"{name}|{word_name(a)}", res_str, str(flag)))
+        except ConvergenceUndecided:
+            entries.append(CheckEntry(relation, len(chain), name, "?", "UNDECIDED"))
+    return entries
+
+
 def check_coder_b_squared(
     Q: CoderQuiver, window: TruncWindow, n_max: int, word_len_max: int
 ) -> List[CheckEntry]:
     """Square of the induced differential, evaluated against basis words."""
-    entries: List[CheckEntry] = []
     one = novikov.one(Q.source.variant)
-    for chain, boundary in _chains(Q, n_max):
-        try:
-            first = coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
-            second: List[Tuple[int, Tuple[Coderivation, ...]]] = []
-            for s1, ch1 in first:
-                for s2, ch2 in coder_differential_terms(Q, ch1, boundary, window, upto=word_len_max):
-                    second.append((s1 * s2, ch2))
-            for a in basis_words(Q.source.quiver, word_len_max):
-                residual = None
-                flag = Flag.SOUND
-                for s, ch in second:
-                    val, fl = chain_eval(
-                        TensorElement.from_word(a, one), ch, window, boundary=boundary
-                    )
-                    flag = tcoalg.join_flags(flag, fl)
-                    val = val if s == 1 else val.neg()
-                    residual = val if residual is None else residual.add(val)
-                res_str = "0" if residual is None or residual.is_zero() else repr(residual)
-                entries.append(
-                    CheckEntry(
-                        "coder-b2",
-                        len(chain),
-                        _chain_name(chain, boundary) + "|" + word_name(a),
-                        res_str,
-                        str(flag),
-                    )
-                )
-        except ConvergenceUndecided:
-            entries.append(
-                CheckEntry("coder-b2", len(chain), _chain_name(chain, boundary), "?", "UNDECIDED")
-            )
-    return entries
+
+    def residual(chain, boundary):
+        second = [
+            (s1 * s2, ch2)
+            for s1, ch1 in coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
+            for s2, ch2 in coder_differential_terms(Q, ch1, boundary, window, upto=word_len_max)
+        ]
+
+        def value(a: Word) -> Tuple[Optional[TensorElement], Flag]:
+            elem = TensorElement.from_word(a, one) if second else None
+            pieces = []
+            flag = Flag.SOUND
+            for s, ch in second:
+                val, fl = chain_eval(elem, ch, window, boundary=boundary)
+                flag = tcoalg.join_flags(flag, fl)
+                pieces.append((s, val))
+            return (tcoalg._signed_sum(pieces) if pieces else None), flag
+
+        return value
+
+    return _chain_checks("coder-b2", Q, n_max, word_len_max, residual)
 
 
 def check_transfer_identity(
@@ -357,48 +342,30 @@ def check_transfer_identity(
     chain then applying the codifferential equals evaluating the
     differentiated chain plus (sign) evaluating against the differentiated
     word."""
-    entries: List[CheckEntry] = []
     one = novikov.one(Q.source.variant)
-    for chain, boundary in _chains(Q, n_max):
-        try:
-            expansion = coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
-            for a in basis_words(Q.source.quiver, word_len_max):
-                elem = TensorElement.from_word(a, one)
-                val, f1 = chain_eval(elem, chain, window, boundary=boundary)
-                lhs, f2 = slot_value(val, coderivation_slots(Q.target.b), window)
-                rhs = None
-                flag = tcoalg.join_flags(f1, f2)
-                for s, ch in expansion:
-                    piece, fl = chain_eval(elem, ch, window, boundary=boundary)
-                    flag = tcoalg.join_flags(flag, fl)
-                    piece = piece if s == 1 else piece.neg()
-                    rhs = piece if rhs is None else rhs.add(piece)
-                ba, f3 = slot_value(elem, coderivation_slots(Q.source.b), window)
-                flag = tcoalg.join_flags(flag, f3)
-                piece, f4 = chain_eval(ba, chain, window, boundary=boundary)
-                flag = tcoalg.join_flags(flag, f4)
-                total_deg = sum(r.deg for r in chain)
-                if total_deg % 2:
-                    piece = piece.neg()
-                rhs = piece if rhs is None else rhs.add(piece)
-                residual = lhs.add(rhs.neg())
-                residual, f5 = tcoalg.truncate_element(residual, window)
-                flag = tcoalg.join_flags(flag, f5)
-                res_str = "0" if residual.is_zero() else repr(residual)
-                entries.append(
-                    CheckEntry(
-                        "transfer",
-                        len(chain),
-                        _chain_name(chain, boundary) + "|" + word_name(a),
-                        res_str,
-                        str(flag),
-                    )
-                )
-        except ConvergenceUndecided:
-            entries.append(
-                CheckEntry("transfer", len(chain), _chain_name(chain, boundary), "?", "UNDECIDED")
-            )
-    return entries
+
+    def residual(chain, boundary):
+        expansion = coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
+
+        def value(a: Word) -> Tuple[TensorElement, Flag]:
+            elem = TensorElement.from_word(a, one)
+            val, f1 = chain_eval(elem, chain, window, boundary=boundary)
+            lhs, f2 = slot_value(val, coderivation_slots(Q.target.b), window)
+            pieces = [(1, lhs)]
+            flag = tcoalg.join_flags(f1, f2)
+            for s, ch in expansion:
+                piece, fl = chain_eval(elem, ch, window, boundary=boundary)
+                flag = tcoalg.join_flags(flag, fl)
+                pieces.append((-s, piece))
+            ba, f3 = slot_value(elem, coderivation_slots(Q.source.b), window)
+            piece, f4 = chain_eval(ba, chain, window, boundary=boundary)
+            pieces.append((1 if sum(r.deg for r in chain) % 2 else -1, piece))
+            res, f5 = tcoalg.truncate_element(tcoalg._signed_sum(pieces), window)
+            return res, tcoalg.join_flags(flag, f3, f4, f5)
+
+        return value
+
+    return _chain_checks("transfer", Q, n_max, word_len_max, residual)
 
 
 def _chain_name(chain: Tuple[Coderivation, ...], boundary: Cofunctor) -> str:

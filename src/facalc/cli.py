@@ -118,7 +118,7 @@ def _override_window(model: Model, spec: Optional[str]) -> TruncWindow:
         n_str, e_str = spec.split(",", 1)
         cutoff = levels.make_level(model.monoid, "inf" if e_str == "inf" else Fraction(e_str))
         return TruncWindow(int(n_str), cutoff)
-    except (ValueError, FacalcError) as exc:
+    except (ValueError, ZeroDivisionError, FacalcError) as exc:
         raise ParseError("--window", str(exc)) from None
 
 
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.add_argument("--n-max", type=int, default=4)
         p.add_argument("--word-len-max", type=int, default=3)
-        p.add_argument("--window", help="override as 'N,E' (E rational or 'inf')")
+        p.add_argument("--window", help="override as 'N,E' (E rational, or 'inf' on the discrete instance)")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--functor")
         p.add_argument("--f")

@@ -48,6 +48,7 @@ from .tcoalg import (
     TensorElement,
     TruncWindow,
     Word,
+    _signed_sum,
     basis_words,
     join_flags,
     seq_splits,
@@ -164,15 +165,13 @@ class PsiSolution:
     ) -> Tuple[TensorElement, Flag]:
         """Evaluate (a, factor word) through the solved family: the pairing
         this solution was solved from, reconstructed."""
-        result: Optional[TensorElement] = None
+        pieces = []
         flag = Flag.SOUND
         for sign, chain, boundary in self.full_chains(cwords):
             piece, fl = ev(a, chain, window, boundary=boundary)
             flag = join_flags(flag, fl)
-            piece = piece if sign == 1 else piece.neg()
-            result = piece if result is None else result.add(piece)
-        assert result is not None
-        return result, flag
+            pieces.append((sign, piece))
+        return _signed_sum(pieces), flag
 
 
 PhiValues = Callable[[TensorElement, Sequence[Word]], TensorElement]
@@ -296,13 +295,13 @@ def _rhs_value(
 ) -> TensorElement:
     """Pairing value minus the correction sum over proper factor splits."""
     total = sum(len(w) for w in cwords)
-    value = phi(elem, cwords)
+    pieces = [(1, phi(elem, cwords))]
     for k in range(2, total + 1):
         for blocks, sign in multi_box_splits(cwords, k, nonempty=True):
             chain = tuple(sol.component(b) for b in blocks)
             piece, _ = ev(elem, chain, window)
-            value = value.add(piece.neg() if sign == 1 else piece)
-    return value
+            pieces.append((-sign, piece))
+    return _signed_sum(pieces)
 
 
 def _key_name(key: CWordKey) -> str:

@@ -238,13 +238,12 @@ class GradedMap:
 
     def apply(self, x: HomElement) -> HomElement:
         """Linear extension of the per-generator action."""
-        out = HomElement.zero(self.obj_map[x.src], self.obj_map[x.dst])
-        for g, c in x.terms:
-            img = self.action.get(g.gid)
-            if img is None or img.is_zero():
-                continue
-            out = out.add(img.scale(c))
-        return out
+        terms = [
+            (g2, novikov.nov_mul(c2, c))
+            for g, c in x.terms if g.gid in self.action
+            for g2, c2 in self.action[g.gid].terms
+        ]
+        return HomElement(self.obj_map[x.src], self.obj_map[x.dst], terms)
 
 
 def identity_map(quiver: FiltQuiver, instance: str, variant: str = novikov.NOV) -> GradedMap:

@@ -475,10 +475,8 @@ def evaluate_coderivation(r: Coderivation, x: TensorElement, window: TruncWindow
 def family_value(owner: Union[Cofunctor, Coderivation], x: TensorElement) -> HomElement:
     """Feed every word of x through the component of its own length: the
     one fold that reads a value through a morphism's components."""
-    out = HomElement.zero(owner.src_map[x.src], owner.dst_map[x.dst])
-    for w, c in x.terms:
-        out = out.add(owner.comp_value(w).scale(c))
-    return out
+    terms = [(g, novikov.nov_mul(cg, c)) for w, c in x.terms for g, cg in owner.comp_value(w).terms]
+    return HomElement(owner.src_map[x.src], owner.dst_map[x.dst], terms)
 
 
 def _transport(
@@ -677,13 +675,13 @@ def augmentation_defect(f: Cofunctor, window: TruncWindow) -> Tuple[Dict[str, Te
     for obj, value in f.f0_values().items():
         l0 = value.level(inst)
         cap = _empty_cap(levels.zero(inst), l0, window.cutoff)
-        acc = TensorElement.zero(value.src, value.dst)
+        powers = []
         power = TensorElement.from_hom(value)
         base = TensorElement.from_hom(value)
         for n in range(1, max(cap, 1) + 1):
-            acc = acc.add(power)
+            powers.append((1, power))
             power = tcoalg.mu_concat(power, base)
-        acc, fl = truncate_element(acc, window)
+        acc, fl = truncate_element(tcoalg._signed_sum(powers), window)
         flag = join_flags(flag, fl)
         out[obj] = acc
     return out, flag
@@ -696,15 +694,15 @@ def defect_to_f0(
     out: Dict[str, HomElement] = {}
     flag = Flag.SOUND
     for obj, elem in y.items():
-        acc = TensorElement.zero(elem.src, elem.dst)
+        powers = [(1, TensorElement.zero(elem.src, elem.dst))]
         power = elem
         for m in range(1, window.max_len + 1):
-            acc = acc.add(power if m % 2 == 1 else power.neg())
+            powers.append((1 if m % 2 == 1 else -1, power))
             power, fl = truncate_element(tcoalg.mu_concat(power, elem), window)
             flag = join_flags(flag, fl)
             if power.is_zero():
                 break
-        acc, fl = truncate_element(acc, window)
+        acc, fl = truncate_element(tcoalg._signed_sum(powers), window)
         flag = join_flags(flag, fl)
         out[obj] = hom_truncate(acc.pr1_hom(), window)
     return out, flag

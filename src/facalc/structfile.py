@@ -30,6 +30,7 @@ from .morphisms import (
     Components,
     coderivation_from_components,
     cofunctor_from_components,
+    comp_key,
 )
 from .novikov import NovikovScalar
 from .tcoalg import TensorElement, TruncWindow, Word
@@ -154,31 +155,39 @@ def _parse_hom_value(obj, quiver: FiltQuiver, variant: str, loc: str) -> HomElem
             src, dst = g.src, g.dst
         terms.append((g, parse_scalar_at(scal, variant, ploc)))
     _expect(src is not None, loc, "empty value list; use [] only for zero with known endpoints")
-    return HomElement(src, dst, terms)
+    try:
+        return HomElement(src, dst, terms)
+    except FacalcError as exc:
+        raise _fail(loc, str(exc)) from None
+
+
+def _parse_word(obj: dict, quiver: FiltQuiver, loc: str) -> Word:
+    """The basis word of a component or element term: the empty word at
+    ``obj["at"]``, else the non-empty list ``obj["word"]`` of generator ids.
+    An unknown id is unresolved; a word that does not compose is malformed."""
+    if "at" in obj:
+        _expect(obj["at"] in quiver.objects, loc, f"unknown object {obj['at']!r}")
+        return Word(obj["at"])
+    gids = obj.get("word")
+    _expect(isinstance(gids, list) and gids, loc, "give 'at' or a non-empty 'word' list")
+    for i, gid in enumerate(gids):
+        _name_at(gid, f"{loc}.word[{i}]")
+    try:
+        gens = [quiver.gen(g) for g in gids]
+    except FacalcError as exc:
+        raise ResolveError(f"{loc}: {exc}") from None
+    try:
+        return Word.from_gens(gens)
+    except FacalcError as exc:
+        raise _fail(f"{loc}.word", str(exc)) from None
 
 
 def _parse_component_entry(entry, quiver: FiltQuiver, target: FiltQuiver, variant: str, loc: str):
     _expect(isinstance(entry, dict), loc, "component must be an object")
-    has_word = "word" in entry
-    has_at = "at" in entry
-    _expect(has_word != has_at, loc, "give exactly one of 'word' or 'at'")
-    if has_at:
-        obj = entry["at"]
-        _expect(obj in quiver.objects, loc, f"unknown object {obj!r}")
-        key, k = obj, 0
-    else:
-        gids = entry["word"]
-        _expect(isinstance(gids, list) and gids, loc, "'word' must be a non-empty list")
-        for i, gid in enumerate(gids):
-            _name_at(gid, f"{loc}.word[{i}]")
-        try:
-            gens = [quiver.gen(g) for g in gids]
-        except FacalcError as exc:
-            raise ResolveError(f"{loc}: {exc}") from None
-        Word.from_gens(gens)  # composability check
-        key, k = tuple(gids), len(gids)
+    _expect(("word" in entry) != ("at" in entry), loc, "give exactly one of 'word' or 'at'")
+    w = _parse_word(entry, quiver, loc)
     value = _parse_hom_value(entry.get("value"), target, variant, f"{loc}.value")
-    return k, key, value
+    return len(w), comp_key(w), value
 
 
 def _parse_components(
@@ -335,25 +344,14 @@ def load_model(text: str) -> Model:
         _expect(isinstance(eobj, dict), loc, "element must be an object")
         name = eobj.get("name")
         _expect(isinstance(name, str) and name, f"{loc}.name", "element needs a name")
+        _expect(name not in model.elements, f"{loc}.name", f"duplicate element {name!r}")
         quiver = get_quiver(eobj, "quiver", loc)
         terms = []
         for ti, tobj in enumerate(_list_at(eobj, "terms", loc)):
             tloc = f"{loc}.terms[{ti}]"
             _expect(isinstance(tobj, dict), tloc, "term must be an object")
             coeff = parse_scalar_at(tobj.get("coeff", "1*T^{0}*e^{0}"), variant, f"{tloc}.coeff")
-            if "at" in tobj:
-                _expect(tobj["at"] in quiver.objects, tloc, f"unknown object {tobj['at']!r}")
-                w = Word(tobj["at"])
-            else:
-                gids = tobj.get("word")
-                _expect(isinstance(gids, list) and gids, tloc, "term needs 'word' or 'at'")
-                for i, gid in enumerate(gids):
-                    _name_at(gid, f"{tloc}.word[{i}]")
-                try:
-                    w = Word.from_gens([quiver.gen(g) for g in gids])
-                except FacalcError as exc:
-                    raise ResolveError(f"{tloc}: {exc}") from None
-            terms.append((w, coeff))
+            terms.append((_parse_word(tobj, quiver, tloc), coeff))
         if terms:
             src, dst = terms[0][0].src, terms[0][0].dst
         else:

@@ -146,17 +146,11 @@ class TensorElement:
     def neg(self) -> "TensorElement":
         return TensorElement(self.src, self.dst, [(w, novikov.nov_neg(c)) for w, c in self.terms])
 
-    def sub(self, other: "TensorElement") -> "TensorElement":
-        return self.add(other.neg())
-
     def scale(self, s: NovikovScalar) -> "TensorElement":
         return TensorElement(self.src, self.dst, [(w, novikov.nov_mul(c, s)) for w, c in self.terms])
 
     def rat_scale(self, q) -> "TensorElement":
         return TensorElement(self.src, self.dst, [(w, novikov.nov_rat_mul(q, c)) for w, c in self.terms])
-
-    def pr_length(self, k: int) -> "TensorElement":
-        return TensorElement(self.src, self.dst, [(w, c) for w, c in self.terms if len(w) == k])
 
     def pr1_hom(self) -> HomElement:
         """Project to word length 1, viewed as a hom element."""
@@ -190,6 +184,18 @@ class TensorElement:
             return f"TensorElement(0: {self.src}->{self.dst})"
         body = " + ".join(f"({novikov.format_scalar(c)})*{w!r}" for w, c in self.terms)
         return f"TensorElement({body})"
+
+
+def _signed_sum(pieces: Sequence[Tuple[int, TensorElement]]) -> TensorElement:
+    """The sum of sign * x over a non-empty list of (sign, x), built once
+    from the terms; a lone nonzero piece of sign 1 (the first piece when all
+    are zero) is returned as it is."""
+    live = [(sign, x) for sign, x in pieces if not x.is_zero()] or [pieces[0]]
+    sign, first = live[0]
+    if len(live) == 1 and sign == 1:
+        return first
+    terms = [(w, c if s == 1 else novikov.nov_neg(c)) for s, x in live for w, c in x.terms]
+    return TensorElement(first.src, first.dst, terms)
 
 
 def counit_scalar(x: TensorElement, variant: str) -> NovikovScalar:
@@ -249,16 +255,20 @@ def word_blocks(w: Word, cuts: Tuple[int, ...]) -> Tuple[Word, ...]:
     return tuple(blocks)
 
 
-def delta_k(x: TensorElement, k: int) -> Dict[Tuple[Word, ...], NovikovScalar]:
-    """The k-fold cut comultiplication; Delta^(1) is the identity."""
+def _delta(x: TensorElement, k: int, allow_empty: bool) -> Dict[Tuple[Word, ...], NovikovScalar]:
     if k < 1:
-        raise FacalcError("delta_k needs k >= 1")
+        raise FacalcError(f"{'' if allow_empty else 'reduced_'}delta_k needs k >= 1")
     out: Dict[Tuple[Word, ...], NovikovScalar] = {}
     for w, c in x.terms:
-        for cuts in seq_splits(len(w), k, allow_empty=True):
+        for cuts in seq_splits(len(w), k, allow_empty):
             key = word_blocks(w, cuts)
             out[key] = novikov.nov_add(out[key], c) if key in out else c
     return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def delta_k(x: TensorElement, k: int) -> Dict[Tuple[Word, ...], NovikovScalar]:
+    """The k-fold cut comultiplication; Delta^(1) is the identity."""
+    return _delta(x, k, allow_empty=True)
 
 
 def cut_delta(x: TensorElement) -> Dict[Tuple[Word, Word], NovikovScalar]:
@@ -268,16 +278,7 @@ def cut_delta(x: TensorElement) -> Dict[Tuple[Word, Word], NovikovScalar]:
 def reduced_delta_k(x: TensorElement, k: int) -> Dict[Tuple[Word, ...], NovikovScalar]:
     """Iterated reduced comultiplication: all blocks non-empty; the k=1
     iterate is the identity restricted to positive lengths."""
-    if k < 1:
-        raise FacalcError("reduced_delta_k needs k >= 1")
-    out: Dict[Tuple[Word, ...], NovikovScalar] = {}
-    for w, c in x.terms:
-        if len(w) == 0:
-            continue
-        for cuts in seq_splits(len(w), k, allow_empty=False):
-            key = word_blocks(w, cuts)
-            out[key] = novikov.nov_add(out[key], c) if key in out else c
-    return {key: c for key, c in out.items() if not c.is_zero()}
+    return _delta(x, k, allow_empty=False)
 
 
 def reduced_delta(x: TensorElement) -> Dict[Tuple[Word, Word], NovikovScalar]:
@@ -375,7 +376,7 @@ def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
     if not maps:
         raise FacalcError("tensor_maps needs at least one map")
     obj = maps[0].obj_map
-    out = TensorElement.zero(obj[x.src], obj[x.dst])
+    terms: List[Tuple[Word, NovikovScalar]] = []
     for w, c in x.terms:
         if len(w) != len(maps):
             raise ObjectMismatch(f"word length {len(w)} != {len(maps)} maps")
@@ -388,8 +389,8 @@ def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
                 for g2, c2 in piece.terms:
                     nxt.append((Word(prefix.at, prefix.gens + (g2,)), novikov.nov_mul(pc, c2)))
             expanded = nxt
-        out = out.add(TensorElement(out.src, out.dst, expanded))
-    return out
+        terms.extend(expanded)
+    return TensorElement(obj[x.src], obj[x.dst], terms)
 
 
 # ---------------------------------------------------------------------------

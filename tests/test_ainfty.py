@@ -4,6 +4,8 @@ import pytest
 
 from facalc import levels, novikov
 from facalc.ainfty import (
+    _chain_name,
+    _chains,
     AInfCategory,
     CoderQuiver,
     SHIFT_MAP_DEGREE,
@@ -16,9 +18,11 @@ from facalc.ainfty import (
     coder_b0,
     coder_b1,
     coder_bn,
+    coder_differential_terms,
     family_value,
     shift_degree,
     unshift_degree,
+    word_name,
 )
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
 from facalc.morphisms import (
@@ -29,7 +33,7 @@ from facalc.morphisms import (
     identity_cofunctor,
     slot_value,
 )
-from facalc.tcoalg import TensorElement, TruncWindow, Word, basis_words
+from facalc.tcoalg import Flag, TensorElement, TruncWindow, Word, basis_words, join_flags
 
 from conftest import loop_quiver
 
@@ -370,3 +374,42 @@ def test_b_squared_failure_propagates_to_B():
     Qq = CoderQuiver(bad, bad, [ida], [r])
     entries = check_coder_b_squared(Qq, W3, 1, 3)
     assert any(not e.ok for e in entries)
+
+
+def _coder_b2_oracle(Q, window, n_max, word_len_max):
+    """The residual sum of check_coder_b_squared written literally: each
+    term negated with neg() and accumulated with add()."""
+    one = novikov.one(Q.source.variant)
+    out = []
+    for chain, boundary in _chains(Q, n_max):
+        second = [
+            (s1 * s2, ch2)
+            for s1, ch1 in coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
+            for s2, ch2 in coder_differential_terms(Q, ch1, boundary, window, upto=word_len_max)
+        ]
+        for a in basis_words(Q.source.quiver, word_len_max):
+            residual = None
+            flag = Flag.SOUND
+            for s, ch in second:
+                val, fl = chain_eval(TensorElement.from_word(a, one), ch, window, boundary=boundary)
+                flag = join_flags(flag, fl)
+                val = val if s == 1 else val.neg()
+                residual = val if residual is None else residual.add(val)
+            res = "0" if residual is None or residual.is_zero() else repr(residual)
+            out.append((_chain_name(chain, boundary) + "|" + word_name(a), res, str(flag)))
+    return out
+
+
+def test_coder_b_squared_residuals_match_the_literal_sum():
+    # AlgBad2 is the one case with nonzero coder-b2 residuals: pin each of
+    # them, sign included.
+    Q, bad = algebra_category({(0, 0): 1, (0, 1): 0}, name="AlgBad2")
+    ida = identity_cofunctor(Q, "rat", "nov")
+    r = coderivation_from_components(
+        "r", ida, ida, 0, levels.rat(0), {1: {("g0",): hom(Q.gen("g1"))}}
+    )
+    entries = check_coder_b_squared(CoderQuiver(bad, bad, [ida], [r]), W3, 1, 3)
+    want = _coder_b2_oracle(CoderQuiver(bad, bad, [ida], [r]), W3, 1, 3)
+    assert [(e.word, e.residual, e.flag) for e in entries] == want
+    assert len(entries) == 30
+    assert sum(not e.ok for e in entries) == 4

@@ -100,8 +100,31 @@ def _psi(**fields):
     return _set(["psi"], section)
 
 
+def _second_object(path, value):
+    """Give quiver A of b1_only a second object Y and a generator s: X -> Y
+    (every functor fixes Y), then set one field."""
+    set_field = _set(path, value)
+
+    def second_object(doc):
+        quiver = doc["quivers"][0]
+        quiver["objects"].append("Y")
+        quiver["generators"].append(
+            {"id": "s", "src": "X", "dst": "Y", "sdeg": 0, "base_level": {"rat": "0"}}
+        )
+        for functor in doc["functors"]:
+            functor["obj_map"]["Y"] = "Y"
+        set_field(doc)
+
+    return second_object
+
+
+def _duplicate_element(doc):
+    doc["elements"].append(dict(doc["elements"][0]))
+
+
 BAD = [[1]]
 ONE_TERM = "1*T^{0}*e^{0}"
+NOT_COMPOSABLE = ["s", "s"]
 MALFORMED = [
     (_set(["quivers"], 5), "$.quivers", 64),
     (_set(["quivers", 0, "objects"], BAD), "$.quivers[0].objects", 64),
@@ -125,6 +148,17 @@ MALFORMED = [
     (_set(["coderivations", 0, "to"], 5), "$.coderivations[0].to", 64),
     (_set(["elements", 0, "quiver"], BAD), "$.elements[0].quiver", 64),
     (_set(["elements", 0, "terms", 0, "word"], BAD), "$.elements[0].terms[0].word[0]", 64),
+    (_duplicate_element, "$.elements[1].name", 64),
+    (_second_object(["b_components", 0, "components", 0, "word"], NOT_COMPOSABLE),
+     "$.b_components[0].components[0].word", 64),
+    (_second_object(["functors", 0, "components", 0, "word"], NOT_COMPOSABLE),
+     "$.functors[0].components[0].word", 64),
+    (_second_object(["coderivations", 0, "components", 0, "word"], NOT_COMPOSABLE),
+     "$.coderivations[0].components[0].word", 64),
+    (_second_object(["elements", 0, "terms", 0, "word"], NOT_COMPOSABLE),
+     "$.elements[0].terms[0].word", 64),
+    (_second_object(["b_components", 0, "components", 0, "value"], [["q", ONE_TERM], ["s", ONE_TERM]]),
+     "$.b_components[0].components[0].value", 64),
     (_set(["coder_quiver", "source"], BAD), "$.coder_quiver.source", 64),
     (_set(["coder_quiver", "functors"], BAD), "$.coder_quiver.functors[0]", 64),
     (_set(["coder_quiver", "coderivations"], BAD), "$.coder_quiver.coderivations[0]", 64),
@@ -168,6 +202,14 @@ def test_malformed_fields_are_parse_errors(mutate, where, code, command, tmp_pat
     assert got == code
     kind = {64: "parse", 65: "resolve"}[code]
     assert text.startswith(f"{kind} error: {where}:")
+
+
+@pytest.mark.parametrize("spec", ["3,1/0", "3,inf"])
+def test_bad_window_is_a_parse_error(spec):
+    # 'inf' is a cutoff only on the discrete instance; b1_only is rational.
+    code, text = run(["check-b2", "tests/fixtures/b1_only.json", "--window", spec])
+    assert code == 64
+    assert text.startswith("parse error: --window:")
 
 
 def test_window_override():
