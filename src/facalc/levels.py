@@ -118,10 +118,6 @@ def level_leq(a: Level, b: Level) -> bool:
     return a.value <= b.value
 
 
-def level_lt(a: Level, b: Level) -> bool:
-    return level_leq(a, b) and a.value != b.value
-
-
 def level_min(a: Level, b: Level) -> Level:
     return a if level_leq(a, b) else b
 

@@ -15,12 +15,18 @@ component calculus:
 Rather than list every split, ``_path_sum`` sums over paths of cut
 positions that only nonzero letters extend.  Family letters have degree 0,
 so the Koszul sign is one factor per single slot (``_crossing_sign``).
+From each cut it walks the trie of the owner's stored keys along the word
+(``_key_trie``), so it reads only stored blocks, plus every block of a
+length the table does not decide: lazy ``compute`` runs, and extraction
+bounds raise, exactly where the split enumeration would run or raise them.
 
 Composition, push and pull are one operation: evaluate a basis word, then
 read the value through a second morphism's components (``family_value``,
-via ``_transport``).  ``_extract_components`` turns any such value map into
-a component table and the matching lazy ``compute``; ``ainfty`` and
-``evalhom`` extract through it too.
+via ``_transport``).  When that morphism's table is exact, the path sum
+drops every product whose output is not a prefix of one of its keys, since
+the fold would send it to zero.  ``_extract_components`` turns any such
+value map into a component table and the matching lazy ``compute``;
+``ainfty`` and ``evalhom`` extract through it too.
 
 All infinite sums are bounded by level accounting: every empty block filled
 by a curvature component raises the level by at least the component's
@@ -353,11 +359,14 @@ def slot_value(
     slots: Sequence[Slot],
     window: TruncWindow,
     length_truncate: bool = True,
+    fold: Optional[Union[Cofunctor, Coderivation]] = None,
 ) -> Tuple[TensorElement, Flag]:
     """Apply the composite operator described by ``slots`` to x.
 
     Each term of x is evaluated by ``_path_sum``; the terms of all of them
-    are summed once, into a single ``TensorElement``.
+    are summed once, into a single ``TensorElement``.  Given the owner the
+    value is about to be folded through (``fold``), terms that
+    ``family_value(fold, ...)`` sends to zero may be left out.
     """
     inst = window.instance
     families = [s.owner for s in slots if s.kind == "family"]
@@ -365,11 +374,12 @@ def slot_value(
     src_map = slots[0].owner.src_map
     dst_map = slots[-1].owner.dst_map
     any_curved, floor = _curvature_floor(slots)
+    prefixes = _key_trie(fold) if fold is not None and _undecided_from(fold) is None else None
 
     terms: List[Tuple[Word, NovikovScalar]] = []
     for w, c in x.terms:
         cap = _empty_cap(tcoalg.term_level(w, c, inst), floor, window.cutoff) if any_curved else 0
-        terms.extend(_path_sum(w, c, families, singles, cap))
+        terms.extend(_path_sum(w, c, families, singles, cap, prefixes))
     out = TensorElement(src_map[x.src], dst_map[x.dst], terms)
     if length_truncate:
         return truncate_element(out, window)
@@ -383,12 +393,61 @@ def _crossing_sign(deg: int, tail_sdeg: int) -> int:
     return -1 if (deg * tail_sdeg) % 2 else 1
 
 
+_END = None  # the trie entry marking the end of a stored key
+
+
+def _key_trie(owner: Union[Cofunctor, Coderivation]) -> dict:
+    """The owner's nonzero keys of length >= 1 as a trie over generator ids:
+    each node maps a gid to the next node and holds ``_END`` where a stored
+    key ends.  Built once per owner; ``comps`` is never changed after
+    ``__init__``."""
+    if not hasattr(owner, "_trie"):
+        root: dict = {}
+        for k, table in owner.comps.items():
+            for key in table if k else ():
+                node = root
+                for gid in key:
+                    node = node.setdefault(gid, {})
+                node[_END] = True
+        owner._trie = root
+    return owner._trie
+
+
+def _undecided_from(owner: Union[Cofunctor, Coderivation]) -> Optional[int]:
+    """The least block length k >= 1 whose component the stored table does
+    not decide (lazy ``compute`` runs, or the extraction bound raises);
+    None for an exact table, which is zero off its keys."""
+    if owner.complete_upto is not None:
+        return owner.complete_upto + 1
+    return None if owner.compute is None else 1
+
+
+def _block_ends(owner: Union[Cofunctor, Coderivation], gids: Sequence[str], i: int) -> List[int]:
+    """The ends j > i, ascending, of the blocks gids[i:j] whose component
+    the owner may not send to zero: the stored keys along gids[i:], then
+    every j from the first length the table does not decide."""
+    n = len(gids)
+    lazy = _undecided_from(owner)
+    stop = n + 1 if lazy is None else min(i + lazy, n + 1)
+    out = []
+    node = _key_trie(owner)
+    for j in range(i + 1, stop):
+        node = node.get(gids[j - 1])
+        if node is None:
+            break
+        if _END in node:
+            out.append(j)
+    out.extend(range(stop, n + 1))
+    return out
+
+
 def _path_sum(
     w: Word,
     c: NovikovScalar,
     families: Sequence[Cofunctor],
     singles: Sequence[Coderivation],
     cap: int,
+    prefixes: Optional[dict] = None,
 ) -> List[Tuple[Word, NovikovScalar]]:
     """The terms of c times the value of the slots on the word w.
 
@@ -398,43 +457,59 @@ def _path_sum(
     curvature letters on w[i:i] while e + 1 < cap; the next single slot
     reads w[i:j], j >= i, and crosses w[j:].  Every step goes to a
     lexicographically larger state, so one pass in that order completes
-    each state before it is read.  A state counts as reached as soon as a
-    chain of nonzero letters arrives, even if its partial sums cancel: a
-    component is looked up exactly when the split enumeration would look
-    it up, so lazy components raise the same errors.  Partial sums are
-    keyed by the ids of the output generators, which hash fast.
+    each state before it is read.
+
+    Nonempty blocks are walked along the owner's key trie (``_block_ends``):
+    only stored keys are looked up, and every block of a length the table
+    does not decide, so lazy components are computed, and bound errors
+    raised, exactly where the split enumeration would compute or raise
+    them.  A state counts as reached as soon as a chain of nonzero letters
+    arrives, even if its partial sums cancel or are all pruned.  Partial
+    sums are keyed by the ids of the output generators, which hash fast.
+    Given ``prefixes``, the key trie of an exact table the result is folded
+    through, a product whose output gids are not a path of that trie is
+    dropped: no key of the table extends it.
     """
     n = len(w)
     n_singles = len(singles)
     objs = [w.at] + [g.dst for g in w.gens]
+    gids = [g.gid for g in w.gens]
     tail = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] + w.gens[i].sdeg
     gens: Dict[int, HomGenerator] = {}
-    letters: Dict[Tuple[object, int, int], Tuple[Tuple[int, NovikovScalar], ...]] = {}
+    Letter = Tuple[Tuple[int, str, NovikovScalar], ...]
+    letters: Dict[Tuple[object, int, int], Letter] = {}
 
-    def letter(owner, i: int, j: int) -> Tuple[Tuple[int, NovikovScalar], ...]:
+    def letter(owner, i: int, j: int) -> Letter:
         key = (owner, i, j)
         if key not in letters:
             terms = owner.comp_value(Word(objs[i], w.gens[i:j])).terms
             gens.update((id(g), g) for g, _ in terms)
-            letters[key] = tuple((id(g), cl) for g, cl in terms)
+            letters[key] = tuple((id(g), g.gid, cl) for g, cl in terms)
         return letters[key]
 
     Partial = Dict[Tuple[int, ...], NovikovScalar]
     states: Dict[Tuple[int, int, int], Partial] = {(0, 0, 0): {(): c}}
+    nodes = None if prefixes is None else {(): prefixes}
     out: List[Tuple[Word, NovikovScalar]] = []
 
-    def step(partial: Partial, target, value, sign: int = 1) -> None:
+    def step(partial: Partial, target, value: Letter, sign: int = 1) -> None:
         if not value:
             return
         into = states.setdefault(target, {})
         for prefix, cp in partial.items():
-            for gid, cl in value:
+            node = None if nodes is None else nodes[prefix]
+            for gid, name, cl in value:
+                key = prefix + (gid,)
+                if node is not None:
+                    child = node.get(name)
+                    if child is None:
+                        continue
+                    nodes[key] = child
                 term = novikov.nov_mul(cp, cl)
                 if sign < 0:
                     term = novikov.nov_neg(term)
-                key = prefix + (gid,)
                 into[key] = novikov.nov_add(into[key], term) if key in into else term
 
     for i in range(n + 1):
@@ -449,13 +524,13 @@ def _path_sum(
                         (Word.from_gens([gens[g] for g in key]) if key else Word(families[0].obj_map[w.at]), cp)
                         for key, cp in partial.items()
                     )
-                for j in range(i + 1, n + 1):
+                for j in _block_ends(family, gids, i):
                     step(partial, (j, t, e), letter(family, i, j))
                 if e + 1 < cap and not family.is_strict():
                     step(partial, (i, t, e + 1), letter(family, i, i))
                 if t < n_singles:
                     single = singles[t]
-                    for j in range(i, n + 1):
+                    for j in (i, *_block_ends(single, gids, i)):
                         sign = _crossing_sign(single.deg, tail[j])
                         step(partial, (j, t + 1, e), letter(single, i, j), sign)
     return out
@@ -488,7 +563,7 @@ def _transport(
 ) -> HomElement:
     """Evaluate the basis word w through slots, then fold the untruncated
     value through owner's components."""
-    value, _ = slot_value(TensorElement.from_word(w, one), slots, window, length_truncate=False)
+    value, _ = slot_value(TensorElement.from_word(w, one), slots, window, False, owner)
     return family_value(owner, value)
 
 
@@ -690,22 +765,19 @@ def augmentation_defect(f: Cofunctor, window: TruncWindow) -> Tuple[Dict[str, Te
 def defect_to_f0(
     y: Dict[str, TensorElement], window: TruncWindow
 ) -> Tuple[Dict[str, HomElement], Flag]:
-    """Invert the defect series: alternating sum of concatenation powers."""
+    """Invert the defect series: the curvature is the length-1 part of y.
+
+    y = sum over n >= 1 of the n-th power of the curvature, so when y has
+    no empty-word terms (as every output of ``augmentation_defect``) each
+    power beyond the first has words of length >= 2, and the alternating
+    series of concatenation powers of y has the length-1 part of y itself.
+    """
     out: Dict[str, HomElement] = {}
-    flag = Flag.SOUND
     for obj, elem in y.items():
-        powers = [(1, TensorElement.zero(elem.src, elem.dst))]
-        power = elem
-        for m in range(1, window.max_len + 1):
-            powers.append((1 if m % 2 == 1 else -1, power))
-            power, fl = truncate_element(tcoalg.mu_concat(power, elem), window)
-            flag = join_flags(flag, fl)
-            if power.is_zero():
-                break
-        acc, fl = truncate_element(tcoalg._signed_sum(powers), window)
-        flag = join_flags(flag, fl)
-        out[obj] = hom_truncate(acc.pr1_hom(), window)
-    return out, flag
+        if any(len(w) == 0 for w, _ in elem.terms):
+            raise FacalcError(f"defect at {obj!r} has empty-word terms")
+        out[obj] = hom_truncate(elem.pr1_hom(), window)
+    return out, Flag.SOUND
 
 
 # ---------------------------------------------------------------------------

@@ -173,11 +173,6 @@ def nov_truncate(x: NovikovScalar, cutoff: Level) -> NovikovScalar:
     return NovikovScalar(tuple(kept), x.variant)
 
 
-def degrees(x: NovikovScalar) -> set:
-    """Degrees 2n of the homogeneous pieces of x."""
-    return {2 * n for _, _, n in x.terms}
-
-
 def by_expo(x: NovikovScalar) -> dict:
     """Split x into homogeneous pieces keyed by the e-exponent."""
     out: dict = {}

@@ -281,10 +281,6 @@ def reduced_delta_k(x: TensorElement, k: int) -> Dict[Tuple[Word, ...], NovikovS
     return _delta(x, k, allow_empty=False)
 
 
-def reduced_delta(x: TensorElement) -> Dict[Tuple[Word, Word], NovikovScalar]:
-    return reduced_delta_k(x, 2)
-
-
 def mu_concat(x: TensorElement, y: TensorElement, window: Optional["TruncWindow"] = None) -> TensorElement:
     """Concatenation product; sign-free since it has degree 0."""
     if x.dst != y.src:

@@ -3,11 +3,15 @@ import io
 import json
 import os
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from facalc.cli import main
 from facalc.structfile import load_model_file
+
+from conftest import facalc_seed
 
 ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -301,3 +305,39 @@ def test_solve_psi_reproduces_declared_family():
     for obj, fname in model.psi.obj_map.items():
         want = functor_to_json(model.functors[fname])
         assert fdoc[f"psi@{obj}"]["components"] == want["components"]
+
+
+# Every fixture with the commands it is run with: its golden commands, or
+# check-b2 for the fixtures that have none.
+FUZZ_CASES = sorted(
+    [tuple(argv) for argv in GOLDEN_CASES.values()]
+    + [("check-b2", f"tests/fixtures/{name}.json") for name in ("parse_error", "resolve_error", "undecided")]
+)
+REPLACEMENTS = [[[1]], 5, "x", True, {}]
+
+
+def field_paths(node, prefix=()):
+    """The path of every dict entry and list item in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@seed(facalc_seed())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fixture_with_one_field_swapped_never_tracebacks(data):
+    argv = data.draw(st.sampled_from(FUZZ_CASES), label="command")
+    doc = json.loads((ROOT / argv[1]).read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(list(field_paths(doc))), label="field")
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(REPLACEMENTS), label="replacement")
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = pathlib.Path(tmp) / "mutated.json"
+        mutated.write_text(json.dumps(doc), encoding="utf-8")
+        code, text = run([argv[0], str(mutated), *argv[2:]])
+    assert code in (0, 1, 2, 64, 65)
+    assert "Traceback" not in text

@@ -4,9 +4,11 @@
 replaced, kept unchanged as the oracle: it lists every split of a word into
 blocks and every placement of the single slots, and signs each
 configuration with the literal ``koszul_sign``.  The engine must agree with
-it on the value, on the truncation flag, on the set of components it looks
-up (lazy components are computed only when the enumerator would compute
-them) and on the errors lazy components raise.
+it on the value, on the truncation flag, on the components it looks up and
+on the errors lazy components raise.  The engine walks only the stored keys
+of a table, so it looks up a subset of what the enumerator looks up; the two
+sets agree on every effective lookup (see ``effective``): lazy components
+are computed exactly where the enumerator computes them.
 """
 
 import zlib
@@ -17,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from facalc import levels, novikov
-from facalc.errors import ConvergenceUndecided
+from facalc import levels, novikov, tcoalg
+from facalc.errors import ConvergenceUndecided, FacalcError
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.morphisms import (
     Coderivation,
@@ -30,6 +32,7 @@ from facalc.morphisms import (
     _path_sum,
     chain_slots,
     comp_key,
+    family_value,
     slot_value,
 )
 from facalc.novikov import NovikovScalar
@@ -252,6 +255,8 @@ def owner_specs(draw):
         "lazy": draw(st.booleans()),
         "raise_mod": draw(st.sampled_from([None, 5, 13])),
         "deg": draw(st.integers(-1, 2)),
+        # complete_upto of a lazy or bounded owner (see ``_upto``).
+        "upto": draw(st.sampled_from([None, 0, 1, 2])),
     }
 
 
@@ -266,12 +271,32 @@ def _compute(spec):
     )
 
 
+# Curvature of level 1 on both objects: with a cutoff of 3 and a term of
+# level <= 1, every path sum may insert at least two empty blocks.
+FIXED_CURVATURE = {
+    "X": HomElement.from_gen(QUIVER.gen("x"), novikov.monomial(1, 1)),
+    "Y": HomElement.from_gen(QUIVER.gen("y"), novikov.monomial(1, 1)),
+}
+
+
+def _upto(spec):
+    """complete_upto: set for lazy owners and for tables extracted with a
+    bound (``bounded``, no compute: lookups past the bound raise)."""
+    return spec["upto"] if spec["lazy"] or spec.get("bounded") else None
+
+
+def _family_table(spec):
+    comps = _table(spec["salt"], spec["sparsity"], spec["curved"])
+    if spec.get("fixed_curvature"):
+        comps[0] = dict(FIXED_CURVATURE)
+    return comps
+
+
 def build_slots(family_specs, single_specs) -> List[Slot]:
     families = [
         Cofunctor(
-            f"f{i}", QUIVER, QUIVER, IDENTITY,
-            _table(sp["salt"], sp["sparsity"], sp["curved"]),
-            "rat", "nov", compute=_compute(sp),
+            f"f{i}", QUIVER, QUIVER, IDENTITY, _family_table(sp),
+            "rat", "nov", complete_upto=_upto(sp), compute=_compute(sp),
         )
         for i, sp in enumerate(family_specs)
     ]
@@ -281,7 +306,7 @@ def build_slots(family_specs, single_specs) -> List[Slot]:
         Coderivation(
             f"r{i}", families[i], families[i + 1], sp["deg"], R0,
             _table(sp["salt"], sp["sparsity"], True, SCALARS),
-            compute=_compute(sp),
+            complete_upto=_upto(sp), compute=_compute(sp),
         )
         for i, sp in enumerate(single_specs)
     ]
@@ -328,10 +353,34 @@ def record_lookups(slots, log):
         owner.comp_value = logged
 
 
+def effective(slots, seen):
+    """The lookups in ``seen`` that a table alone cannot answer with zero:
+    a stored key, a k = 0 key, or a length at which the lazy ``compute``
+    runs or the extraction bound raises.  Read from the owners' own
+    ``comps``, ``complete_upto`` and ``compute``."""
+    owners = {s.owner.name: s.owner for s in slots}
+
+    def counts(name, block):
+        owner = owners[name]
+        k = len(block)
+        if k == 0 or comp_key(block) in owner.comps.get(k, {}):
+            return True
+        if owner.complete_upto is not None:
+            return k > owner.complete_upto
+        return owner.compute is not None
+
+    return {(name, block) for name, block in seen if counts(name, block)}
+
+
+def assert_same_lookups(slots, seen_engine, seen_oracle):
+    assert seen_engine <= seen_oracle
+    assert effective(slots, seen_engine) == effective(slots, seen_oracle)
+
+
 def outcome(fn):
     try:
         return "ok", fn()
-    except ConvergenceUndecided as exc:
+    except FacalcError as exc:
         return "raised", type(exc)
 
 
@@ -366,7 +415,7 @@ def test_path_sum_matches_enumeration_per_term(data):
 
     assert got == expected
     if expected[0] == "ok":
-        assert seen_engine == seen_oracle
+        assert_same_lookups(slots, seen_engine, seen_oracle)
 
 
 @st.composite
@@ -400,7 +449,7 @@ def test_slot_value_matches_enumeration(data):
     got = slot_value(x, slots, window, truncate)
 
     assert got == expected
-    assert seen_engine == seen_oracle
+    assert_same_lookups(slots, seen_engine, seen_oracle)
 
 
 def _lazy_family(hits) -> Cofunctor:
@@ -477,3 +526,77 @@ def test_cancelled_state_still_looks_up_its_components():
             value = path_sum_element(w, one, slots, 0)
         assert value.is_zero(), engine
         assert ("g", Word.from_gens([a])) in seen, engine
+
+
+# ---------------------------------------------------------------------------
+# Pruning against the fold
+
+
+def fold_owner(kind: str, salt: int, sparsity: int, upto: int) -> Cofunctor:
+    """The owner a value is folded through: an exact table, one with a lazy
+    tail beyond ``upto``, one extracted up to ``upto`` (raising beyond), or
+    an exact curved one."""
+    comps = _table(salt, sparsity, False)
+    if kind == "curved":
+        comps[0] = dict(FIXED_CURVATURE)
+    return Cofunctor(
+        "fold", QUIVER, QUIVER, IDENTITY, comps, "rat", "nov",
+        complete_upto=upto if kind in ("lazy", "bounded") else None,
+        compute=RaisingCompute(salt + 7, sparsity, lambda w: False) if kind == "lazy" else None,
+    )
+
+
+def record_computes(owners, log):
+    """Log every run of each owner's lazy ``compute``, in order."""
+    for owner in owners:
+        if owner.compute is not None:
+            def logged(w, owner=owner, compute=owner.compute):
+                log.append((owner.name, comp_key(w)))
+                return compute(w)
+
+            owner.compute = logged
+
+
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fold_pruning_keeps_the_folded_value(data):
+    family_specs, single_specs = data.draw(slot_sequences(max_singles=2))
+    for sp in family_specs + single_specs:
+        sp["raise_mod"] = None
+        sp["bounded"] = data.draw(st.sampled_from([False, False, False, True]))
+    kind = data.draw(st.sampled_from(["exact", "lazy", "bounded", "curved"]), label="fold")
+    fold_args = (
+        kind,
+        data.draw(st.integers(0, 10**6), label="fold_salt"),
+        data.draw(st.integers(1, 3), label="fold_sparsity"),
+        data.draw(st.integers(0, 2), label="fold_upto"),
+    )
+    if kind == "curved":
+        family_specs[0]["fixed_curvature"] = True
+        x = TensorElement.from_word(data.draw(words(3), label="word"), novikov.one())
+        window = TruncWindow(6, levels.rat(3))
+        slots = build_slots(family_specs, single_specs)
+        floor = _curvature_floor(slots)[1]
+        (w, c), = x.terms
+        assert _empty_cap(tcoalg.term_level(w, c, "rat"), floor, window.cutoff) >= 2
+    else:
+        x = data.draw(elements(max_len=4 - len(single_specs)), label="x")
+        window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
+
+    def run(evaluate):
+        """Fresh owners, so every compute runs (and is logged) once."""
+        slots = build_slots(family_specs, single_specs)
+        fold = fold_owner(*fold_args)
+        hits = []
+        record_computes([s.owner for s in slots] + [fold], hits)
+        return outcome(lambda: family_value(fold, evaluate(slots, fold))), hits
+
+    pruned = run(lambda slots, fold: slot_value(x, slots, window, False, fold)[0])
+    unpruned = run(lambda slots, fold: slot_value(x, slots, window, False)[0])
+    oracle = run(lambda slots, fold: oracle_slot_value(x, slots, window, False)[0])
+
+    assert pruned == unpruned
+    assert pruned[0] == oracle[0]
+    if oracle[0][0] == "ok":
+        assert set(pruned[1]) == set(oracle[1])

@@ -2,10 +2,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
 from facalc.ainfty import coder_b0, coder_b1, coder_bn
-from facalc.errors import ConvergenceUndecided, DegreeMismatch, ObjectMismatch
+from facalc import tcoalg
+from facalc.errors import ConvergenceUndecided, DegreeMismatch, FacalcError, ObjectMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
 from facalc.morphisms import (
     Coderivation,
@@ -34,11 +36,12 @@ from facalc.tcoalg import (
     augmentation_eta,
     basis_words,
     counit_scalar,
+    join_flags,
     mu_concat,
     truncate_element,
 )
 
-from conftest import loop_quiver, two_object_quiver
+from conftest import facalc_seed, loop_quiver, two_object_quiver
 
 ONE = novikov.one()
 W = TruncWindow(6, levels.rat(3))
@@ -486,6 +489,58 @@ def test_augmentation_defect_series():
     ida = identity_cofunctor(Q, "rat", "nov")
     y0, _ = augmentation_defect(ida, W)
     assert y0 == {}
+
+
+def old_defect_to_f0(y, window):
+    """The alternating series of concatenation powers, as defect_to_f0 was."""
+    out = {}
+    flag = Flag.SOUND
+    for obj, elem in y.items():
+        powers = [(1, TensorElement.zero(elem.src, elem.dst))]
+        power = elem
+        for m in range(1, window.max_len + 1):
+            powers.append((1 if m % 2 == 1 else -1, power))
+            power, fl = truncate_element(mu_concat(power, elem), window)
+            flag = join_flags(flag, fl)
+            if power.is_zero():
+                break
+        acc, fl = truncate_element(tcoalg._signed_sum(powers), window)
+        flag = join_flags(flag, fl)
+        out[obj] = hom_truncate(acc.pr1_hom(), window)
+    return out, flag
+
+
+DEFECT_QUIVER = loop_quiver(sdegs=(0, 1))
+DEFECT_SCALARS = [
+    ONE,
+    novikov.monomial(-2, 1),
+    novikov.monomial(Fraction(1, 3), Fraction(5, 2), 1),
+    novikov.scalar([(1, 0, 0), (4, 3, 0)]),
+]
+
+
+@st.composite
+def defects(draw):
+    words = [w for w in basis_words(DEFECT_QUIVER, 3) if len(w) >= 1]
+    picked = draw(st.lists(st.sampled_from(words), min_size=0, max_size=5, unique=True))
+    return {"X": TensorElement("X", "X", [(w, draw(st.sampled_from(DEFECT_SCALARS))) for w in picked])}
+
+
+@seed(facalc_seed())
+@settings(max_examples=80, deadline=None)
+@given(y=defects(), max_len=st.integers(1, 5), cutoff=st.integers(1, 4))
+def test_defect_to_f0_matches_the_power_series(y, max_len, cutoff):
+    window = TruncWindow(max_len, levels.rat(cutoff))
+    got, flag = defect_to_f0(y, window)
+    assert got == old_defect_to_f0(y, window)[0]
+    assert flag == Flag.SOUND
+
+
+def test_defect_to_f0_rejects_empty_word_terms():
+    c = DEFECT_QUIVER.gen("g0")
+    y = {"X": TensorElement("X", "X", [(Word("X"), ONE), (Word.from_gens([c]), ONE)])}
+    with pytest.raises(FacalcError, match="empty-word"):
+        defect_to_f0(y, W)
 
 
 def test_undecided_on_level_zero_curvature_sums():
