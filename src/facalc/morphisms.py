@@ -364,10 +364,15 @@ def slot_value(
     """Apply the composite operator described by ``slots`` to x.
 
     Each term of x is evaluated by ``_path_sum``; the terms of all of them
-    are summed once, into a single ``TensorElement``.  Given the owner the
-    value is about to be folded through (``fold``), terms that
-    ``family_value(fold, ...)`` sends to zero may be left out.
+    are summed once, into a single ``TensorElement``.
+
+    ``fold`` is for an untruncated value that is folded at once through
+    that owner: terms that ``family_value(fold, ...)`` sends to zero may
+    then be left out, so the returned element is not the operator's value.
+    It cannot be combined with ``length_truncate``.
     """
+    if fold is not None and length_truncate:
+        raise ValueError("slot_value: fold needs length_truncate=False")
     inst = window.instance
     families = [s.owner for s in slots if s.kind == "family"]
     singles = [s.owner for s in slots if s.kind == "single"]
@@ -563,7 +568,9 @@ def _transport(
 ) -> HomElement:
     """Evaluate the basis word w through slots, then fold the untruncated
     value through owner's components."""
-    value, _ = slot_value(TensorElement.from_word(w, one), slots, window, False, owner)
+    value, _ = slot_value(
+        TensorElement.from_word(w, one), slots, window, length_truncate=False, fold=owner
+    )
     return family_value(owner, value)
 
 

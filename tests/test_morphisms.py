@@ -14,6 +14,7 @@ from facalc.morphisms import (
     Cofunctor,
     augmentation_defect,
     coderivation_from_components,
+    cofunctor_slots,
     cofunctor_from_components,
     comp_key,
     compose_cofunctors,
@@ -25,6 +26,7 @@ from facalc.morphisms import (
     leibniz_residual,
     pull_coderivation,
     push_coderivation,
+    slot_value,
     tensor_convergent,
 )
 from facalc.structfile import load_model_file
@@ -70,6 +72,13 @@ def test_evaluate_zero(pq_quiver):
     ida = identity_cofunctor(pq_quiver, "rat", "nov")
     out, _ = evaluate_cofunctor(ida, TensorElement.zero("X", "X"), W)
     assert out.is_zero()
+
+
+def test_fold_pruning_refuses_truncation(pq_quiver):
+    ida = identity_cofunctor(pq_quiver, "rat", "nov")
+    x = TensorElement.from_word(basis_words(pq_quiver, 1)[-1], ONE)
+    with pytest.raises(ValueError, match="length_truncate"):
+        slot_value(x, cofunctor_slots(ida), W, fold=ida)
 
 
 def test_counit_compatibility(pq_quiver):
