@@ -28,15 +28,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import levels, novikov, tcoalg
 from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch
-from .filtquiver import FiltQuiver, HomElement, koszul_sign
+from .filtquiver import FiltQuiver, HomElement
 from .morphisms import (
     Coderivation,
     Cofunctor,
     Components,
     _extract_components,
+    _crossing_sign,
     _transport,
     chain_eval,
     chain_slots,
+    chain_sum,
     coderivation_from_components,
     coderivation_slots,
     family_value,  # re-exported: the fold is part of this module's API
@@ -192,12 +194,10 @@ def _letter(
     bound = window.max_len if upto is None else upto
     value = _letter_value(chain, f, src_cat, dst_cat, window)
     comps, compute = _extract_components(value, f.src, window, bound)
-    out = coderivation_from_components(
+    return coderivation_from_components(
         f"b{len(chain)}({names})", f, chain[-1].g if chain else f,
-        1 + sum(r.deg for r in chain), lvl, comps, complete_upto=bound,
+        1 + sum(r.deg for r in chain), lvl, comps, complete_upto=bound, compute=compute,
     )
-    out.compute = compute
-    return out
 
 
 def coder_b0(
@@ -279,10 +279,7 @@ def coder_differential_terms(
                 continue
             # The inserted letter has odd degree and crosses the trailing
             # chain entries.
-            sign = koszul_sign(
-                [0] * len(left) + [1] + [0] * len(right),
-                [r.deg for r in left] + [sum(r.deg for r in mid)] + [r.deg for r in right],
-            )
+            sign = _crossing_sign(1, sum(r.deg for r in right))
             out.append((sign, left + (letter,) + right))
     return out
 
@@ -321,14 +318,7 @@ def check_coder_b_squared(
         ]
 
         def value(a: Word) -> Tuple[Optional[TensorElement], Flag]:
-            elem = TensorElement.from_word(a, one) if second else None
-            pieces = []
-            flag = Flag.SOUND
-            for s, ch in second:
-                val, fl = chain_eval(elem, ch, window, boundary=boundary)
-                flag = tcoalg.join_flags(flag, fl)
-                pieces.append((s, val))
-            return (tcoalg._signed_sum(pieces) if pieces else None), flag
+            return chain_sum(TensorElement.from_word(a, one), second, window, boundary)
 
         return value
 
@@ -345,23 +335,22 @@ def check_transfer_identity(
     one = novikov.one(Q.source.variant)
 
     def residual(chain, boundary):
-        expansion = coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
+        expansion = [
+            (-s, ch) for s, ch in coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
+        ]
 
         def value(a: Word) -> Tuple[TensorElement, Flag]:
             elem = TensorElement.from_word(a, one)
             val, f1 = chain_eval(elem, chain, window, boundary=boundary)
             lhs, f2 = slot_value(val, coderivation_slots(Q.target.b), window)
-            pieces = [(1, lhs)]
-            flag = tcoalg.join_flags(f1, f2)
-            for s, ch in expansion:
-                piece, fl = chain_eval(elem, ch, window, boundary=boundary)
-                flag = tcoalg.join_flags(flag, fl)
-                pieces.append((-s, piece))
-            ba, f3 = slot_value(elem, coderivation_slots(Q.source.b), window)
-            piece, f4 = chain_eval(ba, chain, window, boundary=boundary)
-            pieces.append((1 if sum(r.deg for r in chain) % 2 else -1, piece))
-            res, f5 = tcoalg.truncate_element(tcoalg._signed_sum(pieces), window)
-            return res, tcoalg.join_flags(flag, f3, f4, f5)
+            expanded, f3 = chain_sum(elem, expansion, window, boundary)
+            ba, f4 = slot_value(elem, coderivation_slots(Q.source.b), window)
+            piece, f5 = chain_eval(ba, chain, window, boundary=boundary)
+            pieces = [(1, lhs), (1 if sum(r.deg for r in chain) % 2 else -1, piece)]
+            if expanded is not None:
+                pieces.append((1, expanded))
+            res, f6 = tcoalg.truncate_element(tcoalg._signed_sum(pieces), window)
+            return res, tcoalg.join_flags(f1, f2, f3, f4, f5, f6)
 
         return value
 

@@ -286,14 +286,15 @@ def cmd_eval(model: Model, path: str, args):
     return text, (EXIT_OK if flag == Flag.SOUND else EXIT_UNDECIDED)
 
 
-def _psi_fixture(model: Model, window: TruncWindow) -> PsiSolution:
-    """Assemble the declared solver section into an evaluable family."""
+def _psi_fixture(model: Model, window: TruncWindow, max_len: int) -> PsiSolution:
+    """Assemble the declared solver section into an evaluable family on
+    factor words up to max_len."""
     spec = model.psi
     assert spec is not None
     sol = PsiSolution(None, (spec.source,))
     for o in spec.source.objects:
         sol.objects[(o,)] = model.functors[spec.obj_map[o]]
-    for w in basis_words(spec.source, window.max_len, include_empty=False):
+    for w in basis_words(spec.source, max_len, include_empty=False):
         key = cword_key((w,))
         if len(w) == 1:
             gid = w.gens[0].gid
@@ -323,7 +324,9 @@ def cmd_solve_psi(model: Model, path: str, args):
     window = _override_window(model, args.window)
     if model.psi is None:
         raise ResolveError("solve-psi: file has no psi section")
-    fixture = _psi_fixture(model, window)
+    # The solver reads the family on factor words up to --psi-len; the
+    # window length keeps the gen_map checks at --psi-len 0.
+    fixture = _psi_fixture(model, window, max(window.max_len, args.psi_len))
     a_quiver = fixture.a_quiver
     target = next(iter(fixture.objects.values())).dst
     spec = model.psi

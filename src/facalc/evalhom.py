@@ -6,17 +6,22 @@ coderivations) by splitting the element into alternating zones, applying the
 endpoint cofunctors and one component of each chain entry, and concatenating.
 
 ``multi_box_splits`` splits a product of factor words into blocks; its
-interchange sign is ``koszul_sign`` per pair of factors.
+interchange sign is ``koszul_sign`` per pair of factors.  Its one caller,
+``PsiSolution.full_chains``, turns the splits into signed chains of solved
+components, which ``morphisms.chain_sum`` evaluates and sums.
 
 ``solve_psi`` inverts the pairing: given the values of a cofunctor on mixed
 elements (with the chain side a product of tensor factors), it recovers the
-unique family of coderivations whose evaluation reproduces those values.
-The recursion runs over the product of word lengths: the correction sum only
-involves strictly shorter factor words, and terminates because long words
-split trivially.  Components are read off the values with
-``morphisms._extract_components``.  Every solved component is re-evaluated
-and compared against its defining values; a mismatch (the input was not
-actually compatible with the comultiplications) raises LeibnizResidual.
+unique family indexed by the factor words whose evaluation reproduces those
+values.  It takes one step per factor word, in order of total length.  The
+values are the pairing minus the correction sum over proper splits
+(``_rhs_value``), which only involves strictly shorter factor words and is
+empty at total length 0 and 1.  Their components are read off with
+``morphisms._extract_components`` and built into a cofunctor at an empty
+factor word (the objects) or a coderivation at any other word.  The
+reconstruction is then re-evaluated on every source word and compared with
+the values; a mismatch (the input was not actually compatible with the
+comultiplications) raises LeibnizResidual.
 
 ``compose_chain`` realizes composition of coderivation chains through the
 solver applied to iterated evaluation, and ``unit_chain`` the two-sided unit.
@@ -30,15 +35,17 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import levels, novikov
 from .errors import FacalcError, LeibnizResidual
-from .filtquiver import FiltQuiver, HomGenerator, koszul_sign
+from .filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from .morphisms import (
     Coderivation,
     Cofunctor,
     _extract_components,
     chain_eval,
+    chain_sum,
     coderivation_from_components,
     coderivation_slots,
     cofunctor_from_components,
+    cofunctor_slots,
     hom_truncate,
     identity_cofunctor,
     slot_value,
@@ -50,7 +57,6 @@ from .tcoalg import (
     Word,
     _signed_sum,
     basis_words,
-    join_flags,
     seq_splits,
     truncate_element,
     word_blocks,
@@ -146,32 +152,29 @@ class PsiSolution:
             raise FacalcError(f"no solved component at {key!r}") from None
 
     def full_chains(
-        self, cwords: Sequence[Word]
-    ) -> List[Tuple[int, Tuple[Coderivation, ...], Cofunctor]]:
-        """Expansion of the full cofunctor value on a factor word: all
-        reduced splits, each block replaced by its solved coderivation."""
+        self, cwords: Sequence[Word], least: int = 1
+    ) -> List[Tuple[int, Tuple[Coderivation, ...]]]:
+        """The signed chains of the splits of a factor word into at least
+        ``least`` nonempty blocks, each block replaced by its solved
+        coderivation.  ``least=1`` expands the full cofunctor value, which
+        on an empty factor word is the empty chain at the boundary
+        ``object_at(cword_src(cwords))``; ``least=2`` the proper splits."""
         total = sum(len(w) for w in cwords)
-        boundary = self.object_at(cword_src(cwords))
         if total == 0:
-            return [(1, (), boundary)]
-        out = []
-        for k in range(1, total + 1):
-            for blocks, sign in multi_box_splits(cwords, k, nonempty=True):
-                out.append((sign, tuple(self.component(b) for b in blocks), boundary))
-        return out
+            return [(1, ())] if least <= 1 else []
+        return [
+            (sign, tuple(self.component(b) for b in blocks))
+            for k in range(least, total + 1)
+            for blocks, sign in multi_box_splits(cwords, k, nonempty=True)
+        ]
 
     def apply(
         self, a: TensorElement, cwords: Sequence[Word], window: TruncWindow
     ) -> Tuple[TensorElement, Flag]:
         """Evaluate (a, factor word) through the solved family: the pairing
         this solution was solved from, reconstructed."""
-        pieces = []
-        flag = Flag.SOUND
-        for sign, chain, boundary in self.full_chains(cwords):
-            piece, fl = ev(a, chain, window, boundary=boundary)
-            flag = join_flags(flag, fl)
-            pieces.append((sign, piece))
-        return _signed_sum(pieces), flag
+        boundary = self.object_at(cword_src(cwords))
+        return chain_sum(a, self.full_chains(cwords), window, boundary)
 
 
 PhiValues = Callable[[TensorElement, Sequence[Word]], TensorElement]
@@ -196,93 +199,56 @@ def solve_psi(
     words up to the window length and factor words up to ``max_factor_len``
     (defaulting to the window length per factor).
     """
-    q = len(factors)
-    if q < 1:
+    if not factors:
         raise FacalcError("solve_psi needs at least one factor")
     bounds = max_factor_len or tuple(window.max_len for _ in factors)
     sol = PsiSolution(a_quiver, tuple(factors))
     one = novikov.one(variant)
     a_words = basis_words(a_quiver, window.max_len)
+    factor_words = product(*(basis_words(f, b) for f, b in zip(factors, bounds)))
 
-    # Objects: empty factor words define plain cofunctors.
-    for objs in product(*(f.objects for f in factors)):
-        empties = tuple(Word(o) for o in objs)
-        comps, compute = _extract_components(
-            lambda w, _e=empties: phi(TensorElement.from_word(w, one), _e).pr1_hom(),
-            a_quiver,
-            window,
-        )
-        obj_map = {x: phi_obj(x, objs) for x in a_quiver.objects}
-        g = cofunctor_from_components(
-            f"psi@{','.join(objs)}",
-            a_quiver,
-            target,
-            obj_map,
-            comps,
-            window,
-            variant,
-        )
-        g.complete_upto = window.max_len
-        g.compute = compute
-        sol.objects[objs] = g
-        # Consistency: the full cofunctor must reproduce phi on all words.
-        for w in a_words:
-            got, _ = chain_eval(TensorElement.from_word(w, one), (), window, boundary=g)
-            want, _ = truncate_element(phi(TensorElement.from_word(w, one), empties), window)
-            if got != want:
-                raise LeibnizResidual(
-                    f"pairing is not comultiplication-compatible at objects {objs}, word {w!r}"
-                )
+    for cwords in sorted(factor_words, key=lambda cw: sum(len(w) for w in cw)):
 
-    # Components, by increasing total factor length.
-    cwords_by_len: Dict[int, List[Tuple[Word, ...]]] = {}
-    factor_words = [basis_words(f, b) for f, b in zip(factors, bounds)]
-    for combo in product(*factor_words):
-        total = sum(len(w) for w in combo)
-        if total >= 1:
-            cwords_by_len.setdefault(total, []).append(tuple(combo))
+        def value(w: Word, _c=cwords) -> TensorElement:
+            return _rhs_value(phi, sol, TensorElement.from_word(w, one), _c, window)
 
-    for total in sorted(cwords_by_len):
-        for cwords in cwords_by_len[total]:
-            rhs: Dict[Word, TensorElement] = {}
-            for w in a_words:
-                elem = TensorElement.from_word(w, one)
-                rhs[w], _ = truncate_element(
-                    _rhs_value(phi, sol, elem, cwords, window), window
-                )
-            # Read the components off the values the check below needs;
-            # the lazy compute below evaluates words beyond the window.
-            comps, _ = _extract_components(lambda w: rhs[w].pr1_hom(), a_quiver, window)
-            f0 = sol.object_at(cword_src(cwords))
-            g0 = sol.object_at(cword_dst(cwords))
-            deg = sum(w.sdeg for w in cwords)
+        # Beyond the window, components are computed on demand.
+        def compute(w: Word, _value=value) -> HomElement:
+            return hom_truncate(_value(w).pr1_hom(), window)
+
+        values = {w: value(w) for w in a_words}
+        comps, _ = _extract_components(lambda w: values[w].pr1_hom(), a_quiver, window)
+        objs = cword_src(cwords)
+        if all(len(w) == 0 for w in cwords):
+            obj_map = {x: phi_obj(x, objs) for x in a_quiver.objects}
+            built = sol.objects[objs] = cofunctor_from_components(
+                f"psi@{','.join(objs)}", a_quiver, target, obj_map, comps, window, variant,
+                complete_upto=window.max_len, compute=compute,
+            )
+            slots = cofunctor_slots(built)
+        else:
             lvl = levels.zero(window.instance)
             for w in cwords:
                 lvl = levels.level_add(lvl, w.base_level(window.instance))
-            r = coderivation_from_components(
+            built = sol.comps[cword_key(cwords)] = coderivation_from_components(
                 f"psi({_key_name(cword_key(cwords))})",
-                f0,
-                g0,
-                deg,
+                sol.object_at(objs),
+                sol.object_at(cword_dst(cwords)),
+                sum(w.sdeg for w in cwords),
                 lvl,
                 comps,
                 complete_upto=window.max_len,
+                compute=compute,
             )
-            r.compute = lambda w, _c=cwords: hom_truncate(
-                _rhs_value(phi, sol, TensorElement.from_word(w, one), _c, window).pr1_hom(),
-                window,
-            )
-            # Coderivation consistency: the reconstruction must reproduce
-            # the defining values on every tested word.
-            for w in a_words:
-                got, _ = slot_value(
-                    TensorElement.from_word(w, one), coderivation_slots(r), window
+            slots = coderivation_slots(built)
+        # The reconstruction must reproduce the defining values on every
+        # tested word, else the pairing was not comultiplication-compatible.
+        for w in a_words:
+            got, _ = slot_value(TensorElement.from_word(w, one), slots, window)
+            if got != truncate_element(values[w], window)[0]:
+                raise LeibnizResidual(
+                    f"pairing is not comultiplication-compatible: {built.name} fails on {w!r}"
                 )
-                if got != rhs[w]:
-                    raise LeibnizResidual(
-                        f"solved component at {cword_key(cwords)} fails on {w!r}"
-                    )
-            sol.comps[cword_key(cwords)] = r
     return sol
 
 
@@ -293,15 +259,11 @@ def _rhs_value(
     cwords: Sequence[Word],
     window: TruncWindow,
 ) -> TensorElement:
-    """Pairing value minus the correction sum over proper factor splits."""
-    total = sum(len(w) for w in cwords)
-    pieces = [(1, phi(elem, cwords))]
-    for k in range(2, total + 1):
-        for blocks, sign in multi_box_splits(cwords, k, nonempty=True):
-            chain = tuple(sol.component(b) for b in blocks)
-            piece, _ = ev(elem, chain, window)
-            pieces.append((-sign, piece))
-    return _signed_sum(pieces)
+    """Pairing value minus the correction sum over proper factor splits;
+    the pairing value itself when there are none (total length 0 or 1)."""
+    value = phi(elem, cwords)
+    correction, _ = chain_sum(elem, sol.full_chains(cwords, least=2), window)
+    return value if correction is None else _signed_sum([(1, value), (-1, correction)])
 
 
 def _key_name(key: CWordKey) -> str:

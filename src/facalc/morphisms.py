@@ -267,9 +267,13 @@ def cofunctor_from_components(
     window: TruncWindow,
     variant: str,
     convergence_bound: int = 16,
+    complete_upto: Optional[int] = None,
+    compute: Optional[Callable[[Word], HomElement]] = None,
 ) -> Cofunctor:
     """Validate degree/level/object constraints and the curvature condition."""
-    f = Cofunctor(name, src, dst, obj_map, comps, window.instance, variant, convergence_bound)
+    f = Cofunctor(
+        name, src, dst, obj_map, comps, window.instance, variant, convergence_bound, complete_upto, compute
+    )
     _validate_table(f, levels.zero(window.instance))
     f0 = f.f0_values()
     if f0:
@@ -289,8 +293,9 @@ def coderivation_from_components(
     lvl: Level,
     comps: Components,
     complete_upto: Optional[int] = None,
+    compute: Optional[Callable[[Word], HomElement]] = None,
 ) -> Coderivation:
-    r = Coderivation(name, f, g, deg, lvl, comps, complete_upto)
+    r = Coderivation(name, f, g, deg, lvl, comps, complete_upto, compute)
     _validate_table(r, lvl)
     return r
 
@@ -691,6 +696,26 @@ def chain_eval(
         raise FacalcError("empty chains need an explicit boundary cofunctor")
     slots = chain_slots(chain, boundary if boundary is not None else chain[0].f)
     return slot_value(a, slots, window, length_truncate=length_truncate)
+
+
+def chain_sum(
+    x: TensorElement,
+    signed_chains: Sequence[Tuple[int, Sequence[Coderivation]]],
+    window: TruncWindow,
+    boundary: Optional[Cofunctor] = None,
+) -> Tuple[Optional[TensorElement], Flag]:
+    """The sum of sign * chain_eval(x, chain) over the (sign, chain) pairs,
+    with the join of their flags; None for an empty list.  ``boundary``
+    serves the empty chain.  Every signed sum of chains is taken here."""
+    if not signed_chains:
+        return None, Flag.SOUND
+    pieces = []
+    flag = Flag.SOUND
+    for sign, chain in signed_chains:
+        piece, fl = chain_eval(x, chain, window, boundary=boundary)
+        flag = join_flags(flag, fl)
+        pieces.append((sign, piece))
+    return tcoalg._signed_sum(pieces), flag
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,7 @@ def level_to_json(lvl: Level):
         return {"infinity": True}
     if lvl.instance == "discrete":
         return {"discrete": "inf" if lvl.value is None else "0"}
-    return {lvl.instance: _frac(lvl.value)}
-
-
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return {lvl.instance: novikov._frac_str(lvl.value)}
 
 
 def parse_scalar_at(text, variant: str, loc: str) -> NovikovScalar:

@@ -281,7 +281,7 @@ def reduced_delta_k(x: TensorElement, k: int) -> Dict[Tuple[Word, ...], NovikovS
     return _delta(x, k, allow_empty=False)
 
 
-def mu_concat(x: TensorElement, y: TensorElement, window: Optional["TruncWindow"] = None) -> TensorElement:
+def mu_concat(x: TensorElement, y: TensorElement) -> TensorElement:
     """Concatenation product; sign-free since it has degree 0."""
     if x.dst != y.src:
         raise ObjectMismatch(f"cannot concatenate: {x.dst!r} != {y.src!r}")
@@ -290,10 +290,7 @@ def mu_concat(x: TensorElement, y: TensorElement, window: Optional["TruncWindow"
         for w2, c2 in y.terms:
             w = Word(w1.at, w1.gens + w2.gens)
             terms.append((w, novikov.nov_mul(c1, c2)))
-    out = TensorElement(x.src, y.dst, terms)
-    if window is not None:
-        out, _ = truncate_element(out, window)
-    return out
+    return TensorElement(x.src, y.dst, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -392,25 +389,10 @@ def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
 # ---------------------------------------------------------------------------
 # Basis enumeration
 
-def basis_words(
-    quiver: FiltQuiver,
-    max_len: int,
-    src: Optional[str] = None,
-    dst: Optional[str] = None,
-    include_empty: bool = True,
-) -> List[Word]:
+def basis_words(quiver: FiltQuiver, max_len: int, include_empty: bool = True) -> List[Word]:
     """All composable generator words of length <= max_len, sorted."""
-    words: List[Word] = []
-    if include_empty:
-        for obj in quiver.objects:
-            if src is not None and obj != src:
-                continue
-            if dst is not None and obj != dst:
-                continue
-            words.append(Word(obj))
-    frontier: List[Tuple[str, Tuple[HomGenerator, ...]]] = [
-        (obj, ()) for obj in (quiver.objects if src is None else [src])
-    ]
+    words: List[Word] = [Word(obj) for obj in quiver.objects] if include_empty else []
+    frontier: List[Tuple[str, Tuple[HomGenerator, ...]]] = [(obj, ()) for obj in quiver.objects]
     for _ in range(max_len):
         nxt = []
         for start, gens in frontier:
@@ -418,8 +400,7 @@ def basis_words(
             for g in quiver.gens_from(tail):
                 seq = gens + (g,)
                 nxt.append((start, seq))
-                if dst is None or g.dst == dst:
-                    words.append(Word(start, seq))
+                words.append(Word(start, seq))
         frontier = nxt
     return sorted(words, key=Word.sort_key)
 

@@ -403,7 +403,7 @@ def test_criterion_08_evaluation_and_solver():
     ok = ok and got.comps == t.comps
 
     from test_evalhom import add_coderivations
-    from facalc.evalhom import compose_chain
+    from facalc.evalhom import compose_chain, cword_src
 
     u = coderivation_from_components(
         "u", ida, ida, 0, levels.rat(0), {1: {("g0",): hom(g0).rat_scale(2), ("g1",): hom(g1).rat_scale(2)}}
@@ -414,7 +414,8 @@ def test_criterion_08_evaluation_and_solver():
         cw1 = Word.from_gens([solp.factors[0].gen("L.r0")]) if first_pair[0] else Word("L.o0")
         cw2 = Word.from_gens([solp.factors[1].gen("R.r0")]) if first_pair[1] else Word("R.o0")
         total = None
-        for sign, chain, boundary in solp.full_chains((cw1, cw2)):
+        boundary = solp.object_at(cword_src((cw1, cw2)))
+        for sign, chain in solp.full_chains((cw1, cw2)):
             if outer_left:
                 piece = compose_chain_component(list(chain), [u], W3, r_boundary=boundary)
             else:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
 from facalc.ainfty import (
@@ -24,8 +25,9 @@ from facalc.ainfty import (
     unshift_degree,
     word_name,
 )
-from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
+from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.morphisms import (
+    _crossing_sign,
     coderivation_from_components,
     coderivation_slots,
     cofunctor_from_components,
@@ -35,7 +37,7 @@ from facalc.morphisms import (
 )
 from facalc.tcoalg import Flag, TensorElement, TruncWindow, Word, basis_words, join_flags
 
-from conftest import loop_quiver
+from conftest import facalc_seed, loop_quiver
 
 ONE = novikov.one()
 W = TruncWindow(6, levels.rat(3))
@@ -413,3 +415,40 @@ def test_coder_b_squared_residuals_match_the_literal_sum():
     assert [(e.word, e.residual, e.flag) for e in entries] == want
     assert len(entries) == 30
     assert sum(not e.ok for e in entries) == 4
+
+
+def _insertion_sign(left, mid, right):
+    """The Koszul sign of an odd letter inserted over mid, crossing right."""
+    return koszul_sign([0] * len(left) + [1] + [0] * len(right), left + [sum(mid)] + right)
+
+
+@seed(facalc_seed())
+@settings(max_examples=300, deadline=None)
+@given(
+    left=st.lists(st.integers(-3, 3), max_size=4),
+    mid=st.lists(st.integers(-3, 3), max_size=4),
+    right=st.lists(st.integers(-3, 3), max_size=4),
+)
+def test_insertion_sign_closed_form_matches_koszul_sign(left, mid, right):
+    # coder_differential_terms uses the closed form.
+    assert _crossing_sign(1, sum(right)) == _insertion_sign(left, mid, right)
+
+
+def test_differential_terms_carry_the_insertion_sign():
+    Q, bad = algebra_category({(0, 0): 1, (0, 1): 0}, name="AlgBad2")
+    ida = identity_cofunctor(Q, "rat", "nov")
+    g1 = Q.gen("g1")
+    r0 = coderivation_from_components("r0", ida, ida, 0, levels.rat(0), {1: {("g0",): hom(g1)}})
+    r1 = coderivation_from_components("r1", ida, ida, 1, levels.rat(0), {2: {("g0", "g0"): hom(g1)}})
+    Qq = CoderQuiver(bad, bad, [ida], [r0, r1])
+    signs = set()
+    for chain in [(r0,), (r1,), (r0, r1), (r1, r0), (r1, r1)]:
+        for sign, out in coder_differential_terms(Qq, chain, ida, W3, upto=2):
+            # out is chain[:i] + (letter,) + chain[j:]; the letter is new.
+            i = next(p for p, x in enumerate(out) if p == len(chain) or x is not chain[p])
+            right = out[i + 1:]
+            degs = [r.deg for r in chain]
+            want = _insertion_sign(degs[:i], degs[i:len(chain) - len(right)], degs[len(chain) - len(right):])
+            assert sign == want
+            signs.add(sign)
+    assert signs == {1, -1}

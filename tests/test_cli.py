@@ -307,6 +307,24 @@ def test_solve_psi_reproduces_declared_family():
         assert fdoc[f"psi@{obj}"]["components"] == want["components"]
 
 
+@pytest.mark.parametrize(
+    "extra, same_as",
+    [
+        # --psi-len (default 2) above the window length.
+        (["--window", "1,3"], []),
+        (["--window", "2,3", "--psi-len", "3"], ["--psi-len", "3"]),
+    ],
+    ids=["window-1", "window-2-psi-len-3"],
+)
+def test_solve_psi_reads_the_family_up_to_psi_len(extra, same_as):
+    # The declared family is assembled up to the larger of --psi-len and the
+    # window length, so a solve beyond the window finds every component.
+    cmd = ["solve-psi", "tests/fixtures/psi_roundtrip.json"]
+    code, text = run(cmd + extra)
+    assert code == 0, text
+    assert (code, text) == run(cmd + same_as)
+
+
 # Every fixture with the commands it is run with: its golden commands, or
 # check-b2 for the fixtures that have none.
 FUZZ_CASES = sorted(

@@ -10,6 +10,7 @@ from facalc.evalhom import (
     compose_chain,
     compose_chain_component,
     cword_key,
+    cword_src,
     ev,
     multi_box_splits,
     solve_psi,
@@ -251,18 +252,25 @@ def test_solver_trivial_case_is_direct_projection(setup):
     assert sol.comps[key].comps == r1.comps
 
 
-def test_solver_rejects_incompatible_pairing(setup):
+@pytest.mark.parametrize(
+    "total, built",
+    [(0, r"psi@o\b"), (1, r"psi\(c1\)")],
+    ids=["object", "word"],
+)
+def test_solver_rejects_incompatible_pairing(setup, total, built):
+    # Corrupting the values on the empty factor word fails the object
+    # cofunctor's check; on the word c1, the coderivation's check.
     Q, ida, r1, _ = setup
     C, fixture = make_fixture_psi(Q, ida, {"c1": r1}, max_len=1)
 
     def phi_bad(a, cwords):
         value = fixture.apply(a, cwords, W)[0]
-        if sum(len(w) for w in cwords) == 0 and a.max_len() == 2:
+        if sum(len(w) for w in cwords) == total and a.max_len() == 2:
             # Corrupt the pairing away from comultiplication compatibility.
             return value.add(value)
         return value
 
-    with pytest.raises(LeibnizResidual):
+    with pytest.raises(LeibnizResidual, match=built):
         solve_psi(phi_bad, lambda o, c: "X", Q, Q, [C], W, "nov", max_factor_len=(1,))
 
 
@@ -357,7 +365,8 @@ def test_composition_associativity_on_single_letters(mixed):
     cw1 = Word.from_gens([sol_rt.factors[0].gen("L.r0")])
     cw2 = Word.from_gens([sol_rt.factors[1].gen("R.r0")])
     left_total = None
-    for sign, chain, boundary in sol_rt.full_chains((cw1, cw2)):
+    boundary = sol_rt.object_at(cword_src((cw1, cw2)))
+    for sign, chain in sol_rt.full_chains((cw1, cw2)):
         piece = compose_chain_component(list(chain), [u], W3, r_boundary=boundary)
         if sign == -1:
             piece = coderivation_from_components(
@@ -371,7 +380,8 @@ def test_composition_associativity_on_single_letters(mixed):
     dw1 = Word.from_gens([sol_tu.factors[0].gen("L.r0")])
     dw2 = Word.from_gens([sol_tu.factors[1].gen("R.r0")])
     right_total = None
-    for sign, chain, boundary in sol_tu.full_chains((dw1, dw2)):
+    boundary = sol_tu.object_at(cword_src((dw1, dw2)))
+    for sign, chain in sol_tu.full_chains((dw1, dw2)):
         piece = compose_chain_component([rf], list(chain), W3, t_boundary=boundary)
         if sign == -1:
             piece = coderivation_from_components(
