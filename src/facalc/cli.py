@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass with sound windows; 1 a relation has a nonzero
 residual; 2 no residual failures but some outcome was LOSSY or UNDECIDED;
-64 parse error (with location); 65 unresolved name.
+64 parse or usage error (with location); 65 unresolved name.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from .errors import (
     ParseError,
     ResolveError,
 )
-from .evalhom import PsiSolution, cword_key, ev, solve_psi
+from .evalhom import PsiSolution, cword_key, solve_psi
 from .filtquiver import FiltQuiver
 from .morphisms import (
     Coderivation,
     Cofunctor,
+    chain_eval,
     coderivation_from_components,
     compose_cofunctors,
     pull_coderivation,
@@ -271,7 +272,7 @@ def cmd_eval(model: Model, path: str, args):
         boundary = _pick_functor(model, bname, "eval")
     if not chain and boundary is None:
         raise ResolveError("eval: empty chain needs a boundary functor")
-    value, flag = ev(x, chain, window, boundary=boundary)
+    value, flag = chain_eval(x, chain, window, boundary=boundary)
     target = chain[-1].dst if chain else boundary.dst
     text = dump_document(
         _result_doc(
@@ -371,18 +372,31 @@ PRINTERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 64): exit 2 means LOSSY or undecided."""
+
+    def error(self, message: str):
+        raise ParseError(self.prog, message)
+
+
+def _count(text: str) -> int:
+    """A count option's value: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="facalc",
         description="Exact checks and calculations on filtered tensor coalgebra structure files.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    common = dict()
     for name in list(CHECKS) + list(PRINTERS):
         p = sub.add_parser(name)
         p.add_argument("file")
-        p.add_argument("--n-max", type=int, default=4)
-        p.add_argument("--word-len-max", type=int, default=3)
+        p.add_argument("--n-max", type=_count, default=4)
+        p.add_argument("--word-len-max", type=_count, default=3)
         p.add_argument("--window", help="override as 'N,E' (E rational, or 'inf' on the discrete instance)")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--functor")
@@ -394,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--element")
         p.add_argument("--chain")
         p.add_argument("--boundary")
-        p.add_argument("--psi-len", type=int, default=2,
+        p.add_argument("--psi-len", type=_count, default=2,
                        help="factor word length bound for solve-psi")
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         model = load_model_file(args.file)
         if args.command in CHECKS:
             report = CHECKS[args.command](model, args.file, args)

@@ -1,27 +1,26 @@
 """Evaluation of coderivation chains, the component solver, and chain
 composition.
 
-``ev`` evaluates a mixed element (source element paired with a chain of
-coderivations) by splitting the element into alternating zones, applying the
-endpoint cofunctors and one component of each chain entry, and concatenating.
+``ev`` is ``morphisms.chain_eval``, which evaluates a source element
+against a chain of coderivations, under its acceptance name.
 
-``multi_box_splits`` splits a product of factor words into blocks; its
-interchange sign is ``koszul_sign`` per pair of factors.  Its one caller,
-``PsiSolution.full_chains``, turns the splits into signed chains of solved
-components, which ``morphisms.chain_sum`` evaluates and sums.
+``PsiSolution.full_chains`` splits a product of factor words in one walk
+over cut positions that carries the interchange sign step by step, and
+turns each split into a signed chain of solved components, which
+``morphisms.chain_sum`` evaluates and sums.
 
 ``solve_psi`` inverts the pairing: given the values of a cofunctor on mixed
 elements (with the chain side a product of tensor factors), it recovers the
 unique family indexed by the factor words whose evaluation reproduces those
 values.  It takes one step per factor word, in order of total length.  The
-values are the pairing minus the correction sum over proper splits
-(``_rhs_value``), which only involves strictly shorter factor words and is
-empty at total length 0 and 1.  Their components are read off with
-``morphisms._extract_components`` and built into a cofunctor at an empty
-factor word (the objects) or a coderivation at any other word.  The
-reconstruction is then re-evaluated on every source word and compared with
-the values; a mismatch (the input was not actually compatible with the
-comultiplications) raises LeibnizResidual.
+values are the pairing minus the correction sum over the word's proper
+splits (``_rhs_value``), whose chains only involve strictly shorter factor
+words, are built once per word, and are empty at total length 0 and 1.
+Their components are read off with ``morphisms._extract_components`` and
+built into a cofunctor at an empty factor word (the objects) or a
+coderivation at any other word.  The reconstruction is then re-evaluated on
+every source word and compared with the values; a mismatch (the input was
+not actually compatible with the comultiplications) raises LeibnizResidual.
 
 ``compose_chain`` realizes composition of coderivation chains through the
 solver applied to iterated evaluation, and ``unit_chain`` the two-sided unit.
@@ -31,22 +30,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import levels, novikov
 from .errors import FacalcError, LeibnizResidual
-from .filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
+from .filtquiver import FiltQuiver, HomGenerator
 from .morphisms import (
     Coderivation,
     Cofunctor,
+    _crossing_sign,
     _extract_components,
     chain_eval,
+    chain_eval as ev,  # re-exported: the acceptance name of chain_eval
     chain_sum,
     coderivation_from_components,
     coderivation_slots,
     cofunctor_from_components,
     cofunctor_slots,
-    hom_truncate,
     identity_cofunctor,
     slot_value,
 )
@@ -57,28 +57,8 @@ from .tcoalg import (
     Word,
     _signed_sum,
     basis_words,
-    seq_splits,
     truncate_element,
-    word_blocks,
 )
-
-
-def ev(
-    a: TensorElement,
-    chain: Sequence[Coderivation],
-    window: TruncWindow,
-    boundary: Optional[Cofunctor] = None,
-    length_truncate: bool = True,
-) -> Tuple[TensorElement, Flag]:
-    """Evaluate a source element against a chain of coderivations.
-
-    For the empty chain this is the boundary cofunctor's action; for a
-    single entry it agrees with evaluating that coderivation.  Pass
-    length_truncate=False when the value feeds a further evaluation whose
-    zone maps may shorten words again; truncating in between would lose
-    contributions that belong inside the window.
-    """
-    return chain_eval(a, chain, window, boundary=boundary, length_truncate=length_truncate)
 
 
 # ---------------------------------------------------------------------------
@@ -99,31 +79,6 @@ def cword_src(cwords: Sequence[Word]) -> CObjKey:
 
 def cword_dst(cwords: Sequence[Word]) -> CObjKey:
     return tuple(w.dst for w in cwords)
-
-
-def multi_box_splits(
-    cwords: Sequence[Word], k: int, nonempty: bool
-) -> Iterator[Tuple[Tuple[Tuple[Word, ...], ...], int]]:
-    """Split a product word into k blocks of factor sub-words.
-
-    A block is a tuple with one sub-word per factor; with nonempty=True every
-    block has positive total length.  The sign is the interchange sign of the
-    unshuffle: for each pair of factors s < t, the ``koszul_sign`` of factor
-    t's blocks acting as operators on factor s's blocks.
-    """
-    q = len(cwords)
-    per_factor = [list(seq_splits(len(w), k, allow_empty=True)) for w in cwords]
-    for combo in product(*per_factor):
-        blocks = [word_blocks(cwords[s], combo[s]) for s in range(q)]
-        if nonempty and any(
-            sum(len(blocks[s][i]) for s in range(q)) == 0 for i in range(k)
-        ):
-            continue
-        sign = 1
-        for s in range(q):
-            for t in range(s + 1, q):
-                sign *= koszul_sign([b.sdeg for b in blocks[t]], [b.sdeg for b in blocks[s]])
-        yield tuple(tuple(blocks[s][i] for s in range(q)) for i in range(k)), sign
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +113,39 @@ class PsiSolution:
         ``least`` nonempty blocks, each block replaced by its solved
         coderivation.  ``least=1`` expands the full cofunctor value, which
         on an empty factor word is the empty chain at the boundary
-        ``object_at(cword_src(cwords))``; ``least=2`` the proper splits."""
-        total = sum(len(w) for w in cwords)
-        if total == 0:
+        ``object_at(cword_src(cwords))``; ``least=2`` the proper splits.
+
+        One walk over cut positions: a step takes the next block of every
+        factor, nonempty in total.  The interchange sign, ``koszul_sign`` of
+        factor t's blocks on factor s's for each s < t, is carried per step:
+        factor s's new block crosses the blocks every later factor has
+        taken so far.  A step that would end the word with fewer than
+        ``least`` blocks is skipped before its lookup (at ``least=2``, the
+        unsplit word, which is the one being solved)."""
+        ends = tuple(len(w) for w in cwords)
+        if not any(ends):
             return [(1, ())] if least <= 1 else []
-        return [
-            (sign, tuple(self.component(b) for b in blocks))
-            for k in range(least, total + 1)
-            for blocks, sign in multi_box_splits(cwords, k, nonempty=True)
-        ]
+        # sub[s][i][j]: factor s's block between cut positions i <= j.
+        sub = [[[Word(at, w.gens[i:j]) for j in range(len(w) + 1)]
+                for i, at in enumerate([w.src] + [g.dst for g in w.gens])] for w in cwords]
+        out: List[Tuple[int, Tuple[Coderivation, ...]]] = []
+
+        def walk(cuts: Tuple[int, ...], sign: int, chain: Tuple[Coderivation, ...]) -> None:
+            if cuts == ends:
+                out.append((sign, chain))
+                return
+            taken = [sub[t][0][c].sdeg for t, c in enumerate(cuts)]
+            for nxt in product(*(range(c, n + 1) for c, n in zip(cuts, ends))):
+                if nxt == cuts or (nxt == ends and len(chain) + 1 < least):
+                    continue
+                blocks = [sub[s][c][d] for s, (c, d) in enumerate(zip(cuts, nxt))]
+                step = sign
+                for s, b in enumerate(blocks):
+                    step *= _crossing_sign(b.sdeg, sum(taken[s + 1:]))
+                walk(nxt, step, chain + (self.component(blocks),))
+
+        walk(tuple(0 for _ in ends), 1, ())
+        return out
 
     def apply(
         self, a: TensorElement, cwords: Sequence[Word], window: TruncWindow
@@ -208,16 +187,16 @@ def solve_psi(
     factor_words = product(*(basis_words(f, b) for f, b in zip(factors, bounds)))
 
     for cwords in sorted(factor_words, key=lambda cw: sum(len(w) for w in cw)):
+        chains = sol.full_chains(cwords, least=2)
 
-        def value(w: Word, _c=cwords) -> TensorElement:
-            return _rhs_value(phi, sol, TensorElement.from_word(w, one), _c, window)
-
-        # Beyond the window, components are computed on demand.
-        def compute(w: Word, _value=value) -> HomElement:
-            return hom_truncate(_value(w).pr1_hom(), window)
+        def value(w: Word, _c=cwords, _chains=chains) -> TensorElement:
+            return _rhs_value(phi, _chains, TensorElement.from_word(w, one), _c, window)
 
         values = {w: value(w) for w in a_words}
-        comps, _ = _extract_components(lambda w: values[w].pr1_hom(), a_quiver, window)
+        # Beyond the window, components are computed on demand.
+        comps, compute = _extract_components(
+            lambda w, _v=values, _f=value: (_v[w] if w in _v else _f(w)).pr1_hom(), a_quiver, window
+        )
         objs = cword_src(cwords)
         if all(len(w) == 0 for w in cwords):
             obj_map = {x: phi_obj(x, objs) for x in a_quiver.objects}
@@ -254,15 +233,16 @@ def solve_psi(
 
 def _rhs_value(
     phi: "PhiValues",
-    sol: PsiSolution,
+    proper_chains: Sequence[Tuple[int, Tuple[Coderivation, ...]]],
     elem: TensorElement,
     cwords: Sequence[Word],
     window: TruncWindow,
 ) -> TensorElement:
-    """Pairing value minus the correction sum over proper factor splits;
-    the pairing value itself when there are none (total length 0 or 1)."""
+    """Pairing value minus the correction sum over the proper splits of
+    ``cwords`` (``full_chains(cwords, least=2)``); the pairing value itself
+    when there are none (total length 0 or 1)."""
     value = phi(elem, cwords)
-    correction, _ = chain_sum(elem, sol.full_chains(cwords, least=2), window)
+    correction, _ = chain_sum(elem, proper_chains, window)
     return value if correction is None else _signed_sum([(1, value), (-1, correction)])
 
 
@@ -296,10 +276,7 @@ def _letter_quiver(
 
 
 def _chain_of(words: Sequence[Word], letters: Dict[str, Coderivation]) -> Tuple[Coderivation, ...]:
-    out: List[Coderivation] = []
-    for w in words:
-        out.extend(letters[g.gid] for g in w.gens)
-    return tuple(out)
+    return tuple(letters[g.gid] for w in words for g in w.gens)
 
 
 def compose_chain(
@@ -322,11 +299,11 @@ def compose_chain(
 
     def phi(a: TensorElement, cwords: Sequence[Word]) -> TensorElement:
         u, v = cwords
-        mid, _ = ev(
+        mid, _ = chain_eval(
             a, _chain_of([u], letters1), window,
             boundary=functors1[u.src], length_truncate=False,
         )
-        out, _ = ev(
+        out, _ = chain_eval(
             mid, _chain_of([v], letters2), window,
             boundary=functors2[v.src], length_truncate=False,
         )

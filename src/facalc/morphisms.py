@@ -691,7 +691,10 @@ def chain_eval(
 ) -> Tuple[TensorElement, Flag]:
     """Evaluate a chain of coderivations against a source element: split a
     into alternating zones, apply the endpoint cofunctors on even zones and
-    one component of each chain entry on odd zones, then concatenate."""
+    one component of each chain entry on odd zones, then concatenate.  Pass
+    length_truncate=False when the value feeds a further evaluation whose
+    zone maps may shorten words again: truncating in between would lose
+    contributions that belong inside the window."""
     if not chain and boundary is None:
         raise FacalcError("empty chains need an explicit boundary cofunctor")
     slots = chain_slots(chain, boundary if boundary is not None else chain[0].f)

@@ -416,8 +416,12 @@ def load_model(text: str) -> Model:
 
 
 def load_model_file(path: str) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(path, f"cannot read file: {exc}") from None
+    return load_model(text)
 
 
 # ---------------------------------------------------------------------------

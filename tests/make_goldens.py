@@ -61,6 +61,12 @@ GOLDEN_CASES = {
     "eval_b1_only": ["eval", "tests/fixtures/b1_only.json"],
     "eval_lossy": ["eval", "tests/fixtures/lossy_eval.json"],
     "solve_psi_roundtrip": ["solve-psi", "tests/fixtures/psi_roundtrip.json"],
+    "solve_psi_roundtrip_len3": [
+        "solve-psi",
+        "tests/fixtures/psi_roundtrip.json",
+        "--psi-len",
+        "3",
+    ],
     "normalize_b1_only": ["normalize", "tests/fixtures/b1_only.json"],
 }
 

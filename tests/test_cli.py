@@ -216,6 +216,38 @@ def test_bad_window_is_a_parse_error(spec):
     assert text.startswith("parse error: --window:")
 
 
+B1 = "tests/fixtures/b1_only.json"
+USAGE_ERRORS = {
+    "bad-count": ["check-b2", B1, "--n-max", "x"],
+    "negative-n-max": ["check-b2", B1, "--n-max", "-1"],
+    "negative-word-len-max": ["check-coder-b2", B1, "--word-len-max", "-2"],
+    "negative-psi-len": ["solve-psi", "tests/fixtures/psi_roundtrip.json", "--psi-len", "-1"],
+    "no-file-argument": ["check-b2"],
+    "no-such-file": ["check-b2", "tests/fixtures/no_such_file.json"],
+    "file-is-a-directory": ["check-b2", "tests/fixtures"],
+    "no-command": [],
+    "unknown-command": ["frobnicate", B1],
+    "unknown-option": ["check-b2", B1, "--frobnicate"],
+    "unknown-format": ["check-b2", B1, "--format", "xml"],
+    "window-looks-like-an-option": ["check-b2", B1, "--window", "-1,3"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_are_parse_errors(argv):
+    # Exit 2 means LOSSY or undecided, so a bad command line exits 64.
+    code, text = run(argv)
+    assert code == 64
+    assert text.startswith("parse error: ")
+    assert "Traceback" not in text
+
+
+def test_help_still_exits_zero():
+    with pytest.raises(SystemExit) as exc:
+        run(["check-b2", "--help"])
+    assert exc.value.code == 0
+
+
 def test_window_override():
     # A tighter cutoff makes the curvature bound unreachable: undecided.
     code, _ = run(

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -12,11 +14,10 @@ from facalc.evalhom import (
     cword_key,
     cword_src,
     ev,
-    multi_box_splits,
     solve_psi,
     unit_chain,
 )
-from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
+from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.morphisms import (
     coderivation_from_components,
     cofunctor_from_components,
@@ -27,7 +28,15 @@ from facalc.morphisms import (
     pull_coderivation,
     push_coderivation,
 )
-from facalc.tcoalg import TensorElement, TruncWindow, Word, basis_words, truncate_element
+from facalc.tcoalg import (
+    TensorElement,
+    TruncWindow,
+    Word,
+    basis_words,
+    seq_splits,
+    truncate_element,
+    word_blocks,
+)
 
 from conftest import facalc_seed, loop_quiver
 
@@ -112,6 +121,30 @@ def test_ev_two_entries_against_split_enumeration(setup):
     assert out2 == expected
 
 
+def multi_box_splits(cwords, k, nonempty):
+    """Oracle for ``PsiSolution.full_chains``: split a product word into k
+    blocks of factor sub-words by enumerating every per-factor split.
+
+    A block is a tuple with one sub-word per factor; with nonempty=True the
+    splits with a block of total length 0 are thrown away.  The sign is the
+    interchange sign of the unshuffle: for each pair of factors s < t, the
+    ``koszul_sign`` of factor t's blocks acting as operators on factor s's
+    blocks."""
+    q = len(cwords)
+    per_factor = [list(seq_splits(len(w), k, allow_empty=True)) for w in cwords]
+    for combo in product(*per_factor):
+        blocks = [word_blocks(cwords[s], combo[s]) for s in range(q)]
+        if nonempty and any(
+            sum(len(blocks[s][i]) for s in range(q)) == 0 for i in range(k)
+        ):
+            continue
+        sign = 1
+        for s in range(q):
+            for t in range(s + 1, q):
+                sign *= koszul_sign([b.sdeg for b in blocks[t]], [b.sdeg for b in blocks[s]])
+        yield tuple(tuple(blocks[s][i] for s in range(q)) for i in range(k)), sign
+
+
 def test_multi_box_splits_signs():
     Q1 = loop_quiver("F1", sdegs=(1,))
     Q2 = loop_quiver("F2", sdegs=(1,))
@@ -173,6 +206,13 @@ def loop_interchange_sign(blocks):
     return sign
 
 
+def factor_words(factors):
+    Q = loop_quiver("F", sdegs=(0, 1, -1))
+    return tuple(
+        Word.from_gens([Q.gen(g) for g in gids]) if gids else Word("X") for gids in factors
+    )
+
+
 @seed(facalc_seed())
 @settings(max_examples=150, deadline=None)
 @given(
@@ -185,13 +225,73 @@ def loop_interchange_sign(blocks):
     nonempty=st.booleans(),
 )
 def test_multi_box_splits_sign_matches_loop(factors, k, nonempty):
-    Q = loop_quiver("F", sdegs=(0, 1, -1))
-    cwords = tuple(
-        Word.from_gens([Q.gen(g) for g in gids]) if gids else Word("X") for gids in factors
-    )
+    cwords = factor_words(factors)
     for blocks, sign in multi_box_splits(cwords, k, nonempty=nonempty):
         per_factor = [[blk[s] for blk in blocks] for s in range(len(cwords))]
         assert sign == loop_interchange_sign(per_factor)
+
+
+class KeyComponents(dict):
+    """A stand-in for ``PsiSolution.comps`` whose component at each key is
+    the key itself, so chains compare as tuples of keys; it records every
+    key looked up and has no component at the keys in ``absent``."""
+
+    def __init__(self, absent=()):
+        super().__init__()
+        self.absent = set(absent)
+        self.looked_up = []
+
+    def __missing__(self, key):
+        self.looked_up.append(key)
+        if key in self.absent:
+            raise KeyError(key)
+        return key
+
+
+@seed(facalc_seed())
+@settings(max_examples=150, deadline=None)
+@given(
+    factors=st.lists(
+        st.lists(st.sampled_from(["g0", "g1", "g2"]), min_size=0, max_size=3),
+        min_size=1,
+        max_size=3,
+    ).filter(lambda fs: sum(len(f) for f in fs) <= 6),
+    least=st.sampled_from([1, 2]),
+)
+def test_full_chains_match_the_split_oracle(factors, least):
+    # The cut walk yields the same multiset of (sign, chain) as enumerating
+    # every split with at least ``least`` nonempty blocks.
+    cwords = factor_words(factors)
+    sol = PsiSolution(None, ())
+    sol.comps = KeyComponents()
+    total = sum(len(w) for w in cwords)
+    want = Counter(
+        (sign, tuple(cword_key(b) for b in blocks))
+        for k in range(least, total + 1)
+        for blocks, sign in multi_box_splits(cwords, k, nonempty=True)
+    )
+    if total == 0 and least <= 1:
+        want[(1, ())] += 1
+    assert Counter(sol.full_chains(cwords, least)) == want
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[["g0"]], [["g1", "g2", "g0"]], [["g1"], []], [["g0", "g1"], ["g2"]], [["g1"], ["g1"], ["g2"]]],
+)
+def test_proper_chains_never_look_up_the_unsplit_word(factors):
+    # The solver asks for the proper chains of the word it is solving, so
+    # that word has no component yet.
+    cwords = factor_words(factors)
+    sol = PsiSolution(None, ())
+    sol.comps = KeyComponents(absent=[cword_key(cwords)])
+    chains = sol.full_chains(cwords, least=2)
+    assert cword_key(cwords) not in sol.comps.looked_up
+    assert all(len(chain) >= 2 for _, chain in chains)
+    assert len(chains) == sum(
+        1 for k in range(2, sum(map(len, cwords)) + 1)
+        for _ in multi_box_splits(cwords, k, nonempty=True)
+    )
 
 
 def make_fixture_psi(Q, ida, letter_map, max_len=2):
