@@ -27,12 +27,13 @@ from .errors import (
     ParseError,
     ResolveError,
 )
-from .evalhom import PsiSolution, cword_key, solve_psi
+from .evalhom import PsiSolution, cword_key, cword_src, solve_psi
 from .filtquiver import FiltQuiver
 from .morphisms import (
     Coderivation,
     Cofunctor,
     chain_eval,
+    chain_sum,
     coderivation_from_components,
     compose_cofunctors,
     pull_coderivation,
@@ -332,8 +333,15 @@ def cmd_solve_psi(model: Model, path: str, args):
     target = next(iter(fixture.objects.values())).dst
     spec = model.psi
 
+    # The declared family never changes, so each factor word's chains
+    # (``PsiSolution.apply``'s split) are built once per run.
+    chains: Dict[tuple, list] = {}
+
     def phi(a: TensorElement, cwords):
-        return fixture.apply(a, cwords, window)[0]
+        key = cword_key(cwords)
+        if key not in chains:
+            chains[key] = fixture.full_chains(cwords)
+        return chain_sum(a, chains[key], window, fixture.object_at(cword_src(cwords)))[0]
 
     def phi_obj(a_obj: str, c_objs):
         return fixture.objects[c_objs].obj_map[a_obj]

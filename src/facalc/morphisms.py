@@ -16,9 +16,16 @@ Rather than list every split, ``_path_sum`` sums over paths of cut
 positions that only nonzero letters extend.  Family letters have degree 0,
 so the Koszul sign is one factor per single slot (``_crossing_sign``).
 From each cut it walks the trie of the owner's stored keys along the word
-(``_key_trie``), so it reads only stored blocks, plus every block of a
+(``_block_ends``), so it reads only stored blocks, plus every block of a
 length the table does not decide: lazy ``compute`` runs, and extraction
 bounds raise, exactly where the split enumeration would run or raise them.
+Each owner has one letter table (``_letters``), built on first use: the
+key trie, the block ends along each gid suffix, and the letter row of each
+block looked up so far.  A block's first lookup goes through
+``comp_value``; only returned rows are kept, so a block that raises raises
+again, and every lookup with a side effect happens first where it always
+did.  The component tables are read-only, so the letter table never goes
+stale.
 
 Composition, push and pull are one operation: evaluate a basis word, then
 read the value through a second morphism's components (``family_value``,
@@ -39,7 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import levels, novikov, tcoalg
 from .errors import (
@@ -72,13 +80,16 @@ def comp_key(w: Word) -> CompKey:
     return w.at if len(w) == 0 else tuple(g.gid for g in w.gens)
 
 
-def normalize_components(comps: Components) -> Components:
-    out: Components = {}
+def normalize_components(comps: Components) -> Mapping[int, Mapping[CompKey, HomElement]]:
+    """The nonzero entries of comps, as read-only tables: an owner's
+    components never change after ``__init__``, which its letter table
+    (``_letters``) relies on."""
+    out = {}
     for k, table in comps.items():
         kept = {key: v for key, v in table.items() if not v.is_zero()}
         if kept:
-            out[int(k)] = kept
-    return out
+            out[int(k)] = MappingProxyType(kept)
+    return MappingProxyType(out)
 
 
 def hom_truncate(h: HomElement, window: TruncWindow) -> HomElement:
@@ -384,7 +395,9 @@ def slot_value(
     src_map = slots[0].owner.src_map
     dst_map = slots[-1].owner.dst_map
     any_curved, floor = _curvature_floor(slots)
-    prefixes = _key_trie(fold) if fold is not None and _undecided_from(fold) is None else None
+    prefixes = None
+    if fold is not None and _letters(fold).lazy is None:
+        prefixes = _letters(fold).trie
 
     terms: List[Tuple[Word, NovikovScalar]] = []
     for w, c in x.terms:
@@ -405,50 +418,73 @@ def _crossing_sign(deg: int, tail_sdeg: int) -> int:
 
 _END = None  # the trie entry marking the end of a stored key
 
+# A letter row: one (id(g), gid, coefficient) per term of a component.
+Letter = Tuple[Tuple[int, str, NovikovScalar], ...]
 
-def _key_trie(owner: Union[Cofunctor, Coderivation]) -> dict:
-    """The owner's nonzero keys of length >= 1 as a trie over generator ids:
-    each node maps a gid to the next node and holds ``_END`` where a stored
-    key ends.  Built once per owner; ``comps`` is never changed after
-    ``__init__``."""
-    if not hasattr(owner, "_trie"):
-        root: dict = {}
+
+class _Letters:
+    """An owner's components as ``_path_sum`` reads them.
+
+    ``rows`` maps a block's ``comp_key`` (its gid tuple, or its object when
+    empty) to its letter row, filled from ``comp_value`` on the first
+    lookup of that block; ``gens`` maps the ids in the rows back to their
+    generators.  Only returned values are stored, so a lookup that raises
+    raises again on every call.  ``trie`` holds the stored keys of length
+    >= 1 over generator ids, with ``_END`` where a key ends.  ``lazy`` is
+    the least block length k >= 1 the stored table does not decide (lazy
+    ``compute`` runs, or the extraction bound raises); None for an exact
+    table, which is zero off its keys.  ``ends`` keeps ``_block_ends`` of
+    each gid suffix it was asked for."""
+
+    __slots__ = ("rows", "gens", "trie", "lazy", "ends")
+
+    def __init__(self, owner: Union[Cofunctor, Coderivation]):
+        self.rows: Dict[CompKey, Letter] = {}
+        self.gens: Dict[int, HomGenerator] = {}
+        self.trie: dict = {}
+        self.ends: Dict[Tuple[str, ...], List[int]] = {}
         for k, table in owner.comps.items():
             for key in table if k else ():
-                node = root
+                node = self.trie
                 for gid in key:
                     node = node.setdefault(gid, {})
                 node[_END] = True
-        owner._trie = root
-    return owner._trie
+        if owner.complete_upto is not None:
+            self.lazy: Optional[int] = owner.complete_upto + 1
+        else:
+            self.lazy = None if owner.compute is None else 1
 
 
-def _undecided_from(owner: Union[Cofunctor, Coderivation]) -> Optional[int]:
-    """The least block length k >= 1 whose component the stored table does
-    not decide (lazy ``compute`` runs, or the extraction bound raises);
-    None for an exact table, which is zero off its keys."""
-    if owner.complete_upto is not None:
-        return owner.complete_upto + 1
-    return None if owner.compute is None else 1
+def _letters(owner: Union[Cofunctor, Coderivation]) -> _Letters:
+    """The owner's letter table, built on first use and kept on the owner
+    (``comps`` is read-only, so the table never goes stale)."""
+    try:
+        return owner._letters
+    except AttributeError:
+        owner._letters = _Letters(owner)
+        return owner._letters
 
 
-def _block_ends(owner: Union[Cofunctor, Coderivation], gids: Sequence[str], i: int) -> List[int]:
-    """The ends j > i, ascending, of the blocks gids[i:j] whose component
-    the owner may not send to zero: the stored keys along gids[i:], then
-    every j from the first length the table does not decide."""
-    n = len(gids)
-    lazy = _undecided_from(owner)
-    stop = n + 1 if lazy is None else min(i + lazy, n + 1)
-    out = []
-    node = _key_trie(owner)
-    for j in range(i + 1, stop):
-        node = node.get(gids[j - 1])
-        if node is None:
-            break
-        if _END in node:
-            out.append(j)
-    out.extend(range(stop, n + 1))
-    return out
+def _block_ends(table: _Letters, suffix: Tuple[str, ...]) -> List[int]:
+    """The lengths d >= 1, ascending, of the prefixes suffix[:d] whose
+    component the owner may not send to zero: the stored keys along the
+    suffix, then every d from the first length the table does not
+    decide."""
+    ends = table.ends.get(suffix)
+    if ends is None:
+        n = len(suffix)
+        stop = n + 1 if table.lazy is None else min(table.lazy, n + 1)
+        ends = []
+        node = table.trie
+        for d in range(1, stop):
+            node = node.get(suffix[d - 1])
+            if node is None:
+                break
+            if _END in node:
+                ends.append(d)
+        ends.extend(range(stop, n + 1))
+        table.ends[suffix] = ends
+    return ends
 
 
 def _path_sum(
@@ -469,40 +505,43 @@ def _path_sum(
     lexicographically larger state, so one pass in that order completes
     each state before it is read.
 
-    Nonempty blocks are walked along the owner's key trie (``_block_ends``):
-    only stored keys are looked up, and every block of a length the table
-    does not decide, so lazy components are computed, and bound errors
-    raised, exactly where the split enumeration would compute or raise
-    them.  A state counts as reached as soon as a chain of nonzero letters
-    arrives, even if its partial sums cancel or are all pruned.  Partial
-    sums are keyed by the ids of the output generators, which hash fast.
-    Given ``prefixes``, the key trie of an exact table the result is folded
-    through, a product whose output gids are not a path of that trie is
-    dropped: no key of the table extends it.
+    Letters are read from each owner's letter table (``_letters``), which
+    calls ``comp_value`` only on the first lookup of a block, so a lookup
+    happens at most once per owner and block, and the first one where it
+    always did.  Nonempty blocks are walked along the owner's key trie
+    (``_block_ends``): only stored keys are looked up, and every block of a
+    length the table does not decide, so lazy components are computed, and
+    bound errors raised, exactly where the split enumeration would compute
+    or raise them.  A state counts as reached as soon as a chain of nonzero
+    letters arrives, even if its partial sums cancel or are all pruned.
+    Partial sums are keyed by the ids of the output generators, which hash
+    fast.  Given ``prefixes``, the key trie of an exact table the result is
+    folded through, a product whose output gids are not a path of that trie
+    is dropped: no key of the table extends it.
     """
     n = len(w)
     n_singles = len(singles)
     objs = [w.at] + [g.dst for g in w.gens]
-    gids = [g.gid for g in w.gens]
+    gids = tuple(g.gid for g in w.gens)
     tail = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] + w.gens[i].sdeg
-    gens: Dict[int, HomGenerator] = {}
-    Letter = Tuple[Tuple[int, str, NovikovScalar], ...]
-    letters: Dict[Tuple[object, int, int], Letter] = {}
+    family_tables = [_letters(f) for f in families]
+    single_tables = [_letters(r) for r in singles]
 
-    def letter(owner, i: int, j: int) -> Letter:
-        key = (owner, i, j)
-        if key not in letters:
+    def letter(owner, table: _Letters, i: int, j: int) -> Letter:
+        key = gids[i:j] if j > i else objs[i]
+        row = table.rows.get(key)
+        if row is None:
             terms = owner.comp_value(Word(objs[i], w.gens[i:j])).terms
-            gens.update((id(g), g) for g, _ in terms)
-            letters[key] = tuple((id(g), g.gid, cl) for g, cl in terms)
-        return letters[key]
+            table.gens.update((id(g), g) for g, _ in terms)
+            row = table.rows[key] = tuple((id(g), g.gid, cl) for g, cl in terms)
+        return row
 
     Partial = Dict[Tuple[int, ...], NovikovScalar]
     states: Dict[Tuple[int, int, int], Partial] = {(0, 0, 0): {(): c}}
     nodes = None if prefixes is None else {(): prefixes}
-    out: List[Tuple[Word, NovikovScalar]] = []
+    finals: List[Partial] = []
 
     def step(partial: Partial, target, value: Letter, sign: int = 1) -> None:
         if not value:
@@ -523,27 +562,36 @@ def _path_sum(
                 into[key] = novikov.nov_add(into[key], term) if key in into else term
 
     for i in range(n + 1):
+        suffix = gids[i:]
         for t in range(n_singles + 1):
-            family = families[t]
+            family, ftable = families[t], family_tables[t]
             for e in range(max(cap, 1)):
                 partial = states.pop((i, t, e), None)
                 if partial is None:
                     continue
                 if i == n and t == n_singles:
-                    out.extend(
-                        (Word.from_gens([gens[g] for g in key]) if key else Word(families[0].obj_map[w.at]), cp)
-                        for key, cp in partial.items()
-                    )
-                for j in _block_ends(family, gids, i):
-                    step(partial, (j, t, e), letter(family, i, j))
+                    finals.append(partial)
+                for d in _block_ends(ftable, suffix):
+                    step(partial, (i + d, t, e), letter(family, ftable, i, i + d))
                 if e + 1 < cap and not family.is_strict():
-                    step(partial, (i, t, e + 1), letter(family, i, i))
+                    step(partial, (i, t, e + 1), letter(family, ftable, i, i))
                 if t < n_singles:
-                    single = singles[t]
-                    for j in (i, *_block_ends(single, gids, i)):
+                    single, stable = singles[t], single_tables[t]
+                    for d in (0, *_block_ends(stable, suffix)):
+                        j = i + d
                         sign = _crossing_sign(single.deg, tail[j])
-                        step(partial, (j, t + 1, e), letter(single, i, j), sign)
-    return out
+                        step(partial, (j, t + 1, e), letter(single, stable, i, j), sign)
+    if not finals:
+        return []
+    gens: Dict[int, HomGenerator] = {}
+    for table in family_tables + single_tables:
+        gens.update(table.gens)
+    at = families[0].obj_map[w.at]
+    return [
+        (Word.from_gens([gens[g] for g in key]) if key else Word(at), cp)
+        for partial in finals
+        for key, cp in partial.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from facalc.morphisms import (
     _crossing_sign,
     _curvature_floor,
     _empty_cap,
+    _letters,
     _path_sum,
     chain_slots,
     comp_key,
@@ -292,7 +293,9 @@ def _family_table(spec):
     return comps
 
 
-def build_slots(family_specs, single_specs) -> List[Slot]:
+def build_owners(family_specs, single_specs):
+    """The families f0, f1, ... and the chain r0, r1, ... with r_i from f_i
+    to f_(i+1), each built anew from its spec."""
     families = [
         Cofunctor(
             f"f{i}", QUIVER, QUIVER, IDENTITY, _family_table(sp),
@@ -300,8 +303,6 @@ def build_slots(family_specs, single_specs) -> List[Slot]:
         )
         for i, sp in enumerate(family_specs)
     ]
-    if not single_specs:
-        return [Slot("family", families[0])]
     chain = [
         Coderivation(
             f"r{i}", families[i], families[i + 1], sp["deg"], R0,
@@ -310,6 +311,13 @@ def build_slots(family_specs, single_specs) -> List[Slot]:
         )
         for i, sp in enumerate(single_specs)
     ]
+    return families, chain
+
+
+def build_slots(family_specs, single_specs) -> List[Slot]:
+    families, chain = build_owners(family_specs, single_specs)
+    if not chain:
+        return [Slot("family", families[0])]
     return chain_slots(chain, families[0])
 
 
@@ -373,6 +381,10 @@ def effective(slots, seen):
 
 
 def assert_same_lookups(slots, seen_engine, seen_oracle):
+    # Lookups are compared on fresh owners: every test builds its owners
+    # anew, and the oracle calls ``comp_value`` directly, so the engine's
+    # letter tables start empty and its first lookup of each block is
+    # logged here.  Later lookups of a block are table reads.
     assert seen_engine <= seen_oracle
     assert effective(slots, seen_engine) == effective(slots, seen_oracle)
 
@@ -606,3 +618,107 @@ def test_fold_pruning_keeps_the_folded_value(data):
     assert pruned[0] == oracle[0]
     if oracle[0][0] == "ok":
         assert set(pruned[1]) == set(oracle[1])
+
+
+# ---------------------------------------------------------------------------
+# The per-owner letter table
+
+OWNER_KINDS = ["exact", "lazy", "lazy-tailed", "bounded", "curved"]
+
+
+@st.composite
+def kinded_owners(draw, max_singles=2):
+    """Specs of families and a chain, each owner of a drawn kind: an exact
+    table, a fully lazy one, one with a lazy tail, one extracted up to a
+    bound (raising beyond it) or a curved one.  Lazy components raise on
+    some words."""
+    family_specs, single_specs = draw(slot_sequences(max_singles))
+    for sp in family_specs + single_specs:
+        kind = draw(st.sampled_from(OWNER_KINDS))
+        sp["lazy"] = kind in ("lazy", "lazy-tailed")
+        sp["bounded"] = kind == "bounded"
+        sp["fixed_curvature"] = kind == "curved"
+        if kind == "lazy":
+            sp["upto"] = None
+        elif kind in ("lazy-tailed", "bounded"):
+            sp["upto"] = sp["upto"] if sp["upto"] is not None else 1
+    return family_specs, single_specs
+
+
+@st.composite
+def shared_calls(draw, n_singles):
+    """A sequence of (element, a, b) calls, with repeats: evaluate the
+    element through the sub-chain r_a .. r_(b-1), or through f_a alone
+    when a == b, as the solver evaluates sub-chains of one family."""
+    spans = [(a, b) for a in range(n_singles + 1) for b in range(a, n_singles + 1)]
+    pool = draw(st.lists(
+        st.tuples(elements(max_len=4 - n_singles), st.sampled_from(spans)),
+        min_size=1, max_size=3,
+    ))
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6))
+
+
+@seed(facalc_seed())
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_shared_owners_match_fresh_owners(data):
+    family_specs, single_specs = data.draw(kinded_owners(), label="owners")
+    calls = data.draw(shared_calls(len(single_specs)), label="calls")
+    window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
+    families, chain = build_owners(family_specs, single_specs)
+    computes = []
+    record_computes(families + chain, computes)
+
+    def call(families, chain, x, a, b):
+        return outcome(lambda: slot_value(x, chain_slots(chain[a:b], families[a]), window), FacalcError)
+
+    for x, (a, b) in calls:
+        got = call(families, chain, x, a, b)
+        assert got == call(*build_owners(family_specs, single_specs), x, a, b)
+        ran = len(computes)
+        again = call(families, chain, x, a, b)
+        # The same value, with no compute run, or the same error again.
+        assert again == got
+        if got[0] == "ok":
+            assert len(computes) == ran
+
+
+@seed(facalc_seed())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_letter_rows_are_the_components(data):
+    family_specs, single_specs = data.draw(kinded_owners(), label="owners")
+    calls = data.draw(shared_calls(len(single_specs)), label="calls")
+    window = TruncWindow(6, levels.rat(3))
+    families, chain = build_owners(family_specs, single_specs)
+    for x, (a, b) in calls:
+        outcome(lambda: slot_value(x, chain_slots(chain[a:b], families[a]), window), FacalcError)
+    for owner in families + chain:
+        table = _letters(owner)
+        for key, row in table.rows.items():
+            block = Word(key) if isinstance(key, str) else Word.from_gens([QUIVER.gen(g) for g in key])
+            terms = owner.comp_value(block).terms
+            assert row == tuple((id(g), g.gid, cl) for g, cl in terms), (owner, key)
+            assert all(table.gens[id(g)] is g for g, _ in terms)
+
+
+def test_owners_of_one_name_keep_their_own_letters():
+    # Two owners named alike, as the synthetic letters of two solver runs
+    # are, with different components: a cache keyed by name would hand the
+    # second the first one's letters.
+    x, a = QUIVER.gen("x"), QUIVER.gen("a")
+    w = Word.from_gens([x, a])
+    one = novikov.one()
+    tables = [
+        {1: {("x",): HomElement.from_gen(x, one), ("a",): HomElement.from_gen(a, one)}},
+        {1: {("x",): HomElement.from_gen(x, novikov.monomial(-2)), ("x", "a"): HomElement.from_gen(a, one)}},
+    ]
+    owners = [Cofunctor("L.r0", QUIVER, QUIVER, IDENTITY, t, "rat", "nov") for t in tables]
+    window = TruncWindow(6, levels.rat(3))
+    x_elem = TensorElement.from_word(w, one)
+    values = [slot_value(x_elem, [Slot("family", f)], window) for f in owners]
+    assert values[0] != values[1]
+    for f, value in zip(owners, values):
+        assert value == oracle_slot_value(x_elem, [Slot("family", f)], window)
+        assert _letters(f).rows[("x",)] == tuple((id(g), g.gid, c) for g, c in f.comps[1][("x",)].terms)
+

@@ -442,6 +442,20 @@ def test_unit_laws_for_composition(mixed):
     assert got2.comps == t.comps
 
 
+def test_solver_components_of_one_name_keep_their_own_letters(setup):
+    # Two compose_chain runs name their solved components alike (both
+    # push the letter L.r0 along the identity) but solve different ones;
+    # evaluated in turn, each must read its own letters, not the letters
+    # a cache keyed by name would hand it.
+    Q, ida, r1, r2 = setup
+    runs = [(r, compose_chain_component([r], [], W, t_boundary=ida)) for r in (r1, r2)]
+    (_, first), (_, second) = runs
+    assert first.name == second.name and first.comps != second.comps
+    for w in basis_words(Q, 3):
+        x = TensorElement.from_word(w, ONE)
+        for r, solved in runs:
+            assert evaluate_coderivation(solved, x, W) == evaluate_coderivation(r, x, W)
+
 def add_coderivations(a, b):
     comps = {}
     for src in (a, b):

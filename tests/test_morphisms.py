@@ -81,6 +81,19 @@ def test_fold_pruning_refuses_truncation(pq_quiver):
         slot_value(x, cofunctor_slots(ida), W, fold=ida)
 
 
+def test_owner_components_are_read_only(pq_quiver):
+    # The letter table and key trie are built once per owner from comps.
+    ida = identity_cofunctor(pq_quiver, "rat", "nov")
+    r = Coderivation("r", ida, ida, 1, levels.rat(0), {1: {("g0",): hom(pq_quiver.gen("g1"))}})
+    for owner in (ida, r):
+        with pytest.raises(TypeError):
+            owner.comps[2] = {}
+        with pytest.raises(TypeError):
+            owner.comps[1][("g1",)] = hom(pq_quiver.gen("g0"))
+        with pytest.raises(TypeError):
+            del owner.comps[1]
+
+
 def test_counit_compatibility(pq_quiver):
     # Length-0 input maps to length-0 output with the same scalar.
     f = cofunctor_from_components(
