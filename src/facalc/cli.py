@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from . import levels, structfile
 from .ainfty import (
@@ -394,13 +394,24 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The facalc parser for the command line argv.
+
+    When argv's first entry names a command, only that command's subparser
+    is built: it parses, and prints help and errors, exactly as the one in
+    the full parser, whose siblings it never reads.  Otherwise (--help, an
+    unknown command or no command at all) every command's parser is built,
+    so ``facalc --help`` still lists every command.
+    """
     ap = _Parser(
         prog="facalc",
         description="Exact checks and calculations on filtered tensor coalgebra structure files.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in list(CHECKS) + list(PRINTERS):
+    names = list(CHECKS) + list(PRINTERS)
+    if argv and argv[0] in names:
+        names = [argv[0]]
+    for name in names:
         p = sub.add_parser(name)
         p.add_argument("file")
         p.add_argument("--n-max", type=_count, default=4)
@@ -422,8 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         model = load_model_file(args.file)
         if args.command in CHECKS:
             report = CHECKS[args.command](model, args.file, args)

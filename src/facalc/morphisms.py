@@ -561,11 +561,12 @@ def _path_sum(
                     term = novikov.nov_neg(term)
                 into[key] = novikov.nov_add(into[key], term) if key in into else term
 
+    empties = range(max(cap, 1))
     for i in range(n + 1):
         suffix = gids[i:]
         for t in range(n_singles + 1):
             family, ftable = families[t], family_tables[t]
-            for e in range(max(cap, 1)):
+            for e in empties:
                 partial = states.pop((i, t, e), None)
                 if partial is None:
                     continue

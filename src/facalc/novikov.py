@@ -97,16 +97,22 @@ def _check_variant(x: NovikovScalar, y: NovikovScalar) -> str:
 
 
 def _merge(terms: Iterable[Term], variant: str) -> NovikovScalar:
-    """Sum valid terms of equal (energy, exponent), drop zeros and sort."""
+    """Sum valid terms of equal (energy, exponent), drop zeros and sort.
+
+    Each entry is led by floor(energy * 2**53), an int that is monotone in
+    the energy and compares far faster than a ``Fraction``; equal leads fall
+    back to the exact energy and then the exponent, so the order is exact.
+    """
     merged: dict = {}
     for c, lam, n in terms:
-        key = (lam.numerator, lam.denominator, n)
+        num, den = lam.numerator, lam.denominator
+        key = (num, den, n)
         if key in merged:
-            merged[key][2] += c
+            merged[key][3] += c
         else:
-            merged[key] = [lam, n, c]
-    kept = sorted(t for t in merged.values() if t[2])
-    return NovikovScalar(tuple((c, lam, n) for lam, n, c in kept), variant)
+            merged[key] = [(num << 53) // den, lam, n, c]
+    kept = sorted(t for t in merged.values() if t[3])
+    return NovikovScalar(tuple((c, lam, n) for _, lam, n, c in kept), variant)
 
 
 def nov_add(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:

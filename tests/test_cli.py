@@ -1,14 +1,18 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from facalc.cli import main
+from facalc.cli import CHECKS, PRINTERS, build_parser, main
+from facalc.errors import ParseError
 from facalc.structfile import load_model_file
 
 from conftest import facalc_seed
@@ -233,6 +237,19 @@ USAGE_ERRORS = {
 }
 
 
+COMMANDS = list(CHECKS) + list(PRINTERS)
+
+
+def full_parse(argv):
+    """What the parser with every command makes of argv: a Namespace, or
+    the text of its ParseError.  It is the oracle for ``build_parser(argv)``,
+    which builds only the named command's parser."""
+    try:
+        return build_parser().parse_args(argv)
+    except ParseError as exc:
+        return f"parse error: {exc}\n"
+
+
 @pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
 def test_usage_errors_are_parse_errors(argv):
     # Exit 2 means LOSSY or undecided, so a bad command line exits 64.
@@ -240,12 +257,66 @@ def test_usage_errors_are_parse_errors(argv):
     assert code == 64
     assert text.startswith("parse error: ")
     assert "Traceback" not in text
+    want = full_parse(argv)
+    if isinstance(want, str):
+        assert text == want
+
+
+def subparsers(ap):
+    """The command parsers of a facalc parser, by name."""
+    action, = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_command_parser_matches_the_full_parser(name):
+    alone = subparsers(build_parser([name, B1]))
+    assert list(alone) == [name]
+    full = subparsers(build_parser())[name]
+    assert alone[name].prog == full.prog == f"facalc {name}"
+    assert alone[name].format_help() == full.format_help()
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["frobnicate", B1], ["--format", "json", "check-b2", B1]])
+def test_argv_without_a_leading_command_builds_every_parser(argv):
+    assert list(subparsers(build_parser(argv))) == COMMANDS
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_argv_parses_as_in_the_full_parser(name):
+    argv = GOLDEN_CASES[name]
+    assert build_parser(argv).parse_args(argv) == full_parse(argv)
 
 
 def test_help_still_exits_zero():
     with pytest.raises(SystemExit) as exc:
         run(["check-b2", "--help"])
     assert exc.value.code == 0
+
+
+def help_text(parse, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in COMMANDS])
+def test_help_matches_the_full_parser(argv):
+    assert help_text(main, argv) == help_text(build_parser().parse_args, argv)
+
+
+def test_module_entry_point_reads_sys_argv():
+    # main() with no argv, as the console script calls it, parses sys.argv.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "facalc.cli", *GOLDEN_CASES["check_b2_b1_only"]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    want = (GOLDEN / "check_b2_b1_only.txt").read_text(encoding="utf-8")
+    assert f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}" == want
 
 
 def test_window_override():

@@ -287,6 +287,34 @@ def test_unit_and_zero_operands(variant, data):
         assert_normal(got)
 
 
+@pytest.mark.parametrize(
+    "energies",
+    [
+        [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**20)],
+        [-Fraction(1, 3), -Fraction(1, 3) - Fraction(1, 10**20)],
+        [Fraction(10**30, 3), Fraction(10**30, 3) + Fraction(1, 10**20), Fraction(10**40 + 1, 10**40),
+         Fraction(10**40 + 2, 10**40)],
+        [-Fraction(10**30, 3), -Fraction(10**30, 3) - Fraction(1, 10**20), -Fraction(10**40 + 1, 10**40),
+         -Fraction(10**40 + 2, 10**40)],
+    ],
+    ids=["third", "negative-third", "large", "negative-large"],
+)
+def test_merge_orders_energies_with_equal_sort_leads(energies):
+    # _merge sorts by floor(energy * 2**53) first; these energies share that
+    # lead in pairs, so only the exact comparison after it orders them.
+    leads = [(lam.numerator << 53) // lam.denominator for lam in energies]
+    assert len(set(leads)) < len(leads)
+    raw = [(k + 1, lam, n) for k, lam in enumerate(energies) for n in (1, 0)]
+    for terms in (raw, raw[::-1]):
+        got = scalar(terms, NOV)
+        assert got == literal_scalar(terms, NOV)
+        assert_normal(got)
+        x = scalar(terms[:2], NOV)
+        y = scalar(terms[2:], NOV)
+        assert nov_mul(x, y) == literal_mul(x, y)
+        assert nov_add(x, y) == literal_add(x, y)
+
+
 MULTI = scalar([(2, 0, 0), (-3, 1, 1)], NOV0)
 
 
