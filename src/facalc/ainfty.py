@@ -28,13 +28,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import levels, novikov, tcoalg
 from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch
-from .filtquiver import FiltQuiver, HomElement
+from .filtquiver import FiltQuiver, HomElement, _crossing_sign
 from .morphisms import (
     Coderivation,
     Cofunctor,
     Components,
     _extract_components,
-    _crossing_sign,
     _transport,
     chain_eval,
     chain_slots,
@@ -52,10 +51,6 @@ from .tcoalg import Flag, TensorElement, TruncWindow, Word, basis_words
 def shift_degree(declared: int) -> int:
     """Stored degree of a generator declared with its unshifted degree."""
     return declared - 1
-
-
-def unshift_degree(sdeg: int) -> int:
-    return sdeg + 1
 
 
 SHIFT_MAP_DEGREE = -1
@@ -79,9 +74,6 @@ class AInfCategory:
     @property
     def variant(self) -> str:
         return self.b.variant
-
-    def is_curved(self) -> bool:
-        return bool(self.b.comps.get(0))
 
 
 def ainf_category(

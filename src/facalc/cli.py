@@ -293,6 +293,9 @@ def _psi_fixture(model: Model, window: TruncWindow, max_len: int) -> PsiSolution
     factor words up to max_len."""
     spec = model.psi
     assert spec is not None
+    if not spec.source.objects:
+        # The solver's source and target quivers are those of a declared object.
+        raise ParseError("$.psi.source", f"source quiver {spec.source.name!r} has no objects")
     sol = PsiSolution(None, (spec.source,))
     for o in spec.source.objects:
         sol.objects[(o,)] = model.functors[spec.obj_map[o]]

@@ -23,7 +23,7 @@ every source word and compared with the values; a mismatch (the input was
 not actually compatible with the comultiplications) raises LeibnizResidual.
 
 ``compose_chain`` realizes composition of coderivation chains through the
-solver applied to iterated evaluation, and ``unit_chain`` the two-sided unit.
+solver applied to iterated evaluation.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import levels, novikov
 from .errors import FacalcError, LeibnizResidual
-from .filtquiver import FiltQuiver, HomGenerator
+from .filtquiver import FiltQuiver, HomGenerator, _crossing_sign
 from .morphisms import (
     Coderivation,
     Cofunctor,
-    _crossing_sign,
     _extract_components,
     chain_eval,
     chain_eval as ev,  # re-exported: the acceptance name of chain_eval
@@ -47,7 +46,6 @@ from .morphisms import (
     coderivation_slots,
     cofunctor_from_components,
     cofunctor_slots,
-    identity_cofunctor,
     slot_value,
 )
 from .tcoalg import (
@@ -343,9 +341,3 @@ def compose_chain_component(
         ("R.o0", tuple(f"R.r{i}" for i in range(len(tchain)))),
     )
     return sol.comps[key]
-
-
-def unit_chain(quiver: FiltQuiver, window: TruncWindow, variant: str) -> Cofunctor:
-    """The unit for chain composition: the identity cofunctor, so that
-    evaluating any element against the empty chain at it is the identity."""
-    return identity_cofunctor(quiver, window.instance, variant)

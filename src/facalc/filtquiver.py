@@ -8,10 +8,10 @@ Novikov scalar coefficients.
 Maps act on the right, ``(x)f``, and are extended linearly over the
 coefficient ring.  ``koszul_sign`` is the literal sign rule: it commutes
 operators past elements one transposition at a time with the rule
-tau(x (x) y) = (-1)^{deg x * deg y} y (x) x.  The block engine in
-``morphisms`` uses its closed form for degree-0 family letters, tested
-against it.  Coefficients sit in even degrees, so only the generator degrees
-enter parities.
+tau(x (x) y) = (-1)^{deg x * deg y} y (x) x.  The code takes every sign
+from its closed form, ``_crossing_sign``, one factor per operator; the
+tests keep ``koszul_sign`` as the oracle.  Coefficients sit in even degrees,
+so only the generator degrees enter parities.
 """
 
 from __future__ import annotations
@@ -51,23 +51,18 @@ class FiltQuiver:
         obj_set = set(self.objects)
         self.gens: Tuple[HomGenerator, ...] = tuple(gens)
         self._by_id: Dict[str, HomGenerator] = {}
-        self._by_pair: Dict[Tuple[str, str], List[HomGenerator]] = {}
         for g in self.gens:
             if g.src not in obj_set or g.dst not in obj_set:
                 raise ObjectMismatch(f"generator {g.gid!r} uses undeclared objects")
             if g.gid in self._by_id:
                 raise FacalcError(f"duplicate generator id {g.gid!r} in quiver {name!r}")
             self._by_id[g.gid] = g
-            self._by_pair.setdefault((g.src, g.dst), []).append(g)
 
     def gen(self, gid: str) -> HomGenerator:
         try:
             return self._by_id[gid]
         except KeyError:
             raise FacalcError(f"no generator {gid!r} in quiver {self.name!r}") from None
-
-    def gens_between(self, src: str, dst: str) -> List[HomGenerator]:
-        return list(self._by_pair.get((src, dst), []))
 
     def gens_from(self, src: str) -> List[HomGenerator]:
         return [g for g in self.gens if g.src == src]
@@ -188,6 +183,14 @@ def koszul_sign(op_degs: List[int], arg_degs: List[int]) -> int:
     return sign
 
 
+def _crossing_sign(deg: int, tail_sdeg: int) -> int:
+    """Sign of a degree-deg operator crossing arguments of total degree
+    tail_sdeg on its way to its own argument: ``koszul_sign`` is the product
+    of this over its operators, each with the degrees of the later
+    arguments."""
+    return -1 if (deg * tail_sdeg) % 2 else 1
+
+
 class GradedMap:
     """A right-acting graded filtered map, given per-generator.
 
@@ -244,19 +247,6 @@ class GradedMap:
             for g2, c2 in self.action[g.gid].terms
         ]
         return HomElement(self.obj_map[x.src], self.obj_map[x.dst], terms)
-
-
-def identity_map(quiver: FiltQuiver, instance: str, variant: str = novikov.NOV) -> GradedMap:
-    action = {g.gid: HomElement.from_gen(g, novikov.one(variant)) for g in quiver.gens}
-    return GradedMap(
-        0,
-        levels.zero(instance),
-        quiver,
-        quiver,
-        {x: x for x in quiver.objects},
-        action,
-        instance,
-    )
 
 
 def compose_maps(f: GradedMap, g: GradedMap) -> GradedMap:

@@ -12,9 +12,9 @@ level of a zero element, absorbs addition and dominates every level.
 The contract any instance satisfies: addition is associative and commutative
 with unit zero and is monotone in each argument; the order is directed both
 ways; for all a, b there is c with a + c >= b (``dominate`` returns one such
-witness); and the strictly positive part is non-empty (``positive`` exposes a
-witness).  Downstream code must not depend on which witness ``dominate``
-picks.
+witness); and the strictly positive part is non-empty (1 in ``rat`` and
+``ratplus``, inf in ``discrete``).  Downstream code must not depend on which
+witness ``dominate`` picks.
 """
 
 from __future__ import annotations
@@ -122,17 +122,6 @@ def level_min(a: Level, b: Level) -> Level:
     return a if level_leq(a, b) else b
 
 
-def level_scale(n: int, a: Level) -> Level:
-    """n-fold sum of a with itself, n >= 0."""
-    if n < 0:
-        raise FacalcError("level_scale needs n >= 0")
-    if n == 0:
-        return zero(a.instance) if a.instance != _INF else INFINITY
-    if a.value is None:
-        return a
-    return Level(a.instance, n * a.value)
-
-
 def dominate(a: Level, b: Level) -> Level:
     """A witness c with a + c >= b.
 
@@ -166,32 +155,3 @@ def zero(instance: str) -> Level:
     if instance in (RAT, RATPLUS):
         return Level(instance, Fraction(0))
     raise FacalcError(f"unknown level instance {instance!r}")
-
-
-@dataclass(frozen=True)
-class LevelMonoid:
-    """One of the built-in instances, with its distinguished positive element."""
-
-    name: str
-    positive: Level
-
-    @property
-    def zero(self) -> Level:
-        return zero(self.name)
-
-    def make(self, x: RationalLike) -> Level:
-        return make_level(self.name, x)
-
-
-MONOIDS = {
-    RAT: LevelMonoid(RAT, rat(1)),
-    RATPLUS: LevelMonoid(RATPLUS, ratplus(1)),
-    DISCRETE: LevelMonoid(DISCRETE, discrete("inf")),
-}
-
-
-def monoid(name: str) -> LevelMonoid:
-    try:
-        return MONOIDS[name]
-    except KeyError:
-        raise FacalcError(f"unknown level instance {name!r}") from None

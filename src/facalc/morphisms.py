@@ -57,7 +57,7 @@ from .errors import (
     LevelViolation,
     ObjectMismatch,
 )
-from .filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
+from .filtquiver import FiltQuiver, HomElement, HomGenerator, _crossing_sign
 from .levels import INFINITY, Level
 from .novikov import NovikovScalar
 from .tcoalg import (
@@ -409,13 +409,6 @@ def slot_value(
     return out, Flag.SOUND
 
 
-def _crossing_sign(deg: int, tail_sdeg: int) -> int:
-    """Sign of a degree-deg operator crossing arguments of total degree
-    tail_sdeg: the closed form of ``koszul_sign`` for one single slot among
-    degree-0 family letters."""
-    return -1 if (deg * tail_sdeg) % 2 else 1
-
-
 _END = None  # the trie entry marking the end of a stored key
 
 # A letter row: one (id(g), gid, coefficient) per term of a component.
@@ -598,10 +591,6 @@ def _path_sum(
 # ---------------------------------------------------------------------------
 # Public evaluation operations
 
-def evaluate_cofunctor(f: Cofunctor, x: TensorElement, window: TruncWindow) -> Tuple[TensorElement, Flag]:
-    return slot_value(x, cofunctor_slots(f), window)
-
-
 def evaluate_coderivation(r: Coderivation, x: TensorElement, window: TruncWindow) -> Tuple[TensorElement, Flag]:
     return slot_value(x, coderivation_slots(r), window)
 
@@ -771,11 +760,11 @@ def chain_sum(
 
 
 # ---------------------------------------------------------------------------
-# Tensor convergence and the augmentation defect
+# Tensor convergence
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    kind: str  # "true" | "false" | "undecided"
+    kind: str  # "true" | "undecided"
     order: Optional[int] = None
 
 
@@ -783,13 +772,9 @@ def tensor_convergent(
     phi0: Dict[str, HomElement],
     window: TruncWindow,
     bound: int,
-    certificate: bool = False,
 ) -> ConvergenceResult:
     """Search for N <= bound with the N-th tensor power of every value in
-    F^cutoff.  Exhausting the bound yields "undecided"; "false" is returned
-    only for an explicitly requested, verifiable periodicity certificate
-    (a single level-<=0 monomial loop, whose power pattern literally
-    repeats and never gains level)."""
+    F^cutoff.  Exhausting the bound yields "undecided", with no order."""
     inst = window.instance
     worst: Optional[int] = None
     for obj, value in phi0.items():
@@ -797,8 +782,6 @@ def tensor_convergent(
             continue
         if value.src != value.dst:
             raise ObjectMismatch("curvature values must be endomorphism-like")
-        if certificate and _nonconvergence_certificate(value, inst):
-            return ConvergenceResult("false")
         power = TensorElement.from_hom(value)
         base = TensorElement.from_hom(value)
         found = None
@@ -811,57 +794,6 @@ def tensor_convergent(
             return ConvergenceResult("undecided")
         worst = found if worst is None else max(worst, found)
     return ConvergenceResult("true", worst or 1)
-
-
-def _nonconvergence_certificate(value: HomElement, instance: str) -> bool:
-    # One generator loop, one monomial, level <= 0: the n-th power is the
-    # single monomial c^n T^{n*lam} on the repeated word, never above a
-    # positive cutoff.
-    if len(value.terms) != 1:
-        return False
-    g, c = value.terms[0]
-    if len(c.terms) != 1:
-        return False
-    lvl = value.level(instance)
-    return levels.level_leq(lvl, levels.zero(instance))
-
-
-def augmentation_defect(f: Cofunctor, window: TruncWindow) -> Tuple[Dict[str, TensorElement], Flag]:
-    """y = sum over n >= 1 of the n-th tensor power of the curvature."""
-    out: Dict[str, TensorElement] = {}
-    flag = Flag.SOUND
-    inst = window.instance
-    for obj, value in f.f0_values().items():
-        l0 = value.level(inst)
-        cap = _empty_cap(levels.zero(inst), l0, window.cutoff)
-        powers = []
-        power = TensorElement.from_hom(value)
-        base = TensorElement.from_hom(value)
-        for n in range(1, max(cap, 1) + 1):
-            powers.append((1, power))
-            power = tcoalg.mu_concat(power, base)
-        acc, fl = truncate_element(tcoalg._signed_sum(powers), window)
-        flag = join_flags(flag, fl)
-        out[obj] = acc
-    return out, flag
-
-
-def defect_to_f0(
-    y: Dict[str, TensorElement], window: TruncWindow
-) -> Tuple[Dict[str, HomElement], Flag]:
-    """Invert the defect series: the curvature is the length-1 part of y.
-
-    y = sum over n >= 1 of the n-th power of the curvature, so when y has
-    no empty-word terms (as every output of ``augmentation_defect``) each
-    power beyond the first has words of length >= 2, and the alternating
-    series of concatenation powers of y has the length-1 part of y itself.
-    """
-    out: Dict[str, HomElement] = {}
-    for obj, elem in y.items():
-        if any(len(w) == 0 for w, _ in elem.terms):
-            raise FacalcError(f"defect at {obj!r} has empty-word terms")
-        out[obj] = hom_truncate(elem.pr1_hom(), window)
-    return out, Flag.SOUND
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +828,7 @@ def leibniz_residual(
         ru, _ = slot_value(TensorElement.from_word(u, one), coderivation_slots(r), window)
         gv, _ = slot_value(TensorElement.from_word(v, one), cofunctor_slots(r.g), window)
         # In r (x) g the r factor crosses the second block.
-        sign = koszul_sign([r.deg, 0], [u.sdeg, v.sdeg])
+        sign = _crossing_sign(r.deg, v.sdeg)
         accumulate(ru, gv, c, sign)
 
     residual: Dict[Tuple[Word, Word], NovikovScalar] = dict(lhs)

@@ -14,11 +14,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import levels, novikov
 from .errors import FacalcError, ObjectMismatch
-from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, koszul_sign
+from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _crossing_sign
 from .levels import INFINITY, Level
 from .novikov import NovikovScalar
 
@@ -198,19 +198,6 @@ def _signed_sum(pieces: Sequence[Tuple[int, TensorElement]]) -> TensorElement:
     return TensorElement(first.src, first.dst, terms)
 
 
-def counit_scalar(x: TensorElement, variant: str) -> NovikovScalar:
-    """The coefficient of the empty word (zero unless src == dst)."""
-    for w, c in x.terms:
-        if len(w) == 0:
-            return c
-    return novikov.zero(variant)
-
-
-def augmentation_eta(obj: str, variant: str, coeff: Optional[NovikovScalar] = None) -> TensorElement:
-    c = coeff if coeff is not None else novikov.one(variant)
-    return TensorElement.from_word(Word(obj), c)
-
-
 # ---------------------------------------------------------------------------
 # Splits
 
@@ -373,7 +360,11 @@ def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
     for w, c in x.terms:
         if len(w) != len(maps):
             raise ObjectMismatch(f"word length {len(w)} != {len(maps)} maps")
-        sign = koszul_sign([m.deg for m in maps], [g.sdeg for g in w.gens])
+        sign = 1
+        tail = w.sdeg
+        for m, g in zip(maps, w.gens):
+            tail -= g.sdeg
+            sign *= _crossing_sign(m.deg, tail)
         pieces = [m.apply(HomElement.from_gen(g, novikov.one(c.variant))) for m, g in zip(maps, w.gens)]
         expanded = [(Word(obj[w.at]), c if sign == 1 else novikov.nov_neg(c))]
         for piece in pieces:

@@ -428,6 +428,18 @@ def test_solve_psi_reads_the_family_up_to_psi_len(extra, same_as):
     assert (code, text) == run(cmd + same_as)
 
 
+def test_solve_psi_rejects_an_empty_source_quiver(tmp_path):
+    doc = json.loads((ROOT / "tests/fixtures/psi_roundtrip.json").read_text())
+    doc["quivers"].append({"name": "E", "objects": [], "generators": []})
+    doc["psi"] = {"source": "E", "obj_map": {}, "gen_map": {}}
+    path = tmp_path / "psi_empty.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(["solve-psi", str(path)])
+    assert code == 64
+    assert text.startswith("parse error: $.psi.source: ")
+    assert run(["normalize", str(path)])[0] == 0
+
+
 # Every fixture with the commands it is run with: its golden commands, or
 # check-b2 for the fixtures that have none.
 FUZZ_CASES = sorted(

@@ -214,7 +214,7 @@ def letter_for(salt: int, sparsity: int, w: Word, scalars=SCALARS) -> HomElement
     if h % sparsity:
         return HomElement.zero(w.src, w.dst)
     terms = []
-    for k, g in enumerate(QUIVER.gens_between(w.src, w.dst)):
+    for k, g in enumerate(g for g in QUIVER.gens if (g.src, g.dst) == (w.src, w.dst)):
         pick = (h >> (5 + 3 * k)) % 8
         if pick < len(scalars):
             terms.append((g, scalars[pick]))

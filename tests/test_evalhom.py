@@ -15,7 +15,6 @@ from facalc.evalhom import (
     cword_src,
     ev,
     solve_psi,
-    unit_chain,
 )
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.morphisms import (
@@ -23,7 +22,6 @@ from facalc.morphisms import (
     cofunctor_from_components,
     compose_cofunctors,
     evaluate_coderivation,
-    evaluate_cofunctor,
     identity_cofunctor,
     pull_coderivation,
     push_coderivation,
@@ -76,7 +74,7 @@ def test_ev_unit_and_single(setup):
 
 def test_ev_unit_chain_object(setup):
     Q, ida, _, _ = setup
-    unit = unit_chain(Q, W, "nov")
+    unit = identity_cofunctor(Q, W.instance, "nov")
     x = TensorElement.from_word(Word.from_gens([Q.gen("g0"), Q.gen("g1")]), ONE)
     out, _ = ev(x, [], W, boundary=unit)
     assert out == x

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
 from facalc.errors import DegreeMismatch, LevelViolation, ObjectMismatch
@@ -9,8 +10,8 @@ from facalc.filtquiver import (
     GradedMap,
     HomElement,
     HomGenerator,
+    _crossing_sign,
     compose_maps,
-    identity_map,
     koszul_sign,
 )
 from facalc.tcoalg import TensorElement, Word, tensor_maps
@@ -59,6 +60,21 @@ def test_sign_oracle_small_cases():
     assert koszul_sign([1, 0], [1, 1]) == -1
     assert koszul_sign([0, 1], [1, 1]) == 1
     assert koszul_sign([1, 1], [1, 1]) == -1
+
+
+@seed(facalc_seed())
+@settings(max_examples=300, deadline=None)
+@given(
+    degs=st.lists(st.tuples(st.integers(), st.integers()), min_size=1, max_size=5),
+)
+def test_crossing_sign_product_is_koszul_sign(degs):
+    # The code's one sign rule: each operator crosses the later arguments.
+    ops = [op for op, _ in degs]
+    args = [arg for _, arg in degs]
+    closed = 1
+    for i, op in enumerate(ops):
+        closed *= _crossing_sign(op, sum(args[i + 1:]))
+    assert closed == koszul_sign(ops, args)
 
 
 def test_tau_squared_is_identity():
@@ -112,7 +128,8 @@ def test_interchange_law_on_generator_pairs():
 
 def test_apply_identity_and_zero():
     Q = loop_quiver()
-    ident = identity_map(Q, "rat")
+    action = {g.gid: HomElement.from_gen(g, ONE) for g in Q.gens}
+    ident = GradedMap(0, levels.rat(0), Q, Q, {"X": "X"}, action, "rat")
     x = HomElement.from_gen(Q.gen("g0"), ONE)
     assert ident.apply(x) == x
     assert ident.apply(HomElement.zero("X", "X")).is_zero()

@@ -1,5 +1,6 @@
 """Every module-level import in src/facalc is used by its module, and every
-module-level function is used somewhere.
+module-level function, class and public method is used by src/facalc, the
+acceptance suite or the benchmark.
 
 No linter runs in tier-1, so this is the one check against imports that a
 refactor leaves behind.  A name imported on purpose for other modules is
@@ -51,19 +52,40 @@ def test_checker_flags_unused_and_honours_reexport_marks():
 
 
 # ---------------------------------------------------------------------------
-# Every module-level function is referenced somewhere besides its own body.
+# Every definition in src/facalc is reached from the product: from src/
+# itself, the acceptance suite or the benchmark.  The unit tests do not
+# count as callers, so a helper that only its own tests call fails here.
 
 ROOT = SRC.parent.parent
-ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+PRODUCT = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+
+# Kept in src/ though no product code calls them: the literal rules that the
+# tests check the code's fast paths against.
+ORACLES = frozenset({"koszul_sign"})
 
 
-def top_level_functions(source: str):
-    tree = ast.parse(source)
-    return {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
+def definitions(source: str, classes: set):
+    """(qualified name, node) for each module-level function and class, and
+    each public method or property of a module-level class.  Methods of a
+    class with a base outside ``classes`` (the classes of the scanned
+    modules) are left out: that base, such as ``argparse.ArgumentParser``,
+    is what calls them."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef) and all(base_name(b) in classes for b in node.bases):
+            out.extend(
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            )
+    return out
+
+
+def base_name(node) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 
 
 def referenced_names(tree) -> dict:
@@ -80,45 +102,39 @@ def referenced_names(tree) -> dict:
     return counts
 
 
-def unreferenced_functions(modules: dict, others: list, exempt=frozenset()):
-    """Module-level functions of ``modules`` (name -> source) that no code in
-    ``modules`` or ``others`` (sources) uses outside their own definition."""
+def unreferenced_definitions(modules: dict, others: list, exempt=frozenset()):
+    """Definitions of ``modules`` (name -> source) that no code in
+    ``modules`` or ``others`` (sources) uses outside their own body."""
     total: dict = {}
     for source in list(modules.values()) + list(others):
         for name, n in referenced_names(ast.parse(source)).items():
             total[name] = total.get(name, 0) + n
+    classes = {
+        node.name
+        for source in modules.values()
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+    }
     out = []
     for module, source in sorted(modules.items()):
-        for name, node in top_level_functions(source).items():
+        for qualname, node in definitions(source, classes):
+            name = node.name
             own = referenced_names(node).get(name, 0)
             if name not in exempt and total.get(name, 0) - own == 0:
-                out.append((module, name))
+                out.append((module, qualname))
     return out
-
-
-def acceptance_imports():
-    tree = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
-    return {
-        alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("facalc")
-        for alias in node.names
-    }
 
 
 def test_every_module_function_is_referenced():
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    others = [
-        p.read_text(encoding="utf-8")
-        for folder in ("tests", "bench")
-        for p in sorted((ROOT / folder).glob("*.py"))
-    ]
-    assert unreferenced_functions(modules, others, acceptance_imports()) == []
+    others = [p.read_text(encoding="utf-8") for p in PRODUCT]
+    assert unreferenced_definitions(modules, others, ORACLES) == []
 
 
 def test_reference_checker_flags_dead_and_self_recursive_functions():
     modules = {
         "m.py": (
+            "import argparse\n"
             "def used():\n"
             "    return 1\n"
             "def dead():\n"
@@ -127,15 +143,30 @@ def test_reference_checker_flags_dead_and_self_recursive_functions():
             "    return recursive(n - 1) if n else 0\n"
             "def via_attribute():\n"
             "    return 2\n"
-            "def public():\n"
+            "def oracle():\n"
             "    return 3\n"
-            "class C:\n"
+            "class Live:\n"
             "    def method(self):\n"
             "        return 4\n"
+            "    def dead_method(self):\n"
+            "        return self.method()\n"
+            "    @property\n"
+            "    def prop(self):\n"
+            "        return 5\n"
+            "    def _private(self):\n"
+            "        return 6\n"
+            "class Dead:\n"
+            "    def __init__(self):\n"
+            "        Dead.count = 0\n"
+            "class Parser(argparse.ArgumentParser):\n"
+            "    def error(self, message):\n"
+            "        raise ValueError(message)\n"
         )
     }
-    others = ["import m\nm.via_attribute()\n"]
-    assert unreferenced_functions(modules, others, {"public"}) == [
+    others = ["import m\nm.via_attribute()\nm.Live().prop\nm.Parser()\n"]
+    assert unreferenced_definitions(modules, others, {"oracle"}) == [
         ("m.py", "dead"),
         ("m.py", "recursive"),
+        ("m.py", "Live.dead_method"),
+        ("m.py", "Dead"),
     ]

@@ -12,8 +12,6 @@ from facalc.levels import (
     dominate,
     level_add,
     level_leq,
-    level_scale,
-    monoid,
     rat,
     ratplus,
 )
@@ -44,7 +42,7 @@ def test_monoid_axioms(inst):
     def run(a, b, c):
         assert level_add(level_add(a, b), c) == level_add(a, level_add(b, c))
         assert level_add(a, b) == level_add(b, a)
-        assert level_add(monoid(inst).zero, a) == a
+        assert level_add(levels.zero(inst), a) == a
         # Monotonicity in each argument.
         if level_leq(a, b):
             assert level_leq(level_add(a, c), level_add(b, c))
@@ -102,18 +100,19 @@ def test_instance_mismatch():
 
 
 def test_positive_witness_unbounded():
-    for inst in ("rat", "ratplus"):
-        m = monoid(inst)
-        p = m.positive
-        assert level_leq(m.zero, p) and p != m.zero
-        for b in [m.make(1), m.make("7/2"), m.make(100)]:
-            n = 1
-            while not level_leq(b, level_scale(n, p)):
+    # Every instance has a strictly positive level, and repeated addition
+    # of it passes any level of its instance.
+    positive = {"rat": rat(1), "ratplus": ratplus(1), "discrete": discrete("inf")}
+    for inst, p in positive.items():
+        zero = levels.zero(inst)
+        assert level_leq(zero, p) and p != zero
+        for x in ["inf"] if inst == "discrete" else [1, "7/2", 100]:
+            b = levels.make_level(inst, x)
+            total, n = p, 1
+            while not level_leq(b, total):
+                total = level_add(total, p)
                 n += 1
                 assert n < 10_000
-    # Discrete: the positive witness tops everything immediately.
-    m = monoid("discrete")
-    assert level_leq(m.make("inf"), level_scale(1, m.positive))
 
 
 def test_ratplus_rejects_negative():

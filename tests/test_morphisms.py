@@ -2,25 +2,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
 from facalc.ainfty import coder_b0, coder_b1, coder_bn
-from facalc import tcoalg
-from facalc.errors import ConvergenceUndecided, DegreeMismatch, FacalcError, ObjectMismatch
+from facalc.errors import ConvergenceUndecided, DegreeMismatch, ObjectMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
 from facalc.morphisms import (
     Coderivation,
     Cofunctor,
-    augmentation_defect,
     coderivation_from_components,
     cofunctor_slots,
     cofunctor_from_components,
     comp_key,
     compose_cofunctors,
-    defect_to_f0,
     evaluate_coderivation,
-    evaluate_cofunctor,
     hom_truncate,
     identity_cofunctor,
     leibniz_residual,
@@ -35,15 +30,11 @@ from facalc.tcoalg import (
     TensorElement,
     TruncWindow,
     Word,
-    augmentation_eta,
     basis_words,
-    counit_scalar,
-    join_flags,
     mu_concat,
-    truncate_element,
 )
 
-from conftest import facalc_seed, loop_quiver, two_object_quiver
+from conftest import loop_quiver, two_object_quiver
 
 ONE = novikov.one()
 W = TruncWindow(6, levels.rat(3))
@@ -64,13 +55,13 @@ def test_identity_cofunctor_acts_as_identity(pq_quiver):
     ida = identity_cofunctor(pq_quiver, "rat", "nov")
     for w in basis_words(pq_quiver, 4):
         x = TensorElement.from_word(w, novikov.monomial(Fraction(2, 3), 1, 1))
-        out, flag = evaluate_cofunctor(ida, x, W)
+        out, flag = slot_value(x, cofunctor_slots(ida), W)
         assert out == x and flag == Flag.SOUND
 
 
 def test_evaluate_zero(pq_quiver):
     ida = identity_cofunctor(pq_quiver, "rat", "nov")
-    out, _ = evaluate_cofunctor(ida, TensorElement.zero("X", "X"), W)
+    out, _ = slot_value(TensorElement.zero("X", "X"), cofunctor_slots(ida), W)
     assert out.is_zero()
 
 
@@ -109,8 +100,8 @@ def test_counit_compatibility(pq_quiver):
         "nov",
     )
     s = novikov.monomial(Fraction(5, 7), Fraction(1, 2), 2)
-    out, _ = evaluate_cofunctor(f, augmentation_eta("X", "nov", s), W)
-    assert counit_scalar(out, "nov") == s
+    out, _ = slot_value(TensorElement.from_word(Word("X"), s), cofunctor_slots(f), W)
+    assert dict(out.terms)[Word("X")] == s
 
 
 def test_single_component_functor_acts_letterwise(pq_quiver):
@@ -126,7 +117,7 @@ def test_single_component_functor_acts_letterwise(pq_quiver):
         "nov",
     )
     x = TensorElement.from_word(Word.from_gens([g0, g1, g0]), ONE)
-    out, _ = evaluate_cofunctor(f, x, W)
+    out, _ = slot_value(x, cofunctor_slots(f), W)
     assert out == TensorElement.from_word(Word.from_gens([g0, g1, g0]), ONE).rat_scale(4)
 
 
@@ -139,7 +130,7 @@ def test_cofunctor_reconstruction_roundtrip(pq_quiver):
     }
     f = cofunctor_from_components("f", pq_quiver, pq_quiver, {"X": "X"}, comps, W, "nov")
     for w in basis_words(pq_quiver, 4):
-        value, _ = evaluate_cofunctor(f, TensorElement.from_word(w, ONE), W)
+        value, _ = slot_value(TensorElement.from_word(w, ONE), cofunctor_slots(f), W)
         assert value.pr1_hom() == f.comp_value(w)
 
 
@@ -266,11 +257,9 @@ def test_tensor_convergent_cases(pq_quiver):
     phi = {"X": hom(g0, novikov.monomial(1, Fraction(1, 2), 0))}
     assert tensor_convergent(phi, W, 16).order == 6
     assert tensor_convergent({"X": HomElement.zero("X", "X")}, W, 16).order == 1
-    # The certificate route: a single level-0 monomial loop provably never
-    # gains level, but is only reported when explicitly requested.
+    # A single level-0 monomial loop never gains level.
     flat = {"X": hom(g0)}
     assert tensor_convergent(flat, W, 8).kind == "undecided"
-    assert tensor_convergent(flat, W, 8, certificate=True).kind == "false"
 
 
 def test_convergence_closed_under_sum(rng):
@@ -482,89 +471,6 @@ def test_push_respects_composition():
     assert once.comps == both.comps
 
 
-def test_augmentation_defect_series():
-    Q = loop_quiver(sdegs=(0,))
-    c = Q.gen("g0")
-    f = cofunctor_from_components(
-        "f",
-        Q,
-        Q,
-        {"X": "X"},
-        {0: {"X": hom(c, novikov.monomial(1, 1, 0))}, 1: {("g0",): hom(c)}},
-        W,
-        "nov",
-    )
-    y, flag = augmentation_defect(f, W)
-    assert flag == Flag.SOUND
-    expected = TensorElement(
-        "X",
-        "X",
-        [
-            (Word.from_gens([c]), novikov.monomial(1, 1, 0)),
-            (Word.from_gens([c, c]), novikov.monomial(1, 2, 0)),
-        ],
-    )
-    assert y["X"] == expected
-    back, _ = defect_to_f0(y, W)
-    assert back["X"] == f.f0_values()["X"]
-    # The strict case degenerates to zero.
-    ida = identity_cofunctor(Q, "rat", "nov")
-    y0, _ = augmentation_defect(ida, W)
-    assert y0 == {}
-
-
-def old_defect_to_f0(y, window):
-    """The alternating series of concatenation powers, as defect_to_f0 was."""
-    out = {}
-    flag = Flag.SOUND
-    for obj, elem in y.items():
-        powers = [(1, TensorElement.zero(elem.src, elem.dst))]
-        power = elem
-        for m in range(1, window.max_len + 1):
-            powers.append((1 if m % 2 == 1 else -1, power))
-            power, fl = truncate_element(mu_concat(power, elem), window)
-            flag = join_flags(flag, fl)
-            if power.is_zero():
-                break
-        acc, fl = truncate_element(tcoalg._signed_sum(powers), window)
-        flag = join_flags(flag, fl)
-        out[obj] = hom_truncate(acc.pr1_hom(), window)
-    return out, flag
-
-
-DEFECT_QUIVER = loop_quiver(sdegs=(0, 1))
-DEFECT_SCALARS = [
-    ONE,
-    novikov.monomial(-2, 1),
-    novikov.monomial(Fraction(1, 3), Fraction(5, 2), 1),
-    novikov.scalar([(1, 0, 0), (4, 3, 0)]),
-]
-
-
-@st.composite
-def defects(draw):
-    words = [w for w in basis_words(DEFECT_QUIVER, 3) if len(w) >= 1]
-    picked = draw(st.lists(st.sampled_from(words), min_size=0, max_size=5, unique=True))
-    return {"X": TensorElement("X", "X", [(w, draw(st.sampled_from(DEFECT_SCALARS))) for w in picked])}
-
-
-@seed(facalc_seed())
-@settings(max_examples=80, deadline=None)
-@given(y=defects(), max_len=st.integers(1, 5), cutoff=st.integers(1, 4))
-def test_defect_to_f0_matches_the_power_series(y, max_len, cutoff):
-    window = TruncWindow(max_len, levels.rat(cutoff))
-    got, flag = defect_to_f0(y, window)
-    assert got == old_defect_to_f0(y, window)[0]
-    assert flag == Flag.SOUND
-
-
-def test_defect_to_f0_rejects_empty_word_terms():
-    c = DEFECT_QUIVER.gen("g0")
-    y = {"X": TensorElement("X", "X", [(Word("X"), ONE), (Word.from_gens([c]), ONE)])}
-    with pytest.raises(FacalcError, match="empty-word"):
-        defect_to_f0(y, W)
-
-
 def test_undecided_on_level_zero_curvature_sums():
     Q = loop_quiver(sdegs=(0,))
     c = Q.gen("g0")
@@ -578,7 +484,7 @@ def test_undecided_on_level_zero_curvature_sums():
         "nov",
     )
     with pytest.raises(ConvergenceUndecided):
-        evaluate_cofunctor(f, augmentation_eta("X", "nov"), W)
+        slot_value(TensorElement.from_word(Word("X"), ONE), cofunctor_slots(f), W)
 
 
 def _fixture_morphisms(cutoff):
