@@ -19,9 +19,9 @@ From each cut it walks the trie of the owner's stored keys along the word
 (``_block_ends``), so it reads only stored blocks, plus every block of a
 length the table does not decide: lazy ``compute`` runs, and extraction
 bounds raise, exactly where the split enumeration would run or raise them.
-Each owner has one letter table (``_letters``), built on first use: the
-key trie, the block ends along each gid suffix, and the letter row of each
-block looked up so far.  A block's first lookup goes through
+Each owner's letter table is set up with the owner (``_ComponentTable``):
+the key trie, the block ends along each gid suffix, and the letter row of
+each block looked up so far.  A block's first lookup goes through
 ``comp_value``; only returned rows are kept, so a block that raises raises
 again, and every lookup with a side effect happens first where it always
 did.  The component tables are read-only, so the letter table never goes
@@ -75,6 +75,11 @@ from .tcoalg import (
 CompKey = Union[str, Tuple[str, ...]]
 Components = Dict[int, Dict[CompKey, HomElement]]
 
+_END = None  # the trie entry marking the end of a stored key
+
+# A letter row: one (id(g), gid, coefficient) per term of a component.
+Letter = Tuple[Tuple[int, str, NovikovScalar], ...]
+
 
 def comp_key(w: Word) -> CompKey:
     return w.at if len(w) == 0 else tuple(g.gid for g in w.gens)
@@ -82,8 +87,8 @@ def comp_key(w: Word) -> CompKey:
 
 def normalize_components(comps: Components) -> Mapping[int, Mapping[CompKey, HomElement]]:
     """The nonzero entries of comps, as read-only tables: an owner's
-    components never change after ``__init__``, which its letter table
-    (``_letters``) relies on."""
+    components never change after ``__init__``, which everything
+    ``_ComponentTable`` derives from them relies on."""
     out = {}
     for k, table in comps.items():
         kept = {key: v for key, v in table.items() if not v.is_zero()}
@@ -135,28 +140,75 @@ def _validate_table(owner: Union[Cofunctor, Coderivation], lvl: Level) -> None:
 
 def _comp_value(self, w: Word) -> HomElement:
     """The component of a cofunctor or coderivation at a basis word: the
-    stored value; beyond ``complete_upto`` the cached lazy ``compute``;
-    else zero, or an error past the bound of an extracted table."""
-    k = len(w)
+    stored value; zero below ``undecided``; else the memoized lazy
+    ``compute``, or an error past the bound of an extracted table."""
     key = comp_key(w)
-    value = self.comps.get(k, {}).get(key)
+    value = self.comps.get(len(w), {}).get(key)
     if value is not None:
         return value
-    if self.compute is not None and (self.complete_upto is None or k > self.complete_upto):
-        cached = self._cache.get((k, key))
-        if cached is None:
-            cached = self.compute(w)
-            self._cache[(k, key)] = cached
-        return cached
-    if self.compute is None and self.complete_upto is not None and k > self.complete_upto:
+    if self.undecided is None or len(w) < self.undecided:
+        return HomElement.zero(self.src_map[w.src], self.dst_map[w.dst])
+    if self.compute is None:
         raise FacalcError(
-            f"{self.noun} {self.name!r}: component at length {k} beyond extraction bound"
+            f"{self.noun} {self.name!r}: component at length {len(w)} beyond extraction bound"
         )
-    return HomElement.zero(self.src_map[w.src], self.dst_map[w.dst])
+    value = self.memo.get(key)
+    if value is None:
+        value = self.memo[key] = self.compute(w)
+    return value
 
 
-class Cofunctor:
-    """A degree-0, level-0 morphism into a completed tensor cocategory."""
+class _ComponentTable:
+    """The component table of a cofunctor or coderivation, and everything
+    read from it, set up once: ``comps`` is read-only from here on.
+
+    ``undecided`` is the least block length the stored table does not
+    decide: from there on the lazy ``compute`` runs or, without one, the
+    extraction bound raises.  It is None for an exact table, which is zero
+    off its keys, and 0 for a table with ``compute`` and no bound.
+
+    The letter table is what ``_path_sum`` reads.  ``trie`` holds the
+    stored keys of length >= 1 over generator ids, with ``_END`` where a
+    key ends; ``ends`` keeps ``_block_ends`` of each gid suffix asked for.
+    ``rows`` maps a block's ``comp_key`` to its letter row, filled from
+    ``comp_value`` on the first lookup of that block, and ``gens`` maps the
+    ids in the rows back to their generators.  Only returned values are
+    kept, so a lookup that raises raises again.  ``memo`` holds the lazy
+    ``compute`` values by ``comp_key``."""
+
+    def __init__(
+        self,
+        name: str,
+        comps: Components,
+        complete_upto: Optional[int],
+        compute: Optional[Callable[[Word], HomElement]],
+    ):
+        self.name = name
+        self.comps = normalize_components(comps)
+        self.complete_upto = complete_upto
+        self.compute = compute
+        if complete_upto is not None:
+            self.undecided: Optional[int] = complete_upto + 1
+        else:
+            self.undecided = None if compute is None else 0
+        self.trie: dict = {}
+        for k, table in self.comps.items():
+            for key in table if k else ():
+                node = self.trie
+                for gid in key:
+                    node = node.setdefault(gid, {})
+                node[_END] = True
+        self.ends: Dict[Tuple[str, ...], List[int]] = {}
+        self.rows: Dict[CompKey, Letter] = {}
+        self.gens: Dict[int, HomGenerator] = {}
+        self.memo: Dict[CompKey, HomElement] = {}
+
+
+class Cofunctor(_ComponentTable):
+    """A degree-0, level-0 morphism into a completed tensor cocategory.
+
+    ``curvature`` holds its k = 0 components and ``curvature_level`` their
+    least level, INFINITY when the cofunctor is strict."""
 
     deg = 0
     noun = "cofunctor"
@@ -175,17 +227,17 @@ class Cofunctor:
         complete_upto: Optional[int] = None,
         compute: Optional[Callable[[Word], HomElement]] = None,
     ):
-        self.name = name
+        super().__init__(name, comps, complete_upto, compute)
         self.src = src
         self.dst = dst
         self.obj_map = dict(obj_map)
-        self.comps = normalize_components(comps)
         self.instance = instance
         self.variant = variant
         self.convergence_bound = convergence_bound
-        self.complete_upto = complete_upto
-        self.compute = compute
-        self._cache: Dict[Tuple[int, CompKey], HomElement] = {}
+        self.curvature: Mapping[CompKey, HomElement] = self.comps.get(0, {})
+        self.curvature_level = INFINITY
+        for v in self.curvature.values():
+            self.curvature_level = levels.level_min(self.curvature_level, v.level(instance))
 
     @property
     def src_map(self) -> Dict[str, str]:
@@ -195,27 +247,11 @@ class Cofunctor:
     def dst_map(self) -> Dict[str, str]:
         return self.obj_map
 
-    def f0_values(self) -> Dict[str, HomElement]:
-        if not hasattr(self, "_f0"):
-            self._f0 = {
-                obj: v for obj, v in self.comps.get(0, {}).items() if not v.is_zero()
-            }
-        return self._f0
-
-    def is_strict(self) -> bool:
-        return not self.f0_values()
-
-    def f0_min_level(self) -> Level:
-        best = INFINITY
-        for v in self.f0_values().values():
-            best = levels.level_min(best, v.level(self.instance))
-        return best
-
     def __repr__(self) -> str:
         return f"Cofunctor({self.name!r}: {self.src.name}->{self.dst.name})"
 
 
-class Coderivation:
+class Coderivation(_ComponentTable):
     """An (f,g)-coderivation of a fixed degree and level, by components."""
 
     noun = "coderivation"
@@ -234,17 +270,13 @@ class Coderivation:
     ):
         if (f.src.name, f.dst.name) != (g.src.name, g.dst.name):
             raise ObjectMismatch("coderivation endpoints live between different quivers")
-        self.name = name
+        super().__init__(name, comps, complete_upto, compute)
         self.f = f
         self.g = g
         self.deg = deg
         self.lvl = lvl
-        self.comps = normalize_components(comps)
         self.instance = f.instance
         self.variant = f.variant
-        self.complete_upto = complete_upto
-        self.compute = compute
-        self._cache: Dict[Tuple[int, CompKey], HomElement] = {}
 
     @property
     def src(self) -> FiltQuiver:
@@ -286,13 +318,10 @@ def cofunctor_from_components(
         name, src, dst, obj_map, comps, window.instance, variant, convergence_bound, complete_upto, compute
     )
     _validate_table(f, levels.zero(window.instance))
-    f0 = f.f0_values()
-    if f0:
-        result = tensor_convergent(f0, window, convergence_bound)
-        if result.kind != "true":
-            raise ConvergenceUndecided(
-                f"cofunctor {name!r}: curvature not tensor convergent within bound"
-            )
+    if tensor_convergent(f.curvature, window, convergence_bound).kind != "true":
+        raise ConvergenceUndecided(
+            f"cofunctor {name!r}: curvature not tensor convergent within bound"
+        )
     return f
 
 
@@ -349,13 +378,11 @@ def coderivation_slots(r: Coderivation) -> List[Slot]:
 
 def _curvature_floor(slots: Sequence[Slot]) -> Tuple[bool, Level]:
     """(any curved family present, minimal curvature level among them)."""
+    curved = [s.owner for s in slots if s.kind == "family" and s.owner.curvature]
     best = INFINITY
-    curved = False
-    for s in slots:
-        if s.kind == "family" and not s.owner.is_strict():
-            curved = True
-            best = levels.level_min(best, s.owner.f0_min_level())
-    return curved, best
+    for f in curved:
+        best = levels.level_min(best, f.curvature_level)
+    return bool(curved), best
 
 
 def _empty_cap(term_lvl: Level, floor: Level, cutoff: Level) -> int:
@@ -395,9 +422,7 @@ def slot_value(
     src_map = slots[0].owner.src_map
     dst_map = slots[-1].owner.dst_map
     any_curved, floor = _curvature_floor(slots)
-    prefixes = None
-    if fold is not None and _letters(fold).lazy is None:
-        prefixes = _letters(fold).trie
+    prefixes = fold.trie if fold is not None and fold.undecided is None else None
 
     terms: List[Tuple[Word, NovikovScalar]] = []
     for w, c in x.terms:
@@ -409,66 +434,17 @@ def slot_value(
     return out, Flag.SOUND
 
 
-_END = None  # the trie entry marking the end of a stored key
-
-# A letter row: one (id(g), gid, coefficient) per term of a component.
-Letter = Tuple[Tuple[int, str, NovikovScalar], ...]
-
-
-class _Letters:
-    """An owner's components as ``_path_sum`` reads them.
-
-    ``rows`` maps a block's ``comp_key`` (its gid tuple, or its object when
-    empty) to its letter row, filled from ``comp_value`` on the first
-    lookup of that block; ``gens`` maps the ids in the rows back to their
-    generators.  Only returned values are stored, so a lookup that raises
-    raises again on every call.  ``trie`` holds the stored keys of length
-    >= 1 over generator ids, with ``_END`` where a key ends.  ``lazy`` is
-    the least block length k >= 1 the stored table does not decide (lazy
-    ``compute`` runs, or the extraction bound raises); None for an exact
-    table, which is zero off its keys.  ``ends`` keeps ``_block_ends`` of
-    each gid suffix it was asked for."""
-
-    __slots__ = ("rows", "gens", "trie", "lazy", "ends")
-
-    def __init__(self, owner: Union[Cofunctor, Coderivation]):
-        self.rows: Dict[CompKey, Letter] = {}
-        self.gens: Dict[int, HomGenerator] = {}
-        self.trie: dict = {}
-        self.ends: Dict[Tuple[str, ...], List[int]] = {}
-        for k, table in owner.comps.items():
-            for key in table if k else ():
-                node = self.trie
-                for gid in key:
-                    node = node.setdefault(gid, {})
-                node[_END] = True
-        if owner.complete_upto is not None:
-            self.lazy: Optional[int] = owner.complete_upto + 1
-        else:
-            self.lazy = None if owner.compute is None else 1
-
-
-def _letters(owner: Union[Cofunctor, Coderivation]) -> _Letters:
-    """The owner's letter table, built on first use and kept on the owner
-    (``comps`` is read-only, so the table never goes stale)."""
-    try:
-        return owner._letters
-    except AttributeError:
-        owner._letters = _Letters(owner)
-        return owner._letters
-
-
-def _block_ends(table: _Letters, suffix: Tuple[str, ...]) -> List[int]:
+def _block_ends(owner: _ComponentTable, suffix: Tuple[str, ...]) -> List[int]:
     """The lengths d >= 1, ascending, of the prefixes suffix[:d] whose
     component the owner may not send to zero: the stored keys along the
     suffix, then every d from the first length the table does not
     decide."""
-    ends = table.ends.get(suffix)
+    ends = owner.ends.get(suffix)
     if ends is None:
         n = len(suffix)
-        stop = n + 1 if table.lazy is None else min(table.lazy, n + 1)
+        stop = n + 1 if owner.undecided is None else min(max(owner.undecided, 1), n + 1)
         ends = []
-        node = table.trie
+        node = owner.trie
         for d in range(1, stop):
             node = node.get(suffix[d - 1])
             if node is None:
@@ -476,7 +452,7 @@ def _block_ends(table: _Letters, suffix: Tuple[str, ...]) -> List[int]:
             if _END in node:
                 ends.append(d)
         ends.extend(range(stop, n + 1))
-        table.ends[suffix] = ends
+        owner.ends[suffix] = ends
     return ends
 
 
@@ -498,14 +474,14 @@ def _path_sum(
     lexicographically larger state, so one pass in that order completes
     each state before it is read.
 
-    Letters are read from each owner's letter table (``_letters``), which
-    calls ``comp_value`` only on the first lookup of a block, so a lookup
-    happens at most once per owner and block, and the first one where it
-    always did.  Nonempty blocks are walked along the owner's key trie
-    (``_block_ends``): only stored keys are looked up, and every block of a
-    length the table does not decide, so lazy components are computed, and
-    bound errors raised, exactly where the split enumeration would compute
-    or raise them.  A state counts as reached as soon as a chain of nonzero
+    Letters are read from each owner's letter table, set up with the owner
+    (``_ComponentTable``) and filled through ``comp_value`` on the first
+    lookup of each block, so a lookup happens at most once per owner and
+    block, and the first one where it always did.  Nonempty blocks are
+    walked along the owner's key trie (``_block_ends``): only stored keys
+    are looked up, and every block of a length the table does not decide,
+    so lazy components are computed, and bound errors raised, exactly where
+    the split enumeration would compute or raise them.  A state counts as reached as soon as a chain of nonzero
     letters arrives, even if its partial sums cancel or are all pruned.
     Partial sums are keyed by the ids of the output generators, which hash
     fast.  Given ``prefixes``, the key trie of an exact table the result is
@@ -519,16 +495,14 @@ def _path_sum(
     tail = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] + w.gens[i].sdeg
-    family_tables = [_letters(f) for f in families]
-    single_tables = [_letters(r) for r in singles]
 
-    def letter(owner, table: _Letters, i: int, j: int) -> Letter:
+    def letter(owner: _ComponentTable, i: int, j: int) -> Letter:
         key = gids[i:j] if j > i else objs[i]
-        row = table.rows.get(key)
+        row = owner.rows.get(key)
         if row is None:
             terms = owner.comp_value(Word(objs[i], w.gens[i:j])).terms
-            table.gens.update((id(g), g) for g, _ in terms)
-            row = table.rows[key] = tuple((id(g), g.gid, cl) for g, cl in terms)
+            owner.gens.update((id(g), g) for g, _ in terms)
+            row = owner.rows[key] = tuple((id(g), g.gid, cl) for g, cl in terms)
         return row
 
     Partial = Dict[Tuple[int, ...], NovikovScalar]
@@ -558,28 +532,28 @@ def _path_sum(
     for i in range(n + 1):
         suffix = gids[i:]
         for t in range(n_singles + 1):
-            family, ftable = families[t], family_tables[t]
+            family = families[t]
             for e in empties:
                 partial = states.pop((i, t, e), None)
                 if partial is None:
                     continue
                 if i == n and t == n_singles:
                     finals.append(partial)
-                for d in _block_ends(ftable, suffix):
-                    step(partial, (i + d, t, e), letter(family, ftable, i, i + d))
-                if e + 1 < cap and not family.is_strict():
-                    step(partial, (i, t, e + 1), letter(family, ftable, i, i))
+                for d in _block_ends(family, suffix):
+                    step(partial, (i + d, t, e), letter(family, i, i + d))
+                if e + 1 < cap and family.curvature:
+                    step(partial, (i, t, e + 1), letter(family, i, i))
                 if t < n_singles:
-                    single, stable = singles[t], single_tables[t]
-                    for d in (0, *_block_ends(stable, suffix)):
+                    single = singles[t]
+                    for d in (0, *_block_ends(single, suffix)):
                         j = i + d
                         sign = _crossing_sign(single.deg, tail[j])
-                        step(partial, (j, t + 1, e), letter(single, stable, i, j), sign)
+                        step(partial, (j, t + 1, e), letter(single, i, j), sign)
     if not finals:
         return []
     gens: Dict[int, HomGenerator] = {}
-    for table in family_tables + single_tables:
-        gens.update(table.gens)
+    for owner in (*families, *singles):
+        gens.update(owner.gens)
     at = families[0].obj_map[w.at]
     return [
         (Word.from_gens([gens[g] for g in key]) if key else Word(at), cp)
@@ -659,11 +633,8 @@ def compose_cofunctors(f: Cofunctor, g: Cofunctor, window: TruncWindow) -> Cofun
         complete_upto=window.max_len,
         compute=compute,
     )
-    f0 = h.f0_values()
-    if f0:
-        result = tensor_convergent(f0, window, h.convergence_bound)
-        if result.kind != "true":
-            raise ConvergenceUndecided(f"composite {h.name!r}: curvature not tensor convergent")
+    if tensor_convergent(h.curvature, window, h.convergence_bound).kind != "true":
+        raise ConvergenceUndecided(f"composite {h.name!r}: curvature not tensor convergent")
     return h
 
 

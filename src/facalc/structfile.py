@@ -62,6 +62,7 @@ class Model:
     functors: Dict[str, Cofunctor] = field(default_factory=dict)
     coderivations: Dict[str, Coderivation] = field(default_factory=dict)
     elements: Dict[str, TensorElement] = field(default_factory=dict)
+    element_quivers: Dict[str, str] = field(default_factory=dict)  # element -> quiver name
     coder_quiver: Optional[CoderQuiver] = None
     psi: Optional[PsiSpec] = None
     tasks: Dict[str, dict] = field(default_factory=dict)
@@ -361,6 +362,7 @@ def load_model(text: str) -> Model:
             model.elements[name] = TensorElement(src, dst, terms)
         except FacalcError as exc:
             raise _fail(loc, str(exc)) from None
+        model.element_quivers[name] = quiver.name
 
     if "coder_quiver" in doc:
         loc = "$.coder_quiver"
@@ -370,18 +372,21 @@ def load_model(text: str) -> Model:
             qname = _name_at(cobj.get(key), f"{loc}.{key}", required=False)
             if qname not in model.cats:
                 raise ResolveError(f"{loc}: quiver {qname!r} has no codifferential")
-        functors = []
-        for i, fname in enumerate(_list_at(cobj, "functors", loc)):
-            if _name_at(fname, f"{loc}.functors[{i}]") not in model.functors:
-                raise ResolveError(f"{loc}.functors: unknown functor {fname!r}")
-            functors.append(model.functors[fname])
-        coders = []
-        for i, rname in enumerate(_list_at(cobj, "coderivations", loc)):
-            if _name_at(rname, f"{loc}.coderivations[{i}]") not in model.coderivations:
-                raise ResolveError(f"{loc}.coderivations: unknown coderivation {rname!r}")
-            coders.append(model.coderivations[rname])
+
+        def members(key: str, table: dict, noun: str) -> list:
+            out = []
+            for i, name in enumerate(_list_at(cobj, key, loc)):
+                if _name_at(name, f"{loc}.{key}[{i}]") not in table:
+                    raise ResolveError(f"{loc}.{key}: unknown {noun} {name!r}")
+                _expect(table[name] not in out, f"{loc}.{key}[{i}]", f"duplicate {noun} {name!r}")
+                out.append(table[name])
+            return out
+
         model.coder_quiver = CoderQuiver(
-            model.cats[cobj["source"]], model.cats[cobj["target"]], functors, coders
+            model.cats[cobj["source"]],
+            model.cats[cobj["target"]],
+            members("functors", model.functors, "functor"),
+            members("coderivations", model.coderivations, "coderivation"),
         )
 
     if "psi" in doc:
@@ -526,7 +531,7 @@ def model_to_json(model: Model) -> dict:
         ]
     if model.elements:
         doc["elements"] = [
-            element_to_json(name, x, _element_quiver(model, x))
+            element_to_json(name, x, model.element_quivers[name])
             for name, x in sorted(model.elements.items())
         ]
     if model.psi is not None:
@@ -546,12 +551,3 @@ def model_to_json(model: Model) -> dict:
     if model.tasks:
         doc["tasks"] = model.tasks
     return doc
-
-
-def _element_quiver(model: Model, x: TensorElement) -> str:
-    for name, q in model.quivers.items():
-        if x.src in q.objects and all(
-            all(g.gid in {h.gid for h in q.gens} for g in w.gens) for w, _ in x.terms
-        ):
-            return name
-    raise FacalcError("element does not belong to a declared quiver")

@@ -12,9 +12,10 @@ truncated statement certifies the completed one at that cutoff) or LOSSY.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import levels, novikov
 from .errors import FacalcError, ObjectMismatch
@@ -201,33 +202,6 @@ def _signed_sum(pieces: Sequence[Tuple[int, TensorElement]]) -> TensorElement:
 # ---------------------------------------------------------------------------
 # Splits
 
-@lru_cache(maxsize=4096)
-def _seq_splits_cached(n: int, k: int, allow_empty: bool) -> Tuple[Tuple[int, ...], ...]:
-    if k < 1 or (not allow_empty and k > n):
-        return ()
-    out: List[Tuple[int, ...]] = []
-
-    def rec(prefix: List[int], remaining: int, start: int):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        hi = n - (0 if allow_empty else remaining)
-        for cut in range(start, hi + 1):
-            prefix.append(cut)
-            rec(prefix, remaining - 1, cut + (0 if allow_empty else 1))
-            prefix.pop()
-
-    rec([], k - 1, 0 if allow_empty else 1)
-    return tuple(out)
-
-
-def seq_splits(n: int, k: int, allow_empty: bool) -> Iterator[Tuple[int, ...]]:
-    """Cut points 0 <= i_1 <= ... <= i_{k-1} <= n splitting a length-n list
-    into k consecutive blocks; with allow_empty=False all blocks are
-    non-empty (strictly increasing interior cut points)."""
-    return iter(_seq_splits_cached(n, k, allow_empty))
-
-
 @lru_cache(maxsize=65536)
 def word_blocks(w: Word, cuts: Tuple[int, ...]) -> Tuple[Word, ...]:
     """The blocks of w determined by interior cut points."""
@@ -245,9 +219,15 @@ def word_blocks(w: Word, cuts: Tuple[int, ...]) -> Tuple[Word, ...]:
 def _delta(x: TensorElement, k: int, allow_empty: bool) -> Dict[Tuple[Word, ...], NovikovScalar]:
     if k < 1:
         raise FacalcError(f"{'' if allow_empty else 'reduced_'}delta_k needs k >= 1")
+    # Cuts 0 <= i_1 <= ... <= i_(k-1) <= n; reduced: 0 < i_1 < ... < n.
     out: Dict[Tuple[Word, ...], NovikovScalar] = {}
     for w, c in x.terms:
-        for cuts in seq_splits(len(w), k, allow_empty):
+        n = len(w)
+        if allow_empty:
+            splits = itertools.combinations_with_replacement(range(n + 1), k - 1)
+        else:
+            splits = itertools.combinations(range(1, n), k - 1) if k <= n else ()
+        for cuts in splits:
             key = word_blocks(w, cuts)
             out[key] = novikov.nov_add(out[key], c) if key in out else c
     return {key: c for key, c in out.items() if not c.is_zero()}

@@ -11,8 +11,6 @@ import pathlib
 import random
 from fractions import Fraction
 
-import pytest
-
 from facalc import levels, novikov
 from facalc.ainfty import (
     CoderQuiver,
@@ -25,7 +23,6 @@ from facalc.ainfty import (
     coder_b1,
     family_value,
 )
-from facalc.errors import ConvergenceUndecided
 from facalc.evalhom import (
     PsiSolution,
     compose_chain_component,

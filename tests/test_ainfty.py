@@ -7,7 +7,6 @@ from facalc import levels, novikov
 from facalc.ainfty import (
     _chain_name,
     _chains,
-    AInfCategory,
     CoderQuiver,
     SHIFT_MAP_DEGREE,
     ainf_category,
@@ -24,13 +23,12 @@ from facalc.ainfty import (
     shift_degree,
     word_name,
 )
-from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
+from facalc.filtquiver import HomElement, koszul_sign
 from facalc.morphisms import (
     _crossing_sign,
     coderivation_from_components,
     coderivation_slots,
     cofunctor_from_components,
-    cofunctor_slots,
     identity_cofunctor,
     slot_value,
 )

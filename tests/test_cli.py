@@ -170,6 +170,8 @@ MALFORMED = [
     (_set(["coder_quiver", "source"], BAD), "$.coder_quiver.source", 64),
     (_set(["coder_quiver", "functors"], BAD), "$.coder_quiver.functors[0]", 64),
     (_set(["coder_quiver", "coderivations"], BAD), "$.coder_quiver.coderivations[0]", 64),
+    (_set(["coder_quiver", "functors"], ["idA", "idA"]), "$.coder_quiver.functors[1]", 64),
+    (_set(["coder_quiver", "coderivations"], ["r", "r"]), "$.coder_quiver.coderivations[1]", 64),
     (_psi(source=BAD), "$.psi.source", 64),
     (_psi(obj_map=BAD), "$.psi.obj_map", 64),
     (_psi(gen_map=5), "$.psi.gen_map", 64),
@@ -438,6 +440,23 @@ def test_solve_psi_rejects_an_empty_source_quiver(tmp_path):
     assert code == 64
     assert text.startswith("parse error: $.psi.source: ")
     assert run(["normalize", str(path)])[0] == 0
+
+
+def test_normalize_keeps_each_element_on_its_own_quiver(tmp_path):
+    # Quiver B has the object and generator names of quiver A, so only the
+    # file can tell which quiver an element of B lives on.
+    doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text())
+    doc["quivers"].append(dict(doc["quivers"][0], name="B"))
+    doc["elements"] += [
+        {"name": "b0", "quiver": "B", "terms": [{"at": "X"}]},
+        {"name": "b1", "quiver": "B", "terms": [{"word": ["p"]}]},
+    ]
+    path = tmp_path / "two_quivers.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(["normalize", str(path)])
+    assert code == 0
+    quivers = {e["name"]: e["quiver"] for e in json.loads(text)["elements"]}
+    assert quivers == {"a1": "A", "b0": "B", "b1": "B"}
 
 
 # Every fixture with the commands it is run with: its golden commands, or

@@ -29,7 +29,6 @@ from facalc.morphisms import (
     _crossing_sign,
     _curvature_floor,
     _empty_cap,
-    _letters,
     _path_sum,
     chain_slots,
     comp_key,
@@ -43,12 +42,11 @@ from facalc.tcoalg import (
     TruncWindow,
     Word,
     basis_words,
-    seq_splits,
     truncate_element,
     word_blocks,
 )
 
-from conftest import facalc_seed
+from conftest import facalc_seed, seq_splits
 
 # ---------------------------------------------------------------------------
 # The oracle: the split enumerator, unchanged.
@@ -130,7 +128,7 @@ def _assemble(
             owner = family_owners[next_single]
             op_degs.append(0)
             if len(block) == 0:
-                if owner.is_strict():
+                if not owner.curvature:
                     return None
                 empties += 1
                 if empties >= cap:
@@ -694,12 +692,11 @@ def test_letter_rows_are_the_components(data):
     for x, (a, b) in calls:
         outcome(lambda: slot_value(x, chain_slots(chain[a:b], families[a]), window), FacalcError)
     for owner in families + chain:
-        table = _letters(owner)
-        for key, row in table.rows.items():
+        for key, row in owner.rows.items():
             block = Word(key) if isinstance(key, str) else Word.from_gens([QUIVER.gen(g) for g in key])
             terms = owner.comp_value(block).terms
             assert row == tuple((id(g), g.gid, cl) for g, cl in terms), (owner, key)
-            assert all(table.gens[id(g)] is g for g, _ in terms)
+            assert all(owner.gens[id(g)] is g for g, _ in terms)
 
 
 def test_owners_of_one_name_keep_their_own_letters():
@@ -720,5 +717,5 @@ def test_owners_of_one_name_keep_their_own_letters():
     assert values[0] != values[1]
     for f, value in zip(owners, values):
         assert value == oracle_slot_value(x_elem, [Slot("family", f)], window)
-        assert _letters(f).rows[("x",)] == tuple((id(g), g.gid, c) for g, c in f.comps[1][("x",)].terms)
+        assert f.rows[("x",)] == tuple((id(g), g.gid, c) for g, c in f.comps[1][("x",)].terms)
 

@@ -1,5 +1,4 @@
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -31,12 +30,11 @@ from facalc.tcoalg import (
     TruncWindow,
     Word,
     basis_words,
-    seq_splits,
     truncate_element,
     word_blocks,
 )
 
-from conftest import facalc_seed, loop_quiver
+from conftest import facalc_seed, loop_quiver, seq_splits
 
 ONE = novikov.one()
 W = TruncWindow(4, levels.rat(3))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
-from facalc.errors import DegreeMismatch, LevelViolation, ObjectMismatch
+from facalc.errors import DegreeMismatch, LevelViolation
 from facalc.filtquiver import (
     FiltQuiver,
     GradedMap,

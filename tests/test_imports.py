@@ -1,6 +1,6 @@
-"""Every module-level import in src/facalc is used by its module, and every
-module-level function, class and public method is used by src/facalc, the
-acceptance suite or the benchmark.
+"""Every module-level import in src/facalc and in the tests is used by its
+module, and every module-level function, class and public method is used by
+src/facalc, the acceptance suite or the benchmark.
 
 No linter runs in tier-1, so this is the one check against imports that a
 refactor leaves behind.  A name imported on purpose for other modules is
@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "facalc"
+TESTS = pathlib.Path(__file__).parent
 
 
 def unused_imports(source: str):
@@ -32,7 +33,9 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

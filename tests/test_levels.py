@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +5,6 @@ from facalc import levels
 from facalc.errors import FacalcError, InstanceMismatch
 from facalc.levels import (
     INFINITY,
-    Level,
     discrete,
     dominate,
     level_add,

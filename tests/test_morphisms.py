@@ -5,11 +5,12 @@ import pytest
 
 from facalc import levels, novikov
 from facalc.ainfty import coder_b0, coder_b1, coder_bn
-from facalc.errors import ConvergenceUndecided, DegreeMismatch, ObjectMismatch
+from facalc.errors import ConvergenceUndecided, DegreeMismatch, FacalcError
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
 from facalc.morphisms import (
     Coderivation,
     Cofunctor,
+    _block_ends,
     coderivation_from_components,
     cofunctor_slots,
     cofunctor_from_components,
@@ -83,6 +84,94 @@ def test_owner_components_are_read_only(pq_quiver):
             owner.comps[1][("g1",)] = hom(pq_quiver.gen("g0"))
         with pytest.raises(TypeError):
             del owner.comps[1]
+
+
+# (complete_upto, has compute) of each kind of owner.
+OWNER_KINDS = {
+    "exact": (None, False),
+    "bounded": (1, False),
+    "lazy-tailed": (1, True),
+    "fully-lazy": (None, True),
+}
+
+
+def decision(owner, w):
+    """What the table answers at w, read from the raw fields."""
+    if comp_key(w) in owner.comps.get(len(w), {}):
+        return "stored"
+    if owner.complete_upto is not None and len(w) <= owner.complete_upto:
+        return "zero"
+    if owner.compute is None:
+        return "zero" if owner.complete_upto is None else "raise"
+    return "compute"
+
+
+@pytest.mark.parametrize("noun", ["cofunctor", "coderivation"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(OWNER_KINDS))
+def test_one_decision_rule_per_owner(kind, k, noun):
+    Q = two_object_quiver()
+    a, x, y = Q.gen("a"), Q.gen("x"), Q.gen("y")
+    comps = {
+        0: {"X": hom(x, novikov.monomial(1, 2, 0))},
+        1: {("a",): hom(a)},
+        3: {("x", "a", "y"): hom(y)},
+    }
+    computed = []
+
+    def lazy_value(w):
+        return hom(a, novikov.monomial(1, len(w), 0))
+
+    def compute(w):
+        computed.append(w)
+        return lazy_value(w)
+
+    upto, lazy = OWNER_KINDS[kind]
+    compute_or_none = compute if lazy else None
+    objs = {o: o for o in Q.objects}
+    if noun == "cofunctor":
+        owner = Cofunctor("f", Q, Q, objs, comps, "rat", "nov", 16, upto, compute_or_none)
+    else:
+        ida = Cofunctor("id", Q, Q, objs, {}, "rat", "nov")
+        owner = Coderivation("r", ida, ida, 0, levels.rat(0), comps, upto, compute_or_none)
+    for w in (v for v in basis_words(Q, k) if len(v) == k):
+        rule = decision(owner, w)
+        for _ in range(2):
+            if rule == "raise":
+                with pytest.raises(FacalcError, match="beyond extraction bound"):
+                    owner.comp_value(w)
+                continue
+            got = owner.comp_value(w)
+            if rule == "stored":
+                assert got is owner.comps[k][comp_key(w)]
+            elif rule == "zero":
+                assert got.is_zero() and (got.src, got.dst) == (w.src, w.dst)
+            else:
+                assert got == lazy_value(w)
+        # compute ran once, on the first lookup only.
+        assert computed == ([w] if rule == "compute" else [])
+        computed.clear()
+        if k:
+            gids = comp_key(w)
+            prefixes = [Word.from_gens(w.gens[:d]) for d in range(1, k + 1)]
+            want = [d for d, v in enumerate(prefixes, 1) if decision(owner, v) != "zero"]
+            assert _block_ends(owner, gids) == want
+
+
+def test_curvature_level_is_the_least_level_of_the_curvature():
+    Q = two_object_quiver()
+    objs = {o: o for o in Q.objects}
+    values = {
+        "X": hom(Q.gen("x"), novikov.monomial(1, 2, 0)),
+        "Y": hom(Q.gen("y"), novikov.monomial(1, 1, 0)),
+    }
+    f = Cofunctor("f", Q, Q, objs, {0: values, 1: {("a",): hom(Q.gen("a"))}}, "rat", "nov")
+    assert dict(f.curvature) == values
+    # x sits at level 1/2 with energy 2, y at level 0 with energy 1.
+    assert f.curvature_level == levels.level_min(values["X"].level("rat"), values["Y"].level("rat"))
+    assert f.curvature_level == levels.rat(1)
+    strict = Cofunctor("g", Q, Q, objs, {1: {("a",): hom(Q.gen("a"))}}, "rat", "nov")
+    assert not strict.curvature and strict.curvature_level == levels.INFINITY
 
 
 def test_counit_compatibility(pq_quiver):
@@ -224,7 +313,7 @@ def test_curvature_acceptance_and_rejection(pq_quiver):
         "nov",
         convergence_bound=6,
     )
-    assert not f.is_strict()
+    assert f.curvature
     # Bound too small: rejected as undecided.
     with pytest.raises(ConvergenceUndecided):
         cofunctor_from_components(

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from facalc import levels, novikov
+from facalc import levels
 from facalc.errors import FacalcError, VariantMismatch
 from facalc.levels import INFINITY, rat
 from facalc.novikov import (

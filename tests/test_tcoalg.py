@@ -1,11 +1,9 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 
 from facalc import levels, novikov
-from facalc.errors import FacalcError, ObjectMismatch
-from facalc.filtquiver import HomGenerator
+from facalc.errors import FacalcError
 from facalc.tcoalg import (
     Flag,
     TensorElement,
@@ -17,9 +15,10 @@ from facalc.tcoalg import (
     mu_concat,
     reduced_delta_k,
     truncate_element,
+    word_blocks,
 )
 
-from conftest import loop_quiver, three_object_quiver, two_object_quiver
+from conftest import loop_quiver, seq_splits, three_object_quiver, two_object_quiver
 
 ONE = novikov.one()
 
@@ -65,6 +64,18 @@ def test_splits_match_oracle(k):
             if len(word) > 0
         }
         assert got_r == want_r
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_delta_lists_the_cuts_of_the_split_enumerator(k):
+    # The same blocks in the same order as seq_splits, which also lists
+    # no split at all for the reduced k = 1 iterate of an empty word.
+    Q = loop_quiver(sdegs=(0,))
+    for word in basis_words(Q, 6):
+        x = TensorElement.from_word(word, ONE)
+        for allow_empty, delta in ((True, delta_k), (False, reduced_delta_k)):
+            want = [word_blocks(word, cuts) for cuts in seq_splits(len(word), k, allow_empty)]
+            assert list(delta(x, k)) == want
 
 
 def test_cut_examples():
