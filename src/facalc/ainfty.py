@@ -267,7 +267,7 @@ def coder_differential_terms(
             right = chain[j:]
             bound = left[-1].g if left else (mid[0].f if mid else (right[0].f if right else boundary))
             letter = Q.differential_letter(mid, bound, window, upto)
-            if letter.is_zero_map():
+            if letter.is_zero_map(upto):
                 continue
             # The inserted letter has odd degree and crosses the trailing
             # chain entries.

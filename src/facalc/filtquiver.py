@@ -41,7 +41,12 @@ class HomGenerator:
 
 
 class FiltQuiver:
-    """Objects plus per-pair generator lists; generator ids are unique."""
+    """Objects plus per-pair generator lists; generator ids are unique.
+
+    ``words`` keeps the words the block engine (``morphisms._path_sum``)
+    has output into this quiver, keyed by the ids of their generators.  Each
+    word holds its generators, so no id in a key is reused while the entry
+    exists."""
 
     def __init__(self, name: str, objects: Iterable[str], gens: Iterable[HomGenerator]):
         self.name = name
@@ -57,6 +62,7 @@ class FiltQuiver:
             if g.gid in self._by_id:
                 raise FacalcError(f"duplicate generator id {g.gid!r} in quiver {name!r}")
             self._by_id[g.gid] = g
+        self.words: dict = {}
 
     def gen(self, gid: str) -> HomGenerator:
         try:

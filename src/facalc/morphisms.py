@@ -25,7 +25,12 @@ each block looked up so far.  A block's first lookup goes through
 ``comp_value``; only returned rows are kept, so a block that raises raises
 again, and every lookup with a side effect happens first where it always
 did.  The component tables are read-only, so the letter table never goes
-stale.
+stale.  Each output word is built once and kept on the target quiver
+(``FiltQuiver.words``), keyed by the ids of its generators, as the partial
+sums are.
+
+``chain_sum`` takes every signed sum of coderivation chains; it skips a
+chain that provably vanishes without a side effect (``_vanishes``).
 
 Composition, push and pull are one operation: evaluate a basis word, then
 read the value through a second morphism's components (``family_value``,
@@ -294,8 +299,12 @@ class Coderivation(_ComponentTable):
     def dst_map(self) -> Dict[str, str]:
         return self.g.obj_map
 
-    def is_zero_map(self) -> bool:
-        return not any(self.comps.values())
+    def is_zero_map(self, upto: Optional[int] = None) -> bool:
+        """No stored component.  Given ``upto``, zero on every block up to
+        that length: also no lazy ``compute`` or extraction bound there."""
+        if any(self.comps.values()):
+            return False
+        return upto is None or self.undecided is None or self.undecided > upto
 
     def __repr__(self) -> str:
         return f"Coderivation({self.name!r}: {self.f.name}->{self.g.name}, deg {self.deg})"
@@ -551,15 +560,19 @@ def _path_sum(
                         step(partial, (j, t + 1, e), letter(single, i, j), sign)
     if not finals:
         return []
+    words = families[0].dst.words
     gens: Dict[int, HomGenerator] = {}
-    for owner in (*families, *singles):
-        gens.update(owner.gens)
-    at = families[0].obj_map[w.at]
-    return [
-        (Word.from_gens([gens[g] for g in key]) if key else Word(at), cp)
-        for partial in finals
-        for key, cp in partial.items()
-    ]
+    out = []
+    for partial in finals:
+        for key, cp in partial.items():
+            word = words.get(key) if key else Word(families[0].obj_map[w.at])
+            if word is None:
+                if not gens:
+                    for owner in (*families, *singles):
+                        gens.update(owner.gens)
+                word = words[key] = Word.from_gens([gens[g] for g in key])
+            out.append((word, cp))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +723,26 @@ def chain_eval(
     return slot_value(a, slots, window, length_truncate=length_truncate)
 
 
+def _vanishes(chain: Sequence[Coderivation], n: int) -> bool:
+    """True when ``chain_eval`` of a composable chain is zero, SOUND and
+    free of side effects on every element of words up to length n: some
+    single is zero on every block up to n, every owner of its slots decides
+    every block up to n (no lazy ``compute`` runs and no extraction bound
+    raises), and no family is curved at level <= 0 (``_empty_cap`` cannot
+    raise)."""
+    if not any(r.is_zero_map(n) for r in chain):
+        return False
+    if any(a.g.name != b.f.name for a, b in zip(chain, chain[1:])):
+        return False  # chain_slots raises
+    families = [r.f for r in chain] + [chain[-1].g]
+    for owner in (*families, *chain):
+        if owner.undecided is not None and owner.undecided <= n:
+            return False
+    return not any(
+        f.curvature and levels.level_leq(f.curvature_level, levels.zero(f.instance)) for f in families
+    )
+
+
 def chain_sum(
     x: TensorElement,
     signed_chains: Sequence[Tuple[int, Sequence[Coderivation]]],
@@ -718,12 +751,27 @@ def chain_sum(
 ) -> Tuple[Optional[TensorElement], Flag]:
     """The sum of sign * chain_eval(x, chain) over the (sign, chain) pairs,
     with the join of their flags; None for an empty list.  ``boundary``
-    serves the empty chain.  Every signed sum of chains is taken here."""
+    serves the empty chain.  Every signed sum of chains is taken here.
+
+    A chain that provably vanishes on x (``_vanishes`` at ``x.max_len()``)
+    is not evaluated: its value is the zero element on its endpoints,
+    flagged SOUND, and only the first chain's value is needed to stand for
+    an all-zero sum.  The skip omits no lookup with a side effect: every
+    owner of such a chain answers each block of x from its stored table, so
+    the lookups it omits could only have read a stored letter or zero, never
+    run a lazy ``compute``, raised at an extraction bound or raised
+    ``ConvergenceUndecided`` in ``_empty_cap``."""
     if not signed_chains:
         return None, Flag.SOUND
+    n = x.max_len()
     pieces = []
     flag = Flag.SOUND
     for sign, chain in signed_chains:
+        if _vanishes(chain, n):
+            if not pieces:
+                zero = TensorElement.zero(chain[0].f.obj_map[x.src], chain[-1].g.obj_map[x.dst])
+                pieces.append((sign, zero))
+            continue
         piece, fl = chain_eval(x, chain, window, boundary=boundary)
         flag = join_flags(flag, fl)
         pieces.append((sign, piece))

@@ -143,10 +143,14 @@ def nov_mul(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
         return _merge(prods, variant)
     # A monomial factor scales and shifts y term by term, which keeps y normal.
     (c, lam, n), = x.terms
+    if not (lam or n) and c == 1:
+        return y
+    if len(y.terms) == 1:
+        (cy, ly, ny), = y.terms
+        if not (ly or ny) and cy == 1:
+            return x
     if lam or n:
         return NovikovScalar(tuple((c * cy, lam + ly, n + ny) for cy, ly, ny in y.terms), variant)
-    if c == 1:
-        return y
     return NovikovScalar(tuple((c * cy, ly, ny) for cy, ly, ny in y.terms), variant)
 
 

@@ -278,6 +278,7 @@ def load_model(text: str) -> Model:
         loc = f"$.b_components[{bi}]"
         _expect(isinstance(bobj, dict), loc, "entry must be an object")
         quiver = get_quiver(bobj, "quiver", loc)
+        _expect(quiver.name not in model.cats, f"{loc}.quiver", f"duplicate entry for quiver {quiver.name!r}")
         comps = _parse_components(bobj.get("components", []), quiver, quiver, variant, f"{loc}.components")
         try:
             model.cats[quiver.name] = ainf_category(quiver, comps, window, variant)

@@ -28,10 +28,11 @@ class Word:
     """A composable list of generators; the empty word sits at one object.
 
     Hashing and equality go through the object name and the generator id
-    sequence, which identify a basis word within a fixed quiver.
+    sequence, which identify a basis word within a fixed quiver.  The base
+    level is computed once per instance it is asked for.
     """
 
-    __slots__ = ("at", "gens", "_sdeg", "_gids", "_hash")
+    __slots__ = ("at", "gens", "_sdeg", "_gids", "_hash", "_base")
 
     def __init__(self, at: str, gens: Tuple[HomGenerator, ...] = ()):
         prev = at
@@ -48,6 +49,7 @@ class Word:
         self._sdeg = sdeg
         self._gids = tuple(g.gid for g in self.gens)
         self._hash = hash((at, self._gids))
+        self._base = None
 
     @staticmethod
     def from_gens(gens: Sequence[HomGenerator]) -> "Word":
@@ -84,9 +86,14 @@ class Word:
         return self._hash
 
     def base_level(self, instance: str) -> Level:
-        out = levels.zero(instance)
-        for g in self.gens:
-            out = levels.level_add(out, g.base_level)
+        if self._base is None:
+            self._base = {}
+        out = self._base.get(instance)
+        if out is None:
+            out = levels.zero(instance)
+            for g in self.gens:
+                out = levels.level_add(out, g.base_level)
+            self._base[instance] = out
         return out
 
     def sort_key(self):

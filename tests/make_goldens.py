@@ -67,6 +67,12 @@ GOLDEN_CASES = {
         "--psi-len",
         "3",
     ],
+    "solve_psi_roundtrip_len4": [
+        "solve-psi",
+        "tests/fixtures/psi_roundtrip.json",
+        "--psi-len",
+        "4",
+    ],
     "normalize_b1_only": ["normalize", "tests/fixtures/b1_only.json"],
 }
 

@@ -130,6 +130,10 @@ def _duplicate_element(doc):
     doc["elements"].append(dict(doc["elements"][0]))
 
 
+def _duplicate_b_components(doc):
+    doc["b_components"].append({"quiver": "A", "components": []})
+
+
 BAD = [[1]]
 ONE_TERM = "1*T^{0}*e^{0}"
 NOT_COMPOSABLE = ["s", "s"]
@@ -157,6 +161,7 @@ MALFORMED = [
     (_set(["elements", 0, "quiver"], BAD), "$.elements[0].quiver", 64),
     (_set(["elements", 0, "terms", 0, "word"], BAD), "$.elements[0].terms[0].word[0]", 64),
     (_duplicate_element, "$.elements[1].name", 64),
+    (_duplicate_b_components, "$.b_components[1].quiver", 64),
     (_second_object(["b_components", 0, "components", 0, "word"], NOT_COMPOSABLE),
      "$.b_components[0].components[0].word", 64),
     (_second_object(["functors", 0, "components", 0, "word"], NOT_COMPOSABLE),

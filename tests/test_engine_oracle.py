@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov, tcoalg
-from facalc.errors import ConvergenceUndecided, FacalcError
+from facalc.errors import ConvergenceUndecided, FacalcError, ObjectMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.morphisms import (
     Coderivation,
@@ -30,7 +30,10 @@ from facalc.morphisms import (
     _curvature_floor,
     _empty_cap,
     _path_sum,
+    _vanishes,
+    chain_eval,
     chain_slots,
+    chain_sum,
     comp_key,
     family_value,
     slot_value,
@@ -288,6 +291,13 @@ def _family_table(spec):
     comps = _table(spec["salt"], spec["sparsity"], spec["curved"])
     if spec.get("fixed_curvature"):
         comps[0] = dict(FIXED_CURVATURE)
+    if spec.get("flat_curvature") is not None:
+        # Curvature of level <= 0: no sum through this family can be bounded.
+        energy = spec["flat_curvature"]
+        comps[0] = {
+            "X": HomElement.from_gen(QUIVER.gen("x"), novikov.monomial(1, energy)),
+            "Y": HomElement.from_gen(QUIVER.gen("y"), novikov.monomial(1, energy)),
+        }
     return comps
 
 
@@ -719,3 +729,168 @@ def test_owners_of_one_name_keep_their_own_letters():
         assert value == oracle_slot_value(x_elem, [Slot("family", f)], window)
         assert f.rows[("x",)] == tuple((id(g), g.gid, c) for g, c in f.comps[1][("x",)].terms)
 
+
+
+# ---------------------------------------------------------------------------
+# Chain sums that skip vanishing chains
+
+ZERO_KINDS = ["exact", "bounded-at-n", "bounded-below-n", "lazy"]
+
+
+def zero_single(kind: str, f: Cofunctor, g: Cofunctor, deg: int, n: int, salt: int) -> Coderivation:
+    """A coderivation from f to g that stores no component, for words of x
+    up to length n: an exact table, one extracted up to n or beyond (both
+    decide every block of x), one extracted below n (its lookups of longer
+    blocks raise) or a lazy one (its compute runs, may raise and may give a
+    nonzero letter)."""
+    if kind == "exact":
+        return Coderivation("z", f, g, deg, R0, {})
+    if kind == "bounded-at-n":
+        return Coderivation("z", f, g, deg, R0, {}, complete_upto=n + salt % 2)
+    if kind == "bounded-below-n":
+        return Coderivation("z", f, g, deg, R0, {}, complete_upto=n - 1)
+    hits = lambda w: _hash(salt + 9, w) % 5 == 0
+    upto = None if salt % 2 else n - 1
+    return Coderivation("z", f, g, deg, R0, {}, complete_upto=upto, compute=RaisingCompute(salt, 2, hits))
+
+
+def decides(owner, n: int) -> bool:
+    """Whether owner answers every block up to length n from its stored
+    table, read from its raw fields."""
+    if owner.complete_upto is not None:
+        return owner.complete_upto >= n
+    return owner.compute is None
+
+
+def literal_chain_sum(x, signed_chains, window):
+    """The signed sum of ``chain_eval`` over every chain, none skipped."""
+    pieces, flags = [], []
+    for sign, chain in signed_chains:
+        piece, flag = chain_eval(x, chain, window)
+        pieces.append((sign, piece))
+        flags.append(flag)
+    return tcoalg._signed_sum(pieces), tcoalg.join_flags(*flags)
+
+
+@seed(facalc_seed())
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chain_sum_matches_the_literal_sum(data):
+    n_singles = data.draw(st.sampled_from([1, 2]), label="singles")
+    family_specs = data.draw(st.lists(owner_specs(), min_size=n_singles + 1, max_size=n_singles + 1))
+    single_specs = data.draw(st.lists(owner_specs(), min_size=n_singles, max_size=n_singles))
+    for sp in family_specs + single_specs:
+        sp["bounded"] = data.draw(st.sampled_from([False, False, True]))
+    for sp in family_specs:
+        sp["flat_curvature"] = data.draw(st.sampled_from([None, None, None, 0, -1]))
+    zeros = data.draw(st.lists(
+        st.one_of(st.none(), st.sampled_from(ZERO_KINDS)), min_size=n_singles, max_size=n_singles
+    ), label="zeros")
+    salt = data.draw(st.integers(0, 10**6), label="salt")
+    x = data.draw(elements(max_len=4 - n_singles), label="x")
+    n = x.max_len()
+    window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
+    spans = [(a, b) for a in range(n_singles) for b in range(a + 1, n_singles + 1)]
+    picked = data.draw(st.lists(
+        st.tuples(st.sampled_from([1, -1]), st.sampled_from(spans)), min_size=1, max_size=4
+    ), label="chains")
+
+    def signed_chains():
+        """Fresh owners: the chain with its zero singles swapped in."""
+        families, chain = build_owners(family_specs, single_specs)
+        for i, kind in enumerate(zeros):
+            if kind is not None:
+                chain[i] = zero_single(kind, families[i], families[i + 1], chain[i].deg, n, salt + i)
+        return [(sign, tuple(chain[a:b])) for sign, (a, b) in picked]
+
+    got = outcome(lambda: chain_sum(x, signed_chains(), window), FacalcError)
+    want = outcome(lambda: literal_chain_sum(x, signed_chains(), window), FacalcError)
+    assert got == want
+
+    for (_, (a, b)), (_, chain) in zip(picked, signed_chains()):
+        # Skipped: some single stores nothing and decides every block of x,
+        # every owner decides every block of x, and no family is curved at
+        # level <= 0.
+        owners = [r.f for r in chain] + [chain[-1].g] + list(chain)
+        expected = (
+            any(not r.comps and decides(r, n) for r in chain)
+            and all(decides(owner, n) for owner in owners)
+            and all(family_specs[i]["flat_curvature"] is None for i in range(a, b + 1))
+        )
+        assert _vanishes(chain, n) == expected
+        if expected:
+            assert chain_eval(x, chain, window) == (TensorElement.zero(x.src, x.dst), Flag.SOUND)
+
+
+@pytest.mark.parametrize("kinds", [("exact",), ("bounded-at-n",), ("exact", "bounded-at-n")])
+def test_chain_sum_of_vanishing_chains_is_the_zero_element(kinds):
+    a = QUIVER.gen("a")
+    table = {1: {("a",): HomElement.from_gen(a, novikov.one())}}
+    f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, table, "rat", "nov")
+    # g swaps the objects, h fixes them: the chains end on different objects.
+    g = Cofunctor("g", QUIVER, QUIVER, {"X": "Y", "Y": "X"}, {}, "rat", "nov")
+    h = Cofunctor("h", QUIVER, QUIVER, IDENTITY, {}, "rat", "nov")
+    x = TensorElement.from_word(Word.from_gens([a, QUIVER.gen("b")]), novikov.one())
+    window = TruncWindow(6, levels.rat(3))
+    chains = [
+        (sign, (zero_single(kind, f, end, 1, x.max_len(), 0),))
+        for sign, kind, end in zip((-1, 1), kinds, (g, h))
+    ]
+    seen = set()
+    singles = [Slot("single", c) for _, (c,) in chains]
+    record_lookups([Slot("family", owner) for owner in (f, g, h)] + singles, seen)
+    value, flag = chain_sum(x, chains, window)
+    assert not seen  # no chain was evaluated
+    # The zero element on the first chain's endpoints: f on the source, g on
+    # the target.
+    assert (value.src, value.dst) == ("X", "Y")
+    assert value == TensorElement.zero("X", "Y") == literal_chain_sum(x, chains, window)[0]
+    assert flag is Flag.SOUND
+
+
+def test_vanishing_chains_keep_the_curvature_error():
+    # A zero single between families curved at level 0: the literal sum
+    # raises in ``_empty_cap``, and so must the skip.
+    spec = {"salt": 1, "sparsity": 1, "curved": False, "lazy": False, "raise_mod": None, "deg": 1,
+            "upto": None, "flat_curvature": 0}
+    families, _ = build_owners([spec, dict(spec, flat_curvature=None)], [])
+    z = zero_single("exact", families[0], families[1], 1, 2, 0)
+    x = TensorElement.from_word(Word.from_gens([QUIVER.gen("a"), QUIVER.gen("b")]), novikov.one())
+    window = TruncWindow(6, levels.rat(3))
+    assert not _vanishes((z,), 2)
+    for run in (chain_sum, literal_chain_sum):
+        assert outcome(lambda: run(x, [(1, (z,))], window)) == ("raised", ConvergenceUndecided)
+
+
+def test_chain_sum_does_not_skip_a_chain_that_does_not_compose():
+    families, _ = build_owners([{"salt": s, "sparsity": 1, "curved": False, "lazy": False,
+                                     "raise_mod": None, "deg": 0, "upto": None} for s in range(3)], [])
+    x = TensorElement.from_word(Word.from_gens([QUIVER.gen("a")]), novikov.one())
+    z = zero_single("exact", families[0], families[1], 0, 1, 0)
+    # z ends at f1, the next entry starts at f2.
+    broken = (z, zero_single("exact", families[2], families[0], 0, 1, 0))
+    window = TruncWindow(6, levels.rat(3))
+    for run in (chain_sum, literal_chain_sum):
+        assert outcome(lambda: run(x, [(1, broken)], window), FacalcError) == ("raised", ObjectMismatch)
+
+
+@seed(facalc_seed())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reused_output_words_equal_fresh_ones(data):
+    family_specs, single_specs = data.draw(slot_sequences(max_singles=2))
+    for sp in family_specs + single_specs:
+        sp["raise_mod"] = None
+    x = data.draw(elements(max_len=4 - len(single_specs)), label="x")
+    window = TruncWindow(6, levels.rat(3))
+    slots = build_slots(family_specs, single_specs)
+    first, _ = slot_value(x, slots, window, length_truncate=False)
+    again, _ = slot_value(x, slots, window, length_truncate=False)
+    assert first == again
+    for (w, _), (w2, _) in zip(first.terms, again.terms):
+        fresh = Word(w.at, tuple(w.gens))
+        assert w == fresh and hash(w) == hash(fresh)
+        if len(w):
+            # The second evaluation hands out the word the first one built.
+            assert w2 is w
+            assert QUIVER.words[tuple(id(g) for g in w.gens)] is w

@@ -158,6 +158,24 @@ def test_one_decision_rule_per_owner(kind, k, noun):
             assert _block_ends(owner, gids) == want
 
 
+@pytest.mark.parametrize("kind", sorted(OWNER_KINDS))
+def test_zero_map_up_to_a_length(kind):
+    # Zero on every block up to n: no stored component and no block of
+    # length <= n that the table leaves to compute or to the bound.
+    Q = two_object_quiver()
+    objs = {o: o for o in Q.objects}
+    ida = Cofunctor("id", Q, Q, objs, {}, "rat", "nov")
+    upto, lazy = OWNER_KINDS[kind]
+    compute = (lambda w: hom(Q.gen("a"))) if lazy else None
+    empty = Coderivation("z", ida, ida, 0, levels.rat(0), {}, upto, compute)
+    stored = Coderivation("r", ida, ida, 0, levels.rat(0), {1: {("a",): hom(Q.gen("a"))}}, upto, compute)
+    assert empty.is_zero_map() and not stored.is_zero_map()
+    for n in range(4):
+        decided = all(decision(empty, w) == "zero" for w in basis_words(Q, n))
+        assert empty.is_zero_map(n) == decided == (upto is None and not lazy or upto is not None and n <= upto)
+        assert not stored.is_zero_map(n)
+
+
 def test_curvature_level_is_the_least_level_of_the_curvature():
     Q = two_object_quiver()
     objs = {o: o for o in Q.objects}

@@ -287,6 +287,29 @@ def test_unit_and_zero_operands(variant, data):
         assert_normal(got)
 
 
+def near_units(variant):
+    """Monomials next to the unit: coefficient 1 or -1, energy and exponent
+    0 or not, as far as the variant allows."""
+    energy = st.just(Fraction(0)) if variant == PLAIN else st.sampled_from([Fraction(0), Fraction(1, 2)])
+    expo = st.just(0) if variant == PLAIN else st.sampled_from([0, 1])
+    return st.tuples(st.sampled_from([1, -1]), energy, expo).map(lambda t: scalar([t], variant))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_unit_factor_on_either_side_matches_the_general_product(variant, data):
+    x = data.draw(st.one_of(kernel_scalars(variant), near_units(variant)), label="x")
+    y = data.draw(near_units(variant), label="y")
+    for got, want in [(nov_mul(x, y), literal_mul(x, y)), (nov_mul(y, x), literal_mul(y, x))]:
+        assert got == want
+        assert_normal(got)
+    if y == one(variant) != x:
+        # Either side: the other factor comes back as it is.
+        assert nov_mul(x, y) is x and nov_mul(y, x) is x
+
+
 @pytest.mark.parametrize(
     "energies",
     [

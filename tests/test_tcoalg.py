@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from facalc import levels, novikov
-from facalc.errors import FacalcError
+from facalc.errors import FacalcError, InstanceMismatch
 from facalc.tcoalg import (
     Flag,
     TensorElement,
@@ -232,3 +232,21 @@ def test_window_validation():
     with pytest.raises(FacalcError):
         TruncWindow(2, levels.INFINITY)
     TruncWindow(0, levels.discrete("inf"))
+
+
+def test_base_level_is_kept_per_instance():
+    Q = two_object_quiver()
+    w = Word.from_gens([Q.gen("x"), Q.gen("a"), Q.gen("y")])
+    # x sits at level 1/2, a and y at 0.
+    first = w.base_level("rat")
+    assert first == levels.rat(Fraction(1, 2))
+    assert w.base_level("rat") is first
+    # The generators are rational levels: another instance does not mix.
+    for _ in range(2):
+        with pytest.raises(InstanceMismatch):
+            w.base_level("ratplus")
+    assert w.base_level("rat") is first
+    empty = Word("X")
+    assert empty.base_level("rat") == levels.rat(0)
+    assert empty.base_level("discrete") == levels.discrete(0)
+    assert empty.base_level("rat") == levels.rat(0)
