@@ -24,16 +24,16 @@ from .errors import (
     ConvergenceUndecided,
     FacalcError,
     LeibnizResidual,
+    ObjectMismatch,
     ParseError,
     ResolveError,
 )
-from .evalhom import PsiSolution, cword_key, cword_src, solve_psi
+from .evalhom import PsiSolution, cword_key, solve_psi
 from .filtquiver import FiltQuiver
 from .morphisms import (
     Coderivation,
     Cofunctor,
     chain_eval,
-    chain_sum,
     coderivation_from_components,
     compose_cofunctors,
     pull_coderivation,
@@ -273,6 +273,9 @@ def cmd_eval(model: Model, path: str, args):
         boundary = _pick_functor(model, bname, "eval")
     if not chain and boundary is None:
         raise ResolveError("eval: empty chain needs a boundary functor")
+    source = (chain[0] if chain else boundary).src.name
+    if model.element_quivers[elem_name] != source:
+        raise ObjectMismatch(f"eval: element {elem_name!r} is not on the source quiver {source!r}")
     value, flag = chain_eval(x, chain, window, boundary=boundary)
     target = chain[-1].dst if chain else boundary.dst
     text = dump_document(
@@ -336,15 +339,8 @@ def cmd_solve_psi(model: Model, path: str, args):
     target = next(iter(fixture.objects.values())).dst
     spec = model.psi
 
-    # The declared family never changes, so each factor word's chains
-    # (``PsiSolution.apply``'s split) are built once per run.
-    chains: Dict[tuple, list] = {}
-
     def phi(a: TensorElement, cwords):
-        key = cword_key(cwords)
-        if key not in chains:
-            chains[key] = fixture.full_chains(cwords)
-        return chain_sum(a, chains[key], window, fixture.object_at(cword_src(cwords)))[0]
+        return fixture.apply(a, cwords, window)[0]
 
     def phi_obj(a_obj: str, c_objs):
         return fixture.objects[c_objs].obj_map[a_obj]

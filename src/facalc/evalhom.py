@@ -84,12 +84,17 @@ def cword_dst(cwords: Sequence[Word]) -> CObjKey:
 
 @dataclass
 class PsiSolution:
-    """Cofunctors at factor objects plus one coderivation per factor word."""
+    """Cofunctors at factor objects plus one coderivation per factor word.
+
+    Each object and component is set once and never replaced (``solve_psi``
+    sets them in order of total length), so the chains ``apply`` keeps per
+    factor word in ``chains`` cannot go stale."""
 
     a_quiver: FiltQuiver
     factors: Tuple[FiltQuiver, ...]
     objects: Dict[CObjKey, Cofunctor] = field(default_factory=dict)
     comps: Dict[CWordKey, Coderivation] = field(default_factory=dict)
+    chains: Dict[CWordKey, List[Tuple[int, Tuple[Coderivation, ...]]]] = field(default_factory=dict)
 
     def object_at(self, key: CObjKey) -> Cofunctor:
         try:
@@ -149,9 +154,13 @@ class PsiSolution:
         self, a: TensorElement, cwords: Sequence[Word], window: TruncWindow
     ) -> Tuple[TensorElement, Flag]:
         """Evaluate (a, factor word) through the solved family: the pairing
-        this solution was solved from, reconstructed."""
-        boundary = self.object_at(cword_src(cwords))
-        return chain_sum(a, self.full_chains(cwords), window, boundary)
+        this solution was solved from, reconstructed.  The factor word's
+        chains (``full_chains``) are built on its first call."""
+        key = cword_key(cwords)
+        chains = self.chains.get(key)
+        if chains is None:
+            chains = self.chains[key] = self.full_chains(cwords)
+        return chain_sum(a, chains, window, self.object_at(cword_src(cwords)))
 
 
 PhiValues = Callable[[TensorElement, Sequence[Word]], TensorElement]

@@ -12,9 +12,14 @@ component calculus:
   three zones, apply f on the left zone, one component of r in the middle,
   g on the right, and concatenate.
 
+The engine evaluates chains of these, cofunctors on the even zones and one
+component of each coderivation on the odd ones, as the pair ``(families,
+singles)``: a tuple of cofunctors, one longer than the tuple of
+coderivations (``Slots``, built by ``chain_slots``).
+
 Rather than list every split, ``_path_sum`` sums over paths of cut
 positions that only nonzero letters extend.  Family letters have degree 0,
-so the Koszul sign is one factor per single slot (``_crossing_sign``).
+so the Koszul sign is one factor per single (``_crossing_sign``).
 From each cut it walks the trie of the owner's stored keys along the word
 (``_block_ends``), so it reads only stored blocks, plus every block of a
 length the table does not decide: lazy ``compute`` runs, and extraction
@@ -29,8 +34,9 @@ stale.  Each output word is built once and kept on the target quiver
 (``FiltQuiver.words``), keyed by the ids of its generators, as the partial
 sums are.
 
-``chain_sum`` takes every signed sum of coderivation chains; it skips a
-chain that provably vanishes without a side effect (``_vanishes``).
+``chain_sum`` takes every signed sum of coderivation chains, building each
+chain's pair once; it skips a chain that provably vanishes without a side
+effect (``_vanishes``).
 
 Composition, push and pull are one operation: evaluate a basis word, then
 read the value through a second morphism's components (``family_value``,
@@ -364,34 +370,15 @@ def identity_cofunctor(quiver: FiltQuiver, instance: str, variant: str) -> Cofun
 # ---------------------------------------------------------------------------
 # The block evaluation engine
 
-@dataclass(frozen=True)
-class Slot:
-    """One factor of a composite operator acting on word splits.
-
-    A ``family`` slot consumes any number of consecutive blocks, mapping each
-    to one letter via the owner's components (a cofunctor); a ``single`` slot
-    consumes exactly one block (a coderivation component).
-    """
-
-    kind: str  # "family" | "single"
-    owner: Union[Cofunctor, Coderivation]
+Slots = Tuple[Tuple[Cofunctor, ...], Tuple[Coderivation, ...]]
 
 
-def cofunctor_slots(f: Cofunctor) -> List[Slot]:
-    return [Slot("family", f)]
+def cofunctor_slots(f: Cofunctor) -> Slots:
+    return (f,), ()
 
 
-def coderivation_slots(r: Coderivation) -> List[Slot]:
-    return [Slot("family", r.f), Slot("single", r), Slot("family", r.g)]
-
-
-def _curvature_floor(slots: Sequence[Slot]) -> Tuple[bool, Level]:
-    """(any curved family present, minimal curvature level among them)."""
-    curved = [s.owner for s in slots if s.kind == "family" and s.owner.curvature]
-    best = INFINITY
-    for f in curved:
-        best = levels.level_min(best, f.curvature_level)
-    return bool(curved), best
+def coderivation_slots(r: Coderivation) -> Slots:
+    return (r.f, r.g), (r,)
 
 
 def _empty_cap(term_lvl: Level, floor: Level, cutoff: Level) -> int:
@@ -408,15 +395,17 @@ def _empty_cap(term_lvl: Level, floor: Level, cutoff: Level) -> int:
 
 def slot_value(
     x: TensorElement,
-    slots: Sequence[Slot],
+    slots: Slots,
     window: TruncWindow,
     length_truncate: bool = True,
     fold: Optional[Union[Cofunctor, Coderivation]] = None,
 ) -> Tuple[TensorElement, Flag]:
-    """Apply the composite operator described by ``slots`` to x.
+    """Apply the operator ``slots = (families, singles)`` to x.
 
     Each term of x is evaluated by ``_path_sum``; the terms of all of them
-    are summed once, into a single ``TensorElement``.
+    are summed once, into a single ``TensorElement`` between the objects
+    families[0] and families[-1] send x's ends to.  The least
+    ``curvature_level`` of the families bounds the empty blocks.
 
     ``fold`` is for an untruncated value that is folded at once through
     that owner: terms that ``family_value(fold, ...)`` sends to zero may
@@ -426,18 +415,18 @@ def slot_value(
     if fold is not None and length_truncate:
         raise ValueError("slot_value: fold needs length_truncate=False")
     inst = window.instance
-    families = [s.owner for s in slots if s.kind == "family"]
-    singles = [s.owner for s in slots if s.kind == "single"]
-    src_map = slots[0].owner.src_map
-    dst_map = slots[-1].owner.dst_map
-    any_curved, floor = _curvature_floor(slots)
+    families, singles = slots
+    floor = INFINITY
+    for f in families:
+        if f.curvature:
+            floor = levels.level_min(floor, f.curvature_level)
     prefixes = fold.trie if fold is not None and fold.undecided is None else None
 
     terms: List[Tuple[Word, NovikovScalar]] = []
     for w, c in x.terms:
-        cap = _empty_cap(tcoalg.term_level(w, c, inst), floor, window.cutoff) if any_curved else 0
+        cap = 0 if floor.is_infinite() else _empty_cap(tcoalg.term_level(w, c, inst), floor, window.cutoff)
         terms.extend(_path_sum(w, c, families, singles, cap, prefixes))
-    out = TensorElement(src_map[x.src], dst_map[x.dst], terms)
+    out = TensorElement(families[0].obj_map[x.src], families[-1].obj_map[x.dst], terms)
     if length_truncate:
         return truncate_element(out, window)
     return out, Flag.SOUND
@@ -476,9 +465,9 @@ def _path_sum(
     """The terms of c times the value of the slots on the word w.
 
     A left-to-right sweep over states (i, t, e): cut position i, zone t (the
-    number of single slots used) and e family empty blocks used so far.
+    number of singles used) and e family empty blocks used so far.
     Zone t reads letters of families[t] on blocks w[i:j], j > i, plus
-    curvature letters on w[i:i] while e + 1 < cap; the next single slot
+    curvature letters on w[i:i] while e + 1 < cap; the next single
     reads w[i:j], j >= i, and crosses w[j:].  Every step goes to a
     lexicographically larger state, so one pass in that order completes
     each state before it is read.
@@ -591,7 +580,7 @@ def family_value(owner: Union[Cofunctor, Coderivation], x: TensorElement) -> Hom
 
 def _transport(
     w: Word,
-    slots: Sequence[Slot],
+    slots: Slots,
     owner: Union[Cofunctor, Coderivation],
     window: TruncWindow,
     one: NovikovScalar,
@@ -691,17 +680,17 @@ def pull_coderivation(e: Cofunctor, r: Coderivation, window: TruncWindow) -> Cod
     )
 
 
-def chain_slots(chain: Sequence[Coderivation], boundary: Cofunctor) -> List[Slot]:
+def chain_slots(chain: Sequence[Coderivation], boundary: Optional[Cofunctor] = None) -> Slots:
+    """The families r.f of a composable chain, then chain[-1].g, and the
+    chain as singles; the boundary cofunctor alone for the empty chain."""
     if not chain:
+        if boundary is None:
+            raise FacalcError("empty chains need an explicit boundary cofunctor")
         return cofunctor_slots(boundary)
-    slots: List[Slot] = []
-    for i, r in enumerate(chain):
-        if i > 0 and chain[i - 1].g.name != r.f.name:
+    for a, b in zip(chain, chain[1:]):
+        if a.g.name != b.f.name:
             raise ObjectMismatch("coderivation chain is not composable")
-        slots.append(Slot("family", r.f))
-        slots.append(Slot("single", r))
-    slots.append(Slot("family", chain[-1].g))
-    return slots
+    return (*(r.f for r in chain), chain[-1].g), tuple(chain)
 
 
 def chain_eval(
@@ -717,25 +706,19 @@ def chain_eval(
     length_truncate=False when the value feeds a further evaluation whose
     zone maps may shorten words again: truncating in between would lose
     contributions that belong inside the window."""
-    if not chain and boundary is None:
-        raise FacalcError("empty chains need an explicit boundary cofunctor")
-    slots = chain_slots(chain, boundary if boundary is not None else chain[0].f)
-    return slot_value(a, slots, window, length_truncate=length_truncate)
+    return slot_value(a, chain_slots(chain, boundary), window, length_truncate=length_truncate)
 
 
-def _vanishes(chain: Sequence[Coderivation], n: int) -> bool:
-    """True when ``chain_eval`` of a composable chain is zero, SOUND and
-    free of side effects on every element of words up to length n: some
-    single is zero on every block up to n, every owner of its slots decides
-    every block up to n (no lazy ``compute`` runs and no extraction bound
-    raises), and no family is curved at level <= 0 (``_empty_cap`` cannot
-    raise)."""
-    if not any(r.is_zero_map(n) for r in chain):
+def _vanishes(slots: Slots, n: int) -> bool:
+    """True when ``slot_value`` of the operator is zero, SOUND and free of
+    side effects on every element of words up to length n: some single is
+    zero on every block up to n, every owner decides every block up to n
+    (no lazy ``compute`` runs and no extraction bound raises), and no
+    family is curved at level <= 0 (``_empty_cap`` cannot raise)."""
+    families, singles = slots
+    if not any(r.is_zero_map(n) for r in singles):
         return False
-    if any(a.g.name != b.f.name for a, b in zip(chain, chain[1:])):
-        return False  # chain_slots raises
-    families = [r.f for r in chain] + [chain[-1].g]
-    for owner in (*families, *chain):
+    for owner in (*families, *singles):
         if owner.undecided is not None and owner.undecided <= n:
             return False
     return not any(
@@ -753,26 +736,29 @@ def chain_sum(
     with the join of their flags; None for an empty list.  ``boundary``
     serves the empty chain.  Every signed sum of chains is taken here.
 
-    A chain that provably vanishes on x (``_vanishes`` at ``x.max_len()``)
-    is not evaluated: its value is the zero element on its endpoints,
-    flagged SOUND, and only the first chain's value is needed to stand for
-    an all-zero sum.  The skip omits no lookup with a side effect: every
-    owner of such a chain answers each block of x from its stored table, so
-    the lookups it omits could only have read a stored letter or zero, never
-    run a lazy ``compute``, raised at an extraction bound or raised
-    ``ConvergenceUndecided`` in ``_empty_cap``."""
+    A chain whose operator provably vanishes on x (``_vanishes`` at
+    ``x.max_len()``) is not evaluated: its value is the zero element on the
+    endpoints ``slot_value`` would give it, flagged SOUND, and only the
+    first chain's value is needed to stand for an all-zero sum.  The skip
+    omits no lookup with a side effect: every owner of such a chain answers
+    each block of x from its stored table, so the lookups it omits could
+    only have read a stored letter or zero, never run a lazy ``compute``,
+    raised at an extraction bound or raised ``ConvergenceUndecided`` in
+    ``_empty_cap``."""
     if not signed_chains:
         return None, Flag.SOUND
     n = x.max_len()
     pieces = []
     flag = Flag.SOUND
     for sign, chain in signed_chains:
-        if _vanishes(chain, n):
+        slots = chain_slots(chain, boundary)
+        if _vanishes(slots, n):
             if not pieces:
-                zero = TensorElement.zero(chain[0].f.obj_map[x.src], chain[-1].g.obj_map[x.dst])
+                families, _ = slots
+                zero = TensorElement.zero(families[0].obj_map[x.src], families[-1].obj_map[x.dst])
                 pieces.append((sign, zero))
             continue
-        piece, fl = chain_eval(x, chain, window, boundary=boundary)
+        piece, fl = slot_value(x, slots, window)
         flag = join_flags(flag, fl)
         pieces.append((sign, piece))
     return tcoalg._signed_sum(pieces), flag

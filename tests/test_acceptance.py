@@ -35,6 +35,7 @@ from facalc.morphisms import (
     coderivation_from_components,
     coderivation_slots,
     cofunctor_from_components,
+    cofunctor_slots,
     compose_cofunctors,
     evaluate_coderivation,
     identity_cofunctor,
@@ -191,7 +192,7 @@ def test_criterion_03_reconstruction_bijections():
         for w in basis_words(Q, 4):
             value, _ = slot_value(
                 TensorElement.from_word(w, ONE),
-                [__import__("facalc.morphisms", fromlist=["Slot"]).Slot("family", f)],
+                cofunctor_slots(f),
                 W,
                 length_truncate=False,
             )

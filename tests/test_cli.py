@@ -464,6 +464,31 @@ def test_normalize_keeps_each_element_on_its_own_quiver(tmp_path):
     assert quivers == {"a1": "A", "b0": "B", "b1": "B"}
 
 
+@pytest.mark.parametrize("obj", ["Y", "X"])
+@pytest.mark.parametrize(
+    "argv", [["--element", "b1", "--chain", "r"], ["--element", "a1", "--boundary", "idB"]]
+)
+def test_eval_rejects_an_element_off_the_source_quiver(obj, argv, tmp_path):
+    source = "A" if "--chain" in argv else "B"
+    # Quiver B's object is Y, or X as on quiver A: in both cases the element
+    # and the chain (or boundary) live on different quivers.  Without the
+    # eval task, no chain is given unless --chain names one.
+    doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text())
+    del doc["tasks"]["eval"]
+    p = {"id": "p", "src": obj, "dst": obj, "sdeg": 0, "base_level": {"rat": "0"}}
+    doc["quivers"].append({"name": "B", "objects": [obj], "generators": [p]})
+    doc["elements"].append({"name": "b1", "quiver": "B", "terms": [{"word": ["p"]}]})
+    doc["functors"].append({
+        "name": "idB", "src": "B", "dst": "B", "obj_map": {obj: obj},
+        "components": [{"word": ["p"], "value": [["p", "1*T^{0}*e^{0}"]]}],
+    })
+    path = tmp_path / "off_quiver.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(["eval", str(path), *argv])
+    assert code == 64
+    assert text == f"error: eval: element '{argv[1]}' is not on the source quiver '{source}'\n"
+
+
 # Every fixture with the commands it is run with: its golden commands, or
 # check-b2 for the fixtures that have none.
 FUZZ_CASES = sorted(

@@ -25,15 +25,16 @@ from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.morphisms import (
     Coderivation,
     Cofunctor,
-    Slot,
+    Slots,
     _crossing_sign,
-    _curvature_floor,
     _empty_cap,
     _path_sum,
     _vanishes,
     chain_eval,
     chain_slots,
     chain_sum,
+    cofunctor_slots,
+    coderivation_slots,
     comp_key,
     family_value,
     slot_value,
@@ -58,7 +59,7 @@ from conftest import facalc_seed, seq_splits
 def _term_value(
     w: Word,
     c: NovikovScalar,
-    slots: Sequence[Slot],
+    slots: Slots,
     n_singles: int,
     cap: int,
     any_curved: bool,
@@ -68,9 +69,8 @@ def _term_value(
 ) -> TensorElement:
     terms: List[Tuple[Word, NovikovScalar]] = []
     n = len(w)
-    single_owners = [s.owner for s in slots if s.kind == "single"]
+    family_owners, single_owners = slots
     single_degs = [o.deg for o in single_owners]
-    family_owners = [s.owner for s in slots if s.kind == "family"]
 
     def assignments(k: int):
         """Positions of single-slot blocks among k blocks, in slot order."""
@@ -110,9 +110,9 @@ def _term_value(
 def _assemble(
     blocks: Tuple[Word, ...],
     positions: Tuple[int, ...],
-    single_owners: List["Coderivation"],
+    single_owners: Sequence["Coderivation"],
     single_degs: List[int],
-    family_owners: List["Cofunctor"],
+    family_owners: Sequence["Cofunctor"],
     cap: int,
     coeff: NovikovScalar,
 ) -> Optional[List[Tuple[Word, NovikovScalar]]]:
@@ -153,16 +153,23 @@ def _assemble(
     return [(Word.from_gens(gens), cc) for gens, cc in expanded]
 
 
+def curvature_floor(families) -> Tuple[bool, levels.Level]:
+    """(any curved family present, least level of a curvature component),
+    read from the k = 0 tables."""
+    values = [(f, v) for f in families for v in f.comps.get(0, {}).values()]
+    floor = levels.INFINITY
+    for f, v in values:
+        floor = levels.level_min(floor, v.level(f.instance))
+    return bool(values), floor
+
+
 def oracle_slot_value(x, slots, window, length_truncate=True):
     """``slot_value`` as it was around the enumerator."""
     inst = window.instance
-    n_singles = sum(1 for s in slots if s.kind == "single")
-    first = slots[0].owner
-    last = slots[-1].owner
-    src_map = first.obj_map if isinstance(first, Cofunctor) else first.f.obj_map
-    dst_map = last.obj_map if isinstance(last, Cofunctor) else last.g.obj_map
-    out = TensorElement.zero(src_map[x.src], dst_map[x.dst])
-    any_curved, floor = _curvature_floor(slots)
+    families, singles = slots
+    n_singles = len(singles)
+    out = TensorElement.zero(families[0].obj_map[x.src], families[-1].obj_map[x.dst])
+    any_curved, floor = curvature_floor(families)
     for w, c in x.terms:
         term_lvl = levels.level_add(w.base_level(inst), novikov.nov_level(c, inst))
         cap = _empty_cap(term_lvl, floor, window.cutoff) if any_curved else 0
@@ -322,11 +329,14 @@ def build_owners(family_specs, single_specs):
     return families, chain
 
 
-def build_slots(family_specs, single_specs) -> List[Slot]:
+def build_slots(family_specs, single_specs) -> Slots:
     families, chain = build_owners(family_specs, single_specs)
-    if not chain:
-        return [Slot("family", families[0])]
     return chain_slots(chain, families[0])
+
+
+def slot_owners(slots):
+    families, singles = slots
+    return [*families, *singles]
 
 
 @st.composite
@@ -357,8 +367,7 @@ def words(draw, max_len):
 
 def record_lookups(slots, log):
     """Shadow every owner's ``comp_value`` with one that logs its lookups."""
-    for s in slots:
-        owner = s.owner
+    for owner in slot_owners(slots):
         owner.__dict__.pop("comp_value", None)
         lookup = owner.comp_value
 
@@ -374,7 +383,7 @@ def effective(slots, seen):
     a stored key, a k = 0 key, or a length at which the lazy ``compute``
     runs or the extraction bound raises.  Read from the owners' own
     ``comps``, ``complete_upto`` and ``compute``."""
-    owners = {s.owner.name: s.owner for s in slots}
+    owners = {owner.name: owner for owner in slot_owners(slots)}
 
     def counts(name, block):
         owner = owners[name]
@@ -405,8 +414,7 @@ def outcome(fn, catch=ConvergenceUndecided):
 
 
 def path_sum_element(w, c, slots, cap):
-    families = [s.owner for s in slots if s.kind == "family"]
-    singles = [s.owner for s in slots if s.kind == "single"]
+    families, singles = slots
     return TensorElement(w.src, w.dst, _path_sum(w, c, families, singles, cap))
 
 
@@ -423,7 +431,7 @@ def test_path_sum_matches_enumeration_per_term(data):
     w = data.draw(words(_max_word_len(len(single_specs), cap)), label="word")
     c = data.draw(st.sampled_from(SCALARS), label="coeff")
     slots = build_slots(family_specs, single_specs)
-    any_curved = _curvature_floor(slots)[0]
+    any_curved = curvature_floor(slots[0])[0]
 
     seen_oracle, seen_engine = set(), set()
     record_lookups(slots, seen_oracle)
@@ -497,7 +505,7 @@ def _lazy_family(hits) -> Cofunctor:
 def test_lazy_errors_match_enumeration(chosen, raises):
     w = Word.from_gens([QUIVER.gen(g) for g in ("b", "x", "a")])
     for engine in ("oracle", "engine"):
-        slots = [Slot("family", _lazy_family(lambda u: comp_key(u) == chosen))]
+        slots = cofunctor_slots(_lazy_family(lambda u: comp_key(u) == chosen))
         if engine == "oracle":
             run = lambda: _term_value(w, novikov.one(), slots, 0, 0, False, "rat", w.src, w.dst)
         else:
@@ -541,7 +549,7 @@ def test_cancelled_state_still_looks_up_its_components():
         g = Cofunctor("g", QUIVER, QUIVER, IDENTITY,
                       {1: {**table[1], ("a",): HomElement.from_gen(a, one)}}, "rat", "nov")
         r = Coderivation("r", f, g, 1, R0, table)
-        slots = [Slot("family", f), Slot("single", r), Slot("family", g)]
+        slots = coderivation_slots(r)
         seen = set()
         record_lookups(slots, seen)
         if engine == "oracle":
@@ -601,7 +609,7 @@ def test_fold_pruning_keeps_the_folded_value(data):
         x = TensorElement.from_word(data.draw(words(3), label="word"), novikov.one())
         window = TruncWindow(6, levels.rat(3))
         slots = build_slots(family_specs, single_specs)
-        floor = _curvature_floor(slots)[1]
+        floor = curvature_floor(slots[0])[1]
         (w, c), = x.terms
         assert _empty_cap(tcoalg.term_level(w, c, "rat"), floor, window.cutoff) >= 2
     else:
@@ -613,7 +621,7 @@ def test_fold_pruning_keeps_the_folded_value(data):
         slots = build_slots(family_specs, single_specs)
         fold = fold_owner(*fold_args)
         hits = []
-        record_computes([s.owner for s in slots] + [fold], hits)
+        record_computes(slot_owners(slots) + [fold], hits)
         value = outcome(lambda: family_value(fold, evaluate(slots, fold)), FacalcError)
         return value, hits
 
@@ -723,10 +731,10 @@ def test_owners_of_one_name_keep_their_own_letters():
     owners = [Cofunctor("L.r0", QUIVER, QUIVER, IDENTITY, t, "rat", "nov") for t in tables]
     window = TruncWindow(6, levels.rat(3))
     x_elem = TensorElement.from_word(w, one)
-    values = [slot_value(x_elem, [Slot("family", f)], window) for f in owners]
+    values = [slot_value(x_elem, cofunctor_slots(f), window) for f in owners]
     assert values[0] != values[1]
     for f, value in zip(owners, values):
-        assert value == oracle_slot_value(x_elem, [Slot("family", f)], window)
+        assert value == oracle_slot_value(x_elem, cofunctor_slots(f), window)
         assert f.rows[("x",)] == tuple((id(g), g.gid, c) for g, c in f.comps[1][("x",)].terms)
 
 
@@ -817,7 +825,7 @@ def test_chain_sum_matches_the_literal_sum(data):
             and all(decides(owner, n) for owner in owners)
             and all(family_specs[i]["flat_curvature"] is None for i in range(a, b + 1))
         )
-        assert _vanishes(chain, n) == expected
+        assert _vanishes(chain_slots(chain), n) == expected
         if expected:
             assert chain_eval(x, chain, window) == (TensorElement.zero(x.src, x.dst), Flag.SOUND)
 
@@ -837,8 +845,7 @@ def test_chain_sum_of_vanishing_chains_is_the_zero_element(kinds):
         for sign, kind, end in zip((-1, 1), kinds, (g, h))
     ]
     seen = set()
-    singles = [Slot("single", c) for _, (c,) in chains]
-    record_lookups([Slot("family", owner) for owner in (f, g, h)] + singles, seen)
+    record_lookups(((f, g, h), tuple(c for _, (c,) in chains)), seen)
     value, flag = chain_sum(x, chains, window)
     assert not seen  # no chain was evaluated
     # The zero element on the first chain's endpoints: f on the source, g on
@@ -857,7 +864,7 @@ def test_vanishing_chains_keep_the_curvature_error():
     z = zero_single("exact", families[0], families[1], 1, 2, 0)
     x = TensorElement.from_word(Word.from_gens([QUIVER.gen("a"), QUIVER.gen("b")]), novikov.one())
     window = TruncWindow(6, levels.rat(3))
-    assert not _vanishes((z,), 2)
+    assert not _vanishes(chain_slots((z,)), 2)
     for run in (chain_sum, literal_chain_sum):
         assert outcome(lambda: run(x, [(1, (z,))], window)) == ("raised", ConvergenceUndecided)
 

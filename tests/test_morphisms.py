@@ -5,13 +5,16 @@ import pytest
 
 from facalc import levels, novikov
 from facalc.ainfty import coder_b0, coder_b1, coder_bn
-from facalc.errors import ConvergenceUndecided, DegreeMismatch, FacalcError
+from facalc.errors import ConvergenceUndecided, DegreeMismatch, FacalcError, ObjectMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
 from facalc.morphisms import (
     Coderivation,
     Cofunctor,
     _block_ends,
+    chain_eval,
+    chain_slots,
     coderivation_from_components,
+    coderivation_slots,
     cofunctor_slots,
     cofunctor_from_components,
     comp_key,
@@ -190,6 +193,33 @@ def test_curvature_level_is_the_least_level_of_the_curvature():
     assert f.curvature_level == levels.rat(1)
     strict = Cofunctor("g", Q, Q, objs, {1: {("a",): hom(Q.gen("a"))}}, "rat", "nov")
     assert not strict.curvature and strict.curvature_level == levels.INFINITY
+
+
+def test_operator_builders_agree():
+    # Every builder gives the plain (families, singles) pair, with the very
+    # owners of the chain, and chain_eval is slot_value of chain_slots.
+    Q = two_object_quiver()
+    objs = {o: o for o in Q.objects}
+    curvature = {o: hom(Q.gen(o.lower()), novikov.monomial(1, 1, 0)) for o in Q.objects}
+    letters = {1: {("a",): hom(Q.gen("a")), ("x",): hom(Q.gen("x")), ("y",): hom(Q.gen("y"))}}
+    f = Cofunctor("f", Q, Q, objs, {0: curvature, **letters}, "rat", "nov")
+    g = Cofunctor("g", Q, Q, objs, letters, "rat", "nov")
+    r = Coderivation("r", f, g, 1, levels.rat(0), {1: {("a",): hom(Q.gen("a"))}})
+    s = Coderivation("s", g, f, 0, levels.rat(0), {1: {("x",): hom(Q.gen("x"))}})
+    assert chain_slots((r,)) == coderivation_slots(r) == ((f, g), (r,))
+    assert chain_slots([r, s]) == ((f, g, f), (r, s))
+    assert all(a is b for a, b in zip(chain_slots((r, s))[0], (r.f, s.f, s.g)))
+    assert chain_slots((), f) == cofunctor_slots(f) == ((f,), ())
+    with pytest.raises(FacalcError, match="boundary"):
+        chain_slots(())
+    with pytest.raises(ObjectMismatch):
+        chain_slots((r, r))
+    x = TensorElement.from_word(Word.from_gens([Q.gen("x"), Q.gen("a"), Q.gen("y")]), ONE)
+    for chain in ((r,), (s, r)):
+        value = chain_eval(x, chain, W)
+        assert value == slot_value(x, chain_slots(chain), W)
+        # f's curvature fills an empty block: x.x.a.y is among the words.
+        assert any(len(w) == 4 for w, _ in value[0].terms)
 
 
 def test_counit_compatibility(pq_quiver):
