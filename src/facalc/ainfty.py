@@ -22,7 +22,6 @@ from that map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -90,13 +89,13 @@ def ainf_category(
     return AInfCategory(quiver, b)
 
 
-@dataclass
 class CheckEntry:
-    relation: str
-    n: int
-    word: str
-    residual: str
-    flag: str
+    def __init__(self, relation: str, n: int, word: str, residual: str, flag: str):
+        self.relation = relation
+        self.n = n
+        self.word = word
+        self.residual = residual
+        self.flag = flag
 
     @property
     def ok(self) -> bool:
@@ -219,15 +218,21 @@ def coder_bn(
     return _letter(chain, chain[0].f, src_cat, dst_cat, window, upto)
 
 
-@dataclass
 class CoderQuiver:
     """Finite slice of the quiver of cofunctors and coderivations."""
 
-    source: AInfCategory
-    target: AInfCategory
-    functors: List[Cofunctor]
-    coderivations: List[Coderivation]
-    b_cache: Dict[Tuple, Coderivation] = field(default_factory=dict)
+    def __init__(
+        self,
+        source: AInfCategory,
+        target: AInfCategory,
+        functors: List[Cofunctor],
+        coderivations: List[Coderivation],
+    ):
+        self.source = source
+        self.target = target
+        self.functors = functors
+        self.coderivations = coderivations
+        self.b_cache: Dict[Tuple, Coderivation] = {}
 
     def differential_letter(
         self,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -28,19 +27,17 @@ from .errors import (
     ParseError,
     ResolveError,
 )
-from .evalhom import PsiSolution, cword_key, solve_psi
 from .filtquiver import FiltQuiver
 from .morphisms import (
     Coderivation,
     Cofunctor,
     chain_eval,
-    coderivation_from_components,
     compose_cofunctors,
     pull_coderivation,
     push_coderivation,
 )
 from .structfile import Model, dump_document, load_model_file, model_to_json
-from .tcoalg import Flag, TensorElement, TruncWindow, basis_words
+from .tcoalg import Flag, TensorElement, TruncWindow
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -49,11 +46,11 @@ EXIT_PARSE = 64
 EXIT_RESOLVE = 65
 
 
-@dataclass
 class Report:
-    command: str
-    path: str
-    entries: List[CheckEntry] = field(default_factory=list)
+    def __init__(self, command: str, path: str, entries: List[CheckEntry]):
+        self.command = command
+        self.path = path
+        self.entries = entries
 
     def summary(self) -> Dict[str, int]:
         failed = sum(1 for e in self.entries if not e.ok and e.flag != "UNDECIDED")
@@ -260,17 +257,23 @@ def cmd_eval(model: Model, path: str, args):
     if elem_name not in model.elements:
         raise ResolveError(f"eval: unknown element {elem_name!r}")
     x = model.elements[elem_name]
-    chain_names = args.chain.split(",") if args.chain else task.get("chain", [])
+    # Each option replaces its task field; --chain "" is the empty chain.
+    if args.chain is not None:
+        chain_names = args.chain.split(",") if args.chain else []
+    else:
+        chain_names = task.get("chain", [])
     if not isinstance(chain_names, list):
         raise ParseError("$.tasks.eval.chain", "chain must be a list of names")
     for i, name in enumerate(chain_names):
         if not isinstance(name, str):
             raise ParseError(f"$.tasks.eval.chain[{i}]", "name must be a string")
+    bname = args.boundary if args.boundary is not None else _task_name(task, "eval", "boundary")
+    if chain_names and bname is not None:
+        raise FacalcError(
+            f"eval: boundary {bname!r} is for the empty chain, not chain {','.join(chain_names)!r}"
+        )
     chain = [_pick_coderivation(model, n, "eval") for n in chain_names]
-    boundary = None
-    bname = args.boundary or _task_name(task, "eval", "boundary")
-    if bname is not None:
-        boundary = _pick_functor(model, bname, "eval")
+    boundary = None if bname is None else _pick_functor(model, bname, "eval")
     if not chain and boundary is None:
         raise ResolveError("eval: empty chain needs a boundary functor")
     source = (chain[0] if chain else boundary).src.name
@@ -291,50 +294,16 @@ def cmd_eval(model: Model, path: str, args):
     return text, (EXIT_OK if flag == Flag.SOUND else EXIT_UNDECIDED)
 
 
-def _psi_fixture(model: Model, window: TruncWindow, max_len: int) -> PsiSolution:
-    """Assemble the declared solver section into an evaluable family on
-    factor words up to max_len."""
-    spec = model.psi
-    assert spec is not None
-    if not spec.source.objects:
-        # The solver's source and target quivers are those of a declared object.
-        raise ParseError("$.psi.source", f"source quiver {spec.source.name!r} has no objects")
-    sol = PsiSolution(None, (spec.source,))
-    for o in spec.source.objects:
-        sol.objects[(o,)] = model.functors[spec.obj_map[o]]
-    for w in basis_words(spec.source, max_len, include_empty=False):
-        key = cword_key((w,))
-        if len(w) == 1:
-            gid = w.gens[0].gid
-            if gid not in spec.gen_map:
-                raise ResolveError(f"solve-psi: generator {gid!r} missing from gen_map")
-            r = model.coderivations[spec.gen_map[gid]]
-            g = spec.source.gen(gid)
-            if g.sdeg != r.deg:
-                raise ResolveError(f"solve-psi: degree of {gid!r} differs from {r.name!r}")
-            if (r.f.name, r.g.name) != (
-                spec.obj_map[g.src],
-                spec.obj_map[g.dst],
-            ):
-                raise ResolveError(f"solve-psi: endpoints of {gid!r} differ from {r.name!r}")
-            sol.comps[key] = r
-        else:
-            f0 = sol.objects[(w.src,)]
-            g0 = sol.objects[(w.dst,)]
-            sol.comps[key] = coderivation_from_components(
-                f"zero@{key}", f0, g0, w.sdeg, w.base_level(window.instance), {}
-            )
-    sol.a_quiver = next(iter(sol.objects.values())).src
-    return sol
-
-
 def cmd_solve_psi(model: Model, path: str, args):
+    # The one import of the solver: no other command pays for loading it.
+    from .evalhom import psi_fixture, solve_psi
+
     window = _override_window(model, args.window)
     if model.psi is None:
         raise ResolveError("solve-psi: file has no psi section")
     # The solver reads the family on factor words up to --psi-len; the
     # window length keeps the gen_map checks at --psi-len 0.
-    fixture = _psi_fixture(model, window, max(window.max_len, args.psi_len))
+    fixture = psi_fixture(model, window, max(window.max_len, args.psi_len))
     a_quiver = fixture.a_quiver
     target = next(iter(fixture.objects.values())).dst
     spec = model.psi

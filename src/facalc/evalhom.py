@@ -22,18 +22,21 @@ coderivation at any other word.  The reconstruction is then re-evaluated on
 every source word and compared with the values; a mismatch (the input was
 not actually compatible with the comultiplications) raises LeibnizResidual.
 
+``psi_fixture`` assembles a structure file's declared solver section into
+the family ``solve-psi`` evaluates.  That command is the only one that
+imports this module.
+
 ``compose_chain`` realizes composition of coderivation chains through the
 solver applied to iterated evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import levels, novikov
-from .errors import FacalcError, LeibnizResidual
+from .errors import FacalcError, LeibnizResidual, ParseError, ResolveError
 from .filtquiver import FiltQuiver, HomGenerator, _crossing_sign
 from .morphisms import (
     Coderivation,
@@ -57,6 +60,9 @@ from .tcoalg import (
     basis_words,
     truncate_element,
 )
+
+if TYPE_CHECKING:
+    from .structfile import Model
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +88,6 @@ def cword_dst(cwords: Sequence[Word]) -> CObjKey:
 # ---------------------------------------------------------------------------
 # The solver
 
-@dataclass
 class PsiSolution:
     """Cofunctors at factor objects plus one coderivation per factor word.
 
@@ -90,11 +95,12 @@ class PsiSolution:
     sets them in order of total length), so the chains ``apply`` keeps per
     factor word in ``chains`` cannot go stale."""
 
-    a_quiver: FiltQuiver
-    factors: Tuple[FiltQuiver, ...]
-    objects: Dict[CObjKey, Cofunctor] = field(default_factory=dict)
-    comps: Dict[CWordKey, Coderivation] = field(default_factory=dict)
-    chains: Dict[CWordKey, List[Tuple[int, Tuple[Coderivation, ...]]]] = field(default_factory=dict)
+    def __init__(self, a_quiver: Optional[FiltQuiver], factors: Tuple[FiltQuiver, ...]):
+        self.a_quiver = a_quiver
+        self.factors = factors
+        self.objects: Dict[CObjKey, Cofunctor] = {}
+        self.comps: Dict[CWordKey, Coderivation] = {}
+        self.chains: Dict[CWordKey, List[Tuple[int, Tuple[Coderivation, ...]]]] = {}
 
     def object_at(self, key: CObjKey) -> Cofunctor:
         try:
@@ -165,6 +171,44 @@ class PsiSolution:
 
 PhiValues = Callable[[TensorElement, Sequence[Word]], TensorElement]
 PhiObjMap = Callable[[str, CObjKey], str]
+
+
+def psi_fixture(model: Model, window: TruncWindow, max_len: int) -> PsiSolution:
+    """Assemble the file's declared solver section (``model.psi``) into an
+    evaluable family on factor words up to max_len.  The checks name
+    ``solve-psi``, the one command that reads the section."""
+    spec = model.psi
+    assert spec is not None
+    if not spec.source.objects:
+        # The solver's source and target quivers are those of a declared object.
+        raise ParseError("$.psi.source", f"source quiver {spec.source.name!r} has no objects")
+    sol = PsiSolution(None, (spec.source,))
+    for o in spec.source.objects:
+        sol.objects[(o,)] = model.functors[spec.obj_map[o]]
+    for w in basis_words(spec.source, max_len, include_empty=False):
+        key = cword_key((w,))
+        if len(w) == 1:
+            gid = w.gens[0].gid
+            if gid not in spec.gen_map:
+                raise ResolveError(f"solve-psi: generator {gid!r} missing from gen_map")
+            r = model.coderivations[spec.gen_map[gid]]
+            g = spec.source.gen(gid)
+            if g.sdeg != r.deg:
+                raise ResolveError(f"solve-psi: degree of {gid!r} differs from {r.name!r}")
+            if (r.f.name, r.g.name) != (
+                spec.obj_map[g.src],
+                spec.obj_map[g.dst],
+            ):
+                raise ResolveError(f"solve-psi: endpoints of {gid!r} differ from {r.name!r}")
+            sol.comps[key] = r
+        else:
+            f0 = sol.objects[(w.src,)]
+            g0 = sol.objects[(w.dst,)]
+            sol.comps[key] = coderivation_from_components(
+                f"zero@{key}", f0, g0, w.sdeg, w.base_level(window.instance), {}
+            )
+    sol.a_quiver = next(iter(sol.objects.values())).src
+    return sol
 
 
 def solve_psi(

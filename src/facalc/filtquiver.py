@@ -16,28 +16,41 @@ so only the generator degrees enter parities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from . import levels, novikov
 from .errors import DegreeMismatch, FacalcError, LevelViolation, ObjectMismatch
-from .levels import INFINITY, Level
+from .levels import INFINITY, Frozen, Level
 from .novikov import NovikovScalar
 
 
-@dataclass(frozen=True)
-class HomGenerator:
-    """A basis element of a hom module.  ``sdeg`` is the stored degree."""
+class HomGenerator(Frozen):
+    """A basis element of a hom module.  ``sdeg`` is the stored degree.
+    Equal only to a HomGenerator with equal fields."""
 
-    gid: str
-    src: str
-    dst: str
-    sdeg: int
-    base_level: Level
+    __slots__ = ("gid", "src", "dst", "sdeg", "base_level")
 
-    def __post_init__(self):
-        if self.base_level.is_infinite():
-            raise FacalcError(f"generator {self.gid!r} cannot have infinite base level")
+    def __init__(self, gid: str, src: str, dst: str, sdeg: int, base_level: Level):
+        if base_level.is_infinite():
+            raise FacalcError(f"generator {gid!r} cannot have infinite base level")
+        object.__setattr__(self, "gid", gid)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "sdeg", sdeg)
+        object.__setattr__(self, "base_level", base_level)
+
+    def __eq__(self, other):
+        if other.__class__ is not HomGenerator:
+            return NotImplemented
+        return (self.gid, self.src, self.dst, self.sdeg, self.base_level) == (
+            other.gid, other.src, other.dst, other.sdeg, other.base_level)
+
+    def __hash__(self) -> int:
+        return hash((self.gid, self.src, self.dst, self.sdeg, self.base_level))
+
+    def __repr__(self) -> str:
+        return (f"HomGenerator(gid={self.gid!r}, src={self.src!r}, dst={self.dst!r}, "
+                f"sdeg={self.sdeg!r}, base_level={self.base_level!r})")
 
 
 class FiltQuiver:

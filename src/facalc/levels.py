@@ -19,7 +19,6 @@ witness ``dominate`` picks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -33,16 +32,41 @@ _INF = "inf"
 RationalLike = Union[int, str, Fraction]
 
 
-@dataclass(frozen=True, order=False)
-class Level:
+class Frozen:
+    """Base of the immutable value classes.  ``__init__`` sets each field
+    once through ``object.__setattr__``; assigning or deleting a field
+    afterwards raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Level(Frozen):
     """A filtration level: a tagged value in one of the built-in instances.
 
     ``value`` is a Fraction for finite levels and None for the infinite
     element (the top of the ``discrete`` instance and the formal INFINITY).
+    Equal only to a Level with equal fields.
     """
 
-    instance: str
-    value: Optional[Fraction]
+    __slots__ = ("instance", "value")
+
+    def __init__(self, instance: str, value: Optional[Fraction]):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not Level:
+            return NotImplemented
+        return self.instance == other.instance and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.instance, self.value))
 
     def is_infinite(self) -> bool:
         return self.value is None

@@ -56,7 +56,6 @@ ConvergenceUndecided is raised instead of silently truncating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -69,7 +68,7 @@ from .errors import (
     ObjectMismatch,
 )
 from .filtquiver import FiltQuiver, HomElement, HomGenerator, _crossing_sign
-from .levels import INFINITY, Level
+from .levels import INFINITY, Frozen, Level
 from .novikov import NovikovScalar
 from .tcoalg import (
     Flag,
@@ -767,10 +766,27 @@ def chain_sum(
 # ---------------------------------------------------------------------------
 # Tensor convergence
 
-@dataclass(frozen=True)
-class ConvergenceResult:
-    kind: str  # "true" | "undecided"
-    order: Optional[int] = None
+class ConvergenceResult(Frozen):
+    """What ``tensor_convergent`` found: ``kind`` "true" with the ``order``
+    N, or "undecided" with none.  Equal only to a ConvergenceResult with
+    equal fields."""
+
+    __slots__ = ("kind", "order")
+
+    def __init__(self, kind: str, order: Optional[int] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)
+
+    def __eq__(self, other):
+        if other.__class__ is not ConvergenceResult:
+            return NotImplemented
+        return self.kind == other.kind and self.order == other.order
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.order))
+
+    def __repr__(self) -> str:
+        return f"ConvergenceResult(kind={self.kind!r}, order={self.order!r})"
 
 
 def tensor_convergent(

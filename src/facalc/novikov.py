@@ -26,13 +26,12 @@ validate raw input; the ring operations rely on the invariant and do neither.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
 from . import levels
 from .errors import FacalcError, VariantMismatch
-from .levels import INFINITY, Level
+from .levels import INFINITY, Frozen, Level
 
 NOV = "nov"
 NOV0 = "nov0"
@@ -49,12 +48,23 @@ def _validate_term(variant: str, coeff: Fraction, energy: Fraction, expo: int) -
         raise FacalcError("variant 'q' admits only T^0 e^0 terms")
 
 
-@dataclass(frozen=True)
-class NovikovScalar:
-    """A normalized finite sum of monomials, sorted by (energy, exponent)."""
+class NovikovScalar(Frozen):
+    """A normalized finite sum of monomials, sorted by (energy, exponent).
+    Equal only to a NovikovScalar with equal fields."""
 
-    terms: Tuple[Term, ...]
-    variant: str
+    __slots__ = ("terms", "variant")
+
+    def __init__(self, terms: Tuple[Term, ...], variant: str):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "variant", variant)
+
+    def __eq__(self, other):
+        if other.__class__ is not NovikovScalar:
+            return NotImplemented
+        return self.terms == other.terms and self.variant == other.variant
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.variant))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -15,7 +15,6 @@ load is the identity on normalized files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional
 
@@ -45,27 +44,27 @@ ALLOWED_PAIRS = {
 }
 
 
-@dataclass
 class PsiSpec:
-    source: FiltQuiver
-    obj_map: Dict[str, str]  # factor object -> functor name
-    gen_map: Dict[str, str]  # factor generator -> coderivation name
+    def __init__(self, source: FiltQuiver, obj_map: Dict[str, str], gen_map: Dict[str, str]):
+        self.source = source
+        self.obj_map = obj_map  # factor object -> functor name
+        self.gen_map = gen_map  # factor generator -> coderivation name
 
 
-@dataclass
 class Model:
-    monoid: str
-    variant: str
-    window: TruncWindow
-    quivers: Dict[str, FiltQuiver] = field(default_factory=dict)
-    cats: Dict[str, AInfCategory] = field(default_factory=dict)
-    functors: Dict[str, Cofunctor] = field(default_factory=dict)
-    coderivations: Dict[str, Coderivation] = field(default_factory=dict)
-    elements: Dict[str, TensorElement] = field(default_factory=dict)
-    element_quivers: Dict[str, str] = field(default_factory=dict)  # element -> quiver name
-    coder_quiver: Optional[CoderQuiver] = None
-    psi: Optional[PsiSpec] = None
-    tasks: Dict[str, dict] = field(default_factory=dict)
+    def __init__(self, monoid: str, variant: str, window: TruncWindow):
+        self.monoid = monoid
+        self.variant = variant
+        self.window = window
+        self.quivers: Dict[str, FiltQuiver] = {}
+        self.cats: Dict[str, AInfCategory] = {}
+        self.functors: Dict[str, Cofunctor] = {}
+        self.coderivations: Dict[str, Coderivation] = {}
+        self.elements: Dict[str, TensorElement] = {}
+        self.element_quivers: Dict[str, str] = {}  # element -> quiver name
+        self.coder_quiver: Optional[CoderQuiver] = None
+        self.psi: Optional[PsiSpec] = None
+        self.tasks: Dict[str, dict] = {}
 
 
 def _fail(loc: str, msg: str) -> ParseError:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import levels, novikov
 from .errors import FacalcError, ObjectMismatch
 from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _crossing_sign
-from .levels import INFINITY, Level
+from .levels import INFINITY, Frozen, Level
 from .novikov import NovikovScalar
 
 
@@ -282,20 +281,32 @@ def join_flags(*flags: Flag) -> Flag:
     return Flag(max(int(f) for f in flags)) if flags else Flag.SOUND
 
 
-@dataclass(frozen=True)
-class TruncWindow:
-    """Work modulo F^cutoff, keeping words of length <= max_len."""
+class TruncWindow(Frozen):
+    """Work modulo F^cutoff, keeping words of length <= max_len.  Equal only
+    to a TruncWindow with equal fields."""
 
-    max_len: int
-    cutoff: Level
+    __slots__ = ("max_len", "cutoff")
 
-    def __post_init__(self):
-        if self.max_len < 0:
+    def __init__(self, max_len: int, cutoff: Level):
+        if max_len < 0:
             raise FacalcError("window max_len must be >= 0")
-        if self.cutoff.instance not in (levels.RAT, levels.RATPLUS, levels.DISCRETE):
+        if cutoff.instance not in (levels.RAT, levels.RATPLUS, levels.DISCRETE):
             raise FacalcError("window cutoff must belong to a level instance")
-        if levels.level_leq(self.cutoff, levels.zero(self.cutoff.instance)):
+        if levels.level_leq(cutoff, levels.zero(cutoff.instance)):
             raise FacalcError("window cutoff must be positive")
+        object.__setattr__(self, "max_len", max_len)
+        object.__setattr__(self, "cutoff", cutoff)
+
+    def __eq__(self, other):
+        if other.__class__ is not TruncWindow:
+            return NotImplemented
+        return self.max_len == other.max_len and self.cutoff == other.cutoff
+
+    def __hash__(self) -> int:
+        return hash((self.max_len, self.cutoff))
+
+    def __repr__(self) -> str:
+        return f"TruncWindow(max_len={self.max_len!r}, cutoff={self.cutoff!r})"
 
     @property
     def instance(self) -> str:

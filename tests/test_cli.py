@@ -489,6 +489,45 @@ def test_eval_rejects_an_element_off_the_source_quiver(obj, argv, tmp_path):
     assert text == f"error: eval: element '{argv[1]}' is not on the source quiver '{source}'\n"
 
 
+def test_eval_empty_chain_option_replaces_the_task_chain(tmp_path):
+    # b1_only's eval task names the chain r; --chain "" selects the empty
+    # chain, which then needs a boundary, and evaluates as a task with the
+    # empty chain and that boundary does.
+    assert run(["eval", "tests/fixtures/b1_only.json", "--chain", ""]) == (
+        65, "resolve error: eval: empty chain needs a boundary functor\n"
+    )
+    doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text())
+    doc["tasks"]["eval"] = {"element": "a1", "chain": [], "boundary": "idA"}
+    path = tmp_path / "empty_chain.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(["eval", "tests/fixtures/b1_only.json", "--chain", "", "--boundary", "idA"])
+    assert code == 0
+    assert text == run(["eval", str(path)])[1]
+    assert text != run(["eval", "tests/fixtures/b1_only.json"])[1]
+
+
+@pytest.mark.parametrize(
+    "task, argv",
+    [
+        ({"chain": ["r"]}, ["--boundary", "idA"]),
+        ({}, ["--chain", "r", "--boundary", "idA"]),
+        ({"chain": [], "boundary": "idA"}, ["--chain", "r"]),
+        ({"chain": ["r"], "boundary": "idA"}, []),
+    ],
+    ids=["task-chain", "option-chain", "task-boundary", "task-both"],
+)
+def test_eval_rejects_a_boundary_next_to_a_chain(task, argv, tmp_path):
+    # Each option replaces its own task field; a boundary from either place
+    # next to a non-empty chain from either place is an error naming both.
+    doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text())
+    doc["tasks"]["eval"] = dict(task, element="a1")
+    path = tmp_path / "boundary_and_chain.json"
+    path.write_text(json.dumps(doc))
+    assert run(["eval", str(path), *argv]) == (
+        64, "error: eval: boundary 'idA' is for the empty chain, not chain 'r'\n"
+    )
+
+
 # Every fixture with the commands it is run with: its golden commands, or
 # check-b2 for the fixtures that have none.
 FUZZ_CASES = sorted(

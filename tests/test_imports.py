@@ -5,10 +5,17 @@ src/facalc, the acceptance suite or the benchmark.
 No linter runs in tier-1, so this is the one check against imports that a
 refactor leaves behind.  A name imported on purpose for other modules is
 marked with a ``# re-exported`` comment on its own line of the import.
+
+A last check keeps what one call imports small: a short check loads no
+``dataclasses`` or ``inspect``, and only ``solve-psi`` loads the solver.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -173,3 +180,38 @@ def test_reference_checker_flags_dead_and_self_recursive_functions():
         ("m.py", "Live.dead_method"),
         ("m.py", "Dead"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# What one call imports.  The child lists the modules it gained over the
+# interpreter's own start-up (site and any .pth files in site-packages), so
+# only what facalc imports counts.
+
+FOOTPRINT = """
+import sys
+base = set(sys.modules)
+import contextlib, io, json
+from facalc.cli import main
+added = {}
+for argv in (["check-b2", "tests/fixtures/b1_only.json"], ["solve-psi", "tests/fixtures/psi_roundtrip.json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    added[argv[0]] = [code, sorted(set(sys.modules) - base)]
+print(json.dumps(added))
+"""
+
+UNNEEDED = {"dataclasses", "inspect", "facalc.evalhom"}
+
+
+def test_a_check_imports_neither_dataclasses_nor_the_solver():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    code, modules = added["check-b2"]
+    assert code == 0 and "facalc.cli" in modules
+    assert UNNEEDED.isdisjoint(modules)
+    code, modules = added["solve-psi"]
+    assert code == 0 and "facalc.evalhom" in modules
