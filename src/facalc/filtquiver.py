@@ -25,32 +25,14 @@ from .novikov import NovikovScalar
 
 
 class HomGenerator(Frozen):
-    """A basis element of a hom module.  ``sdeg`` is the stored degree.
-    Equal only to a HomGenerator with equal fields."""
+    """A basis element of a hom module.  ``sdeg`` is the stored degree."""
 
     __slots__ = ("gid", "src", "dst", "sdeg", "base_level")
 
     def __init__(self, gid: str, src: str, dst: str, sdeg: int, base_level: Level):
         if base_level.is_infinite():
             raise FacalcError(f"generator {gid!r} cannot have infinite base level")
-        object.__setattr__(self, "gid", gid)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "sdeg", sdeg)
-        object.__setattr__(self, "base_level", base_level)
-
-    def __eq__(self, other):
-        if other.__class__ is not HomGenerator:
-            return NotImplemented
-        return (self.gid, self.src, self.dst, self.sdeg, self.base_level) == (
-            other.gid, other.src, other.dst, other.sdeg, other.base_level)
-
-    def __hash__(self) -> int:
-        return hash((self.gid, self.src, self.dst, self.sdeg, self.base_level))
-
-    def __repr__(self) -> str:
-        return (f"HomGenerator(gid={self.gid!r}, src={self.src!r}, dst={self.dst!r}, "
-                f"sdeg={self.sdeg!r}, base_level={self.base_level!r})")
+        self._set(gid, src, dst, sdeg, base_level)
 
 
 class FiltQuiver:
@@ -134,9 +116,6 @@ class HomElement:
 
     def neg(self) -> "HomElement":
         return HomElement(self.src, self.dst, [(g, novikov.nov_neg(c)) for g, c in self.terms])
-
-    def scale(self, s: NovikovScalar) -> "HomElement":
-        return HomElement(self.src, self.dst, [(g, novikov.nov_mul(c, s)) for g, c in self.terms])
 
     def rat_scale(self, q) -> "HomElement":
         return HomElement(self.src, self.dst, [(g, novikov.nov_rat_mul(q, c)) for g, c in self.terms])

@@ -19,6 +19,7 @@ witness ``dominate`` picks.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -33,11 +34,33 @@ RationalLike = Union[int, str, Fraction]
 
 
 class Frozen:
-    """Base of the immutable value classes.  ``__init__`` sets each field
-    once through ``object.__setattr__``; assigning or deleting a field
-    afterwards raises ``AttributeError``."""
+    """Base of the immutable value classes, which name their fields in
+    ``__slots__``.  ``__init__`` sets each field once through ``_set``;
+    assigning or deleting a field afterwards raises ``AttributeError``.  An
+    instance is equal only to an instance of its own class with equal
+    fields, hashes as the tuple of its fields and prints them by name."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = operator.attrgetter(*cls.__slots__)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,16 +80,7 @@ class Level(Frozen):
     __slots__ = ("instance", "value")
 
     def __init__(self, instance: str, value: Optional[Fraction]):
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is not Level:
-            return NotImplemented
-        return self.instance == other.instance and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.instance, self.value))
+        self._set(instance, value)
 
     def is_infinite(self) -> bool:
         return self.value is None

@@ -24,15 +24,12 @@ From each cut it walks the trie of the owner's stored keys along the word
 (``_block_ends``), so it reads only stored blocks, plus every block of a
 length the table does not decide: lazy ``compute`` runs, and extraction
 bounds raise, exactly where the split enumeration would run or raise them.
-Each owner's letter table is set up with the owner (``_ComponentTable``):
-the key trie, the block ends along each gid suffix, and the letter row of
-each block looked up so far.  A block's first lookup goes through
-``comp_value``; only returned rows are kept, so a block that raises raises
-again, and every lookup with a side effect happens first where it always
-did.  The component tables are read-only, so the letter table never goes
-stale.  Each output word is built once and kept on the target quiver
+It reads each owner's letter table (``_ComponentTable``), which keeps only
+returned rows, so every lookup with a side effect happens first where it
+always did.  Each output word is built once and kept on the target quiver
 (``FiltQuiver.words``), keyed by the ids of its generators, as the partial
-sums are.
+sums are.  ``tensor_maps`` is this engine too: its graded maps are singles
+with length-1 components, between families with no components.
 
 ``chain_sum`` takes every signed sum of coderivation chains, building each
 chain's pair once; it skips a chain that provably vanishes without a side
@@ -67,7 +64,7 @@ from .errors import (
     LevelViolation,
     ObjectMismatch,
 )
-from .filtquiver import FiltQuiver, HomElement, HomGenerator, _crossing_sign
+from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _crossing_sign
 from .levels import INFINITY, Frozen, Level
 from .novikov import NovikovScalar
 from .tcoalg import (
@@ -89,6 +86,8 @@ _END = None  # the trie entry marking the end of a stored key
 
 # A letter row: one (id(g), gid, coefficient) per term of a component.
 Letter = Tuple[Tuple[int, str, NovikovScalar], ...]
+# The partial sums at one path-sum state, keyed by output generator ids.
+Partial = Dict[Tuple[int, ...], NovikovScalar]
 
 
 def comp_key(w: Word) -> CompKey:
@@ -502,7 +501,6 @@ def _path_sum(
             row = owner.rows[key] = tuple((id(g), g.gid, cl) for g, cl in terms)
         return row
 
-    Partial = Dict[Tuple[int, ...], NovikovScalar]
     states: Dict[Tuple[int, int, int], Partial] = {(0, 0, 0): {(): c}}
     nodes = None if prefixes is None else {(): prefixes}
     finals: List[Partial] = []
@@ -568,6 +566,28 @@ def _path_sum(
 
 def evaluate_coderivation(r: Coderivation, x: TensorElement, window: TruncWindow) -> Tuple[TensorElement, Flag]:
     return slot_value(x, coderivation_slots(r), window)
+
+
+def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
+    """Apply f_1 (x) ... (x) f_n letterwise to words of length n: the engine
+    on n singles, map j's action as length-1 components, over families with
+    no components.  A ``GradedMap`` has no coefficient variant and
+    ``_path_sum`` reads none, so the family's ``NOV`` is a placeholder."""
+    if not maps:
+        raise FacalcError("tensor_maps needs at least one map")
+    m = maps[0]
+    family = Cofunctor("letters", m.src_quiver, m.dst_quiver, m.obj_map, {}, m.instance, novikov.NOV)
+    families = [family] * (len(maps) + 1)
+    singles = []
+    for j, f in enumerate(maps):
+        comps = {1: {(gid,): value for gid, value in f.action.items()}}
+        singles.append(Coderivation(f"map {j}", family, family, f.deg, f.lvl, comps))
+    terms: List[Tuple[Word, NovikovScalar]] = []
+    for w, c in x.terms:
+        if len(w) != len(maps):
+            raise ObjectMismatch(f"word length {len(w)} != {len(maps)} maps")
+        terms.extend(_path_sum(w, c, families, singles, 0))
+    return TensorElement(family.obj_map[x.src], family.obj_map[x.dst], terms)
 
 
 def family_value(owner: Union[Cofunctor, Coderivation], x: TensorElement) -> HomElement:
@@ -768,25 +788,12 @@ def chain_sum(
 
 class ConvergenceResult(Frozen):
     """What ``tensor_convergent`` found: ``kind`` "true" with the ``order``
-    N, or "undecided" with none.  Equal only to a ConvergenceResult with
-    equal fields."""
+    N, or "undecided" with none."""
 
     __slots__ = ("kind", "order")
 
     def __init__(self, kind: str, order: Optional[int] = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "order", order)
-
-    def __eq__(self, other):
-        if other.__class__ is not ConvergenceResult:
-            return NotImplemented
-        return self.kind == other.kind and self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.order))
-
-    def __repr__(self) -> str:
-        return f"ConvergenceResult(kind={self.kind!r}, order={self.order!r})"
+        self._set(kind, order)
 
 
 def tensor_convergent(

@@ -49,22 +49,12 @@ def _validate_term(variant: str, coeff: Fraction, energy: Fraction, expo: int) -
 
 
 class NovikovScalar(Frozen):
-    """A normalized finite sum of monomials, sorted by (energy, exponent).
-    Equal only to a NovikovScalar with equal fields."""
+    """A normalized finite sum of monomials, sorted by (energy, exponent)."""
 
     __slots__ = ("terms", "variant")
 
     def __init__(self, terms: Tuple[Term, ...], variant: str):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "variant", variant)
-
-    def __eq__(self, other):
-        if other.__class__ is not NovikovScalar:
-            return NotImplemented
-        return self.terms == other.terms and self.variant == other.variant
-
-    def __hash__(self) -> int:
-        return hash((self.terms, self.variant))
+        self._set(terms, variant)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -202,10 +192,11 @@ def by_expo(x: NovikovScalar) -> dict:
 
 
 # Textual monomial syntax: "a*T^{p/q}*e^{n}", sums joined by "+", "0" for zero.
+# A denominator q has a nonzero digit, so that a zero one is a parse error.
 
 _MONOMIAL_RE = re.compile(
-    r"^(?P<coeff>-?\d+(?:/\d+)?)"
-    r"(?:\*T\^\{(?P<energy>-?\d+(?:/\d+)?)\})?"
+    r"^(?P<coeff>-?\d+(?:/\d*[1-9]\d*)?)"
+    r"(?:\*T\^\{(?P<energy>-?\d+(?:/\d*[1-9]\d*)?)\})?"
     r"(?:\*e\^\{(?P<expo>-?\d+)\})?$"
 )
 

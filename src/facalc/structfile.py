@@ -94,6 +94,17 @@ def _list_at(obj: dict, key: str, loc: str) -> list:
     return value
 
 
+def _built(loc: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with any ``FacalcError`` from it but
+    ``ConvergenceUndecided`` turned into a parse error at loc."""
+    try:
+        return build(*args, **kwargs)
+    except ConvergenceUndecided:
+        raise
+    except FacalcError as exc:
+        raise _fail(loc, str(exc)) from None
+
+
 def parse_level(obj, loc: str) -> Level:
     _expect(isinstance(obj, dict) and len(obj) == 1, loc, "level must be a one-key object")
     (key, val), = obj.items()
@@ -128,10 +139,7 @@ def level_to_json(lvl: Level):
 
 def parse_scalar_at(text, variant: str, loc: str) -> NovikovScalar:
     _expect(isinstance(text, str), loc, "scalar must be a string")
-    try:
-        return novikov.parse_scalar(text, variant)
-    except FacalcError as exc:
-        raise _fail(loc, str(exc)) from None
+    return _built(loc, novikov.parse_scalar, text, variant)
 
 
 def _parse_hom_value(obj, quiver: FiltQuiver, variant: str, loc: str) -> HomElement:
@@ -151,10 +159,7 @@ def _parse_hom_value(obj, quiver: FiltQuiver, variant: str, loc: str) -> HomElem
             src, dst = g.src, g.dst
         terms.append((g, parse_scalar_at(scal, variant, ploc)))
     _expect(src is not None, loc, "empty value list; use [] only for zero with known endpoints")
-    try:
-        return HomElement(src, dst, terms)
-    except FacalcError as exc:
-        raise _fail(loc, str(exc)) from None
+    return _built(loc, HomElement, src, dst, terms)
 
 
 def _parse_word(obj: dict, quiver: FiltQuiver, loc: str) -> Word:
@@ -172,10 +177,7 @@ def _parse_word(obj: dict, quiver: FiltQuiver, loc: str) -> Word:
         gens = [quiver.gen(g) for g in gids]
     except FacalcError as exc:
         raise ResolveError(f"{loc}: {exc}") from None
-    try:
-        return Word.from_gens(gens)
-    except FacalcError as exc:
-        raise _fail(f"{loc}.word", str(exc)) from None
+    return _built(f"{loc}.word", Word.from_gens, gens)
 
 
 def _parse_component_entry(entry, quiver: FiltQuiver, target: FiltQuiver, variant: str, loc: str):
@@ -221,10 +223,7 @@ def load_model(text: str) -> Model:
     _expect(_is_int(wobj.get("max_len")), "$.window.max_len", "max_len must be an integer")
     cutoff = parse_level(wobj.get("cutoff"), "$.window.cutoff")
     _expect(cutoff.instance == monoid, "$.window.cutoff", "cutoff must live in the active instance")
-    try:
-        window = TruncWindow(wobj["max_len"], cutoff)
-    except FacalcError as exc:
-        raise _fail("$.window", str(exc)) from None
+    window = _built("$.window", TruncWindow, wobj["max_len"], cutoff)
 
     model = Model(monoid, variant, window)
 
@@ -258,14 +257,9 @@ def load_model(text: str) -> Model:
                 f"{gloc}.base_level",
                 "base level must be finite in the active instance",
             )
-            try:
-                gens.append(HomGenerator(gobj.get("id"), gobj.get("src"), gobj.get("dst"), sdeg, base))
-            except FacalcError as exc:
-                raise _fail(gloc, str(exc)) from None
-        try:
-            model.quivers[name] = FiltQuiver(name, objs, gens)
-        except FacalcError as exc:
-            raise _fail(loc, str(exc)) from None
+            fields = (gobj.get("id"), gobj.get("src"), gobj.get("dst"), sdeg, base)
+            gens.append(_built(gloc, HomGenerator, *fields))
+        model.quivers[name] = _built(loc, FiltQuiver, name, objs, gens)
 
     def get_quiver(obj: dict, key: str, loc: str) -> FiltQuiver:
         name = _name_at(obj.get(key), f"{loc}.{key}", required=False)
@@ -279,12 +273,7 @@ def load_model(text: str) -> Model:
         quiver = get_quiver(bobj, "quiver", loc)
         _expect(quiver.name not in model.cats, f"{loc}.quiver", f"duplicate entry for quiver {quiver.name!r}")
         comps = _parse_components(bobj.get("components", []), quiver, quiver, variant, f"{loc}.components")
-        try:
-            model.cats[quiver.name] = ainf_category(quiver, comps, window, variant)
-        except ConvergenceUndecided:
-            raise
-        except FacalcError as exc:
-            raise _fail(loc, str(exc)) from None
+        model.cats[quiver.name] = _built(loc, ainf_category, quiver, comps, window, variant)
 
     for fi, fobj in enumerate(_list_at(doc, "functors", "$")):
         loc = f"$.functors[{fi}]"
@@ -305,14 +294,10 @@ def load_model(text: str) -> Model:
         comps = _parse_components(fobj.get("components", []), src, dst, variant, f"{loc}.components")
         bound = fobj.get("convergence_bound", 16)
         _expect(_is_int(bound) and bound >= 1, f"{loc}.convergence_bound", "bad bound")
-        try:
-            model.functors[name] = cofunctor_from_components(
-                name, src, dst, obj_map, comps, window, variant, convergence_bound=bound
-            )
-        except ConvergenceUndecided:
-            raise
-        except FacalcError as exc:
-            raise _fail(loc, str(exc)) from None
+        model.functors[name] = _built(
+            loc, cofunctor_from_components, name, src, dst, obj_map, comps, window, variant,
+            convergence_bound=bound,
+        )
 
     for ri, robj in enumerate(_list_at(doc, "coderivations", "$")):
         loc = f"$.coderivations[{ri}]"
@@ -329,12 +314,7 @@ def load_model(text: str) -> Model:
         _expect(_is_int(deg), f"{loc}.degree", "degree must be an integer")
         lvl = parse_level(robj.get("level"), f"{loc}.level")
         comps = _parse_components(robj.get("components", []), f.src, f.dst, variant, f"{loc}.components")
-        try:
-            model.coderivations[name] = coderivation_from_components(name, f, g, deg, lvl, comps)
-        except ConvergenceUndecided:
-            raise
-        except FacalcError as exc:
-            raise _fail(loc, str(exc)) from None
+        model.coderivations[name] = _built(loc, coderivation_from_components, name, f, g, deg, lvl, comps)
 
     for ei, eobj in enumerate(_list_at(doc, "elements", "$")):
         loc = f"$.elements[{ei}]"
@@ -358,10 +338,7 @@ def load_model(text: str) -> Model:
                 loc,
                 "an element without terms needs explicit 'src' and 'dst'",
             )
-        try:
-            model.elements[name] = TensorElement(src, dst, terms)
-        except FacalcError as exc:
-            raise _fail(loc, str(exc)) from None
+        model.elements[name] = _built(loc, TensorElement, src, dst, terms)
         model.element_quivers[name] = quiver.name
 
     if "coder_quiver" in doc:

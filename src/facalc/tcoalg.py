@@ -7,6 +7,8 @@ filtered quiver.  The comultiplication cuts a word at every position
 maximal word length N and an energy cutoff E.  Every truncation reports
 whether it was SOUND (everything discarded provably lies above E, so the
 truncated statement certifies the completed one at that cutoff) or LOSSY.
+Operators on words, tensor products of graded maps included, act in
+``morphisms``, through its block engine.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import levels, novikov
 from .errors import FacalcError, ObjectMismatch
-from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _crossing_sign
+from .filtquiver import FiltQuiver, HomElement, HomGenerator
 from .levels import INFINITY, Frozen, Level
 from .novikov import NovikovScalar
 
@@ -153,9 +155,6 @@ class TensorElement:
     def neg(self) -> "TensorElement":
         return TensorElement(self.src, self.dst, [(w, novikov.nov_neg(c)) for w, c in self.terms])
 
-    def scale(self, s: NovikovScalar) -> "TensorElement":
-        return TensorElement(self.src, self.dst, [(w, novikov.nov_mul(c, s)) for w, c in self.terms])
-
     def rat_scale(self, q) -> "TensorElement":
         return TensorElement(self.src, self.dst, [(w, novikov.nov_rat_mul(q, c)) for w, c in self.terms])
 
@@ -282,8 +281,7 @@ def join_flags(*flags: Flag) -> Flag:
 
 
 class TruncWindow(Frozen):
-    """Work modulo F^cutoff, keeping words of length <= max_len.  Equal only
-    to a TruncWindow with equal fields."""
+    """Work modulo F^cutoff, keeping words of length <= max_len."""
 
     __slots__ = ("max_len", "cutoff")
 
@@ -294,19 +292,7 @@ class TruncWindow(Frozen):
             raise FacalcError("window cutoff must belong to a level instance")
         if levels.level_leq(cutoff, levels.zero(cutoff.instance)):
             raise FacalcError("window cutoff must be positive")
-        object.__setattr__(self, "max_len", max_len)
-        object.__setattr__(self, "cutoff", cutoff)
-
-    def __eq__(self, other):
-        if other.__class__ is not TruncWindow:
-            return NotImplemented
-        return self.max_len == other.max_len and self.cutoff == other.cutoff
-
-    def __hash__(self) -> int:
-        return hash((self.max_len, self.cutoff))
-
-    def __repr__(self) -> str:
-        return f"TruncWindow(max_len={self.max_len!r}, cutoff={self.cutoff!r})"
+        self._set(max_len, cutoff)
 
     @property
     def instance(self) -> str:
@@ -340,39 +326,6 @@ def dominate_base(cutoff: Level, w: Word, instance: str) -> Level:
     >= this already lie in F^cutoff once the word's base level is added."""
     base = w.base_level(instance)
     return levels.dominate(base, cutoff)
-
-
-# ---------------------------------------------------------------------------
-# Tensor products of maps acting on words
-
-def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
-    """Apply f_1 (x) ... (x) f_n letterwise to words of length n.
-
-    (x_1 ... x_n)(f_1 (x) ... (x) f_n) carries the Koszul sign of moving each
-    f_j leftwards past x_i, i < j.
-    """
-    if not maps:
-        raise FacalcError("tensor_maps needs at least one map")
-    obj = maps[0].obj_map
-    terms: List[Tuple[Word, NovikovScalar]] = []
-    for w, c in x.terms:
-        if len(w) != len(maps):
-            raise ObjectMismatch(f"word length {len(w)} != {len(maps)} maps")
-        sign = 1
-        tail = w.sdeg
-        for m, g in zip(maps, w.gens):
-            tail -= g.sdeg
-            sign *= _crossing_sign(m.deg, tail)
-        pieces = [m.apply(HomElement.from_gen(g, novikov.one(c.variant))) for m, g in zip(maps, w.gens)]
-        expanded = [(Word(obj[w.at]), c if sign == 1 else novikov.nov_neg(c))]
-        for piece in pieces:
-            nxt = []
-            for prefix, pc in expanded:
-                for g2, c2 in piece.terms:
-                    nxt.append((Word(prefix.at, prefix.gens + (g2,)), novikov.nov_mul(pc, c2)))
-            expanded = nxt
-        terms.extend(expanded)
-    return TensorElement(obj[x.src], obj[x.dst], terms)
 
 
 # ---------------------------------------------------------------------------

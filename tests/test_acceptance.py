@@ -42,6 +42,7 @@ from facalc.morphisms import (
     leibniz_residual,
     slot_value,
     tensor_convergent,
+    tensor_maps,
 )
 from facalc.tcoalg import (
     TensorElement,
@@ -52,7 +53,6 @@ from facalc.tcoalg import (
     delta_k,
     mu_concat,
     reduced_delta_k,
-    tensor_maps,
     truncate_element,
 )
 

@@ -237,7 +237,9 @@ def test_b1_low_order_formula_with_curvature():
             expected = expected.add(family_value(cat.b, word_val))
     b0v = cat.b.comp_value(Word("X"))
     sign = -1 if r.deg % 2 else 1
-    expected = expected.add(r.comp_value(Word.from_gens([c])).scale(_coeff(b0v)).rat_scale(-sign))
+    rc = r.comp_value(Word.from_gens([c]))
+    scaled = HomElement(rc.src, rc.dst, [(gen, novikov.nov_mul(cg, _coeff(b0v))) for gen, cg in rc.terms])
+    expected = expected.add(scaled.rat_scale(-sign))
     from facalc.morphisms import hom_truncate
 
     assert out.comp_value(Word("X")) == hom_truncate(expected, W)

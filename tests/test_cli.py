@@ -182,6 +182,10 @@ MALFORMED = [
     (_psi(gen_map=5), "$.psi.gen_map", 64),
     (_psi(obj_map={"X": BAD}), "$.psi.obj_map.X", 64),
     (_psi(gen_map={"p": BAD}), "$.psi.gen_map.p", 64),
+    (_set(["elements", 0, "terms", 0, "coeff"], "1/0*T^{0}*e^{0}"), "$.elements[0].terms[0].coeff", 64),
+    (_set(["elements", 0, "terms", 0, "coeff"], "1*T^{1/0}*e^{0}"), "$.elements[0].terms[0].coeff", 64),
+    (_set(["b_components", 0, "components", 0, "value"], [["q", "1/0*T^{0}*e^{0}"]]),
+     "$.b_components[0].components[0].value[0]", 64),
 ]
 # Task fields are read by the command that runs the task, not by the loader.
 MALFORMED_TASKS = [

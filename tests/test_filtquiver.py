@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
-from facalc.errors import DegreeMismatch, LevelViolation
+from facalc.errors import DegreeMismatch, FacalcError, LevelViolation, ObjectMismatch
 from facalc.filtquiver import (
     FiltQuiver,
     GradedMap,
@@ -14,7 +14,8 @@ from facalc.filtquiver import (
     compose_maps,
     koszul_sign,
 )
-from facalc.tcoalg import TensorElement, Word, tensor_maps
+from facalc.morphisms import tensor_maps
+from facalc.tcoalg import TensorElement, Word
 
 from conftest import facalc_seed, loop_quiver
 
@@ -124,6 +125,80 @@ def test_interchange_law_on_generator_pairs():
             rhs = tensor_maps([fh, gk], x)
             rhs = rhs if sign == 1 else rhs.neg()
             assert lhs == rhs, (a.gid, b.gid)
+
+
+def literal_tensor_maps(maps, x):
+    """The letter expansion of f_1 (x) ... (x) f_n on words of length n, with
+    each word's sign from ``koszul_sign``: the oracle for ``tensor_maps``."""
+    if not maps:
+        raise FacalcError("tensor_maps needs at least one map")
+    obj = maps[0].obj_map
+    terms = []
+    for w, c in x.terms:
+        if len(w) != len(maps):
+            raise ObjectMismatch(f"word length {len(w)} != {len(maps)} maps")
+        sign = koszul_sign([m.deg for m in maps], [g.sdeg for g in w.gens])
+        expanded = [(Word(obj[w.at]), c if sign == 1 else novikov.nov_neg(c))]
+        for m, g in zip(maps, w.gens):
+            piece = m.apply(HomElement.from_gen(g, novikov.one(c.variant)))
+            expanded = [
+                (Word(prefix.at, prefix.gens + (g2,)), novikov.nov_mul(pc, c2))
+                for prefix, pc in expanded
+                for g2, c2 in piece.terms
+            ]
+        terms.extend(expanded)
+    return TensorElement(obj[x.src], obj[x.dst], terms)
+
+
+SCALARS = st.builds(
+    novikov.monomial,
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from([0, Fraction(1, 2), 1]),
+)
+
+
+@st.composite
+def maps_and_words(draw):
+    """1 to 3 random maps of degree -2 to 2 on ``quiver_with_degrees``: each
+    generator goes to zero (no action) or to one or two generators whose
+    degree its image may have, with e-exponents that make up the degree.
+    Then up to three words of one letter per map."""
+    Q = quiver_with_degrees()
+    n = draw(st.integers(1, 3))
+    maps = []
+    for _ in range(n):
+        deg = draw(st.integers(-2, 2))
+        action = {}
+        for g in Q.gens:
+            fits = [h for h in Q.gens if (g.sdeg + deg - h.sdeg) % 2 == 0]
+            images = draw(st.lists(st.sampled_from(fits), max_size=2, unique=True))
+            if images:
+                terms = [
+                    (h, novikov.nov_mul(draw(SCALARS), novikov.monomial(1, 0, (g.sdeg + deg - h.sdeg) // 2)))
+                    for h in images
+                ]
+                action[g.gid] = HomElement("X", "X", terms)
+        maps.append(GradedMap(deg, levels.rat(0), Q, Q, {"X": "X"}, action, "rat"))
+    words = draw(st.lists(st.lists(st.sampled_from(Q.gens), min_size=n, max_size=n), max_size=3))
+    return Q, maps, [(Word.from_gens(gens), draw(SCALARS)) for gens in words]
+
+
+@seed(facalc_seed())
+@settings(max_examples=200, deadline=None)
+@given(case=maps_and_words())
+def test_tensor_maps_matches_the_letter_expansion(case):
+    Q, maps, terms = case
+    x = TensorElement("X", "X", terms)
+    assert tensor_maps(maps, x) == literal_tensor_maps(maps, x)
+    # A word of the wrong length, and no maps at all, raise alike.
+    longer = TensorElement.from_word(Word.from_gens([Q.gens[0]] * (len(maps) + 1)), ONE)
+    for build in (tensor_maps, literal_tensor_maps):
+        with pytest.raises(ObjectMismatch) as exc:
+            build(maps, longer)
+        assert str(exc.value) == f"word length {len(maps) + 1} != {len(maps)} maps"
+        with pytest.raises(FacalcError) as exc:
+            build([], x)
+        assert str(exc.value) == "tensor_maps needs at least one map"
 
 
 def test_apply_identity_and_zero():

@@ -98,11 +98,12 @@ def base_name(node) -> str:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 
 
-def referenced_names(tree) -> dict:
-    """How often each name is used, as a bare name or as an attribute."""
+def referenced_names(tree, attributes_only: bool = False) -> dict:
+    """How often each name is used, as a bare name or as an attribute, or
+    only as an attribute (``.name``)."""
     counts: dict = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
@@ -114,11 +115,15 @@ def referenced_names(tree) -> dict:
 
 def unreferenced_definitions(modules: dict, others: list, exempt=frozenset()):
     """Definitions of ``modules`` (name -> source) that no code in
-    ``modules`` or ``others`` (sources) uses outside their own body."""
-    total: dict = {}
-    for source in list(modules.values()) + list(others):
-        for name, n in referenced_names(ast.parse(source)).items():
-            total[name] = total.get(name, 0) + n
+    ``modules`` or ``others`` (sources) uses outside their own body.  A
+    method or property is used only through attribute access: a bare name
+    of the same spelling is some other variable."""
+    trees = [ast.parse(source) for source in list(modules.values()) + list(others)]
+    total = {False: {}, True: {}}
+    for attributes_only, counts in total.items():
+        for tree in trees:
+            for name, n in referenced_names(tree, attributes_only).items():
+                counts[name] = counts.get(name, 0) + n
     classes = {
         node.name
         for source in modules.values()
@@ -129,8 +134,9 @@ def unreferenced_definitions(modules: dict, others: list, exempt=frozenset()):
     for module, source in sorted(modules.items()):
         for qualname, node in definitions(source, classes):
             name = node.name
-            own = referenced_names(node).get(name, 0)
-            if name not in exempt and total.get(name, 0) - own == 0:
+            method = "." in qualname
+            own = referenced_names(node, method).get(name, 0)
+            if name not in exempt and total[method].get(name, 0) - own == 0:
                 out.append((module, qualname))
     return out
 
@@ -165,6 +171,8 @@ def test_reference_checker_flags_dead_and_self_recursive_functions():
             "        return 5\n"
             "    def _private(self):\n"
             "        return 6\n"
+            "    def shadowed(self):\n"
+            "        return 7\n"
             "class Dead:\n"
             "    def __init__(self):\n"
             "        Dead.count = 0\n"
@@ -173,11 +181,13 @@ def test_reference_checker_flags_dead_and_self_recursive_functions():
             "        raise ValueError(message)\n"
         )
     }
-    others = ["import m\nm.via_attribute()\nm.Live().prop\nm.Parser()\n"]
+    # ``shadowed`` below is a local variable, not a use of Live.shadowed.
+    others = ["import m\nm.via_attribute()\nm.Live().prop\nm.Parser()\nshadowed = 8\nprint(shadowed)\n"]
     assert unreferenced_definitions(modules, others, {"oracle"}) == [
         ("m.py", "dead"),
         ("m.py", "recursive"),
         ("m.py", "Live.dead_method"),
+        ("m.py", "Live.shadowed"),
         ("m.py", "Dead"),
     ]
 

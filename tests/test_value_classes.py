@@ -28,6 +28,17 @@ CASES = {
 }
 
 
+# The repr of the first instance of each case: field by field, except for
+# the custom reprs of Level and NovikovScalar.
+REPRS = {
+    "Level": "Level(rat:1/2)",
+    "NovikovScalar": "NovikovScalar('2*T^{1}*e^{0}', nov)",
+    "HomGenerator": "HomGenerator(gid='g', src='X', dst='Y', sdeg=1, base_level=Level(rat:0))",
+    "TruncWindow": "TruncWindow(max_len=3, cutoff=Level(rat:2))",
+    "ConvergenceResult": "ConvergenceResult(kind='true', order=2)",
+}
+
+
 def fields(x) -> tuple:
     return tuple(getattr(x, name) for name in type(x).__slots__)
 
@@ -57,6 +68,19 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     with pytest.raises(AttributeError):
         x.extra = 1
     assert fields(x) == before
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_repr(name):
+    assert repr(CASES[name][0]) == REPRS[name]
+
+
+def test_custom_level_and_scalar_reprs():
+    assert repr(INFINITY) == "Level(inf)"
+    assert repr(levels.discrete("inf")) == "Level(discrete:inf)"
+    assert repr(levels.ratplus(0)) == "Level(ratplus:0)"
+    assert repr(novikov.zero("q")) == "NovikovScalar('0', q)"
+    assert repr(ConvergenceResult("undecided")) == "ConvergenceResult(kind='undecided', order=None)"
 
 
 @pytest.mark.parametrize(
