@@ -160,15 +160,15 @@ def _letter_value(
     slots = chain_slots(chain, boundary)
     src_slots = coderivation_slots(src_cat.b)
     inner = None if len(chain) > 1 else (chain[0] if chain else boundary)
-    odd = sum(r.deg for r in chain) % 2
+    sign = -_crossing_sign(1, sum(r.deg for r in chain))
 
     def value(w: Word) -> HomElement:
         out = _transport(w, slots, dst_cat.b, window, one)
         back = None if inner is None else _transport(w, src_slots, inner, window, one)
         if back is None or back.is_zero():
             return out
-        negated = [(g, c if odd else novikov.nov_neg(c)) for g, c in back.terms]
-        return HomElement(out.src, out.dst, list(out.terms) + negated)
+        signed = [(g, c if sign > 0 else novikov.nov_neg(c)) for g, c in back.terms]
+        return HomElement(out.src, out.dst, list(out.terms) + signed)
 
     return value
 
@@ -343,7 +343,7 @@ def check_transfer_identity(
             expanded, f3 = chain_sum(elem, expansion, window, boundary)
             ba, f4 = slot_value(elem, coderivation_slots(Q.source.b), window)
             piece, f5 = chain_eval(ba, chain, window, boundary=boundary)
-            pieces = [(1, lhs), (1 if sum(r.deg for r in chain) % 2 else -1, piece)]
+            pieces = [(1, lhs), (-_crossing_sign(1, sum(r.deg for r in chain)), piece)]
             if expanded is not None:
                 pieces.append((1, expanded))
             res, f6 = tcoalg.truncate_element(tcoalg._signed_sum(pieces), window)

@@ -16,7 +16,7 @@ so only the generator degrees enter parities.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from . import levels, novikov
 from .errors import DegreeMismatch, FacalcError, LevelViolation, ObjectMismatch
@@ -128,14 +128,6 @@ class HomElement:
             best = levels.level_min(best, lvl)
         return best
 
-    def degree_pieces(self) -> Dict[int, "HomElement"]:
-        """Split into homogeneous layers: degree = sdeg(g) + 2 * exponent."""
-        out: Dict[int, List[Tuple[HomGenerator, NovikovScalar]]] = {}
-        for g, c in self.terms:
-            for n, piece in novikov.by_expo(c).items():
-                out.setdefault(g.sdeg + 2 * n, []).append((g, piece))
-        return {d: HomElement(self.src, self.dst, ts) for d, ts in sorted(out.items())}
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HomElement)
@@ -189,6 +181,21 @@ def _crossing_sign(deg: int, tail_sdeg: int) -> int:
     return -1 if (deg * tail_sdeg) % 2 else 1
 
 
+def _check_member(
+    value: HomElement, want: Tuple[str, str], deg: int, need: Level, instance: str, where: Callable[[], str]
+) -> None:
+    """Raise unless the nonzero value lies in hom(want), in degree deg, at
+    level >= need; ``where()`` names the value in the message.  A term's
+    degree is its generator's plus 2 per power of e."""
+    if (value.src, value.dst) != want:
+        raise ObjectMismatch(f"{where()} lands in {(value.src, value.dst)}, expected {want}")
+    for d in sorted({g.sdeg + 2 * n for g, c in value.terms for _, _, n in c.terms}):
+        if d != deg:
+            raise DegreeMismatch(f"{where()} has degree {d}, expected {deg}")
+    if not levels.level_leq(need, value.level(instance)):
+        raise LevelViolation(f"{where()} violates level {need}")
+
+
 class GradedMap:
     """A right-acting graded filtered map, given per-generator.
 
@@ -226,16 +233,10 @@ class GradedMap:
             g = self.src_quiver.gen(gid)
             if not out.is_zero():
                 want = (self.obj_map[g.src], self.obj_map[g.dst])
-                if (out.src, out.dst) != want:
-                    raise ObjectMismatch(f"action of {gid!r} lands in wrong hom")
-                for d in out.degree_pieces():
-                    if d != g.sdeg + self.deg:
-                        raise DegreeMismatch(
-                            f"action of {gid!r} has degree {d}, expected {g.sdeg + self.deg}"
-                        )
                 need = levels.level_add(g.base_level, self.lvl)
-                if not levels.level_leq(need, out.level(self.instance)):
-                    raise LevelViolation(f"action of {gid!r} violates level bound")
+                _check_member(
+                    out, want, g.sdeg + self.deg, need, self.instance, lambda: f"action of {gid!r}"
+                )
 
     def apply(self, x: HomElement) -> HomElement:
         """Linear extension of the per-generator action."""

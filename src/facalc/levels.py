@@ -19,6 +19,7 @@ witness ``dominate`` picks.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Optional, Union
@@ -185,6 +186,18 @@ def dominate(a: Level, b: Level) -> Level:
             return discrete("inf")
         return discrete(0)
     raise InstanceMismatch(f"unknown instance {inst!r}")
+
+
+def _steps(start: Level, step: Level, cutoff: Level) -> Optional[int]:
+    """The least m >= 0 with start + m*step >= cutoff, or None when start
+    is below cutoff and step <= 0, so that no m reaches it."""
+    if level_leq(cutoff, start):
+        return 0
+    if step.value is None:
+        return 1
+    if step.value <= 0:
+        return None
+    return math.ceil((cutoff.value - start.value) / step.value)
 
 
 def zero(instance: str) -> Level:

@@ -47,24 +47,20 @@ All infinite sums are bounded by level accounting: every empty block filled
 by a curvature component raises the level by at least the component's
 minimal level, so sums are cut off soundly at the window's energy cutoff.
 If curvature of level <= 0 is present the sum cannot be bounded and
-ConvergenceUndecided is raised instead of silently truncating.
+ConvergenceUndecided is raised instead of silently truncating.  The cap on
+empty blocks (``_empty_cap``) and the order of tensor convergence
+(``tensor_convergent``) are the same count, ``levels._steps``, and every
+reduction modulo the cutoff is ``tcoalg._mod_cutoff``.
 """
 
 from __future__ import annotations
 
-import math
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import levels, novikov, tcoalg
-from .errors import (
-    ConvergenceUndecided,
-    DegreeMismatch,
-    FacalcError,
-    LevelViolation,
-    ObjectMismatch,
-)
-from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _crossing_sign
+from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch
+from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _check_member, _crossing_sign
 from .levels import INFINITY, Frozen, Level
 from .novikov import NovikovScalar
 from .tcoalg import (
@@ -108,43 +104,21 @@ def normalize_components(comps: Components) -> Mapping[int, Mapping[CompKey, Hom
 
 def hom_truncate(h: HomElement, window: TruncWindow) -> HomElement:
     """Reduce a hom element modulo F^cutoff (termwise, hence canonical)."""
-    kept = []
-    for g, c in h.terms:
-        threshold = levels.dominate(g.base_level, window.cutoff)
-        kept.append((g, novikov.nov_truncate(c, threshold)))
+    kept = [(g, tcoalg._mod_cutoff(c, g.base_level, window.cutoff)) for g, c in h.terms]
     return HomElement(h.src, h.dst, kept)
 
 
 def _validate_table(owner: Union[Cofunctor, Coderivation], lvl: Level) -> None:
-    what = f"{owner.noun} {owner.name!r}"
     instance = owner.instance
     for k, table in owner.comps.items():
         for key, value in table.items():
-            if value.is_zero():
-                continue
-            if k == 0:
-                src = dst = key
-                sdeg = 0
-                base = levels.zero(instance)
-            else:
-                gens = [owner.src.gen(gid) for gid in key]
-                w = Word.from_gens(gens)
-                src, dst = w.src, w.dst
-                sdeg = w.sdeg
-                base = w.base_level(instance)
-            want = (owner.src_map[src], owner.dst_map[dst])
-            if (value.src, value.dst) != want:
-                raise ObjectMismatch(
-                    f"{what}: component at {key!r} lands in {(value.src, value.dst)}, expected {want}"
-                )
-            for d in value.degree_pieces():
-                if d != sdeg + owner.deg:
-                    raise DegreeMismatch(
-                        f"{what}: component at {key!r} has degree {d}, expected {sdeg + owner.deg}"
-                    )
-            need = levels.level_add(base, lvl)
-            if not levels.level_leq(need, value.level(instance)):
-                raise LevelViolation(f"{what}: component at {key!r} violates level {need}")
+            w = Word.from_gens([owner.src.gen(gid) for gid in key]) if k else Word(key)
+            want = (owner.src_map[w.src], owner.dst_map[w.dst])
+            need = levels.level_add(w.base_level(instance), lvl)
+            _check_member(
+                value, want, w.sdeg + owner.deg, need, instance,
+                lambda: f"{owner.noun} {owner.name!r}: component at {key!r}",
+            )
 
 
 def _comp_value(self, w: Word) -> HomElement:
@@ -381,14 +355,10 @@ def coderivation_slots(r: Coderivation) -> Slots:
 
 def _empty_cap(term_lvl: Level, floor: Level, cutoff: Level) -> int:
     """Smallest m with term_lvl + m*floor >= cutoff; drops are sound beyond."""
-    if levels.level_leq(cutoff, term_lvl):
-        return 0
-    if floor.is_infinite():
-        return 1
-    if not levels.level_leq(levels.zero(floor.instance), floor) or floor.value == 0:
+    cap = levels._steps(term_lvl, floor, cutoff)
+    if cap is None:
         raise ConvergenceUndecided("curvature of level <= 0: sum cannot be bounded")
-    diff = cutoff.value - term_lvl.value
-    return max(0, math.ceil(diff / floor.value))
+    return cap
 
 
 def slot_value(
@@ -801,27 +771,30 @@ def tensor_convergent(
     window: TruncWindow,
     bound: int,
 ) -> ConvergenceResult:
-    """Search for N <= bound with the N-th tensor power of every value in
-    F^cutoff.  Exhausting the bound yields "undecided", with no order."""
+    """Find, for every value, the least N <= bound with its N-th tensor
+    power in F^cutoff; "true" with the largest such N, or "undecided", with
+    no order, when some value has none.
+
+    The power of a value of level l has level exactly N*l, so N is read
+    off in closed form.  Every term of a value is a generator X -> X, so
+    each word of N generators occurs once in the power, with the product of
+    its N coefficients.  The lowest-energy part of that product is the
+    product of their lowest-energy parts, which is nonzero since Q[e, 1/e]
+    has no zero divisors; so the term's level is the sum of the N terms'
+    levels, and the least of these sums is N*l."""
     inst = window.instance
-    worst: Optional[int] = None
-    for obj, value in phi0.items():
+    worst = 1
+    for value in phi0.values():
         if value.is_zero():
             continue
         if value.src != value.dst:
             raise ObjectMismatch("curvature values must be endomorphism-like")
-        power = TensorElement.from_hom(value)
-        base = TensorElement.from_hom(value)
-        found = None
-        for n in range(1, bound + 1):
-            if levels.level_leq(window.cutoff, power.level(inst)):
-                found = n
-                break
-            power = tcoalg.mu_concat(power, base)
-        if found is None:
+        lvl = value.level(inst)
+        steps = levels._steps(lvl, lvl, window.cutoff)
+        if steps is None or steps >= bound:
             return ConvergenceResult("undecided")
-        worst = found if worst is None else max(worst, found)
-    return ConvergenceResult("true", worst or 1)
+        worst = max(worst, steps + 1)
+    return ConvergenceResult("true", worst)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +844,7 @@ def leibniz_residual(
         if len(w1) + len(w2) > window.max_len:
             continue
         base = levels.level_add(w1.base_level(inst), w2.base_level(inst))
-        c = novikov.nov_truncate(c, levels.dominate(base, window.cutoff))
+        c = tcoalg._mod_cutoff(c, base, window.cutoff)
         if not c.is_zero():
             out[(w1, w2)] = c
     return out

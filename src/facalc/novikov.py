@@ -161,16 +161,12 @@ def nov_rat_mul(q, x: NovikovScalar) -> NovikovScalar:
     return NovikovScalar(tuple((q * c, lam, n) for c, lam, n in x.terms), x.variant)
 
 
-def term_level(energy: Fraction, instance: str) -> Level:
-    return levels.make_level(instance, energy)
-
-
 def nov_level(x: NovikovScalar, instance: str) -> Level:
     """The largest l with x in F^l: the minimum energy, or INFINITY for 0."""
     if x.is_zero():
         return INFINITY
     lowest = min(lam for _, lam, _ in x.terms)
-    return term_level(lowest, instance)
+    return levels.make_level(instance, lowest)
 
 
 def nov_truncate(x: NovikovScalar, cutoff: Level) -> NovikovScalar:
@@ -178,17 +174,9 @@ def nov_truncate(x: NovikovScalar, cutoff: Level) -> NovikovScalar:
     kept = [
         (c, lam, n)
         for c, lam, n in x.terms
-        if not levels.level_leq(cutoff, term_level(lam, cutoff.instance))
+        if not levels.level_leq(cutoff, levels.make_level(cutoff.instance, lam))
     ]
     return NovikovScalar(tuple(kept), x.variant)
-
-
-def by_expo(x: NovikovScalar) -> dict:
-    """Split x into homogeneous pieces keyed by the e-exponent."""
-    out: dict = {}
-    for c, lam, n in x.terms:
-        out.setdefault(n, []).append((c, lam, n))
-    return {n: NovikovScalar(tuple(ts), x.variant) for n, ts in out.items()}
 
 
 # Textual monomial syntax: "a*T^{p/q}*e^{n}", sums joined by "+", "0" for zero.

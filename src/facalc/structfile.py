@@ -94,6 +94,19 @@ def _list_at(obj: dict, key: str, loc: str) -> list:
     return value
 
 
+def _named_entries(doc: dict, key: str, noun: str, table: dict):
+    """(loc, obj, name) for each entry of the list doc[key]: an object whose
+    name is a non-empty string not yet in ``table``.  The caller adds each
+    entry to ``table`` before it asks for the next."""
+    for i, obj in enumerate(_list_at(doc, key, "$")):
+        loc = f"$.{key}[{i}]"
+        _expect(isinstance(obj, dict), loc, f"{noun} must be an object")
+        name = obj.get("name")
+        _expect(isinstance(name, str) and name, f"{loc}.name", f"{noun} needs a name")
+        _expect(name not in table, f"{loc}.name", f"duplicate {noun} {name!r}")
+        yield loc, obj, name
+
+
 def _built(loc: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, with any ``FacalcError`` from it but
     ``ConvergenceUndecided`` turned into a parse error at loc."""
@@ -227,12 +240,7 @@ def load_model(text: str) -> Model:
 
     model = Model(monoid, variant, window)
 
-    for qi, qobj in enumerate(_list_at(doc, "quivers", "$")):
-        loc = f"$.quivers[{qi}]"
-        _expect(isinstance(qobj, dict), loc, "quiver must be an object")
-        name = qobj.get("name")
-        _expect(isinstance(name, str) and name, f"{loc}.name", "quiver needs a name")
-        _expect(name not in model.quivers, f"{loc}.name", f"duplicate quiver {name!r}")
+    for loc, qobj, name in _named_entries(doc, "quivers", "quiver", model.quivers):
         objs = qobj.get("objects")
         _expect(
             isinstance(objs, list) and all(isinstance(o, str) for o in objs),
@@ -275,12 +283,7 @@ def load_model(text: str) -> Model:
         comps = _parse_components(bobj.get("components", []), quiver, quiver, variant, f"{loc}.components")
         model.cats[quiver.name] = _built(loc, ainf_category, quiver, comps, window, variant)
 
-    for fi, fobj in enumerate(_list_at(doc, "functors", "$")):
-        loc = f"$.functors[{fi}]"
-        _expect(isinstance(fobj, dict), loc, "functor must be an object")
-        name = fobj.get("name")
-        _expect(isinstance(name, str) and name, f"{loc}.name", "functor needs a name")
-        _expect(name not in model.functors, f"{loc}.name", f"duplicate functor {name!r}")
+    for loc, fobj, name in _named_entries(doc, "functors", "functor", model.functors):
         src = get_quiver(fobj, "src", loc)
         dst = get_quiver(fobj, "dst", loc)
         obj_map = fobj.get("obj_map")
@@ -299,12 +302,7 @@ def load_model(text: str) -> Model:
             convergence_bound=bound,
         )
 
-    for ri, robj in enumerate(_list_at(doc, "coderivations", "$")):
-        loc = f"$.coderivations[{ri}]"
-        _expect(isinstance(robj, dict), loc, "coderivation must be an object")
-        name = robj.get("name")
-        _expect(isinstance(name, str) and name, f"{loc}.name", "coderivation needs a name")
-        _expect(name not in model.coderivations, f"{loc}.name", f"duplicate coderivation {name!r}")
+    for loc, robj, name in _named_entries(doc, "coderivations", "coderivation", model.coderivations):
         for side in ("from", "to"):
             if _name_at(robj.get(side), f"{loc}.{side}", required=False) not in model.functors:
                 raise ResolveError(f"{loc}.{side}: unknown functor {robj.get(side)!r}")
@@ -316,12 +314,7 @@ def load_model(text: str) -> Model:
         comps = _parse_components(robj.get("components", []), f.src, f.dst, variant, f"{loc}.components")
         model.coderivations[name] = _built(loc, coderivation_from_components, name, f, g, deg, lvl, comps)
 
-    for ei, eobj in enumerate(_list_at(doc, "elements", "$")):
-        loc = f"$.elements[{ei}]"
-        _expect(isinstance(eobj, dict), loc, "element must be an object")
-        name = eobj.get("name")
-        _expect(isinstance(name, str) and name, f"{loc}.name", "element needs a name")
-        _expect(name not in model.elements, f"{loc}.name", f"duplicate element {name!r}")
+    for loc, eobj, name in _named_entries(doc, "elements", "element", model.elements):
         quiver = get_quiver(eobj, "quiver", loc)
         terms = []
         for ti, tobj in enumerate(_list_at(eobj, "terms", loc)):

@@ -170,8 +170,7 @@ class TensorElement:
     def level(self, instance: str) -> Level:
         best = INFINITY
         for w, c in self.terms:
-            lvl = levels.level_add(w.base_level(instance), novikov.nov_level(c, instance))
-            best = levels.level_min(best, lvl)
+            best = levels.level_min(best, term_level(w, c, instance))
         return best
 
     def __eq__(self, other) -> bool:
@@ -300,7 +299,15 @@ class TruncWindow(Frozen):
 
 
 def term_level(w: Word, c: NovikovScalar, instance: str) -> Level:
+    """The level of the term c*w: its base level plus the level of c."""
     return levels.level_add(w.base_level(instance), novikov.nov_level(c, instance))
+
+
+def _mod_cutoff(c: NovikovScalar, base: Level, cutoff: Level) -> NovikovScalar:
+    """The coefficient c of a term of base level ``base``, modulo F^cutoff:
+    the monomials whose energy lifts the term to the cutoff are dropped.
+    The one reduction of a coefficient by the window's energy cutoff."""
+    return novikov.nov_truncate(c, levels.dominate(base, cutoff))
 
 
 def truncate_element(x: TensorElement, window: TruncWindow) -> Tuple[TensorElement, Flag]:
@@ -310,7 +317,7 @@ def truncate_element(x: TensorElement, window: TruncWindow) -> Tuple[TensorEleme
     flag = Flag.SOUND
     inst = window.instance
     for w, c in x.terms:
-        c_red = novikov.nov_truncate(c, dominate_base(window.cutoff, w, inst))
+        c_red = _mod_cutoff(c, w.base_level(inst), window.cutoff)
         if c_red.is_zero():
             continue
         if len(w) > window.max_len:
@@ -319,13 +326,6 @@ def truncate_element(x: TensorElement, window: TruncWindow) -> Tuple[TensorEleme
             continue
         kept.append((w, c_red))
     return TensorElement(x.src, x.dst, kept), flag
-
-
-def dominate_base(cutoff: Level, w: Word, instance: str) -> Level:
-    """Energy threshold for coefficients of w: scalar parts with energy level
-    >= this already lie in F^cutoff once the word's base level is added."""
-    base = w.base_level(instance)
-    return levels.dominate(base, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,37 @@ def main() -> None:
     curved_comp["tasks"] = {"compose": {"f": "fc", "g": "gq"}}
     dump("curved_compose.json", curved_comp)
 
+    # Curvature on three loops at level 1/100 under cutoff 3: its 300th
+    # tensor power is the first in F^3, within the bound of 400.  The power
+    # has 3^300 words, so only a closed-form order decides it.
+    wide = header(cutoff=("rat", "3"))
+    wide["quivers"] = [
+        {
+            "name": "W",
+            "objects": ["X"],
+            "generators": [gen("a", "X", "X", 0), gen("b", "X", "X", 0), gen("c", "X", "X", 0)],
+        }
+    ]
+    wide["functors"] = [
+        {
+            "name": "fw",
+            "src": "W",
+            "dst": "W",
+            "obj_map": {"X": "X"},
+            "convergence_bound": 400,
+            "components": [
+                {
+                    "at": "X",
+                    "value": [["a", "1*T^{1/100}*e^{0}"], ["b", "2*T^{1/50}*e^{0}"], ["c", "-1*T^{1}*e^{0}"]],
+                },
+                {"word": ["a"], "value": [["a", ONE]]},
+                {"word": ["b"], "value": [["b", ONE]]},
+                {"word": ["c"], "value": [["c", ONE]]},
+            ],
+        }
+    ]
+    dump("curved_wide.json", wide)
+
     # Discrete instance, level-0 curvature: convergence is undecidable.
     undec = {
         "level_monoid": "discrete",

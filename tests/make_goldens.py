@@ -74,6 +74,7 @@ GOLDEN_CASES = {
         "4",
     ],
     "normalize_b1_only": ["normalize", "tests/fixtures/b1_only.json"],
+    "normalize_curved_wide": ["normalize", "tests/fixtures/curved_wide.json"],
 }
 
 

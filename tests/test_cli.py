@@ -59,6 +59,7 @@ def test_reports_are_byte_deterministic():
         "empty",
         "psi_roundtrip",
         "curved_compose",
+        "curved_wide",
         "lossy_eval",
     ],
 )
@@ -161,6 +162,10 @@ MALFORMED = [
     (_set(["elements", 0, "quiver"], BAD), "$.elements[0].quiver", 64),
     (_set(["elements", 0, "terms", 0, "word"], BAD), "$.elements[0].terms[0].word[0]", 64),
     (_duplicate_element, "$.elements[1].name", 64),
+    (_set(["quivers", 0, "name"], 5), "$.quivers[0].name", 64),
+    (_set(["functors", 1], 5), "$.functors[1]", 64),
+    (_set(["functors", 1, "name"], "idA"), "$.functors[1].name", 64),
+    (_set(["coderivations", 0, "name"], ""), "$.coderivations[0].name", 64),
     (_duplicate_b_components, "$.b_components[1].quiver", 64),
     (_second_object(["b_components", 0, "components", 0, "word"], NOT_COMPOSABLE),
      "$.b_components[0].components[0].word", 64),
@@ -221,6 +226,47 @@ def test_malformed_fields_are_parse_errors(mutate, where, code, command, tmp_pat
     assert got == code
     kind = {64: "parse", 65: "resolve"}[code]
     assert text.startswith(f"{kind} error: {where}:")
+
+
+COMPONENT_ERRORS = {
+    "endpoints": (
+        _second_object(["functors", 0, "components", 0, "value"], [["s", ONE_TERM]]),
+        "cofunctor 'idA': component at ('p',) lands in ('X', 'Y'), expected ('X', 'X')",
+    ),
+    "degree": (
+        _set(["functors", 0, "components", 0, "value"], [["q", ONE_TERM]]),
+        "cofunctor 'idA': component at ('p',) has degree 1, expected 0",
+    ),
+    "level": (
+        _set(["functors", 0, "components", 0, "value"], [["p", "1*T^{-1}*e^{0}"]]),
+        "cofunctor 'idA': component at ('p',) violates level Level(rat:0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutate, message", list(COMPONENT_ERRORS.values()), ids=list(COMPONENT_ERRORS))
+def test_component_outside_its_hom_is_a_parse_error(mutate, message, tmp_path):
+    doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text(encoding="utf-8"))
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-b2", str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == (64, "", f"parse error: $.functors[0]: {message}\n")
+
+
+def test_slow_curvature_at_the_default_bound_is_undecided(tmp_path):
+    # Two loops at level 1/100: their 300th tensor power is the first in
+    # F^3, far past the default bound of 16, whose powers have 2^16 words.
+    doc = json.loads((ROOT / "tests/fixtures/curved_wide.json").read_text(encoding="utf-8"))
+    functor = doc["functors"][0]
+    del functor["convergence_bound"]
+    functor["components"][0]["value"] = functor["components"][0]["value"][:2]
+    path = tmp_path / "two_terms.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = run(["normalize", str(path)])
+    assert (code, text) == (2, "undecided: cofunctor 'fw': curvature not tensor convergent within bound\n")
 
 
 @pytest.mark.parametrize("spec", ["3,1/0", "3,inf"])

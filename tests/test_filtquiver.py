@@ -17,7 +17,7 @@ from facalc.filtquiver import (
 from facalc.morphisms import tensor_maps
 from facalc.tcoalg import TensorElement, Word
 
-from conftest import facalc_seed, loop_quiver
+from conftest import facalc_seed, loop_quiver, two_object_quiver
 
 ONE = novikov.one()
 
@@ -235,7 +235,7 @@ def test_apply_level_bookkeeping():
 
 def test_graded_map_validation():
     Q = loop_quiver(sdegs=(0, 1))
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(DegreeMismatch) as exc:
         GradedMap(
             0,
             levels.rat(0),
@@ -245,7 +245,8 @@ def test_graded_map_validation():
             {"g0": HomElement.from_gen(Q.gen("g1"), ONE)},
             "rat",
         )
-    with pytest.raises(LevelViolation):
+    assert str(exc.value) == "action of 'g0' has degree 1, expected 0"
+    with pytest.raises(LevelViolation) as exc:
         GradedMap(
             0,
             levels.rat(1),
@@ -255,6 +256,12 @@ def test_graded_map_validation():
             {"g0": HomElement.from_gen(Q.gen("g0"), ONE)},
             "rat",
         )
+    assert str(exc.value) == "action of 'g0' violates level Level(rat:1)"
+    B = two_object_quiver()
+    with pytest.raises(ObjectMismatch) as exc:
+        action = {"x": HomElement.from_gen(B.gen("a"), ONE)}
+        GradedMap(0, levels.rat(0), B, B, {"X": "X", "Y": "Y"}, action, "rat")
+    assert str(exc.value) == "action of 'x' lands in ('X', 'Y'), expected ('X', 'X')"
 
 
 def test_functoriality_of_apply():

@@ -120,3 +120,42 @@ def test_ratplus_rejects_negative():
 def test_dominate_rejects_formal_infinity():
     with pytest.raises(FacalcError):
         dominate(INFINITY, rat(0))
+
+
+@pytest.mark.parametrize(
+    "start, step, cutoff, want",
+    [
+        (rat(0), rat("1/2"), rat(3), 6),  # exact: 0 + 6 * 1/2 = 3
+        (rat("1/3"), rat("1/2"), rat(3), 6),  # ceil((3 - 1/3) / (1/2)) = ceil(16/3)
+        (rat("1/100"), rat("1/100"), rat(3), 299),
+        (rat(-2), rat(1), rat(1), 3),
+        (rat(3), rat(-1), rat(3), 0),  # already there: no step needed
+        (rat(5), rat(0), rat(3), 0),
+        (rat(0), rat(0), rat(3), None),
+        (rat(0), rat(-1), rat(3), None),
+        (ratplus(1), ratplus("2/3"), ratplus(3), 3),
+        (ratplus(0), ratplus(0), ratplus(1), None),
+        (rat(0), INFINITY, rat(3), 1),
+        (INFINITY, rat(-1), rat(3), 0),
+        (discrete(0), discrete(0), discrete("inf"), None),
+        (discrete(0), discrete("inf"), discrete("inf"), 1),
+        (discrete("inf"), discrete(0), discrete("inf"), 0),
+    ],
+)
+def test_steps_examples(start, step, cutoff, want):
+    assert levels._steps(start, step, cutoff) == want
+
+
+@given(start=rationals, step=rationals, cutoff=rationals)
+def test_steps_is_the_least_count(start, step, cutoff):
+    m = levels._steps(rat(start), rat(step), rat(cutoff))
+    if m is None:
+        assert start < cutoff and step <= 0
+    else:
+        assert start + m * step >= cutoff
+        assert m == 0 or start + (m - 1) * step < cutoff
+
+
+def test_steps_rejects_mixed_instances():
+    with pytest.raises(InstanceMismatch):
+        levels._steps(rat(0), rat(1), ratplus(1))

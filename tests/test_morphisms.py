@@ -2,6 +2,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
 from facalc.ainfty import coder_b0, coder_b1, coder_bn
@@ -9,6 +10,7 @@ from facalc.errors import ConvergenceUndecided, DegreeMismatch, FacalcError, Obj
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
 from facalc.morphisms import (
     Coderivation,
+    ConvergenceResult,
     Cofunctor,
     _block_ends,
     chain_eval,
@@ -36,9 +38,10 @@ from facalc.tcoalg import (
     Word,
     basis_words,
     mu_concat,
+    truncate_element,
 )
 
-from conftest import loop_quiver, two_object_quiver
+from conftest import facalc_seed, loop_quiver, two_object_quiver
 
 ONE = novikov.one()
 W = TruncWindow(6, levels.rat(3))
@@ -399,6 +402,82 @@ def test_tensor_convergent_cases(pq_quiver):
     assert tensor_convergent(flat, W, 8).kind == "undecided"
 
 
+def literal_tensor_convergent(phi0, window, bound):
+    """The rule ``tensor_convergent`` computes in closed form, literally:
+    form each tensor power of every value with ``mu_concat`` until one lies
+    in F^cutoff, giving up after ``bound`` powers."""
+    inst = window.instance
+    worst = None
+    for value in phi0.values():
+        if value.is_zero():
+            continue
+        base = TensorElement.from_hom(value)
+        power = base
+        for n in range(1, bound + 1):
+            if levels.level_leq(window.cutoff, power.level(inst)):
+                break
+            power = mu_concat(power, base)
+        else:
+            return ConvergenceResult("undecided")
+        worst = n if worst is None else max(worst, n)
+    return ConvergenceResult("true", worst or 1)
+
+
+# instance: (variant, generator base levels, energies, cutoffs)
+CURVATURE_INSTANCES = {
+    "rat": (
+        "nov",
+        [-1, Fraction(-1, 2), 0, Fraction(1, 3), Fraction(1, 2)],
+        [Fraction(-1, 2), 0, Fraction(1, 3), Fraction(1, 2), 1],
+        [Fraction(1, 2), 1, 2],
+    ),
+    "ratplus": (
+        "nov0",
+        [0, Fraction(1, 3), Fraction(1, 2)],
+        [0, Fraction(1, 3), Fraction(1, 2), 1],
+        [Fraction(1, 2), 1, 2],
+    ),
+    "discrete": ("q", [0], [0], ["inf"]),
+}
+
+
+@st.composite
+def curvatures(draw):
+    """A window and a curvature value on 1 to 3 loops at one object, in one
+    of the three instances.  Each loop's coefficient has one or two
+    monomials, so the value's level lies below, at or above 0, and its
+    lowest energy may carry several e-exponents."""
+    inst = draw(st.sampled_from(sorted(CURVATURE_INSTANCES)))
+    variant, bases, energies, cutoffs = CURVATURE_INSTANCES[inst]
+    gens = [
+        HomGenerator(f"g{i}", "X", "X", 0, levels.make_level(inst, draw(st.sampled_from(bases))))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    exponents = st.just(0) if variant == novikov.PLAIN else st.integers(-1, 1)
+    monomial = st.tuples(st.integers(-2, 2).filter(bool), st.sampled_from(energies), exponents)
+    terms = [(g, novikov.scalar(draw(st.lists(monomial, min_size=1, max_size=2)), variant)) for g in gens]
+    window = TruncWindow(4, levels.make_level(inst, draw(st.sampled_from(cutoffs))))
+    return {"X": HomElement("X", "X", terms)}, window
+
+
+@seed(facalc_seed())
+@settings(max_examples=200, deadline=None)
+@given(case=curvatures(), bound=st.integers(0, 6))
+def test_tensor_convergent_matches_the_power_loop(case, bound):
+    phi0, window = case
+    assert tensor_convergent(phi0, window, bound) == literal_tensor_convergent(phi0, window, bound)
+
+
+def test_tensor_convergent_reads_a_high_order_without_forming_powers():
+    # Three loops at level 1/100 under cutoff 3: the 300th power, of 3^300
+    # words, is the first in F^3.
+    model = load_model_file(str(Path(__file__).parent / "fixtures" / "curved_wide.json"))
+    f = model.functors["fw"]
+    assert tensor_convergent(f.curvature, model.window, 400) == ConvergenceResult("true", 300)
+    assert tensor_convergent(f.curvature, model.window, 300).order == 300
+    assert tensor_convergent(f.curvature, model.window, 299).kind == "undecided"
+
+
 def test_convergence_closed_under_sum(rng):
     # Sampled pairs over the nonnegative instance: the sum of two
     # convergent curvature values is convergent.
@@ -443,6 +522,30 @@ def test_convergence_closed_under_box(rng):
             power_phi = mu_concat(power_phi, TensorElement.from_hom(phi))
             power_psi = mu_concat(power_psi, TensorElement.from_hom(psi))
         assert ok
+
+
+def test_every_reduction_counts_the_base_level():
+    # Loops of base level 1 and -1 under cutoff 3: a term goes exactly when
+    # its base level plus its energy reaches 3, not its energy alone.
+    Q = FiltQuiver("L", ["X"], [
+        HomGenerator("g", "X", "X", 0, levels.rat(1)),
+        HomGenerator("h", "X", "X", 0, levels.rat(-1)),
+    ])
+    g, h = Q.gen("g"), Q.gen("h")
+    window = TruncWindow(4, levels.rat(3))
+
+    def t(energy):
+        return novikov.monomial(1, energy, 0)
+
+    x = HomElement("X", "X", [(g, t(Fraction(5, 2))), (h, novikov.nov_add(t(3), t(1)))])
+    assert hom_truncate(x, window) == HomElement("X", "X", [(h, novikov.nov_add(t(3), t(1)))])
+    y = TensorElement("X", "X", [
+        (Word.from_gens([g]), t(Fraction(5, 2))),
+        (Word.from_gens([g, h]), t(3)),
+        (Word.from_gens([h, h]), t(4)),
+    ])
+    out, flag = truncate_element(y, window)
+    assert out == TensorElement.from_word(Word.from_gens([h, h]), t(4)) and flag == Flag.SOUND
 
 
 def test_compose_strict():
