@@ -14,10 +14,10 @@ quiver words, and its square is checked by double insertion evaluated
 against basis words.
 
 Every check and every letter b0, b1, bn evaluates a basis word and folds
-the value through one morphism's components (``morphisms.family_value``,
-re-exported here).  The letters come from one builder, ``_letter``, over
-one value map, ``_letter_value``; ``check_ainf_functor`` reads its residual
-from that map.
+the value through one morphism's components in one pass (``_transport``;
+``family_value``, re-exported here, folds a given value).  The letters come
+from one builder, ``_letter``, over one value map, ``_letter_value``;
+``check_ainf_functor`` reads its residual from that map.
 """
 
 from __future__ import annotations

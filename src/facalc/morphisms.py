@@ -18,43 +18,43 @@ singles)``: a tuple of cofunctors, one longer than the tuple of
 coderivations (``Slots``, built by ``chain_slots``).
 
 Rather than list every split, ``_path_sum`` sums over paths of cut
-positions that only nonzero letters extend.  Family letters have degree 0,
-so the Koszul sign is one factor per single (``_crossing_sign``).
-From each cut it walks the trie of the owner's stored keys along the word
-(``_block_ends``), so it reads only stored blocks, plus every block of a
-length the table does not decide: lazy ``compute`` runs, and extraction
-bounds raise, exactly where the split enumeration would run or raise them.
-It reads each owner's letter table (``_ComponentTable``), which keeps only
-returned rows, so every lookup with a side effect happens first where it
-always did.  Each output word is built once and kept on the target quiver
-(``FiltQuiver.words``), keyed by the ids of its generators, as the partial
-sums are.  ``tensor_maps`` is this engine too: its graded maps are singles
-with length-1 components, between families with no components.
+positions that only nonzero letters extend, one sign factor per single
+(``_crossing_sign``).  It reads each owner's letter table
+(``_ComponentTable``) along the trie of its stored keys, plus every block
+of a length the table does not decide, so a lazy ``compute`` runs, and an
+extraction bound raises, exactly where the split enumeration would.  Each
+output word is built once and kept on the target quiver
+(``FiltQuiver.words``).  ``tensor_maps`` is this engine too: its graded
+maps are singles with length-1 components, between families with no
+components.
 
 ``chain_sum`` takes every signed sum of coderivation chains, building each
 chain's pair once; it skips a chain that provably vanishes without a side
 effect (``_vanishes``).
 
-Composition, push and pull are one operation: evaluate a basis word, then
-read the value through a second morphism's components (``family_value``,
-via ``_transport``).  When that morphism's table is exact, the path sum
-drops every product whose output is not a prefix of one of its keys, since
-the fold would send it to zero.  ``_extract_components`` turns any such
-value map into a component table and the matching lazy ``compute``;
-``ainfty`` and ``evalhom`` extract through it too.
+Composition, push and pull are one pass, ``_transport``: the path sum of a
+basis word, summed by word, each word of nonzero sum folded through a
+second morphism's components (``_fold``).  When that table is exact, the
+path sum drops every product whose output is not a prefix of one of its
+keys, and every state left with no product once each owner ``decides``
+every block of the word (the test ``_vanishes`` also uses).
+``_extract_components`` turns any such value map into a component table
+and the matching lazy ``compute``; ``ainfty`` and ``evalhom`` extract
+through it too.
 
 All infinite sums are bounded by level accounting: every empty block filled
 by a curvature component raises the level by at least the component's
 minimal level, so sums are cut off soundly at the window's energy cutoff.
 If curvature of level <= 0 is present the sum cannot be bounded and
 ConvergenceUndecided is raised instead of silently truncating.  The cap on
-empty blocks (``_empty_cap``) and the order of tensor convergence
+empty blocks (``_empty_caps``) and the order of tensor convergence
 (``tensor_convergent``) are the same count, ``levels._steps``, and every
 reduction modulo the cutoff is ``tcoalg._mod_cutoff``.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -186,6 +186,10 @@ class _ComponentTable:
         self.gens: Dict[int, HomGenerator] = {}
         self.memo: Dict[CompKey, HomElement] = {}
 
+    def decides(self, n: int) -> bool:
+        """No lookup of a block up to length n runs ``compute`` or raises."""
+        return self.undecided is None or self.undecided > n
+
 
 class Cofunctor(_ComponentTable):
     """A degree-0, level-0 morphism into a completed tensor cocategory.
@@ -278,11 +282,11 @@ class Coderivation(_ComponentTable):
         return self.g.obj_map
 
     def is_zero_map(self, upto: Optional[int] = None) -> bool:
-        """No stored component.  Given ``upto``, zero on every block up to
-        that length: also no lazy ``compute`` or extraction bound there."""
+        """No stored component; given ``upto``, also ``decides`` every block
+        up to that length, so it is zero there."""
         if any(self.comps.values()):
             return False
-        return upto is None or self.undecided is None or self.undecided > upto
+        return upto is None or self.decides(upto)
 
     def __repr__(self) -> str:
         return f"Coderivation({self.name!r}: {self.f.name}->{self.g.name}, deg {self.deg})"
@@ -353,11 +357,19 @@ def coderivation_slots(r: Coderivation) -> Slots:
     return (r.f, r.g), (r,)
 
 
-def _empty_cap(term_lvl: Level, floor: Level, cutoff: Level) -> int:
-    """Smallest m with term_lvl + m*floor >= cutoff; drops are sound beyond."""
-    cap = levels._steps(term_lvl, floor, cutoff)
-    if cap is None:
-        raise ConvergenceUndecided("curvature of level <= 0: sum cannot be bounded")
+def _empty_caps(families: Sequence[Cofunctor], window: TruncWindow) -> Callable[[Word, NovikovScalar], int]:
+    """The cap on the empty blocks of a term c*w: ``levels._steps`` from its
+    level by the families' least ``curvature_level``; 0 with no curvature."""
+    floor = reduce(levels.level_min, (f.curvature_level for f in families if f.curvature), INFINITY)
+    if floor.is_infinite():
+        return lambda w, c: 0
+
+    def cap(w: Word, c: NovikovScalar) -> int:
+        m = levels._steps(tcoalg.term_level(w, c, window.instance), floor, window.cutoff)
+        if m is None:
+            raise ConvergenceUndecided("curvature of level <= 0: sum cannot be bounded")
+        return m
+
     return cap
 
 
@@ -366,34 +378,19 @@ def slot_value(
     slots: Slots,
     window: TruncWindow,
     length_truncate: bool = True,
-    fold: Optional[Union[Cofunctor, Coderivation]] = None,
 ) -> Tuple[TensorElement, Flag]:
     """Apply the operator ``slots = (families, singles)`` to x.
 
-    Each term of x is evaluated by ``_path_sum``; the terms of all of them
-    are summed once, into a single ``TensorElement`` between the objects
-    families[0] and families[-1] send x's ends to.  The least
-    ``curvature_level`` of the families bounds the empty blocks.
-
-    ``fold`` is for an untruncated value that is folded at once through
-    that owner: terms that ``family_value(fold, ...)`` sends to zero may
-    then be left out, so the returned element is not the operator's value.
-    It cannot be combined with ``length_truncate``.
+    Each term of x is evaluated by ``_path_sum``, its empty blocks bounded
+    by ``_empty_caps``; the terms of all of them are summed once, into a
+    single ``TensorElement`` between the objects families[0] and
+    families[-1] send x's ends to.
     """
-    if fold is not None and length_truncate:
-        raise ValueError("slot_value: fold needs length_truncate=False")
-    inst = window.instance
     families, singles = slots
-    floor = INFINITY
-    for f in families:
-        if f.curvature:
-            floor = levels.level_min(floor, f.curvature_level)
-    prefixes = fold.trie if fold is not None and fold.undecided is None else None
-
+    cap = _empty_caps(families, window)
     terms: List[Tuple[Word, NovikovScalar]] = []
     for w, c in x.terms:
-        cap = 0 if floor.is_infinite() else _empty_cap(tcoalg.term_level(w, c, inst), floor, window.cutoff)
-        terms.extend(_path_sum(w, c, families, singles, cap, prefixes))
+        terms.extend(_path_sum(w, c, families, singles, cap(w, c)))
     out = TensorElement(families[0].obj_map[x.src], families[-1].obj_map[x.dst], terms)
     if length_truncate:
         return truncate_element(out, window)
@@ -452,7 +449,9 @@ def _path_sum(
     Partial sums are keyed by the ids of the output generators, which hash
     fast.  Given ``prefixes``, the key trie of an exact table the result is
     folded through, a product whose output gids are not a path of that trie
-    is dropped: no key of the table extends it.
+    is dropped: no key of the table extends it.  A state left with no
+    product is dead, and is not walked when every owner ``decides`` every
+    block of w, so its lookups could only read a stored letter or zero.
     """
     n = len(w)
     n_singles = len(singles)
@@ -473,6 +472,7 @@ def _path_sum(
 
     states: Dict[Tuple[int, int, int], Partial] = {(0, 0, 0): {(): c}}
     nodes = None if prefixes is None else {(): prefixes}
+    drop = prefixes is not None and all(o.decides(n) for o in (*families, *singles))
     finals: List[Partial] = []
 
     def step(partial: Partial, target, value: Letter, sign: int = 1) -> None:
@@ -495,12 +495,14 @@ def _path_sum(
 
     empties = range(max(cap, 1))
     for i in range(n + 1):
+        if not states:
+            break
         suffix = gids[i:]
         for t in range(n_singles + 1):
             family = families[t]
             for e in empties:
                 partial = states.pop((i, t, e), None)
-                if partial is None:
+                if not partial and (partial is None or drop):
                     continue
                 if i == n and t == n_singles:
                     finals.append(partial)
@@ -561,10 +563,16 @@ def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
 
 
 def family_value(owner: Union[Cofunctor, Coderivation], x: TensorElement) -> HomElement:
-    """Feed every word of x through the component of its own length: the
-    one fold that reads a value through a morphism's components."""
-    terms = [(g, novikov.nov_mul(cg, c)) for w, c in x.terms for g, cg in owner.comp_value(w).terms]
-    return HomElement(owner.src_map[x.src], owner.dst_map[x.dst], terms)
+    """``_fold`` of the terms of x."""
+    return _fold(owner, x.src, x.dst, x.terms)
+
+
+def _fold(owner: Union[Cofunctor, Coderivation], src: str, dst: str, terms) -> HomElement:
+    """Feed every word of terms, a value from src to dst, through the
+    component of its own length: the one fold that reads a value through a
+    morphism's components."""
+    terms = [(g, novikov.nov_mul(cg, c)) for w, c in terms for g, cg in owner.comp_value(w).terms]
+    return HomElement(owner.src_map[src], owner.dst_map[dst], terms)
 
 
 def _transport(
@@ -572,14 +580,18 @@ def _transport(
     slots: Slots,
     owner: Union[Cofunctor, Coderivation],
     window: TruncWindow,
-    one: NovikovScalar,
+    c: NovikovScalar,
 ) -> HomElement:
-    """Evaluate the basis word w through slots, then fold the untruncated
-    value through owner's components."""
-    value, _ = slot_value(
-        TensorElement.from_word(w, one), slots, window, length_truncate=False, fold=owner
-    )
-    return family_value(owner, value)
+    """c*w through slots, folded untruncated through owner's components in
+    one pass: the path sum, pruned by an exact owner's key trie, is summed
+    by word, and only words of nonzero sum are folded, as in a value."""
+    families, singles = slots
+    prefixes = owner.trie if owner.undecided is None else None
+    summed: Dict[Word, NovikovScalar] = {}
+    for u, cu in _path_sum(w, c, families, singles, _empty_caps(families, window)(w, c), prefixes):
+        summed[u] = novikov.nov_add(summed[u], cu) if u in summed else cu
+    kept = ((u, cu) for u, cu in summed.items() if not cu.is_zero())
+    return _fold(owner, families[0].obj_map[w.src], families[-1].obj_map[w.dst], kept)
 
 
 def _extract_components(
@@ -701,16 +713,13 @@ def chain_eval(
 def _vanishes(slots: Slots, n: int) -> bool:
     """True when ``slot_value`` of the operator is zero, SOUND and free of
     side effects on every element of words up to length n: some single is
-    zero on every block up to n, every owner decides every block up to n
-    (no lazy ``compute`` runs and no extraction bound raises), and no
-    family is curved at level <= 0 (``_empty_cap`` cannot raise)."""
+    zero on every block up to n, every owner ``decides`` every block up to
+    n, and no family is curved at level <= 0 (``_empty_caps`` cannot
+    raise)."""
     families, singles = slots
     if not any(r.is_zero_map(n) for r in singles):
         return False
-    for owner in (*families, *singles):
-        if owner.undecided is not None and owner.undecided <= n:
-            return False
-    return not any(
+    return all(owner.decides(n) for owner in (*families, *singles)) and not any(
         f.curvature and levels.level_leq(f.curvature_level, levels.zero(f.instance)) for f in families
     )
 
@@ -733,7 +742,7 @@ def chain_sum(
     each block of x from its stored table, so the lookups it omits could
     only have read a stored letter or zero, never run a lazy ``compute``,
     raised at an extraction bound or raised ``ConvergenceUndecided`` in
-    ``_empty_cap``."""
+    ``_empty_caps``."""
     if not signed_chains:
         return None, Flag.SOUND
     n = x.max_len()

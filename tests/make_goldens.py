@@ -57,6 +57,7 @@ GOLDEN_CASES = {
     "compose_b1_only": ["compose", "tests/fixtures/b1_only.json"],
     "compose_curved": ["compose", "tests/fixtures/curved_compose.json"],
     "push_b1_only": ["push", "tests/fixtures/b1_only.json"],
+    "push_b1_only_w9_5": ["push", "tests/fixtures/b1_only.json", "--window", "9,5"],
     "pull_b1_only": ["pull", "tests/fixtures/b1_only.json"],
     "eval_b1_only": ["eval", "tests/fixtures/b1_only.json"],
     "eval_lossy": ["eval", "tests/fixtures/lossy_eval.json"],

@@ -13,6 +13,7 @@ are computed exactly where the enumerator computes them.
 
 import zlib
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,8 +28,8 @@ from facalc.morphisms import (
     Cofunctor,
     Slots,
     _crossing_sign,
-    _empty_cap,
     _path_sum,
+    _transport,
     _vanishes,
     chain_eval,
     chain_slots,
@@ -163,6 +164,20 @@ def curvature_floor(families) -> Tuple[bool, levels.Level]:
     return bool(values), floor
 
 
+def oracle_empty_cap(term_lvl, floor, cutoff) -> int:
+    """How many empty blocks a term may carry, counted from the levels
+    alone: add the least curvature level one block at a time until the
+    term's level reaches the cutoff.  Curvature of level <= 0 never lifts a
+    term below the cutoff there, so its sum cannot be bounded."""
+    blocks, lvl = 0, term_lvl
+    while not levels.level_leq(cutoff, lvl):
+        if levels.level_leq(floor, levels.zero(cutoff.instance)):
+            raise ConvergenceUndecided("curvature of level <= 0")
+        lvl = levels.level_add(lvl, floor)
+        blocks += 1
+    return blocks
+
+
 def oracle_slot_value(x, slots, window, length_truncate=True):
     """``slot_value`` as it was around the enumerator."""
     inst = window.instance
@@ -172,7 +187,7 @@ def oracle_slot_value(x, slots, window, length_truncate=True):
     any_curved, floor = curvature_floor(families)
     for w, c in x.terms:
         term_lvl = levels.level_add(w.base_level(inst), novikov.nov_level(c, inst))
-        cap = _empty_cap(term_lvl, floor, window.cutoff) if any_curved else 0
+        cap = oracle_empty_cap(term_lvl, floor, window.cutoff) if any_curved else 0
         out = out.add(_term_value(w, c, slots, n_singles, cap, any_curved, inst, out.src, out.dst))
     if length_truncate:
         return truncate_element(out, window)
@@ -611,29 +626,136 @@ def test_fold_pruning_keeps_the_folded_value(data):
         slots = build_slots(family_specs, single_specs)
         floor = curvature_floor(slots[0])[1]
         (w, c), = x.terms
-        assert _empty_cap(tcoalg.term_level(w, c, "rat"), floor, window.cutoff) >= 2
+        assert oracle_empty_cap(tcoalg.term_level(w, c, "rat"), floor, window.cutoff) >= 2
     else:
         x = data.draw(elements(max_len=4 - len(single_specs)), label="x")
         window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
 
     def run(evaluate):
-        """Fresh owners, so every compute runs (and is logged) once."""
+        """Fresh owners, so every compute runs (and is logged) once.  Each
+        term of x is evaluated and folded on its own, as ``_transport``
+        takes one basis word; the computes are compared as a multiset, since
+        the fold may visit the words of one value in any order."""
         slots = build_slots(family_specs, single_specs)
         fold = fold_owner(*fold_args)
         hits = []
         record_computes(slot_owners(slots) + [fold], hits)
-        value = outcome(lambda: family_value(fold, evaluate(slots, fold)), FacalcError)
-        return value, hits
+        value = outcome(lambda: reduce(HomElement.add, [
+            evaluate(slots, fold, w, c) for w, c in x.terms
+        ]), FacalcError)
+        return value, sorted(hits, key=repr)
 
-    pruned = run(lambda slots, fold: slot_value(
-        x, slots, window, length_truncate=False, fold=fold)[0])
-    unpruned = run(lambda slots, fold: slot_value(x, slots, window, length_truncate=False)[0])
-    oracle = run(lambda slots, fold: oracle_slot_value(x, slots, window, False)[0])
+    def then_fold(value):
+        """value on c*w, untruncated, then folded through ``fold``."""
+        return lambda slots, fold, w, c: family_value(
+            fold, value(TensorElement.from_word(w, c), slots, window, False)[0])
+
+    pruned = run(lambda slots, fold, w, c: _transport(w, slots, fold, window, c))
+    unpruned = run(then_fold(slot_value))
+    oracle = run(then_fold(oracle_slot_value))
 
     assert pruned == unpruned
     assert pruned[0] == oracle[0]
     if oracle[0][0] == "ok":
         assert set(pruned[1]) == set(oracle[1])
+
+
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dead_states_are_dropped_only_where_every_owner_decides(data):
+    family_specs, single_specs = data.draw(kinded_owners(), label="owners")
+    w = data.draw(words(4 - len(single_specs)), label="word")
+    n = len(w)
+    specs = family_specs + single_specs
+    deciding = data.draw(st.booleans(), label="deciding")
+    if deciding:
+        # Lazy and bounded owners are extracted up to len(w) or beyond.
+        for sp in specs:
+            sp["upto"] = n + data.draw(st.integers(0, 1))
+    else:
+        # One owner is lazy from a length up to len(w) on.
+        sp = specs[data.draw(st.integers(0, len(specs) - 1), label="undecided owner")]
+        sp["lazy"], sp["bounded"] = True, False
+        sp["upto"] = data.draw(st.sampled_from([None, *range(n)]), label="undecided upto")
+    # A sparse exact fold: its trie prunes many products, leaving dead states.
+    fold_args = (
+        data.draw(st.sampled_from(["exact", "curved"]), label="fold"),
+        data.draw(st.integers(0, 10**6), label="fold_salt"),
+        data.draw(st.integers(4, 16), label="fold_sparsity"),
+        0,
+    )
+    window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
+    c = data.draw(st.sampled_from(SCALARS), label="coeff")
+
+    def run(evaluate, specs=(family_specs, single_specs)):
+        """Fresh owners: the value, the computes that ran and the blocks
+        looked up."""
+        slots = build_slots(*specs)
+        fold = fold_owner(*fold_args)
+        hits, seen = [], set()
+        record_computes(slot_owners(slots) + [fold], hits)
+        record_lookups(slots, seen)
+        return outcome(lambda: evaluate(slots, fold), FacalcError), sorted(hits, key=repr), seen
+
+    transport = lambda slots, fold: _transport(w, slots, fold, window, c)
+    got = run(transport)
+    want = run(lambda slots, fold: family_value(
+        fold, oracle_slot_value(TensorElement.from_word(w, c), slots, window, False)[0]))
+    assert got[0] == want[0]
+    if deciding:
+        assert got[1] == want[1] == []
+        # The drop rests on what the owners decide, not on how they store
+        # it: the same tables, held exact, walk the same states.
+        exact = [[dict(sp, lazy=False, bounded=False) for sp in part]
+                 for part in (family_specs, single_specs)]
+        assert got[2] == run(transport, exact)[2]
+    elif want[0][0] == "ok":
+        assert set(got[1]) == set(want[1])
+
+
+@pytest.mark.parametrize("upto, walked", [(None, False), (2, False), (1, True)])
+def test_a_dead_state_is_walked_only_where_some_owner_is_undecided(upto, walked):
+    # On x.a the fold's only key is a, so the product f(x) is pruned and the
+    # state after x is dead: its one lookup, f on a, can matter only when f
+    # does not decide a block of x.a (here a lazy tail from length 2).
+    x, a = QUIVER.gen("x"), QUIVER.gen("a")
+    w = Word.from_gens([x, a])
+    one = novikov.one()
+    table = {1: {("x",): HomElement.from_gen(x, one), ("a",): HomElement.from_gen(a, one)}}
+    lazy = upto is not None and upto < len(w)
+    f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, table, "rat", "nov", complete_upto=upto,
+                  compute=RaisingCompute(0, 2, lambda u: False) if lazy else None)
+    fold = Cofunctor("fold", QUIVER, QUIVER, IDENTITY, {1: {("a",): table[1][("a",)]}}, "rat", "nov")
+    seen = set()
+    slots = cofunctor_slots(f)
+    record_lookups(slots, seen)
+    window = TruncWindow(6, levels.rat(3))
+    value = _transport(w, slots, fold, window, one)
+    assert (("f", Word.from_gens([a])) in seen) == walked
+    unfolded, _ = oracle_slot_value(TensorElement.from_word(w, one), slots, window, False)
+    assert value == family_value(fold, unfolded)
+
+
+def test_transport_folds_no_word_of_zero_sum():
+    # On x.x.a the two paths of the cancelled-state example output x.x.a
+    # with opposite signs.  The value is zero, so a lazy fold runs no
+    # compute, as folding the value built by ``slot_value`` runs none.
+    x, a = QUIVER.gen("x"), QUIVER.gen("a")
+    w = Word.from_gens([x, x, a])
+    one = novikov.one()
+    table = {1: {("x",): HomElement.from_gen(x, one)}}
+    f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, table, "rat", "nov")
+    g_table = {1: {**table[1], ("a",): HomElement.from_gen(a, one)}}
+    g = Cofunctor("g", QUIVER, QUIVER, IDENTITY, g_table, "rat", "nov")
+    r = Coderivation("r", f, g, 1, R0, table)
+    fold = Coderivation("fold", f, g, 1, R0, {}, compute=RaisingCompute(0, 1, lambda u: False))
+    hits = []
+    record_computes([fold], hits)
+    window = TruncWindow(6, levels.rat(3))
+    assert _transport(w, coderivation_slots(r), fold, window, one).is_zero()
+    assert not hits
+    assert slot_value(TensorElement.from_word(w, one), coderivation_slots(r), window, False)[0].is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -72,13 +72,6 @@ def test_evaluate_zero(pq_quiver):
     assert out.is_zero()
 
 
-def test_fold_pruning_refuses_truncation(pq_quiver):
-    ida = identity_cofunctor(pq_quiver, "rat", "nov")
-    x = TensorElement.from_word(basis_words(pq_quiver, 1)[-1], ONE)
-    with pytest.raises(ValueError, match="length_truncate"):
-        slot_value(x, cofunctor_slots(ida), W, fold=ida)
-
-
 def test_owner_components_are_read_only(pq_quiver):
     # The letter table and key trie are built once per owner from comps.
     ida = identity_cofunctor(pq_quiver, "rat", "nov")
