@@ -13,11 +13,12 @@ components are computed from the evaluation of coderivation chains against
 quiver words, and its square is checked by double insertion evaluated
 against basis words.
 
-Every check and every letter b0, b1, bn evaluates a basis word and folds
-the value through one morphism's components in one pass (``_transport``;
-``family_value``, re-exported here, folds a given value).  The letters come
-from one builder, ``_letter``, over one value map, ``_letter_value``;
-``check_ainf_functor`` reads its residual from that map.
+Every check and every letter b0, b1, bn evaluates all its basis words in
+one sweep and folds each value through one morphism's components as the
+sweep passes it (``_transport``; ``family_value``, re-exported here, folds
+a given value).  The letters come from one builder, ``_letter``, over one
+value map, ``_letter_value``; ``check_ainf_functor`` reads its residual
+from that map.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .morphisms import (
     Components,
     _extract_components,
     _transport,
+    _in_order,
     chain_eval,
+    chain_ops,
     chain_slots,
     chain_sum,
     coderivation_from_components,
@@ -113,16 +116,22 @@ def word_name(w: Word) -> str:
 
 
 def _word_checks(
-    relation: str, quiver: FiltQuiver, n_max: int, value: Callable[[Word], HomElement], window: TruncWindow
+    relation: str, quiver: FiltQuiver, n_max: int, values: Callable[[Sequence[Word]], List[HomElement]],
+    window: TruncWindow,
 ) -> List[CheckEntry]:
-    """One entry per basis word w: the residual value(w) modulo the window,
-    or UNDECIDED when its sums cannot be bounded."""
+    """One entry per basis word w: the residual, its value modulo the
+    window, or UNDECIDED when its sums cannot be bounded.  The values are
+    taken in one batch (``_in_order``), and the words after an UNDECIDED
+    one in another."""
+    words = basis_words(quiver, n_max)
+    batch = _in_order(values, words)
     entries: List[CheckEntry] = []
-    for w in basis_words(quiver, n_max):
+    for k, w in enumerate(words):
         try:
-            res_str, flag = _hom_str(hom_truncate(value(w), window)), "SOUND"
+            res_str, flag = _hom_str(hom_truncate(next(batch), window)), "SOUND"
         except ConvergenceUndecided:
             res_str, flag = "?", "UNDECIDED"
+            batch = _in_order(values, words[k + 1:])
         entries.append(CheckEntry(relation, len(w), word_name(w), res_str, flag))
     return entries
 
@@ -131,7 +140,7 @@ def check_b_squared(cat: AInfCategory, window: TruncWindow, n_max: int) -> List[
     """Residuals of the square of the codifferential on basis words."""
     one = novikov.one(cat.variant)
     slots = coderivation_slots(cat.b)
-    return _word_checks("b2", cat.quiver, n_max, lambda w: _transport(w, slots, cat.b, window, one), window)
+    return _word_checks("b2", cat.quiver, n_max, lambda ws: _transport(ws, slots, cat.b, window, one), window)
 
 
 def check_ainf_functor(
@@ -151,26 +160,28 @@ def check_ainf_functor(
 def _letter_value(
     chain: Sequence[Coderivation], boundary: Cofunctor, src_cat: AInfCategory,
     dst_cat: AInfCategory, window: TruncWindow,
-) -> Callable[[Word], HomElement]:
-    """The letter collapsing ``chain`` on basis words: the chain (the
-    boundary cofunctor when empty), then dst_cat.b; for a chain of length 0
-    or 1, minus (-1)^deg times src_cat.b folded through its entry or the
-    boundary."""
+) -> Callable[[Sequence[Word]], List[HomElement]]:
+    """The letter collapsing ``chain`` on a list of basis words: the chain
+    (the boundary cofunctor when empty), then dst_cat.b; for a chain of
+    length 0 or 1, minus (-1)^deg times src_cat.b folded through its entry
+    or the boundary."""
     one = novikov.one(boundary.variant)
     slots = chain_slots(chain, boundary)
     src_slots = coderivation_slots(src_cat.b)
     inner = None if len(chain) > 1 else (chain[0] if chain else boundary)
     sign = -_crossing_sign(1, sum(r.deg for r in chain))
 
-    def value(w: Word) -> HomElement:
-        out = _transport(w, slots, dst_cat.b, window, one)
-        back = None if inner is None else _transport(w, src_slots, inner, window, one)
-        if back is None or back.is_zero():
-            return out
-        signed = [(g, c if sign > 0 else novikov.nov_neg(c)) for g, c in back.terms]
-        return HomElement(out.src, out.dst, list(out.terms) + signed)
+    def values(words: Sequence[Word]) -> List[HomElement]:
+        outs = _transport(words, slots, dst_cat.b, window, one)
+        if inner is None:
+            return outs
+        for k, back in enumerate(_transport(words, src_slots, inner, window, one)):
+            if not back.is_zero():
+                signed = [(g, c if sign > 0 else novikov.nov_neg(c)) for g, c in back.terms]
+                outs[k] = HomElement(outs[k].src, outs[k].dst, list(outs[k].terms) + signed)
+        return outs
 
-    return value
+    return values
 
 
 def _letter(
@@ -285,15 +296,16 @@ def _chain_checks(
     relation: str, Q: CoderQuiver, n_max: int, word_len_max: int, residual
 ) -> List[CheckEntry]:
     """One entry per listed chain and basis word a; ``residual(chain,
-    boundary)`` maps a to (residual or None for an empty sum, flag).  A
-    chain whose sums cannot be bounded ends with one UNDECIDED entry."""
+    boundary)`` maps a list of words to their (residual or None for an
+    empty sum, flag), taken in one batch (``_in_order``).  A chain whose
+    sums cannot be bounded ends with one UNDECIDED entry."""
     entries: List[CheckEntry] = []
+    words = basis_words(Q.source.quiver, word_len_max)
     for chain, boundary in _chains(Q, n_max):
         name = _chain_name(chain, boundary)
         try:
-            value = residual(chain, boundary)
-            for a in basis_words(Q.source.quiver, word_len_max):
-                res, flag = value(a)
+            values = residual(chain, boundary)
+            for a, (res, flag) in zip(words, _in_order(values, words)):
                 res_str = "0" if res is None or res.is_zero() else repr(res)
                 entries.append(CheckEntry(relation, len(chain), f"{name}|{word_name(a)}", res_str, str(flag)))
         except ConvergenceUndecided:
@@ -308,16 +320,12 @@ def check_coder_b_squared(
     one = novikov.one(Q.source.variant)
 
     def residual(chain, boundary):
-        second = [
+        second = chain_ops([
             (s1 * s2, ch2)
             for s1, ch1 in coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
             for s2, ch2 in coder_differential_terms(Q, ch1, boundary, window, upto=word_len_max)
-        ]
-
-        def value(a: Word) -> Tuple[Optional[TensorElement], Flag]:
-            return chain_sum(TensorElement.from_word(a, one), second, window, boundary)
-
-        return value
+        ], boundary)
+        return lambda words: chain_sum(words, one, second, window)
 
     return _chain_checks("coder-b2", Q, n_max, word_len_max, residual)
 
@@ -332,24 +340,26 @@ def check_transfer_identity(
     one = novikov.one(Q.source.variant)
 
     def residual(chain, boundary):
-        expansion = [
+        expansion = chain_ops([
             (-s, ch) for s, ch in coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
-        ]
+        ], boundary)
 
-        def value(a: Word) -> Tuple[TensorElement, Flag]:
-            elem = TensorElement.from_word(a, one)
-            val, f1 = chain_eval(elem, chain, window, boundary=boundary)
-            lhs, f2 = slot_value(val, coderivation_slots(Q.target.b), window)
-            expanded, f3 = chain_sum(elem, expansion, window, boundary)
-            ba, f4 = slot_value(elem, coderivation_slots(Q.source.b), window)
-            piece, f5 = chain_eval(ba, chain, window, boundary=boundary)
-            pieces = [(1, lhs), (-_crossing_sign(1, sum(r.deg for r in chain)), piece)]
-            if expanded is not None:
-                pieces.append((1, expanded))
-            res, f6 = tcoalg.truncate_element(tcoalg._signed_sum(pieces), window)
-            return res, tcoalg.join_flags(f1, f2, f3, f4, f5, f6)
+        def values(words: Sequence[Word]) -> List[Tuple[TensorElement, Flag]]:
+            out = []
+            for a, (expanded, f3) in zip(words, chain_sum(words, one, expansion, window)):
+                elem = TensorElement.from_word(a, one)
+                val, f1 = chain_eval(elem, chain, window, boundary=boundary)
+                lhs, f2 = slot_value(val, coderivation_slots(Q.target.b), window)
+                ba, f4 = slot_value(elem, coderivation_slots(Q.source.b), window)
+                piece, f5 = chain_eval(ba, chain, window, boundary=boundary)
+                pieces = [(1, lhs), (-_crossing_sign(1, sum(r.deg for r in chain)), piece)]
+                if expanded is not None:
+                    pieces.append((1, expanded))
+                res, f6 = tcoalg.truncate_element(tcoalg._signed_sum(pieces), window)
+                out.append((res, tcoalg.join_flags(f1, f2, f3, f4, f5, f6)))
+            return out
 
-        return value
+        return values
 
     return _chain_checks("transfer", Q, n_max, word_len_max, residual)
 

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from . import levels, structfile
+from . import levels, novikov, structfile
 from .ainfty import (
     CheckEntry,
     check_ainf_functor,
@@ -37,7 +37,7 @@ from .morphisms import (
     push_coderivation,
 )
 from .structfile import Model, dump_document, load_model_file, model_to_json
-from .tcoalg import Flag, TensorElement, TruncWindow
+from .tcoalg import Flag, TruncWindow
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -308,8 +308,8 @@ def cmd_solve_psi(model: Model, path: str, args):
     target = next(iter(fixture.objects.values())).dst
     spec = model.psi
 
-    def phi(a: TensorElement, cwords):
-        return fixture.apply(a, cwords, window)[0]
+    def phi(words, cwords):
+        return [value for value, _ in fixture.apply(words, novikov.one(model.variant), cwords, window)]
 
     def phi_obj(a_obj: str, c_objs):
         return fixture.objects[c_objs].obj_map[a_obj]

@@ -7,20 +7,23 @@ against a chain of coderivations, under its acceptance name.
 ``PsiSolution.full_chains`` splits a product of factor words in one walk
 over cut positions that carries the interchange sign step by step, and
 turns each split into a signed chain of solved components, which
-``morphisms.chain_sum`` evaluates and sums.
+``morphisms.chain_sum`` evaluates and sums over all the source words of a
+call, one sweep of the block engine per chain (``chain_ops`` builds each
+chain's pair and skip bound once per factor word).
 
 ``solve_psi`` inverts the pairing: given the values of a cofunctor on mixed
 elements (with the chain side a product of tensor factors), it recovers the
 unique family indexed by the factor words whose evaluation reproduces those
 values.  It takes one step per factor word, in order of total length.  The
-values are the pairing minus the correction sum over the word's proper
-splits (``_rhs_value``), whose chains only involve strictly shorter factor
-words, are built once per word, and are empty at total length 0 and 1.
-Their components are read off with ``morphisms._extract_components`` and
-built into a cofunctor at an empty factor word (the objects) or a
-coderivation at any other word.  The reconstruction is then re-evaluated on
-every source word and compared with the values; a mismatch (the input was
-not actually compatible with the comultiplications) raises LeibnizResidual.
+values on all the source words are the pairing (``PhiValues``, on a list of
+words) minus the correction sum over the word's proper splits, whose
+chains only involve strictly shorter factor words, are built once per
+word, and are empty at total length 0 and 1.  Their components are read
+off with ``morphisms._extract_components`` and built into a cofunctor at an
+empty factor word (the objects) or a coderivation at any other word.  The
+reconstruction is then re-evaluated on every source word and compared with
+the values; a mismatch (the input was not actually compatible with the
+comultiplications) raises LeibnizResidual.
 
 ``psi_fixture`` assembles a structure file's declared solver section into
 the family ``solve-psi`` evaluates.  That command is the only one that
@@ -42,15 +45,15 @@ from .morphisms import (
     Coderivation,
     Cofunctor,
     _extract_components,
+    _in_order,
     chain_eval,
     chain_eval as ev,  # re-exported: the acceptance name of chain_eval
+    chain_ops,
     chain_sum,
     coderivation_from_components,
-    coderivation_slots,
     cofunctor_from_components,
-    cofunctor_slots,
-    slot_value,
 )
+from .novikov import NovikovScalar
 from .tcoalg import (
     Flag,
     TensorElement,
@@ -92,15 +95,15 @@ class PsiSolution:
     """Cofunctors at factor objects plus one coderivation per factor word.
 
     Each object and component is set once and never replaced (``solve_psi``
-    sets them in order of total length), so the chains ``apply`` keeps per
-    factor word in ``chains`` cannot go stale."""
+    sets them in order of total length), so the ``chain_ops`` ``apply``
+    keeps per factor word in ``chains`` cannot go stale."""
 
     def __init__(self, a_quiver: Optional[FiltQuiver], factors: Tuple[FiltQuiver, ...]):
         self.a_quiver = a_quiver
         self.factors = factors
         self.objects: Dict[CObjKey, Cofunctor] = {}
         self.comps: Dict[CWordKey, Coderivation] = {}
-        self.chains: Dict[CWordKey, List[Tuple[int, Tuple[Coderivation, ...]]]] = {}
+        self.chains: Dict[CWordKey, list] = {}
 
     def object_at(self, key: CObjKey) -> Cofunctor:
         try:
@@ -157,19 +160,21 @@ class PsiSolution:
         return out
 
     def apply(
-        self, a: TensorElement, cwords: Sequence[Word], window: TruncWindow
-    ) -> Tuple[TensorElement, Flag]:
-        """Evaluate (a, factor word) through the solved family: the pairing
-        this solution was solved from, reconstructed.  The factor word's
-        chains (``full_chains``) are built on its first call."""
+        self, words: Sequence[Word], c: NovikovScalar, cwords: Sequence[Word], window: TruncWindow
+    ) -> List[Tuple[TensorElement, Flag]]:
+        """Evaluate (c*w, factor word) through the solved family, for each
+        w of words: the pairing this solution was solved from,
+        reconstructed.  The factor word's chains (``full_chains``, as
+        ``chain_ops``) are built on its first call."""
         key = cword_key(cwords)
-        chains = self.chains.get(key)
-        if chains is None:
-            chains = self.chains[key] = self.full_chains(cwords)
-        return chain_sum(a, chains, window, self.object_at(cword_src(cwords)))
+        ops = self.chains.get(key)
+        if ops is None:
+            ops = self.chains[key] = chain_ops(self.full_chains(cwords), self.object_at(cword_src(cwords)))
+        return chain_sum(words, c, ops, window)
 
 
-PhiValues = Callable[[TensorElement, Sequence[Word]], TensorElement]
+# The pairing on source words (coefficient 1) and a factor word: one value each.
+PhiValues = Callable[[Sequence[Word], Sequence[Word]], List[TensorElement]]
 PhiObjMap = Callable[[str, CObjKey], str]
 
 
@@ -238,15 +243,19 @@ def solve_psi(
     factor_words = product(*(basis_words(f, b) for f, b in zip(factors, bounds)))
 
     for cwords in sorted(factor_words, key=lambda cw: sum(len(w) for w in cw)):
-        chains = sol.full_chains(cwords, least=2)
+        ops = chain_ops(sol.full_chains(cwords, least=2))
 
-        def value(w: Word, _c=cwords, _chains=chains) -> TensorElement:
-            return _rhs_value(phi, _chains, TensorElement.from_word(w, one), _c, window)
+        def value(words: Sequence[Word], _c=cwords, _ops=ops) -> List[TensorElement]:
+            """The pairing minus the correction sum over the proper splits."""
+            corrections = chain_sum(words, one, _ops, window)
+            return [v if corr is None else _signed_sum([(1, v), (-1, corr)])
+                    for v, (corr, _) in zip(phi(words, _c), corrections)]
 
-        values = {w: value(w) for w in a_words}
+        values = dict(zip(a_words, _in_order(value, a_words)))
         # Beyond the window, components are computed on demand.
         comps, compute = _extract_components(
-            lambda w, _v=values, _f=value: (_v[w] if w in _v else _f(w)).pr1_hom(), a_quiver, window
+            lambda words, _v=values, _f=value: [(_v[w] if w in _v else _f([w])[0]).pr1_hom() for w in words],
+            a_quiver, window,
         )
         objs = cword_src(cwords)
         if all(len(w) == 0 for w in cwords):
@@ -255,7 +264,7 @@ def solve_psi(
                 f"psi@{','.join(objs)}", a_quiver, target, obj_map, comps, window, variant,
                 complete_upto=window.max_len, compute=compute,
             )
-            slots = cofunctor_slots(built)
+            rebuilt = chain_ops([(1, ())], built)
         else:
             lvl = levels.zero(window.instance)
             for w in cwords:
@@ -270,31 +279,16 @@ def solve_psi(
                 complete_upto=window.max_len,
                 compute=compute,
             )
-            slots = coderivation_slots(built)
+            rebuilt = chain_ops([(1, (built,))])
         # The reconstruction must reproduce the defining values on every
         # tested word, else the pairing was not comultiplication-compatible.
-        for w in a_words:
-            got, _ = slot_value(TensorElement.from_word(w, one), slots, window)
-            if got != truncate_element(values[w], window)[0]:
+        got = _in_order(lambda words, _ops=rebuilt: chain_sum(words, one, _ops, window), a_words)
+        for w, (value_w, _) in zip(a_words, got):
+            if value_w != truncate_element(values[w], window)[0]:
                 raise LeibnizResidual(
                     f"pairing is not comultiplication-compatible: {built.name} fails on {w!r}"
                 )
     return sol
-
-
-def _rhs_value(
-    phi: "PhiValues",
-    proper_chains: Sequence[Tuple[int, Tuple[Coderivation, ...]]],
-    elem: TensorElement,
-    cwords: Sequence[Word],
-    window: TruncWindow,
-) -> TensorElement:
-    """Pairing value minus the correction sum over the proper splits of
-    ``cwords`` (``full_chains(cwords, least=2)``); the pairing value itself
-    when there are none (total length 0 or 1)."""
-    value = phi(elem, cwords)
-    correction, _ = chain_sum(elem, proper_chains, window)
-    return value if correction is None else _signed_sum([(1, value), (-1, correction)])
 
 
 def _key_name(key: CWordKey) -> str:
@@ -348,17 +342,15 @@ def compose_chain(
     target = (tchain[0].f if tchain else t_boundary).dst
     variant = (rchain[0] if rchain else r_boundary).variant
 
-    def phi(a: TensorElement, cwords: Sequence[Word]) -> TensorElement:
+    one = novikov.one(variant)
+
+    def then(x: TensorElement, w: Word, letters, functors) -> TensorElement:
+        return chain_eval(x, _chain_of([w], letters), window, functors[w.src], length_truncate=False)[0]
+
+    def phi(words: Sequence[Word], cwords: Sequence[Word]) -> List[TensorElement]:
         u, v = cwords
-        mid, _ = chain_eval(
-            a, _chain_of([u], letters1), window,
-            boundary=functors1[u.src], length_truncate=False,
-        )
-        out, _ = chain_eval(
-            mid, _chain_of([v], letters2), window,
-            boundary=functors2[v.src], length_truncate=False,
-        )
-        return out
+        return [then(then(TensorElement.from_word(a, one), u, letters1, functors1), v, letters2, functors2)
+                for a in words]
 
     def phi_obj(a_obj: str, c_objs: CObjKey) -> str:
         f = functors1[c_objs[0]]

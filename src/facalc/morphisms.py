@@ -12,35 +12,21 @@ component calculus:
   three zones, apply f on the left zone, one component of r in the middle,
   g on the right, and concatenate.
 
-The engine evaluates chains of these, cofunctors on the even zones and one
+The block engine (``engine._path_sum``) evaluates chains of these on all
+the words of a call in one sweep: cofunctors on the even zones and one
 component of each coderivation on the odd ones, as the pair ``(families,
-singles)``: a tuple of cofunctors, one longer than the tuple of
-coderivations (``Slots``, built by ``chain_slots``).
-
-Rather than list every split, ``_path_sum`` sums over paths of cut
-positions that only nonzero letters extend, one sign factor per single
-(``_crossing_sign``).  It reads each owner's letter table
-(``_ComponentTable``) along the trie of its stored keys, plus every block
-of a length the table does not decide, so a lazy ``compute`` runs, and an
-extraction bound raises, exactly where the split enumeration would.  Each
-output word is built once and kept on the target quiver
-(``FiltQuiver.words``).  ``tensor_maps`` is this engine too: its graded
-maps are singles with length-1 components, between families with no
-components.
-
-``chain_sum`` takes every signed sum of coderivation chains, building each
-chain's pair once; it skips a chain that provably vanishes without a side
-effect (``_vanishes``).
-
-Composition, push and pull are one pass, ``_transport``: the path sum of a
-basis word, summed by word, each word of nonzero sum folded through a
-second morphism's components (``_fold``).  When that table is exact, the
-path sum drops every product whose output is not a prefix of one of its
-keys, and every state left with no product once each owner ``decides``
-every block of the word (the test ``_vanishes`` also uses).
-``_extract_components`` turns any such value map into a component table
-and the matching lazy ``compute``; ``ainfty`` and ``evalhom`` extract
-through it too.
+singles)``, a tuple of cofunctors one longer than the tuple of
+coderivations (``Slots``, built by ``chain_slots``).  ``slot_value``,
+``tensor_maps`` and ``chain_sum``, every signed sum of chains, run on it;
+``chain_sum`` skips a chain on the words no longer than its skip bound
+(``chain_ops``), where it provably vanishes without a side effect.
+Composition, push and pull are one sweep too (``_transport``): each word's
+path sum, pruned by the key trie of an exact second morphism, is summed by
+word and folded through that morphism's components (``_fold``).
+``_extract_components`` turns a batch of values into a component table and
+its lazy ``compute``; ``ainfty`` and ``evalhom`` extract through it too.  A
+batch that raises is run again one word at a time (``_in_order``), so each
+error lands on its own word.
 
 All infinite sums are bounded by level accounting: every empty block filled
 by a curvature component raises the level by at least the component's
@@ -54,14 +40,16 @@ reduction modulo the cutoff is ``tcoalg._mod_cutoff``.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import levels, novikov, tcoalg
 from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch
 from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _check_member, _crossing_sign
 from .levels import INFINITY, Frozen, Level
+from .engine import _END, Letter, _path_sum
 from .novikov import NovikovScalar
 from .tcoalg import (
     Flag,
@@ -78,12 +66,6 @@ from .tcoalg import (
 CompKey = Union[str, Tuple[str, ...]]
 Components = Dict[int, Dict[CompKey, HomElement]]
 
-_END = None  # the trie entry marking the end of a stored key
-
-# A letter row: one (id(g), gid, coefficient) per term of a component.
-Letter = Tuple[Tuple[int, str, NovikovScalar], ...]
-# The partial sums at one path-sum state, keyed by output generator ids.
-Partial = Dict[Tuple[int, ...], NovikovScalar]
 
 
 def comp_key(w: Word) -> CompKey:
@@ -152,12 +134,11 @@ class _ComponentTable:
 
     The letter table is what ``_path_sum`` reads.  ``trie`` holds the
     stored keys of length >= 1 over generator ids, with ``_END`` where a
-    key ends; ``ends`` keeps ``_block_ends`` of each gid suffix asked for.
-    ``rows`` maps a block's ``comp_key`` to its letter row, filled from
-    ``comp_value`` on the first lookup of that block, and ``gens`` maps the
-    ids in the rows back to their generators.  Only returned values are
-    kept, so a lookup that raises raises again.  ``memo`` holds the lazy
-    ``compute`` values by ``comp_key``."""
+    key ends.  ``rows`` maps a block's ``comp_key`` to its letter row,
+    filled from ``comp_value`` on the first lookup of that block, and
+    ``gens`` maps the ids in the rows back to their generators.  Only
+    returned values are kept, so a lookup that raises raises again.
+    ``memo`` holds the lazy ``compute`` values by ``comp_key``."""
 
     def __init__(
         self,
@@ -181,14 +162,9 @@ class _ComponentTable:
                 for gid in key:
                     node = node.setdefault(gid, {})
                 node[_END] = True
-        self.ends: Dict[Tuple[str, ...], List[int]] = {}
         self.rows: Dict[CompKey, Letter] = {}
         self.gens: Dict[int, HomGenerator] = {}
         self.memo: Dict[CompKey, HomElement] = {}
-
-    def decides(self, n: int) -> bool:
-        """No lookup of a block up to length n runs ``compute`` or raises."""
-        return self.undecided is None or self.undecided > n
 
 
 class Cofunctor(_ComponentTable):
@@ -217,7 +193,7 @@ class Cofunctor(_ComponentTable):
         super().__init__(name, comps, complete_upto, compute)
         self.src = src
         self.dst = dst
-        self.obj_map = dict(obj_map)
+        self.obj_map = self.src_map = self.dst_map = dict(obj_map)
         self.instance = instance
         self.variant = variant
         self.convergence_bound = convergence_bound
@@ -225,14 +201,6 @@ class Cofunctor(_ComponentTable):
         self.curvature_level = INFINITY
         for v in self.curvature.values():
             self.curvature_level = levels.level_min(self.curvature_level, v.level(instance))
-
-    @property
-    def src_map(self) -> Dict[str, str]:
-        return self.obj_map
-
-    @property
-    def dst_map(self) -> Dict[str, str]:
-        return self.obj_map
 
     def __repr__(self) -> str:
         return f"Cofunctor({self.name!r}: {self.src.name}->{self.dst.name})"
@@ -264,29 +232,14 @@ class Coderivation(_ComponentTable):
         self.lvl = lvl
         self.instance = f.instance
         self.variant = f.variant
-
-    @property
-    def src(self) -> FiltQuiver:
-        return self.f.src
-
-    @property
-    def dst(self) -> FiltQuiver:
-        return self.f.dst
-
-    @property
-    def src_map(self) -> Dict[str, str]:
-        return self.f.obj_map
-
-    @property
-    def dst_map(self) -> Dict[str, str]:
-        return self.g.obj_map
+        self.src, self.dst, self.src_map, self.dst_map = f.src, f.dst, f.obj_map, g.obj_map
 
     def is_zero_map(self, upto: Optional[int] = None) -> bool:
-        """No stored component; given ``upto``, also ``decides`` every block
-        up to that length, so it is zero there."""
+        """No stored component; given ``upto``, also no lookup of a block up
+        to that length runs ``compute`` or raises, so it is zero there."""
         if any(self.comps.values()):
             return False
-        return upto is None or self.decides(upto)
+        return upto is None or self.undecided is None or self.undecided > upto
 
     def __repr__(self) -> str:
         return f"Coderivation({self.name!r}: {self.f.name}->{self.g.name}, deg {self.deg})"
@@ -332,15 +285,9 @@ def coderivation_from_components(
 
 
 def identity_cofunctor(quiver: FiltQuiver, instance: str, variant: str) -> Cofunctor:
-    comps: Components = {
-        1: {
-            (g.gid,): HomElement.from_gen(g, novikov.one(variant))
-            for g in quiver.gens
-        }
-    }
-    return Cofunctor(
-        f"id_{quiver.name}", quiver, quiver, {x: x for x in quiver.objects}, comps, instance, variant
-    )
+    comps: Components = {1: {(g.gid,): HomElement.from_gen(g, novikov.one(variant)) for g in quiver.gens}}
+    objs = {x: x for x in quiver.objects}
+    return Cofunctor(f"id_{quiver.name}", quiver, quiver, objs, comps, instance, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +304,17 @@ def coderivation_slots(r: Coderivation) -> Slots:
     return (r.f, r.g), (r,)
 
 
-def _empty_caps(families: Sequence[Cofunctor], window: TruncWindow) -> Callable[[Word, NovikovScalar], int]:
-    """The cap on the empty blocks of a term c*w: ``levels._steps`` from its
-    level by the families' least ``curvature_level``; 0 with no curvature."""
+def _empty_caps(families: Sequence[Cofunctor], window: TruncWindow, c: NovikovScalar) -> Optional[Callable]:
+    """The cap on the empty blocks of c times a word, by the word's base
+    level: ``levels._steps`` from the term's level by the families' least
+    ``curvature_level``; None with no curvature."""
     floor = reduce(levels.level_min, (f.curvature_level for f in families if f.curvature), INFINITY)
     if floor.is_infinite():
-        return lambda w, c: 0
+        return None
+    energy = novikov.nov_level(c, window.instance)
 
-    def cap(w: Word, c: NovikovScalar) -> int:
-        m = levels._steps(tcoalg.term_level(w, c, window.instance), floor, window.cutoff)
+    def cap(base: Level) -> int:
+        m = levels._steps(levels.level_add(base, energy), floor, window.cutoff)
         if m is None:
             raise ConvergenceUndecided("curvature of level <= 0: sum cannot be bounded")
         return m
@@ -373,163 +322,43 @@ def _empty_caps(families: Sequence[Cofunctor], window: TruncWindow) -> Callable[
     return cap
 
 
-def slot_value(
-    x: TensorElement,
-    slots: Slots,
-    window: TruncWindow,
-    length_truncate: bool = True,
-) -> Tuple[TensorElement, Flag]:
-    """Apply the operator ``slots = (families, singles)`` to x.
+def _in_order(values: Callable[[Sequence], list], items: Sequence) -> Iterator:
+    """The list ``values(items)`` as an iterator; if that batch raises a
+    FacalcError, the items one at a time, so the error is raised at the
+    first item that raises on its own, after the values before it."""
+    try:
+        return iter(values(items))
+    except FacalcError:
+        return (values([item])[0] for item in items)
 
-    Each term of x is evaluated by ``_path_sum``, its empty blocks bounded
-    by ``_empty_caps``; the terms of all of them are summed once, into a
-    single ``TensorElement`` between the objects families[0] and
-    families[-1] send x's ends to.
-    """
+
+def slot_value(
+    x: TensorElement, slots: Slots, window: TruncWindow, length_truncate: bool = True
+) -> Tuple[TensorElement, Flag]:
+    """Apply the operator ``slots = (families, singles)`` to x: the terms
+    of all of x's path sums (``_term_values``), summed once into a single
+    ``TensorElement`` between the objects families[0] and families[-1] send
+    x's ends to."""
     families, singles = slots
-    cap = _empty_caps(families, window)
-    terms: List[Tuple[Word, NovikovScalar]] = []
-    for w, c in x.terms:
-        terms.extend(_path_sum(w, c, families, singles, cap(w, c)))
+    parts = _in_order(lambda terms: _term_values(terms, families, singles, window), x.terms)
+    terms = [t for part in parts for t in part]
     out = TensorElement(families[0].obj_map[x.src], families[-1].obj_map[x.dst], terms)
     if length_truncate:
         return truncate_element(out, window)
     return out, Flag.SOUND
 
 
-def _block_ends(owner: _ComponentTable, suffix: Tuple[str, ...]) -> List[int]:
-    """The lengths d >= 1, ascending, of the prefixes suffix[:d] whose
-    component the owner may not send to zero: the stored keys along the
-    suffix, then every d from the first length the table does not
-    decide."""
-    ends = owner.ends.get(suffix)
-    if ends is None:
-        n = len(suffix)
-        stop = n + 1 if owner.undecided is None else min(max(owner.undecided, 1), n + 1)
-        ends = []
-        node = owner.trie
-        for d in range(1, stop):
-            node = node.get(suffix[d - 1])
-            if node is None:
-                break
-            if _END in node:
-                ends.append(d)
-        ends.extend(range(stop, n + 1))
-        owner.ends[suffix] = ends
-    return ends
-
-
-def _path_sum(
-    w: Word,
-    c: NovikovScalar,
-    families: Sequence[Cofunctor],
-    singles: Sequence[Coderivation],
-    cap: int,
-    prefixes: Optional[dict] = None,
-) -> List[Tuple[Word, NovikovScalar]]:
-    """The terms of c times the value of the slots on the word w.
-
-    A left-to-right sweep over states (i, t, e): cut position i, zone t (the
-    number of singles used) and e family empty blocks used so far.
-    Zone t reads letters of families[t] on blocks w[i:j], j > i, plus
-    curvature letters on w[i:i] while e + 1 < cap; the next single
-    reads w[i:j], j >= i, and crosses w[j:].  Every step goes to a
-    lexicographically larger state, so one pass in that order completes
-    each state before it is read.
-
-    Letters are read from each owner's letter table, set up with the owner
-    (``_ComponentTable``) and filled through ``comp_value`` on the first
-    lookup of each block, so a lookup happens at most once per owner and
-    block, and the first one where it always did.  Nonempty blocks are
-    walked along the owner's key trie (``_block_ends``): only stored keys
-    are looked up, and every block of a length the table does not decide,
-    so lazy components are computed, and bound errors raised, exactly where
-    the split enumeration would compute or raise them.  A state counts as reached as soon as a chain of nonzero
-    letters arrives, even if its partial sums cancel or are all pruned.
-    Partial sums are keyed by the ids of the output generators, which hash
-    fast.  Given ``prefixes``, the key trie of an exact table the result is
-    folded through, a product whose output gids are not a path of that trie
-    is dropped: no key of the table extends it.  A state left with no
-    product is dead, and is not walked when every owner ``decides`` every
-    block of w, so its lookups could only read a stored letter or zero.
-    """
-    n = len(w)
-    n_singles = len(singles)
-    objs = [w.at] + [g.dst for g in w.gens]
-    gids = tuple(g.gid for g in w.gens)
-    tail = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tail[i] = tail[i + 1] + w.gens[i].sdeg
-
-    def letter(owner: _ComponentTable, i: int, j: int) -> Letter:
-        key = gids[i:j] if j > i else objs[i]
-        row = owner.rows.get(key)
-        if row is None:
-            terms = owner.comp_value(Word(objs[i], w.gens[i:j])).terms
-            owner.gens.update((id(g), g) for g, _ in terms)
-            row = owner.rows[key] = tuple((id(g), g.gid, cl) for g, cl in terms)
-        return row
-
-    states: Dict[Tuple[int, int, int], Partial] = {(0, 0, 0): {(): c}}
-    nodes = None if prefixes is None else {(): prefixes}
-    drop = prefixes is not None and all(o.decides(n) for o in (*families, *singles))
-    finals: List[Partial] = []
-
-    def step(partial: Partial, target, value: Letter, sign: int = 1) -> None:
-        if not value:
-            return
-        into = states.setdefault(target, {})
-        for prefix, cp in partial.items():
-            node = None if nodes is None else nodes[prefix]
-            for gid, name, cl in value:
-                key = prefix + (gid,)
-                if node is not None:
-                    child = node.get(name)
-                    if child is None:
-                        continue
-                    nodes[key] = child
-                term = novikov.nov_mul(cp, cl)
-                if sign < 0:
-                    term = novikov.nov_neg(term)
-                into[key] = novikov.nov_add(into[key], term) if key in into else term
-
-    empties = range(max(cap, 1))
-    for i in range(n + 1):
-        if not states:
-            break
-        suffix = gids[i:]
-        for t in range(n_singles + 1):
-            family = families[t]
-            for e in empties:
-                partial = states.pop((i, t, e), None)
-                if not partial and (partial is None or drop):
-                    continue
-                if i == n and t == n_singles:
-                    finals.append(partial)
-                for d in _block_ends(family, suffix):
-                    step(partial, (i + d, t, e), letter(family, i, i + d))
-                if e + 1 < cap and family.curvature:
-                    step(partial, (i, t, e + 1), letter(family, i, i))
-                if t < n_singles:
-                    single = singles[t]
-                    for d in (0, *_block_ends(single, suffix)):
-                        j = i + d
-                        sign = _crossing_sign(single.deg, tail[j])
-                        step(partial, (j, t + 1, e), letter(single, i, j), sign)
-    if not finals:
-        return []
-    words = families[0].dst.words
-    gens: Dict[int, HomGenerator] = {}
-    out = []
-    for partial in finals:
-        for key, cp in partial.items():
-            word = words.get(key) if key else Word(families[0].obj_map[w.at])
-            if word is None:
-                if not gens:
-                    for owner in (*families, *singles):
-                        gens.update(owner.gens)
-                word = words[key] = Word.from_gens([gens[g] for g in key])
-            out.append((word, cp))
+def _term_values(terms, families, singles, window: Optional[TruncWindow]) -> list:
+    """The path-sum terms of each (w, c) of terms, in order: one sweep per
+    coefficient, with the window's caps on empty blocks given one."""
+    out: list = [None] * len(terms)
+    groups: Dict[NovikovScalar, List[int]] = {}
+    for k, (_, c) in enumerate(terms):
+        groups.setdefault(c, []).append(k)
+    for c, ks in groups.items():
+        cap = None if window is None else _empty_caps(families, window, c)
+        for j, part in _path_sum([terms[k][0] for k in ks], c, families, singles, cap):
+            out[ks[j]] = part
     return out
 
 
@@ -554,12 +383,11 @@ def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
     for j, f in enumerate(maps):
         comps = {1: {(gid,): value for gid, value in f.action.items()}}
         singles.append(Coderivation(f"map {j}", family, family, f.deg, f.lvl, comps))
-    terms: List[Tuple[Word, NovikovScalar]] = []
-    for w, c in x.terms:
+    for w, _ in x.terms:
         if len(w) != len(maps):
             raise ObjectMismatch(f"word length {len(w)} != {len(maps)} maps")
-        terms.extend(_path_sum(w, c, families, singles, 0))
-    return TensorElement(family.obj_map[x.src], family.obj_map[x.dst], terms)
+    parts = _term_values(x.terms, families, singles, None)
+    return TensorElement(family.obj_map[x.src], family.obj_map[x.dst], [t for part in parts for t in part])
 
 
 def family_value(owner: Union[Cofunctor, Coderivation], x: TensorElement) -> HomElement:
@@ -576,54 +404,60 @@ def _fold(owner: Union[Cofunctor, Coderivation], src: str, dst: str, terms) -> H
 
 
 def _transport(
-    w: Word,
-    slots: Slots,
-    owner: Union[Cofunctor, Coderivation],
-    window: TruncWindow,
-    c: NovikovScalar,
-) -> HomElement:
-    """c*w through slots, folded untruncated through owner's components in
-    one pass: the path sum, pruned by an exact owner's key trie, is summed
-    by word, and only words of nonzero sum are folded, as in a value."""
+    words: Sequence[Word], slots: Slots, owner: _ComponentTable, window: TruncWindow, c: NovikovScalar
+) -> List[HomElement]:
+    """c times each word through slots, folded untruncated through owner's
+    components, in one sweep: each word's path sum, pruned by an exact
+    owner's key trie, is summed by word as soon as the sweep yields it, and
+    only words of nonzero sum are folded, as in a value."""
     families, singles = slots
     prefixes = owner.trie if owner.undecided is None else None
-    summed: Dict[Word, NovikovScalar] = {}
-    for u, cu in _path_sum(w, c, families, singles, _empty_caps(families, window)(w, c), prefixes):
-        summed[u] = novikov.nov_add(summed[u], cu) if u in summed else cu
-    kept = ((u, cu) for u, cu in summed.items() if not cu.is_zero())
-    return _fold(owner, families[0].obj_map[w.src], families[-1].obj_map[w.dst], kept)
+    out: list = [None] * len(words)
+    for k, terms in _path_sum(words, c, families, singles, _empty_caps(families, window, c), prefixes):
+        summed: Dict[Word, NovikovScalar] = {}
+        for u, cu in terms:
+            summed[u] = novikov.nov_add(summed[u], cu) if u in summed else cu
+        kept = ((u, cu) for u, cu in summed.items() if not cu.is_zero())
+        w = words[k]
+        out[k] = _fold(owner, families[0].obj_map[w.src], families[-1].obj_map[w.dst], kept)
+    return out
 
 
 def _extract_components(
-    value: Callable[[Word], HomElement],
-    src_quiver: FiltQuiver,
-    window: TruncWindow,
+    values: Callable[[Sequence[Word]], List[HomElement]], src_quiver: FiltQuiver, window: TruncWindow,
     max_len: Optional[int] = None,
 ) -> Tuple[Components, Callable[[Word], HomElement]]:
-    """The components of a morphism from its value on each basis word of
-    src_quiver up to max_len (default: the window length), in basis_words
-    order, each reduced by hom_truncate once; zeros are dropped.  Also
-    returns that truncated value map, the morphism's lazy ``compute``."""
+    """The components of a morphism from its values on the basis words of
+    src_quiver up to max_len (default: the window length), taken in one
+    batch (``_in_order``), each reduced by hom_truncate once; zeros are
+    dropped.  Also returns the truncated value on one word, the morphism's
+    lazy ``compute``."""
 
     def compute(w: Word) -> HomElement:
-        return hom_truncate(value(w), window)
+        return hom_truncate(values([w])[0], window)
 
     comps: Components = {}
-    for w in basis_words(src_quiver, window.max_len if max_len is None else max_len):
-        v = compute(w)
+    words = basis_words(src_quiver, window.max_len if max_len is None else max_len)
+    for w, v in zip(words, _in_order(values, words)):
+        v = hom_truncate(v, window)
         if not v.is_zero():
             comps.setdefault(len(w), {})[comp_key(w)] = v
     return comps, compute
+
+
+def _transported(slots: Slots, owner: Union[Cofunctor, Coderivation], window: TruncWindow):
+    """The components, on the source quiver, of the value of slots folded
+    through owner, with the matching lazy ``compute``."""
+    first = slots[0][0]
+    one = novikov.one(first.variant)
+    return _extract_components(lambda words: _transport(words, slots, owner, window, one), first.src, window)
 
 
 def compose_cofunctors(f: Cofunctor, g: Cofunctor, window: TruncWindow) -> Cofunctor:
     """Components of f then g: feed the full value of f through g's letters."""
     if f.dst.name != g.src.name:
         raise ObjectMismatch(f"cannot compose {f.name!r} with {g.name!r}")
-    one = novikov.one(f.variant)
-    comps, compute = _extract_components(
-        lambda w: _transport(w, cofunctor_slots(f), g, window, one), f.src, window
-    )
+    comps, compute = _transported(cofunctor_slots(f), g, window)
     h = Cofunctor(
         f"{f.name}*{g.name}",
         f.src,
@@ -645,40 +479,18 @@ def push_coderivation(r: Coderivation, h: Cofunctor, window: TruncWindow) -> Cod
     """The coderivation r pushed along h, between f.h and g.h."""
     if r.dst.name != h.src.name:
         raise ObjectMismatch("push: coderivation does not land in the source of h")
-    one = novikov.one(r.variant)
-    comps, compute = _extract_components(
-        lambda w: _transport(w, coderivation_slots(r), h, window, one), r.src, window
-    )
-    return Coderivation(
-        f"{r.name}*{h.name}",
-        compose_cofunctors(r.f, h, window),
-        compose_cofunctors(r.g, h, window),
-        r.deg,
-        r.lvl,
-        comps,
-        complete_upto=window.max_len,
-        compute=compute,
-    )
+    comps, compute = _transported(coderivation_slots(r), h, window)
+    f, g = compose_cofunctors(r.f, h, window), compose_cofunctors(r.g, h, window)
+    return Coderivation(f"{r.name}*{h.name}", f, g, r.deg, r.lvl, comps, window.max_len, compute)
 
 
 def pull_coderivation(e: Cofunctor, r: Coderivation, window: TruncWindow) -> Coderivation:
     """The coderivation r pulled back along e, between e.f and e.g."""
     if e.dst.name != r.src.name:
         raise ObjectMismatch("pull: cofunctor does not land in the source of r")
-    one = novikov.one(e.variant)
-    comps, compute = _extract_components(
-        lambda w: _transport(w, cofunctor_slots(e), r, window, one), e.src, window
-    )
-    return Coderivation(
-        f"{e.name}*{r.name}",
-        compose_cofunctors(e, r.f, window),
-        compose_cofunctors(e, r.g, window),
-        r.deg,
-        r.lvl,
-        comps,
-        complete_upto=window.max_len,
-        compute=compute,
-    )
+    comps, compute = _transported(cofunctor_slots(e), r, window)
+    f, g = compose_cofunctors(e, r.f, window), compose_cofunctors(e, r.g, window)
+    return Coderivation(f"{e.name}*{r.name}", f, g, r.deg, r.lvl, comps, window.max_len, compute)
 
 
 def chain_slots(chain: Sequence[Coderivation], boundary: Optional[Cofunctor] = None) -> Slots:
@@ -710,56 +522,52 @@ def chain_eval(
     return slot_value(a, chain_slots(chain, boundary), window, length_truncate=length_truncate)
 
 
-def _vanishes(slots: Slots, n: int) -> bool:
-    """True when ``slot_value`` of the operator is zero, SOUND and free of
-    side effects on every element of words up to length n: some single is
-    zero on every block up to n, every owner ``decides`` every block up to
-    n, and no family is curved at level <= 0 (``_empty_caps`` cannot
+def chain_ops(
+    signed_chains: Sequence[Tuple[int, Sequence[Coderivation]]], boundary: Optional[Cofunctor] = None
+) -> List[Tuple[int, Slots, float]]:
+    """Each (sign, chain) as (sign, its pair, its skip bound), built once
+    where the chain list is; ``boundary`` serves the empty chain.  The skip
+    bound is the largest n (-1 for none) such that ``slot_value`` of the
+    pair is zero, SOUND and free of side effects on words up to length n:
+    some single stores no component, every owner decides every block up to
+    n (``undecided`` is None or above n), and no family is curved at level <= 0 (``_empty_caps`` cannot
     raise)."""
-    families, singles = slots
-    if not any(r.is_zero_map(n) for r in singles):
-        return False
-    return all(owner.decides(n) for owner in (*families, *singles)) and not any(
-        f.curvature and levels.level_leq(f.curvature_level, levels.zero(f.instance)) for f in families
-    )
+    out = []
+    for sign, chain in signed_chains:
+        families, singles = slots = chain_slots(chain, boundary)
+        flat = (f.curvature and levels.level_leq(f.curvature_level, levels.zero(f.instance)) for f in families)
+        undecided = [o.undecided - 1 for o in (*families, *singles) if o.undecided is not None]
+        skip = not any(flat) and any(r.is_zero_map() for r in singles)
+        out.append((sign, slots, min(undecided, default=math.inf) if skip else -1))
+    return out
 
 
 def chain_sum(
-    x: TensorElement,
-    signed_chains: Sequence[Tuple[int, Sequence[Coderivation]]],
-    window: TruncWindow,
-    boundary: Optional[Cofunctor] = None,
-) -> Tuple[Optional[TensorElement], Flag]:
-    """The sum of sign * chain_eval(x, chain) over the (sign, chain) pairs,
-    with the join of their flags; None for an empty list.  ``boundary``
-    serves the empty chain.  Every signed sum of chains is taken here.
-
-    A chain whose operator provably vanishes on x (``_vanishes`` at
-    ``x.max_len()``) is not evaluated: its value is the zero element on the
-    endpoints ``slot_value`` would give it, flagged SOUND, and only the
-    first chain's value is needed to stand for an all-zero sum.  The skip
-    omits no lookup with a side effect: every owner of such a chain answers
-    each block of x from its stored table, so the lookups it omits could
-    only have read a stored letter or zero, never run a lazy ``compute``,
-    raised at an extraction bound or raised ``ConvergenceUndecided`` in
-    ``_empty_caps``."""
-    if not signed_chains:
-        return None, Flag.SOUND
-    n = x.max_len()
-    pieces = []
-    flag = Flag.SOUND
-    for sign, chain in signed_chains:
-        slots = chain_slots(chain, boundary)
-        if _vanishes(slots, n):
-            if not pieces:
-                families, _ = slots
-                zero = TensorElement.zero(families[0].obj_map[x.src], families[-1].obj_map[x.dst])
-                pieces.append((sign, zero))
-            continue
-        piece, fl = slot_value(x, slots, window)
-        flag = join_flags(flag, fl)
-        pieces.append((sign, piece))
-    return tcoalg._signed_sum(pieces), flag
+    words: Sequence[Word], c: NovikovScalar, ops: Sequence[Tuple[int, Slots, float]], window: TruncWindow
+) -> List[Tuple[Optional[TensorElement], Flag]]:
+    """For each word w, the sum of sign * chain_eval(c*w, chain) over the
+    ``chain_ops``, with the join of their flags, or None for no chain: each
+    chain in one sweep over the words longer than its bound.  On the others
+    it is the zero element on the endpoints ``slot_value`` would give it,
+    flagged SOUND, kept only to stand for an all-zero sum; no owner there
+    can run a lazy ``compute`` or raise, so the skip omits no side effect."""
+    if not ops:
+        return [(None, Flag.SOUND)] * len(words)
+    pieces: List[list] = [[] for _ in words]
+    flags = [Flag.SOUND] * len(words)
+    for sign, (families, singles), bound in ops:
+        src, dst = families[0].obj_map, families[-1].obj_map
+        live = []
+        for k, w in enumerate(words):
+            if len(w) > bound:
+                live.append(k)
+            elif not pieces[k]:
+                pieces[k].append((sign, TensorElement.zero(src[w.src], dst[w.dst])))
+        for k, terms in zip(live, _term_values([(words[k], c) for k in live], families, singles, window)):
+            piece, flag = truncate_element(TensorElement(src[words[k].src], dst[words[k].dst], terms), window)
+            flags[k] = join_flags(flags[k], flag)
+            pieces[k].append((sign, piece))
+    return [(tcoalg._signed_sum(p), f) for p, f in zip(pieces, flags)]
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ GOLDEN_CASES = {
     ],
     "compose_b1_only": ["compose", "tests/fixtures/b1_only.json"],
     "compose_curved": ["compose", "tests/fixtures/curved_compose.json"],
+    "compose_curved_w9_6": ["compose", "tests/fixtures/curved_compose.json", "--window", "9,6"],
     "push_b1_only": ["push", "tests/fixtures/b1_only.json"],
     "push_b1_only_w9_5": ["push", "tests/fixtures/b1_only.json", "--window", "9,5"],
     "pull_b1_only": ["pull", "tests/fixtures/b1_only.json"],

@@ -378,17 +378,16 @@ def test_criterion_08_evaluation_and_solver():
                 f"z{key}", ida, ida, cw.sdeg, levels.rat(0), {}
             )
 
-    def phi(a, cwords):
-        return fixture.apply(a, cwords, W4)[0]
+    def phi(words, cwords):
+        return [value for value, _ in fixture.apply(words, ONE, cwords, W4)]
 
     sol = solve_psi(phi, lambda o, c: "X", Q, Q, [C], W4, "nov", max_factor_len=(2,))
     for key, r in fixture.comps.items():
         ok = ok and sol.comps[key].comps == r.comps
     for cw in basis_words(C, 2):
         for aw in basis_words(Q, 2):
-            a = TensorElement.from_word(aw, ONE)
-            got, _ = sol.apply(a, (cw,), W4)
-            want, _ = truncate_element(phi(a, (cw,)), W4)
+            (got, _), = sol.apply([aw], ONE, (cw,), W4)
+            want, _ = truncate_element(phi([aw], (cw,))[0], W4)
             ok = ok and got == want
 
     # Chain composition: units and associativity on single letters.

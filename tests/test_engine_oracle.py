@@ -11,6 +11,7 @@ sets agree on every effective lookup (see ``effective``): lazy components
 are computed exactly where the enumerator computes them.
 """
 
+import re
 import zlib
 from fractions import Fraction
 from functools import reduce
@@ -23,21 +24,25 @@ from hypothesis import given, seed, settings, strategies as st
 from facalc import levels, novikov, tcoalg
 from facalc.errors import ConvergenceUndecided, FacalcError, ObjectMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
+from facalc.ainfty import _hom_str, _word_checks, word_name
+from facalc.engine import _Trie, _path_sum
 from facalc.morphisms import (
     Coderivation,
     Cofunctor,
     Slots,
     _crossing_sign,
-    _path_sum,
+    _extract_components,
+    _in_order,
     _transport,
-    _vanishes,
     chain_eval,
+    chain_ops,
     chain_slots,
     chain_sum,
     cofunctor_slots,
     coderivation_slots,
     comp_key,
     family_value,
+    hom_truncate,
     slot_value,
 )
 from facalc.novikov import NovikovScalar
@@ -429,8 +434,10 @@ def outcome(fn, catch=ConvergenceUndecided):
 
 
 def path_sum_element(w, c, slots, cap):
+    """The engine on the one word w, every cap set to ``cap``."""
     families, singles = slots
-    return TensorElement(w.src, w.dst, _path_sum(w, c, families, singles, cap))
+    (_, terms), = _path_sum([w], c, families, singles, lambda base: cap)
+    return TensorElement(w.src, w.dst, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +657,7 @@ def test_fold_pruning_keeps_the_folded_value(data):
         return lambda slots, fold, w, c: family_value(
             fold, value(TensorElement.from_word(w, c), slots, window, False)[0])
 
-    pruned = run(lambda slots, fold, w, c: _transport(w, slots, fold, window, c))
+    pruned = run(lambda slots, fold, w, c: _transport([w], slots, fold, window, c)[0])
     unpruned = run(then_fold(slot_value))
     oracle = run(then_fold(oracle_slot_value))
 
@@ -698,7 +705,7 @@ def test_dead_states_are_dropped_only_where_every_owner_decides(data):
         record_lookups(slots, seen)
         return outcome(lambda: evaluate(slots, fold), FacalcError), sorted(hits, key=repr), seen
 
-    transport = lambda slots, fold: _transport(w, slots, fold, window, c)
+    transport = lambda slots, fold: _transport([w], slots, fold, window, c)[0]
     got = run(transport)
     want = run(lambda slots, fold: family_value(
         fold, oracle_slot_value(TensorElement.from_word(w, c), slots, window, False)[0]))
@@ -731,10 +738,38 @@ def test_a_dead_state_is_walked_only_where_some_owner_is_undecided(upto, walked)
     slots = cofunctor_slots(f)
     record_lookups(slots, seen)
     window = TruncWindow(6, levels.rat(3))
-    value = _transport(w, slots, fold, window, one)
+    (value,) = _transport([w], slots, fold, window, one)
     assert (("f", Word.from_gens([a])) in seen) == walked
     unfolded, _ = oracle_slot_value(TensorElement.from_word(w, one), slots, window, False)
     assert value == family_value(fold, unfolded)
+
+
+def test_a_dead_state_steps_only_where_some_word_below_is_undecided():
+    # The words x.a and x.x.x share the prefix x.  The fold's only key is a,
+    # so the product f(x) is pruned and the state after x is dead.  f is
+    # lazy from length 3, so only x.x.x, the longer word, walks that state:
+    # into x.x, never into x.a, whose own sweep drops it.  So f is never
+    # asked for the block a after x, which no sweep of one word asks for.
+    x, a = QUIVER.gen("x"), QUIVER.gen("a")
+    one = novikov.one()
+    table = {1: {("x",): HomElement.from_gen(x, one), ("a",): HomElement.from_gen(a, one)}}
+    fold_table = {1: {("a",): table[1][("a",)]}}
+    batch = [Word.from_gens([x, a]), Word.from_gens([x, x, x])]
+    window = TruncWindow(6, levels.rat(3))
+
+    def run(ws):
+        f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, table, "rat", "nov", complete_upto=2,
+                      compute=RaisingCompute(0, 2, lambda u: False))
+        fold = Cofunctor("fold", QUIVER, QUIVER, IDENTITY, fold_table, "rat", "nov")
+        seen = set()
+        record_lookups(cofunctor_slots(f), seen)
+        return _transport(ws, cofunctor_slots(f), fold, window, one), seen
+
+    values, seen = run(batch)
+    singles = [run([w]) for w in batch]
+    assert values == [value for (value,), _ in singles]
+    assert seen == set().union(*(s for _, s in singles))
+    assert ("f", Word("X", (a,))) not in seen
 
 
 def test_transport_folds_no_word_of_zero_sum():
@@ -753,7 +788,7 @@ def test_transport_folds_no_word_of_zero_sum():
     hits = []
     record_computes([fold], hits)
     window = TruncWindow(6, levels.rat(3))
-    assert _transport(w, coderivation_slots(r), fold, window, one).is_zero()
+    assert _transport([w], coderivation_slots(r), fold, window, one)[0].is_zero()
     assert not hits
     assert slot_value(TensorElement.from_word(w, one), coderivation_slots(r), window, False)[0].is_zero()
 
@@ -892,6 +927,19 @@ def decides(owner, n: int) -> bool:
     return owner.compute is None
 
 
+def vanishes(chain, n: int) -> bool:
+    """The skip, read from the raw fields: some single stores nothing and
+    decides every block up to n, every owner decides every block up to n,
+    and no family is curved at level <= 0."""
+    families = [r.f for r in chain] + [chain[-1].g]
+    flat = any(levels.level_leq(v.level("rat"), R0) for f in families for v in f.comps.get(0, {}).values())
+    return (
+        any(not r.comps and decides(r, n) for r in chain)
+        and all(decides(owner, n) for owner in families + list(chain))
+        and not flat
+    )
+
+
 def literal_chain_sum(x, signed_chains, window):
     """The signed sum of ``chain_eval`` over every chain, none skipped."""
     pieces, flags = [], []
@@ -917,7 +965,9 @@ def test_chain_sum_matches_the_literal_sum(data):
         st.one_of(st.none(), st.sampled_from(ZERO_KINDS)), min_size=n_singles, max_size=n_singles
     ), label="zeros")
     salt = data.draw(st.integers(0, 10**6), label="salt")
-    x = data.draw(elements(max_len=4 - n_singles), label="x")
+    words = [w for w, _ in data.draw(elements(max_len=4 - n_singles), label="x").terms]
+    c = data.draw(st.sampled_from(SCALARS), label="coeff")
+    x = TensorElement(words[0].src, words[0].dst, [(w, c) for w in words])
     n = x.max_len()
     window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
     spans = [(a, b) for a in range(n_singles) for b in range(a + 1, n_singles + 1)]
@@ -933,22 +983,28 @@ def test_chain_sum_matches_the_literal_sum(data):
                 chain[i] = zero_single(kind, families[i], families[i + 1], chain[i].deg, n, salt + i)
         return [(sign, tuple(chain[a:b])) for sign, (a, b) in picked]
 
-    got = outcome(lambda: chain_sum(x, signed_chains(), window), FacalcError)
-    want = outcome(lambda: literal_chain_sum(x, signed_chains(), window), FacalcError)
-    assert got == want
+    def batched():
+        """One sweep per chain over the words, one word at a time if that
+        raises."""
+        ops = chain_ops(signed_chains())
+        return list(_in_order(lambda ws: chain_sum(ws, c, ops, window), words))
 
-    for (_, (a, b)), (_, chain) in zip(picked, signed_chains()):
-        # Skipped: some single stores nothing and decides every block of x,
-        # every owner decides every block of x, and no family is curved at
-        # level <= 0.
+    def literal():
+        chains = signed_chains()
+        return [literal_chain_sum(TensorElement.from_word(w, c), chains, window) for w in words]
+
+    got = outcome(batched, FacalcError)
+    assert got == outcome(literal, FacalcError)
+
+    for _, chain in signed_chains():
+        # The skip bound is the literal skip at every length up to one past
+        # the largest ``undecided`` of the chain's owners.
+        (_, _, bound), = chain_ops([(1, chain)])
         owners = [r.f for r in chain] + [chain[-1].g] + list(chain)
-        expected = (
-            any(not r.comps and decides(r, n) for r in chain)
-            and all(decides(owner, n) for owner in owners)
-            and all(family_specs[i]["flat_curvature"] is None for i in range(a, b + 1))
-        )
-        assert _vanishes(chain_slots(chain), n) == expected
-        if expected:
+        top = max((o.undecided for o in owners if o.undecided is not None), default=0)
+        for m in range(top + 2):
+            assert (m <= bound) == vanishes(chain, m), m
+        if vanishes(chain, n):
             assert chain_eval(x, chain, window) == (TensorElement.zero(x.src, x.dst), Flag.SOUND)
 
 
@@ -968,7 +1024,8 @@ def test_chain_sum_of_vanishing_chains_is_the_zero_element(kinds):
     ]
     seen = set()
     record_lookups(((f, g, h), tuple(c for _, (c,) in chains)), seen)
-    value, flag = chain_sum(x, chains, window)
+    (w, one), = x.terms
+    (value, flag), = chain_sum([w], one, chain_ops(chains), window)
     assert not seen  # no chain was evaluated
     # The zero element on the first chain's endpoints: f on the source, g on
     # the target.
@@ -979,16 +1036,17 @@ def test_chain_sum_of_vanishing_chains_is_the_zero_element(kinds):
 
 def test_vanishing_chains_keep_the_curvature_error():
     # A zero single between families curved at level 0: the literal sum
-    # raises in ``_empty_cap``, and so must the skip.
+    # raises in ``_empty_caps``, and so must the skip.
     spec = {"salt": 1, "sparsity": 1, "curved": False, "lazy": False, "raise_mod": None, "deg": 1,
             "upto": None, "flat_curvature": 0}
     families, _ = build_owners([spec, dict(spec, flat_curvature=None)], [])
     z = zero_single("exact", families[0], families[1], 1, 2, 0)
     x = TensorElement.from_word(Word.from_gens([QUIVER.gen("a"), QUIVER.gen("b")]), novikov.one())
     window = TruncWindow(6, levels.rat(3))
-    assert not _vanishes(chain_slots((z,)), 2)
-    for run in (chain_sum, literal_chain_sum):
-        assert outcome(lambda: run(x, [(1, (z,))], window)) == ("raised", ConvergenceUndecided)
+    assert chain_ops([(1, (z,))])[0][2] == -1
+    (w, one), = x.terms
+    assert outcome(lambda: chain_sum([w], one, chain_ops([(1, (z,))]), window)) == ("raised", ConvergenceUndecided)
+    assert outcome(lambda: literal_chain_sum(x, [(1, (z,))], window)) == ("raised", ConvergenceUndecided)
 
 
 def test_chain_sum_does_not_skip_a_chain_that_does_not_compose():
@@ -999,8 +1057,9 @@ def test_chain_sum_does_not_skip_a_chain_that_does_not_compose():
     # z ends at f1, the next entry starts at f2.
     broken = (z, zero_single("exact", families[2], families[0], 0, 1, 0))
     window = TruncWindow(6, levels.rat(3))
-    for run in (chain_sum, literal_chain_sum):
-        assert outcome(lambda: run(x, [(1, broken)], window), FacalcError) == ("raised", ObjectMismatch)
+    (w, one), = x.terms
+    got = outcome(lambda: chain_sum([w], one, chain_ops([(1, broken)]), window), FacalcError)
+    assert got == outcome(lambda: literal_chain_sum(x, [(1, broken)], window), FacalcError) == ("raised", ObjectMismatch)
 
 
 @seed(facalc_seed())
@@ -1023,3 +1082,131 @@ def test_reused_output_words_equal_fresh_ones(data):
             # The second evaluation hands out the word the first one built.
             assert w2 is w
             assert QUIVER.words[tuple(id(g) for g in w.gens)] is w
+
+
+# ---------------------------------------------------------------------------
+# One sweep over many words
+
+
+@st.composite
+def word_sets(draw, max_len):
+    """Words of mixed lengths that share prefixes: some drawn words, each
+    with a few of its prefixes, in any order, repeats allowed."""
+    out = []
+    for w in draw(st.lists(words(max_len), min_size=1, max_size=4)):
+        cuts = draw(st.sets(st.integers(0, len(w)), max_size=3)) | {len(w)}
+        out.extend(Word(w.at, w.gens[:d]) for d in sorted(cuts))
+    return draw(st.permutations(out))
+
+
+@seed(facalc_seed())
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_the_per_word_oracle(data):
+    family_specs, single_specs = data.draw(kinded_owners(), label="owners")
+    batch = data.draw(word_sets(4 - len(single_specs)), label="words")
+    c = data.draw(st.sampled_from(SCALARS), label="coeff")
+    window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
+    kind = data.draw(st.sampled_from(["none", "exact", "lazy", "bounded", "curved"]), label="fold")
+    fold_args = (
+        kind,
+        data.draw(st.integers(0, 10**6), label="fold_salt"),
+        data.draw(st.integers(1, 8), label="fold_sparsity"),
+        data.draw(st.integers(0, 2), label="fold_upto"),
+    )
+
+    def run(evaluate):
+        """Fresh owners: the values in order (one word at a time where the
+        batch raises), the computes that ran and the blocks looked up."""
+        slots = build_slots(family_specs, single_specs)
+        fold = None if kind == "none" else fold_owner(*fold_args)
+        hits, seen = [], set()
+        record_computes(slot_owners(slots) + ([fold] if fold else []), hits)
+        record_lookups(slots, seen)
+        got = outcome(lambda: list(_in_order(lambda ws: evaluate(ws, slots, fold), batch)), FacalcError)
+        return got, set(hits), seen, slots
+
+    def sweep(ws, slots, fold):
+        if fold is None:
+            return chain_sum(ws, c, [(1, slots, -1)], window)
+        return _transport(ws, slots, fold, window, c)
+
+    def per_word(ws, slots, fold):
+        out = []
+        for w in ws:
+            value = oracle_slot_value(TensorElement.from_word(w, c), slots, window, fold is None)
+            out.append(value if fold is None else family_value(fold, value[0]))
+        return out
+
+    got, hits, seen, slots = run(sweep)
+    want, want_hits, want_seen, _ = run(per_word)
+    # Where two lookups raise different errors, the engine and the
+    # enumerator meet them in different orders, word by word as in one
+    # sweep, so only the outcome is compared then.
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        assert got == want
+        assert hits == want_hits
+        assert seen <= want_seen
+        if kind == "none":
+            assert effective(slots, seen) == effective(slots, want_seen)
+
+
+@pytest.mark.parametrize("raisers", [(("a", "b", "a"),), (("a", "b", "a"), ("a", "b", "x"))])
+def test_a_raising_word_keeps_its_own_error(raisers):
+    # f and r compute every block of length 3, and raise on the chosen
+    # words.  The batch meets a.b.x first, as f's block from the root, and
+    # a.b.a only after it, as r's: run one at a time, each error lands on
+    # its own word, and the first error is the first word's.
+    one = novikov.one()
+    a = QUIVER.gen("a")
+    table = {1: {(g.gid,): HomElement.from_gen(g, one) for g in QUIVER.gens}}
+
+    def owners():
+        f_hits = lambda w: comp_key(w) == ("a", "b", "x") and comp_key(w) in raisers
+        r_hits = lambda w: comp_key(w) == ("a", "b", "a") and comp_key(w) in raisers
+        f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, table, "rat", "nov", complete_upto=2,
+                      compute=RaisingCompute(3, 1, f_hits))
+        r = Coderivation("r", f, f, 1, R0, {1: {("a",): HomElement.from_gen(a, one)}}, complete_upto=2,
+                         compute=RaisingCompute(5, 1, r_hits))
+        return coderivation_slots(r), Cofunctor("fold", QUIVER, QUIVER, IDENTITY, table, "rat", "nov")
+
+    window = TruncWindow(3, levels.rat(3))
+    words = basis_words(QUIVER, 3)
+    slots, fold = owners()
+    values = lambda ws: _transport(ws, slots, fold, window, one)
+    first = Word.from_gens([QUIVER.gen(g) for g in raisers[-1]])
+    with pytest.raises(ConvergenceUndecided, match=re.escape(repr(first))):
+        values(words)
+    entries = _word_checks("b2", QUIVER, 3, values, window)
+    undecided = [e.word for e in entries if e.flag == "UNDECIDED"]
+    assert sorted(undecided) == sorted(".".join(w) for w in raisers)
+    for e in entries:
+        if e.flag == "SOUND":
+            (want,) = _transport([next(w for w in words if word_name(w) == e.word)], *owners(), window, one)
+            assert e.residual == _hom_str(hom_truncate(want, window))
+    with pytest.raises(ConvergenceUndecided, match=re.escape(repr(Word.from_gens([QUIVER.gen(g) for g in raisers[0]])))):
+        _extract_components(values, QUIVER, window)
+
+
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_trie_base_levels_are_the_words_base_levels(data):
+    # Generators of random base levels in each instance: negative ones too
+    # in rat, 0 alone in discrete.
+    instance = data.draw(st.sampled_from(["rat", "ratplus", "discrete"]), label="instance")
+    low = {"rat": -2, "ratplus": 0, "discrete": 0}[instance]
+    high = 0 if instance == "discrete" else 2
+    pool = st.fractions(low, high, max_denominator=4)
+    gens = [
+        HomGenerator(gid, src, dst, 0, levels.make_level(instance, data.draw(pool, label=gid)))
+        for gid, src, dst in (("a", "X", "Y"), ("b", "Y", "X"), ("x", "X", "X"), ("y", "Y", "Y"))
+    ]
+    quiver = FiltQuiver("L", ["X", "Y"], gens)
+    batch = data.draw(st.lists(st.sampled_from(basis_words(quiver, 5)), min_size=1, max_size=12), label="words")
+    trie = _Trie(batch, instance)
+    for w, q in zip(batch, trie.node_of):
+        fresh = Word(w.at, tuple(w.gens))  # its base level summed from scratch
+        assert trie.base[q] == fresh.base_level(instance)
+        assert trie.depth[q] == len(w) and trie.head[q] == w.sdeg and trie.obj[q] == w.dst

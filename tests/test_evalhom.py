@@ -316,8 +316,8 @@ def test_solver_roundtrip_both_directions(setup):
     Q, ida, r1, r2 = setup
     C, fixture = make_fixture_psi(Q, ida, {"c1": r1, "c2": r2})
 
-    def phi(a, cwords):
-        return fixture.apply(a, cwords, W)[0]
+    def phi(words, cwords):
+        return [value for value, _ in fixture.apply(words, ONE, cwords, W)]
 
     sol = solve_psi(phi, lambda o, c: "X", Q, Q, [C], W, "nov", max_factor_len=(2,))
     # Recover every component exactly.
@@ -328,9 +328,8 @@ def test_solver_roundtrip_both_directions(setup):
     # Converse: the recovered family reproduces the pairing.
     for cw in basis_words(C, 2):
         for aw in basis_words(Q, 2):
-            a = TensorElement.from_word(aw, ONE)
-            got, _ = sol.apply(a, (cw,), W)
-            want, _ = truncate_element(phi(a, (cw,)), W)
+            (got, _), = sol.apply([aw], ONE, (cw,), W)
+            want, _ = truncate_element(phi([aw], (cw,))[0], W)
             assert got == want
 
 
@@ -340,8 +339,8 @@ def test_solver_trivial_case_is_direct_projection(setup):
     Q, ida, r1, _ = setup
     C, fixture = make_fixture_psi(Q, ida, {"c1": r1}, max_len=1)
 
-    def phi(a, cwords):
-        return fixture.apply(a, cwords, W)[0]
+    def phi(words, cwords):
+        return [value for value, _ in fixture.apply(words, ONE, cwords, W)]
 
     sol = solve_psi(phi, lambda o, c: "X", Q, Q, [C], W, "nov", max_factor_len=(1,))
     key = cword_key((Word.from_gens([C.gen("c1")]),))
@@ -359,12 +358,13 @@ def test_solver_rejects_incompatible_pairing(setup, total, built):
     Q, ida, r1, _ = setup
     C, fixture = make_fixture_psi(Q, ida, {"c1": r1}, max_len=1)
 
-    def phi_bad(a, cwords):
-        value = fixture.apply(a, cwords, W)[0]
-        if sum(len(w) for w in cwords) == total and a.max_len() == 2:
-            # Corrupt the pairing away from comultiplication compatibility.
-            return value.add(value)
-        return value
+    def phi_bad(words, cwords):
+        values = [value for value, _ in fixture.apply(words, ONE, cwords, W)]
+        # Corrupt the pairing away from comultiplication compatibility.
+        return [
+            value.add(value) if sum(len(w) for w in cwords) == total and len(a) == 2 else value
+            for a, value in zip(words, values)
+        ]
 
     with pytest.raises(LeibnizResidual, match=built):
         solve_psi(phi_bad, lambda o, c: "X", Q, Q, [C], W, "nov", max_factor_len=(1,))
@@ -424,7 +424,7 @@ def test_composition_defining_equation(mixed):
         a = TensorElement.from_word(aw, ONE)
         mid, _ = ev(a, [rf], W)
         lhs, _ = ev(mid, [t], W)
-        rhs, _ = sol.apply(a, (cw1, cw2), W)
+        (rhs, _), = sol.apply([aw], ONE, (cw1, cw2), W)
         assert lhs == rhs
 
 

@@ -6,13 +6,13 @@ from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
 from facalc.ainfty import coder_b0, coder_b1, coder_bn
+from facalc.engine import _Trie
 from facalc.errors import ConvergenceUndecided, DegreeMismatch, FacalcError, ObjectMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
 from facalc.morphisms import (
     Coderivation,
     ConvergenceResult,
     Cofunctor,
-    _block_ends,
     chain_eval,
     chain_slots,
     coderivation_from_components,
@@ -151,10 +151,11 @@ def test_one_decision_rule_per_owner(kind, k, noun):
         assert computed == ([w] if rule == "compute" else [])
         computed.clear()
         if k:
-            gids = comp_key(w)
+            # The blocks from the start of w that the engine looks up.
             prefixes = [Word.from_gens(w.gens[:d]) for d in range(1, k + 1)]
-            want = [d for d, v in enumerate(prefixes, 1) if decision(owner, v) != "zero"]
-            assert _block_ends(owner, gids) == want
+            want = [(d, comp_key(v)) for d, v in enumerate(prefixes, 1) if decision(owner, v) != "zero"]
+            trie = _Trie([w])
+            assert sorted((trie.depth[q], key) for q, key in trie.blocks(owner, 0)) == want
 
 
 @pytest.mark.parametrize("kind", sorted(OWNER_KINDS))
