@@ -8,8 +8,9 @@ against a chain of coderivations, under its acceptance name.
 over cut positions that carries the interchange sign step by step, and
 turns each split into a signed chain of solved components, which
 ``morphisms.chain_sum`` evaluates and sums over all the source words of a
-call, one sweep of the block engine per chain (``chain_ops`` builds each
-chain's pair and skip bound once per factor word).
+call, one sweep of the block engine per chain into one accumulation per
+word (``chain_ops`` builds each chain's pair and skip bound once per factor
+word).
 
 ``solve_psi`` inverts the pairing: given the values of a cofunctor on mixed
 elements (with the chain side a product of tensor factors), it recovers the

@@ -38,10 +38,11 @@ class HomGenerator(Frozen):
 class FiltQuiver:
     """Objects plus per-pair generator lists; generator ids are unique.
 
-    ``words`` keeps the words the block engine (``morphisms._path_sum``)
+    ``words`` keeps the words the block engine (``engine._path_sum``)
     has output into this quiver, keyed by the ids of their generators.  Each
     word holds its generators, so no id in a key is reused while the entry
-    exists."""
+    exists.  ``bases`` keeps the lists ``tcoalg.basis_words`` has built,
+    keyed by (max_len, include_empty)."""
 
     def __init__(self, name: str, objects: Iterable[str], gens: Iterable[HomGenerator]):
         self.name = name
@@ -58,6 +59,7 @@ class FiltQuiver:
                 raise FacalcError(f"duplicate generator id {g.gid!r} in quiver {name!r}")
             self._by_id[g.gid] = g
         self.words: dict = {}
+        self.bases: dict = {}
 
     def gen(self, gid: str) -> HomGenerator:
         try:

@@ -19,7 +19,8 @@ singles)``, a tuple of cofunctors one longer than the tuple of
 coderivations (``Slots``, built by ``chain_slots``).  ``slot_value``,
 ``tensor_maps`` and ``chain_sum``, every signed sum of chains, run on it;
 ``chain_sum`` skips a chain on the words no longer than its skip bound
-(``chain_ops``), where it provably vanishes without a side effect.
+(``chain_ops``), where it provably vanishes without a side effect, and
+sums the chains into one accumulation per word.
 Composition, push and pull are one sweep too (``_transport``): each word's
 path sum, pruned by the key trie of an exact second morphism, is summed by
 word and folded through that morphism's components (``_fold``).
@@ -35,7 +36,9 @@ If curvature of level <= 0 is present the sum cannot be bounded and
 ConvergenceUndecided is raised instead of silently truncating.  The cap on
 empty blocks (``_empty_caps``) and the order of tensor convergence
 (``tensor_convergent``) are the same count, ``levels._steps``, and every
-reduction modulo the cutoff is ``tcoalg._mod_cutoff``.
+reduction modulo the cutoff is ``novikov.nov_truncate`` by the bound
+``levels.dominate`` gives (``tcoalg._mod_cutoff`` for one term,
+``tcoalg._window_terms`` with one bound per output word).
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .tcoalg import (
     TruncWindow,
     Word,
     basis_words,
-    join_flags,
     truncate_element,
 )
 
@@ -85,8 +87,11 @@ def normalize_components(comps: Components) -> Mapping[int, Mapping[CompKey, Hom
 
 
 def hom_truncate(h: HomElement, window: TruncWindow) -> HomElement:
-    """Reduce a hom element modulo F^cutoff (termwise, hence canonical)."""
+    """Reduce a hom element modulo F^cutoff (termwise, hence canonical);
+    h itself when nothing drops."""
     kept = [(g, tcoalg._mod_cutoff(c, g.base_level, window.cutoff)) for g, c in h.terms]
+    if all(c is k for (_, c), (_, k) in zip(h.terms, kept)):
+        return h
     return HomElement(h.src, h.dst, kept)
 
 
@@ -547,27 +552,44 @@ def chain_sum(
 ) -> List[Tuple[Optional[TensorElement], Flag]]:
     """For each word w, the sum of sign * chain_eval(c*w, chain) over the
     ``chain_ops``, with the join of their flags, or None for no chain: each
-    chain in one sweep over the words longer than its bound.  On the others
-    it is the zero element on the endpoints ``slot_value`` would give it,
-    flagged SOUND, kept only to stand for an all-zero sum; no owner there
-    can run a lazy ``compute`` or raise, so the skip omits no side effect."""
+    chain in one sweep over the words longer than its bound.  A chain's
+    terms on w are merged per output word, reduced and cut to the window
+    with that chain's own flag, as ``truncate_element`` would (one bound
+    per output word for the whole call), and added, signed, into w's one
+    accumulation; one ``TensorElement`` per word is built at the end, on the
+    endpoints of the first chain that kept a term, else of the first chain.
+    A skipped chain adds nothing: no owner there can run a lazy ``compute``
+    or raise, so the skip omits no side effect."""
     if not ops:
         return [(None, Flag.SOUND)] * len(words)
-    pieces: List[list] = [[] for _ in words]
+    sums: List[Dict[Word, NovikovScalar]] = [{} for _ in words]
+    ends: List[Optional[Tuple[str, str]]] = [None] * len(words)
     flags = [Flag.SOUND] * len(words)
+    bounds: Dict[Word, Level] = {}
+    lengths = [len(w) for w in words]
     for sign, (families, singles), bound in ops:
         src, dst = families[0].obj_map, families[-1].obj_map
-        live = []
-        for k, w in enumerate(words):
-            if len(w) > bound:
-                live.append(k)
-            elif not pieces[k]:
-                pieces[k].append((sign, TensorElement.zero(src[w.src], dst[w.dst])))
+        live = [k for k, n in enumerate(lengths) if n > bound]
         for k, terms in zip(live, _term_values([(words[k], c) for k in live], families, singles, window)):
-            piece, flag = truncate_element(TensorElement(src[words[k].src], dst[words[k].dst], terms), window)
-            flags[k] = join_flags(flags[k], flag)
-            pieces[k].append((sign, piece))
-    return [(tcoalg._signed_sum(p), f) for p, f in zip(pieces, flags)]
+            end = src[words[k].src], dst[words[k].dst]
+            merged: Dict[Word, NovikovScalar] = {}
+            for u, cu in terms:
+                if (u.src, u.dst) != end:
+                    raise ObjectMismatch(f"word {u!r} does not run {end[0]!r} -> {end[1]!r}")
+                merged[u] = novikov.nov_add(merged[u], cu) if u in merged else cu
+            kept, flag = tcoalg._window_terms(merged.items(), window, bounds)
+            flags[k] = max(flags[k], flag)
+            if kept:
+                ends[k] = ends[k] or end
+                acc = sums[k]
+                for u, cu in kept:
+                    cu = cu if sign == 1 else novikov.nov_neg(cu)
+                    acc[u] = novikov.nov_add(acc[u], cu) if u in acc else cu
+    first = ops[0][1][0]
+    return [
+        (TensorElement(*(end or (first[0].obj_map[w.src], first[-1].obj_map[w.dst])), acc.items()), flag)
+        for w, end, acc, flag in zip(words, ends, sums, flags)
+    ]
 
 
 # ---------------------------------------------------------------------------

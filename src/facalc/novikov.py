@@ -26,7 +26,9 @@ validate raw input; the ring operations rely on the invariant and do neither.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Tuple
 
 from . import levels
@@ -39,6 +41,7 @@ PLAIN = "q"
 VARIANTS = (NOV, NOV0, PLAIN)
 
 Term = Tuple[Fraction, Fraction, int]  # (coefficient, energy, exponent)
+_energy = itemgetter(1)
 
 
 def _validate_term(variant: str, coeff: Fraction, energy: Fraction, expo: int) -> None:
@@ -121,6 +124,13 @@ def nov_add(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
         return x
     if not x.terms:
         return y
+    if len(x.terms) == 1 == len(y.terms):
+        (cx, lx, nx), = x.terms
+        (cy, ly, ny), = y.terms
+        if nx == ny and lx == ly:
+            # Two monomials of one (energy, exponent): their sum is normal.
+            c = cx + cy
+            return NovikovScalar(((c, lx, nx),) if c else (), variant)
     return _merge(x.terms + y.terms, variant)
 
 
@@ -170,13 +180,28 @@ def nov_level(x: NovikovScalar, instance: str) -> Level:
 
 
 def nov_truncate(x: NovikovScalar, cutoff: Level) -> NovikovScalar:
-    """Drop the part of x lying in F^cutoff (all terms of energy >= cutoff)."""
-    kept = [
-        (c, lam, n)
-        for c, lam, n in x.terms
-        if not levels.level_leq(cutoff, levels.make_level(cutoff.instance, lam))
-    ]
-    return NovikovScalar(tuple(kept), x.variant)
+    """Drop the part of x lying in F^cutoff: the monomials of energy >=
+    the cutoff's value, none for an infinite one.  x is sorted by energy,
+    so the kept part is a prefix; x itself when nothing drops.  An energy
+    the cutoff's instance has no level for (a negative one in ``ratplus``,
+    a nonzero one in ``discrete``) raises as ``levels.make_level`` does."""
+    terms = x.terms
+    if not terms:
+        return x
+    inst = cutoff.instance
+    if inst == levels.RATPLUS:
+        bad = terms[0][1] < 0
+    elif inst == levels.DISCRETE:
+        bad = any(lam for _, lam, _ in terms)
+    else:
+        bad = inst != levels.RAT
+    if bad:
+        for _, lam, _ in terms:
+            levels.make_level(inst, lam)
+    limit = cutoff.value
+    if limit is None or terms[-1][1] < limit:
+        return x
+    return NovikovScalar(terms[:bisect_left(terms, limit, key=_energy)], x.variant)
 
 
 # Textual monomial syntax: "a*T^{p/q}*e^{n}", sums joined by "+", "0" for zero.

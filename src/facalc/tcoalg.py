@@ -7,6 +7,11 @@ filtered quiver.  The comultiplication cuts a word at every position
 maximal word length N and an energy cutoff E.  Every truncation reports
 whether it was SOUND (everything discarded provably lies above E, so the
 truncated statement certifies the completed one at that cutoff) or LOSSY.
+A coefficient is reduced modulo F^E by comparing each monomial's energy
+with one bound per output word, ``levels.dominate`` of the word's base level
+and E (``novikov.nov_truncate``); ``_window_terms`` computes it once per
+output word for ``truncate_element`` and ``morphisms.chain_sum``.  Basis
+word lists are built once per quiver (``basis_words``).
 Operators on words, tensor products of graded maps included, act in
 ``morphisms``, through its block engine.
 """
@@ -305,26 +310,42 @@ def term_level(w: Word, c: NovikovScalar, instance: str) -> Level:
 
 def _mod_cutoff(c: NovikovScalar, base: Level, cutoff: Level) -> NovikovScalar:
     """The coefficient c of a term of base level ``base``, modulo F^cutoff:
-    the monomials whose energy lifts the term to the cutoff are dropped.
-    The one reduction of a coefficient by the window's energy cutoff."""
+    the monomials whose energy lifts the term to the cutoff are dropped, by
+    one comparison each with the bound ``levels.dominate`` gives."""
     return novikov.nov_truncate(c, levels.dominate(base, cutoff))
 
 
-def truncate_element(x: TensorElement, window: TruncWindow) -> Tuple[TensorElement, Flag]:
-    """Drop terms beyond the window.  SOUND when every term dropped for
-    length alone already sat above the cutoff."""
+def _window_terms(
+    terms: Iterable[Tuple[Word, NovikovScalar]], window: TruncWindow, bounds: Dict[Word, Level]
+) -> Tuple[List[Tuple[Word, NovikovScalar]], Flag]:
+    """The terms (w, c), of distinct words, reduced modulo F^cutoff and cut
+    to the window's length, with their flag: LOSSY when a term dropped for
+    length alone lies below the cutoff.  Each word's bound (as in
+    ``_mod_cutoff``) is computed once and kept in ``bounds``."""
     kept = []
     flag = Flag.SOUND
-    inst = window.instance
-    for w, c in x.terms:
-        c_red = _mod_cutoff(c, w.base_level(inst), window.cutoff)
-        if c_red.is_zero():
+    inst, cutoff = window.instance, window.cutoff
+    for w, c in terms:
+        bound = bounds.get(w)
+        if bound is None:
+            bound = bounds[w] = levels.dominate(w.base_level(inst), cutoff)
+        c = novikov.nov_truncate(c, bound)
+        if not c.terms:
             continue
         if len(w) > window.max_len:
-            if not levels.level_leq(window.cutoff, term_level(w, c_red, inst)):
+            if not levels.level_leq(cutoff, term_level(w, c, inst)):
                 flag = Flag.LOSSY
             continue
-        kept.append((w, c_red))
+        kept.append((w, c))
+    return kept, flag
+
+
+def truncate_element(x: TensorElement, window: TruncWindow) -> Tuple[TensorElement, Flag]:
+    """Drop terms beyond the window (``_window_terms``); x itself when
+    nothing drops."""
+    kept, flag = _window_terms(x.terms, window, {})
+    if len(kept) == len(x.terms) and all(c is k for (_, c), (_, k) in zip(x.terms, kept)):
+        return x, flag
     return TensorElement(x.src, x.dst, kept), flag
 
 
@@ -332,7 +353,13 @@ def truncate_element(x: TensorElement, window: TruncWindow) -> Tuple[TensorEleme
 # Basis enumeration
 
 def basis_words(quiver: FiltQuiver, max_len: int, include_empty: bool = True) -> List[Word]:
-    """All composable generator words of length <= max_len, sorted."""
+    """All composable generator words of length <= max_len, sorted.  Each
+    list is built once per quiver and kept in ``quiver.bases``: callers
+    must not change it."""
+    key = (max_len, include_empty)
+    out = quiver.bases.get(key)
+    if out is not None:
+        return out
     words: List[Word] = [Word(obj) for obj in quiver.objects] if include_empty else []
     frontier: List[Tuple[str, Tuple[HomGenerator, ...]]] = [(obj, ()) for obj in quiver.objects]
     for _ in range(max_len):
@@ -344,5 +371,5 @@ def basis_words(quiver: FiltQuiver, max_len: int, include_empty: bool = True) ->
                 nxt.append((start, seq))
                 words.append(Word(start, seq))
         frontier = nxt
-    return sorted(words, key=Word.sort_key)
-
+    out = quiver.bases[key] = sorted(words, key=Word.sort_key)
+    return out

@@ -1062,6 +1062,53 @@ def test_chain_sum_does_not_skip_a_chain_that_does_not_compose():
     assert got == outcome(lambda: literal_chain_sum(x, [(1, broken)], window), FacalcError) == ("raised", ObjectMismatch)
 
 
+def test_chain_sum_flags_each_chain_before_the_sum():
+    # r and s agree on the empty block at X, whose letter x lengthens a past
+    # the window, and differ on a.  In r - s the long terms cancel, but each
+    # chain alone drops a term below the cutoff for length: LOSSY.
+    a, c, x = (QUIVER.gen(name) for name in "acx")
+    one = novikov.one()
+    f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, {1: {(g.gid,): HomElement.from_gen(g, one) for g in QUIVER.gens}},
+                  "rat", "nov")
+
+    def single(name, k):
+        comps = {0: {"X": HomElement.from_gen(x, one)}, 1: {("a",): HomElement.from_gen(c, novikov.monomial(k))}}
+        return Coderivation(name, f, f, 1, R0, comps)
+
+    chains = [(1, (single("r", 1),)), (-1, (single("s", 2),))]
+    w = Word.from_gens([a])
+    elem = TensorElement.from_word(w, one)
+    window = TruncWindow(1, levels.rat(3))
+    longs = [
+        {u: cu for u, cu in chain_eval(elem, chain, window, length_truncate=False)[0].terms if len(u) > 1}
+        for _, chain in chains
+    ]
+    assert longs[0] and longs[0] == longs[1]
+    assert all(chain_eval(elem, chain, window)[1] is Flag.LOSSY for _, chain in chains)
+    (value, flag), = chain_sum([w], one, chain_ops(chains), window)
+    assert flag is Flag.LOSSY and not value.is_zero()
+    assert (value, flag) == literal_chain_sum(elem, chains, window)
+
+
+def test_chain_sum_checks_the_endpoints_of_every_term_before_the_window():
+    # r sends a (X -> Y) to b (Y -> X) far above the cutoff.  The window
+    # would drop the term, but a term off the chain's endpoints raises first.
+    a, b = QUIVER.gen("a"), QUIVER.gen("b")
+    f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, {}, "rat", "nov")
+    r = Coderivation("r", f, f, 1, R0, {1: {("a",): HomElement.from_gen(b, novikov.monomial(1, 5))}})
+    w = Word.from_gens([a])
+    window = TruncWindow(6, levels.rat(3))
+
+    def message(fn):
+        with pytest.raises(ObjectMismatch) as info:
+            fn()
+        return str(info.value)
+
+    got = message(lambda: chain_sum([w], novikov.one(), chain_ops([(1, (r,))]), window))
+    want = message(lambda: literal_chain_sum(TensorElement.from_word(w, novikov.one()), [(1, (r,))], window))
+    assert got == want == "word Word(b) does not run 'X' -> 'Y'"
+
+
 @seed(facalc_seed())
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

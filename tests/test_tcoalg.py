@@ -1,24 +1,31 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
 from facalc.errors import FacalcError, InstanceMismatch
+from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
+from facalc.levels import Level
+from facalc.morphisms import hom_truncate
+from facalc.novikov import NovikovScalar, nov_truncate
 from facalc.tcoalg import (
     Flag,
     TensorElement,
     TruncWindow,
     Word,
+    _mod_cutoff,
     basis_words,
     cut_delta,
     delta_k,
     mu_concat,
     reduced_delta_k,
+    term_level,
     truncate_element,
     word_blocks,
 )
 
-from conftest import loop_quiver, seq_splits, three_object_quiver, two_object_quiver
+from conftest import facalc_seed, loop_quiver, seq_splits, three_object_quiver, two_object_quiver
 
 ONE = novikov.one()
 
@@ -250,3 +257,123 @@ def test_base_level_is_kept_per_instance():
     assert empty.base_level("rat") == levels.rat(0)
     assert empty.base_level("discrete") == levels.discrete(0)
     assert empty.base_level("rat") == levels.rat(0)
+
+
+def test_basis_words_are_built_once_per_quiver_and_key():
+    Q = two_object_quiver()
+    first = basis_words(Q, 3)
+    assert basis_words(Q, 3) is first
+    assert basis_words(Q, 3, include_empty=False) is not first
+    assert basis_words(Q, 3, include_empty=False) == [w for w in first if len(w)]
+    assert basis_words(Q, 2) == [w for w in first if len(w) <= 2]
+    # A quiver with the same contents keeps its own lists, of equal words.
+    assert basis_words(two_object_quiver(), 3) == first
+
+
+# ---------------------------------------------------------------------------
+# Reduction modulo F^cutoff against the literal rule it replaced: a level
+# per monomial, compared with the bound by ``level_leq``.
+
+
+def literal_truncate(x: NovikovScalar, bound: Level) -> NovikovScalar:
+    kept = tuple(t for t in x.terms if not levels.level_leq(bound, levels.make_level(bound.instance, t[1])))
+    return NovikovScalar(kept, x.variant)
+
+
+def literal_mod_cutoff(c, base, cutoff):
+    return literal_truncate(c, levels.dominate(base, cutoff))
+
+
+def literal_truncate_element(x, window):
+    kept, flag = [], Flag.SOUND
+    inst = window.instance
+    for w, c in x.terms:
+        c = literal_mod_cutoff(c, w.base_level(inst), window.cutoff)
+        if c.is_zero():
+            continue
+        if len(w) > window.max_len:
+            if not levels.level_leq(window.cutoff, term_level(w, c, inst)):
+                flag = Flag.LOSSY
+            continue
+        kept.append((w, c))
+    return TensorElement(x.src, x.dst, kept), flag
+
+
+def literal_hom_truncate(h, window):
+    return HomElement(h.src, h.dst, [(g, literal_mod_cutoff(c, g.base_level, window.cutoff)) for g, c in h.terms])
+
+
+def result(fn):
+    try:
+        return "ok", fn()
+    except FacalcError as exc:
+        return "raised", type(exc), str(exc)
+
+
+# Levels of each instance, and energies with no level there: the file format
+# produces none (nov0 scalars on ratplus, q scalars on discrete).
+HALVES = st.fractions(-2, 3, max_denominator=2)
+LEVEL_VALUES = {
+    levels.RAT: HALVES,
+    levels.RATPLUS: st.fractions(0, 3, max_denominator=2),
+    levels.DISCRETE: st.sampled_from([Fraction(0), None]),
+}
+ENERGIES = {
+    levels.RAT: (HALVES, st.nothing()),
+    levels.RATPLUS: (st.fractions(0, 3, max_denominator=2), st.fractions(-2, -1, max_denominator=2)),
+    levels.DISCRETE: (st.just(Fraction(0)), HALVES.filter(bool)),
+}
+
+
+@seed(facalc_seed())
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), inst=st.sampled_from(sorted(LEVEL_VALUES)))
+def test_reduction_kernel_matches_the_literal_rule(data, inst):
+    if inst == levels.DISCRETE:
+        cutoff = levels.discrete("inf")
+    else:
+        cutoff = Level(inst, data.draw(st.fractions(Fraction(1, 2), 3, max_denominator=2), label="cutoff"))
+    base = Level(inst, data.draw(LEVEL_VALUES[inst], label="base"))
+    bound = levels.dominate(base, cutoff)
+    valid, invalid = ENERGIES[inst]
+    at_bound = st.just(bound.value) if bound.value is not None else st.nothing()
+    bad = data.draw(st.sampled_from([False, False, True]), label="bad")
+    energies = st.one_of(valid, at_bound, invalid if bad else st.nothing())
+    monomial = st.tuples(st.sampled_from([1, -2, Fraction(1, 3)]), energies, st.integers(-1, 1))
+    scalars = st.lists(monomial, max_size=4).map(novikov.scalar)
+
+    x = data.draw(scalars, label="x")
+    got = result(lambda: nov_truncate(x, bound))
+    assert got == result(lambda: literal_truncate(x, bound))
+    assert result(lambda: _mod_cutoff(x, base, cutoff)) == got
+    if got[0] == "ok" and got[1] == x:
+        assert got[1] is x
+
+    # Loops at one object at finite levels of the instance; words up to
+    # length 3 against windows that keep 0 to 3 letters.
+    finite = LEVEL_VALUES[inst].filter(lambda v: v is not None)
+    gen_levels = data.draw(st.lists(finite, min_size=1, max_size=2), label="gens")
+    Q = FiltQuiver("L", ["X"], [HomGenerator(f"g{i}", "X", "X", 0, Level(inst, v)) for i, v in enumerate(gen_levels)])
+    window = TruncWindow(data.draw(st.integers(0, 3), label="max_len"), cutoff)
+    words = data.draw(st.lists(st.sampled_from(basis_words(Q, 3)), max_size=5, unique=True), label="words")
+    elem = TensorElement("X", "X", [(w, data.draw(scalars)) for w in words])
+    got = result(lambda: truncate_element(elem, window))
+    assert got == result(lambda: literal_truncate_element(elem, window))
+    if got[0] == "ok" and got[1][0] == elem:
+        assert got[1][0] is elem
+    h = HomElement("X", "X", [(g, data.draw(scalars)) for g in Q.gens])
+    got = result(lambda: hom_truncate(h, window))
+    assert got == result(lambda: literal_hom_truncate(h, window))
+    if got[0] == "ok" and got[1] == h:
+        assert got[1] is h
+
+
+def test_reduction_kernel_keeps_the_errors_of_levels_it_cannot_make():
+    x = novikov.scalar([(1, -1, 0), (1, 2, 0)])
+    with pytest.raises(FacalcError, match="ratplus level must be >= 0, got -1"):
+        nov_truncate(x, levels.ratplus(5))
+    with pytest.raises(FacalcError, match="discrete instance has no level"):
+        nov_truncate(novikov.scalar([(1, 0, 0), (1, 2, 0)]), levels.discrete("inf"))
+    with pytest.raises(FacalcError, match="unknown level instance 'inf'"):
+        nov_truncate(x, levels.INFINITY)
+    assert nov_truncate(novikov.zero(), levels.INFINITY).is_zero()
