@@ -30,6 +30,7 @@ from . import levels, novikov, tcoalg
 from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch
 from .filtquiver import FiltQuiver, HomElement, _crossing_sign
 from .morphisms import (
+    Basis,
     Coderivation,
     Cofunctor,
     Components,
@@ -121,14 +122,21 @@ def _word_checks(
 ) -> List[CheckEntry]:
     """One entry per basis word w: the residual, its value modulo the
     window, or UNDECIDED when its sums cannot be bounded.  The values are
-    taken in one batch (``_in_order``), and the words after an UNDECIDED
-    one in another."""
+    taken in one sweep over the basis (``Basis``), which gives only the
+    words it does not send to zero: every other word's residual is 0.  If
+    that sweep raises, the words run one at a time (as in ``_in_order``),
+    and the words after an UNDECIDED one in another batch."""
     words = basis_words(quiver, n_max)
-    batch = _in_order(values, words)
+    try:
+        swept = values(Basis(quiver, n_max))
+        batch = (swept.get(w) for w in words)
+    except FacalcError:
+        batch = (values([w])[0] for w in words)
     entries: List[CheckEntry] = []
     for k, w in enumerate(words):
         try:
-            res_str, flag = _hom_str(hom_truncate(next(batch), window)), "SOUND"
+            value = next(batch)
+            res_str, flag = "0" if value is None else _hom_str(hom_truncate(value, window)), "SOUND"
         except ConvergenceUndecided:
             res_str, flag = "?", "UNDECIDED"
             batch = _in_order(values, words[k + 1:])
@@ -171,14 +179,18 @@ def _letter_value(
     inner = None if len(chain) > 1 else (chain[0] if chain else boundary)
     sign = -_crossing_sign(1, sum(r.deg for r in chain))
 
-    def values(words: Sequence[Word]) -> List[HomElement]:
+    def values(words):
+        """As ``_transport``: a list for a list of words, by word for a
+        ``Basis``."""
         outs = _transport(words, slots, dst_cat.b, window, one)
         if inner is None:
             return outs
-        for k, back in enumerate(_transport(words, src_slots, inner, window, one)):
+        backs = _transport(words, src_slots, inner, window, one)
+        for k, back in backs.items() if isinstance(words, Basis) else enumerate(backs):
             if not back.is_zero():
                 signed = [(g, c if sign > 0 else novikov.nov_neg(c)) for g, c in back.terms]
-                outs[k] = HomElement(outs[k].src, outs[k].dst, list(outs[k].terms) + signed)
+                before = outs[k].terms if isinstance(outs, list) or k in outs else ()
+                outs[k] = HomElement(back.src, back.dst, [*before, *signed])
         return outs
 
     return values

@@ -419,9 +419,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ResolveError as exc:
         sys.stderr.write(f"resolve error: {exc}\n")
         return EXIT_RESOLVE
-    except (ConvergenceUndecided, LeibnizResidual) as exc:
+    except ConvergenceUndecided as exc:
         sys.stderr.write(f"undecided: {exc}\n")
         return EXIT_UNDECIDED
+    except LeibnizResidual as exc:
+        sys.stderr.write(f"residual: {exc}\n")
+        return EXIT_RESIDUAL
     except FacalcError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

@@ -43,6 +43,7 @@ from . import levels, novikov
 from .errors import FacalcError, LeibnizResidual, ParseError, ResolveError
 from .filtquiver import FiltQuiver, HomGenerator, _crossing_sign
 from .morphisms import (
+    Basis,
     Coderivation,
     Cofunctor,
     _extract_components,
@@ -253,11 +254,15 @@ def solve_psi(
                     for v, (corr, _) in zip(phi(words, _c), corrections)]
 
         values = dict(zip(a_words, _in_order(value, a_words)))
-        # Beyond the window, components are computed on demand.
-        comps, compute = _extract_components(
-            lambda words, _v=values, _f=value: [(_v[w] if w in _v else _f([w])[0]).pr1_hom() for w in words],
-            a_quiver, window,
-        )
+
+        def extracted(words, _v=values, _f=value):
+            """The values, with the whole basis up to the window length
+            (a_words) at once; beyond it, computed on demand."""
+            if isinstance(words, Basis):
+                return {w: v.pr1_hom() for w, v in _v.items()}
+            return [(_v[w] if w in _v else _f([w])[0]).pr1_hom() for w in words]
+
+        comps, compute = _extract_components(extracted, a_quiver, window)
         objs = cword_src(cwords)
         if all(len(w) == 0 for w in cwords):
             obj_map = {x: phi_obj(x, objs) for x in a_quiver.objects}

@@ -52,7 +52,7 @@ from . import levels, novikov, tcoalg
 from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch
 from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _check_member, _crossing_sign
 from .levels import INFINITY, Frozen, Level
-from .engine import _END, Letter, _path_sum
+from .engine import _END, Basis, Letter, _path_sum
 from .novikov import NovikovScalar
 from .tcoalg import (
     Flag,
@@ -362,8 +362,9 @@ def _term_values(terms, families, singles, window: Optional[TruncWindow]) -> lis
         groups.setdefault(c, []).append(k)
     for c, ks in groups.items():
         cap = None if window is None else _empty_caps(families, window, c)
-        for j, part in _path_sum([terms[k][0] for k in ks], c, families, singles, cap):
-            out[ks[j]] = part
+        parts = dict(_path_sum([terms[k][0] for k in ks], c, families, singles, cap))
+        for k in ks:
+            out[k] = parts.get(terms[k][0], ())
     return out
 
 
@@ -409,41 +410,54 @@ def _fold(owner: Union[Cofunctor, Coderivation], src: str, dst: str, terms) -> H
 
 
 def _transport(
-    words: Sequence[Word], slots: Slots, owner: _ComponentTable, window: TruncWindow, c: NovikovScalar
-) -> List[HomElement]:
+    words: Union[Sequence[Word], Basis], slots: Slots, owner: _ComponentTable, window: TruncWindow,
+    c: NovikovScalar,
+) -> Union[List[HomElement], Dict[Word, HomElement]]:
     """c times each word through slots, folded untruncated through owner's
     components, in one sweep: each word's path sum, pruned by an exact
     owner's key trie, is summed by word as soon as the sweep yields it, and
-    only words of nonzero sum are folded, as in a value."""
+    only words of nonzero sum are folded, as in a value.  For a list of
+    words, the list of their values; for a ``Basis``, the values of the
+    words of nonzero sum by word, every other basis word's value being
+    zero."""
     families, singles = slots
     prefixes = owner.trie if owner.undecided is None else None
-    out: list = [None] * len(words)
-    for k, terms in _path_sum(words, c, families, singles, _empty_caps(families, window, c), prefixes):
+    src, dst = families[0].obj_map, families[-1].obj_map
+    out: Dict[Word, HomElement] = {}
+    for w, terms in _path_sum(words, c, families, singles, _empty_caps(families, window, c), prefixes):
         summed: Dict[Word, NovikovScalar] = {}
         for u, cu in terms:
             summed[u] = novikov.nov_add(summed[u], cu) if u in summed else cu
-        kept = ((u, cu) for u, cu in summed.items() if not cu.is_zero())
-        w = words[k]
-        out[k] = _fold(owner, families[0].obj_map[w.src], families[-1].obj_map[w.dst], kept)
-    return out
+        kept = [(u, cu) for u, cu in summed.items() if not cu.is_zero()]
+        if kept:
+            out[w] = _fold(owner, src[w.src], dst[w.dst], kept)
+    if isinstance(words, Basis):
+        return out
+    return [out[w] if w in out else _fold(owner, src[w.src], dst[w.dst], ()) for w in words]
 
 
 def _extract_components(
-    values: Callable[[Sequence[Word]], List[HomElement]], src_quiver: FiltQuiver, window: TruncWindow,
-    max_len: Optional[int] = None,
+    values: Callable, src_quiver: FiltQuiver, window: TruncWindow, max_len: Optional[int] = None,
 ) -> Tuple[Components, Callable[[Word], HomElement]]:
     """The components of a morphism from its values on the basis words of
-    src_quiver up to max_len (default: the window length), taken in one
-    batch (``_in_order``), each reduced by hom_truncate once; zeros are
-    dropped.  Also returns the truncated value on one word, the morphism's
-    lazy ``compute``."""
+    src_quiver up to max_len (default: the window length), each reduced by
+    hom_truncate once; zeros are dropped.  ``values`` maps a list of words
+    to their values and a ``Basis`` to the values of the words it does not
+    send to zero, by word: the basis is taken in one sweep, and only the
+    words it reaches are stored.  If that sweep raises a FacalcError, the
+    basis words run one at a time, as in ``_in_order``.  Also returns the
+    truncated value on one word, the morphism's lazy ``compute``."""
 
     def compute(w: Word) -> HomElement:
         return hom_truncate(values([w])[0], window)
 
     comps: Components = {}
-    words = basis_words(src_quiver, window.max_len if max_len is None else max_len)
-    for w, v in zip(words, _in_order(values, words)):
+    n = window.max_len if max_len is None else max_len
+    try:
+        reached = values(Basis(src_quiver, n)).items()
+    except FacalcError:
+        reached = ((w, values([w])[0]) for w in basis_words(src_quiver, n))
+    for w, v in reached:
         v = hom_truncate(v, window)
         if not v.is_zero():
             comps.setdefault(len(w), {})[comp_key(w)] = v

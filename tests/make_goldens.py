@@ -54,12 +54,21 @@ GOLDEN_CASES = {
         "--word-len-max",
         "3",
     ],
+    "check_coder_b2_curved_n3_w4": [
+        "check-coder-b2",
+        "tests/fixtures/curved_min.json",
+        "--n-max",
+        "3",
+        "--word-len-max",
+        "4",
+    ],
     "compose_b1_only": ["compose", "tests/fixtures/b1_only.json"],
     "compose_curved": ["compose", "tests/fixtures/curved_compose.json"],
     "compose_curved_w9_6": ["compose", "tests/fixtures/curved_compose.json", "--window", "9,6"],
     "push_b1_only": ["push", "tests/fixtures/b1_only.json"],
     "push_b1_only_w9_5": ["push", "tests/fixtures/b1_only.json", "--window", "9,5"],
     "pull_b1_only": ["pull", "tests/fixtures/b1_only.json"],
+    "pull_b1_only_w9_5": ["pull", "tests/fixtures/b1_only.json", "--window", "9,5"],
     "eval_b1_only": ["eval", "tests/fixtures/b1_only.json"],
     "eval_lossy": ["eval", "tests/fixtures/lossy_eval.json"],
     "solve_psi_roundtrip": ["solve-psi", "tests/fixtures/psi_roundtrip.json"],

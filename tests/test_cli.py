@@ -485,6 +485,21 @@ def test_solve_psi_reads_the_family_up_to_psi_len(extra, same_as):
     assert (code, text) == run(cmd + same_as)
 
 
+def test_a_leibniz_residual_exits_with_the_residual_code(monkeypatch):
+    # The declared pairing is compatible by construction, so no file makes
+    # the solver's consistency check fail: the solver is made to raise.
+    import facalc.evalhom
+    from facalc.errors import LeibnizResidual
+
+    def failing(*args, **kwargs):
+        raise LeibnizResidual("reconstruction differs on word c1")
+
+    monkeypatch.setattr(facalc.evalhom, "solve_psi", failing)
+    code, text = run(["solve-psi", "tests/fixtures/psi_roundtrip.json"])
+    assert code == 1
+    assert text == "residual: reconstruction differs on word c1\n"
+
+
 def test_solve_psi_rejects_an_empty_source_quiver(tmp_path):
     doc = json.loads((ROOT / "tests/fixtures/psi_roundtrip.json").read_text())
     doc["quivers"].append({"name": "E", "objects": [], "generators": []})

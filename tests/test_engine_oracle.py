@@ -12,6 +12,7 @@ are computed exactly where the enumerator computes them.
 """
 
 import re
+import sys
 import zlib
 from fractions import Fraction
 from functools import reduce
@@ -25,12 +26,13 @@ from facalc import levels, novikov, tcoalg
 from facalc.errors import ConvergenceUndecided, FacalcError, ObjectMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.ainfty import _hom_str, _word_checks, word_name
-from facalc.engine import _Trie, _path_sum
+from facalc.engine import Basis, _Trie, _path_sum
 from facalc.morphisms import (
     Coderivation,
     Cofunctor,
     Slots,
     _crossing_sign,
+    _empty_caps,
     _extract_components,
     _in_order,
     _transport,
@@ -436,7 +438,7 @@ def outcome(fn, catch=ConvergenceUndecided):
 def path_sum_element(w, c, slots, cap):
     """The engine on the one word w, every cap set to ``cap``."""
     families, singles = slots
-    (_, terms), = _path_sum([w], c, families, singles, lambda base: cap)
+    terms = dict(_path_sum([w], c, families, singles, lambda base: cap)).get(w, ())
     return TensorElement(w.src, w.dst, terms)
 
 
@@ -1199,6 +1201,195 @@ def test_sweep_matches_the_per_word_oracle(data):
             assert effective(slots, seen) == effective(slots, want_seen)
 
 
+# ---------------------------------------------------------------------------
+# Sparse owners over a whole basis: most basis words are never reached
+
+SPARSE_GENS = (("a", "X", "Y"), ("x", "X", "X"), ("y", "Y", "Y"), ("b", "Y", "X"))
+
+
+def sparse_letter(quiver: FiltQuiver, salt: int, sparsity: int, w: Word) -> HomElement:
+    """A deterministic pseudo-random letter on w over quiver; zero on most
+    words when sparsity > 1."""
+    h = _hash(salt, w)
+    if h % sparsity:
+        return HomElement.zero(w.src, w.dst)
+    parallel = [g for g in quiver.gens if (g.src, g.dst) == (w.src, w.dst)]
+    return HomElement(w.src, w.dst, [(g, SCALARS[(h >> (5 + 3 * k)) % len(SCALARS)]) for k, g in enumerate(parallel)])
+
+
+@st.composite
+def sparse_owner_specs(draw, keys, mode):
+    """A few stored keys, most of one letter, and a kind: exact, lazy from a
+    length on (its compute may raise ConvergenceUndecided in the
+    "undecided" mode), or extracted up to a length and raising past it (the
+    "bounded" mode)."""
+    kinds = ["exact", "exact", "lazy-tailed"] + (["bounded"] if mode == "bounded" else [])
+    letters = [key for key in keys if len(key) == 1]
+    return {
+        "keys": draw(st.lists(st.sampled_from(letters), min_size=1, max_size=4, unique=True))
+        + draw(st.lists(st.sampled_from([key for key in keys if len(key) > 1]), max_size=2, unique=True)),
+        "salt": draw(st.integers(0, 10**6)),
+        "kind": draw(st.sampled_from(kinds)),
+        "upto": draw(st.integers(1, 3)),
+        "raises": mode == "undecided" and draw(st.booleans()),
+        "deg": draw(st.integers(-1, 2)),
+    }
+
+
+def sparse_owner(quiver, spec, make):
+    """``make(comps, complete_upto, compute)`` on the spec's table."""
+    comps = {}
+    for key in spec["keys"]:
+        v = sparse_letter(quiver, spec["salt"], 1, Word.from_gens([quiver.gen(g) for g in key]))
+        if not v.is_zero():
+            comps.setdefault(len(key), {})[key] = v
+    if spec.get("curvature") is not None:
+        # Loops at both objects, at the drawn level whatever their base level.
+        comps[0] = {
+            obj: HomElement.from_gen(g, novikov.monomial(1, spec["curvature"] - g.base_level.value))
+            for obj, g in (("X", quiver.gen("x")), ("Y", quiver.gen("y")))
+        }
+    kind = spec["kind"]
+    compute = None
+    if kind == "lazy-tailed":
+        hits = (lambda w: _hash(spec["salt"] + 9, w) % 5 == 0) if spec["raises"] else (lambda w: False)
+
+        def compute(w):
+            if hits(w):
+                raise ConvergenceUndecided(f"lazy component on {w!r}")
+            return sparse_letter(quiver, spec["salt"] + 7, 3, w)
+
+    return make(comps, spec["upto"] if kind in ("lazy-tailed", "bounded") else None, compute)
+
+
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_owners_match_the_per_word_oracle_over_the_basis(data):
+    # Curvature on rat with negative generator levels exercises the room
+    # bound; curvature of level <= 0 makes the words below the cutoff
+    # UNDECIDED, each on its own, and the extraction raise on the first.
+    mode = data.draw(st.sampled_from(["undecided", "bounded"]), label="mode")
+    gens = [
+        HomGenerator(gid, src, dst, data.draw(st.integers(-1, 2), label=f"deg {gid}"),
+                     levels.rat(data.draw(st.sampled_from(["-1/2", "0", "1/2", "1"]), label=f"level {gid}")))
+        for gid, src, dst in SPARSE_GENS[:data.draw(st.integers(3, 4), label="generators")]
+    ]
+    quiver = FiltQuiver("S", ["X", "Y"], gens)
+    keys = [tuple(g.gid for g in w.gens) for w in basis_words(quiver, 3) if len(w)]
+    n_singles = data.draw(st.integers(0, 1), label="singles")
+    family_specs = [data.draw(sparse_owner_specs(keys, mode), label=f"f{i}") for i in range(n_singles + 1)]
+    single_specs = [data.draw(sparse_owner_specs(keys, mode), label=f"r{i}") for i in range(n_singles)]
+    curved = data.draw(st.sampled_from((["flat"] if mode == "undecided" else []) + ["bounded", None]), label="curved")
+    if curved is not None:
+        spec = family_specs[data.draw(st.integers(0, n_singles), label="curved family")]
+        spec["curvature"] = Fraction(data.draw(st.sampled_from(["1", "3/2"] if curved == "bounded" else ["0", "-1/2"])))
+    fold_spec = data.draw(sparse_owner_specs(keys, mode), label="fold")
+    n = min(data.draw(st.sampled_from([6, 5, 4, 2]), label="n"), 6 - n_singles - (2 if curved else 0))
+    window = TruncWindow(n, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
+    c = data.draw(st.sampled_from(SCALARS), label="coeff")
+    basis = basis_words(quiver, n)
+    ident = {"X": "X", "Y": "Y"}
+
+    def owners():
+        """Fresh owners, their computes and lookups logged."""
+        families = [
+            sparse_owner(quiver, sp, lambda comps, upto, compute, i=i: Cofunctor(
+                f"f{i}", quiver, quiver, ident, comps, "rat", "nov", complete_upto=upto, compute=compute))
+            for i, sp in enumerate(family_specs)
+        ]
+        chain = [
+            sparse_owner(quiver, sp, lambda comps, upto, compute, i=i: Coderivation(
+                f"r{i}", families[i], families[i + 1], sp["deg"], R0, comps, complete_upto=upto, compute=compute))
+            for i, sp in enumerate(single_specs)
+        ]
+        fold = sparse_owner(quiver, fold_spec, lambda comps, upto, compute: Cofunctor(
+            "fold", quiver, quiver, ident, comps, "rat", "nov", complete_upto=upto, compute=compute))
+        slots = chain_slots(chain, families[0])
+        hits, seen = [], set()
+        record_computes(slot_owners(slots) + [fold], hits)
+        record_lookups(slots, seen)
+        return slots, fold, hits, seen
+
+    def literal_run(reduce_words, folded=True):
+        """The per-word enumerator on fresh owners, folded or not."""
+        slots, fold, hits, seen = owners()
+
+        def value(w):
+            unfolded, _ = oracle_slot_value(TensorElement.from_word(w, c), slots, window, False)
+            return family_value(fold, unfolded) if folded else unfolded
+
+        return reduce_words(value), set(hits), seen, slots
+
+    def swept_run(call):
+        """``call(slots, values)`` on fresh owners, ``values`` the transport."""
+        slots, fold, hits, seen = owners()
+        return call(slots, lambda ws: _transport(ws, slots, fold, window, c)), set(hits), seen, slots
+
+    def same_work(got, want, pruned=fold_spec["kind"] == "exact"):
+        assert got[1] == want[1]  # the lazy computes that ran
+        assert got[2] <= want[2]
+        if not pruned:  # every effective lookup
+            assert effective(got[3], got[2]) == effective(want[3], want[2])
+
+    # The sweep itself, unfolded: the terms of each word it reaches.
+    def path_sums(slots):
+        families, singles = slots
+        swept = _path_sum(Basis(quiver, n), c, families, singles, _empty_caps(families, window, c))
+        return {w: TensorElement(w.src, w.dst, terms) for w, terms in swept}
+
+    got = swept_run(lambda slots, values: outcome(lambda: path_sums(slots), FacalcError))
+    want = literal_run(lambda value: outcome(lambda: {w: value(w) for w in basis}, FacalcError), folded=False)
+    assert got[0][0] == want[0][0]
+    if want[0][0] == "ok":
+        for w in basis:
+            assert got[0][1].get(w, TensorElement.zero(w.src, w.dst)) == want[0][1][w]
+        same_work(got, want, pruned=False)
+
+    # The transport over the basis: the reached words, every other one zero.
+    got = swept_run(lambda slots, values: outcome(lambda: values(Basis(quiver, n)), FacalcError))
+    want = literal_run(lambda value: outcome(lambda: {w: value(w) for w in basis}, FacalcError))
+    assert got[0][0] == want[0][0]
+    if want[0][0] == "ok":
+        swept, literal_values = got[0][1], want[0][1]
+        assert set(swept) <= set(basis)
+        for w in basis:
+            assert swept[w] == literal_values[w] if w in swept else literal_values[w].is_zero()
+        same_work(got, want)
+
+    # Extraction: the truncated nonzero values, or the first word's error.
+    def extracted(value):
+        comps = {}
+        for w in basis:
+            v = hom_truncate(value(w), window)
+            if not v.is_zero():
+                comps.setdefault(len(w), {})[comp_key(w)] = v
+        return comps
+
+    got = swept_run(lambda slots, values: outcome(lambda: _extract_components(values, quiver, window)[0], FacalcError))
+    want = literal_run(lambda value: outcome(lambda: extracted(value), FacalcError))
+    assert got[0] == want[0] if want[0][0] == "ok" else got[0][0] == want[0][0]
+    if want[0][0] == "ok":
+        same_work(got, want)
+
+    # The check report: every basis word, UNDECIDED exactly where that word
+    # alone cannot be bounded.
+    def report(value):
+        entries = []
+        for w in basis:
+            try:
+                entries.append((word_name(w), _hom_str(hom_truncate(value(w), window)), "SOUND"))
+            except ConvergenceUndecided:
+                entries.append((word_name(w), "?", "UNDECIDED"))
+        return entries
+
+    got = swept_run(lambda slots, values: outcome(lambda: [
+        (e.word, e.residual, e.flag) for e in _word_checks("b2", quiver, n, values, window)
+    ], FacalcError))
+    want = literal_run(lambda value: outcome(lambda: report(value), FacalcError))
+    assert got[0] == want[0] if want[0][0] == "ok" else got[0][0] == want[0][0]
+
+
 @pytest.mark.parametrize("raisers", [(("a", "b", "a"),), (("a", "b", "a"), ("a", "b", "x"))])
 def test_a_raising_word_keeps_its_own_error(raisers):
     # f and r compute every block of length 3, and raise on the chosen
@@ -1236,24 +1427,94 @@ def test_a_raising_word_keeps_its_own_error(raisers):
         _extract_components(values, QUIVER, window)
 
 
-@seed(facalc_seed())
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_trie_base_levels_are_the_words_base_levels(data):
-    # Generators of random base levels in each instance: negative ones too
-    # in rat, 0 alone in discrete.
-    instance = data.draw(st.sampled_from(["rat", "ratplus", "discrete"]), label="instance")
+def level_quiver(data, instance: str) -> FiltQuiver:
+    """Generators of drawn base levels in the instance: negative ones too in
+    rat, 0 alone in discrete."""
     low = {"rat": -2, "ratplus": 0, "discrete": 0}[instance]
     high = 0 if instance == "discrete" else 2
     pool = st.fractions(low, high, max_denominator=4)
     gens = [
-        HomGenerator(gid, src, dst, 0, levels.make_level(instance, data.draw(pool, label=gid)))
-        for gid, src, dst in (("a", "X", "Y"), ("b", "Y", "X"), ("x", "X", "X"), ("y", "Y", "Y"))
+        HomGenerator(gid, src, dst, sdeg, levels.make_level(instance, data.draw(pool, label=gid)))
+        for gid, src, dst, sdeg in (("a", "X", "Y", 0), ("b", "Y", "X", 1), ("x", "X", "X", 1), ("y", "Y", "Y", 2))
     ]
-    quiver = FiltQuiver("L", ["X", "Y"], gens)
+    return FiltQuiver("L", ["X", "Y"], gens)
+
+
+def grown(quiver: FiltQuiver, n: int, instance: str, cap, walked=0) -> _Trie:
+    """The trie of ``Basis(quiver, n)`` with every node made: a fully lazy
+    owner's blocks reach every node below a root."""
+    trie = _Trie(Basis(quiver, n), instance, cap, walked)
+    everything = Cofunctor("lazy", quiver, quiver, IDENTITY, {}, instance, "nov", compute=lambda w: None)
+    for root in list(trie.roots):
+        trie.blocks(everything, root)
+    return trie
+
+
+def node_word(trie: _Trie, q: int) -> Word:
+    """The word of node q, built anew: its base level is summed from
+    scratch."""
+    gens = trie.gens[q]
+    return Word(gens[0].src if gens else trie.obj[q], tuple(gens))
+
+
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_trie_base_levels_are_the_words_base_levels(data):
+    instance = data.draw(st.sampled_from(["rat", "ratplus", "discrete"]), label="instance")
+    quiver = level_quiver(data, instance)
     batch = data.draw(st.lists(st.sampled_from(basis_words(quiver, 5)), min_size=1, max_size=12), label="words")
-    trie = _Trie(batch, instance)
-    for w, q in zip(batch, trie.node_of):
-        fresh = Word(w.at, tuple(w.gens))  # its base level summed from scratch
-        assert trie.base[q] == fresh.base_level(instance)
-        assert trie.depth[q] == len(w) and trie.head[q] == w.sdeg and trie.obj[q] == w.dst
+    n = data.draw(st.integers(0, 5), label="n")
+    cap = lambda base: 0  # any cap makes the trie keep base levels
+    listed, swept = _Trie(batch, instance, cap), grown(quiver, n, instance, cap)
+    assert len(swept.kids) == len(basis_words(quiver, n))
+    for trie in (listed, swept):
+        for q in range(len(trie.kids)):
+            fresh = node_word(trie, q)
+            assert trie.base[q] == fresh.base_level(instance)
+            assert trie.depth[q] == len(fresh) and trie.head[q] == fresh.sdeg and trie.obj[q] == fresh.dst
+    assert all(swept.end(q)[0] == node_word(swept, q) for q in range(len(swept.kids)))
+    assert {w for w, _ in listed.ends.values()} == set(batch)
+    assert all(node_word(listed, q) == w for q, (w, _) in listed.ends.items())
+
+
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_basis_rooms_are_the_largest_caps_below(data):
+    # A basis grown node by node bounds each node's room by the least base
+    # level a word below it can have; that must be the room the list of
+    # every basis word gives the same node, the largest cap below it, for
+    # the live states and for the dead ones walked from ``walked`` letters.
+    instance = data.draw(st.sampled_from(["rat", "ratplus", "discrete"]), label="instance")
+    quiver = level_quiver(data, instance)
+    n = data.draw(st.integers(0, 5), label="n")
+    walked = data.draw(st.sampled_from([None, 0, 1, 2, 3, 6]), label="walked")
+    if instance == "discrete":
+        floor, cutoff = levels.discrete("inf"), levels.discrete("inf")
+    else:
+        floor = levels.make_level(instance, data.draw(st.sampled_from(["1/4", "1/2", "1"]), label="floor"))
+        cutoff = levels.make_level(instance, data.draw(st.integers(0, 3), label="cutoff"))
+    cap = lambda base: levels._steps(base, floor, cutoff)
+    listed = _Trie(basis_words(quiver, n), instance, cap, walked)
+    swept = grown(quiver, n, instance, cap, walked)
+    nodes = {(node_word(listed, q).at, listed.gids[q]): q for q in range(len(listed.kids))}
+    for q in range(len(swept.kids)):
+        p = nodes[node_word(swept, q).at, swept.gids[q]]
+        assert (swept.live[q], swept.dead[q]) == (listed.live[p], listed.dead[p])
+        assert swept.end(q) == listed.ends[p]
+
+
+def test_a_long_basis_needs_no_recursion():
+    # The least base level below a node is tabled from the shortest paths
+    # up, so a basis far longer than the recursion limit still gives each
+    # root its room: x^n at X, of level -n/4, and y^n (level 0) at Y.
+    gens = [
+        HomGenerator("x", "X", "X", 0, levels.rat("-1/4")),
+        HomGenerator("a", "X", "Y", 0, levels.rat(1)),
+        HomGenerator("y", "Y", "Y", 0, R0),
+    ]
+    n = 4 * sys.getrecursionlimit()
+    cap = lambda base: levels._steps(base, levels.rat(1), levels.rat(3))
+    trie = _Trie(Basis(FiltQuiver("long", ["X", "Y"], gens), n), "rat", cap)
+    assert [trie.live[q] for q in trie.roots] == [3 + n // 4, 3]

@@ -154,7 +154,7 @@ def test_one_decision_rule_per_owner(kind, k, noun):
             # The blocks from the start of w that the engine looks up.
             prefixes = [Word.from_gens(w.gens[:d]) for d in range(1, k + 1)]
             want = [(d, comp_key(v)) for d, v in enumerate(prefixes, 1) if decision(owner, v) != "zero"]
-            trie = _Trie([w])
+            trie = _Trie([w], "rat")
             assert sorted((trie.depth[q], key) for q, key in trie.blocks(owner, 0)) == want
 
 
