@@ -56,9 +56,6 @@ def shift_degree(declared: int) -> int:
     return declared - 1
 
 
-SHIFT_MAP_DEGREE = -1
-
-
 class AInfCategory:
     """A quiver (shifted degrees) with a candidate codifferential."""
 
@@ -124,22 +121,19 @@ def _word_checks(
     window, or UNDECIDED when its sums cannot be bounded.  The values are
     taken in one sweep over the basis (``Basis``), which gives only the
     words it does not send to zero: every other word's residual is 0.  If
-    that sweep raises, the words run one at a time (as in ``_in_order``),
-    and the words after an UNDECIDED one in another batch."""
-    words = basis_words(quiver, n_max)
+    that sweep raises, every word runs alone, so each error lands on its
+    own word."""
     try:
-        swept = values(Basis(quiver, n_max))
-        batch = (swept.get(w) for w in words)
+        value_of = values(Basis(quiver, n_max)).get
     except FacalcError:
-        batch = (values([w])[0] for w in words)
+        value_of = lambda w: values([w])[0]
     entries: List[CheckEntry] = []
-    for k, w in enumerate(words):
+    for w in basis_words(quiver, n_max):
         try:
-            value = next(batch)
+            value = value_of(w)
             res_str, flag = "0" if value is None else _hom_str(hom_truncate(value, window)), "SOUND"
         except ConvergenceUndecided:
             res_str, flag = "?", "UNDECIDED"
-            batch = _in_order(values, words[k + 1:])
         entries.append(CheckEntry(relation, len(w), word_name(w), res_str, flag))
     return entries
 

@@ -9,8 +9,8 @@ over cut positions that carries the interchange sign step by step, and
 turns each split into a signed chain of solved components, which
 ``morphisms.chain_sum`` evaluates and sums over all the source words of a
 call, one sweep of the block engine per chain into one accumulation per
-word (``chain_ops`` builds each chain's pair and skip bound once per factor
-word).
+word (``chain_ops`` builds each chain's pair and skip bound once per
+call).
 
 ``solve_psi`` inverts the pairing: given the values of a cofunctor on mixed
 elements (with the chain side a product of tensor factors), it recovers the
@@ -94,18 +94,15 @@ def cword_dst(cwords: Sequence[Word]) -> CObjKey:
 # The solver
 
 class PsiSolution:
-    """Cofunctors at factor objects plus one coderivation per factor word.
-
-    Each object and component is set once and never replaced (``solve_psi``
-    sets them in order of total length), so the ``chain_ops`` ``apply``
-    keeps per factor word in ``chains`` cannot go stale."""
+    """Cofunctors at factor objects plus one coderivation per factor word,
+    each set once and never replaced (``solve_psi`` sets them in order of
+    total length)."""
 
     def __init__(self, a_quiver: Optional[FiltQuiver], factors: Tuple[FiltQuiver, ...]):
         self.a_quiver = a_quiver
         self.factors = factors
         self.objects: Dict[CObjKey, Cofunctor] = {}
         self.comps: Dict[CWordKey, Coderivation] = {}
-        self.chains: Dict[CWordKey, list] = {}
 
     def object_at(self, key: CObjKey) -> Cofunctor:
         try:
@@ -166,12 +163,9 @@ class PsiSolution:
     ) -> List[Tuple[TensorElement, Flag]]:
         """Evaluate (c*w, factor word) through the solved family, for each
         w of words: the pairing this solution was solved from,
-        reconstructed.  The factor word's chains (``full_chains``, as
-        ``chain_ops``) are built on its first call."""
-        key = cword_key(cwords)
-        ops = self.chains.get(key)
-        if ops is None:
-            ops = self.chains[key] = chain_ops(self.full_chains(cwords), self.object_at(cword_src(cwords)))
+        reconstructed, as one ``chain_sum`` over the factor word's chains
+        (``full_chains``)."""
+        ops = chain_ops(self.full_chains(cwords), self.object_at(cword_src(cwords)))
         return chain_sum(words, c, ops, window)
 
 
@@ -226,23 +220,22 @@ def solve_psi(
     factors: Sequence[FiltQuiver],
     window: TruncWindow,
     variant: str,
-    max_factor_len: Optional[Tuple[int, ...]] = None,
+    max_factor_len: Tuple[int, ...],
 ) -> PsiSolution:
     """Recover the coderivation family from the values of a pairing.
 
     ``phi`` must return, for a source element and a tuple of factor words,
     the value of a comultiplication-compatible pairing into the completed
     tensor cocategory of ``target``.  Components are extracted for source
-    words up to the window length and factor words up to ``max_factor_len``
-    (defaulting to the window length per factor).
+    words up to the window length and factor words up to ``max_factor_len``,
+    one bound per factor.
     """
     if not factors:
         raise FacalcError("solve_psi needs at least one factor")
-    bounds = max_factor_len or tuple(window.max_len for _ in factors)
     sol = PsiSolution(a_quiver, tuple(factors))
     one = novikov.one(variant)
     a_words = basis_words(a_quiver, window.max_len)
-    factor_words = product(*(basis_words(f, b) for f, b in zip(factors, bounds)))
+    factor_words = product(*(basis_words(f, b) for f, b in zip(factors, max_factor_len)))
 
     for cwords in sorted(factor_words, key=lambda cw: sum(len(w) for w in cw)):
         ops = chain_ops(sol.full_chains(cwords, least=2))

@@ -3,7 +3,9 @@
 A quiver is a set of named objects with, for each ordered pair, a finite list
 of hom generators.  Each generator carries a (shifted) integer degree and a
 base filtration level; hom elements are finite sums of generators with
-Novikov scalar coefficients.
+Novikov scalar coefficients.  ``HomElement`` and ``tcoalg.TensorElement``
+are immutable ``Frozen`` values that take their module operations from one
+base, ``_Combination``.
 
 Maps act on the right, ``(x)f``, and are extended linearly over the
 coefficient ring.  ``koszul_sign`` is the literal sign rule: it commutes
@@ -74,10 +76,62 @@ class FiltQuiver:
         return f"FiltQuiver({self.name!r}, {len(self.objects)} objects, {len(self.gens)} gens)"
 
 
-class HomElement:
+class _Combination:
+    """A finite linear combination of basis elements with Novikov scalar
+    coefficients and fixed endpoints: the module operations that
+    ``HomElement`` (generators) and ``tcoalg.TensorElement`` (words) share.
+    Each leaf's ``__init__`` merges and sorts its terms and sets ``src``,
+    ``dst`` and ``terms``; equality and hashing are ``Frozen``'s.  The
+    leaf names the basis element's base level (``_base``), its label in
+    ``repr`` (``_label``) and the noun of the ``add`` error (``_noun``)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, src: str, dst: str):
+        return cls(src, dst)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def add(self, other):
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        if (self.src, self.dst) != (other.src, other.dst):
+            raise ObjectMismatch(f"adding {self._noun} elements with different endpoints")
+        return type(self)(self.src, self.dst, self.terms + other.terms)
+
+    def neg(self):
+        return type(self)(self.src, self.dst, [(b, novikov.nov_neg(c)) for b, c in self.terms])
+
+    def rat_scale(self, q):
+        return type(self)(self.src, self.dst, [(b, novikov.nov_rat_mul(q, c)) for b, c in self.terms])
+
+    def level(self, instance: str) -> Level:
+        """min over terms of the base level of b plus the energy level of c."""
+        best = INFINITY
+        for b, c in self.terms:
+            lvl = levels.level_add(self._base(b, instance), novikov.nov_level(c, instance))
+            best = levels.level_min(best, lvl)
+        return best
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if self.is_zero():
+            return f"{name}(0: {self.src}->{self.dst})"
+        body = " + ".join(f"({novikov.format_scalar(c)})*{self._label(b)}" for b, c in self.terms)
+        return f"{name}({body})"
+
+
+class HomElement(_Combination, Frozen):
     """A normalized finite sum of (generator, scalar) with fixed endpoints."""
 
     __slots__ = ("src", "dst", "terms")
+    _base = staticmethod(lambda g, instance: g.base_level)
+    _label = staticmethod(lambda g: g.gid)
+    _noun = "hom"
 
     def __init__(self, src: str, dst: str, terms: Iterable[Tuple[HomGenerator, NovikovScalar]] = ()):
         merged: Dict[str, Tuple[HomGenerator, NovikovScalar]] = {}
@@ -90,62 +144,11 @@ class HomElement:
                 merged[g.gid] = (g, novikov.nov_add(merged[g.gid][1], c))
             else:
                 merged[g.gid] = (g, c)
-        self.src = src
-        self.dst = dst
-        self.terms: Tuple[Tuple[HomGenerator, NovikovScalar], ...] = tuple(
-            (g, c) for gid, (g, c) in sorted(merged.items()) if not c.is_zero()
-        )
-
-    @staticmethod
-    def zero(src: str, dst: str) -> "HomElement":
-        return HomElement(src, dst)
+        self._set(src, dst, tuple((g, c) for gid, (g, c) in sorted(merged.items()) if not c.is_zero()))
 
     @staticmethod
     def from_gen(g: HomGenerator, coeff: NovikovScalar) -> "HomElement":
         return HomElement(g.src, g.dst, [(g, coeff)])
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "HomElement") -> "HomElement":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if (self.src, self.dst) != (other.src, other.dst):
-            raise ObjectMismatch("adding hom elements with different endpoints")
-        return HomElement(self.src, self.dst, list(self.terms) + list(other.terms))
-
-    def neg(self) -> "HomElement":
-        return HomElement(self.src, self.dst, [(g, novikov.nov_neg(c)) for g, c in self.terms])
-
-    def rat_scale(self, q) -> "HomElement":
-        return HomElement(self.src, self.dst, [(g, novikov.nov_rat_mul(q, c)) for g, c in self.terms])
-
-    def level(self, instance: str) -> Level:
-        """min over terms of base_level(g) + energy level of the coefficient."""
-        best = INFINITY
-        for g, c in self.terms:
-            lvl = levels.level_add(g.base_level, novikov.nov_level(c, instance))
-            best = levels.level_min(best, lvl)
-        return best
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomElement)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.terms))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return f"HomElement(0: {self.src}->{self.dst})"
-        body = " + ".join(f"({novikov.format_scalar(c)})*{g.gid}" for g, c in self.terms)
-        return f"HomElement({body})"
 
 
 def koszul_sign(op_degs: List[int], arg_degs: List[int]) -> int:

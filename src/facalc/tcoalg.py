@@ -1,10 +1,11 @@
 """Tensor cocategories with the cut comultiplication, and truncation windows.
 
 Elements are finite linear combinations of composable generator words over a
-filtered quiver.  The comultiplication cuts a word at every position
-(including both empty ends); the reduced variant keeps both sides non-empty;
-``mu_concat`` concatenates.  Completions are modeled by truncation windows: a
-maximal word length N and an energy cutoff E.  Every truncation reports
+filtered quiver, with the module operations of ``filtquiver._Combination``.
+The comultiplication cuts a word at every position (including both empty
+ends); the reduced variant keeps both sides non-empty; ``mu_concat``
+concatenates.  Completions are modeled by truncation windows: a maximal
+word length N and an energy cutoff E.  Every truncation reports
 whether it was SOUND (everything discarded provably lies above E, so the
 truncated statement certifies the completed one at that cutoff) or LOSSY.
 A coefficient is reduced modulo F^E by comparing each monomial's energy
@@ -25,8 +26,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import levels, novikov
 from .errors import FacalcError, ObjectMismatch
-from .filtquiver import FiltQuiver, HomElement, HomGenerator
-from .levels import INFINITY, Frozen, Level
+from .filtquiver import FiltQuiver, HomElement, HomGenerator, _Combination
+from .levels import Frozen, Level
 from .novikov import NovikovScalar
 
 
@@ -111,10 +112,13 @@ class Word:
         return "Word(" + ".".join(self._gids) + ")"
 
 
-class TensorElement:
+class TensorElement(_Combination, Frozen):
     """A normalized linear combination of words with common endpoints."""
 
     __slots__ = ("src", "dst", "terms")
+    _base = staticmethod(Word.base_level)
+    _label = repr
+    _noun = "tensor"
 
     def __init__(self, src: str, dst: str, terms: Iterable[Tuple[Word, NovikovScalar]] = ()):
         merged: Dict[Word, NovikovScalar] = {}
@@ -125,15 +129,9 @@ class TensorElement:
                 merged[w] = novikov.nov_add(merged[w], c)
             else:
                 merged[w] = c
-        self.src = src
-        self.dst = dst
-        self.terms: Tuple[Tuple[Word, NovikovScalar], ...] = tuple(
+        self._set(src, dst, tuple(
             (w, c) for w, c in sorted(merged.items(), key=lambda t: t[0].sort_key()) if not c.is_zero()
-        )
-
-    @staticmethod
-    def zero(src: str, dst: str) -> "TensorElement":
-        return TensorElement(src, dst)
+        ))
 
     @staticmethod
     def from_word(w: Word, coeff: NovikovScalar) -> "TensorElement":
@@ -145,24 +143,6 @@ class TensorElement:
             h.src, h.dst, [(Word.from_gens([g]), c) for g, c in h.terms]
         )
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "TensorElement") -> "TensorElement":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if (self.src, self.dst) != (other.src, other.dst):
-            raise ObjectMismatch("adding tensor elements with different endpoints")
-        return TensorElement(self.src, self.dst, list(self.terms) + list(other.terms))
-
-    def neg(self) -> "TensorElement":
-        return TensorElement(self.src, self.dst, [(w, novikov.nov_neg(c)) for w, c in self.terms])
-
-    def rat_scale(self, q) -> "TensorElement":
-        return TensorElement(self.src, self.dst, [(w, novikov.nov_rat_mul(q, c)) for w, c in self.terms])
-
     def pr1_hom(self) -> HomElement:
         """Project to word length 1, viewed as a hom element."""
         return HomElement(
@@ -171,29 +151,6 @@ class TensorElement:
 
     def max_len(self) -> int:
         return max((len(w) for w, _ in self.terms), default=0)
-
-    def level(self, instance: str) -> Level:
-        best = INFINITY
-        for w, c in self.terms:
-            best = levels.level_min(best, term_level(w, c, instance))
-        return best
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.terms))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return f"TensorElement(0: {self.src}->{self.dst})"
-        body = " + ".join(f"({novikov.format_scalar(c)})*{w!r}" for w, c in self.terms)
-        return f"TensorElement({body})"
 
 
 def _signed_sum(pieces: Sequence[Tuple[int, TensorElement]]) -> TensorElement:

@@ -8,7 +8,6 @@ from facalc.ainfty import (
     _chain_name,
     _chains,
     CoderQuiver,
-    SHIFT_MAP_DEGREE,
     ainf_category,
     chain_eval,
     check_ainf_functor,
@@ -74,7 +73,6 @@ def algebra_category(table, name="Alg"):
 
 def test_shift_helpers():
     assert shift_degree(1) == 0
-    assert SHIFT_MAP_DEGREE == -1
 
 
 def test_b_squared_differential_only(chain_cat):

@@ -1,6 +1,6 @@
 """Every module-level import in src/facalc and in the tests is used by its
-module, and every module-level function, class and public method is used by
-src/facalc, the acceptance suite or the benchmark.
+module, and every module-level function, class, assigned name and public
+method is used by src/facalc, the acceptance suite or the benchmark.
 
 No linter runs in tier-1, so this is the one check against imports that a
 refactor leaves behind.  A name imported on purpose for other modules is
@@ -75,15 +75,24 @@ ORACLES = frozenset({"koszul_sign"})
 
 
 def definitions(source: str, classes: set):
-    """(qualified name, node) for each module-level function and class, and
-    each public method or property of a module-level class.  Methods of a
-    class with a base outside ``classes`` (the classes of the scanned
-    modules) are left out: that base, such as ``argparse.ArgumentParser``,
-    is what calls them."""
+    """(qualified name, node) for each module-level function, class and
+    assigned name other than a dunder such as ``__version__``, and each
+    public method or property of a module-level class.  Methods of a class
+    with a base outside ``classes`` (the classes of the scanned modules) are
+    left out: that base, such as ``argparse.ArgumentParser``, is what calls
+    them."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((node.name, node))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(
+                (t.id, t)
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Name) and not (t.id.startswith("__") and t.id.endswith("__"))
+            )
         if isinstance(node, ast.ClassDef) and all(base_name(b) in classes for b in node.bases):
             out.extend(
                 (f"{node.name}.{item.name}", item)
@@ -99,11 +108,11 @@ def base_name(node) -> str:
 
 
 def referenced_names(tree, attributes_only: bool = False) -> dict:
-    """How often each name is used, as a bare name or as an attribute, or
+    """How often each name is read, as a bare name or as an attribute, or
     only as an attribute (``.name``)."""
     counts: dict = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not attributes_only:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
@@ -133,7 +142,7 @@ def unreferenced_definitions(modules: dict, others: list, exempt=frozenset()):
     out = []
     for module, source in sorted(modules.items()):
         for qualname, node in definitions(source, classes):
-            name = node.name
+            name = qualname.split(".")[-1]
             method = "." in qualname
             own = referenced_names(node, method).get(name, 0)
             if name not in exempt and total[method].get(name, 0) - own == 0:
@@ -179,16 +188,24 @@ def test_reference_checker_flags_dead_and_self_recursive_functions():
             "class Parser(argparse.ArgumentParser):\n"
             "    def error(self, message):\n"
             "        raise ValueError(message)\n"
+            "LIVE = 8\n"
+            "DEAD, READ = LIVE, 9\n"
+            "__version__ = '0'\n"
         )
     }
-    # ``shadowed`` below is a local variable, not a use of Live.shadowed.
-    others = ["import m\nm.via_attribute()\nm.Live().prop\nm.Parser()\nshadowed = 8\nprint(shadowed)\n"]
+    # ``shadowed`` below is a local variable, not a use of Live.shadowed;
+    # assigning DEAD does not read it.
+    others = [
+        "import m\nm.via_attribute()\nm.Live().prop\nm.Parser()\nshadowed = 8\nprint(shadowed)\n"
+        "DEAD = m.READ\n"
+    ]
     assert unreferenced_definitions(modules, others, {"oracle"}) == [
         ("m.py", "dead"),
         ("m.py", "recursive"),
         ("m.py", "Live.dead_method"),
         ("m.py", "Live.shadowed"),
         ("m.py", "Dead"),
+        ("m.py", "DEAD"),
     ]
 
 
