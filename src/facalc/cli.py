@@ -301,9 +301,7 @@ def cmd_solve_psi(model: Model, path: str, args):
     window = _override_window(model, args.window)
     if model.psi is None:
         raise ResolveError("solve-psi: file has no psi section")
-    # The solver reads the family on factor words up to --psi-len; the
-    # window length keeps the gen_map checks at --psi-len 0.
-    fixture = psi_fixture(model, window, max(window.max_len, args.psi_len))
+    fixture = psi_fixture(model, window, args.psi_len)
     a_quiver = fixture.a_quiver
     target = next(iter(fixture.objects.values())).dst
     spec = model.psi

@@ -177,7 +177,8 @@ PhiObjMap = Callable[[str, CObjKey], str]
 def psi_fixture(model: Model, window: TruncWindow, max_len: int) -> PsiSolution:
     """Assemble the file's declared solver section (``model.psi``) into an
     evaluable family on factor words up to max_len.  The checks name
-    ``solve-psi``, the one command that reads the section."""
+    ``solve-psi``, the one command that reads the section; the ``gen_map``
+    ones run if max_len or the window length is at least 1."""
     spec = model.psi
     assert spec is not None
     if not spec.source.objects:
@@ -186,7 +187,7 @@ def psi_fixture(model: Model, window: TruncWindow, max_len: int) -> PsiSolution:
     sol = PsiSolution(None, (spec.source,))
     for o in spec.source.objects:
         sol.objects[(o,)] = model.functors[spec.obj_map[o]]
-    for w in basis_words(spec.source, max_len, include_empty=False):
+    for w in basis_words(spec.source, max(max_len, min(window.max_len, 1)), include_empty=False):
         key = cword_key((w,))
         if len(w) == 1:
             gid = w.gens[0].gid

@@ -49,7 +49,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import levels, novikov, tcoalg
-from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch
+from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch, VariantMismatch
 from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _check_member, _crossing_sign
 from .levels import INFINITY, Frozen, Level
 from .engine import _END, Basis, Letter, _path_sum
@@ -397,16 +397,29 @@ def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
 
 
 def family_value(owner: Union[Cofunctor, Coderivation], x: TensorElement) -> HomElement:
-    """``_fold`` of the terms of x."""
+    """``_fold`` of the terms of x: one ``novikov.nov_dot`` per generator."""
     return _fold(owner, x.src, x.dst, x.terms)
 
 
 def _fold(owner: Union[Cofunctor, Coderivation], src: str, dst: str, terms) -> HomElement:
     """Feed every word of terms, a value from src to dst, through the
     component of its own length: the one fold that reads a value through a
-    morphism's components."""
-    terms = [(g, novikov.nov_mul(cg, c)) for w, c in terms for g, cg in owner.comp_value(w).terms]
-    return HomElement(owner.src_map[src], owner.dst_map[dst], terms)
+    morphism's components.  Each generator's (component coefficient, word
+    coefficient) pairs are summed by one ``nov_dot``; ``comp_value`` runs
+    and each pair's variants are checked in term order, and products of
+    one generator in two variants rerun the per-term ``nov_mul`` fold for
+    the error it raises, so the errors are the per-term fold's too."""
+    pairs: Dict[str, Tuple[HomGenerator, list]] = {}
+    for w, c in terms:
+        for g, cg in owner.comp_value(w).terms:
+            novikov._check_variant(cg, c)
+            pairs.setdefault(g.gid, (g, []))[1].append((cg, c))
+    hom_src, hom_dst = owner.src_map[src], owner.dst_map[dst]
+    try:
+        return HomElement(hom_src, hom_dst, [(g, novikov.nov_dot(p)) for g, p in pairs.values()])
+    except VariantMismatch:
+        terms = [(g, novikov.nov_mul(cg, c)) for w, c in terms for g, cg in owner.comp_value(w).terms]
+        return HomElement(hom_src, hom_dst, terms)
 
 
 def _transport(

@@ -21,15 +21,19 @@ Every ``NovikovScalar`` is normal: terms strictly increasing in (energy,
 exponent), nonzero ``Fraction`` coefficients, each term valid for the variant.
 ``scalar`` and ``parse_scalar`` are the only constructors that coerce and
 validate raw input; the ring operations rely on the invariant and do neither.
+A sum of products (``nov_dot``, and ``nov_mul`` without a monomial factor)
+is one integer multiply-accumulate that builds a ``Fraction`` only for what
+survives; sums of parsed terms (``_merge``) stay on ``Fraction``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from . import levels
 from .errors import FacalcError, VariantMismatch
@@ -149,8 +153,7 @@ def nov_mul(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
     if not x.terms:
         return x
     if len(x.terms) > 1:
-        prods = [(cx * cy, lx + ly, nx + ny) for cx, lx, nx in x.terms for cy, ly, ny in y.terms]
-        return _merge(prods, variant)
+        return nov_dot(((x, y),))
     # A monomial factor scales and shifts y term by term, which keeps y normal.
     (c, lam, n), = x.terms
     if not (lam or n) and c == 1:
@@ -162,6 +165,38 @@ def nov_mul(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
     if lam or n:
         return NovikovScalar(tuple((c * cy, lam + ly, n + ny) for cy, ly, ny in y.terms), variant)
     return NovikovScalar(tuple((c * cy, ly, ny) for cy, ly, ny in y.terms), variant)
+
+
+def nov_dot(pairs: Sequence[Tuple[NovikovScalar, NovikovScalar]], variant: str = NOV) -> NovikovScalar:
+    """The sum of x * y over pairs, zero of variant for none; it raises what
+    the ``nov_add`` fold of the ``nov_mul`` products raises first.  One
+    integer multiply-accumulate: coefficients and energies over the lcm of
+    their denominators, summed by (energy, exponent), keys that sort as the
+    energies do.  Only a surviving coefficient or energy becomes a Fraction."""
+    variants = [_check_variant(x, y) for x, y in pairs]
+    for v in variants:
+        if v != variants[0]:
+            raise VariantMismatch(f"variants {variants[0]!r} and {v!r}")
+    if len(pairs) == 1 and min(len(pairs[0][0].terms), len(pairs[0][1].terms)) < 2:
+        return nov_mul(*pairs[0])
+    operands = [x.terms for pair in pairs for x in pair]
+    cden = math.lcm(*{c.denominator for terms in operands for c, _, _ in terms})
+    eden = math.lcm(*{lam.denominator for terms in operands for _, lam, _ in terms})
+    ints = [[(c.numerator * (cden // c.denominator), lam.numerator * (eden // lam.denominator), n)
+             for c, lam, n in terms] for terms in operands]
+    acc: dict = {}
+    for xs, ys in zip(ints[::2], ints[1::2]):
+        for a, e, n in xs:
+            for b, f, m in ys:
+                key = (e + f, n + m)
+                acc[key] = acc.get(key, 0) + a * b
+    out, energies = [], {}
+    for (e, n), v in sorted(acc.items()):
+        if v:
+            if e not in energies:
+                energies[e] = Fraction(e, eden)
+            out.append((Fraction(v, cden * cden), energies[e], n))
+    return NovikovScalar(tuple(out), variants[0] if pairs else variant)
 
 
 def nov_rat_mul(q, x: NovikovScalar) -> NovikovScalar:
@@ -224,10 +259,10 @@ def parse_scalar(text: str, variant: str = NOV) -> NovikovScalar:
         m = _MONOMIAL_RE.match(part)
         if m is None:
             raise FacalcError(f"cannot parse scalar monomial {part!r}")
-        coeff = Fraction(m.group("coeff"))
-        energy = Fraction(m.group("energy") or 0)
+        # _MONOMIAL_RE has validated each number: read its parts with int.
+        (cn, _, cd), (en, _, ed) = (t.partition("/") for t in (m.group("coeff"), m.group("energy") or "0"))
         expo = int(m.group("expo") or 0)
-        terms.append((coeff, energy, expo))
+        terms.append((Fraction(int(cn), int(cd or 1)), Fraction(int(en), int(ed or 1)), expo))
     return scalar(terms, variant)
 
 

@@ -8,6 +8,7 @@ serializer the CLI uses) so golden-file comparisons are byte-exact.
 
 import json
 import pathlib
+from fractions import Fraction
 
 HERE = pathlib.Path(__file__).parent
 FIX = HERE / "fixtures"
@@ -32,6 +33,33 @@ ONE = "1*T^{0}*e^{0}"
 
 def gen(gid, src, dst, sdeg, base=ZERO_LVL):
     return {"id": gid, "src": src, "dst": dst, "sdeg": sdeg, "base_level": base}
+
+
+# Polynomials in T with one power of e: {energy: coefficient} as Fractions.
+
+
+def _poly(raw: dict) -> dict:
+    return {Fraction(e): Fraction(c) for e, c in raw.items()}
+
+
+def _poly_add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for ex, cx in x.items():
+        out = _poly_add(out, {ex + ey: cx * cy for ey, cy in y.items()})
+    return out
+
+
+def _poly_text(x: dict, expo: int = 0) -> str:
+    """Canonical monomial syntax, sorted by energy."""
+    frac = lambda q: str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return "+".join(f"{frac(c)}*T^{{{frac(e)}}}*e^{{{expo}}}" for e, c in sorted(x.items()))
 
 
 def main() -> None:
@@ -296,6 +324,34 @@ def main() -> None:
         }
     ]
     dump("curved_wide.json", wide)
+
+    # Multi-term scalars: one conjugated complex per object,
+    # d x = a y1 + a s e^{1} y2, d y1 = -s b z, d y2 = b' e^{-1} z, with
+    # rational energies of different denominators, some negative.  On X,
+    # b' = b and b o b cancels at [x]; on Y, b' = b + t and leaves a s t.
+    multi = header()
+    multi["quivers"] = [{"name": "M", "objects": ["X", "Y"], "generators": []}]
+    multi["b_components"] = [{"quiver": "M", "components": []}]
+    for obj, a, s, b, t in (
+        ("X", {"-1/3": "3/2", "1/6": "-5/4", "3/4": "7/3"}, {"-1/10": "-1/7", "1/5": "2/3"},
+         {"-1/8": "5/6", "1/4": "1/2", "2/5": "-3"}, {}),
+        ("Y", {"-1/4": "2", "2/7": "-1/3", "1/2": "5/9"}, {"-1/6": "3/4", "1/3": "-2"},
+         {"-1/9": "1", "1/5": "-7/2", "1/2": "4/3"}, {"1/3": "1/9", "1/2": "-2/3"}),
+    ):
+        x, y1, y2, z = (f"{n}{obj}" for n in ("x", "y1", "y2", "z"))
+        multi["quivers"][0]["generators"] += [
+            gen(x, obj, obj, 0, {"rat": "-1/2"}),
+            gen(y1, obj, obj, 1),
+            gen(y2, obj, obj, -1, {"rat": "1/3"}),
+            gen(z, obj, obj, 2, {"rat": "1/2"}),
+        ]
+        a, s, b, t = (_poly(p) for p in (a, s, b, t))
+        multi["b_components"][0]["components"] += [
+            {"word": [x], "value": [[y1, _poly_text(a)], [y2, _poly_text(_poly_mul(a, s), 1)]]},
+            {"word": [y1], "value": [[z, _poly_text({e: -c for e, c in _poly_mul(s, b).items()})]]},
+            {"word": [y2], "value": [[z, _poly_text(_poly_add(b, t), -1)]]},
+        ]
+    dump("multiterm.json", multi)
 
     # Discrete instance, level-0 curvature: convergence is undecidable.
     undec = {

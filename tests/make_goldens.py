@@ -29,6 +29,7 @@ GOLDEN_CASES = {
     "check_b2_nonassoc": ["check-b2", "tests/fixtures/nonassoc.json"],
     "check_b2_nonassoc_json": ["check-b2", "tests/fixtures/nonassoc.json", "--format", "json"],
     "check_b2_empty": ["check-b2", "tests/fixtures/empty.json"],
+    "check_b2_multiterm": ["check-b2", "tests/fixtures/multiterm.json", "--n-max", "2"],
     "check_functor_b1_only": ["check-functor", "tests/fixtures/b1_only.json"],
     "check_functor_fbad": [
         "check-functor",

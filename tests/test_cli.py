@@ -61,6 +61,7 @@ def test_reports_are_byte_deterministic():
         "curved_compose",
         "curved_wide",
         "lossy_eval",
+        "multiterm",
     ],
 )
 def test_normalize_roundtrip_is_identity(fixture, tmp_path):
@@ -477,12 +478,53 @@ def test_solve_psi_reproduces_declared_family():
     ids=["window-1", "window-2-psi-len-3"],
 )
 def test_solve_psi_reads_the_family_up_to_psi_len(extra, same_as):
-    # The declared family is assembled up to the larger of --psi-len and the
-    # window length, so a solve beyond the window finds every component.
+    # The declared family is assembled up to --psi-len, so a solve beyond
+    # the window finds every component.
     cmd = ["solve-psi", "tests/fixtures/psi_roundtrip.json"]
     code, text = run(cmd + extra)
     assert code == 0, text
     assert (code, text) == run(cmd + same_as)
+
+
+@pytest.mark.parametrize("psi_len", [0, 1, 2, 3])
+def test_solve_psi_builds_the_family_up_to_psi_len(psi_len, monkeypatch):
+    # The window (length 4) does not widen the family: the solver reads it
+    # up to --psi-len.  The letters c1, c2 are mapped at every length.
+    import facalc.evalhom
+
+    built = []
+    assemble = facalc.evalhom.psi_fixture
+    monkeypatch.setattr(facalc.evalhom, "psi_fixture", lambda *args: built.append(assemble(*args)) or built[-1])
+    cmd = ["solve-psi", "tests/fixtures/psi_roundtrip.json", "--psi-len", str(psi_len)]
+    assert run(cmd)[0] == 0
+    assert load_model_file(cmd[1]).window.max_len == 4
+    (fixture,) = built
+    lengths = [len(gids) for ((_, gids),) in fixture.comps]
+    assert sorted(lengths) == [n for n in range(1, max(psi_len, 1) + 1) for _ in range(2 ** n)]
+
+
+@pytest.mark.parametrize(
+    "extra, checked",
+    [
+        (["--psi-len", "0"], True),
+        (["--psi-len", "0", "--window", "1,3"], True),
+        (["--psi-len", "1", "--window", "0,3"], True),
+        (["--psi-len", "0", "--window", "0,3"], False),
+    ],
+    ids=["psi-len-0", "psi-len-0-window-1", "psi-len-1-window-0", "psi-len-0-window-0"],
+)
+def test_solve_psi_checks_gen_map_where_a_letter_fits(extra, checked, tmp_path):
+    # gen_map is checked whenever --psi-len or the window length is at
+    # least 1, so a bad map is reported even at --psi-len 0.
+    doc = json.loads((ROOT / "tests/fixtures/psi_roundtrip.json").read_text())
+    doc["psi"]["gen_map"] = {"c1": "r1"}
+    path = tmp_path / "psi_missing.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(["solve-psi", str(path), *extra])
+    if checked:
+        assert (code, text) == (65, "resolve error: solve-psi: generator 'c2' missing from gen_map\n")
+    else:
+        assert code == 0
 
 
 def test_a_leibniz_residual_exits_with_the_residual_code(monkeypatch):

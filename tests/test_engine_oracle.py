@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov, tcoalg
-from facalc.errors import ConvergenceUndecided, FacalcError, ObjectMismatch
+from facalc.errors import ConvergenceUndecided, FacalcError, ObjectMismatch, VariantMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.ainfty import _hom_str, _word_checks, word_name
 from facalc.engine import Basis, _Trie, _path_sum
@@ -254,13 +254,13 @@ def letter_for(salt: int, sparsity: int, w: Word, scalars=SCALARS) -> HomElement
 class RaisingCompute:
     """A lazy component rule that raises on the words chosen by ``hits``."""
 
-    def __init__(self, salt: int, sparsity: int, hits):
-        self.salt, self.sparsity, self.hits = salt, sparsity, hits
+    def __init__(self, salt: int, sparsity: int, hits, scalars=SCALARS):
+        self.salt, self.sparsity, self.hits, self.scalars = salt, sparsity, hits, scalars
 
     def __call__(self, w: Word) -> HomElement:
         if self.hits(w):
             raise ConvergenceUndecided(f"lazy component on {w!r}")
-        return letter_for(self.salt, self.sparsity, w)
+        return letter_for(self.salt, self.sparsity, w, self.scalars)
 
 
 def _table(salt: int, sparsity: int, empties: bool, curved_scalars=CURVATURES):
@@ -793,6 +793,109 @@ def test_transport_folds_no_word_of_zero_sum():
     assert _transport([w], coderivation_slots(r), fold, window, one)[0].is_zero()
     assert not hits
     assert slot_value(TensorElement.from_word(w, one), coderivation_slots(r), window, False)[0].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The fold against the per-term fold it replaces
+
+# Multi-term scalars: energies over different denominators, negative ones,
+# exponents other than 0, and a negated copy whose products cancel.
+MULTI = novikov.scalar(
+    [(Fraction(3, 2), Fraction(-1, 3), 0), (Fraction(-5, 4), Fraction(1, 6), 0), (7, Fraction(3, 4), 0)]
+)
+MULTI_SCALARS = [
+    MULTI,
+    novikov.nov_neg(MULTI),
+    novikov.scalar([(1, Fraction(-1, 10), 1), (Fraction(2, 3), Fraction(1, 5), 1)]),
+    novikov.scalar([(Fraction(1, 7), Fraction(2, 5), -1), (-2, Fraction(1, 2), -1), (3, 1, -1)]),
+    novikov.monomial(Fraction(-1, 6), Fraction(-1, 8)),
+    novikov.one(),
+]
+# Plain-rational scalars, to mix variants.
+PLAIN_SCALARS = [novikov.one("q"), novikov.monomial(Fraction(-2, 3), 0, 0, "q")]
+
+
+def literal_fold(owner, x: TensorElement) -> HomElement:
+    """``nov_mul`` of every (component, coefficient) pair, merged by
+    ``HomElement``: the fold before ``nov_dot``."""
+    terms = [(g, novikov.nov_mul(cg, c)) for w, c in x.terms for g, cg in owner.comp_value(w).terms]
+    return HomElement(owner.src_map[x.src], owner.dst_map[x.dst], terms)
+
+
+def multi_owner(salt: int, sparsity: int, upto: Optional[int], raise_mod: Optional[int], scalars) -> Cofunctor:
+    """A table of letters drawn from scalars and, past ``upto``, a lazy
+    compute of the same kind that raises on some words."""
+    comps = {}
+    for w in TABLE_WORDS:
+        v = letter_for(salt, sparsity, w, scalars)
+        if not v.is_zero():
+            comps.setdefault(len(w), {})[comp_key(w)] = v
+    hits = (lambda w: _hash(salt + 9, w) % raise_mod == 0) if raise_mod else (lambda w: False)
+    compute = None if upto is None else RaisingCompute(salt + 7, sparsity, hits, scalars)
+    return Cofunctor("fold", QUIVER, QUIVER, IDENTITY, comps, "rat", "nov", complete_upto=upto, compute=compute)
+
+
+@st.composite
+def multi_elements(draw, scalars, max_len=3):
+    src = draw(st.sampled_from(QUIVER.objects))
+    dst = draw(st.sampled_from(QUIVER.objects))
+    pool = [w for w in WORDS if w.src == src and w.dst == dst and len(w) <= max_len]
+    picked = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=5, unique=True))
+    return TensorElement(src, dst, [(w, draw(st.sampled_from(scalars))) for w in picked])
+
+
+@seed(facalc_seed())
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_family_value_matches_the_per_term_fold(data):
+    # Mixed pools give pairs of two variants (the product's error), products
+    # of one generator in two variants (the sum's error), and generators of
+    # different variants (no error).
+    scalars = data.draw(st.sampled_from([MULTI_SCALARS, MULTI_SCALARS + PLAIN_SCALARS]), label="pool")
+    args = (
+        data.draw(st.integers(0, 10**6), label="salt"),
+        data.draw(st.integers(1, 2), label="sparsity"),
+        data.draw(st.sampled_from([None, 0, 1, 2]), label="upto"),
+        data.draw(st.sampled_from([None, 3, 7]), label="raise_mod"),
+        scalars,
+    )
+    x = data.draw(multi_elements(scalars), label="x")
+
+    def run(fold):
+        owner = multi_owner(*args)
+        computes = []
+        record_computes([owner], computes)
+        try:
+            result = "ok", fold(owner, x)
+        except FacalcError as exc:
+            result = "raised", type(exc), str(exc)
+        return result, computes
+
+    got, want = run(family_value), run(literal_fold)
+    assert got == want
+    if got[0][0] == "ok":
+        for _, c in got[0][1].terms:
+            assert all(type(a) is Fraction and type(lam) is Fraction and type(n) is int for a, lam, n in c.terms)
+
+
+def test_fold_raises_the_first_mismatch_in_term_order():
+    # Generator a is met first, but c's products change variant first
+    # (on x.a), so the per-term fold raises c's mismatch, not a's.
+    a, c, xl = QUIVER.gen("a"), QUIVER.gen("c"), QUIVER.gen("x")
+    nov, q = novikov.one(), novikov.one("q")
+    table = {
+        1: {("a",): HomElement.from_gen(a, nov), ("c",): HomElement.from_gen(c, q)},
+        2: {("x", "a"): HomElement.from_gen(c, nov), ("x", "c"): HomElement.from_gen(a, q)},
+    }
+    owner = Cofunctor("fold", QUIVER, QUIVER, IDENTITY, table, "rat", "nov")
+    words_ = [Word.from_gens(gs) for gs in ([a], [c], [xl, a], [xl, c])]
+    x = TensorElement("X", "Y", list(zip(words_, [nov, q, nov, q])))
+    for fold in (family_value, literal_fold):
+        with pytest.raises(VariantMismatch, match=r"^variants 'q' and 'nov'$"):
+            fold(owner, x)
+    # Variants that differ only across generators raise nothing.
+    y = TensorElement("X", "Y", list(zip(words_[:2], [nov, q])))
+    assert family_value(owner, y) == literal_fold(owner, y) == HomElement("X", "Y", [(a, nov), (c, q)])
 
 
 # ---------------------------------------------------------------------------

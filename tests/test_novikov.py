@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -15,6 +16,7 @@ from facalc.novikov import (
     format_scalar,
     monomial,
     nov_add,
+    nov_dot,
     nov_level,
     nov_mul,
     nov_neg,
@@ -359,3 +361,123 @@ MULTI = scalar([(2, 0, 0), (-3, 1, 1)], NOV0)
 def test_fast_paths_check_the_variant(op, x, y):
     with pytest.raises(VariantMismatch):
         op(x, y)
+
+
+# -- The multiply-accumulate kernel against the literal fold -----------------
+
+
+def literal_dot(pairs, variant):
+    """The fold ``nov_dot`` replaces: every product first, then their sum."""
+    products = [nov_mul(x, y) for x, y in pairs]
+    return reduce(nov_add, products) if products else zero(variant)
+
+
+def dot_scalars(variant):
+    """Scalars whose energies have denominators up to 12, negative ones on
+    ``nov``, and exponents other than 0, besides zero and the unit."""
+    energy = {
+        NOV: st.fractions(max_denominator=12),
+        NOV0: st.fractions(min_value=0, max_denominator=12),
+        PLAIN: st.just(Fraction(0)),
+    }[variant]
+    expo = st.just(0) if variant == PLAIN else expos
+    raw = st.lists(st.tuples(st.fractions(max_denominator=10), energy, expo), max_size=6)
+    return st.one_of(st.just(zero(variant)), st.just(one(variant)), raw.map(lambda ts: scalar(ts, variant)))
+
+
+@st.composite
+def dot_pairs(draw, variant):
+    pairs = draw(st.lists(st.tuples(dot_scalars(variant), dot_scalars(variant)), max_size=5))
+    for x, y in list(pairs):
+        # A pair and its negation: their products cancel exactly.
+        if draw(st.booleans()):
+            negated = (nov_neg(x), y) if draw(st.booleans()) else (y, nov_neg(x))
+            pairs.insert(draw(st.integers(0, len(pairs))), negated)
+    return pairs
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@seed(facalc_seed())
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dot_matches_the_literal_fold(variant, data):
+    pairs = data.draw(dot_pairs(variant), label="pairs")
+    got = nov_dot(pairs, variant)
+    assert got == literal_dot(pairs, variant)
+    assert got.variant == variant
+    assert_normal(got)
+    # The independent schoolbook sum agrees too.
+    want = zero(variant)
+    for x, y in pairs:
+        want = literal_add(want, literal_mul(x, y))
+    assert got == want
+
+
+def test_dot_examples():
+    x = scalar([(Fraction(3, 2), Fraction(-1, 3), 0), (Fraction(-5, 4), Fraction(1, 6), 2)], NOV)
+    y = scalar([(Fraction(1, 7), Fraction(1, 4), -1), (2, Fraction(-2, 5), 1)], NOV)
+    assert nov_dot([], NOV0) == zero(NOV0)
+    assert nov_dot([(x, y)]) == nov_mul(x, y) == literal_mul(x, y)
+    assert nov_dot([(x, y), (nov_neg(y), x)]) == zero(NOV)
+    assert nov_dot([(x, y), (x, x), (nov_neg(x), y)]) == literal_mul(x, x)
+    assert nov_dot([(zero(), y), (x, zero())]) == zero()
+    # Equal energies over different denominators merge into one monomial.
+    third, sixth, quarter = (monomial(1, Fraction(1, d)) for d in (3, 6, 4))
+    assert nov_dot([(third, sixth), (nov_rat_mul(2, quarter), quarter)]) == monomial(3, Fraction(1, 2))
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Pairs of one variant each, and now and then a pair of two."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        vx = draw(st.sampled_from(VARIANTS))
+        vy = vx if draw(st.integers(0, 3)) else draw(st.sampled_from(VARIANTS))
+        pairs.append((draw(dot_scalars(vx)), draw(dot_scalars(vy))))
+    return pairs
+
+
+def raised(fn):
+    try:
+        return "ok", fn()
+    except FacalcError as exc:
+        return "raised", type(exc), str(exc)
+
+
+@seed(facalc_seed())
+@settings(max_examples=200, deadline=None)
+@given(pairs=mixed_pairs())
+def test_dot_raises_what_the_literal_fold_raises(pairs):
+    # First a pair of two variants, in order; then a product whose variant
+    # differs from the first product's.
+    assert raised(lambda: nov_dot(pairs, PLAIN)) == raised(lambda: literal_dot(pairs, PLAIN))
+
+
+def test_dot_mismatch_messages():
+    with pytest.raises(VariantMismatch, match=r"^variants 'nov' and 'q'$"):
+        nov_dot([(one(NOV), one(NOV)), (one(NOV), one(PLAIN)), (one(NOV0), one(PLAIN))])
+    with pytest.raises(VariantMismatch, match=r"^variants 'nov0' and 'q'$"):
+        nov_dot([(one(NOV0), one(NOV0)), (one(PLAIN), one(PLAIN))])
+    with pytest.raises(VariantMismatch, match=r"^variants 'q' and 'nov'$"):
+        nov_dot([(zero(PLAIN), one(PLAIN)), (one(NOV), zero(NOV))])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1*T^{1/0}*e^{0}", "cannot parse scalar monomial '1*T^{1/0}*e^{0}'"),
+        ("1*T^{1}*e^{1/2}", "cannot parse scalar monomial '1*T^{1}*e^{1/2}'"),
+        ("2 + +3", "cannot parse scalar monomial ''"),
+    ],
+)
+def test_malformed_scalar_messages(text, message):
+    with pytest.raises(FacalcError) as err:
+        parse_scalar(text, NOV)
+    assert str(err.value) == message
+
+
+def test_parse_reads_signs_and_denominators_exactly():
+    assert parse_scalar("-0/5*T^{-0}*e^{-0}", NOV) == zero(NOV)
+    x = parse_scalar("007/010*T^{-3/6}*e^{-2}+4", NOV)
+    assert x.terms == ((Fraction(7, 10), Fraction(-1, 2), -2), (Fraction(4), Fraction(0), 0))
+    assert_normal(x)
