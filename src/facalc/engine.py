@@ -24,14 +24,15 @@ generator is of negative level, the node's own), and of a list, the largest
 room of the listed words below.  A step into node q needs e < room(q), a
 curvature step at node p needs e + 1 < room(p), and each word keeps its
 final states with e < its own room.  Given the key trie of an exact table
-the result is folded through, a product no key extends is dropped, and a
-state left with no product is dead.  Its lookups matter only to the words
-below it of a length some owner does not decide, so it is created, and
-walked, only where such a word can hold it: by the same rules with the
-rooms of those words alone.  So every lookup is one the sweep of a single
-word below it makes, and a lazy ``compute`` runs, or an extraction bound
-raises, only where the split enumeration of some word would.  Each output
-word is built once and kept on the target quiver (``FiltQuiver.words``).
+the result is folded through, a product no key extends is dropped, but only
+when every owner decides every block up to the longest word of the call:
+then no lookup the pruning skips can run a ``compute`` or raise.  Every
+other call sweeps unpruned, as the split enumeration of each word does.  So
+a lazy ``compute`` runs, or an extraction bound raises, exactly where the
+split enumeration of some word would.  At each word's end its final states
+are summed by output word, negated once per output word where the sign
+asks, and each output word is built once and kept on the target quiver
+(``FiltQuiver.words``).
 """
 
 from __future__ import annotations
@@ -76,19 +77,17 @@ class _Trie:
     node's children are the listed words' prefixes, and ``ends[q]`` is the
     word at q with its cap; of a ``Basis``, a node's children are the
     generators out of its object, up to ``height``, and every node is a
-    word.  A word's room is max(its cap, 1); ``live[q]`` is the largest room
-    of a word below q, ``dead[q]`` that of a word below q of ``walked``
-    letters or more (0 for none).  ``found`` keeps the ``blocks`` asked
-    for."""
+    word.  A word's room is max(its cap, 1), and ``rooms[q]`` is the largest
+    room of a word below q.  ``found`` keeps the ``blocks`` asked for."""
 
     def __init__(
         self, words: Union[Sequence[Word], Basis], instance: str,
-        cap: Optional[Callable[[Level], int]] = None, walked: Optional[int] = 0,
+        cap: Optional[Callable[[Level], int]] = None,
     ):
         self.kids, self.parent, self.depth, self.gens, self.gids, self.obj, self.head, self.base = (
             [] for _ in range(8))
-        self.allowed, self.live, self.dead = [], [], []
-        self.instance, self.cap, self.walked = instance, cap, walked
+        self.allowed, self.rooms = [], []
+        self.instance, self.cap = instance, cap
         self.roots: List[int] = []
         self.ends: Dict[int, Tuple[Word, int]] = {}
         self.found: Dict[Tuple[_ComponentTable, int], List[Tuple[int, CompKey]]] = {}
@@ -96,7 +95,7 @@ class _Trie:
             quiver, self.height = words
             self.out = {x: sorted(quiver.gens_from(x), key=lambda g: g.gid) for x in quiver.objects}
             self.negative = any(g.base_level.value is not None and g.base_level.value < 0 for g in quiver.gens)
-            self.lows: Dict[Tuple[str, int, int], Optional[Level]] = {}
+            self.lows: Dict[Tuple[str, int], Level] = {}
             for x in quiver.objects:
                 self._make(None, x)
             return
@@ -112,17 +111,13 @@ class _Trie:
                 q = self._make(q, g) if kid is None else kid
             if q not in self.ends:
                 self.ends[q] = (w, 1 if cap is None else max(cap(self.base[q]), 1))
-        self.live.extend([0] * len(self.kids))
-        self.dead.extend([0] * len(self.kids))
-        for q, (w, m) in self.ends.items():
-            self.live[q] = m
-            if walked is not None and len(w) >= walked:
-                self.dead[q] = m
+        self.rooms.extend([0] * len(self.kids))
+        for q, (_, m) in self.ends.items():
+            self.rooms[q] = m
         for q in reversed(range(len(self.kids))):  # a node is made after its parent
             p = self.parent[q]
             if p is not None:
-                self.live[p] = max(self.live[p], self.live[q])
-                self.dead[p] = max(self.dead[p], self.dead[q])
+                self.rooms[p] = max(self.rooms[p], self.rooms[q])
 
     def _make(self, p: Optional[int], g) -> int:
         """A new node: the child of p along the generator g, or, for p None,
@@ -145,44 +140,32 @@ class _Trie:
                 self.allowed[p].append(g)
             return q
         self.allowed.append(self.out[self.obj[q]] if self.depth[q] < self.height else ())
-        live = self._room(q, 0)
-        d, walked = self.depth[q], self.walked
-        self.live.append(live)
-        self.dead.append(0 if walked is None else live if walked <= d else self._room(q, walked - d))
+        self.rooms.append(self._room(q))
         return q
 
-    def _room(self, q: int, shortest: int) -> int:
-        """The largest room of a basis word below q with ``shortest`` more
-        letters or more, 0 for none: the room of the least base level such a
-        word can have."""
+    def _room(self, q: int) -> int:
+        """The largest room of a basis word below q: the room of the least
+        base level such a word can have."""
         base = self.base[q]
-        if shortest or (self.cap and self.negative):
-            low = self._least(self.obj[q], shortest, self.height - self.depth[q])
-            if low is None:
-                return 0
-            base = self.cap and levels.level_add(base, low)
+        if self.cap and self.negative:
+            base = levels.level_add(base, self._least(self.obj[q], self.height - self.depth[q]))
         return 1 if self.cap is None else max(self.cap(base), 1)
 
-    def _least(self, at: str, shortest: int, longest: int) -> Optional[Level]:
-        """The least base level of a path from ``at`` of ``shortest`` to
-        ``longest`` letters, None for no such path.  The table is filled for
-        every object from the paths of no letter up, so a long basis needs
-        no recursion."""
-        if (at, shortest, longest) in self.lows:
-            return self.lows[at, shortest, longest]
-        for k in range(longest, -1, -1):
-            s, n = max(shortest - k, 0), longest - k
+    def _least(self, at: str, longest: int) -> Level:
+        """The least base level of a path from ``at`` of at most ``longest``
+        letters.  The table is filled for every object from the paths of no
+        letter up, so a long basis needs no recursion."""
+        if (at, longest) in self.lows:
+            return self.lows[at, longest]
+        for n in range(longest + 1):
             for x, gens in self.out.items():
-                if (x, s, n) in self.lows:
+                if (x, n) in self.lows:
                     continue
-                best = levels.zero(self.instance) if s == 0 else None
+                best = levels.zero(self.instance)
                 for g in gens if n else ():
-                    rest = self.lows[g.dst, max(s - 1, 0), n - 1]
-                    if rest is not None:
-                        low = levels.level_add(g.base_level, rest)
-                        best = low if best is None else levels.level_min(best, low)
-                self.lows[x, s, n] = best
-        return self.lows[at, shortest, longest]
+                    best = levels.level_min(best, levels.level_add(g.base_level, self.lows[g.dst, n - 1]))
+                self.lows[x, n] = best
+        return self.lows[at, longest]
 
     def end(self, q: int) -> Optional[Tuple[Word, int]]:
         """The word at node q with its room, or None where no word of the
@@ -190,7 +173,7 @@ class _Trie:
         if self.out is None:
             return self.ends.get(q)
         gens = self.gens[q]
-        own = max(self.cap(self.base[q]), 1) if self.cap and self.negative else self.live[q]
+        own = max(self.cap(self.base[q]), 1) if self.cap and self.negative else self.rooms[q]
         return Word(gens[0].src if gens else self.obj[q], gens), own
 
     def blocks(self, owner: _ComponentTable, p: int) -> List[Tuple[int, CompKey]]:
@@ -225,24 +208,27 @@ def _path_sum(
     words: Union[Sequence[Word], Basis], c: NovikovScalar, families: Sequence[Cofunctor],
     singles: Sequence[Coderivation], cap: Optional[Callable[[Level], int]] = None, prefixes: Optional[dict] = None,
 ) -> Iterator[Tuple[Word, List[Tuple[Word, NovikovScalar]]]]:
-    """Yield (w, the terms of c times the value of the slots on w) for each
-    word w of ``words``, a list or a ``Basis``, that the sweep reaches with
-    a final state, as soon as the sweep has passed it; every other word's
-    value is zero.  ``cap`` maps a word's base level to its cap, 0 without
-    it; ``prefixes`` is the key trie of an exact table the result is folded
-    through.  A state (q, t, e) has zone t (the number of singles used) and
-    e family empty blocks, and each step goes to a deeper node or to a
-    larger (t, e) at the same node, so one pass, depth by depth, completes
-    each state before it is read.  A state counts as reached as soon as a
-    chain of nonzero letters arrives, even if its partial sums cancel or
-    are all pruned."""
+    """Yield (w, the terms of c times the value of the slots on w, one per
+    output word) for each word w of ``words``, a list or a ``Basis``, that
+    the sweep reaches with a final state, as soon as the sweep has passed
+    it; every other word's value is zero.  ``cap`` maps a word's base level
+    to its cap, 0 without it; ``prefixes`` is the key trie of an exact
+    table the result is folded through, and it prunes the sweep only when
+    every owner decides every block up to the longest word.  A state
+    (q, t, e) has zone t (the number of singles used) and e family empty
+    blocks, and each step goes to a deeper node or to a larger (t, e) at
+    the same node, so one pass, depth by depth, completes each state before
+    it is read.  A state is made on its first product that survives the
+    pruning; a word's terms may sum to zero."""
     n_singles = len(singles)
     owners = (*families, *singles)
     least = min((o.undecided for o in owners if o.undecided is not None), default=None)
-    # Dead states are walked for the words of ``walked`` letters or more:
-    # every word without a fold, none where every owner decides every block.
-    trie = _Trie(words, families[0].instance, cap, 0 if prefixes is None else least)
-    live, dead, depth = trie.live, trie.dead, trie.depth
+    trie = _Trie(words, families[0].instance, cap)
+    rooms, depth = trie.rooms, trie.depth
+    # Prune only where every owner decides every block of the call, so that
+    # a pruned state's lookups matter to no word.
+    if least is not None and least <= trie.height:
+        prefixes = None
 
     states: Dict[int, Dict[Tuple[int, int], Partial]] = {q: {(0, 0): {(): c}} for q in trie.roots}
     layers: List[List[int]] = [list(trie.roots)] + [[] for _ in range(trie.height)]
@@ -267,9 +253,7 @@ def _path_sum(
     def step(partial: Partial, q: int, t: int, e: int, value: Letter, sign: int = 1) -> None:
         if not value:
             return
-        # Where no dead state can matter, the state is created on its first
-        # surviving product.
-        into = state(q, t, e) if e < dead[q] else None
+        into = None  # the state is created on its first surviving product
         for prefix, cp in partial.items():
             node = None if nodes is None else nodes[prefix]
             for gid, name, cl in value:
@@ -295,25 +279,21 @@ def _path_sum(
             obj = trie.obj[p]
             for t in range(n_singles + 1):
                 family = families[t]
-                for e in range(live[p]):
+                for e in range(rooms[p]):
                     partial = at_p.pop((t, e), None)
-                    if partial:
-                        room = live
-                    elif partial is not None and e < dead[p]:
-                        room = dead
-                    else:
+                    if partial is None:
                         continue
                     if t == n_singles:
                         finals.append((e, partial))
                     for q, key in trie.blocks(family, p):
-                        if e < room[q]:
+                        if e < rooms[q]:
                             step(partial, q, t, e, letter(family, key, p, q))
-                    if e + 1 < room[p] and family.curvature:
+                    if e + 1 < rooms[p] and family.curvature:
                         step(partial, p, t, e + 1, letter(family, obj, p, p))
                     if t < n_singles:
                         single = singles[t]
                         for q, key in ((p, obj), *trie.blocks(single, p)):
-                            if e < room[q]:
+                            if e < rooms[q]:
                                 sign = _crossing_sign(single.deg, trie.head[q])
                                 step(partial, q, t + 1, e, letter(single, key, p, q), sign)
             del states[p]
@@ -321,15 +301,19 @@ def _path_sum(
             if end is None:
                 continue
             w, own = end
+            summed: Partial = {}
+            for e, partial in finals:
+                if e < own:
+                    for key, cp in partial.items():
+                        summed[key] = novikov.nov_add(summed[key], cp) if key in summed else cp
             negate = odd and trie.head[p] % 2
             out = []
-            for partial in [partial for e, partial in finals if e < own]:
-                for key, cp in partial.items():
-                    word = words_out.get(key) if key else Word(families[0].obj_map[w.at])
-                    if word is None:
-                        for owner in owners:
-                            gens.update(owner.gens)
-                        word = words_out[key] = Word.from_gens([gens[g] for g in key])
-                    out.append((word, novikov.nov_neg(cp) if negate else cp))
+            for key, cp in summed.items():
+                word = words_out.get(key) if key else Word(families[0].obj_map[w.at])
+                if word is None:
+                    for owner in owners:
+                        gens.update(owner.gens)
+                    word = words_out[key] = Word.from_gens([gens[g] for g in key])
+                out.append((word, novikov.nov_neg(cp) if negate else cp))
             if out:
                 yield w, out

@@ -22,8 +22,9 @@ coderivations (``Slots``, built by ``chain_slots``).  ``slot_value``,
 (``chain_ops``), where it provably vanishes without a side effect, and
 sums the chains into one accumulation per word.
 Composition, push and pull are one sweep too (``_transport``): each word's
-path sum, pruned by the key trie of an exact second morphism, is summed by
-word and folded through that morphism's components (``_fold``).
+path sum, one term per output word, is folded through the components of a
+second morphism (``_fold``), whose key trie prunes the sweep when that
+morphism is exact and every owner decides every block of the call.
 ``_extract_components`` turns a batch of values into a component table and
 its lazy ``compute``; ``ainfty`` and ``evalhom`` extract through it too.  A
 batch that raises is run again one word at a time (``_in_order``), so each
@@ -428,20 +429,17 @@ def _transport(
 ) -> Union[List[HomElement], Dict[Word, HomElement]]:
     """c times each word through slots, folded untruncated through owner's
     components, in one sweep: each word's path sum, pruned by an exact
-    owner's key trie, is summed by word as soon as the sweep yields it, and
-    only words of nonzero sum are folded, as in a value.  For a list of
-    words, the list of their values; for a ``Basis``, the values of the
-    words of nonzero sum by word, every other basis word's value being
-    zero."""
+    owner's key trie where the engine allows it, is folded as soon as the
+    sweep yields it, and only output words of nonzero sum are, as in a
+    value.  For a list of words, the list of their values; for a ``Basis``,
+    the values of the words of nonzero sum by word, every other basis
+    word's value being zero."""
     families, singles = slots
     prefixes = owner.trie if owner.undecided is None else None
     src, dst = families[0].obj_map, families[-1].obj_map
     out: Dict[Word, HomElement] = {}
     for w, terms in _path_sum(words, c, families, singles, _empty_caps(families, window, c), prefixes):
-        summed: Dict[Word, NovikovScalar] = {}
-        for u, cu in terms:
-            summed[u] = novikov.nov_add(summed[u], cu) if u in summed else cu
-        kept = [(u, cu) for u, cu in summed.items() if not cu.is_zero()]
+        kept = [(u, cu) for u, cu in terms if not cu.is_zero()]
         if kept:
             out[w] = _fold(owner, src[w.src], dst[w.dst], kept)
     if isinstance(words, Basis):
@@ -580,11 +578,12 @@ def chain_sum(
     """For each word w, the sum of sign * chain_eval(c*w, chain) over the
     ``chain_ops``, with the join of their flags, or None for no chain: each
     chain in one sweep over the words longer than its bound.  A chain's
-    terms on w are merged per output word, reduced and cut to the window
-    with that chain's own flag, as ``truncate_element`` would (one bound
-    per output word for the whole call), and added, signed, into w's one
-    accumulation; one ``TensorElement`` per word is built at the end, on the
-    endpoints of the first chain that kept a term, else of the first chain.
+    terms on w, one per output word, must run between the chain's images of
+    w's ends; they are reduced and cut to the window with that chain's own
+    flag, as ``truncate_element`` would (one bound per output word for the
+    whole call), and added, signed, into w's one accumulation; one
+    ``TensorElement`` per word is built at the end, on the endpoints of the
+    first chain that kept a term, else of the first chain.
     A skipped chain adds nothing: no owner there can run a lazy ``compute``
     or raise, so the skip omits no side effect."""
     if not ops:
@@ -599,12 +598,10 @@ def chain_sum(
         live = [k for k, n in enumerate(lengths) if n > bound]
         for k, terms in zip(live, _term_values([(words[k], c) for k in live], families, singles, window)):
             end = src[words[k].src], dst[words[k].dst]
-            merged: Dict[Word, NovikovScalar] = {}
-            for u, cu in terms:
+            for u, _ in terms:
                 if (u.src, u.dst) != end:
                     raise ObjectMismatch(f"word {u!r} does not run {end[0]!r} -> {end[1]!r}")
-                merged[u] = novikov.nov_add(merged[u], cu) if u in merged else cu
-            kept, flag = tcoalg._window_terms(merged.items(), window, bounds)
+            kept, flag = tcoalg._window_terms(terms, window, bounds)
             flags[k] = max(flags[k], flag)
             if kept:
                 ends[k] = ends[k] or end

@@ -20,7 +20,8 @@ of the completion limit.
 Every ``NovikovScalar`` is normal: terms strictly increasing in (energy,
 exponent), nonzero ``Fraction`` coefficients, each term valid for the variant.
 ``scalar`` and ``parse_scalar`` are the only constructors that coerce and
-validate raw input; the ring operations rely on the invariant and do neither.
+validate raw input, each term once (``_valid``); the ring operations rely on
+the invariant and do neither.
 A sum of products (``nov_dot``, and ``nov_mul`` without a monomial factor)
 is one integer multiply-accumulate that builds a ``Fraction`` only for what
 survives; sums of parsed terms (``_merge``) stay on ``Fraction``.
@@ -48,11 +49,12 @@ Term = Tuple[Fraction, Fraction, int]  # (coefficient, energy, exponent)
 _energy = itemgetter(1)
 
 
-def _validate_term(variant: str, coeff: Fraction, energy: Fraction, expo: int) -> None:
+def _validate_term(variant: str, coeff: Fraction, energy: Fraction, expo: int) -> Term:
     if variant == NOV0 and energy < 0:
         raise FacalcError(f"variant 'nov0' requires energy >= 0, got {energy}")
     if variant == PLAIN and (energy != 0 or expo != 0):
         raise FacalcError("variant 'q' admits only T^0 e^0 terms")
+    return coeff, energy, expo
 
 
 class NovikovScalar(Frozen):
@@ -75,14 +77,15 @@ class NovikovScalar(Frozen):
 
 def scalar(terms: Iterable[tuple] = (), variant: str = NOV) -> NovikovScalar:
     """Build a scalar from raw (coeff, energy, expo) triples, normalizing."""
+    return _valid(((Fraction(c), Fraction(lam), int(n)) for c, lam, n in terms), variant)
+
+
+def _valid(terms: Iterable[Term], variant: str) -> NovikovScalar:
+    """``_merge`` of terms of Fractions and ints, each checked, in order,
+    against variant, once that is known to be one."""
     if variant not in VARIANTS:
         raise FacalcError(f"unknown coefficient variant {variant!r}")
-    valid = []
-    for c, lam, n in terms:
-        c, lam, n = Fraction(c), Fraction(lam), int(n)
-        _validate_term(variant, c, lam, n)
-        valid.append((c, lam, n))
-    return _merge(valid, variant)
+    return _merge((_validate_term(variant, *term) for term in terms), variant)
 
 
 def zero(variant: str = NOV) -> NovikovScalar:
@@ -263,7 +266,7 @@ def parse_scalar(text: str, variant: str = NOV) -> NovikovScalar:
         (cn, _, cd), (en, _, ed) = (t.partition("/") for t in (m.group("coeff"), m.group("energy") or "0"))
         expo = int(m.group("expo") or 0)
         terms.append((Fraction(int(cn), int(cd or 1)), Fraction(int(en), int(ed or 1)), expo))
-    return scalar(terms, variant)
+    return _valid(terms, variant)
 
 
 def _frac_str(q: Fraction) -> str:

@@ -149,9 +149,6 @@ class TensorElement(_Combination, Frozen):
             self.src, self.dst, [(w.gens[0], c) for w, c in self.terms if len(w) == 1]
         )
 
-    def max_len(self) -> int:
-        return max((len(w) for w, _ in self.terms), default=0)
-
 
 def _signed_sum(pieces: Sequence[Tuple[int, TensorElement]]) -> TensorElement:
     """The sum of sign * x over a non-empty list of (sign, x), built once

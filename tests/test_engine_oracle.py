@@ -687,7 +687,7 @@ def test_dead_states_are_dropped_only_where_every_owner_decides(data):
         sp = specs[data.draw(st.integers(0, len(specs) - 1), label="undecided owner")]
         sp["lazy"], sp["bounded"] = True, False
         sp["upto"] = data.draw(st.sampled_from([None, *range(n)]), label="undecided upto")
-    # A sparse exact fold: its trie prunes many products, leaving dead states.
+    # A sparse exact fold: where it prunes the sweep, its trie drops many products.
     fold_args = (
         data.draw(st.sampled_from(["exact", "curved"]), label="fold"),
         data.draw(st.integers(0, 10**6), label="fold_salt"),
@@ -723,11 +723,12 @@ def test_dead_states_are_dropped_only_where_every_owner_decides(data):
         assert set(got[1]) == set(want[1])
 
 
-@pytest.mark.parametrize("upto, walked", [(None, False), (2, False), (1, True)])
-def test_a_dead_state_is_walked_only_where_some_owner_is_undecided(upto, walked):
-    # On x.a the fold's only key is a, so the product f(x) is pruned and the
-    # state after x is dead: its one lookup, f on a, can matter only when f
-    # does not decide a block of x.a (here a lazy tail from length 2).
+@pytest.mark.parametrize("upto, unpruned", [(None, False), (2, False), (1, True)])
+def test_a_word_is_pruned_only_where_every_owner_decides_its_blocks(upto, unpruned):
+    # On x.a the fold's only key is a, so pruning drops the product f(x) and
+    # with it the state after x, whose one lookup is f on a.  That lookup
+    # can matter only when f does not decide a block of x.a (here a lazy
+    # tail from length 2), and then the sweep is not pruned.
     x, a = QUIVER.gen("x"), QUIVER.gen("a")
     w = Word.from_gens([x, a])
     one = novikov.one()
@@ -741,17 +742,20 @@ def test_a_dead_state_is_walked_only_where_some_owner_is_undecided(upto, walked)
     record_lookups(slots, seen)
     window = TruncWindow(6, levels.rat(3))
     (value,) = _transport([w], slots, fold, window, one)
-    assert (("f", Word.from_gens([a])) in seen) == walked
+    assert (("f", Word.from_gens([a])) in seen) == unpruned
     unfolded, _ = oracle_slot_value(TensorElement.from_word(w, one), slots, window, False)
     assert value == family_value(fold, unfolded)
 
 
-def test_a_dead_state_steps_only_where_some_word_below_is_undecided():
-    # The words x.a and x.x.x share the prefix x.  The fold's only key is a,
-    # so the product f(x) is pruned and the state after x is dead.  f is
-    # lazy from length 3, so only x.x.x, the longer word, walks that state:
-    # into x.x, never into x.a, whose own sweep drops it.  So f is never
-    # asked for the block a after x, which no sweep of one word asks for.
+@pytest.mark.parametrize("upto, pruned", [(2, False), (3, True)])
+def test_a_batch_is_pruned_only_where_every_owner_decides_its_longest_word(upto, pruned):
+    # The words x.a and x.x.x share the prefix x, and the fold's only key is
+    # a, so pruning would drop the product f(x) and the state after x.  With
+    # f lazy from length 3, x.x.x has a block f does not decide, so the
+    # batch is swept unpruned: it looks up and computes what the split
+    # enumeration of each word does, f on the block a after x included.
+    # With f complete up to length 3 the sweep is pruned, and f is never
+    # asked for a after x.
     x, a = QUIVER.gen("x"), QUIVER.gen("a")
     one = novikov.one()
     table = {1: {("x",): HomElement.from_gen(x, one), ("a",): HomElement.from_gen(a, one)}}
@@ -759,19 +763,50 @@ def test_a_dead_state_steps_only_where_some_word_below_is_undecided():
     batch = [Word.from_gens([x, a]), Word.from_gens([x, x, x])]
     window = TruncWindow(6, levels.rat(3))
 
-    def run(ws):
-        f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, table, "rat", "nov", complete_upto=2,
+    def run(evaluate):
+        """Fresh owners: the value, the slots, the blocks looked up and the
+        computes that ran."""
+        f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, table, "rat", "nov", complete_upto=upto,
                       compute=RaisingCompute(0, 2, lambda u: False))
         fold = Cofunctor("fold", QUIVER, QUIVER, IDENTITY, fold_table, "rat", "nov")
-        seen = set()
-        record_lookups(cofunctor_slots(f), seen)
-        return _transport(ws, cofunctor_slots(f), fold, window, one), seen
+        slots = cofunctor_slots(f)
+        seen, hits = set(), []
+        record_lookups(slots, seen)
+        record_computes([f, fold], hits)
+        return evaluate(slots, fold), slots, seen, hits
 
-    values, seen = run(batch)
-    singles = [run([w]) for w in batch]
-    assert values == [value for (value,), _ in singles]
-    assert seen == set().union(*(s for _, s in singles))
-    assert ("f", Word("X", (a,))) not in seen
+    values, slots, seen, hits = run(lambda slots, fold: _transport(batch, slots, fold, window, one))
+    singles = [run(lambda slots, fold: _transport([w], slots, fold, window, one))[0] for w in batch]
+    oracle = [run(lambda slots, fold: family_value(
+        fold, oracle_slot_value(TensorElement.from_word(w, one), slots, window, False)[0])) for w in batch]
+    assert values == [value for value, in singles] == [value for value, _, _, _ in oracle]
+    assert sorted(hits) == sorted(h for _, _, _, part in oracle for h in part)
+    if pruned:
+        assert ("f", Word("X", (a,))) not in seen
+    else:
+        assert_same_lookups(slots, seen, set().union(*(part for _, _, part, _ in oracle)))
+
+
+def test_path_sum_yields_each_output_word_once():
+    # f sends a.b to y through [a][b] and, with one curvature insertion,
+    # through [a.b][] to y.x: two final states at the node a.b with the
+    # output y.x, whose terms are yielded as one sum.
+    gens = {g: HomGenerator(g, "X", "X", 0, R0) for g in "abxy"}
+    loops = FiltQuiver("loops", ["X"], list(gens.values()))
+    one, t1 = novikov.one(), novikov.monomial(1, 1)
+    comps = {
+        0: {"X": HomElement.from_gen(gens["x"], t1)},
+        1: {("a",): HomElement.from_gen(gens["y"], one), ("b",): HomElement.from_gen(gens["x"], one)},
+        2: {("a", "b"): HomElement.from_gen(gens["y"], one)},
+    }
+    f = Cofunctor("f", loops, loops, {"X": "X"}, comps, "rat", "nov")
+    w = Word.from_gens([gens["a"], gens["b"]])
+    window = TruncWindow(6, levels.rat(3))
+    (got, terms), = _path_sum([w], one, [f], [], _empty_caps([f], window, one))
+    yx = Word.from_gens([gens["y"], gens["x"]])
+    assert got == w
+    assert [cu for u, cu in terms if u == yx] == [novikov.nov_add(one, t1)]
+    assert len({u for u, _ in terms}) == len(terms)
 
 
 def test_transport_folds_no_word_of_zero_sum():
@@ -1073,7 +1108,7 @@ def test_chain_sum_matches_the_literal_sum(data):
     words = [w for w, _ in data.draw(elements(max_len=4 - n_singles), label="x").terms]
     c = data.draw(st.sampled_from(SCALARS), label="coeff")
     x = TensorElement(words[0].src, words[0].dst, [(w, c) for w in words])
-    n = x.max_len()
+    n = max(len(w) for w in words)
     window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
     spans = [(a, b) for a in range(n_singles) for b in range(a + 1, n_singles + 1)]
     picked = data.draw(st.lists(
@@ -1121,10 +1156,11 @@ def test_chain_sum_of_vanishing_chains_is_the_zero_element(kinds):
     # g swaps the objects, h fixes them: the chains end on different objects.
     g = Cofunctor("g", QUIVER, QUIVER, {"X": "Y", "Y": "X"}, {}, "rat", "nov")
     h = Cofunctor("h", QUIVER, QUIVER, IDENTITY, {}, "rat", "nov")
-    x = TensorElement.from_word(Word.from_gens([a, QUIVER.gen("b")]), novikov.one())
+    ab = Word.from_gens([a, QUIVER.gen("b")])
+    x = TensorElement.from_word(ab, novikov.one())
     window = TruncWindow(6, levels.rat(3))
     chains = [
-        (sign, (zero_single(kind, f, end, 1, x.max_len(), 0),))
+        (sign, (zero_single(kind, f, end, 1, len(ab), 0),))
         for sign, kind, end in zip((-1, 1), kinds, (g, h))
     ]
     seen = set()
@@ -1543,10 +1579,10 @@ def level_quiver(data, instance: str) -> FiltQuiver:
     return FiltQuiver("L", ["X", "Y"], gens)
 
 
-def grown(quiver: FiltQuiver, n: int, instance: str, cap, walked=0) -> _Trie:
+def grown(quiver: FiltQuiver, n: int, instance: str, cap) -> _Trie:
     """The trie of ``Basis(quiver, n)`` with every node made: a fully lazy
     owner's blocks reach every node below a root."""
-    trie = _Trie(Basis(quiver, n), instance, cap, walked)
+    trie = _Trie(Basis(quiver, n), instance, cap)
     everything = Cofunctor("lazy", quiver, quiver, IDENTITY, {}, instance, "nov", compute=lambda w: None)
     for root in list(trie.roots):
         trie.blocks(everything, root)
@@ -1587,24 +1623,22 @@ def test_trie_base_levels_are_the_words_base_levels(data):
 def test_basis_rooms_are_the_largest_caps_below(data):
     # A basis grown node by node bounds each node's room by the least base
     # level a word below it can have; that must be the room the list of
-    # every basis word gives the same node, the largest cap below it, for
-    # the live states and for the dead ones walked from ``walked`` letters.
+    # every basis word gives the same node, the largest cap below it.
     instance = data.draw(st.sampled_from(["rat", "ratplus", "discrete"]), label="instance")
     quiver = level_quiver(data, instance)
     n = data.draw(st.integers(0, 5), label="n")
-    walked = data.draw(st.sampled_from([None, 0, 1, 2, 3, 6]), label="walked")
     if instance == "discrete":
         floor, cutoff = levels.discrete("inf"), levels.discrete("inf")
     else:
         floor = levels.make_level(instance, data.draw(st.sampled_from(["1/4", "1/2", "1"]), label="floor"))
         cutoff = levels.make_level(instance, data.draw(st.integers(0, 3), label="cutoff"))
     cap = lambda base: levels._steps(base, floor, cutoff)
-    listed = _Trie(basis_words(quiver, n), instance, cap, walked)
-    swept = grown(quiver, n, instance, cap, walked)
+    listed = _Trie(basis_words(quiver, n), instance, cap)
+    swept = grown(quiver, n, instance, cap)
     nodes = {(node_word(listed, q).at, listed.gids[q]): q for q in range(len(listed.kids))}
     for q in range(len(swept.kids)):
         p = nodes[node_word(swept, q).at, swept.gids[q]]
-        assert (swept.live[q], swept.dead[q]) == (listed.live[p], listed.dead[p])
+        assert swept.rooms[q] == listed.rooms[p]
         assert swept.end(q) == listed.ends[p]
 
 
@@ -1620,4 +1654,4 @@ def test_a_long_basis_needs_no_recursion():
     n = 4 * sys.getrecursionlimit()
     cap = lambda base: levels._steps(base, levels.rat(1), levels.rat(3))
     trie = _Trie(Basis(FiltQuiver("long", ["X", "Y"], gens), n), "rat", cap)
-    assert [trie.live[q] for q in trie.roots] == [3 + n // 4, 3]
+    assert [trie.rooms[q] for q in trie.roots] == [3 + n // 4, 3]

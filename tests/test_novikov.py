@@ -476,6 +476,23 @@ def test_malformed_scalar_messages(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, variant, message",
+    [
+        ("1*T^{1/2}+2*T^{-1/3}*e^{1}", NOV0, "variant 'nov0' requires energy >= 0, got -1/3"),
+        ("3+1*T^{1}", PLAIN, "variant 'q' admits only T^0 e^0 terms"),
+        ("1*e^{2}", PLAIN, "variant 'q' admits only T^0 e^0 terms"),
+        ("1", "nov1", "unknown coefficient variant 'nov1'"),
+        # The whole text is parsed before the variant is checked.
+        ("1 + x", "nov1", "cannot parse scalar monomial 'x'"),
+    ],
+)
+def test_scalar_messages_for_the_variant(text, variant, message):
+    with pytest.raises(FacalcError) as err:
+        parse_scalar(text, variant)
+    assert str(err.value) == message
+
+
 def test_parse_reads_signs_and_denominators_exactly():
     assert parse_scalar("-0/5*T^{-0}*e^{-0}", NOV) == zero(NOV)
     x = parse_scalar("007/010*T^{-3/6}*e^{-2}+4", NOV)
