@@ -7,10 +7,17 @@ length (``Basis``).  Rather than list every split of each word,
 over states (node, zone, empty blocks used) that only nonzero letters reach.
 The trie grows with the sweep: a node's children are made only when a state
 sits at the node, from the generators out of its object up to the basis
-length, or along the listed words' prefixes.  A block runs from a node to a
-node below it.  Each owner's letters are read along the trie of its stored
-keys, so an exact owner's steps make only the nodes on its keys, plus every
-block of a length the table does not decide.  A word the sweep never reaches
+length, or along the listed words' prefixes.  A basis, as a ``Basis`` or as
+the very list ``tcoalg.basis_words`` keeps, has one trie per instance, kept
+on its quiver (``FiltQuiver.tries``, ``_trie``) with each owner's block
+walks, so the repeated sweeps of a command make its nodes and walk its
+owners' blocks once; any other list gets a trie of its own.  What depends on
+the call is made per call: its rooms from its cap (``_Trie.rooms``), its
+states and its layers.  A block runs from a node to a node below it.  Each
+owner's letters are read along the trie of its stored keys, so an exact
+owner's steps make only the nodes on its keys, plus every block of a length
+the table does not decide, where a word below the node reaches that length.
+A word the sweep never reaches
 is zero and SOUND, and it made no lookup.  A single steps with the sign of
 crossing the prefix it ends at (``_crossing_sign``): times (-1)^(deg * S(w)),
 S(w) the word's shifted degree, that is the sign of crossing the rest of the
@@ -64,6 +71,19 @@ class Basis(NamedTuple):
     max_len: int
 
 
+class _Rooms(dict):
+    """One call's rooms on a trie, by node, each made by ``room`` on its
+    first lookup."""
+
+    def __init__(self, room: Callable[[int], int]):
+        super().__init__()
+        self.room = room
+
+    def __missing__(self, q: int) -> int:
+        out = self[q] = self.room(q)
+        return out
+
+
 class _Trie:
     """The trie of the word prefixes a sweep reaches.  Node q is a prefix:
     ``kids[q]`` maps a gid to the prefix one letter longer, made on demand
@@ -71,25 +91,23 @@ class _Trie:
     the prefix one letter shorter (None for the empty prefix at an object),
     ``depth[q]`` its length, ``gens[q]`` and ``gids[q]`` its generators and
     their ids, ``obj[q]`` the object it ends at, ``head[q]`` its shifted
-    degree and, given a cap, ``base[q]`` its base level: the parent's plus
-    one ``level_add``.  ``roots`` lists the empty prefixes and ``height`` is
-    the longest word.  Of a list of words, every prefix is made at once, a
-    node's children are the listed words' prefixes, and ``ends[q]`` is the
-    word at q with its cap; of a ``Basis``, a node's children are the
-    generators out of its object, up to ``height``, and every node is a
-    word.  A word's room is max(its cap, 1), and ``rooms[q]`` is the largest
-    room of a word below q.  ``found`` keeps the ``blocks`` asked for."""
+    degree and ``base[q]`` its base level, the parent's plus one
+    ``level_add``, summed on first use (``level``).  ``roots`` lists the
+    empty prefixes and ``height`` is the longest word.  Of a list of words,
+    every prefix is made at once, a node's children are the listed words'
+    prefixes, and ``ends[q]`` is the word at q; of a ``Basis``, a node's
+    children are the generators out of its object, up to ``height``, every
+    node is a word, and ``ends`` keeps the words made so far.  ``found``
+    keeps the ``blocks`` asked for.  Nothing here depends on a call, so a
+    basis trie is kept (``_trie``); a call's rooms are ``rooms(cap)``."""
 
-    def __init__(
-        self, words: Union[Sequence[Word], Basis], instance: str,
-        cap: Optional[Callable[[Level], int]] = None,
-    ):
+    def __init__(self, words: Union[Sequence[Word], Basis], instance: str):
         self.kids, self.parent, self.depth, self.gens, self.gids, self.obj, self.head, self.base = (
             [] for _ in range(8))
-        self.allowed, self.rooms = [], []
-        self.instance, self.cap = instance, cap
+        self.allowed: List[Sequence[HomGenerator]] = []
+        self.instance = instance
         self.roots: List[int] = []
-        self.ends: Dict[int, Tuple[Word, int]] = {}
+        self.ends: Dict[int, Word] = {}
         self.found: Dict[Tuple[_ComponentTable, int], List[Tuple[int, CompKey]]] = {}
         if isinstance(words, Basis):
             quiver, self.height = words
@@ -109,27 +127,18 @@ class _Trie:
             for g in w.gens:
                 kid = self.kids[q].get(g.gid)
                 q = self._make(q, g) if kid is None else kid
-            if q not in self.ends:
-                self.ends[q] = (w, 1 if cap is None else max(cap(self.base[q]), 1))
-        self.rooms.extend([0] * len(self.kids))
-        for q, (_, m) in self.ends.items():
-            self.rooms[q] = m
-        for q in reversed(range(len(self.kids))):  # a node is made after its parent
-            p = self.parent[q]
-            if p is not None:
-                self.rooms[p] = max(self.rooms[p], self.rooms[q])
+            self.ends.setdefault(q, w)
 
     def _make(self, p: Optional[int], g) -> int:
         """A new node: the child of p along the generator g, or, for p None,
         the root at the object g."""
         q = len(self.kids)
         if p is None:
-            row = (None, 0, (), (), g, 0, self.cap and levels.zero(self.instance))
+            row = (None, 0, (), (), g, 0, levels.zero(self.instance))
             self.roots.append(q)
         else:
-            base = self.cap and levels.level_add(self.base[p], g.base_level)
             row = (p, self.depth[p] + 1, self.gens[p] + (g,), self.gids[p] + (g.gid,), g.dst,
-                   self.head[p] + g.sdeg, base)
+                   self.head[p] + g.sdeg, None)
             self.kids[p][g.gid] = q
         columns = (self.kids, self.parent, self.depth, self.gens, self.gids, self.obj, self.head, self.base)
         for column, value in zip(columns, ({}, *row)):
@@ -138,18 +147,54 @@ class _Trie:
             self.allowed.append([])
             if p is not None:
                 self.allowed[p].append(g)
-            return q
-        self.allowed.append(self.out[self.obj[q]] if self.depth[q] < self.height else ())
-        self.rooms.append(self._room(q))
+        else:
+            self.allowed.append(self.out[self.obj[q]] if self.depth[q] < self.height else ())
         return q
 
-    def _room(self, q: int) -> int:
-        """The largest room of a basis word below q: the room of the least
-        base level such a word can have."""
-        base = self.base[q]
-        if self.cap and self.negative:
-            base = levels.level_add(base, self._least(self.obj[q], self.height - self.depth[q]))
-        return 1 if self.cap is None else max(self.cap(base), 1)
+    def level(self, q: int) -> Level:
+        """The base level of node q, summed down from its nearest ancestor
+        that has one."""
+        base, parent = self.base, self.parent
+        path = []
+        while base[q] is None:
+            path.append(q)
+            q = parent[q]
+        for q in reversed(path):
+            base[q] = levels.level_add(base[parent[q]], self.gens[q][-1].base_level)
+        return base[q]
+
+    def rooms(self, cap: Optional[Callable[[Level], int]]) -> Union[List[int], _Rooms]:
+        """A call's rooms by node: the largest room of a word below the
+        node, a word's room being ``room(cap, q)``.  Of a basis, that is the
+        room of the least base level a word below the node can have: its
+        own base level plus that of the lowest path of at most the
+        remaining length (``_least``), its own when no generator is of
+        negative level.  The roots' rooms are made at once, so a cap that
+        raises raises before the sweep starts."""
+        if cap is None:
+            return _Rooms(lambda q: 1)
+        if self.out is None:
+            rooms = [0] * len(self.kids)
+            for q in self.ends:
+                rooms[q] = self.room(cap, q)
+            for q in reversed(range(len(self.kids))):  # a node is made after its parent
+                p = self.parent[q]
+                if p is not None:
+                    rooms[p] = max(rooms[p], rooms[q])
+            return rooms
+        if not self.negative:
+            rooms = _Rooms(lambda q: self.room(cap, q))
+        else:
+            rooms = _Rooms(lambda q: max(cap(levels.level_add(
+                self.level(q), self._least(self.obj[q], self.height - self.depth[q]))), 1))
+        for q in self.roots:
+            rooms[q]
+        return rooms
+
+    def room(self, cap: Optional[Callable[[Level], int]], q: int) -> int:
+        """The room of the word at node q on empty blocks: max(its cap, 1),
+        1 without a cap."""
+        return 1 if cap is None else max(cap(self.level(q)), 1)
 
     def _least(self, at: str, longest: int) -> Level:
         """The least base level of a path from ``at`` of at most ``longest``
@@ -167,25 +212,30 @@ class _Trie:
                 self.lows[x, n] = best
         return self.lows[at, longest]
 
-    def end(self, q: int) -> Optional[Tuple[Word, int]]:
-        """The word at node q with its room, or None where no word of the
-        call ends."""
+    def word(self, q: int) -> Optional[Word]:
+        """The word at node q, or None where no word of the call ends."""
         if self.out is None:
             return self.ends.get(q)
-        gens = self.gens[q]
-        own = max(self.cap(self.base[q]), 1) if self.cap and self.negative else self.rooms[q]
-        return Word(gens[0].src if gens else self.obj[q], gens), own
+        out = self.ends.get(q)
+        if out is None:
+            gens = self.gens[q]
+            out = self.ends[q] = Word(gens[0].src if gens else self.obj[q], gens)
+        return out
 
     def blocks(self, owner: _ComponentTable, p: int) -> List[Tuple[int, CompKey]]:
         """The nodes q below p, each with the ``comp_key`` of the block from
         p to q, whose component the owner may not send to zero: its stored
         keys along the trie, and every q from the first length the table
-        does not decide on.  Only the nodes on that walk are made."""
+        does not decide on.  Where no word reaches that length below p, the
+        walk keeps to the stored keys.  Only the nodes on the walk are
+        made."""
         out = self.found.get((owner, p))
         if out is not None:
             return out
-        lazy = None if owner.undecided is None else max(owner.undecided, 1)
         start = self.depth[p]
+        lazy = None if owner.undecided is None else max(owner.undecided, 1)
+        if lazy is not None and start + lazy > self.height:
+            lazy = None
         out = self.found[owner, p] = []
         todo = [(p, owner.trie)]
         while todo:
@@ -202,6 +252,22 @@ class _Trie:
                     out.append((q, self.gids[q][start:]))
                 todo.append((q, sub))
         return out
+
+
+def _trie(words: Union[Sequence[Word], Basis], quiver: FiltQuiver, instance: str) -> _Trie:
+    """The trie of ``words``.  A basis, ``Basis(quiver, n)`` or the very list
+    ``basis_words(quiver, n)`` kept in ``quiver.bases``, has one trie per
+    instance, kept in its quiver's ``tries``; any other list gets its own."""
+    if not isinstance(words, Basis):
+        n = next((n for (n, empty), listed in quiver.bases.items() if empty and listed is words), None)
+        if n is None:
+            return _Trie(words, instance)
+        words = Basis(quiver, n)
+    key = (words.max_len, instance)
+    trie = words.quiver.tries.get(key)
+    if trie is None:
+        trie = words.quiver.tries[key] = _Trie(words, instance)
+    return trie
 
 
 def _path_sum(
@@ -223,8 +289,8 @@ def _path_sum(
     n_singles = len(singles)
     owners = (*families, *singles)
     least = min((o.undecided for o in owners if o.undecided is not None), default=None)
-    trie = _Trie(words, families[0].instance, cap)
-    rooms, depth = trie.rooms, trie.depth
+    trie = _trie(words, families[0].src, families[0].instance)
+    rooms, depth = trie.rooms(cap), trie.depth
     # Prune only where every owner decides every block of the call, so that
     # a pruned state's lookups matter to no word.
     if least is not None and least <= trie.height:
@@ -297,10 +363,10 @@ def _path_sum(
                                 sign = _crossing_sign(single.deg, trie.head[q])
                                 step(partial, q, t + 1, e, letter(single, key, p, q), sign)
             del states[p]
-            end = trie.end(p) if finals else None
-            if end is None:
+            w = trie.word(p) if finals else None
+            if w is None:
                 continue
-            w, own = end
+            own = trie.room(cap, p)
             summed: Partial = {}
             for e, partial in finals:
                 if e < own:
@@ -309,11 +375,12 @@ def _path_sum(
             negate = odd and trie.head[p] % 2
             out = []
             for key, cp in summed.items():
-                word = words_out.get(key) if key else Word(families[0].obj_map[w.at])
+                word = words_out.get(key or families[0].obj_map[w.at])
                 if word is None:
                     for owner in owners:
                         gens.update(owner.gens)
-                    word = words_out[key] = Word.from_gens([gens[g] for g in key])
+                    word = Word.from_gens([gens[g] for g in key]) if key else Word(families[0].obj_map[w.at])
+                    words_out[key or word.at] = word
                 out.append((word, novikov.nov_neg(cp) if negate else cp))
             if out:
                 yield w, out

@@ -41,10 +41,13 @@ class FiltQuiver:
     """Objects plus per-pair generator lists; generator ids are unique.
 
     ``words`` keeps the words the block engine (``engine._path_sum``)
-    has output into this quiver, keyed by the ids of their generators.  Each
+    has output into this quiver, keyed by the ids of their generators (the
+    empty word by its object).  Each
     word holds its generators, so no id in a key is reused while the entry
     exists.  ``bases`` keeps the lists ``tcoalg.basis_words`` has built,
-    keyed by (max_len, include_empty)."""
+    keyed by (max_len, include_empty), and ``tries`` the engine's trie of
+    each basis it has swept (``engine._trie``), keyed by (max_len,
+    instance)."""
 
     def __init__(self, name: str, objects: Iterable[str], gens: Iterable[HomGenerator]):
         self.name = name
@@ -62,6 +65,7 @@ class FiltQuiver:
             self._by_id[g.gid] = g
         self.words: dict = {}
         self.bases: dict = {}
+        self.tries: dict = {}
 
     def gen(self, gid: str) -> HomGenerator:
         try:

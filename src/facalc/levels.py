@@ -45,11 +45,13 @@ class Frozen:
 
     def __init_subclass__(cls):
         cls._fields = operator.attrgetter(*cls.__slots__)
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-    def _set(self, *values) -> None:
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
+        # ``_set(self, *fields)`` calls each slot's setter in turn, written
+        # out once per class, as ``dataclasses`` writes its ``__init__``.
+        setters = {f"_{name}": cls.__dict__[name].__set__ for name in cls.__slots__}
+        calls = "; ".join(f"_{name}(self, {name})" for name in cls.__slots__)
+        namespace: dict = {}
+        exec(f"def _set(self, {', '.join(cls.__slots__)}): {calls}", setters, namespace)
+        cls._set = namespace["_set"]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

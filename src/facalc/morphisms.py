@@ -577,31 +577,40 @@ def chain_sum(
 ) -> List[Tuple[Optional[TensorElement], Flag]]:
     """For each word w, the sum of sign * chain_eval(c*w, chain) over the
     ``chain_ops``, with the join of their flags, or None for no chain: each
-    chain in one sweep over the words longer than its bound.  A chain's
-    terms on w, one per output word, must run between the chain's images of
-    w's ends; they are reduced and cut to the window with that chain's own
-    flag, as ``truncate_element`` would (one bound per output word for the
-    whole call), and added, signed, into w's one accumulation; one
-    ``TensorElement`` per word is built at the end, on the endpoints of the
-    first chain that kept a term, else of the first chain.
-    A skipped chain adds nothing: no owner there can run a lazy ``compute``
-    or raise, so the skip omits no side effect."""
+    chain in one sweep over the words longer than its bound, over ``words``
+    itself when that is every word, so a basis list keeps its trie.  A
+    chain's terms on w, one per output word, must run between the chain's
+    images of w's ends; they are reduced and cut to the window with that
+    chain's own flag, as ``truncate_element`` would (each output word's
+    bound is kept on the word), and added, signed, into w's one
+    accumulation; one ``TensorElement`` per word is built at the end, on
+    the endpoints of the first chain that kept a term, else of the first
+    chain.  A skipped chain adds nothing: no owner there can run a lazy
+    ``compute`` or raise, so the skip omits no side effect."""
     if not ops:
         return [(None, Flag.SOUND)] * len(words)
     sums: List[Dict[Word, NovikovScalar]] = [{} for _ in words]
     ends: List[Optional[Tuple[str, str]]] = [None] * len(words)
     flags = [Flag.SOUND] * len(words)
-    bounds: Dict[Word, Level] = {}
     lengths = [len(w) for w in words]
+    shortest = min(lengths, default=0)
     for sign, (families, singles), bound in ops:
         src, dst = families[0].obj_map, families[-1].obj_map
-        live = [k for k, n in enumerate(lengths) if n > bound]
-        for k, terms in zip(live, _term_values([(words[k], c) for k in live], families, singles, window)):
+        if bound < shortest:
+            live, swept = range(len(words)), words
+        else:
+            live = [k for k, n in enumerate(lengths) if n > bound]
+            swept = [words[k] for k in live]
+        if not live:
+            continue
+        parts = dict(_path_sum(swept, c, families, singles, _empty_caps(families, window, c)))
+        for k in live:
+            terms = parts.get(words[k], ())
             end = src[words[k].src], dst[words[k].dst]
             for u, _ in terms:
                 if (u.src, u.dst) != end:
                     raise ObjectMismatch(f"word {u!r} does not run {end[0]!r} -> {end[1]!r}")
-            kept, flag = tcoalg._window_terms(terms, window, bounds)
+            kept, flag = tcoalg._window_terms(terms, window)
             flags[k] = max(flags[k], flag)
             if kept:
                 ends[k] = ends[k] or end

@@ -9,10 +9,13 @@ word length N and an energy cutoff E.  Every truncation reports
 whether it was SOUND (everything discarded provably lies above E, so the
 truncated statement certifies the completed one at that cutoff) or LOSSY.
 A coefficient is reduced modulo F^E by comparing each monomial's energy
-with one bound per output word, ``levels.dominate`` of the word's base level
-and E (``novikov.nov_truncate``); ``_window_terms`` computes it once per
-output word for ``truncate_element`` and ``morphisms.chain_sum``.  Basis
-word lists are built once per quiver (``basis_words``).
+with one bound per word, ``levels.dominate`` of the word's base level and E
+(``novikov.nov_truncate``).  Each ``Word`` keeps its bound for the cutoff
+last asked (``Word.bound``), so ``_window_terms``, the reduction of
+``truncate_element`` and ``morphisms.chain_sum``, computes it once per word
+of a command; the engine outputs each word once per quiver
+(``FiltQuiver.words``).  Basis word lists are built once per quiver
+(``basis_words``) and share the engine's kept trie of their basis.
 Operators on words, tensor products of graded maps included, act in
 ``morphisms``, through its block engine.
 """
@@ -36,10 +39,11 @@ class Word:
 
     Hashing and equality go through the object name and the generator id
     sequence, which identify a basis word within a fixed quiver.  The base
-    level is computed once per instance it is asked for.
+    level is computed once per instance it is asked for, and the truncation
+    bound (``bound``) once per cutoff, kept for the cutoff last asked.
     """
 
-    __slots__ = ("at", "gens", "_sdeg", "_gids", "_hash", "_base")
+    __slots__ = ("at", "gens", "_sdeg", "_gids", "_hash", "_base", "_bound")
 
     def __init__(self, at: str, gens: Tuple[HomGenerator, ...] = ()):
         prev = at
@@ -57,6 +61,7 @@ class Word:
         self._gids = tuple(g.gid for g in self.gens)
         self._hash = hash((at, self._gids))
         self._base = None
+        self._bound = None
 
     @staticmethod
     def from_gens(gens: Sequence[HomGenerator]) -> "Word":
@@ -102,6 +107,14 @@ class Word:
                 out = levels.level_add(out, g.base_level)
             self._base[instance] = out
         return out
+
+    def bound(self, cutoff: Level) -> Level:
+        """The bound a coefficient's monomials are cut at modulo F^cutoff:
+        ``levels.dominate`` of the word's base level and cutoff."""
+        kept = self._bound
+        if kept is None or not (kept[0] is cutoff or kept[0] == cutoff):
+            kept = self._bound = (cutoff, levels.dominate(self.base_level(cutoff.instance), cutoff))
+        return kept[1]
 
     def sort_key(self):
         return (len(self.gens), self._gids, self.at)
@@ -270,20 +283,17 @@ def _mod_cutoff(c: NovikovScalar, base: Level, cutoff: Level) -> NovikovScalar:
 
 
 def _window_terms(
-    terms: Iterable[Tuple[Word, NovikovScalar]], window: TruncWindow, bounds: Dict[Word, Level]
+    terms: Iterable[Tuple[Word, NovikovScalar]], window: TruncWindow
 ) -> Tuple[List[Tuple[Word, NovikovScalar]], Flag]:
-    """The terms (w, c), of distinct words, reduced modulo F^cutoff and cut
-    to the window's length, with their flag: LOSSY when a term dropped for
-    length alone lies below the cutoff.  Each word's bound (as in
-    ``_mod_cutoff``) is computed once and kept in ``bounds``."""
+    """The terms (w, c) reduced modulo F^cutoff, each by its word's kept
+    bound (``Word.bound``), and cut to the window's length, with their
+    flag: LOSSY when a term dropped for length alone lies below the
+    cutoff."""
     kept = []
     flag = Flag.SOUND
     inst, cutoff = window.instance, window.cutoff
     for w, c in terms:
-        bound = bounds.get(w)
-        if bound is None:
-            bound = bounds[w] = levels.dominate(w.base_level(inst), cutoff)
-        c = novikov.nov_truncate(c, bound)
+        c = novikov.nov_truncate(c, w.bound(cutoff))
         if not c.terms:
             continue
         if len(w) > window.max_len:
@@ -297,7 +307,7 @@ def _window_terms(
 def truncate_element(x: TensorElement, window: TruncWindow) -> Tuple[TensorElement, Flag]:
     """Drop terms beyond the window (``_window_terms``); x itself when
     nothing drops."""
-    kept, flag = _window_terms(x.terms, window, {})
+    kept, flag = _window_terms(x.terms, window)
     if len(kept) == len(x.terms) and all(c is k for (_, c), (_, k) in zip(x.terms, kept)):
         return x, flag
     return TensorElement(x.src, x.dst, kept), flag

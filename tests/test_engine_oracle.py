@@ -26,7 +26,7 @@ from facalc import levels, novikov, tcoalg
 from facalc.errors import ConvergenceUndecided, FacalcError, ObjectMismatch, VariantMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.ainfty import _hom_str, _word_checks, word_name
-from facalc.engine import Basis, _Trie, _path_sum
+from facalc.engine import _END, Basis, _Trie, _path_sum
 from facalc.morphisms import (
     Coderivation,
     Cofunctor,
@@ -1579,10 +1579,10 @@ def level_quiver(data, instance: str) -> FiltQuiver:
     return FiltQuiver("L", ["X", "Y"], gens)
 
 
-def grown(quiver: FiltQuiver, n: int, instance: str, cap) -> _Trie:
+def grown(quiver: FiltQuiver, n: int, instance: str) -> _Trie:
     """The trie of ``Basis(quiver, n)`` with every node made: a fully lazy
     owner's blocks reach every node below a root."""
-    trie = _Trie(Basis(quiver, n), instance, cap)
+    trie = _Trie(Basis(quiver, n), instance)
     everything = Cofunctor("lazy", quiver, quiver, IDENTITY, {}, instance, "nov", compute=lambda w: None)
     for root in list(trie.roots):
         trie.blocks(everything, root)
@@ -1604,17 +1604,17 @@ def test_trie_base_levels_are_the_words_base_levels(data):
     quiver = level_quiver(data, instance)
     batch = data.draw(st.lists(st.sampled_from(basis_words(quiver, 5)), min_size=1, max_size=12), label="words")
     n = data.draw(st.integers(0, 5), label="n")
-    cap = lambda base: 0  # any cap makes the trie keep base levels
-    listed, swept = _Trie(batch, instance, cap), grown(quiver, n, instance, cap)
+    listed, swept = _Trie(batch, instance), grown(quiver, n, instance)
     assert len(swept.kids) == len(basis_words(quiver, n))
     for trie in (listed, swept):
-        for q in range(len(trie.kids)):
+        # Base levels are summed on first use, from the deepest nodes first.
+        for q in reversed(range(len(trie.kids))):
             fresh = node_word(trie, q)
-            assert trie.base[q] == fresh.base_level(instance)
+            assert trie.level(q) == fresh.base_level(instance)
             assert trie.depth[q] == len(fresh) and trie.head[q] == fresh.sdeg and trie.obj[q] == fresh.dst
-    assert all(swept.end(q)[0] == node_word(swept, q) for q in range(len(swept.kids)))
-    assert {w for w, _ in listed.ends.values()} == set(batch)
-    assert all(node_word(listed, q) == w for q, (w, _) in listed.ends.items())
+    assert all(swept.word(q) == node_word(swept, q) for q in range(len(swept.kids)))
+    assert set(listed.ends.values()) == set(batch)
+    assert all(node_word(listed, q) == w for q, w in listed.ends.items())
 
 
 @seed(facalc_seed())
@@ -1633,13 +1633,14 @@ def test_basis_rooms_are_the_largest_caps_below(data):
         floor = levels.make_level(instance, data.draw(st.sampled_from(["1/4", "1/2", "1"]), label="floor"))
         cutoff = levels.make_level(instance, data.draw(st.integers(0, 3), label="cutoff"))
     cap = lambda base: levels._steps(base, floor, cutoff)
-    listed = _Trie(basis_words(quiver, n), instance, cap)
-    swept = grown(quiver, n, instance, cap)
+    listed = _Trie(basis_words(quiver, n), instance)
+    swept = grown(quiver, n, instance)
+    listed_rooms, swept_rooms = listed.rooms(cap), swept.rooms(cap)
     nodes = {(node_word(listed, q).at, listed.gids[q]): q for q in range(len(listed.kids))}
     for q in range(len(swept.kids)):
         p = nodes[node_word(swept, q).at, swept.gids[q]]
-        assert swept.rooms[q] == listed.rooms[p]
-        assert swept.end(q) == listed.ends[p]
+        assert swept_rooms[q] == listed_rooms[p]
+        assert swept.word(q) == listed.ends[p] and swept.room(cap, q) == listed.room(cap, p)
 
 
 def test_a_long_basis_needs_no_recursion():
@@ -1653,5 +1654,143 @@ def test_a_long_basis_needs_no_recursion():
     ]
     n = 4 * sys.getrecursionlimit()
     cap = lambda base: levels._steps(base, levels.rat(1), levels.rat(3))
-    trie = _Trie(Basis(FiltQuiver("long", ["X", "Y"], gens), n), "rat", cap)
-    assert [trie.rooms[q] for q in trie.roots] == [3 + n // 4, 3]
+    trie = _Trie(Basis(FiltQuiver("long", ["X", "Y"], gens), n), "rat")
+    rooms = trie.rooms(cap)
+    assert [rooms[q] for q in trie.roots] == [3 + n // 4, 3]
+
+
+# ---------------------------------------------------------------------------
+# Kept tries: a basis keeps one trie per instance on its quiver, and each
+# trie keeps its owners' block walks, across calls.
+
+
+def unbounded_blocks(trie: _Trie, owner, p: int):
+    """The walk of ``_Trie.blocks`` with no height bound, nothing kept: a
+    lazy owner's walk covers the whole subtree below p."""
+    lazy = None if owner.undecided is None else max(owner.undecided, 1)
+    start = trie.depth[p]
+    out, todo = [], [(p, owner.trie)]
+    while todo:
+        node, keys = todo.pop()
+        for g in trie.allowed[node]:
+            sub = None if keys is None else keys.get(g.gid)
+            if sub is None and lazy is None:
+                continue
+            q = trie.kids[node].get(g.gid)
+            if q is None:
+                q = trie._make(node, g)
+            if (sub is not None and _END in sub) or (lazy is not None and trie.depth[q] - start >= lazy):
+                out.append((q, trie.gids[q][start:]))
+            todo.append((q, sub))
+    return out
+
+
+def node_key(trie: _Trie, q: int):
+    return node_word(trie, q).at, trie.gids[q]
+
+
+SWEEPS = ["list", "basis", "chain_sum", "transport"]
+
+
+def basis_sweep(mode: str, specs, n: int, c: NovikovScalar, cutoff: int, fresh: bool = False):
+    """One sweep of the basis of ``QUIVER`` up to n, on fresh owners built
+    from specs: the engine over the kept list ``basis_words`` or over
+    ``Basis``, ``chain_sum`` over the list, or the transport over ``Basis``
+    through an exact fold.  With ``fresh``, the quiver's kept tries are set
+    aside, so the sweep makes its own.  Returns the outcome, the computes
+    that ran, in order, and the blocks looked up."""
+    families, chain = build_owners(*specs)
+    slots = chain_slots(chain, families[0])
+    window = TruncWindow(6, levels.rat(cutoff))
+    hits, seen = [], set()
+    record_computes(slot_owners(slots), hits)
+    record_lookups(slots, seen)
+    words = basis_words(QUIVER, n)
+
+    def sweep():
+        if mode in ("list", "basis"):
+            swept = _path_sum(words if mode == "list" else Basis(QUIVER, n), c, *slots, _empty_caps(families, window, c))
+            return dict(swept)
+        if mode == "chain_sum":
+            return chain_sum(words, c, chain_ops([(1, tuple(chain))], families[0]), window)
+        return _transport(Basis(QUIVER, n), slots, fold_owner("exact", cutoff, 2, 0), window, c)
+
+    kept = QUIVER.tries
+    if fresh:
+        QUIVER.tries = {}
+    try:
+        return outcome(sweep, FacalcError), hits, seen
+    finally:
+        QUIVER.tries = kept
+
+
+@st.composite
+def basis_sweeps(draw):
+    """A few sweeps of one basis by owners of drawn kinds, coefficients and
+    cutoffs, so that its kept trie meets different caps, in any order."""
+    n = draw(st.integers(1, 3), label="n")
+    calls = draw(st.lists(st.tuples(
+        st.sampled_from(SWEEPS), kinded_owners(max_singles=1), st.sampled_from(SCALARS), st.integers(1, 3),
+    ), min_size=2, max_size=5), label="calls")
+    return n, calls
+
+
+@seed(facalc_seed())
+@settings(max_examples=60, deadline=None)
+@given(sweeps=basis_sweeps())
+def test_kept_tries_sweep_as_fresh_ones(sweeps):
+    # Each sweep on the kept trie, after the sweeps before it, equals the
+    # same sweep on a trie of its own: values, flags, computes in order,
+    # lookups and error kind.
+    n, calls = sweeps
+    for mode, specs, c, cutoff in calls:
+        assert basis_sweep(mode, specs, n, c, cutoff) == basis_sweep(mode, specs, n, c, cutoff, fresh=True)
+
+
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_blocks_keep_to_the_stored_keys_where_no_word_is_undecided(data):
+    # Below a node where no word reaches the first length a lazy owner does
+    # not decide, ``blocks`` walks the stored keys only; its blocks are the
+    # unbounded walk's, in order, from every node of a list or basis trie.
+    family_specs, single_specs = data.draw(kinded_owners(max_singles=1), label="owners")
+    owners = slot_owners(build_slots(family_specs, single_specs))
+    n = data.draw(st.integers(0, 4), label="n")
+    words = Basis(QUIVER, n) if data.draw(st.booleans(), label="basis") else data.draw(word_sets(n), label="words")
+    bounded, literal = grown_or_listed(words), grown_or_listed(words)
+    nodes = {node_key(literal, q): q for q in range(len(literal.kids))}
+    for owner in owners:
+        for p in range(len(bounded.kids)):
+            got = [(node_key(bounded, q), key) for q, key in bounded.blocks(owner, p)]
+            want = unbounded_blocks(literal, owner, nodes[node_key(bounded, p)])
+            assert got == [(node_key(literal, q), key) for q, key in want]
+    # On a basis trie, a walk that keeps to the stored keys makes only
+    # their nodes.
+    for owner in owners:
+        if owner.undecided is not None and max(owner.undecided, 1) > n:
+            trie = _Trie(Basis(QUIVER, n), "rat")
+            trie.blocks(owner, trie.roots[0])
+            stored = {gids[:d] for k, table in owner.comps.items() if k for gids in table for d in range(k + 1)}
+            assert {trie.gids[q] for q in range(len(trie.kids))} <= stored
+
+
+def grown_or_listed(words) -> _Trie:
+    """The trie of a list, or of a basis with every node made."""
+    return grown(words.quiver, words.max_len, "rat") if isinstance(words, Basis) else _Trie(words, "rat")
+
+
+@seed(facalc_seed())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bounded_blocks_sweep_as_the_unbounded_walk(data):
+    # The same sweeps with the unbounded walk in place of ``blocks``, each
+    # on its own trie: values, flags, computes in order, lookups and error
+    # kind.
+    n, calls = data.draw(basis_sweeps(), label="sweeps")
+    for mode, specs, c, cutoff in calls:
+        got = basis_sweep(mode, specs, n, c, cutoff, fresh=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Trie, "blocks", unbounded_blocks)
+            want = basis_sweep(mode, specs, n, c, cutoff, fresh=True)
+        assert got == want

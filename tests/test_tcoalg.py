@@ -377,3 +377,31 @@ def test_reduction_kernel_keeps_the_errors_of_levels_it_cannot_make():
     with pytest.raises(FacalcError, match="unknown level instance 'inf'"):
         nov_truncate(x, levels.INFINITY)
     assert nov_truncate(novikov.zero(), levels.INFINITY).is_zero()
+
+
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), inst=st.sampled_from(sorted(LEVEL_VALUES)))
+def test_a_word_asked_under_alternating_cutoffs_gets_each_bound(data, inst):
+    # A word keeps the bound of the cutoff last asked only: asked in turn
+    # under two cutoffs (equal ones built apart among them), it gets
+    # ``levels.dominate``'s bound each time, and so does every truncation
+    # of an element over the same word objects.
+    if inst == levels.DISCRETE:
+        values = [None, None]
+    else:
+        values = data.draw(st.lists(st.fractions(Fraction(1, 2), 3, max_denominator=2), min_size=2, max_size=2),
+                           label="cutoffs")
+    finite = LEVEL_VALUES[inst].filter(lambda v: v is not None)
+    gen_levels = data.draw(st.lists(finite, min_size=1, max_size=2), label="gens")
+    Q = FiltQuiver("L", ["X"], [HomGenerator(f"g{i}", "X", "X", 0, Level(inst, v)) for i, v in enumerate(gen_levels)])
+    words = basis_words(Q, 2)
+    energies = st.fractions(0, 3, max_denominator=2) if inst != levels.DISCRETE else st.just(Fraction(0))
+    scalars = st.lists(st.tuples(st.just(1), energies, st.just(0)), max_size=3).map(novikov.scalar)
+    elem = TensorElement("X", "X", [(w, data.draw(scalars, label=f"c {w!r}")) for w in words])
+    for k in data.draw(st.lists(st.integers(0, 1), min_size=2, max_size=6), label="asks"):
+        cutoff = Level(inst, values[k])  # equal to, not the same object as, the last one of its value
+        w = data.draw(st.sampled_from(words), label="word")
+        assert w.bound(cutoff) == levels.dominate(w.base_level(inst), cutoff)
+        window = TruncWindow(1, cutoff)
+        assert truncate_element(elem, window) == literal_truncate_element(elem, window)
