@@ -38,7 +38,6 @@ from .morphisms import (
     _transport,
     _in_order,
     chain_eval,
-    chain_ops,
     chain_slots,
     chain_sum,
     coderivation_from_components,
@@ -326,12 +325,12 @@ def check_coder_b_squared(
     one = novikov.one(Q.source.variant)
 
     def residual(chain, boundary):
-        second = chain_ops([
+        second = [
             (s1 * s2, ch2)
             for s1, ch1 in coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
             for s2, ch2 in coder_differential_terms(Q, ch1, boundary, window, upto=word_len_max)
-        ], boundary)
-        return lambda words: chain_sum(words, one, second, window)
+        ]
+        return lambda words: chain_sum(words, one, second, window, boundary)
 
     return _chain_checks("coder-b2", Q, n_max, word_len_max, residual)
 
@@ -346,13 +345,11 @@ def check_transfer_identity(
     one = novikov.one(Q.source.variant)
 
     def residual(chain, boundary):
-        expansion = chain_ops([
-            (-s, ch) for s, ch in coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)
-        ], boundary)
+        expansion = [(-s, ch) for s, ch in coder_differential_terms(Q, chain, boundary, window, upto=word_len_max)]
 
         def values(words: Sequence[Word]) -> List[Tuple[TensorElement, Flag]]:
             out = []
-            for a, (expanded, f3) in zip(words, chain_sum(words, one, expansion, window)):
+            for a, (expanded, f3) in zip(words, chain_sum(words, one, expansion, window, boundary)):
                 elem = TensorElement.from_word(a, one)
                 val, f1 = chain_eval(elem, chain, window, boundary=boundary)
                 lhs, f2 = slot_value(val, coderivation_slots(Q.target.b), window)

@@ -30,10 +30,11 @@ level plus the least base level of a path of at most the remaining length
 generator is of negative level, the node's own), and of a list, the largest
 room of the listed words below.  A step into node q needs e < room(q), a
 curvature step at node p needs e + 1 < room(p), and each word keeps its
-final states with e < its own room.  Given the key trie of an exact table
-the result is folded through, a product no key extends is dropped, but only
-when every owner decides every block up to the longest word of the call:
-then no lookup the pruning skips can run a ``compute`` or raise.  Every
+final states with e < its own room.  Only where every owner decides every
+block up to the longest word of the call, so that no lookup can run a
+``compute`` or raise, does a sweep skip work: a single that stores nothing
+ends the call, once its rooms are made, and a product that no key of the
+exact table the result is folded through extends is dropped.  Every
 other call sweeps unpruned, as the split enumeration of each word does.  So
 a lazy ``compute`` runs, or an extraction bound raises, exactly where the
 split enumeration of some word would.  At each word's end its final states
@@ -45,6 +46,7 @@ asks, and each output word is built once and kept on the target quiver
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from weakref import WeakKeyDictionary
 
 from . import levels, novikov
 from .filtquiver import FiltQuiver, HomGenerator, _crossing_sign
@@ -98,8 +100,10 @@ class _Trie:
     prefixes, and ``ends[q]`` is the word at q; of a ``Basis``, a node's
     children are the generators out of its object, up to ``height``, every
     node is a word, and ``ends`` keeps the words made so far.  ``found``
-    keeps the ``blocks`` asked for.  Nothing here depends on a call, so a
-    basis trie is kept (``_trie``); a call's rooms are ``rooms(cap)``."""
+    keeps the ``blocks`` asked for, by node, in a table per owner that is
+    keyed weakly, so a kept trie keeps no owner alive.  Nothing here
+    depends on a call, so a basis trie is kept (``_trie``); a call's rooms
+    are ``rooms(cap)``."""
 
     def __init__(self, words: Union[Sequence[Word], Basis], instance: str):
         self.kids, self.parent, self.depth, self.gens, self.gids, self.obj, self.head, self.base = (
@@ -108,7 +112,7 @@ class _Trie:
         self.instance = instance
         self.roots: List[int] = []
         self.ends: Dict[int, Word] = {}
-        self.found: Dict[Tuple[_ComponentTable, int], List[Tuple[int, CompKey]]] = {}
+        self.found: WeakKeyDictionary[_ComponentTable, Dict[int, List[Tuple[int, CompKey]]]] = WeakKeyDictionary()
         if isinstance(words, Basis):
             quiver, self.height = words
             self.out = {x: sorted(quiver.gens_from(x), key=lambda g: g.gid) for x in quiver.objects}
@@ -222,21 +226,22 @@ class _Trie:
             out = self.ends[q] = Word(gens[0].src if gens else self.obj[q], gens)
         return out
 
-    def blocks(self, owner: _ComponentTable, p: int) -> List[Tuple[int, CompKey]]:
+    def blocks(self, owner: _ComponentTable, p: int, walks: dict) -> List[Tuple[int, CompKey]]:
         """The nodes q below p, each with the ``comp_key`` of the block from
         p to q, whose component the owner may not send to zero: its stored
         keys along the trie, and every q from the first length the table
         does not decide on.  Where no word reaches that length below p, the
         walk keeps to the stored keys.  Only the nodes on the walk are
-        made."""
-        out = self.found.get((owner, p))
+        made.  The result is kept in ``walks``, the owner's table in
+        ``found``, which a call looks up once, not once per node."""
+        out = walks.get(p)
         if out is not None:
             return out
         start = self.depth[p]
         lazy = None if owner.undecided is None else max(owner.undecided, 1)
         if lazy is not None and start + lazy > self.height:
             lazy = None
-        out = self.found[owner, p] = []
+        out = walks[p] = []
         todo = [(p, owner.trie)]
         while todo:
             node, keys = todo.pop()
@@ -279,8 +284,9 @@ def _path_sum(
     the sweep reaches with a final state, as soon as the sweep has passed
     it; every other word's value is zero.  ``cap`` maps a word's base level
     to its cap, 0 without it; ``prefixes`` is the key trie of an exact
-    table the result is folded through, and it prunes the sweep only when
-    every owner decides every block up to the longest word.  A state
+    table the result is folded through.  Where every owner decides every
+    block up to the longest word, a single that stores nothing ends the
+    call with nothing yielded, and ``prefixes`` prunes the sweep.  A state
     (q, t, e) has zone t (the number of singles used) and e family empty
     blocks, and each step goes to a deeper node or to a larger (t, e) at
     the same node, so one pass, depth by depth, completes each state before
@@ -291,9 +297,13 @@ def _path_sum(
     least = min((o.undecided for o in owners if o.undecided is not None), default=None)
     trie = _trie(words, families[0].src, families[0].instance)
     rooms, depth = trie.rooms(cap), trie.depth
-    # Prune only where every owner decides every block of the call, so that
-    # a pruned state's lookups matter to no word.
-    if least is not None and least <= trie.height:
+    # Where every owner decides every block of the call, no lookup can run
+    # a ``compute`` or raise.  The rooms come first, so that a cap that
+    # cannot be bounded still raises.
+    if least is None or least > trie.height:
+        if any(r.is_zero_map() for r in singles):
+            return
+    else:
         prefixes = None
 
     states: Dict[int, Dict[Tuple[int, int], Partial]] = {q: {(0, 0): {(): c}} for q in trie.roots}
@@ -336,6 +346,7 @@ def _path_sum(
                     into = state(q, t, e)
                 into[key] = novikov.nov_add(into[key], term) if key in into else term
 
+    walks = [trie.found.setdefault(owner, {}) for owner in owners]
     words_out = families[0].dst.words
     gens: Dict[int, HomGenerator] = {}
     for layer in layers:
@@ -351,14 +362,14 @@ def _path_sum(
                         continue
                     if t == n_singles:
                         finals.append((e, partial))
-                    for q, key in trie.blocks(family, p):
+                    for q, key in trie.blocks(family, p, walks[t]):
                         if e < rooms[q]:
                             step(partial, q, t, e, letter(family, key, p, q))
                     if e + 1 < rooms[p] and family.curvature:
                         step(partial, p, t, e + 1, letter(family, obj, p, p))
                     if t < n_singles:
                         single = singles[t]
-                        for q, key in ((p, obj), *trie.blocks(single, p)):
+                        for q, key in ((p, obj), *trie.blocks(single, p, walks[n_singles + 1 + t])):
                             if e < rooms[q]:
                                 sign = _crossing_sign(single.deg, trie.head[q])
                                 step(partial, q, t + 1, e, letter(single, key, p, q), sign)

@@ -9,8 +9,7 @@ over cut positions that carries the interchange sign step by step, and
 turns each split into a signed chain of solved components, which
 ``morphisms.chain_sum`` evaluates and sums over all the source words of a
 call, one sweep of the block engine per chain into one accumulation per
-word (``chain_ops`` builds each chain's pair and skip bound once per
-call).
+word; a chain the engine finds zero sweeps nothing.
 
 ``solve_psi`` inverts the pairing: given the values of a cofunctor on mixed
 elements (with the chain side a product of tensor factors), it recovers the
@@ -50,7 +49,6 @@ from .morphisms import (
     _in_order,
     chain_eval,
     chain_eval as ev,  # re-exported: the acceptance name of chain_eval
-    chain_ops,
     chain_sum,
     coderivation_from_components,
     cofunctor_from_components,
@@ -165,8 +163,7 @@ class PsiSolution:
         w of words: the pairing this solution was solved from,
         reconstructed, as one ``chain_sum`` over the factor word's chains
         (``full_chains``)."""
-        ops = chain_ops(self.full_chains(cwords), self.object_at(cword_src(cwords)))
-        return chain_sum(words, c, ops, window)
+        return chain_sum(words, c, self.full_chains(cwords), window, self.object_at(cword_src(cwords)))
 
 
 # The pairing on source words (coefficient 1) and a factor word: one value each.
@@ -239,11 +236,11 @@ def solve_psi(
     factor_words = product(*(basis_words(f, b) for f, b in zip(factors, max_factor_len)))
 
     for cwords in sorted(factor_words, key=lambda cw: sum(len(w) for w in cw)):
-        ops = chain_ops(sol.full_chains(cwords, least=2))
+        chains = sol.full_chains(cwords, least=2)
 
-        def value(words: Sequence[Word], _c=cwords, _ops=ops) -> List[TensorElement]:
+        def value(words: Sequence[Word], _c=cwords, _chains=chains) -> List[TensorElement]:
             """The pairing minus the correction sum over the proper splits."""
-            corrections = chain_sum(words, one, _ops, window)
+            corrections = chain_sum(words, one, _chains, window)
             return [v if corr is None else _signed_sum([(1, v), (-1, corr)])
                     for v, (corr, _) in zip(phi(words, _c), corrections)]
 
@@ -264,7 +261,7 @@ def solve_psi(
                 f"psi@{','.join(objs)}", a_quiver, target, obj_map, comps, window, variant,
                 complete_upto=window.max_len, compute=compute,
             )
-            rebuilt = chain_ops([(1, ())], built)
+            rebuilt, boundary = (), built
         else:
             lvl = levels.zero(window.instance)
             for w in cwords:
@@ -279,10 +276,10 @@ def solve_psi(
                 complete_upto=window.max_len,
                 compute=compute,
             )
-            rebuilt = chain_ops([(1, (built,))])
+            rebuilt, boundary = (built,), None
         # The reconstruction must reproduce the defining values on every
         # tested word, else the pairing was not comultiplication-compatible.
-        got = _in_order(lambda words, _ops=rebuilt: chain_sum(words, one, _ops, window), a_words)
+        got = _in_order(lambda words: chain_sum(words, one, [(1, rebuilt)], window, boundary), a_words)
         for w, (value_w, _) in zip(a_words, got):
             if value_w != truncate_element(values[w], window)[0]:
                 raise LeibnizResidual(

@@ -16,11 +16,11 @@ The block engine (``engine._path_sum``) evaluates chains of these on all
 the words of a call in one sweep: cofunctors on the even zones and one
 component of each coderivation on the odd ones, as the pair ``(families,
 singles)``, a tuple of cofunctors one longer than the tuple of
-coderivations (``Slots``, built by ``chain_slots``).  ``slot_value``,
-``tensor_maps`` and ``chain_sum``, every signed sum of chains, run on it;
-``chain_sum`` skips a chain on the words no longer than its skip bound
-(``chain_ops``), where it provably vanishes without a side effect, and
-sums the chains into one accumulation per word.
+coderivations (``Slots``, built by ``chain_slots``).  ``slot_value``
+(``tensor_maps`` too) and ``chain_sum``, every signed sum of chains, run on
+it; ``chain_sum`` sweeps each chain over the caller's words and sums the
+chains into one accumulation per word.  Whether a chain is zero without
+being swept is the engine's one rule, not decided here.
 Composition, push and pull are one sweep too (``_transport``): each word's
 path sum, one term per output word, is folded through the components of a
 second morphism (``_fold``), whose key trie prunes the sweep when that
@@ -44,7 +44,6 @@ reduction modulo the cutoff is ``novikov.nov_truncate`` by the bound
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -354,16 +353,15 @@ def slot_value(
     return out, Flag.SOUND
 
 
-def _term_values(terms, families, singles, window: Optional[TruncWindow]) -> list:
+def _term_values(terms, families, singles, window: TruncWindow) -> list:
     """The path-sum terms of each (w, c) of terms, in order: one sweep per
-    coefficient, with the window's caps on empty blocks given one."""
+    coefficient, with the window's caps on empty blocks."""
     out: list = [None] * len(terms)
     groups: Dict[NovikovScalar, List[int]] = {}
     for k, (_, c) in enumerate(terms):
         groups.setdefault(c, []).append(k)
     for c, ks in groups.items():
-        cap = None if window is None else _empty_caps(families, window, c)
-        parts = dict(_path_sum([terms[k][0] for k in ks], c, families, singles, cap))
+        parts = dict(_path_sum([terms[k][0] for k in ks], c, families, singles, _empty_caps(families, window, c)))
         for k in ks:
             out[k] = parts.get(terms[k][0], ())
     return out
@@ -379,8 +377,10 @@ def evaluate_coderivation(r: Coderivation, x: TensorElement, window: TruncWindow
 def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
     """Apply f_1 (x) ... (x) f_n letterwise to words of length n: the engine
     on n singles, map j's action as length-1 components, over families with
-    no components.  A ``GradedMap`` has no coefficient variant and
-    ``_path_sum`` reads none, so the family's ``NOV`` is a placeholder."""
+    no components, through ``slot_value`` with no window: no family is
+    curved, so ``_empty_caps`` reads none.  A ``GradedMap`` has no
+    coefficient variant and ``_path_sum`` reads none, so the family's
+    ``NOV`` is a placeholder."""
     if not maps:
         raise FacalcError("tensor_maps needs at least one map")
     m = maps[0]
@@ -393,8 +393,7 @@ def tensor_maps(maps: Sequence[GradedMap], x: TensorElement) -> TensorElement:
     for w, _ in x.terms:
         if len(w) != len(maps):
             raise ObjectMismatch(f"word length {len(w)} != {len(maps)} maps")
-    parts = _term_values(x.terms, families, singles, None)
-    return TensorElement(family.obj_map[x.src], family.obj_map[x.dst], [t for part in parts for t in part])
+    return slot_value(x, (families, singles), None, length_truncate=False)[0]
 
 
 def family_value(owner: Union[Cofunctor, Coderivation], x: TensorElement) -> HomElement:
@@ -552,61 +551,38 @@ def chain_eval(
     return slot_value(a, chain_slots(chain, boundary), window, length_truncate=length_truncate)
 
 
-def chain_ops(
-    signed_chains: Sequence[Tuple[int, Sequence[Coderivation]]], boundary: Optional[Cofunctor] = None
-) -> List[Tuple[int, Slots, float]]:
-    """Each (sign, chain) as (sign, its pair, its skip bound), built once
-    where the chain list is; ``boundary`` serves the empty chain.  The skip
-    bound is the largest n (-1 for none) such that ``slot_value`` of the
-    pair is zero, SOUND and free of side effects on words up to length n:
-    some single stores no component, every owner decides every block up to
-    n (``undecided`` is None or above n), and no family is curved at level <= 0 (``_empty_caps`` cannot
-    raise)."""
-    out = []
-    for sign, chain in signed_chains:
-        families, singles = slots = chain_slots(chain, boundary)
-        flat = (f.curvature and levels.level_leq(f.curvature_level, levels.zero(f.instance)) for f in families)
-        undecided = [o.undecided - 1 for o in (*families, *singles) if o.undecided is not None]
-        skip = not any(flat) and any(r.is_zero_map() for r in singles)
-        out.append((sign, slots, min(undecided, default=math.inf) if skip else -1))
-    return out
-
-
 def chain_sum(
-    words: Sequence[Word], c: NovikovScalar, ops: Sequence[Tuple[int, Slots, float]], window: TruncWindow
+    words: Sequence[Word], c: NovikovScalar, chains: Sequence[Tuple[int, Sequence[Coderivation]]],
+    window: TruncWindow, boundary: Optional[Cofunctor] = None,
 ) -> List[Tuple[Optional[TensorElement], Flag]]:
     """For each word w, the sum of sign * chain_eval(c*w, chain) over the
-    ``chain_ops``, with the join of their flags, or None for no chain: each
-    chain in one sweep over the words longer than its bound, over ``words``
-    itself when that is every word, so a basis list keeps its trie.  A
-    chain's terms on w, one per output word, must run between the chain's
-    images of w's ends; they are reduced and cut to the window with that
-    chain's own flag, as ``truncate_element`` would (each output word's
-    bound is kept on the word), and added, signed, into w's one
-    accumulation; one ``TensorElement`` per word is built at the end, on
-    the endpoints of the first chain that kept a term, else of the first
-    chain.  A skipped chain adds nothing: no owner there can run a lazy
-    ``compute`` or raise, so the skip omits no side effect."""
-    if not ops:
+    (sign, chain) pairs, ``boundary`` serving the empty chain, with the join
+    of their flags, or None for no chain.  Every chain is checked to compose
+    first, then swept once over ``words`` itself, so a basis list keeps its
+    trie; a chain that the engine finds zero sweeps nothing.  A chain's
+    terms on w, one per output word, must run between the chain's images of
+    w's ends; they are reduced and cut to the window with that chain's own
+    flag, as ``truncate_element`` would (each output word's bound is kept on
+    the word), and added, signed, into w's one accumulation; one
+    ``TensorElement`` per word is built at the end, on the endpoints of the
+    first chain that kept a term, else of the first chain.  A word the sweep
+    does not yield adds nothing."""
+    if not chains:
         return [(None, Flag.SOUND)] * len(words)
+    ops = [(sign, chain_slots(chain, boundary)) for sign, chain in chains]
     sums: List[Dict[Word, NovikovScalar]] = [{} for _ in words]
     ends: List[Optional[Tuple[str, str]]] = [None] * len(words)
     flags = [Flag.SOUND] * len(words)
-    lengths = [len(w) for w in words]
-    shortest = min(lengths, default=0)
-    for sign, (families, singles), bound in ops:
+    for sign, (families, singles) in ops:
         src, dst = families[0].obj_map, families[-1].obj_map
-        if bound < shortest:
-            live, swept = range(len(words)), words
-        else:
-            live = [k for k, n in enumerate(lengths) if n > bound]
-            swept = [words[k] for k in live]
-        if not live:
+        parts = dict(_path_sum(words, c, families, singles, _empty_caps(families, window, c)))
+        if not parts:
             continue
-        parts = dict(_path_sum(swept, c, families, singles, _empty_caps(families, window, c)))
-        for k in live:
-            terms = parts.get(words[k], ())
-            end = src[words[k].src], dst[words[k].dst]
+        for k, w in enumerate(words):
+            terms = parts.get(w)
+            if terms is None:
+                continue
+            end = src[w.src], dst[w.dst]
             for u, _ in terms:
                 if (u.src, u.dst) != end:
                     raise ObjectMismatch(f"word {u!r} does not run {end[0]!r} -> {end[1]!r}")

@@ -11,8 +11,10 @@ sets agree on every effective lookup (see ``effective``): lazy components
 are computed exactly where the enumerator computes them.
 """
 
+import gc
 import re
 import sys
+import weakref
 import zlib
 from fractions import Fraction
 from functools import reduce
@@ -37,7 +39,6 @@ from facalc.morphisms import (
     _in_order,
     _transport,
     chain_eval,
-    chain_ops,
     chain_slots,
     chain_sum,
     cofunctor_slots,
@@ -1037,7 +1038,7 @@ def test_owners_of_one_name_keep_their_own_letters():
 
 
 # ---------------------------------------------------------------------------
-# Chain sums that skip vanishing chains
+# Chain sums, and the engine's one rule for a chain that vanishes
 
 ZERO_KINDS = ["exact", "bounded-at-n", "bounded-below-n", "lazy"]
 
@@ -1047,16 +1048,18 @@ def zero_single(kind: str, f: Cofunctor, g: Cofunctor, deg: int, n: int, salt: i
     up to length n: an exact table, one extracted up to n or beyond (both
     decide every block of x), one extracted below n (its lookups of longer
     blocks raise) or a lazy one (its compute runs, may raise and may give a
-    nonzero letter)."""
+    nonzero letter).  Its name carries the salt, so that the lookups of
+    two zero singles are told apart."""
+    name = f"z{salt}"
     if kind == "exact":
-        return Coderivation("z", f, g, deg, R0, {})
+        return Coderivation(name, f, g, deg, R0, {})
     if kind == "bounded-at-n":
-        return Coderivation("z", f, g, deg, R0, {}, complete_upto=n + salt % 2)
+        return Coderivation(name, f, g, deg, R0, {}, complete_upto=n + salt % 2)
     if kind == "bounded-below-n":
-        return Coderivation("z", f, g, deg, R0, {}, complete_upto=n - 1)
+        return Coderivation(name, f, g, deg, R0, {}, complete_upto=n - 1)
     hits = lambda w: _hash(salt + 9, w) % 5 == 0
     upto = None if salt % 2 else n - 1
-    return Coderivation("z", f, g, deg, R0, {}, complete_upto=upto, compute=RaisingCompute(salt, 2, hits))
+    return Coderivation(name, f, g, deg, R0, {}, complete_upto=upto, compute=RaisingCompute(salt, 2, hits))
 
 
 def decides(owner, n: int) -> bool:
@@ -1068,20 +1071,25 @@ def decides(owner, n: int) -> bool:
 
 
 def vanishes(chain, n: int) -> bool:
-    """The skip, read from the raw fields: some single stores nothing and
-    decides every block up to n, every owner decides every block up to n,
-    and no family is curved at level <= 0."""
-    families = [r.f for r in chain] + [chain[-1].g]
-    flat = any(levels.level_leq(v.level("rat"), R0) for f in families for v in f.comps.get(0, {}).values())
-    return (
-        any(not r.comps and decides(r, n) for r in chain)
-        and all(decides(owner, n) for owner in families + list(chain))
-        and not flat
-    )
+    """The engine's skip, read from the raw fields: some single stores
+    nothing, and every owner decides every block up to n."""
+    owners = [r.f for r in chain] + [chain[-1].g] + list(chain)
+    return any(not r.comps for r in chain) and all(decides(owner, n) for owner in owners)
+
+
+def traced(run, chain):
+    """``run`` of the chain's pair on fresh owners: its outcome, the
+    computes that ran, in order, and the blocks looked up."""
+    slots = chain_slots(chain)
+    hits, seen = [], set()
+    record_computes(slot_owners(slots), hits)
+    record_lookups(slots, seen)
+    return outcome(lambda: run(slots), FacalcError), hits, seen, slots
 
 
 def literal_chain_sum(x, signed_chains, window):
-    """The signed sum of ``chain_eval`` over every chain, none skipped."""
+    """The signed sum of ``chain_eval`` over every chain, one chain and one
+    word at a time."""
     pieces, flags = [], []
     for sign, chain in signed_chains:
         piece, flag = chain_eval(x, chain, window)
@@ -1126,8 +1134,8 @@ def test_chain_sum_matches_the_literal_sum(data):
     def batched():
         """One sweep per chain over the words, one word at a time if that
         raises."""
-        ops = chain_ops(signed_chains())
-        return list(_in_order(lambda ws: chain_sum(ws, c, ops, window), words))
+        chains = signed_chains()
+        return list(_in_order(lambda ws: chain_sum(ws, c, chains, window), words))
 
     def literal():
         chains = signed_chains()
@@ -1136,16 +1144,85 @@ def test_chain_sum_matches_the_literal_sum(data):
     got = outcome(batched, FacalcError)
     assert got == outcome(literal, FacalcError)
 
-    for _, chain in signed_chains():
-        # The skip bound is the literal skip at every length up to one past
-        # the largest ``undecided`` of the chain's owners.
-        (_, _, bound), = chain_ops([(1, chain)])
-        owners = [r.f for r in chain] + [chain[-1].g] + list(chain)
-        top = max((o.undecided for o in owners if o.undecided is not None), default=0)
-        for m in range(top + 2):
-            assert (m <= bound) == vanishes(chain, m), m
+    # Each chain's sweep against the enumerator, which skips nothing.  Where
+    # the chain vanishes on the longest word, the sweep yields nothing and
+    # makes no lookup and no compute, or raises where the curvature cannot
+    # be bounded, as the enumerator does; elsewhere its lookups are the
+    # enumerator's.
+    def sweep(slots):
+        return dict(_path_sum(words, c, *slots, _empty_caps(slots[0], window, c)))
+
+    def enumerated(slots):
+        return [oracle_slot_value(TensorElement.from_word(w, c), slots, window) for w in words]
+
+    for k in range(len(picked)):
+        chain = signed_chains()[k][1]
+        got, hits, seen, slots = traced(sweep, chain)
+        want, want_hits, want_seen, _ = traced(enumerated, signed_chains()[k][1])
         if vanishes(chain, n):
-            assert chain_eval(x, chain, window) == (TensorElement.zero(x.src, x.dst), Flag.SOUND)
+            assert got == (("ok", {}) if want[0] == "ok" else want)
+            assert not hits and not seen
+        elif got[0] == want[0] == "ok":
+            assert set(hits) == set(want_hits)
+            assert_same_lookups(slots, seen, want_seen)
+        else:
+            assert got[0] == want[0]
+
+
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mixed_length_batch_matches_the_literal_sum(data):
+    # One batch of words both below and above a lazy family's
+    # ``undecided``, with a single that stores nothing: each chain sweeps
+    # every word of the batch, the short ones too, and gives the literal
+    # sum's values, flags, computes in order and first error.  Only the
+    # long word reaches a length the family does not decide, so it makes
+    # every compute, in the same order in the batch as alone.
+    n_singles = data.draw(st.sampled_from([1, 2]), label="singles")
+    family_specs = data.draw(st.lists(owner_specs(), min_size=n_singles + 1, max_size=n_singles + 1))
+    single_specs = data.draw(st.lists(owner_specs(), min_size=n_singles, max_size=n_singles))
+    upto = data.draw(st.integers(0, 3 - n_singles), label="upto")
+    lazy = data.draw(st.integers(0, n_singles), label="lazy family")
+    for i, sp in enumerate(family_specs + single_specs):
+        sp.update(lazy=i == lazy, bounded=False, upto=upto)
+    zero = data.draw(st.integers(0, n_singles - 1), label="zero single")
+    short = data.draw(st.lists(words(upto), min_size=1, max_size=3), label="short")
+    long = data.draw(words(4 - n_singles).filter(lambda w: len(w) > upto), label="long")
+    batch = data.draw(st.permutations(list(dict.fromkeys(short + [long]))), label="batch")
+    c = data.draw(st.sampled_from(SCALARS), label="coeff")
+    window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
+    spans = [(a, b) for a in range(n_singles) for b in range(a + 1, n_singles + 1)]
+    picked = data.draw(st.lists(
+        st.tuples(st.sampled_from([1, -1]), st.sampled_from(spans)), min_size=1, max_size=3
+    ), label="chains")
+
+    def run(evaluate):
+        """Fresh owners: the outcome and the computes that ran, in order."""
+        families, chain = build_owners(family_specs, single_specs)
+        chain[zero] = zero_single("exact", families[zero], families[zero + 1], chain[zero].deg, 0, 0)
+        hits = []
+        record_computes(families + chain, hits)
+        chains = [(sign, tuple(chain[a:b])) for sign, (a, b) in picked]
+        return outcome(lambda: evaluate(chains), FacalcError), hits
+
+    got, hits = run(lambda chains: list(_in_order(lambda ws: chain_sum(ws, c, chains, window), batch)))
+    want, want_hits = run(lambda chains: [
+        literal_chain_sum(TensorElement.from_word(w, c), chains, window) for w in batch
+    ])
+    assert got == want
+    # A batch that raises runs again one word or term at a time, and so
+    # does the raising compute; the first runs come in the same order.
+    assert list(dict.fromkeys(hits)) == list(dict.fromkeys(want_hits))
+    if want[0] == "ok":
+        assert hits == want_hits
+    # The enumerator, which skips nothing, computes the same blocks.
+    unskipped, every_hit = run(lambda chains: [
+        oracle_slot_value(TensorElement.from_word(w, c), chain_slots(chain), window)
+        for w in batch for _, chain in chains
+    ])
+    if unskipped[0] == "ok":
+        assert set(hits) == set(every_hit)
 
 
 @pytest.mark.parametrize("kinds", [("exact",), ("bounded-at-n",), ("exact", "bounded-at-n")])
@@ -1166,7 +1243,7 @@ def test_chain_sum_of_vanishing_chains_is_the_zero_element(kinds):
     seen = set()
     record_lookups(((f, g, h), tuple(c for _, (c,) in chains)), seen)
     (w, one), = x.terms
-    (value, flag), = chain_sum([w], one, chain_ops(chains), window)
+    (value, flag), = chain_sum([w], one, chains, window)
     assert not seen  # no chain was evaluated
     # The zero element on the first chain's endpoints: f on the source, g on
     # the target.
@@ -1184,9 +1261,8 @@ def test_vanishing_chains_keep_the_curvature_error():
     z = zero_single("exact", families[0], families[1], 1, 2, 0)
     x = TensorElement.from_word(Word.from_gens([QUIVER.gen("a"), QUIVER.gen("b")]), novikov.one())
     window = TruncWindow(6, levels.rat(3))
-    assert chain_ops([(1, (z,))])[0][2] == -1
     (w, one), = x.terms
-    assert outcome(lambda: chain_sum([w], one, chain_ops([(1, (z,))]), window)) == ("raised", ConvergenceUndecided)
+    assert outcome(lambda: chain_sum([w], one, [(1, (z,))], window)) == ("raised", ConvergenceUndecided)
     assert outcome(lambda: literal_chain_sum(x, [(1, (z,))], window)) == ("raised", ConvergenceUndecided)
 
 
@@ -1199,7 +1275,7 @@ def test_chain_sum_does_not_skip_a_chain_that_does_not_compose():
     broken = (z, zero_single("exact", families[2], families[0], 0, 1, 0))
     window = TruncWindow(6, levels.rat(3))
     (w, one), = x.terms
-    got = outcome(lambda: chain_sum([w], one, chain_ops([(1, broken)]), window), FacalcError)
+    got = outcome(lambda: chain_sum([w], one, [(1, broken)], window), FacalcError)
     assert got == outcome(lambda: literal_chain_sum(x, [(1, broken)], window), FacalcError) == ("raised", ObjectMismatch)
 
 
@@ -1226,7 +1302,7 @@ def test_chain_sum_flags_each_chain_before_the_sum():
     ]
     assert longs[0] and longs[0] == longs[1]
     assert all(chain_eval(elem, chain, window)[1] is Flag.LOSSY for _, chain in chains)
-    (value, flag), = chain_sum([w], one, chain_ops(chains), window)
+    (value, flag), = chain_sum([w], one, chains, window)
     assert flag is Flag.LOSSY and not value.is_zero()
     assert (value, flag) == literal_chain_sum(elem, chains, window)
 
@@ -1245,7 +1321,7 @@ def test_chain_sum_checks_the_endpoints_of_every_term_before_the_window():
             fn()
         return str(info.value)
 
-    got = message(lambda: chain_sum([w], novikov.one(), chain_ops([(1, (r,))]), window))
+    got = message(lambda: chain_sum([w], novikov.one(), [(1, (r,))], window))
     want = message(lambda: literal_chain_sum(TensorElement.from_word(w, novikov.one()), [(1, (r,))], window))
     assert got == want == "word Word(b) does not run 'X' -> 'Y'"
 
@@ -1316,7 +1392,7 @@ def test_sweep_matches_the_per_word_oracle(data):
 
     def sweep(ws, slots, fold):
         if fold is None:
-            return chain_sum(ws, c, [(1, slots, -1)], window)
+            return chain_sum(ws, c, [(1, slots[1])], window, slots[0][0])
         return _transport(ws, slots, fold, window, c)
 
     def per_word(ws, slots, fold):
@@ -1585,7 +1661,7 @@ def grown(quiver: FiltQuiver, n: int, instance: str) -> _Trie:
     trie = _Trie(Basis(quiver, n), instance)
     everything = Cofunctor("lazy", quiver, quiver, IDENTITY, {}, instance, "nov", compute=lambda w: None)
     for root in list(trie.roots):
-        trie.blocks(everything, root)
+        trie.blocks(everything, root, {})
     return trie
 
 
@@ -1664,9 +1740,9 @@ def test_a_long_basis_needs_no_recursion():
 # trie keeps its owners' block walks, across calls.
 
 
-def unbounded_blocks(trie: _Trie, owner, p: int):
-    """The walk of ``_Trie.blocks`` with no height bound, nothing kept: a
-    lazy owner's walk covers the whole subtree below p."""
+def unbounded_blocks(trie: _Trie, owner, p: int, walks=None):
+    """The walk of ``_Trie.blocks`` with no height bound, nothing kept in
+    ``walks``: a lazy owner's walk covers the whole subtree below p."""
     lazy = None if owner.undecided is None else max(owner.undecided, 1)
     start = trie.depth[p]
     out, todo = [], [(p, owner.trie)]
@@ -1712,7 +1788,7 @@ def basis_sweep(mode: str, specs, n: int, c: NovikovScalar, cutoff: int, fresh: 
             swept = _path_sum(words if mode == "list" else Basis(QUIVER, n), c, *slots, _empty_caps(families, window, c))
             return dict(swept)
         if mode == "chain_sum":
-            return chain_sum(words, c, chain_ops([(1, tuple(chain))], families[0]), window)
+            return chain_sum(words, c, [(1, tuple(chain))], window, families[0])
         return _transport(Basis(QUIVER, n), slots, fold_owner("exact", cutoff, 2, 0), window, c)
 
     kept = QUIVER.tries
@@ -1747,6 +1823,33 @@ def test_kept_tries_sweep_as_fresh_ones(sweeps):
         assert basis_sweep(mode, specs, n, c, cutoff) == basis_sweep(mode, specs, n, c, cutoff, fresh=True)
 
 
+def test_a_kept_trie_keeps_no_owner_alive():
+    # A kept basis trie holds its block walks weakly by owner: an owner
+    # dropped after its sweep is collected, and the walks of the owners
+    # still alive answer as before, with the same sweep.
+    quiver = FiltQuiver("Q", QUIVER.objects, QUIVER.gens)
+    one = novikov.one()
+
+    def owner(salt):
+        return Cofunctor(f"f{salt}", quiver, quiver, IDENTITY, _table(salt, 1, False), "rat", "nov")
+
+    kept, dropped = owner(1), owner(2)
+    first = dict(_path_sum(Basis(quiver, 3), one, (kept,), ()))
+    dict(_path_sum(Basis(quiver, 3), one, (dropped,), ()))
+    trie = quiver.tries[3, "rat"]
+    walks = trie.found[kept]
+    found = dict(walks)
+    assert found and dropped in trie.found
+    gone = weakref.ref(dropped)
+    del dropped
+    gc.collect()
+    assert gone() is None
+    assert list(trie.found) == [kept] and trie.found[kept] is walks
+    assert all(trie.blocks(kept, p, walks) is out for p, out in found.items())
+    assert dict(_path_sum(Basis(quiver, 3), one, (kept,), ())) == first
+    assert quiver.tries[3, "rat"] is trie
+
+
 @seed(facalc_seed())
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -1762,7 +1865,7 @@ def test_blocks_keep_to_the_stored_keys_where_no_word_is_undecided(data):
     nodes = {node_key(literal, q): q for q in range(len(literal.kids))}
     for owner in owners:
         for p in range(len(bounded.kids)):
-            got = [(node_key(bounded, q), key) for q, key in bounded.blocks(owner, p)]
+            got = [(node_key(bounded, q), key) for q, key in bounded.blocks(owner, p, bounded.found.setdefault(owner, {}))]
             want = unbounded_blocks(literal, owner, nodes[node_key(bounded, p)])
             assert got == [(node_key(literal, q), key) for q, key in want]
     # On a basis trie, a walk that keeps to the stored keys makes only
@@ -1770,7 +1873,7 @@ def test_blocks_keep_to_the_stored_keys_where_no_word_is_undecided(data):
     for owner in owners:
         if owner.undecided is not None and max(owner.undecided, 1) > n:
             trie = _Trie(Basis(QUIVER, n), "rat")
-            trie.blocks(owner, trie.roots[0])
+            trie.blocks(owner, trie.roots[0], {})
             stored = {gids[:d] for k, table in owner.comps.items() if k for gids in table for d in range(k + 1)}
             assert {trie.gids[q] for q in range(len(trie.kids))} <= stored
 
