@@ -170,7 +170,9 @@ def _letter_value(
     slots = chain_slots(chain, boundary)
     src_slots = coderivation_slots(src_cat.b)
     inner = None if len(chain) > 1 else (chain[0] if chain else boundary)
-    sign = -_crossing_sign(1, sum(r.deg for r in chain))
+    # The sign rides on the second fold's coefficient: the sweep and the
+    # fold are linear, and the cap reads only the coefficient's level.
+    sign = one if _crossing_sign(1, sum(r.deg for r in chain)) < 0 else novikov.nov_neg(one)
 
     def values(words):
         """As ``_transport``: a list for a list of words, by word for a
@@ -178,12 +180,11 @@ def _letter_value(
         outs = _transport(words, slots, dst_cat.b, window, one)
         if inner is None:
             return outs
-        backs = _transport(words, src_slots, inner, window, one)
-        for k, back in backs.items() if isinstance(words, Basis) else enumerate(backs):
-            if not back.is_zero():
-                signed = [(g, c if sign > 0 else novikov.nov_neg(c)) for g, c in back.terms]
-                before = outs[k].terms if isinstance(outs, list) or k in outs else ()
-                outs[k] = HomElement(back.src, back.dst, [*before, *signed])
+        backs = _transport(words, src_slots, inner, window, sign)
+        if not isinstance(words, Basis):
+            return [back.add(out) for out, back in zip(outs, backs)]
+        for w, back in backs.items():
+            outs[w] = back.add(outs[w]) if w in outs else back
         return outs
 
     return values
@@ -258,9 +259,10 @@ class CoderQuiver:
         upto: Optional[int] = None,
     ) -> Coderivation:
         """The single coderivation obtained by collapsing a (possibly empty)
-        sub-chain with one codifferential; cached by names and bound (the
-        boundary names the letter only when the sub-chain is empty)."""
-        key = (tuple(r.name for r in chain) or boundary.name, upto)
+        sub-chain with one codifferential; cached by the sub-chain itself
+        (the boundary when it is empty), not by names, which a declared
+        coderivation may share with a letter, and by the bound."""
+        key = (tuple(chain) or boundary, upto)
         if key not in self.b_cache:
             build, arg = (
                 (coder_bn, chain) if len(chain) > 1 else (coder_b1, chain[0]) if chain else (coder_b0, boundary)

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from . import levels, novikov, structfile
+from . import levels, novikov
 from .ainfty import (
     CheckEntry,
     check_ainf_functor,
@@ -194,26 +194,16 @@ def cmd_check_coder_b2(model: Model, path: str, args) -> Report:
 def _result_doc(model: Model, quivers: List[FiltQuiver], functors: List[Cofunctor],
                 coderivations: List[Coderivation], elements: Optional[dict] = None,
                 flag: Optional[str] = None) -> dict:
-    doc = structfile.header_json(model)
-    seen: Dict[str, FiltQuiver] = {}
-    for q in quivers:
-        seen[q.name] = q
-    doc["quivers"] = [structfile.quiver_to_json(q) for _, q in sorted(seen.items())]
-    if functors:
-        unique = {f.name: f for f in functors}
-        doc["functors"] = [
-            structfile.functor_to_json(f) for _, f in sorted(unique.items())
-        ]
-    if coderivations:
-        unique_r = {r.name: r for r in coderivations}
-        doc["coderivations"] = [
-            structfile.coderivation_to_json(r) for _, r in sorted(unique_r.items())
-        ]
-    if elements:
-        doc["elements"] = [
-            structfile.element_to_json(name, x, qname)
-            for name, (x, qname) in sorted(elements.items())
-        ]
+    """``model_to_json`` of a result: model's header with the given quivers,
+    functors, coderivations and elements (name -> (value, quiver name)),
+    each keyed by name; ``flag`` adds a ``meta`` entry."""
+    out = Model(model.monoid, model.variant, model.window)
+    out.quivers = {q.name: q for q in quivers}
+    out.functors = {f.name: f for f in functors}
+    out.coderivations = {r.name: r for r in coderivations}
+    for name, (x, qname) in (elements or {}).items():
+        out.elements[name], out.element_quivers[name] = x, qname
+    doc = model_to_json(out)
     if flag is not None:
         doc["meta"] = {"flag": flag}
     return doc

@@ -38,9 +38,10 @@ exact table the result is folded through extends is dropped.  Every
 other call sweeps unpruned, as the split enumeration of each word does.  So
 a lazy ``compute`` runs, or an extraction bound raises, exactly where the
 split enumeration of some word would.  At each word's end its final states
-are summed by output word, negated once per output word where the sign
-asks, and each output word is built once and kept on the target quiver
-(``FiltQuiver.words``).
+are summed by output word, keyed by its generator ids as ``comp_key`` keys
+a block, negated once per output word where the sign asks, and each output
+word is built once, from the target quiver's generators, and kept on that
+quiver (``FiltQuiver.words``).
 """
 
 from __future__ import annotations
@@ -59,10 +60,11 @@ if TYPE_CHECKING:
 
 _END = None  # the trie entry marking the end of a stored key
 
-# A letter row: one (id(g), gid, coefficient) per term of a component.
-Letter = Tuple[Tuple[int, str, NovikovScalar], ...]
-# The partial sums at one path-sum state, keyed by output generator ids.
-Partial = Dict[Tuple[int, ...], NovikovScalar]
+# A letter row: one (gid, coefficient) per term of a component.
+Letter = Tuple[Tuple[str, NovikovScalar], ...]
+# The partial sums at one path-sum state, keyed by the gids of the output
+# word, the key ``comp_key`` uses.
+Partial = Dict[Tuple[str, ...], NovikovScalar]
 
 
 class Basis(NamedTuple):
@@ -315,8 +317,7 @@ def _path_sum(
         row = owner.rows.get(key)
         if row is None:
             terms = owner.comp_value(Word(trie.obj[p], trie.gens[q][depth[p]:])).terms
-            owner.gens.update((id(g), g) for g, _ in terms)
-            row = owner.rows[key] = tuple((id(g), g.gid, cl) for g, cl in terms)
+            row = owner.rows[key] = tuple((g.gid, cl) for g, cl in terms)
         return row
 
     def state(q: int, t: int, e: int) -> Partial:
@@ -332,10 +333,10 @@ def _path_sum(
         into = None  # the state is created on its first surviving product
         for prefix, cp in partial.items():
             node = None if nodes is None else nodes[prefix]
-            for gid, name, cl in value:
+            for gid, cl in value:
                 key = prefix + (gid,)
                 if node is not None:
-                    child = node.get(name)
+                    child = node.get(gid)
                     if child is None:
                         continue
                     nodes[key] = child
@@ -347,8 +348,7 @@ def _path_sum(
                 into[key] = novikov.nov_add(into[key], term) if key in into else term
 
     walks = [trie.found.setdefault(owner, {}) for owner in owners]
-    words_out = families[0].dst.words
-    gens: Dict[int, HomGenerator] = {}
+    dst = families[0].dst
     for layer in layers:
         for p in layer:
             at_p = states[p]
@@ -386,12 +386,10 @@ def _path_sum(
             negate = odd and trie.head[p] % 2
             out = []
             for key, cp in summed.items():
-                word = words_out.get(key or families[0].obj_map[w.at])
+                word = dst.words.get(key or families[0].obj_map[w.at])
                 if word is None:
-                    for owner in owners:
-                        gens.update(owner.gens)
-                    word = Word.from_gens([gens[g] for g in key]) if key else Word(families[0].obj_map[w.at])
-                    words_out[key or word.at] = word
+                    word = Word.from_gens([dst.gen(g) for g in key]) if key else Word(families[0].obj_map[w.at])
+                    dst.words[key or word.at] = word
                 out.append((word, novikov.nov_neg(cp) if negate else cp))
             if out:
                 yield w, out

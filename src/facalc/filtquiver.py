@@ -41,10 +41,9 @@ class FiltQuiver:
     """Objects plus per-pair generator lists; generator ids are unique.
 
     ``words`` keeps the words the block engine (``engine._path_sum``)
-    has output into this quiver, keyed by the ids of their generators (the
-    empty word by its object).  Each
-    word holds its generators, so no id in a key is reused while the entry
-    exists.  ``bases`` keeps the lists ``tcoalg.basis_words`` has built,
+    has output into this quiver, keyed by the tuple of their generator ids,
+    as ``morphisms.comp_key`` keys a block (the empty word by its object).
+    ``bases`` keeps the lists ``tcoalg.basis_words`` has built,
     keyed by (max_len, include_empty), and ``tries`` the engine's trie of
     each basis it has swept (``engine._trie``), keyed by (max_len,
     instance)."""

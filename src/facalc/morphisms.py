@@ -17,10 +17,12 @@ the words of a call in one sweep: cofunctors on the even zones and one
 component of each coderivation on the odd ones, as the pair ``(families,
 singles)``, a tuple of cofunctors one longer than the tuple of
 coderivations (``Slots``, built by ``chain_slots``).  ``slot_value``
-(``tensor_maps`` too) and ``chain_sum``, every signed sum of chains, run on
-it; ``chain_sum`` sweeps each chain over the caller's words and sums the
-chains into one accumulation per word.  Whether a chain is zero without
-being swept is the engine's one rule, not decided here.
+(``tensor_maps`` too) and ``chain_sum``, every signed sum of chains
+(``leibniz_residual``'s values too), run on it; ``chain_sum`` sweeps each
+chain over the caller's words and sums the chains into one accumulation per
+word.  The engine keys a letter row's terms and an output word by generator
+id, as ``comp_key`` keys a block.  Whether a chain is zero without being
+swept is the engine's one rule, not decided here.
 Composition, push and pull are one sweep too (``_transport``): each word's
 path sum, one term per output word, is folded through the components of a
 second morphism (``_fold``), whose key trie prunes the sweep when that
@@ -139,10 +141,10 @@ class _ComponentTable:
 
     The letter table is what ``_path_sum`` reads.  ``trie`` holds the
     stored keys of length >= 1 over generator ids, with ``_END`` where a
-    key ends.  ``rows`` maps a block's ``comp_key`` to its letter row,
-    filled from ``comp_value`` on the first lookup of that block, and
-    ``gens`` maps the ids in the rows back to their generators.  Only
-    returned values are kept, so a lookup that raises raises again.
+    key ends.  ``rows`` maps a block's ``comp_key`` to its letter row, one
+    (gid, coefficient) per term, filled from ``comp_value`` on the first
+    lookup of that block.  Only returned values are kept, so a lookup that
+    raises raises again.
     ``memo`` holds the lazy ``compute`` values by ``comp_key``."""
 
     def __init__(
@@ -168,7 +170,6 @@ class _ComponentTable:
                     node = node.setdefault(gid, {})
                 node[_END] = True
         self.rows: Dict[CompKey, Letter] = {}
-        self.gens: Dict[int, HomGenerator] = {}
         self.memo: Dict[CompKey, HomElement] = {}
 
 
@@ -653,36 +654,28 @@ def leibniz_residual(
 ) -> Dict[Tuple[Word, Word], NovikovScalar]:
     """Difference of r.Delta and Delta.(f (x) r + r (x) g) on a basis word.
 
-    Zero (modulo the window) for every genuine coderivation.
+    Zero (modulo the window) for every genuine coderivation.  The values of
+    f, r and g on the blocks of w's cuts, w among them, are one
+    ``chain_sum`` batch each.
     """
     one = novikov.one(r.variant)
-    lhs_elem, _ = slot_value(TensorElement.from_word(w, one), coderivation_slots(r), window)
-    lhs = tcoalg.cut_delta(lhs_elem)
+    cuts = tcoalg.cut_delta(TensorElement.from_word(w, one))
+    blocks = list(dict.fromkeys(block for cut in cuts for block in cut))
 
-    rhs: Dict[Tuple[Word, Word], NovikovScalar] = {}
+    def batch(chain, boundary=None) -> Dict[Word, TensorElement]:
+        return {u: value for u, (value, _) in zip(blocks, chain_sum(blocks, one, [(1, chain)], window, boundary))}
 
-    def accumulate(left: TensorElement, right: TensorElement, scale: NovikovScalar, sign: int):
-        for w1, c1 in left.terms:
-            for w2, c2 in right.terms:
-                c = novikov.nov_mul(novikov.nov_mul(c1, c2), scale)
-                if sign < 0:
-                    c = novikov.nov_neg(c)
-                key = (w1, w2)
-                rhs[key] = novikov.nov_add(rhs[key], c) if key in rhs else c
-
-    for (u, v), c in tcoalg.cut_delta(TensorElement.from_word(w, one)).items():
-        fu, _ = slot_value(TensorElement.from_word(u, one), cofunctor_slots(r.f), window)
-        rv, _ = slot_value(TensorElement.from_word(v, one), coderivation_slots(r), window)
-        accumulate(fu, rv, c, 1)
-        ru, _ = slot_value(TensorElement.from_word(u, one), coderivation_slots(r), window)
-        gv, _ = slot_value(TensorElement.from_word(v, one), cofunctor_slots(r.g), window)
-        # In r (x) g the r factor crosses the second block.
-        sign = _crossing_sign(r.deg, v.sdeg)
-        accumulate(ru, gv, c, sign)
-
-    residual: Dict[Tuple[Word, Word], NovikovScalar] = dict(lhs)
-    for key, c in rhs.items():
-        residual[key] = novikov.nov_sub(residual[key], c) if key in residual else novikov.nov_neg(c)
+    f, rv, g = batch((), r.f), batch((r,)), batch((), r.g)
+    residual: Dict[Tuple[Word, Word], NovikovScalar] = dict(tcoalg.cut_delta(rv[w]))
+    for (u, v), c in cuts.items():
+        # In r (x) g the r factor crosses the second block.  Both products
+        # are subtracted.
+        for left, right, sign in ((f[u], rv[v], 1), (rv[u], g[v], _crossing_sign(r.deg, v.sdeg))):
+            scale = novikov.nov_neg(c) if sign > 0 else c
+            for w1, c1 in left.terms:
+                for w2, c2 in right.terms:
+                    key, term = (w1, w2), novikov.nov_mul(novikov.nov_mul(c1, c2), scale)
+                    residual[key] = novikov.nov_add(residual[key], term) if key in residual else term
 
     # Compare inside the window only: pairs of total length <= N, scalar
     # parts below the cutoff (both sides agree above it by construction).

@@ -145,10 +145,6 @@ def nov_neg(x: NovikovScalar) -> NovikovScalar:
     return NovikovScalar(tuple((-c, lam, n) for c, lam, n in x.terms), x.variant)
 
 
-def nov_sub(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
-    return nov_add(x, nov_neg(y))
-
-
 def nov_mul(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
     variant = _check_variant(x, y)
     if len(x.terms) > len(y.terms):

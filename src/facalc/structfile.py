@@ -8,8 +8,10 @@ section, and per-command task defaults.
 
 Canonical form: keys sorted, entries sorted by name, rationals printed in
 lowest terms with positive denominator, every scalar in full monomial
-syntax.  ``dump_model`` always emits canonical form, so load -> print ->
-load is the identity on normalized files.
+syntax.  ``model_to_json``, written out by ``dump_document``, always
+emits canonical form, so load -> print -> load is the identity on
+normalized files; every command that prints a structure file prints a
+``Model`` through it.
 """
 
 from __future__ import annotations

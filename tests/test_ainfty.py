@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from facalc.morphisms import (
     identity_cofunctor,
     slot_value,
 )
+from facalc.structfile import load_model
 from facalc.tcoalg import Flag, TensorElement, TruncWindow, Word, basis_words, join_flags
 
 from conftest import facalc_seed, loop_quiver
@@ -447,3 +450,21 @@ def test_differential_terms_carry_the_insertion_sign():
             assert sign == want
             signs.add(sign)
     assert signs == {1, -1}
+
+
+def test_a_coderivation_named_like_a_letter_gets_its_own_letter():
+    # ``b1(s)`` is both the name of the letter collapsing s and, here, of a
+    # declared copy of s: the letter cache must not mix them up.
+    doc = json.loads((pathlib.Path(__file__).parent / "fixtures" / "curved_min.json").read_text())
+    copy = dict(next(r for r in doc["coderivations"] if r["name"] == "s"), name="b1(s)")
+    doc["coderivations"].append(copy)
+    doc["coder_quiver"]["coderivations"].append("b1(s)")
+    model = load_model(json.dumps(doc))
+    Q, window = model.coder_quiver, model.window
+    decl = model.coderivations["b1(s)"]
+    check_coder_b_squared(Q, window, 2, 3)
+    letter = Q.differential_letter((decl,), decl.f, window, 3)
+    want = coder_b1(decl, Q.source, Q.target, window, upto=3)
+    assert letter.deg == want.deg == 1
+    assert letter.comps == want.comps and letter.comps
+    assert all(e.ok for e in check_transfer_identity(Q, window, 1, 3))

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from facalc.cli import CHECKS, PRINTERS, build_parser, main
 from facalc.errors import ParseError
-from facalc.structfile import load_model_file
+from facalc.structfile import dump_document, load_model_file
 
 from conftest import facalc_seed
 
@@ -428,6 +428,27 @@ def test_push_pull_outputs_reload(tmp_path):
         path.write_text(text, encoding="utf-8")
         model = load_model_file(str(path))
         assert model.coderivations
+
+
+@pytest.mark.parametrize("cmd", ["compose", "push", "pull", "solve-psi", "eval"])
+def test_printed_documents_are_normalize_fixed_points(tmp_path, cmd):
+    # Every printer shares normalize's canonical printer: what it prints is
+    # a normalize fixed point, byte for byte, once eval's meta flag is gone.
+    printed = 0
+    for fixture in sorted((ROOT / "tests" / "fixtures").glob("*.json")):
+        code, text = run([cmd, str(fixture.relative_to(ROOT))])
+        if code not in (0, 2) or not text.startswith("{"):
+            continue
+        doc = json.loads(text)
+        assert ("meta" in doc) == (cmd == "eval")
+        doc.pop("meta", None)
+        path = tmp_path / f"{cmd}_{fixture.name}"
+        path.write_text(dump_document(doc), encoding="utf-8")
+        assert run(["normalize", str(path)]) == (0, path.read_text(encoding="utf-8")), fixture.name
+        if cmd != "eval":
+            assert path.read_text(encoding="utf-8") == text
+        printed += 1
+    assert printed
 
 
 def test_eval_matches_coderivation_path():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from facalc import levels, novikov
+from facalc import levels, morphisms, novikov
 from facalc.ainfty import coder_b0, coder_b1, coder_bn
 from facalc.engine import _Trie
 from facalc.errors import ConvergenceUndecided, DegreeMismatch, FacalcError, ObjectMismatch
@@ -36,7 +36,9 @@ from facalc.tcoalg import (
     TensorElement,
     TruncWindow,
     Word,
+    _mod_cutoff,
     basis_words,
+    cut_delta,
     mu_concat,
     truncate_element,
 )
@@ -330,6 +332,63 @@ def test_leibniz_law_words_up_to_4(pq_quiver):
     for r in rs:
         for w in basis_words(pq_quiver, 4):
             assert leibniz_residual(r, w, W) == {}, (r.name, w)
+
+
+def literal_leibniz_residual(r, w, window):
+    """``leibniz_residual`` one cut at a time: four ``slot_value`` calls per
+    cut of w, the right-hand side summed on its own, then subtracted."""
+    one = novikov.one(r.variant)
+    lhs_elem, _ = slot_value(TensorElement.from_word(w, one), coderivation_slots(r), window)
+    rhs = {}
+
+    def accumulate(left, right, scale, sign):
+        for w1, c1 in left.terms:
+            for w2, c2 in right.terms:
+                c = novikov.nov_mul(novikov.nov_mul(c1, c2), scale)
+                if sign < 0:
+                    c = novikov.nov_neg(c)
+                rhs[(w1, w2)] = novikov.nov_add(rhs[(w1, w2)], c) if (w1, w2) in rhs else c
+
+    for (u, v), c in cut_delta(TensorElement.from_word(w, one)).items():
+        fu, _ = slot_value(TensorElement.from_word(u, one), cofunctor_slots(r.f), window)
+        rv, _ = slot_value(TensorElement.from_word(v, one), coderivation_slots(r), window)
+        accumulate(fu, rv, c, 1)
+        ru, _ = slot_value(TensorElement.from_word(u, one), coderivation_slots(r), window)
+        gv, _ = slot_value(TensorElement.from_word(v, one), cofunctor_slots(r.g), window)
+        accumulate(ru, gv, c, morphisms._crossing_sign(r.deg, v.sdeg))
+    residual = dict(cut_delta(lhs_elem))
+    for key, c in rhs.items():
+        residual[key] = novikov.nov_add(residual[key], novikov.nov_neg(c)) if key in residual else novikov.nov_neg(c)
+    out = {}
+    for (w1, w2), c in residual.items():
+        if len(w1) + len(w2) > window.max_len:
+            continue
+        base = levels.level_add(w1.base_level(window.instance), w2.base_level(window.instance))
+        c = _mod_cutoff(c, base, window.cutoff)
+        if not c.is_zero():
+            out[(w1, w2)] = c
+    return out
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_leibniz_residual_matches_the_per_cut_sum(monkeypatch, negate):
+    # Every fixture coderivation and codifferential satisfies the law, so
+    # every residual is {}.  With the r (x) g sign negated they are not, which
+    # keeps the nonzero path of both versions under test.
+    if negate:
+        crossing = morphisms._crossing_sign
+        monkeypatch.setattr(morphisms, "_crossing_sign", lambda deg, tail: -crossing(deg, tail))
+    fixtures = Path(__file__).parent / "fixtures"
+    nonzero = 0
+    for name in ("b1_only", "curved_min", "assoc"):
+        model = load_model_file(str(fixtures / f"{name}.json"))
+        owners = [*model.coderivations.values(), *(cat.b for cat in model.cats.values())]
+        for r in owners:
+            for w in basis_words(r.src, 4):
+                got = leibniz_residual(r, w, model.window)
+                assert got == literal_leibniz_residual(r, w, model.window), (name, r.name, w)
+                nonzero += bool(got)
+    assert bool(nonzero) == negate
 
 
 def test_validation_errors(pq_quiver):
