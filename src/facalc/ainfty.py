@@ -109,7 +109,7 @@ def _hom_str(h: HomElement) -> str:
 
 
 def word_name(w: Word) -> str:
-    return f"[]@{w.at}" if len(w) == 0 else ".".join(g.gid for g in w.gens)
+    return f"[]@{w.at}" if len(w) == 0 else ".".join(w.gids)
 
 
 def _word_checks(
@@ -378,17 +378,8 @@ def _chains(Q: CoderQuiver, n_max: int):
     including the empty chain at every listed functor."""
     for f in Q.functors:
         yield (), f
-    frontier: List[Tuple[Coderivation, ...]] = [(r,) for r in Q.coderivations]
-    for ch in frontier:
-        yield ch, ch[0].f
-    length = 1
-    while length < n_max:
-        nxt: List[Tuple[Coderivation, ...]] = []
+    frontier: List[Tuple[Coderivation, ...]] = [()]
+    for _ in range(n_max):
+        frontier = [ch + (r,) for ch in frontier for r in Q.coderivations if not ch or ch[-1].g.name == r.f.name]
         for ch in frontier:
-            for r in Q.coderivations:
-                if ch[-1].g.name == r.f.name:
-                    ext = ch + (r,)
-                    nxt.append(ext)
-                    yield ext, ext[0].f
-        frontier = nxt
-        length += 1
+            yield ch, ch[0].f

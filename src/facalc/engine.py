@@ -7,53 +7,52 @@ length (``Basis``).  Rather than list every split of each word,
 over states (node, zone, empty blocks used) that only nonzero letters reach.
 The trie grows with the sweep: a node's children are made only when a state
 sits at the node, from the generators out of its object up to the basis
-length, or along the listed words' prefixes.  A basis, as a ``Basis`` or as
-the very list ``tcoalg.basis_words`` keeps, has one trie per instance, kept
-on its quiver (``FiltQuiver.tries``, ``_trie``) with each owner's block
-walks, so the repeated sweeps of a command make its nodes and walk its
-owners' blocks once; any other list gets a trie of its own.  What depends on
-the call is made per call: its rooms from its cap (``_Trie.rooms``), its
-states and its layers.  A block runs from a node to a node below it.  Each
-owner's letters are read along the trie of its stored keys, so an exact
-owner's steps make only the nodes on its keys, plus every block of a length
-the table does not decide, where a word below the node reaches that length.
-A word the sweep never reaches
-is zero and SOUND, and it made no lookup.  A single steps with the sign of
-crossing the prefix it ends at (``_crossing_sign``): times (-1)^(deg * S(w)),
-S(w) the word's shifted degree, that is the sign of crossing the rest of the
-word, so a word's terms are negated when S(w) times the singles' total
-degree is odd.  A word's room on empty blocks is max(its cap, 1), and a
-node's room is the room of the least base level a word below it can have,
-which is the largest room of the words below it: of a basis, the node's base
-level plus the least base level of a path of at most the remaining length
-(``_Trie._least``; on ``ratplus`` and ``discrete``, and whenever no
-generator is of negative level, the node's own), and of a list, the largest
-room of the listed words below.  A step into node q needs e < room(q), a
-curvature step at node p needs e + 1 < room(p), and each word keeps its
-final states with e < its own room.  Only where every owner decides every
-block up to the longest word of the call, so that no lookup can run a
-``compute`` or raise, does a sweep skip work: a single that stores nothing
-ends the call, once its rooms are made, and a product that no key of the
-exact table the result is folded through extends is dropped.  Every
-other call sweeps unpruned, as the split enumeration of each word does.  So
-a lazy ``compute`` runs, or an extraction bound raises, exactly where the
-split enumeration of some word would.  At each word's end its final states
-are summed by output word, keyed by its generator ids as ``comp_key`` keys
-a block, negated once per output word where the sign asks, and each output
-word is built once, from the target quiver's generators, and kept on that
-quiver (``FiltQuiver.words``).
+length, or along the listed words' prefixes.  Each node is the ``Word`` of
+its prefix.  A basis, as a ``Basis`` or as the very list
+``tcoalg.basis_words`` keeps, which carries its ``Basis``, has one trie per
+instance, kept on its quiver (``FiltQuiver.tries``, ``_trie``) with each
+owner's block walks, so the repeated sweeps of a command make its nodes and
+walk its owners' blocks once; any other list gets a trie of its own.  What
+depends on the call is made per call: its rooms from its cap
+(``_Trie.rooms``), its states and its layers.  A block runs from a node to a
+node below it.  Each owner's letters are read along the trie of its stored
+keys, so an exact owner's steps make only the nodes on its keys, plus every
+block of a length the table does not decide, where a word below the node
+reaches that length.  A word the sweep never reaches is zero and SOUND, and
+it made no lookup.  A single steps with the sign of crossing the prefix it
+ends at (``_crossing_sign``): times (-1)^(deg * S(w)), S(w) the word's
+shifted degree, that is the sign of crossing the rest of the word, so a
+word's terms are negated when S(w) times the singles' total degree is odd.
+A word's room on empty blocks is max(its cap, 1), and a node's room is the
+room of the least base level a word below it can have, which is the largest
+room of the words below it: of a basis, the node's base level plus the least
+base level of a path of at most the remaining length (``_Trie._least``), and
+of a list, the largest room of the listed words below.  A step into node q
+needs e < room(q), a curvature step at node p needs e + 1 < room(p), and
+each word keeps its final states with e < its own room.  Only where every
+owner decides every block up to the longest word of the call, so that no
+lookup can run a ``compute`` or raise, does a sweep skip work: a single that
+stores nothing ends the call, once its rooms are made, and a product that no
+key of the exact table the result is folded through extends is dropped.
+Every other call sweeps unpruned, as the split enumeration of each word
+does.  So a lazy ``compute`` runs, or an extraction bound raises, exactly
+where the split enumeration of some word would.  At each word's end its
+final states are summed by output word, keyed by its generator ids as
+``comp_key`` keys a block, negated once per output word where the sign asks,
+and each output word is built once, from the target quiver's generators, and
+kept on that quiver (``FiltQuiver.words``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
 
 from . import levels, novikov
-from .filtquiver import FiltQuiver, HomGenerator, _crossing_sign
+from .filtquiver import HomGenerator, _crossing_sign
 from .levels import Level
 from .novikov import NovikovScalar
-from .tcoalg import Word
+from .tcoalg import Basis, Word
 
 if TYPE_CHECKING:
     from .morphisms import Coderivation, Cofunctor, CompKey, _ComponentTable
@@ -65,14 +64,6 @@ Letter = Tuple[Tuple[str, NovikovScalar], ...]
 # The partial sums at one path-sum state, keyed by the gids of the output
 # word, the key ``comp_key`` uses.
 Partial = Dict[Tuple[str, ...], NovikovScalar]
-
-
-class Basis(NamedTuple):
-    """Every basis word of ``quiver`` up to ``max_len`` letters, as the words
-    of a sweep that yields only the ones it reaches."""
-
-    quiver: FiltQuiver
-    max_len: int
 
 
 class _Rooms(dict):
@@ -89,27 +80,24 @@ class _Rooms(dict):
 
 
 class _Trie:
-    """The trie of the word prefixes a sweep reaches.  Node q is a prefix:
-    ``kids[q]`` maps a gid to the prefix one letter longer, made on demand
-    (``blocks``) along the generators ``allowed[q]`` lists, ``parent[q]`` is
-    the prefix one letter shorter (None for the empty prefix at an object),
-    ``depth[q]`` its length, ``gens[q]`` and ``gids[q]`` its generators and
-    their ids, ``obj[q]`` the object it ends at, ``head[q]`` its shifted
-    degree and ``base[q]`` its base level, the parent's plus one
-    ``level_add``, summed on first use (``level``).  ``roots`` lists the
-    empty prefixes and ``height`` is the longest word.  Of a list of words,
-    every prefix is made at once, a node's children are the listed words'
-    prefixes, and ``ends[q]`` is the word at q; of a ``Basis``, a node's
-    children are the generators out of its object, up to ``height``, every
-    node is a word, and ``ends`` keeps the words made so far.  ``found``
-    keeps the ``blocks`` asked for, by node, in a table per owner that is
-    keyed weakly, so a kept trie keeps no owner alive.  Nothing here
-    depends on a call, so a basis trie is kept (``_trie``); a call's rooms
-    are ``rooms(cap)``."""
+    """The trie of the word prefixes a sweep reaches.  Node q is a prefix,
+    ``words[q]``, the ``Word`` that holds its generators, their ids, the
+    object it ends at, its shifted degree and its base level: ``kids[q]``
+    maps a gid to the prefix one letter longer, made on demand (``blocks``)
+    along the generators ``allowed[q]`` lists, ``parent[q]`` is the prefix
+    one letter shorter (None for the empty prefix at an object) and
+    ``depth[q]`` its length.  ``roots`` lists the empty prefixes and
+    ``height`` is the longest word.  Of a list of words, every prefix is
+    made at once, a node's children are the listed words' prefixes, and
+    ``ends[q]`` is the listed word at q; of a ``Basis``, a node's children
+    are the generators out of its object, up to ``height``, and every node
+    is a word of the call.  ``found`` keeps the ``blocks`` asked for, by
+    node, in a table per owner that is keyed weakly, so a kept trie keeps
+    no owner alive.  Nothing here depends on a call, so a basis trie is
+    kept (``_trie``); a call's rooms are ``rooms(cap)``."""
 
     def __init__(self, words: Union[Sequence[Word], Basis], instance: str):
-        self.kids, self.parent, self.depth, self.gens, self.gids, self.obj, self.head, self.base = (
-            [] for _ in range(8))
+        self.kids, self.parent, self.depth, self.words = [], [], [], []
         self.allowed: List[Sequence[HomGenerator]] = []
         self.instance = instance
         self.roots: List[int] = []
@@ -118,7 +106,6 @@ class _Trie:
         if isinstance(words, Basis):
             quiver, self.height = words
             self.out = {x: sorted(quiver.gens_from(x), key=lambda g: g.gid) for x in quiver.objects}
-            self.negative = any(g.base_level.value is not None and g.base_level.value < 0 for g in quiver.gens)
             self.lows: Dict[Tuple[str, int], Level] = {}
             for x in quiver.objects:
                 self._make(None, x)
@@ -139,42 +126,29 @@ class _Trie:
         """A new node: the child of p along the generator g, or, for p None,
         the root at the object g."""
         q = len(self.kids)
+        word = Word(g) if p is None else Word(self.words[p].at, self.words[p].gens + (g,))
+        self.kids.append({})
+        self.parent.append(p)
+        self.depth.append(len(word))
+        self.words.append(word)
         if p is None:
-            row = (None, 0, (), (), g, 0, levels.zero(self.instance))
             self.roots.append(q)
         else:
-            row = (p, self.depth[p] + 1, self.gens[p] + (g,), self.gids[p] + (g.gid,), g.dst,
-                   self.head[p] + g.sdeg, None)
             self.kids[p][g.gid] = q
-        columns = (self.kids, self.parent, self.depth, self.gens, self.gids, self.obj, self.head, self.base)
-        for column, value in zip(columns, ({}, *row)):
-            column.append(value)
         if self.out is None:
             self.allowed.append([])
             if p is not None:
                 self.allowed[p].append(g)
         else:
-            self.allowed.append(self.out[self.obj[q]] if self.depth[q] < self.height else ())
+            self.allowed.append(self.out[word.dst] if len(word) < self.height else ())
         return q
-
-    def level(self, q: int) -> Level:
-        """The base level of node q, summed down from its nearest ancestor
-        that has one."""
-        base, parent = self.base, self.parent
-        path = []
-        while base[q] is None:
-            path.append(q)
-            q = parent[q]
-        for q in reversed(path):
-            base[q] = levels.level_add(base[parent[q]], self.gens[q][-1].base_level)
-        return base[q]
 
     def rooms(self, cap: Optional[Callable[[Level], int]]) -> Union[List[int], _Rooms]:
         """A call's rooms by node: the largest room of a word below the
         node, a word's room being ``room(cap, q)``.  Of a basis, that is the
         room of the least base level a word below the node can have: its
         own base level plus that of the lowest path of at most the
-        remaining length (``_least``), its own when no generator is of
+        remaining length (``_least``), which is 0 when no generator is of
         negative level.  The roots' rooms are made at once, so a cap that
         raises raises before the sweep starts."""
         if cap is None:
@@ -188,11 +162,9 @@ class _Trie:
                 if p is not None:
                     rooms[p] = max(rooms[p], rooms[q])
             return rooms
-        if not self.negative:
-            rooms = _Rooms(lambda q: self.room(cap, q))
-        else:
-            rooms = _Rooms(lambda q: max(cap(levels.level_add(
-                self.level(q), self._least(self.obj[q], self.height - self.depth[q]))), 1))
+        words = self.words
+        rooms = _Rooms(lambda q: max(cap(levels.level_add(words[q].base_level(self.instance), self._least(
+            words[q].dst, self.height - self.depth[q]))), 1))
         for q in self.roots:
             rooms[q]
         return rooms
@@ -200,7 +172,7 @@ class _Trie:
     def room(self, cap: Optional[Callable[[Level], int]], q: int) -> int:
         """The room of the word at node q on empty blocks: max(its cap, 1),
         1 without a cap."""
-        return 1 if cap is None else max(cap(self.level(q)), 1)
+        return 1 if cap is None else max(cap(self.words[q].base_level(self.instance)), 1)
 
     def _least(self, at: str, longest: int) -> Level:
         """The least base level of a path from ``at`` of at most ``longest``
@@ -220,13 +192,7 @@ class _Trie:
 
     def word(self, q: int) -> Optional[Word]:
         """The word at node q, or None where no word of the call ends."""
-        if self.out is None:
-            return self.ends.get(q)
-        out = self.ends.get(q)
-        if out is None:
-            gens = self.gens[q]
-            out = self.ends[q] = Word(gens[0].src if gens else self.obj[q], gens)
-        return out
+        return self.ends.get(q) if self.out is None else self.words[q]
 
     def blocks(self, owner: _ComponentTable, p: int, walks: dict) -> List[Tuple[int, CompKey]]:
         """The nodes q below p, each with the ``comp_key`` of the block from
@@ -256,24 +222,22 @@ class _Trie:
                 if q is None:
                     q = self._make(node, g)
                 if (sub is not None and _END in sub) or (lazy is not None and self.depth[q] - start >= lazy):
-                    out.append((q, self.gids[q][start:]))
+                    out.append((q, self.words[q].gids[start:]))
                 todo.append((q, sub))
         return out
 
 
-def _trie(words: Union[Sequence[Word], Basis], quiver: FiltQuiver, instance: str) -> _Trie:
+def _trie(words: Union[Sequence[Word], Basis], instance: str) -> _Trie:
     """The trie of ``words``.  A basis, ``Basis(quiver, n)`` or the very list
-    ``basis_words(quiver, n)`` kept in ``quiver.bases``, has one trie per
+    ``basis_words(quiver, n)``, which carries its ``Basis``, has one trie per
     instance, kept in its quiver's ``tries``; any other list gets its own."""
-    if not isinstance(words, Basis):
-        n = next((n for (n, empty), listed in quiver.bases.items() if empty and listed is words), None)
-        if n is None:
-            return _Trie(words, instance)
-        words = Basis(quiver, n)
-    key = (words.max_len, instance)
-    trie = words.quiver.tries.get(key)
+    basis = words if isinstance(words, Basis) else getattr(words, "basis", None)
+    if basis is None:
+        return _Trie(words, instance)
+    key = (basis.max_len, instance)
+    trie = basis.quiver.tries.get(key)
     if trie is None:
-        trie = words.quiver.tries[key] = _Trie(words, instance)
+        trie = basis.quiver.tries[key] = _Trie(basis, instance)
     return trie
 
 
@@ -297,8 +261,8 @@ def _path_sum(
     n_singles = len(singles)
     owners = (*families, *singles)
     least = min((o.undecided for o in owners if o.undecided is not None), default=None)
-    trie = _trie(words, families[0].src, families[0].instance)
-    rooms, depth = trie.rooms(cap), trie.depth
+    trie = _trie(words, families[0].instance)
+    rooms, depth, node_words = trie.rooms(cap), trie.depth, trie.words
     # Where every owner decides every block of the call, no lookup can run
     # a ``compute`` or raise.  The rooms come first, so that a cap that
     # cannot be bounded still raises.
@@ -316,7 +280,7 @@ def _path_sum(
     def letter(owner: _ComponentTable, key: CompKey, p: int, q: int) -> Letter:
         row = owner.rows.get(key)
         if row is None:
-            terms = owner.comp_value(Word(trie.obj[p], trie.gens[q][depth[p]:])).terms
+            terms = owner.comp_value(Word(node_words[p].dst, node_words[q].gens[depth[p]:])).terms
             row = owner.rows[key] = tuple((g.gid, cl) for g, cl in terms)
         return row
 
@@ -353,7 +317,7 @@ def _path_sum(
         for p in layer:
             at_p = states[p]
             finals: List[Tuple[int, Partial]] = []
-            obj = trie.obj[p]
+            obj = node_words[p].dst
             for t in range(n_singles + 1):
                 family = families[t]
                 for e in range(rooms[p]):
@@ -371,7 +335,7 @@ def _path_sum(
                         single = singles[t]
                         for q, key in ((p, obj), *trie.blocks(single, p, walks[n_singles + 1 + t])):
                             if e < rooms[q]:
-                                sign = _crossing_sign(single.deg, trie.head[q])
+                                sign = _crossing_sign(single.deg, node_words[q].sdeg)
                                 step(partial, q, t + 1, e, letter(single, key, p, q), sign)
             del states[p]
             w = trie.word(p) if finals else None
@@ -383,7 +347,7 @@ def _path_sum(
                 if e < own:
                     for key, cp in partial.items():
                         summed[key] = novikov.nov_add(summed[key], cp) if key in summed else cp
-            negate = odd and trie.head[p] % 2
+            negate = odd and node_words[p].sdeg % 2
             out = []
             for key, cp in summed.items():
                 word = dst.words.get(key or families[0].obj_map[w.at])

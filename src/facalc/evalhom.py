@@ -77,7 +77,7 @@ CObjKey = Tuple[str, ...]
 
 def cword_key(cwords: Sequence[Word]) -> CWordKey:
     # The base object disambiguates empty factor words.
-    return tuple((w.src, tuple(g.gid for g in w.gens)) for w in cwords)
+    return tuple((w.src, w.gids) for w in cwords)
 
 
 def cword_src(cwords: Sequence[Word]) -> CObjKey:

@@ -54,9 +54,10 @@ from . import levels, novikov, tcoalg
 from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch, VariantMismatch
 from .filtquiver import FiltQuiver, GradedMap, HomElement, HomGenerator, _check_member, _crossing_sign
 from .levels import INFINITY, Frozen, Level
-from .engine import _END, Basis, Letter, _path_sum
+from .engine import _END, Letter, _path_sum
 from .novikov import NovikovScalar
 from .tcoalg import (
+    Basis,
     Flag,
     TensorElement,
     TruncWindow,
@@ -73,7 +74,7 @@ Components = Dict[int, Dict[CompKey, HomElement]]
 
 
 def comp_key(w: Word) -> CompKey:
-    return w.at if len(w) == 0 else tuple(g.gid for g in w.gens)
+    return w.at if len(w) == 0 else w.gids
 
 
 def normalize_components(comps: Components) -> Mapping[int, Mapping[CompKey, HomElement]]:

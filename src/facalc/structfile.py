@@ -130,12 +130,12 @@ def parse_level(obj, loc: str) -> Level:
             "level value must be a number or a string",
         )
     try:
-        if key == "rat":
-            return levels.rat(Fraction(val))
-        if key == "ratplus":
-            return levels.ratplus(Fraction(val))
+        # A float is read as the decimal it prints as; a discrete number
+        # must equal 0.
+        if key in (levels.RAT, levels.RATPLUS):
+            return levels.make_level(key, Fraction(str(val)))
         if key == "discrete":
-            return levels.discrete(val if val == "inf" else int(val))
+            return levels.discrete(int(val) if isinstance(val, str) and val != "inf" else val)
         if key == "infinity":
             _expect(val is True, loc, "infinity level must be true")
             return levels.INFINITY
@@ -461,7 +461,7 @@ def coderivation_to_json(r: Coderivation) -> dict:
 def element_to_json(name: str, x: TensorElement, quiver_name: str) -> dict:
     terms = []
     for w, c in x.terms:
-        t = {"at": w.at} if len(w) == 0 else {"word": [g.gid for g in w.gens]}
+        t = {"at": w.at} if len(w) == 0 else {"word": list(w.gids)}
         t["coeff"] = novikov.format_scalar(c)
         terms.append(t)
     out = {"name": name, "quiver": quiver_name, "terms": terms}

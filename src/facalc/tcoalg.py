@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import levels, novikov
 from .errors import FacalcError, ObjectMismatch
@@ -37,13 +37,15 @@ from .novikov import NovikovScalar
 class Word:
     """A composable list of generators; the empty word sits at one object.
 
-    Hashing and equality go through the object name and the generator id
-    sequence, which identify a basis word within a fixed quiver.  The base
-    level is computed once per instance it is asked for, and the truncation
-    bound (``bound``) once per cutoff, kept for the cutoff last asked.
+    A word keeps its generators, their ids (``gids``) and its shifted
+    degree (``sdeg``).  Hashing and equality go through the object name and
+    the generator ids, which identify a basis word within a fixed quiver.
+    The base level is computed once per instance it is asked for, and the
+    truncation bound (``bound``) once per cutoff, kept for the cutoff last
+    asked.  The engine's trie keeps one word per node.
     """
 
-    __slots__ = ("at", "gens", "_sdeg", "_gids", "_hash", "_base", "_bound")
+    __slots__ = ("at", "gens", "sdeg", "gids", "_hash", "_base", "_bound")
 
     def __init__(self, at: str, gens: Tuple[HomGenerator, ...] = ()):
         prev = at
@@ -57,9 +59,9 @@ class Word:
             sdeg += g.sdeg
         self.at = at
         self.gens = tuple(gens)
-        self._sdeg = sdeg
-        self._gids = tuple(g.gid for g in self.gens)
-        self._hash = hash((at, self._gids))
+        self.sdeg = sdeg
+        self.gids = tuple(g.gid for g in self.gens)
+        self._hash = hash((at, self.gids))
         self._base = None
         self._bound = None
 
@@ -79,10 +81,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.gens)
-
-    @property
-    def sdeg(self) -> int:
-        return self._sdeg
 
     def __eq__(self, other) -> bool:
         # The hash ignores generator payloads, so equality must compare the
@@ -117,12 +115,12 @@ class Word:
         return kept[1]
 
     def sort_key(self):
-        return (len(self.gens), self._gids, self.at)
+        return (len(self.gens), self.gids, self.at)
 
     def __repr__(self) -> str:
         if not self.gens:
             return f"Word([]@{self.at})"
-        return "Word(" + ".".join(self._gids) + ")"
+        return "Word(" + ".".join(self.gids) + ")"
 
 
 class TensorElement(_Combination, Frozen):
@@ -316,10 +314,26 @@ def truncate_element(x: TensorElement, window: TruncWindow) -> Tuple[TensorEleme
 # ---------------------------------------------------------------------------
 # Basis enumeration
 
+class Basis(NamedTuple):
+    """Every basis word of ``quiver`` up to ``max_len`` letters, as the words
+    of an engine sweep that yields only the ones it reaches."""
+
+    quiver: FiltQuiver
+    max_len: int
+
+
+class _BasisWords(list):
+    """A kept ``basis_words`` list; ``basis`` is the ``Basis`` it lists, None
+    without its empty words."""
+
+    __slots__ = ("basis",)
+
+
 def basis_words(quiver: FiltQuiver, max_len: int, include_empty: bool = True) -> List[Word]:
     """All composable generator words of length <= max_len, sorted.  Each
     list is built once per quiver and kept in ``quiver.bases``: callers
-    must not change it."""
+    must not change it.  A list with its empty words carries its ``Basis``,
+    so the engine sweeps it on the basis's kept trie."""
     key = (max_len, include_empty)
     out = quiver.bases.get(key)
     if out is not None:
@@ -335,5 +349,6 @@ def basis_words(quiver: FiltQuiver, max_len: int, include_empty: bool = True) ->
                 nxt.append((start, seq))
                 words.append(Word(start, seq))
         frontier = nxt
-    out = quiver.bases[key] = sorted(words, key=Word.sort_key)
+    out = quiver.bases[key] = _BasisWords(sorted(words, key=Word.sort_key))
+    out.basis = Basis(quiver, max_len) if include_empty else None
     return out

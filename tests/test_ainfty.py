@@ -336,6 +336,20 @@ def test_coder_b_squared(chain_cat, curved_cat):
     assert all(e.ok for e in check_coder_b_squared(Qq2, W, 2, 3))
 
 
+def test_coder_chains_stop_at_n_max(chain_cat):
+    # n_max bounds the chain length, 0 included: n_max 0 checks the empty
+    # chains alone, as check-b2 checks length 0 alone.
+    Q, cat = chain_cat
+    ida = identity_cofunctor(Q, "rat", "nov")
+    r = coderivation_from_components(
+        "r", ida, ida, 1, levels.rat(0), {1: {("g0",): hom(Q.gen("g1"))}}
+    )
+    Qq = CoderQuiver(cat, cat, [ida], [r])
+    for n_max in range(4):
+        assert [chain for chain, _ in _chains(Qq, n_max)] == [(r,) * n for n in range(n_max + 1)]
+        assert {e.n for e in check_coder_b_squared(Qq, W, n_max, 1)} == set(range(n_max + 1))
+
+
 def test_all_zero_differential_gives_zero_B():
     Q = loop_quiver(sdegs=(0, 1))
     cat = ainf_category(Q, {}, W, "nov")

@@ -278,6 +278,38 @@ def test_bad_window_is_a_parse_error(spec):
     assert text.startswith("parse error: --window:")
 
 
+def run_doc(argv, doc, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return run([argv[0], str(path), *argv[1:]])
+
+
+@pytest.mark.parametrize("value, want", [(0.1, "1/10"), (0.5, "1/2"), (1e-05, "1/100000"), (3, "3"), ("7/2", "7/2")])
+def test_number_levels_are_read_exactly(value, want, tmp_path):
+    # A float level is the decimal it prints as, as the same number on the
+    # command line is: the cutoff 0.1 is 1/10, not the nearest binary float.
+    doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text(encoding="utf-8"))
+    doc["window"]["cutoff"] = {"rat": value}
+    code, text = run_doc(["normalize"], doc, tmp_path)
+    assert code == 0 and json.loads(text)["window"]["cutoff"] == {"rat": want}
+    doc["window"]["max_len"] = 6
+    report = run(["check-b2", "tests/fixtures/b1_only.json", "--window", f"6,{value}"])[1].splitlines()[1:]
+    assert run_doc(["check-b2"], doc, tmp_path)[1].splitlines()[1:] == report
+
+
+@pytest.mark.parametrize("value, want", [(0, "0"), (0.0, "0"), ("0", "0"), (0.9, None), (-0.5, None), (1, None)])
+def test_discrete_number_levels_are_zero_or_parse_errors(value, want, tmp_path):
+    # A discrete level number must equal 0; 0.9 and -0.5 used to read as 0.
+    doc = json.loads((ROOT / "tests/fixtures/undecided.json").read_text(encoding="utf-8"))
+    del doc["functors"]
+    doc["quivers"][0]["generators"][0]["base_level"] = {"discrete": value}
+    code, text = run_doc(["normalize"], doc, tmp_path)
+    if want is None:
+        assert code == 64 and text.startswith("parse error: $.quivers[0].generators[0].base_level: ")
+    else:
+        assert code == 0 and json.loads(text)["quivers"][0]["generators"][0]["base_level"] == {"discrete": want}
+
+
 B1 = "tests/fixtures/b1_only.json"
 USAGE_ERRORS = {
     "bad-count": ["check-b2", B1, "--n-max", "x"],

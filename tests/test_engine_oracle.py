@@ -46,6 +46,7 @@ from facalc.morphisms import (
     comp_key,
     family_value,
     hom_truncate,
+    identity_cofunctor,
     slot_value,
 )
 from facalc.novikov import NovikovScalar
@@ -1667,8 +1668,11 @@ def grown(quiver: FiltQuiver, n: int, instance: str) -> _Trie:
 def node_word(trie: _Trie, q: int) -> Word:
     """The word of node q, built anew: its base level is summed from
     scratch."""
-    gens = trie.gens[q]
-    return Word(gens[0].src if gens else trie.obj[q], tuple(gens))
+    return Word(trie.words[q].at, trie.words[q].gens)
+
+
+def node_key(trie: _Trie, q: int):
+    return trie.words[q].at, trie.words[q].gids
 
 
 @seed(facalc_seed())
@@ -1682,11 +1686,11 @@ def test_trie_base_levels_are_the_words_base_levels(data):
     listed, swept = _Trie(batch, instance), grown(quiver, n, instance)
     assert len(swept.kids) == len(basis_words(quiver, n))
     for trie in (listed, swept):
-        # Base levels are summed on first use, from the deepest nodes first.
-        for q in reversed(range(len(trie.kids))):
+        for q, word in enumerate(trie.words):
             fresh = node_word(trie, q)
-            assert trie.level(q) == fresh.base_level(instance)
-            assert trie.depth[q] == len(fresh) and trie.head[q] == fresh.sdeg and trie.obj[q] == fresh.dst
+            assert word.base_level(instance) == fresh.base_level(instance)
+            assert trie.depth[q] == len(fresh) and word.sdeg == fresh.sdeg and word.dst == fresh.dst
+            assert word == fresh and word.gids == fresh.gids
     assert all(swept.word(q) == node_word(swept, q) for q in range(len(swept.kids)))
     assert set(listed.ends.values()) == set(batch)
     assert all(node_word(listed, q) == w for q, w in listed.ends.items())
@@ -1711,9 +1715,9 @@ def test_basis_rooms_are_the_largest_caps_below(data):
     listed = _Trie(basis_words(quiver, n), instance)
     swept = grown(quiver, n, instance)
     listed_rooms, swept_rooms = listed.rooms(cap), swept.rooms(cap)
-    nodes = {(node_word(listed, q).at, listed.gids[q]): q for q in range(len(listed.kids))}
+    nodes = {node_key(listed, q): q for q in range(len(listed.kids))}
     for q in range(len(swept.kids)):
-        p = nodes[node_word(swept, q).at, swept.gids[q]]
+        p = nodes[node_key(swept, q)]
         assert swept_rooms[q] == listed_rooms[p]
         assert swept.word(q) == listed.ends[p] and swept.room(cap, q) == listed.room(cap, p)
 
@@ -1755,13 +1759,9 @@ def unbounded_blocks(trie: _Trie, owner, p: int, walks=None):
             if q is None:
                 q = trie._make(node, g)
             if (sub is not None and _END in sub) or (lazy is not None and trie.depth[q] - start >= lazy):
-                out.append((q, trie.gids[q][start:]))
+                out.append((q, trie.words[q].gids[start:]))
             todo.append((q, sub))
     return out
-
-
-def node_key(trie: _Trie, q: int):
-    return node_word(trie, q).at, trie.gids[q]
 
 
 SWEEPS = ["list", "basis", "chain_sum", "transport"]
@@ -1849,6 +1849,22 @@ def test_a_kept_trie_keeps_no_owner_alive():
     assert quiver.tries[3, "rat"] is trie
 
 
+def test_a_kept_basis_list_sweeps_its_basis_trie():
+    # The kept list ``basis_words(quiver, n)`` is swept on the kept trie of
+    # ``Basis(quiver, n)``, found from the list itself: also where no word
+    # reaches length n, since a: X -> Y does not compose with itself.
+    quiver = FiltQuiver("short", ["X", "Y"], [HomGenerator("a", "X", "Y", 0, R0)])
+    words = basis_words(quiver, 3)
+    assert max(len(w) for w in words) == 1
+    f = identity_cofunctor(quiver, "rat", "nov")
+    values = chain_sum(words, novikov.one(), [(1, ())], TruncWindow(3, levels.rat(2)), f)
+    assert list(quiver.tries) == [(3, "rat")]
+    assert [value for value, _ in values] == [TensorElement.from_word(w, novikov.one()) for w in words]
+    trie = quiver.tries[3, "rat"]
+    chain_sum(words, novikov.one(), [(1, ())], TruncWindow(3, levels.rat(2)), f)
+    assert quiver.tries == {(3, "rat"): trie}
+
+
 @seed(facalc_seed())
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -1874,7 +1890,7 @@ def test_blocks_keep_to_the_stored_keys_where_no_word_is_undecided(data):
             trie = _Trie(Basis(QUIVER, n), "rat")
             trie.blocks(owner, trie.roots[0], {})
             stored = {gids[:d] for k, table in owner.comps.items() if k for gids in table for d in range(k + 1)}
-            assert {trie.gids[q] for q in range(len(trie.kids))} <= stored
+            assert {w.gids for w in trie.words} <= stored
 
 
 def grown_or_listed(words) -> _Trie:
