@@ -8,11 +8,12 @@ over states (node, zone, empty blocks used) that only nonzero letters reach.
 The trie grows with the sweep: a node's children are made only when a state
 sits at the node, from the generators out of its object up to the basis
 length, or along the listed words' prefixes.  Each node is the ``Word`` of
-its prefix.  A basis, as a ``Basis`` or as the very list
-``tcoalg.basis_words`` keeps, which carries its ``Basis``, has one trie per
-instance, kept on its quiver (``FiltQuiver.tries``, ``_trie``) with each
-owner's block walks, so the repeated sweeps of a command make its nodes and
-walk its owners' blocks once; any other list gets a trie of its own.  What
+its prefix, made from its parent's; of a basis, its quiver's kept word.  A
+basis, as a ``Basis`` or as a list ``tcoalg.basis_words`` gives, which
+carries its ``Basis``, has one trie per instance, kept on its quiver
+(``FiltQuiver.tries``, ``_trie``) with each owner's block walks, so the
+repeated sweeps of a command make its nodes and walk its owners' blocks
+once; any other list gets a trie of its own.  What
 depends on the call is made per call: its rooms from its cap
 (``_Trie.rooms``), its states and its layers.  A block runs from a node to a
 node below it.  Each owner's letters are read along the trie of its stored
@@ -39,8 +40,8 @@ does.  So a lazy ``compute`` runs, or an extraction bound raises, exactly
 where the split enumeration of some word would.  At each word's end its
 final states are summed by output word, keyed by its generator ids as
 ``comp_key`` keys a block, negated once per output word where the sign asks,
-and each output word is built once, from the target quiver's generators, and
-kept on that quiver (``FiltQuiver.words``).
+and each output word is the target quiver's kept word, as the word a letter
+is read at is the owner's source quiver's (``tcoalg.quiver_word``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from . import levels, novikov
 from .filtquiver import HomGenerator, _crossing_sign
 from .levels import Level
 from .novikov import NovikovScalar
-from .tcoalg import Basis, Word
+from .tcoalg import Basis, Word, quiver_word
 
 if TYPE_CHECKING:
     from .morphisms import Coderivation, Cofunctor, CompKey, _ComponentTable
@@ -91,10 +92,11 @@ class _Trie:
     made at once, a node's children are the listed words' prefixes, and
     ``ends[q]`` is the listed word at q; of a ``Basis``, a node's children
     are the generators out of its object, up to ``height``, and every node
-    is a word of the call.  ``found`` keeps the ``blocks`` asked for, by
-    node, in a table per owner that is keyed weakly, so a kept trie keeps
-    no owner alive.  Nothing here depends on a call, so a basis trie is
-    kept (``_trie``); a call's rooms are ``rooms(cap)``."""
+    is a word of the call, its quiver's kept word.  ``found`` keeps the
+    ``blocks`` asked for, by node, in a table per owner that is keyed
+    weakly, so a kept trie keeps no owner alive.  Nothing here depends on a
+    call, so a basis trie is kept (``_trie``); a call's rooms are
+    ``rooms(cap)``."""
 
     def __init__(self, words: Union[Sequence[Word], Basis], instance: str):
         self.kids, self.parent, self.depth, self.words = [], [], [], []
@@ -104,10 +106,10 @@ class _Trie:
         self.ends: Dict[int, Word] = {}
         self.found: WeakKeyDictionary[_ComponentTable, Dict[int, List[Tuple[int, CompKey]]]] = WeakKeyDictionary()
         if isinstance(words, Basis):
-            quiver, self.height = words
-            self.out = {x: sorted(quiver.gens_from(x), key=lambda g: g.gid) for x in quiver.objects}
+            self.quiver, self.height = words
+            self.out = {x: sorted(self.quiver.gens_from(x), key=lambda g: g.gid) for x in self.quiver.objects}
             self.lows: Dict[Tuple[str, int], Level] = {}
-            for x in quiver.objects:
+            for x in self.quiver.objects:
                 self._make(None, x)
             return
         self.out = None
@@ -124,9 +126,17 @@ class _Trie:
 
     def _make(self, p: Optional[int], g) -> int:
         """A new node: the child of p along the generator g, or, for p None,
-        the root at the object g."""
+        the root at the object g.  A basis node is its quiver's kept word
+        (``quiver_word``); a list's is made from its parent's."""
         q = len(self.kids)
-        word = Word(g) if p is None else Word(self.words[p].at, self.words[p].gens + (g,))
+        if self.out is None:
+            word = Word(g) if p is None else self.words[p].then(g)
+            self.allowed.append([])
+            if p is not None:
+                self.allowed[p].append(g)
+        else:
+            word = quiver_word(self.quiver, g if p is None else self.words[p].gids + (g.gid,))
+            self.allowed.append(self.out[word.dst] if len(word) < self.height else ())
         self.kids.append({})
         self.parent.append(p)
         self.depth.append(len(word))
@@ -135,12 +145,6 @@ class _Trie:
             self.roots.append(q)
         else:
             self.kids[p][g.gid] = q
-        if self.out is None:
-            self.allowed.append([])
-            if p is not None:
-                self.allowed[p].append(g)
-        else:
-            self.allowed.append(self.out[word.dst] if len(word) < self.height else ())
         return q
 
     def rooms(self, cap: Optional[Callable[[Level], int]]) -> Union[List[int], _Rooms]:
@@ -228,7 +232,7 @@ class _Trie:
 
 
 def _trie(words: Union[Sequence[Word], Basis], instance: str) -> _Trie:
-    """The trie of ``words``.  A basis, ``Basis(quiver, n)`` or the very list
+    """The trie of ``words``.  A basis, ``Basis(quiver, n)`` or a list
     ``basis_words(quiver, n)``, which carries its ``Basis``, has one trie per
     instance, kept in its quiver's ``tries``; any other list gets its own."""
     basis = words if isinstance(words, Basis) else getattr(words, "basis", None)
@@ -277,10 +281,10 @@ def _path_sum(
     nodes = None if prefixes is None else {(): prefixes}
     odd = sum(r.deg for r in singles) % 2
 
-    def letter(owner: _ComponentTable, key: CompKey, p: int, q: int) -> Letter:
+    def letter(owner: _ComponentTable, key: CompKey) -> Letter:
         row = owner.rows.get(key)
         if row is None:
-            terms = owner.comp_value(Word(node_words[p].dst, node_words[q].gens[depth[p]:])).terms
+            terms = owner.comp_value(quiver_word(owner.src, key)).terms
             row = owner.rows[key] = tuple((g.gid, cl) for g, cl in terms)
         return row
 
@@ -328,15 +332,15 @@ def _path_sum(
                         finals.append((e, partial))
                     for q, key in trie.blocks(family, p, walks[t]):
                         if e < rooms[q]:
-                            step(partial, q, t, e, letter(family, key, p, q))
+                            step(partial, q, t, e, letter(family, key))
                     if e + 1 < rooms[p] and family.curvature:
-                        step(partial, p, t, e + 1, letter(family, obj, p, p))
+                        step(partial, p, t, e + 1, letter(family, obj))
                     if t < n_singles:
                         single = singles[t]
                         for q, key in ((p, obj), *trie.blocks(single, p, walks[n_singles + 1 + t])):
                             if e < rooms[q]:
                                 sign = _crossing_sign(single.deg, node_words[q].sdeg)
-                                step(partial, q, t + 1, e, letter(single, key, p, q), sign)
+                                step(partial, q, t + 1, e, letter(single, key), sign)
             del states[p]
             w = trie.word(p) if finals else None
             if w is None:
@@ -348,12 +352,7 @@ def _path_sum(
                     for key, cp in partial.items():
                         summed[key] = novikov.nov_add(summed[key], cp) if key in summed else cp
             negate = odd and node_words[p].sdeg % 2
-            out = []
-            for key, cp in summed.items():
-                word = dst.words.get(key or families[0].obj_map[w.at])
-                if word is None:
-                    word = Word.from_gens([dst.gen(g) for g in key]) if key else Word(families[0].obj_map[w.at])
-                    dst.words[key or word.at] = word
-                out.append((word, novikov.nov_neg(cp) if negate else cp))
+            out = [(quiver_word(dst, key or families[0].obj_map[w.at]), novikov.nov_neg(cp) if negate else cp)
+                   for key, cp in summed.items()]
             if out:
                 yield w, out

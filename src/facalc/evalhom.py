@@ -61,6 +61,7 @@ from .tcoalg import (
     Word,
     _signed_sum,
     basis_words,
+    quiver_word,
     truncate_element,
 )
 
@@ -134,9 +135,9 @@ class PsiSolution:
         ends = tuple(len(w) for w in cwords)
         if not any(ends):
             return [(1, ())] if least <= 1 else []
-        # sub[s][i][j]: factor s's block between cut positions i <= j.
-        sub = [[[Word(at, w.gens[i:j]) for j in range(len(w) + 1)]
-                for i, at in enumerate([w.src] + [g.dst for g in w.gens])] for w in cwords]
+        # sub[s][i][j]: factor s's block between cut positions i <= j, a kept word.
+        sub = [[[quiver_word(f, w.gids[i:j] or at) for j in range(len(w) + 1)]
+                for i, at in enumerate([w.src] + [g.dst for g in w.gens])] for f, w in zip(self.factors, cwords)]
         out: List[Tuple[int, Tuple[Coderivation, ...]]] = []
 
         def walk(cuts: Tuple[int, ...], sign: int, chain: Tuple[Coderivation, ...]) -> None:

@@ -40,13 +40,11 @@ class HomGenerator(Frozen):
 class FiltQuiver:
     """Objects plus per-pair generator lists; generator ids are unique.
 
-    ``words`` keeps the words the block engine (``engine._path_sum``)
-    has output into this quiver, keyed by the tuple of their generator ids,
-    as ``morphisms.comp_key`` keys a block (the empty word by its object).
-    ``bases`` keeps the lists ``tcoalg.basis_words`` has built,
-    keyed by (max_len, include_empty), and ``tries`` the engine's trie of
-    each basis it has swept (``engine._trie``), keyed by (max_len,
-    instance)."""
+    ``words`` keeps every word of this quiver made so far, one per path,
+    keyed by the tuple of its generator ids, as ``morphisms.comp_key`` keys
+    a block (the empty word by its object); ``tcoalg.quiver_word`` fills
+    it.  ``tries`` keeps the engine's trie of each basis it has swept
+    (``engine._trie``), keyed by (max_len, instance)."""
 
     def __init__(self, name: str, objects: Iterable[str], gens: Iterable[HomGenerator]):
         self.name = name
@@ -63,7 +61,6 @@ class FiltQuiver:
                 raise FacalcError(f"duplicate generator id {g.gid!r} in quiver {name!r}")
             self._by_id[g.gid] = g
         self.words: dict = {}
-        self.bases: dict = {}
         self.tries: dict = {}
 
     def gen(self, gid: str) -> HomGenerator:

@@ -63,6 +63,7 @@ from .tcoalg import (
     TruncWindow,
     Word,
     basis_words,
+    quiver_word,
     truncate_element,
 )
 
@@ -100,9 +101,9 @@ def hom_truncate(h: HomElement, window: TruncWindow) -> HomElement:
 
 def _validate_table(owner: Union[Cofunctor, Coderivation], lvl: Level) -> None:
     instance = owner.instance
-    for k, table in owner.comps.items():
+    for table in owner.comps.values():
         for key, value in table.items():
-            w = Word.from_gens([owner.src.gen(gid) for gid in key]) if k else Word(key)
+            w = quiver_word(owner.src, key)
             want = (owner.src_map[w.src], owner.dst_map[w.dst])
             need = levels.level_add(w.base_level(instance), lvl)
             _check_member(

@@ -13,9 +13,9 @@ with one bound per word, ``levels.dominate`` of the word's base level and E
 (``novikov.nov_truncate``).  Each ``Word`` keeps its bound for the cutoff
 last asked (``Word.bound``), so ``_window_terms``, the reduction of
 ``truncate_element`` and ``morphisms.chain_sum``, computes it once per word
-of a command; the engine outputs each word once per quiver
-(``FiltQuiver.words``).  Basis word lists are built once per quiver
-(``basis_words``) and share the engine's kept trie of their basis.
+of a command.  A quiver keeps one word per path (``quiver_word``), made
+from its parent (``Word.then``), which basis lists (``basis_words``), the
+engine's basis tries, output words and letter lookups share.
 Operators on words, tensor products of graded maps included, act in
 ``morphisms``, through its block engine.
 """
@@ -42,28 +42,30 @@ class Word:
     the generator ids, which identify a basis word within a fixed quiver.
     The base level is computed once per instance it is asked for, and the
     truncation bound (``bound``) once per cutoff, kept for the cutoff last
-    asked.  The engine's trie keeps one word per node.
+    asked.  ``then`` makes a word from its parent (``quiver_word``).
     """
 
-    __slots__ = ("at", "gens", "sdeg", "gids", "_hash", "_base", "_bound")
+    __slots__ = ("at", "gens", "sdeg", "gids", "_hash", "_base", "_bound", "_parent")
 
     def __init__(self, at: str, gens: Tuple[HomGenerator, ...] = ()):
         prev = at
-        sdeg = 0
         for g in gens:
             if g.src != prev:
-                raise ObjectMismatch(
-                    f"word is not composable at {g.gid!r}: expected src {prev!r}"
-                )
+                raise ObjectMismatch(f"word is not composable at {g.gid!r}: expected src {prev!r}")
             prev = g.dst
-            sdeg += g.sdeg
-        self.at = at
-        self.gens = tuple(gens)
-        self.sdeg = sdeg
+        self.at, self.gens, self.sdeg = at, tuple(gens), sum(g.sdeg for g in gens)
         self.gids = tuple(g.gid for g in self.gens)
-        self._hash = hash((at, self.gids))
-        self._base = None
-        self._bound = None
+        self._hash, self._base, self._bound, self._parent = hash((at, self.gids)), None, None, None
+
+    def then(self, g: HomGenerator) -> "Word":
+        """This word followed by the generator g: its degree plus g's, its
+        ids plus g's, and, once asked, its base level plus g's."""
+        if g.src != self.dst:
+            raise ObjectMismatch(f"word is not composable at {g.gid!r}: expected src {self.dst!r}")
+        w = Word.__new__(Word)
+        w.at, w.gens, w.sdeg, w.gids = self.at, self.gens + (g,), self.sdeg + g.sdeg, self.gids + (g.gid,)
+        w._hash, w._base, w._bound, w._parent = hash((w.at, w.gids)), None, None, self
+        return w
 
     @staticmethod
     def from_gens(gens: Sequence[HomGenerator]) -> "Word":
@@ -96,14 +98,18 @@ class Word:
         return self._hash
 
     def base_level(self, instance: str) -> Level:
-        if self._base is None:
-            self._base = {}
-        out = self._base.get(instance)
-        if out is None:
-            out = levels.zero(instance)
-            for g in self.gens:
+        """The sum of the letters' base levels, kept per instance: a word made
+        by ``then`` adds its last letter's to its parent's, walking up in a loop."""
+        todo, w = [], self
+        while w is not None and instance not in (w._base or ()):
+            todo.append(w)
+            w = w._parent
+        out = None if w is None else w._base[instance]
+        for w in reversed(todo):
+            out, gens = (levels.zero(instance), w.gens) if out is None else (out, w.gens[-1:])
+            for g in gens:
                 out = levels.level_add(out, g.base_level)
-            self._base[instance] = out
+            w._base = {**(w._base or {}), instance: out}
         return out
 
     def bound(self, cutoff: Level) -> Level:
@@ -121,6 +127,26 @@ class Word:
         if not self.gens:
             return f"Word([]@{self.at})"
         return "Word(" + ".".join(self.gids) + ")"
+
+
+def quiver_word(quiver: FiltQuiver, key) -> Word:
+    """The kept word of ``quiver`` at ``key``, a gid tuple or the object of an
+    empty word, as ``morphisms.comp_key`` keys a block; made from its longest
+    kept prefix, one ``Word.then`` per letter, keeping each prefix made."""
+    words = quiver.words
+    out = words.get(key)
+    if out is None:
+        gids, at = ((), key) if isinstance(key, str) else (key, quiver.gen(key[0]).src)
+        n = len(gids)
+        while out is None and n:
+            n -= 1
+            out = words.get(gids[:n] or at)
+        if out is None:
+            out = words[at] = Word(at)
+        for gid in gids[n:]:
+            out = out.then(quiver.gen(gid))
+            words[out.gids] = out
+    return out
 
 
 class TensorElement(_Combination, Frozen):
@@ -180,14 +206,7 @@ def _signed_sum(pieces: Sequence[Tuple[int, TensorElement]]) -> TensorElement:
 def word_blocks(w: Word, cuts: Tuple[int, ...]) -> Tuple[Word, ...]:
     """The blocks of w determined by interior cut points."""
     bounds = (0,) + cuts + (len(w.gens),)
-    blocks = []
-    for a, b in zip(bounds, bounds[1:]):
-        if a == b:
-            at = w.gens[a - 1].dst if a > 0 else w.at
-            blocks.append(Word(at))
-        else:
-            blocks.append(Word.from_gens(w.gens[a:b]))
-    return tuple(blocks)
+    return tuple(Word(w.gens[a - 1].dst if a else w.at, w.gens[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def _delta(x: TensorElement, k: int, allow_empty: bool) -> Dict[Tuple[Word, ...], NovikovScalar]:
@@ -323,32 +342,23 @@ class Basis(NamedTuple):
 
 
 class _BasisWords(list):
-    """A kept ``basis_words`` list; ``basis`` is the ``Basis`` it lists, None
+    """A ``basis_words`` list; ``basis`` is the ``Basis`` it lists, None
     without its empty words."""
 
     __slots__ = ("basis",)
 
 
 def basis_words(quiver: FiltQuiver, max_len: int, include_empty: bool = True) -> List[Word]:
-    """All composable generator words of length <= max_len, sorted.  Each
-    list is built once per quiver and kept in ``quiver.bases``: callers
-    must not change it.  A list with its empty words carries its ``Basis``,
-    so the engine sweeps it on the basis's kept trie."""
-    key = (max_len, include_empty)
-    out = quiver.bases.get(key)
-    if out is not None:
-        return out
-    words: List[Word] = [Word(obj) for obj in quiver.objects] if include_empty else []
-    frontier: List[Tuple[str, Tuple[HomGenerator, ...]]] = [(obj, ()) for obj in quiver.objects]
+    """All composable generator words of length <= max_len, sorted, each
+    the quiver's kept word (``quiver_word``), so every list, the kept basis
+    trie and the engine's outputs share one object per word.  A list with
+    its empty words carries its ``Basis``, so the engine sweeps it on the
+    basis's kept trie."""
+    layer = [quiver_word(quiver, obj) for obj in quiver.objects]
+    words = list(layer) if include_empty else []
     for _ in range(max_len):
-        nxt = []
-        for start, gens in frontier:
-            tail = gens[-1].dst if gens else start
-            for g in quiver.gens_from(tail):
-                seq = gens + (g,)
-                nxt.append((start, seq))
-                words.append(Word(start, seq))
-        frontier = nxt
-    out = quiver.bases[key] = _BasisWords(sorted(words, key=Word.sort_key))
+        layer = [quiver_word(quiver, w.gids + (g.gid,)) for w in layer for g in quiver.gens_from(w.dst)]
+        words += layer
+    out = _BasisWords(sorted(words, key=Word.sort_key))
     out.basis = Basis(quiver, max_len) if include_empty else None
     return out

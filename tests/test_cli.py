@@ -409,6 +409,39 @@ def test_module_entry_point_reads_sys_argv():
     assert f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}" == want
 
 
+# The first golden case of each command.
+ONE_PER_COMMAND = sorted({argv[0]: name for name, argv in reversed(GOLDEN_CASES.items())}.values())
+
+
+@pytest.mark.parametrize("hashseed", ["0", "12345"])
+@pytest.mark.parametrize("name", ONE_PER_COMMAND)
+def test_goldens_do_not_depend_on_the_hash_seed(name, hashseed):
+    # String hashes change with PYTHONHASHSEED, and words live in
+    # insertion-ordered stores keyed by strings: a child under another
+    # seed prints the golden's bytes.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), PYTHONHASHSEED=hashseed)
+    proc = subprocess.run(
+        [sys.executable, "-m", "facalc.cli", *GOLDEN_CASES[name]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}" == want
+
+
+@pytest.mark.parametrize("command", ["check-b2", "normalize"])
+def test_a_word_that_does_not_compose_is_a_parse_error(command, tmp_path):
+    doc = json.loads((ROOT / "tests/fixtures/multiterm.json").read_text(encoding="utf-8"))
+    doc["b_components"][0]["components"][0]["word"] = ["xX", "xY"]
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    want = "parse error: $.b_components[0].components[0].word: word is not composable at 'xY': expected src 'X'\n"
+    assert (code, out.getvalue(), err.getvalue()) == (64, "", want)
+
+
 def test_window_override():
     # A tighter cutoff makes the curvature bound unreachable: undecided.
     code, _ = run(

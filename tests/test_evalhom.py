@@ -202,10 +202,12 @@ def loop_interchange_sign(blocks):
     return sign
 
 
+FACTOR = loop_quiver("F", sdegs=(0, 1, -1))
+
+
 def factor_words(factors):
-    Q = loop_quiver("F", sdegs=(0, 1, -1))
     return tuple(
-        Word.from_gens([Q.gen(g) for g in gids]) if gids else Word("X") for gids in factors
+        Word.from_gens([FACTOR.gen(g) for g in gids]) if gids else Word("X") for gids in factors
     )
 
 
@@ -258,7 +260,7 @@ def test_full_chains_match_the_split_oracle(factors, least):
     # The cut walk yields the same multiset of (sign, chain) as enumerating
     # every split with at least ``least`` nonempty blocks.
     cwords = factor_words(factors)
-    sol = PsiSolution(None, ())
+    sol = PsiSolution(None, (FACTOR,) * len(cwords))
     sol.comps = KeyComponents()
     total = sum(len(w) for w in cwords)
     want = Counter(
@@ -279,7 +281,7 @@ def test_proper_chains_never_look_up_the_unsplit_word(factors):
     # The solver asks for the proper chains of the word it is solving, so
     # that word has no component yet.
     cwords = factor_words(factors)
-    sol = PsiSolution(None, ())
+    sol = PsiSolution(None, (FACTOR,) * len(cwords))
     sol.comps = KeyComponents(absent=[cword_key(cwords)])
     chains = sol.full_chains(cwords, least=2)
     assert cword_key(cwords) not in sol.comps.looked_up

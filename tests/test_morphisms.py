@@ -818,3 +818,45 @@ def test_lazy_compute_matches_extracted_components(cutoff):
                 assert got.is_zero(), (owner, w)
             else:
                 assert got == stored, (owner, w)
+
+
+# ---------------------------------------------------------------------------
+# A component found at a window is a proof: a wider window, cut back to the
+# narrow one, finds the same component.
+
+
+def transported_tables(command, fixture, n, e):
+    """The component tables of what ``command`` makes from its task in
+    the fixture at the window (n, e): the composite, or the pushed or
+    pulled coderivation with its two cofunctors."""
+    model = load_model_file(str(Path(__file__).parent / "fixtures" / f"{fixture}.json"))
+    task = model.tasks[command]
+    window = TruncWindow(n, levels.rat(e))
+    functors, coders = model.functors, model.coderivations
+    if command == "compose":
+        return [compose_cofunctors(functors[task["f"]], functors[task["g"]], window).comps]
+    if command == "push":
+        out = push_coderivation(coders[task["r"]], functors[task["h"]], window)
+    else:
+        out = pull_coderivation(functors[task["e"]], coders[task["r"]], window)
+    return [out.comps, out.f.comps, out.g.comps]
+
+
+@pytest.mark.parametrize("narrow, wide", [((4, 2), (6, 3)), ((5, 3), (8, 5)), ((3, 1), (6, 4))])
+@pytest.mark.parametrize(
+    "command, fixture", [("compose", "curved_compose"), ("compose", "b1_only"), ("push", "b1_only"), ("pull", "b1_only")]
+)
+def test_a_sound_component_survives_a_wider_window(command, fixture, narrow, wide):
+    # Reduction modulo F^E commutes with the filtered maps of the completed
+    # setting, so the components at (N, E) are those at (N', E') >= (N, E)
+    # of length <= N, each reduced modulo F^E.  These components are SOUND
+    # at both windows: each is a finite fold reduced by ``hom_truncate``,
+    # and an undecided sum would raise instead.
+    window = TruncWindow(narrow[0], levels.rat(narrow[1]))
+    got = transported_tables(command, fixture, *narrow)
+    wider = transported_tables(command, fixture, *wide)
+    assert len(got) == len(wider)
+    for small, big in zip(got, wider):
+        cut = {(k, key): hom_truncate(v, window) for k, table in big.items() if k <= narrow[0] for key, v in table.items()}
+        assert {(k, key): v for k, table in small.items() for key, v in table.items()} == {
+            at: v for at, v in cut.items() if not v.is_zero()}

@@ -1,13 +1,15 @@
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from facalc import levels, novikov
-from facalc.errors import FacalcError, InstanceMismatch
+from facalc import cli, levels, novikov
+from facalc.errors import FacalcError, InstanceMismatch, ObjectMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator
 from facalc.levels import Level
-from facalc.morphisms import hom_truncate
+from facalc.morphisms import comp_key, hom_truncate
 from facalc.novikov import NovikovScalar, nov_truncate
 from facalc.tcoalg import (
     Flag,
@@ -19,6 +21,7 @@ from facalc.tcoalg import (
     cut_delta,
     delta_k,
     mu_concat,
+    quiver_word,
     reduced_delta_k,
     term_level,
     truncate_element,
@@ -260,14 +263,99 @@ def test_base_level_is_kept_per_instance():
 
 
 def test_basis_words_are_built_once_per_quiver_and_key():
+    # Each call gives a new list, of the quiver's kept words: every list,
+    # with or without its empty words, shares one object per word.
     Q = two_object_quiver()
     first = basis_words(Q, 3)
-    assert basis_words(Q, 3) is first
-    assert basis_words(Q, 3, include_empty=False) is not first
-    assert basis_words(Q, 3, include_empty=False) == [w for w in first if len(w)]
-    assert basis_words(Q, 2) == [w for w in first if len(w) <= 2]
-    # A quiver with the same contents keeps its own lists, of equal words.
-    assert basis_words(two_object_quiver(), 3) == first
+    again = basis_words(Q, 3)
+    assert again is not first and again == first
+    assert all(w is v for w, v in zip(again, first))
+    assert all(w is Q.words[comp_key(w)] for w in first)
+    nonempty = basis_words(Q, 3, include_empty=False)
+    assert nonempty == [w for w in first if len(w)]
+    assert all(w is v for w, v in zip(nonempty, (w for w in first if len(w))))
+    assert all(w is v for w, v in zip(basis_words(Q, 2), first))
+    # A quiver with the same contents keeps its own words, equal ones.
+    other = basis_words(two_object_quiver(), 3)
+    assert other == first and not any(w is v for w, v in zip(other, first))
+
+
+# ---------------------------------------------------------------------------
+# A quiver's kept words (``quiver_word``, ``Word.then``) against fresh ones.
+
+
+@st.composite
+def paths(draw, quiver, max_len=5):
+    """A fresh ``Word(at, gens)`` of quiver, of at most max_len letters."""
+    at = draw(st.sampled_from(quiver.objects), label="at")
+    gens = []
+    for _ in range(draw(st.integers(0, max_len), label="len")):
+        out = quiver.gens_from(gens[-1].dst if gens else at)
+        if not out:
+            break
+        gens.append(draw(st.sampled_from(out), label="gen"))
+    return Word(at, tuple(gens))
+
+
+INSTANCES = [levels.RAT, levels.RATPLUS, levels.DISCRETE]
+CUTOFFS = [levels.rat(1), levels.rat(Fraction(5, 2)), levels.ratplus(2), levels.discrete("inf")]
+
+
+@seed(facalc_seed())
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), make=st.sampled_from([loop_quiver, two_object_quiver, three_object_quiver]))
+def test_kept_words_are_the_fresh_words_made_once(data, make):
+    # The kept word, made from its longest kept prefix, equals the fresh
+    # one in every field; its base level and bound too, asked in any
+    # order and in any instance (a wrong one raises the fresh word's
+    # error); and a second call gives the same object.
+    q = make()
+    for fresh in data.draw(st.lists(paths(q), min_size=1, max_size=6), label="words"):
+        kept = quiver_word(q, comp_key(fresh))
+        assert quiver_word(q, comp_key(fresh)) is kept
+        assert (kept, hash(kept), kept.at, kept.gens, kept.sdeg, kept.gids, kept.sort_key()) == (
+            fresh, hash(fresh), fresh.at, fresh.gens, fresh.sdeg, fresh.gids, fresh.sort_key())
+        for inst in data.draw(st.lists(st.sampled_from(INSTANCES), max_size=3), label="instances"):
+            assert result(lambda: kept.base_level(inst)) == result(lambda: fresh.base_level(inst))
+        cutoff = data.draw(st.sampled_from(CUTOFFS), label="cutoff")
+        assert result(lambda: kept.bound(cutoff)) == result(lambda: fresh.bound(cutoff))
+    for n in range(4):
+        for include_empty in (True, False):
+            assert all(w is quiver_word(q, comp_key(w)) for w in basis_words(q, n, include_empty))
+
+
+def test_a_word_past_the_recursion_limit_needs_no_recursion():
+    # Made in one call and asked its base level deepest first, so no
+    # prefix knows its own yet.
+    n = 4 * sys.getrecursionlimit()
+    q = loop_quiver(sdegs=(1,), base=1)
+    deep = quiver_word(q, ("g0",) * n)
+    assert (len(deep), deep.sdeg) == (n, n)
+    assert deep.base_level(levels.RAT) == levels.rat(n)
+    assert quiver_word(q, ("g0",) * (n // 2)).base_level(levels.RAT) == levels.rat(n // 2)
+    assert deep == Word("X", deep.gens)
+
+
+def test_a_basis_past_the_recursion_limit_keeps_its_report(monkeypatch, capsys):
+    monkeypatch.chdir(pathlib.Path(__file__).parent.parent)
+    assert cli.main(["check-b2", "tests/fixtures/curved_min.json", "--n-max", "1100"]) == 0
+    entries = [f"check b2 n={n} word={'.'.join(['c'] * n) or '[]@X'} residual=0 flag=SOUND" for n in range(1101)]
+    want = ["facalc check-b2 tests/fixtures/curved_min.json", *entries, "summary: checked=1101 failed=0 lossy=0 undecided=0",
+            "exit 0"]
+    assert tuple(capsys.readouterr()) == ("\n".join(want) + "\n", "")
+
+
+def test_a_word_that_does_not_compose_raises_one_error():
+    Q = FiltQuiver("M", ["X", "Y"], [HomGenerator("xX", "X", "X", 0, levels.rat(0)),
+                                     HomGenerator("xY", "Y", "Y", 0, levels.rat(0))])
+    want = "word is not composable at 'xY': expected src 'X'"
+    with pytest.raises(ObjectMismatch) as fresh:
+        Word("X", (Q.gen("xX"), Q.gen("xY")))
+    with pytest.raises(ObjectMismatch) as made:
+        Word("X", (Q.gen("xX"),)).then(Q.gen("xY"))
+    with pytest.raises(ObjectMismatch) as kept:
+        quiver_word(Q, ("xX", "xY"))
+    assert str(fresh.value) == str(made.value) == str(kept.value) == want
 
 
 # ---------------------------------------------------------------------------
