@@ -111,13 +111,18 @@ def _sorted_entries(entries: List[CheckEntry]) -> List[CheckEntry]:
 
 
 def _override_window(model: Model, spec: Optional[str]) -> TruncWindow:
-    if not spec:
+    if spec is None:
         return model.window
     try:
         n_str, e_str = spec.split(",", 1)
+        max_len = int(n_str)
         cutoff = levels.make_level(model.monoid, "inf" if e_str == "inf" else Fraction(e_str))
-        return TruncWindow(int(n_str), cutoff)
-    except (ValueError, ZeroDivisionError, FacalcError) as exc:
+    except (ValueError, ZeroDivisionError, FacalcError):
+        raise ParseError("--window", "expected 'N,E' (N an integer >= 0, E rational, or 'inf'"
+                         f" on the discrete instance), got {spec!r}") from None
+    try:
+        return TruncWindow(max_len, cutoff)
+    except FacalcError as exc:
         raise ParseError("--window", str(exc)) from None
 
 
@@ -350,14 +355,24 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The facalc parser for the command line argv.
+# Every command's options, in help order, with their add_argument keywords:
+# build_parser and _plain_args both read them, so they agree on each.
+OPTIONS = {
+    "--n-max": {"type": _count, "default": 4},
+    "--word-len-max": {"type": _count, "default": 3},
+    "--window": {"help": "override as 'N,E' (E rational, or 'inf' on the discrete instance)"},
+    "--format": {"choices": ["text", "json"], "default": "text"},
+    **{flag: {} for flag in ("--functor", "--f", "--g", "--r", "--h", "--e", "--element", "--chain", "--boundary")},
+    "--psi-len": {"type": _count, "default": 2, "help": "factor word length bound for solve-psi"},
+}
 
-    When argv's first entry names a command, only that command's subparser
-    is built: it parses, and prints help and errors, exactly as the one in
-    the full parser, whose siblings it never reads.  Otherwise (--help, an
-    unknown command or no command at all) every command's parser is built,
-    so ``facalc --help`` still lists every command.
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The facalc parser for argv: the reader of every line `_plain_args`
+    declines, such as help, abbreviations, ``--`` and usage errors.  When
+    argv[0] names a command, only its subparser is built, and it reads argv
+    as the full parser's would; otherwise every command's is, so ``facalc
+    --help`` lists them all.
     """
     ap = _Parser(
         prog="facalc",
@@ -370,29 +385,49 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
     for name in names:
         p = sub.add_parser(name)
         p.add_argument("file")
-        p.add_argument("--n-max", type=_count, default=4)
-        p.add_argument("--word-len-max", type=_count, default=3)
-        p.add_argument("--window", help="override as 'N,E' (E rational, or 'inf' on the discrete instance)")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--functor")
-        p.add_argument("--f")
-        p.add_argument("--g")
-        p.add_argument("--r")
-        p.add_argument("--h")
-        p.add_argument("--e")
-        p.add_argument("--element")
-        p.add_argument("--chain")
-        p.add_argument("--boundary")
-        p.add_argument("--psi-len", type=_count, default=2,
-                       help="factor word length bound for solve-psi")
+        for flag, kwargs in OPTIONS.items():
+            p.add_argument(flag, **kwargs)
     return ap
 
 
+def _plain_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The Namespace `build_parser` makes of a plain command line, or None.
+
+    Plain: a command, then one file and exact ``OPTIONS`` flags, each with a
+    value (the next token, or after ``=``) of its type and choices; no file
+    or value is empty or starts with ``-``.  Building argparse, which also
+    imports ``locale``, costs a short command more than its own work.
+    """
+    command, *rest = argv or [""]
+    values = {flag: kwargs.get("default") for flag, kwargs in OPTIONS.items()}
+    files = []
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in OPTIONS:
+            files.append(token)
+            continue
+        value = value if eq else next(tokens, "")
+        kwargs = OPTIONS[flag]
+        try:
+            values[flag] = kwargs.get("type", str)(value)
+        except (argparse.ArgumentTypeError, ValueError):
+            return None
+        if value[:1] in ("", "-") or values[flag] not in kwargs.get("choices", [values[flag]]):
+            return None
+    if (command not in CHECKS and command not in PRINTERS) or len(files) != 1 or files[0][:1] in ("", "-"):
+        return None
+    args = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return argparse.Namespace(command=command, file=files[0], **args)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run argv (default ``sys.argv[1:]``) and return its exit code: a plain
+    command line is read by `_plain_args`, any other by `build_parser`."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _plain_args(argv) or build_parser(argv).parse_args(argv)
         model = load_model_file(args.file)
         if args.command in CHECKS:
             report = CHECKS[args.command](model, args.file, args)

@@ -181,6 +181,43 @@ def main() -> None:
     ]
     dump("assoc.json", assoc)
 
+    # A coder quiver with several letters on assoc's codifferential: the
+    # identity functor and three coderivations of it, of degrees 0 and 1.
+    # b^2 = 0 here, so every residual of check-coder-b2 must be 0.
+    multi = header()
+    multi["quivers"] = assoc["quivers"]
+    multi["b_components"] = assoc["b_components"]
+    multi["functors"] = [
+        {
+            "name": "idA",
+            "src": "A",
+            "dst": "A",
+            "obj_map": {"X": "X"},
+            "convergence_bound": 16,
+            "components": [
+                {"word": ["pu"], "value": [["pu", ONE]]},
+                {"word": ["pv"], "value": [["pv", ONE]]},
+            ],
+        }
+    ]
+
+    def coder(name, degree, components):
+        return {"name": name, "from": "idA", "to": "idA", "degree": degree, "level": ZERO_LVL,
+                "components": [{"word": w, "value": v} for w, v in components]}
+
+    multi["coderivations"] = [
+        coder("r1", 0, [(["pu"], [["pv", ONE]]), (["pv"], [["pu", "2*T^{0}*e^{0}"]])]),
+        coder("r2", 1, [(["pu", "pv"], [["pu", ONE]]), (["pv", "pv"], [["pv", ONE]])]),
+        coder("r3", 0, [(["pu"], [["pu", "1*T^{1}*e^{0}"]])]),
+    ]
+    multi["coder_quiver"] = {
+        "source": "A",
+        "target": "A",
+        "functors": ["idA"],
+        "coderivations": ["r1", "r2", "r3"],
+    }
+    dump("coder_multi.json", multi)
+
     # Non-associative mutation: (uu)u = 0 while u(uu) = u.
     nonassoc = header()
     nonassoc["quivers"] = assoc["quivers"]

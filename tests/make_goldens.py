@@ -63,6 +63,12 @@ GOLDEN_CASES = {
         "--word-len-max",
         "4",
     ],
+    "check_coder_b2_multi": [
+        "check-coder-b2",
+        "tests/fixtures/coder_multi.json",
+        "--n-max",
+        "2",
+    ],
     "compose_b1_only": ["compose", "tests/fixtures/b1_only.json"],
     "compose_curved": ["compose", "tests/fixtures/curved_compose.json"],
     "compose_curved_w9_6": ["compose", "tests/fixtures/curved_compose.json", "--window", "9,6"],

@@ -9,9 +9,9 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings, strategies as st
+from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
-from facalc.cli import CHECKS, PRINTERS, build_parser, main
+from facalc.cli import CHECKS, OPTIONS, PRINTERS, _plain_args, build_parser, main
 from facalc.errors import ParseError
 from facalc.structfile import dump_document, load_model_file
 
@@ -62,6 +62,7 @@ def test_reports_are_byte_deterministic():
         "curved_wide",
         "lossy_eval",
         "multiterm",
+        "coder_multi",
     ],
 )
 def test_normalize_roundtrip_is_identity(fixture, tmp_path):
@@ -278,6 +279,46 @@ def test_bad_window_is_a_parse_error(spec):
     assert text.startswith("parse error: --window:")
 
 
+WINDOW_FORM = "expected 'N,E' (N an integer >= 0, E rational, or 'inf' on the discrete instance)"
+
+
+@pytest.mark.parametrize("spec", ["4", "x,2", "4,2,3", "4,1/0", "4,inf", ""])
+def test_a_malformed_window_states_the_expected_form(spec):
+    # Not Python's exception texts; and an empty spec is an error, not the
+    # file's window.
+    code, text = run(["check-b2", B1, "--window", spec])
+    assert (code, text) == (64, f"parse error: --window: {WINDOW_FORM}, got {spec!r}\n")
+
+
+def test_a_rational_window_cutoff_on_the_discrete_instance_states_the_expected_form(tmp_path):
+    doc = json.loads((ROOT / "tests/fixtures/undecided.json").read_text(encoding="utf-8"))
+    del doc["functors"]
+    code, text = run_doc(["check-b2", "--window", "4,2"], doc, tmp_path)
+    assert (code, text) == (64, f"parse error: --window: {WINDOW_FORM}, got '4,2'\n")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("-1,3", "window max_len must be >= 0"), ("4,0", "window cutoff must be positive"), ("4,-1/2", "window cutoff must be positive")],
+)
+def test_a_window_out_of_range_keeps_its_message(spec, message):
+    code, text = run(["check-b2", B1, f"--window={spec}"])
+    assert (code, text) == (64, f"parse error: --window: {message}\n")
+
+
+@pytest.mark.parametrize("fixture", ["curved_min", "multiterm", "assoc", "nonassoc", "b1_only"])
+def test_check_b2_entries_survive_a_longer_window(fixture):
+    # A SOUND entry is a proof: widening the window from length 4 to 8 at
+    # the same cutoff leaves every entry of length <= 3 as it was.
+    def entries(n_max, window):
+        argv = ["check-b2", f"tests/fixtures/{fixture}.json", "--n-max", n_max, "--window", window, "--format", "json"]
+        return json.loads(run(argv)[1])["entries"]
+
+    narrow, wide = entries("3", "4,2"), entries("5", "8,2")
+    assert narrow and all(e["flag"] == "SOUND" for e in narrow + wide)
+    assert narrow == [e for e in wide if e["n"] <= 3]
+
+
 def run_doc(argv, doc, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -331,13 +372,17 @@ COMMANDS = list(CHECKS) + list(PRINTERS)
 
 
 def full_parse(argv):
-    """What the parser with every command makes of argv: a Namespace, or
-    the text of its ParseError.  It is the oracle for ``build_parser(argv)``,
-    which builds only the named command's parser."""
+    """What the parser with every command makes of argv: a Namespace, the
+    text of its ParseError, or the exit code of its help.  It is the oracle
+    for ``build_parser(argv)``, which builds only the named command's
+    parser, and for ``_plain_args``, which builds none."""
     try:
-        return build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()):
+            return build_parser().parse_args(argv)
     except ParseError as exc:
         return f"parse error: {exc}\n"
+    except SystemExit as exc:
+        return f"help, exit {exc.code}"
 
 
 @pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
@@ -376,6 +421,57 @@ def test_argv_without_a_leading_command_builds_every_parser(argv):
 def test_golden_argv_parses_as_in_the_full_parser(name):
     argv = GOLDEN_CASES[name]
     assert build_parser(argv).parse_args(argv) == full_parse(argv)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_argv_takes_the_table_path(name):
+    argv = GOLDEN_CASES[name]
+    plain = _plain_args(argv)
+    assert plain is not None and vars(plain) == vars(full_parse(argv))
+
+
+# Tokens of command lines, plain and not: abbreviations, help, "--", values
+# that start with "-", bad counts and formats, empty values.
+ARGV_FLAGS = list(OPTIONS) + ["--n", "--w", "--fo", "--he", "-h", "--help", "--", "-x", "--bogus"]
+ARGV_VALUES = ["3", "0", "-1", "x", "", "4,2", "-1,3", "json", "xml", "a b"]
+ARGV_FILES = [B1, "tests/fixtures/assoc.json", "a=b"]
+ARGV_CHUNKS = st.one_of(
+    st.tuples(st.sampled_from(ARGV_FLAGS), st.sampled_from(ARGV_VALUES)).map(list),
+    st.tuples(st.sampled_from(ARGV_FLAGS), st.sampled_from(ARGV_VALUES)).map(lambda fv: ["=".join(fv)]),
+    st.sampled_from(ARGV_FILES).map(lambda path: [path]),
+    st.sampled_from(ARGV_FLAGS + ARGV_VALUES).map(lambda token: [token]),
+)
+
+
+@seed(facalc_seed())
+@settings(max_examples=500, deadline=None)
+@example(command="check-b2", chunks=[["--n", "3"]], path=B1, at=0)
+@example(command="check-b2", chunks=[["--fo", "json"]], path=B1, at=0)
+@example(command="check-b2", chunks=[["--w", "4,2"]], path=B1, at=0)
+@example(command="check-b2", chunks=[["--he"]], path=B1, at=0)
+@example(command="check-b2", chunks=[["-h"]], path=B1, at=0)
+@example(command="check-b2", chunks=[["--help"]], path=B1, at=0)
+@example(command="check-b2", chunks=[["--"]], path=B1, at=0)
+@example(command="check-b2", chunks=[["--window", "-1,3"]], path=B1, at=0)
+@example(command="check-b2", chunks=[["--n-max", "x"]], path=B1, at=0)
+@example(command="check-b2", chunks=[["--psi-len=3"]], path=B1, at=0)
+@given(
+    command=st.sampled_from(COMMANDS + ["frobnicate"]),
+    chunks=st.lists(ARGV_CHUNKS, max_size=3),
+    path=st.sampled_from(ARGV_FILES + [None]),
+    at=st.integers(0, 4),
+)
+def test_plain_args_match_the_full_parser(command, chunks, path, at):
+    # Whatever the option table reads, argparse reads the same; every token
+    # that starts with "-" and is not an exact flag is argparse's alone.
+    if path is not None:
+        chunks = chunks[:at] + [[path]] + chunks[at:]
+    argv = [command] + [token for chunk in chunks for token in chunk]
+    plain = _plain_args(argv)
+    if plain is not None:
+        want = full_parse(argv)
+        assert isinstance(want, argparse.Namespace) and vars(plain) == vars(want)
+        assert all(token.partition("=")[0] in OPTIONS for token in argv[1:] if token.startswith("-"))
 
 
 def test_help_still_exits_zero():
