@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from . import levels, novikov
@@ -36,7 +35,7 @@ from .morphisms import (
     pull_coderivation,
     push_coderivation,
 )
-from .structfile import Model, dump_document, load_model_file, model_to_json
+from .structfile import Model, dump_document, load_model_file, model_to_json, resolve
 from .tcoalg import Flag, TruncWindow
 
 EXIT_OK = 0
@@ -47,10 +46,12 @@ EXIT_RESOLVE = 65
 
 
 class Report:
+    """A check command's entries, in (relation, n, word) order."""
+
     def __init__(self, command: str, path: str, entries: List[CheckEntry]):
         self.command = command
         self.path = path
-        self.entries = entries
+        self.entries = sorted(entries, key=lambda e: (e.relation, e.n, e.word))
 
     def summary(self) -> Dict[str, int]:
         failed = sum(1 for e in self.entries if not e.ok and e.flag != "UNDECIDED")
@@ -106,18 +107,18 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _sorted_entries(entries: List[CheckEntry]) -> List[CheckEntry]:
-    return sorted(entries, key=lambda e: (e.relation, e.n, e.word))
-
-
 def _override_window(model: Model, spec: Optional[str]) -> TruncWindow:
+    """The window of a run: the file's, or ``--window N,E`` with N read by
+    `_count` and E by `levels.read_level` in the file's instance.  A
+    negative N and a cutoff that is not positive keep the window's own
+    messages; any other spec states the expected form."""
     if spec is None:
         return model.window
+    n_str, _, e_str = spec.partition(",")
     try:
-        n_str, e_str = spec.split(",", 1)
-        max_len = int(n_str)
-        cutoff = levels.make_level(model.monoid, "inf" if e_str == "inf" else Fraction(e_str))
-    except (ValueError, ZeroDivisionError, FacalcError):
+        max_len = -_count(n_str[1:]) if n_str[:1] == "-" else _count(n_str)
+        cutoff = levels.read_level(model.monoid, e_str)
+    except (argparse.ArgumentTypeError, FacalcError):
         raise ParseError("--window", "expected 'N,E' (N an integer >= 0, E rational, or 'inf'"
                          f" on the discrete instance), got {spec!r}") from None
     try:
@@ -141,59 +142,40 @@ def _task_name(task: dict, where: str, field: str) -> Optional[str]:
     return name
 
 
-def _pick_functor(model: Model, name: Optional[str], loc: str) -> Cofunctor:
+def _pick(table: dict, name: Optional[str], loc: str, noun: str):
+    """The functor or coderivation of ``table`` that a command names, or
+    the only one the file declares when no name is given."""
     if name is None:
-        if len(model.functors) == 1:
-            return next(iter(model.functors.values()))
-        raise ResolveError(f"{loc}: give a functor name (file declares {len(model.functors)})")
-    if name not in model.functors:
-        raise ResolveError(f"{loc}: unknown functor {name!r}")
-    return model.functors[name]
-
-
-def _pick_coderivation(model: Model, name: Optional[str], loc: str) -> Coderivation:
-    if name is None:
-        if len(model.coderivations) == 1:
-            return next(iter(model.coderivations.values()))
-        raise ResolveError(f"{loc}: give a coderivation name")
-    if name not in model.coderivations:
-        raise ResolveError(f"{loc}: unknown coderivation {name!r}")
-    return model.coderivations[name]
+        if len(table) == 1:
+            return next(iter(table.values()))
+        raise ResolveError(f"{loc}: give a {noun} name (file declares {len(table)})")
+    return resolve(table, name, loc, noun)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_check_b2(model: Model, path: str, args) -> Report:
-    window = _override_window(model, args.window)
+def cmd_check_b2(model: Model, window: TruncWindow, args) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
     for name in sorted(model.cats):
         entries.extend(check_b_squared(model.cats[name], window, args.n_max))
-    return Report("check-b2", path, _sorted_entries(entries))
+    return entries
 
 
-def cmd_check_functor(model: Model, path: str, args) -> Report:
-    window = _override_window(model, args.window)
+def cmd_check_functor(model: Model, window: TruncWindow, args) -> List[CheckEntry]:
     task = _task(model, "check_functor")
     name = args.functor or _task_name(task, "check_functor", "functor")
-    f = _pick_functor(model, name, "check-functor")
+    f = _pick(model.functors, name, "check-functor", "functor")
     for qname in (f.src.name, f.dst.name):
         if qname not in model.cats:
             raise ResolveError(f"check-functor: quiver {qname!r} has no codifferential")
-    entries = check_ainf_functor(
-        f, model.cats[f.src.name], model.cats[f.dst.name], window, args.n_max
-    )
-    return Report("check-functor", path, _sorted_entries(entries))
+    return check_ainf_functor(f, model.cats[f.src.name], model.cats[f.dst.name], window, args.n_max)
 
 
-def cmd_check_coder_b2(model: Model, path: str, args) -> Report:
-    window = _override_window(model, args.window)
+def cmd_check_coder_b2(model: Model, window: TruncWindow, args) -> List[CheckEntry]:
     if model.coder_quiver is None:
         raise ResolveError("check-coder-b2: file has no coder_quiver section")
-    entries = check_coder_b_squared(
-        model.coder_quiver, window, args.n_max, args.word_len_max
-    )
-    return Report("check-coder-b2", path, _sorted_entries(entries))
+    return check_coder_b_squared(model.coder_quiver, window, args.n_max, args.word_len_max)
 
 
 def _result_doc(model: Model, quivers: List[FiltQuiver], functors: List[Cofunctor],
@@ -214,44 +196,38 @@ def _result_doc(model: Model, quivers: List[FiltQuiver], functors: List[Cofuncto
     return doc
 
 
-def cmd_compose(model: Model, path: str, args):
-    window = _override_window(model, args.window)
+def cmd_compose(model: Model, window: TruncWindow, args):
     task = _task(model, "compose")
-    f = _pick_functor(model, args.f or _task_name(task, "compose", "f"), "compose")
-    g = _pick_functor(model, args.g or _task_name(task, "compose", "g"), "compose")
+    f = _pick(model.functors, args.f or _task_name(task, "compose", "f"), "compose", "functor")
+    g = _pick(model.functors, args.g or _task_name(task, "compose", "g"), "compose", "functor")
     h = compose_cofunctors(f, g, window)
     return dump_document(_result_doc(model, [f.src, g.dst], [h], [])), EXIT_OK
 
 
-def cmd_push(model: Model, path: str, args):
-    window = _override_window(model, args.window)
+def cmd_push(model: Model, window: TruncWindow, args):
     task = _task(model, "push")
-    r = _pick_coderivation(model, args.r or _task_name(task, "push", "r"), "push")
-    h = _pick_functor(model, args.h or _task_name(task, "push", "h"), "push")
+    r = _pick(model.coderivations, args.r or _task_name(task, "push", "r"), "push", "coderivation")
+    h = _pick(model.functors, args.h or _task_name(task, "push", "h"), "push", "functor")
     out = push_coderivation(r, h, window)
     return dump_document(
         _result_doc(model, [r.src, h.dst], [out.f, out.g], [out])
     ), EXIT_OK
 
 
-def cmd_pull(model: Model, path: str, args):
-    window = _override_window(model, args.window)
+def cmd_pull(model: Model, window: TruncWindow, args):
     task = _task(model, "pull")
-    e = _pick_functor(model, args.e or _task_name(task, "pull", "e"), "pull")
-    r = _pick_coderivation(model, args.r or _task_name(task, "pull", "r"), "pull")
+    e = _pick(model.functors, args.e or _task_name(task, "pull", "e"), "pull", "functor")
+    r = _pick(model.coderivations, args.r or _task_name(task, "pull", "r"), "pull", "coderivation")
     out = pull_coderivation(e, r, window)
     return dump_document(
         _result_doc(model, [e.src, r.dst], [out.f, out.g], [out])
     ), EXIT_OK
 
 
-def cmd_eval(model: Model, path: str, args):
-    window = _override_window(model, args.window)
+def cmd_eval(model: Model, window: TruncWindow, args):
     task = _task(model, "eval")
     elem_name = args.element or _task_name(task, "eval", "element")
-    if elem_name not in model.elements:
-        raise ResolveError(f"eval: unknown element {elem_name!r}")
-    x = model.elements[elem_name]
+    x = resolve(model.elements, elem_name, "eval", "element")
     # Each option replaces its task field; --chain "" is the empty chain.
     if args.chain is not None:
         chain_names = args.chain.split(",") if args.chain else []
@@ -267,8 +243,8 @@ def cmd_eval(model: Model, path: str, args):
         raise FacalcError(
             f"eval: boundary {bname!r} is for the empty chain, not chain {','.join(chain_names)!r}"
         )
-    chain = [_pick_coderivation(model, n, "eval") for n in chain_names]
-    boundary = None if bname is None else _pick_functor(model, bname, "eval")
+    chain = [resolve(model.coderivations, n, "eval", "coderivation") for n in chain_names]
+    boundary = None if bname is None else resolve(model.functors, bname, "eval", "functor")
     if not chain and boundary is None:
         raise ResolveError("eval: empty chain needs a boundary functor")
     source = (chain[0] if chain else boundary).src.name
@@ -289,11 +265,10 @@ def cmd_eval(model: Model, path: str, args):
     return text, (EXIT_OK if flag == Flag.SOUND else EXIT_UNDECIDED)
 
 
-def cmd_solve_psi(model: Model, path: str, args):
+def cmd_solve_psi(model: Model, window: TruncWindow, args):
     # The one import of the solver: no other command pays for loading it.
     from .evalhom import psi_fixture, solve_psi
 
-    window = _override_window(model, args.window)
     if model.psi is None:
         raise ResolveError("solve-psi: file has no psi section")
     fixture = psi_fixture(model, window, args.psi_len)
@@ -322,7 +297,7 @@ def cmd_solve_psi(model: Model, path: str, args):
     return dump_document(_result_doc(model, [a_quiver, target], functors, coders)), EXIT_OK
 
 
-def cmd_normalize(model: Model, path: str, args):
+def cmd_normalize(model: Model, window: TruncWindow, args):
     return dump_document(model_to_json(model)), EXIT_OK
 
 
@@ -349,8 +324,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A count option's value: an integer >= 0."""
-    if not text.isdecimal():
+    """A count, such as an option's value or the N of ``--window``: ASCII
+    digits, read as an integer >= 0."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
@@ -423,17 +399,21 @@ def _plain_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run argv (default ``sys.argv[1:]``) and return its exit code: a plain
-    command line is read by `_plain_args`, any other by `build_parser`."""
+    command line is read by `_plain_args`, any other by `build_parser`.
+    The window is read here, once, for every command: a ``--window`` that
+    `_override_window` rejects exits 64, even where the command is
+    ``normalize``, which prints the file as it is."""
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _plain_args(argv) or build_parser(argv).parse_args(argv)
         model = load_model_file(args.file)
+        window = _override_window(model, args.window)
         if args.command in CHECKS:
-            report = CHECKS[args.command](model, args.file, args)
+            report = Report(args.command, args.file, CHECKS[args.command](model, window, args))
             sys.stdout.write(report.render(args.format))
             return report.exit_code()
-        out, code = PRINTERS[args.command](model, args.file, args)
+        out, code = PRINTERS[args.command](model, window, args)
         sys.stdout.write(out)
         return code
     except ParseError as exc:

@@ -43,8 +43,9 @@ class FiltQuiver:
     ``words`` keeps every word of this quiver made so far, one per path,
     keyed by the tuple of its generator ids, as ``morphisms.comp_key`` keys
     a block (the empty word by its object); ``tcoalg.quiver_word`` fills
-    it.  ``tries`` keeps the engine's trie of each basis it has swept
-    (``engine._trie``), keyed by (max_len, instance)."""
+    it.  ``by_id`` maps each generator id to its generator.  ``tries``
+    keeps the engine's trie of each basis it has swept (``engine._trie``),
+    keyed by (max_len, instance)."""
 
     def __init__(self, name: str, objects: Iterable[str], gens: Iterable[HomGenerator]):
         self.name = name
@@ -53,19 +54,19 @@ class FiltQuiver:
             raise FacalcError(f"duplicate object names in quiver {name!r}")
         obj_set = set(self.objects)
         self.gens: Tuple[HomGenerator, ...] = tuple(gens)
-        self._by_id: Dict[str, HomGenerator] = {}
+        self.by_id: Dict[str, HomGenerator] = {}
         for g in self.gens:
             if g.src not in obj_set or g.dst not in obj_set:
                 raise ObjectMismatch(f"generator {g.gid!r} uses undeclared objects")
-            if g.gid in self._by_id:
+            if g.gid in self.by_id:
                 raise FacalcError(f"duplicate generator id {g.gid!r} in quiver {name!r}")
-            self._by_id[g.gid] = g
+            self.by_id[g.gid] = g
         self.words: dict = {}
         self.tries: dict = {}
 
     def gen(self, gid: str) -> HomGenerator:
         try:
-            return self._by_id[gid]
+            return self.by_id[gid]
         except KeyError:
             raise FacalcError(f"no generator {gid!r} in quiver {self.name!r}") from None
 

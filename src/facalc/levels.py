@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -131,6 +132,24 @@ def make_level(instance: str, x: RationalLike) -> Level:
             return discrete("inf")
         raise FacalcError(f"discrete instance has no level {x!r}")
     raise FacalcError(f"unknown level instance {instance!r}")
+
+
+# A written level: an integer or p/q, as in scalars, or a JSON number; q is
+# not zero, and every digit is ASCII.
+_WRITTEN = re.compile(
+    r"-?(?:[0-9]+(?:/[0-9]*[1-9][0-9]*)?|(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+)
+
+
+def read_level(instance: str, text: str) -> Level:
+    """The level ``text`` writes in ``instance``, the one reader of a level
+    written in a structure file or in ``--window``: ``p`` or ``p/q``, a JSON
+    number read as the decimal it prints (``0.1`` is 1/10, ``1e-05`` is
+    1/100000), or ``inf`` on ``discrete``, whose numbers must equal 0.
+    Spaces, ``_``, a leading ``+`` and digits other than ASCII are errors."""
+    if _WRITTEN.fullmatch(text) or (instance == DISCRETE and text == _INF):
+        return make_level(instance, text)
+    raise FacalcError(f"expected p/q or a JSON number, got {text!r}")
 
 
 def _join_instance(a: Level, b: Level) -> str:

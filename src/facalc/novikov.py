@@ -239,12 +239,13 @@ def nov_truncate(x: NovikovScalar, cutoff: Level) -> NovikovScalar:
 
 
 # Textual monomial syntax: "a*T^{p/q}*e^{n}", sums joined by "+", "0" for zero.
-# A denominator q has a nonzero digit, so that a zero one is a parse error.
+# A denominator q has a nonzero digit, so that a zero one is a parse error;
+# every digit is ASCII.
 
 _MONOMIAL_RE = re.compile(
-    r"^(?P<coeff>-?\d+(?:/\d*[1-9]\d*)?)"
-    r"(?:\*T\^\{(?P<energy>-?\d+(?:/\d*[1-9]\d*)?)\})?"
-    r"(?:\*e\^\{(?P<expo>-?\d+)\})?$"
+    r"^(?P<coeff>-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?)"
+    r"(?:\*T\^\{(?P<energy>-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?)\})?"
+    r"(?:\*e\^\{(?P<expo>-?[0-9]+)\})?$"
 )
 
 

@@ -17,7 +17,6 @@ normalized files; every command that prints a structure file prints a
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Dict, Optional
 
 from . import levels, novikov
@@ -109,6 +108,14 @@ def _named_entries(doc: dict, key: str, noun: str, table: dict):
         yield loc, obj, name
 
 
+def resolve(table: dict, name, loc: str, noun: str, where: str = ""):
+    """``table[name]``: the one lookup of a declared name, whose miss is the
+    resolve error ``<loc>: unknown <noun> <name><where>``."""
+    if name not in table:
+        raise ResolveError(f"{loc}: unknown {noun} {name!r}{where}")
+    return table[name]
+
+
 def _built(loc: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, with any ``FacalcError`` from it but
     ``ConvergenceUndecided`` turned into a parse error at loc."""
@@ -121,27 +128,24 @@ def _built(loc: str, build, *args, **kwargs):
 
 
 def parse_level(obj, loc: str) -> Level:
+    """A level object: ``{"infinity": true}``, or an instance's key with a
+    written level, a string or a JSON number, which is read as the text it
+    prints; `levels.read_level` reads both."""
     _expect(isinstance(obj, dict) and len(obj) == 1, loc, "level must be a one-key object")
     (key, val), = obj.items()
-    if key != "infinity":
-        _expect(
-            isinstance(val, (int, float, str)) and not isinstance(val, bool),
-            loc,
-            "level value must be a number or a string",
-        )
+    if key == "infinity":
+        _expect(val is True, loc, "infinity level must be true")
+        return levels.INFINITY
+    _expect(
+        isinstance(val, (int, float, str)) and not isinstance(val, bool),
+        loc,
+        "level value must be a number or a string",
+    )
+    _expect(key in (levels.RAT, levels.RATPLUS, levels.DISCRETE), loc, f"unknown level kind {key!r}")
     try:
-        # A float is read as the decimal it prints as; a discrete number
-        # must equal 0.
-        if key in (levels.RAT, levels.RATPLUS):
-            return levels.make_level(key, Fraction(str(val)))
-        if key == "discrete":
-            return levels.discrete(int(val) if isinstance(val, str) and val != "inf" else val)
-        if key == "infinity":
-            _expect(val is True, loc, "infinity level must be true")
-            return levels.INFINITY
-    except (ValueError, OverflowError, ZeroDivisionError, FacalcError) as exc:
+        return levels.read_level(key, val if isinstance(val, str) else json.dumps(val))
+    except FacalcError as exc:
         raise _fail(loc, f"bad level value: {exc}") from None
-    raise _fail(loc, f"unknown level kind {key!r}")
 
 
 def level_to_json(lvl: Level):
@@ -165,11 +169,7 @@ def _parse_hom_value(obj, quiver: FiltQuiver, variant: str, loc: str) -> HomElem
         ploc = f"{loc}[{i}]"
         _expect(isinstance(pair, list) and len(pair) == 2, ploc, "expected [generator, scalar]")
         gid, scal = pair
-        _name_at(gid, f"{ploc}[0]")
-        try:
-            g = quiver.gen(gid)
-        except FacalcError:
-            raise ResolveError(f"{ploc}: unknown generator {gid!r} in quiver {quiver.name!r}") from None
+        g = resolve(quiver.by_id, _name_at(gid, f"{ploc}[0]"), ploc, "generator", f" in quiver {quiver.name!r}")
         if src is None:
             src, dst = g.src, g.dst
         terms.append((g, parse_scalar_at(scal, variant, ploc)))
@@ -272,10 +272,7 @@ def load_model(text: str) -> Model:
         model.quivers[name] = _built(loc, FiltQuiver, name, objs, gens)
 
     def get_quiver(obj: dict, key: str, loc: str) -> FiltQuiver:
-        name = _name_at(obj.get(key), f"{loc}.{key}", required=False)
-        if name not in model.quivers:
-            raise ResolveError(f"{loc}: unknown quiver {name!r}")
-        return model.quivers[name]
+        return resolve(model.quivers, _name_at(obj.get(key), f"{loc}.{key}", required=False), loc, "quiver")
 
     for bi, bobj in enumerate(_list_at(doc, "b_components", "$")):
         loc = f"$.b_components[{bi}]"
@@ -305,11 +302,10 @@ def load_model(text: str) -> Model:
         )
 
     for loc, robj, name in _named_entries(doc, "coderivations", "coderivation", model.coderivations):
-        for side in ("from", "to"):
-            if _name_at(robj.get(side), f"{loc}.{side}", required=False) not in model.functors:
-                raise ResolveError(f"{loc}.{side}: unknown functor {robj.get(side)!r}")
-        f = model.functors[robj["from"]]
-        g = model.functors[robj["to"]]
+        f, g = (
+            resolve(model.functors, _name_at(robj.get(side), at, required=False), at, "functor")
+            for side, at in (("from", f"{loc}.from"), ("to", f"{loc}.to"))
+        )
         deg = robj.get("degree")
         _expect(_is_int(deg), f"{loc}.degree", "degree must be an integer")
         lvl = parse_level(robj.get("level"), f"{loc}.level")
@@ -348,10 +344,9 @@ def load_model(text: str) -> Model:
         def members(key: str, table: dict, noun: str) -> list:
             out = []
             for i, name in enumerate(_list_at(cobj, key, loc)):
-                if _name_at(name, f"{loc}.{key}[{i}]") not in table:
-                    raise ResolveError(f"{loc}.{key}: unknown {noun} {name!r}")
-                _expect(table[name] not in out, f"{loc}.{key}[{i}]", f"duplicate {noun} {name!r}")
-                out.append(table[name])
+                member = resolve(table, _name_at(name, f"{loc}.{key}[{i}]"), f"{loc}.{key}", noun)
+                _expect(member not in out, f"{loc}.{key}[{i}]", f"duplicate {noun} {name!r}")
+                out.append(member)
             return out
 
         model.coder_quiver = CoderQuiver(
@@ -371,17 +366,11 @@ def load_model(text: str) -> Model:
         for key, table in (("obj_map", obj_map), ("gen_map", gen_map)):
             _expect(isinstance(table, dict), f"{loc}.{key}", f"{key} must be an object")
         for o, fname in obj_map.items():
-            if o not in source.objects:
-                raise ResolveError(f"{loc}.obj_map: unknown object {o!r}")
-            if _name_at(fname, f"{loc}.obj_map.{o}") not in model.functors:
-                raise ResolveError(f"{loc}.obj_map: unknown functor {fname!r}")
+            resolve(dict.fromkeys(source.objects), o, f"{loc}.obj_map", "object")
+            resolve(model.functors, _name_at(fname, f"{loc}.obj_map.{o}"), f"{loc}.obj_map", "functor")
         for gid, rname in gen_map.items():
-            try:
-                source.gen(gid)
-            except FacalcError:
-                raise ResolveError(f"{loc}.gen_map: unknown generator {gid!r}") from None
-            if _name_at(rname, f"{loc}.gen_map.{gid}") not in model.coderivations:
-                raise ResolveError(f"{loc}.gen_map: unknown coderivation {rname!r}")
+            resolve(source.by_id, gid, f"{loc}.gen_map", "generator")
+            resolve(model.coderivations, _name_at(rname, f"{loc}.gen_map.{gid}"), f"{loc}.gen_map", "coderivation")
         for o in source.objects:
             _expect(o in obj_map, loc, f"psi object map misses {o!r}")
         model.psi = PsiSpec(source, dict(obj_map), dict(gen_map))

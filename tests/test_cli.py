@@ -7,13 +7,16 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
-from facalc.cli import CHECKS, OPTIONS, PRINTERS, _plain_args, build_parser, main
+from facalc import levels
+from facalc.cli import CHECKS, OPTIONS, PRINTERS, _override_window, _plain_args, build_parser, main
 from facalc.errors import ParseError
-from facalc.structfile import dump_document, load_model_file
+from facalc.structfile import dump_document, load_model, load_model_file
+from facalc.tcoalg import TruncWindow, truncate_element
 
 from conftest import facalc_seed
 
@@ -230,6 +233,40 @@ def test_malformed_fields_are_parse_errors(mutate, where, code, command, tmp_pat
     assert text.startswith(f"{kind} error: {where}:")
 
 
+def _no_tasks(doc):
+    del doc["tasks"]
+
+
+# Every lookup of a declared name misses with one message form, at its
+# location: (mutation of b1_only, argv after the file, message).
+UNKNOWN_NAMES = {
+    "generator": (_set(["b_components", 0, "components", 0, "value", 0, 0], "zz"), ["normalize"],
+                  "$.b_components[0].components[0].value[0]: unknown generator 'zz' in quiver 'A'"),
+    "quiver": (_set(["b_components", 0, "quiver"], "Z"), ["normalize"], "$.b_components[0]: unknown quiver 'Z'"),
+    "functor-side": (_set(["coderivations", 0, "to"], "nope"), ["normalize"],
+                     "$.coderivations[0].to: unknown functor 'nope'"),
+    "coder-quiver-member": (_set(["coder_quiver", "coderivations"], ["r", "nope"]), ["normalize"],
+                            "$.coder_quiver.coderivations: unknown coderivation 'nope'"),
+    "psi-object": (_psi(obj_map={"X": "idA", "Z": "idA"}), ["normalize"], "$.psi.obj_map: unknown object 'Z'"),
+    "psi-functor": (_psi(obj_map={"X": "nope"}), ["normalize"], "$.psi.obj_map: unknown functor 'nope'"),
+    "psi-generator": (_psi(gen_map={"zz": "r"}), ["normalize"], "$.psi.gen_map: unknown generator 'zz'"),
+    "psi-coderivation": (_psi(gen_map={"p": "nope"}), ["normalize"], "$.psi.gen_map: unknown coderivation 'nope'"),
+    "command-functor": (_no_tasks, ["compose", "--f", "nope"], "compose: unknown functor 'nope'"),
+    "command-coderivation": (_no_tasks, ["push", "--r", "nope"], "push: unknown coderivation 'nope'"),
+    "eval-element": (_no_tasks, ["eval", "--element", "nope"], "eval: unknown element 'nope'"),
+    "eval-chain": (_no_tasks, ["eval", "--element", "a1", "--chain", "r,nope"], "eval: unknown coderivation 'nope'"),
+    "eval-boundary": (_no_tasks, ["eval", "--element", "a1", "--chain", "", "--boundary", "nope"],
+                      "eval: unknown functor 'nope'"),
+}
+
+
+@pytest.mark.parametrize("mutate, argv, message", list(UNKNOWN_NAMES.values()), ids=list(UNKNOWN_NAMES))
+def test_an_unknown_name_is_unresolved_with_its_message(mutate, argv, message, tmp_path):
+    doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text(encoding="utf-8"))
+    mutate(doc)
+    assert run_doc(argv, doc, tmp_path) == (65, f"resolve error: {message}\n")
+
+
 COMPONENT_ERRORS = {
     "endpoints": (
         _second_object(["functors", 0, "components", 0, "value"], [["s", ONE_TERM]]),
@@ -297,6 +334,13 @@ def test_a_rational_window_cutoff_on_the_discrete_instance_states_the_expected_f
     assert (code, text) == (64, f"parse error: --window: {WINDOW_FORM}, got '4,2'\n")
 
 
+def test_normalize_reads_the_window_it_does_not_use():
+    # --window is read once for every command: normalize prints the file
+    # as it is, but a malformed window is a usage error there too.
+    assert run(["normalize", B1, "--window", "junk"]) == (64, f"parse error: --window: {WINDOW_FORM}, got 'junk'\n")
+    assert run(["normalize", B1, "--window", "4,2"]) == run(["normalize", B1])
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [("-1,3", "window max_len must be >= 0"), ("4,0", "window cutoff must be positive"), ("4,-1/2", "window cutoff must be positive")],
@@ -317,6 +361,63 @@ def test_check_b2_entries_survive_a_longer_window(fixture):
     narrow, wide = entries("3", "4,2"), entries("5", "8,2")
     assert narrow and all(e["flag"] == "SOUND" for e in narrow + wide)
     assert narrow == [e for e in wide if e["n"] <= 3]
+
+
+def test_check_functor_entries_survive_a_longer_window():
+    # As for check-b2: at the same cutoff, reducing the wide residuals
+    # modulo F^2 leaves them as they are, so the entries of length <= 3 agree.
+    def entries(n_max, window):
+        code, text = run(["check-functor", B1, "--n-max", n_max, "--window", window, "--format", "json"])
+        assert code == 0
+        return json.loads(text)["entries"]
+
+    narrow, wide = entries("3", "4,2"), entries("5", "8,2")
+    assert narrow and all(e["flag"] == "SOUND" for e in narrow + wide)
+    assert narrow == [e for e in wide if e["n"] <= 3]
+
+
+def test_an_eval_result_survives_a_longer_window():
+    # The result at (4, 2) is the result at (8, 2) cut to words of length
+    # <= 4 and reduced modulo F^2.
+    def result(window):
+        code, text = run(["eval", B1, "--window", window])
+        assert code == 0 and json.loads(text)["meta"] == {"flag": "SOUND"}
+        return load_model(text).elements["result"]
+
+    narrow, wide = result("4,2"), result("8,2")
+    assert not narrow.is_zero()
+    assert narrow == truncate_element(wide, TruncWindow(4, levels.rat(2)))[0]
+
+
+def test_transport_commands_that_do_not_compose_exit_64(tmp_path):
+    # A second identity functor, on quiver C: each command gets maps that
+    # do not compose and ends in the catch-all exit with its own message.
+    doc = json.loads((ROOT / "tests/fixtures/psi_roundtrip.json").read_text(encoding="utf-8"))
+    doc["functors"].append({
+        "name": "idC", "src": "C", "dst": "C", "obj_map": {"o": "o"},
+        "components": [{"word": [g], "value": [[g, "1"]]} for g in ("c1", "c2")],
+    })
+    cases = {
+        ("compose", "--f", "idA", "--g", "idC"): "error: cannot compose 'idA' with 'idC'\n",
+        ("push", "--r", "r1", "--h", "idC"): "error: push: coderivation does not land in the source of h\n",
+        ("pull", "--e", "idC", "--r", "r1"): "error: pull: cofunctor does not land in the source of r\n",
+    }
+    for argv, message in cases.items():
+        assert run_doc(list(argv), doc, tmp_path) == (64, message)
+
+
+def test_a_missing_name_states_how_many_the_file_declares():
+    # Functors and coderivations are picked by one rule, with one message.
+    code, text = run(["push", "tests/fixtures/psi_roundtrip.json"])
+    assert (code, text) == (65, "resolve error: push: give a coderivation name (file declares 2)\n")
+    code, text = run(["compose", "tests/fixtures/psi_roundtrip.json", "--f", "idA"])
+    assert (code, text) == (0, run(["compose", "tests/fixtures/psi_roundtrip.json", "--f", "idA", "--g", "idA"])[1])
+
+
+def test_an_infinity_level_that_is_not_true_names_its_path_once(tmp_path):
+    doc = json.loads((ROOT / B1).read_text(encoding="utf-8"))
+    doc["window"]["cutoff"] = {"infinity": False}
+    assert run_doc(["normalize"], doc, tmp_path) == (64, "parse error: $.window.cutoff: infinity level must be true\n")
 
 
 def run_doc(argv, doc, tmp_path):
@@ -351,7 +452,152 @@ def test_discrete_number_levels_are_zero_or_parse_errors(value, want, tmp_path):
         assert code == 0 and json.loads(text)["quivers"][0]["generators"][0]["base_level"] == {"discrete": want}
 
 
+def test_a_json_infinity_is_not_the_discrete_top(tmp_path):
+    # json.loads reads Infinity as a float, which str() would print as the
+    # discrete top 'inf'; a level number is read as the JSON it prints.
+    doc = json.loads((ROOT / "tests/fixtures/undecided.json").read_text(encoding="utf-8"))
+    del doc["functors"]
+    doc["quivers"][0]["generators"][0]["base_level"] = {"discrete": float("inf")}
+    code, text = run_doc(["normalize"], doc, tmp_path)
+    assert code == 64 and text.startswith("parse error: $.quivers[0].generators[0].base_level: bad level value: ")
+
+
 B1 = "tests/fixtures/b1_only.json"
+
+
+# ---------------------------------------------------------------------------
+# The one number grammar.  A level is written as an integer, p/q with q not
+# zero, or a JSON number; a count is ASCII digits alone.  A spelling is drawn
+# with the exact value the grammar gives it, or None where the grammar names
+# none: Python's own readers take "1_0", " 3 ", "+3" and "٣" as numbers.
+
+DIGITS = st.text("0123456789", min_size=1, max_size=4)
+OTHER_DIGITS = "٠١٢٣٤٥٦٧٨٩"  # Arabic-Indic, which int() and Fraction() read
+NOT_IN_THE_GRAMMAR = ["inf", "", "Infinity", "NaN", ".5", "5.", "1e", "1/", "/2", "1/-2", "--1", "0x10", "1,5"]
+
+
+@st.composite
+def spellings(draw):
+    """(text, value, integer): a spelling, its exact Fraction (None when the
+    grammar names none), and whether it is an integer: ASCII digits with at
+    most a leading "-"."""
+    sign = draw(st.sampled_from(["", "-"]))
+    digits = draw(DIGITS)
+    if draw(st.booleans()):
+        q = draw(st.one_of(st.just(""), DIGITS))
+        text = sign + digits + (q and "/" + q)
+        value = None if q and int(q) == 0 else Fraction(int(sign + digits), int(q or 1))
+    else:
+        digits = digits.lstrip("0") or "0"
+        frac = draw(st.one_of(st.just(""), DIGITS))
+        exp = draw(st.one_of(st.just(""), st.tuples(
+            st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=2)
+        ).map("".join)))
+        text = sign + digits + (frac and "." + frac) + exp
+        value = Fraction(int(sign + digits + frac), 10 ** len(frac)) * Fraction(10) ** int(exp[1:] or 0)
+    integer = value is not None and text == sign + digits
+    how = draw(st.sampled_from(["as is", "as is", "underscore", "space", "plus", "other digit", "other"]))
+    places = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    if how == "underscore" and places:
+        i = draw(st.sampled_from(places))
+        text = text[:i] + "_" + text[i:]
+    elif how == "space":
+        text = draw(st.sampled_from([" {}", "{} ", " {} "])).format(text)
+    elif how == "plus":
+        text = "+" + text
+    elif how == "other digit":
+        i = draw(st.sampled_from([i for i, c in enumerate(text) if c.isdigit()]))
+        text = text[:i] + OTHER_DIGITS[int(text[i])] + text[i + 1:]
+    elif how == "other":
+        text = draw(st.sampled_from(NOT_IN_THE_GRAMMAR))
+    else:
+        return text, value, integer
+    return text, None, False
+
+
+# Where a level field lives in LEVEL_DOC, by its path in messages.
+LEVEL_FIELDS = {
+    "$.window.cutoff": ["window", "cutoff"],
+    "$.quivers[0].generators[0].base_level": ["quivers", 0, "generators", 0, "base_level"],
+    "$.coderivations[0].level": ["coderivations", 0, "level"],
+}
+LEVEL_DOC = {
+    "level_monoid": "rat",
+    "coefficients": "nov",
+    "window": {"max_len": 2, "cutoff": {"rat": "1"}},
+    "quivers": [{"name": "A", "objects": ["X"], "generators": [
+        {"id": "p", "src": "X", "dst": "X", "sdeg": 0, "base_level": {"rat": "0"}}]}],
+    "functors": [{"name": "idA", "src": "A", "dst": "A", "obj_map": {"X": "X"},
+                  "components": [{"word": ["p"], "value": [["p", "1"]]}]}],
+    "coderivations": [{"name": "r", "from": "idA", "to": "idA", "degree": 0, "level": {"rat": "0"}, "components": []}],
+}
+
+
+def at_path(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def window_outcome(spec, n, e):
+    """What ``normalize B1 --window=<spec>`` prints, from the spellings of
+    its N and its E: a negative N and a cutoff that is not positive keep
+    their own messages."""
+    if not n[2] or e[1] is None:
+        return 64, "parse error: --window: expected 'N,E' (N an integer >= 0, E rational, or 'inf'" \
+                   f" on the discrete instance), got {spec!r}\n"
+    if n[1] < 0:
+        return 64, "parse error: --window: window max_len must be >= 0\n"
+    if e[1] <= 0:
+        return 64, "parse error: --window: window cutoff must be positive\n"
+    return run(["normalize", B1])
+
+
+@seed(facalc_seed())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(field="$.window.cutoff", level=("1_0", None, False), n=("4", 4, True))
+@example(field="$.window.cutoff", level=("+3", None, False), n=("4", 4, True))
+@example(field="$.quivers[0].generators[0].base_level", level=(" 3 ", None, False), n=("4", 4, True))
+@example(field="$.coderivations[0].level", level=("inf", None, False), n=("4", 4, True))
+@example(field="$.coderivations[0].level", level=("1e-05", Fraction(1, 100000), False), n=("4", 4, True))
+@example(field="--window", level=("1_0", None, False), n=("4", 4, True))
+@example(field="--window", level=("2", Fraction(2), True), n=("1_0", None, False))
+@example(field="--window", level=("", None, False), n=("4", 4, True))
+@example(field="--n-max", level=("٣", None, False), n=("4", 4, True))
+@example(field="--n-max", level=("007", Fraction(7), True), n=("4", 4, True))
+@given(field=st.sampled_from([*LEVEL_FIELDS, "--window", "--n-max"]), level=spellings(), n=spellings())
+def test_a_number_is_read_exactly_when_the_grammar_names_it(field, level, n, tmp_path):
+    # Each field is read at its exact value when the grammar names its
+    # spelling, and any other spelling exits 64 at its path, or with the
+    # window's form message; none ends in a traceback.
+    text, value, integer = level
+    if field in LEVEL_FIELDS:
+        doc = json.loads(json.dumps(LEVEL_DOC))
+        keys = LEVEL_FIELDS[field]
+        at_path(doc, keys[:-1])[keys[-1]] = {"rat": text}
+        code, out = run_doc(["normalize"], doc, tmp_path)
+        if value is None:
+            assert code == 64 and out.startswith(f"parse error: {field}: bad level value: "), out
+        elif field == "$.window.cutoff" and value <= 0:
+            assert (code, out) == (64, "parse error: $.window: window cutoff must be positive\n")
+        else:
+            assert code == 0 and Fraction(at_path(json.loads(out), keys)["rat"]) == value
+    elif field == "--window":
+        spec = f"{n[0]},{text}"
+        code, out = run(["normalize", B1, f"--window={spec}"])
+        assert (code, out) == window_outcome(spec, n, level)
+        if code == 0:
+            assert _override_window(load_model_file(B1), spec) == TruncWindow(n[1], levels.rat(value))
+    else:
+        argv = ["normalize", B1, f"--n-max={text}"]
+        code, out = run(argv)
+        if integer and not text.startswith("-"):
+            assert code == 0 and _plain_args(argv).n_max == full_parse(argv).n_max == value
+        else:
+            assert (code, out) == (64, f"parse error: facalc normalize: argument --n-max: expected an integer >= 0, got {text!r}\n")
+    assert "Traceback" not in out
+
+
 USAGE_ERRORS = {
     "bad-count": ["check-b2", B1, "--n-max", "x"],
     "negative-n-max": ["check-b2", B1, "--n-max", "-1"],

@@ -468,6 +468,8 @@ def test_dot_mismatch_messages():
         ("1*T^{1/0}*e^{0}", "cannot parse scalar monomial '1*T^{1/0}*e^{0}'"),
         ("1*T^{1}*e^{1/2}", "cannot parse scalar monomial '1*T^{1}*e^{1/2}'"),
         ("2 + +3", "cannot parse scalar monomial ''"),
+        # Only ASCII digits: int() alone would read the Arabic-Indic three.
+        ("٣*T^{0}*e^{0}", "cannot parse scalar monomial '٣*T^{0}*e^{0}'"),
     ],
 )
 def test_malformed_scalar_messages(text, message):
