@@ -267,7 +267,7 @@ def cmd_eval(model: Model, window: TruncWindow, args):
 
 def cmd_solve_psi(model: Model, window: TruncWindow, args):
     # The one import of the solver: no other command pays for loading it.
-    from .evalhom import psi_fixture, solve_psi
+    from .solver import psi_fixture, solve_psi
 
     if model.psi is None:
         raise ResolveError("solve-psi: file has no psi section")
@@ -325,9 +325,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _count(text: str) -> int:
     """A count, such as an option's value or the N of ``--window``: ASCII
-    digits, read as an integer >= 0."""
+    digits, no more than ``levels.check_digits`` allows, read as an integer
+    >= 0."""
     if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    try:
+        levels.check_digits(len(text))
+    except FacalcError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return int(text)
 
 

@@ -37,7 +37,12 @@ stores nothing ends the call, once its rooms are made, and a product that no
 key of the exact table the result is folded through extends is dropped.
 Every other call sweeps unpruned, as the split enumeration of each word
 does.  So a lazy ``compute`` runs, or an extraction bound raises, exactly
-where the split enumeration of some word would.  At each word's end its
+where the split enumeration of some word would.  A letter row marks each
+coefficient that is the unit 1*T^0*e^0 (``_Row``): a step by it keeps the
+partial's scalar, after ``nov_mul``'s variant check, and makes no product.
+A single's k = 0 row at an object, which every state at a node of that
+object would try, is read once per call, on the first such state, and a
+row that is empty is not stepped by.  At each word's end its
 final states are summed by output word, keyed by its generator ids as
 ``comp_key`` keys a block, negated once per output word where the sign asks,
 and each output word is the target quiver's kept word, as the word a letter
@@ -62,6 +67,19 @@ _END = None  # the trie entry marking the end of a stored key
 
 # A letter row: one (gid, coefficient) per term of a component.
 Letter = Tuple[Tuple[str, NovikovScalar], ...]
+_ONE = novikov.one().terms  # the terms of the unit 1*T^0*e^0, in any variant
+
+
+class _Row(tuple):
+    """A ``Letter`` as ``letter`` keeps it: ``units`` marks each coefficient
+    that is the unit, which a step does not multiply by."""
+
+    def __new__(cls, terms: Letter):
+        row = super().__new__(cls, terms)
+        row.units = tuple(cl.terms == _ONE for _, cl in terms)
+        return row
+
+
 # The partial sums at one path-sum state, keyed by the gids of the output
 # word, the key ``comp_key`` uses.
 Partial = Dict[Tuple[str, ...], NovikovScalar]
@@ -108,7 +126,10 @@ class _Trie:
         if isinstance(words, Basis):
             self.quiver, self.height = words
             self.out = {x: sorted(self.quiver.gens_from(x), key=lambda g: g.gid) for x in self.quiver.objects}
-            self.lows: Dict[Tuple[str, int], Level] = {}
+            # The least base level of a path is 0 when no generator's is
+            # negative: ``_least`` then needs no table.
+            nonneg = all(g.base_level.instance == instance and g.base_level.value >= 0 for g in self.quiver.gens)
+            self.lows: Optional[Dict[Tuple[str, int], Level]] = None if nonneg else {}
             for x in self.quiver.objects:
                 self._make(None, x)
             return
@@ -180,8 +201,11 @@ class _Trie:
 
     def _least(self, at: str, longest: int) -> Level:
         """The least base level of a path from ``at`` of at most ``longest``
-        letters.  The table is filled for every object from the paths of no
-        letter up, so a long basis needs no recursion."""
+        letters: 0 where no generator's is negative, else read from a table
+        that is filled for every object from the paths of no letter up, so a
+        long basis needs no recursion."""
+        if self.lows is None:
+            return levels.zero(self.instance)
         if (at, longest) in self.lows:
             return self.lows[at, longest]
         for n in range(longest + 1):
@@ -285,7 +309,7 @@ def _path_sum(
         row = owner.rows.get(key)
         if row is None:
             terms = owner.comp_value(quiver_word(owner.src, key)).terms
-            row = owner.rows[key] = tuple((g.gid, cl) for g, cl in terms)
+            row = owner.rows[key] = _Row(tuple((g.gid, cl) for g, cl in terms))
         return row
 
     def state(q: int, t: int, e: int) -> Partial:
@@ -301,14 +325,20 @@ def _path_sum(
         into = None  # the state is created on its first surviving product
         for prefix, cp in partial.items():
             node = None if nodes is None else nodes[prefix]
-            for gid, cl in value:
+            for (gid, cl), unit in zip(value, value.units):
                 key = prefix + (gid,)
                 if node is not None:
                     child = node.get(gid)
                     if child is None:
                         continue
                     nodes[key] = child
-                term = novikov.nov_mul(cp, cl)
+                if unit:
+                    # The product by the unit, with nov_mul's variant check.
+                    if cp.variant != cl.variant:
+                        novikov._check_variant(cp, cl)
+                    term = cp
+                else:
+                    term = novikov.nov_mul(cp, cl)
                 if sign < 0:
                     term = novikov.nov_neg(term)
                 if into is None:
@@ -316,6 +346,8 @@ def _path_sum(
                 into[key] = novikov.nov_add(into[key], term) if key in into else term
 
     walks = [trie.found.setdefault(owner, {}) for owner in owners]
+    # Each single's k = 0 row, by object, read once per call.
+    heads: List[Dict[str, Letter]] = [{} for _ in singles]
     dst = families[0].dst
     for layer in layers:
         for p in layer:
@@ -337,7 +369,12 @@ def _path_sum(
                         step(partial, p, t, e + 1, letter(family, obj))
                     if t < n_singles:
                         single = singles[t]
-                        for q, key in ((p, obj), *trie.blocks(single, p, walks[n_singles + 1 + t])):
+                        head = heads[t].get(obj)
+                        if head is None:
+                            head = heads[t][obj] = letter(single, obj)
+                        if head:
+                            step(partial, p, t + 1, e, head, _crossing_sign(single.deg, node_words[p].sdeg))
+                        for q, key in trie.blocks(single, p, walks[n_singles + 1 + t]):
                             if e < rooms[q]:
                                 sign = _crossing_sign(single.deg, node_words[q].sdeg)
                                 step(partial, q, t + 1, e, letter(single, key), sign)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -137,8 +138,24 @@ def make_level(instance: str, x: RationalLike) -> Level:
 # A written level: an integer or p/q, as in scalars, or a JSON number; q is
 # not zero, and every digit is ASCII.
 _WRITTEN = re.compile(
-    r"-?(?:[0-9]+(?:/[0-9]*[1-9][0-9]*)?|(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"-?(?:(?P<p>[0-9]+)(?:/(?P<q>[0-9]*[1-9][0-9]*))?"
+    r"|(?P<int>0|[1-9][0-9]*)(?:\.(?P<frac>[0-9]+))?(?:[eE][+-]?(?P<exp>[0-9]+))?)"
 )
+
+
+def past_digit_bound(n: int) -> bool:
+    """Whether n decimal digits are more than ``sys.get_int_max_str_digits()``,
+    the most digits Python reads or prints an int with (0 sets no bound)."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and n > limit
+
+
+def check_digits(*counts: int) -> None:
+    """Raise if a count of decimal digits is past the bound
+    (``past_digit_bound``), so that a number facalc reads is built at once
+    and can be printed."""
+    if past_digit_bound(max(counts)):
+        raise FacalcError(f"a number of more than {sys.get_int_max_str_digits()} digits")
 
 
 def read_level(instance: str, text: str) -> Level:
@@ -146,8 +163,22 @@ def read_level(instance: str, text: str) -> Level:
     written in a structure file or in ``--window``: ``p`` or ``p/q``, a JSON
     number read as the decimal it prints (``0.1`` is 1/10, ``1e-05`` is
     1/100000), or ``inf`` on ``discrete``, whose numbers must equal 0.
-    Spaces, ``_``, a leading ``+`` and digits other than ASCII are errors."""
-    if _WRITTEN.fullmatch(text) or (instance == DISCRETE and text == _INF):
+    Spaces, ``_``, a leading ``+`` and digits other than ASCII are errors,
+    and so is a number of more digits than ``check_digits`` allows: p's or
+    q's, or a JSON number's digits plus the size of its exponent, which
+    bounds the digits of the fraction it writes."""
+    m = _WRITTEN.fullmatch(text)
+    if m is not None:
+        if m["int"] is None:
+            check_digits(len(m["p"]), len(m["q"] or ""))
+        else:
+            # An exponent of ten digits or more implies more digits than
+            # any bound in use, and is not read.
+            exp = (m["exp"] or "").lstrip("0")
+            size = int(exp or 0) if len(exp) < 10 else sys.maxsize
+            check_digits(len(m["int"]) + len(m["frac"] or "") + size)
+        return make_level(instance, text)
+    if instance == DISCRETE and text == _INF:
         return make_level(instance, text)
     raise FacalcError(f"expected p/q or a JSON number, got {text!r}")
 

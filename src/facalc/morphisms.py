@@ -566,16 +566,20 @@ def chain_sum(
     terms on w, one per output word, must run between the chain's images of
     w's ends; they are reduced and cut to the window with that chain's own
     flag, as ``truncate_element`` would (each output word's bound is kept on
-    the word), and added, signed, into w's one accumulation; one
-    ``TensorElement`` per word is built at the end, on the endpoints of the
-    first chain that kept a term, else of the first chain.  A word the sweep
-    does not yield adds nothing."""
+    the word), and added, signed, into w's one accumulation.  w's ends are
+    those of the first chain that kept a term, else of the first chain; a
+    later chain that keeps a term on other ends is the ObjectMismatch of its
+    first kept word, raised, word by word, once every chain is swept.  Each
+    word's ``TensorElement`` is built once from its accumulation
+    (``TensorElement.merged``).  A word the sweep does not yield adds
+    nothing."""
     if not chains:
         return [(None, Flag.SOUND)] * len(words)
     ops = [(sign, chain_slots(chain, boundary)) for sign, chain in chains]
     sums: List[Dict[Word, NovikovScalar]] = [{} for _ in words]
     ends: List[Optional[Tuple[str, str]]] = [None] * len(words)
     flags = [Flag.SOUND] * len(words)
+    stray: Dict[int, Word] = {}  # by word, the first kept word off its ends
     for sign, (families, singles) in ops:
         src, dst = families[0].obj_map, families[-1].obj_map
         parts = dict(_path_sum(words, c, families, singles, _empty_caps(families, window, c)))
@@ -592,14 +596,20 @@ def chain_sum(
             kept, flag = tcoalg._window_terms(terms, window)
             flags[k] = max(flags[k], flag)
             if kept:
-                ends[k] = ends[k] or end
+                if ends[k] is None:
+                    ends[k] = end
+                elif end != ends[k]:
+                    stray.setdefault(k, kept[0][0])
                 acc = sums[k]
                 for u, cu in kept:
                     cu = cu if sign == 1 else novikov.nov_neg(cu)
                     acc[u] = novikov.nov_add(acc[u], cu) if u in acc else cu
+    if stray:
+        k = min(stray)
+        raise ObjectMismatch(f"word {stray[k]!r} does not run {ends[k][0]!r} -> {ends[k][1]!r}")
     first = ops[0][1][0]
     return [
-        (TensorElement(*(end or (first[0].obj_map[w.src], first[-1].obj_map[w.dst])), acc.items()), flag)
+        (TensorElement.merged(*(end or (first[0].obj_map[w.src], first[-1].obj_map[w.dst])), acc), flag)
         for w, end, acc, flag in zip(words, ends, sums, flags)
     ]
 

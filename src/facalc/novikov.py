@@ -206,11 +206,11 @@ def nov_rat_mul(q, x: NovikovScalar) -> NovikovScalar:
 
 
 def nov_level(x: NovikovScalar, instance: str) -> Level:
-    """The largest l with x in F^l: the minimum energy, or INFINITY for 0."""
+    """The largest l with x in F^l: the minimum energy, which is the first
+    term's, since terms are sorted by energy; INFINITY for 0."""
     if x.is_zero():
         return INFINITY
-    lowest = min(lam for _, lam, _ in x.terms)
-    return levels.make_level(instance, lowest)
+    return levels.make_level(instance, x.terms[0][1])
 
 
 def nov_truncate(x: NovikovScalar, cutoff: Level) -> NovikovScalar:
@@ -259,10 +259,14 @@ def parse_scalar(text: str, variant: str = NOV) -> NovikovScalar:
         m = _MONOMIAL_RE.match(part)
         if m is None:
             raise FacalcError(f"cannot parse scalar monomial {part!r}")
-        # _MONOMIAL_RE has validated each number: read its parts with int.
+        # _MONOMIAL_RE has validated each number: read its parts with int,
+        # once none has too many digits, which only a monomial longer than
+        # the bound can have.
         (cn, _, cd), (en, _, ed) = (t.partition("/") for t in (m.group("coeff"), m.group("energy") or "0"))
-        expo = int(m.group("expo") or 0)
-        terms.append((Fraction(int(cn), int(cd or 1)), Fraction(int(en), int(ed or 1)), expo))
+        expo = m.group("expo") or "0"
+        if levels.past_digit_bound(len(part)):
+            levels.check_digits(*(len(t.lstrip("-")) for t in (cn, cd, en, ed, expo)))
+        terms.append((Fraction(int(cn), int(cd or 1)), Fraction(int(en), int(ed or 1)), int(expo)))
     return _valid(terms, variant)
 
 

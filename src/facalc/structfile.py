@@ -221,6 +221,9 @@ def load_model(text: str) -> Model:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except ValueError as exc:
+        # int() refuses a JSON integer of more digits than its bound.
+        raise _fail("$", str(exc).split(";")[0]) from None
     _expect(isinstance(doc, dict), "$", "top level must be an object")
 
     monoid = doc.get("level_monoid")

@@ -170,6 +170,16 @@ class TensorElement(_Combination, Frozen):
             (w, c) for w, c in sorted(merged.items(), key=lambda t: t[0].sort_key()) if not c.is_zero()
         ))
 
+    @classmethod
+    def merged(cls, src: str, dst: str, merged: Dict[Word, NovikovScalar]) -> "TensorElement":
+        """The element of terms already merged by word, every word running
+        src -> dst: built once, its zeros dropped and its words sorted, with
+        none of ``__init__``'s merging and checks."""
+        terms = sorted(((w, c) for w, c in merged.items() if c.terms), key=lambda t: t[0].sort_key())
+        out = cls.__new__(cls)
+        out._set(src, dst, tuple(terms))
+        return out
+
     @staticmethod
     def from_word(w: Word, coeff: NovikovScalar) -> "TensorElement":
         return TensorElement(w.src, w.dst, [(w, coeff)])

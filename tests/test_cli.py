@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -598,6 +599,73 @@ def test_a_number_is_read_exactly_when_the_grammar_names_it(field, level, n, tmp
     assert "Traceback" not in out
 
 
+# A number of more digits than Python reads or prints an int with is an
+# input error, found before the number is built: its exponent counts as the
+# digits it implies, so "1e4000000" is refused at once and not built in
+# seconds.
+LIMIT = sys.get_int_max_str_digits()
+TOO_LONG = f"a number of more than {LIMIT} digits"
+PAST = "1" * (LIMIT + 1)
+SCALAR_AT = "$.coderivations[0].components[0].value[0]"
+BASE_LEVEL_AT = "$.quivers[0].generators[0].base_level"
+
+
+def window_form(spec):
+    return ("parse error: --window: expected 'N,E' (N an integer >= 0, E rational, or 'inf' on the discrete"
+            f" instance), got {spec!r}\n")
+
+
+@pytest.mark.parametrize(
+    "where, value, want",
+    [
+        ("coefficient", f"{PAST}*T^{{0}}*e^{{0}}", f"parse error: {SCALAR_AT}: {TOO_LONG}\n"),
+        ("coefficient", f"1/{PAST}", f"parse error: {SCALAR_AT}: {TOO_LONG}\n"),
+        ("energy", f"1*T^{{-{PAST}}}*e^{{0}}", f"parse error: {SCALAR_AT}: {TOO_LONG}\n"),
+        ("energy", f"1*T^{{0}}*e^{{{PAST}}}", f"parse error: {SCALAR_AT}: {TOO_LONG}\n"),
+        ("level", PAST, f"parse error: {BASE_LEVEL_AT}: bad level value: {TOO_LONG}\n"),
+        ("level", f"1/{PAST}", f"parse error: {BASE_LEVEL_AT}: bad level value: {TOO_LONG}\n"),
+        ("level", "1e400000", f"parse error: {BASE_LEVEL_AT}: bad level value: {TOO_LONG}\n"),
+        ("level", "1e-4000000", f"parse error: {BASE_LEVEL_AT}: bad level value: {TOO_LONG}\n"),
+        ("level", f"1.5e{LIMIT - 1}", f"parse error: {BASE_LEVEL_AT}: bad level value: {TOO_LONG}\n"),
+        ("level", f"1e{'9' * 30}", f"parse error: {BASE_LEVEL_AT}: bad level value: {TOO_LONG}\n"),
+        ("window", f"4,1e{LIMIT}", window_form(f"4,1e{LIMIT}")),
+        ("window", "4,1e4000000", window_form("4,1e4000000")),
+        ("window", f"4,{PAST}", window_form(f"4,{PAST}")),
+        ("window", f"{PAST},2", window_form(f"{PAST},2")),
+        ("n-max", PAST, f"parse error: facalc normalize: argument --n-max: {TOO_LONG}\n"),
+        ("json", PAST, "parse error: $: "),
+        # At the bound a number is read.
+        ("window", f"4,1e{LIMIT - 1}", None),
+        ("window", f"4,{'1' * LIMIT}", None),
+        ("level", f"-1e-{LIMIT - 1}", None),
+        ("coefficient", "1" * LIMIT, None),
+    ],
+)
+def test_a_number_past_the_digit_bound_exits_64_at_once(where, value, want, tmp_path):
+    doc = json.loads((ROOT / B1).read_text(encoding="utf-8"))
+    argv = ["normalize", str(tmp_path / "doc.json")]
+    text = None
+    if where in ("coefficient", "energy"):
+        doc["coderivations"][0]["components"][0]["value"][0][1] = value
+    elif where == "level":
+        doc["quivers"][0]["generators"][0]["base_level"] = {"rat": value}
+        doc["b_components"] = doc["functors"] = doc["coderivations"] = []
+        del doc["coder_quiver"]
+    elif where == "json":
+        # A JSON integer, which json.loads reads with int().
+        text = json.dumps(doc).replace('"base_level": {"rat": "0"}', f'"base_level": {{"rat": {value}}}', 1)
+    else:
+        argv.append(f"--{where}={value}")
+    (tmp_path / "doc.json").write_text(text or json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out = run(argv)
+    assert time.perf_counter() - start < 1
+    if want is None:
+        assert code == 0, out
+    else:
+        assert code == 64 and out.startswith(want) and (want.endswith(" ") or out == want), out[:300]
+
+
 USAGE_ERRORS = {
     "bad-count": ["check-b2", B1, "--n-max", "x"],
     "negative-n-max": ["check-b2", B1, "--n-max", "-1"],
@@ -918,11 +986,11 @@ def test_solve_psi_reads_the_family_up_to_psi_len(extra, same_as):
 def test_solve_psi_builds_the_family_up_to_psi_len(psi_len, monkeypatch):
     # The window (length 4) does not widen the family: the solver reads it
     # up to --psi-len.  The letters c1, c2 are mapped at every length.
-    import facalc.evalhom
+    import facalc.solver
 
     built = []
-    assemble = facalc.evalhom.psi_fixture
-    monkeypatch.setattr(facalc.evalhom, "psi_fixture", lambda *args: built.append(assemble(*args)) or built[-1])
+    assemble = facalc.solver.psi_fixture
+    monkeypatch.setattr(facalc.solver, "psi_fixture", lambda *args: built.append(assemble(*args)) or built[-1])
     cmd = ["solve-psi", "tests/fixtures/psi_roundtrip.json", "--psi-len", str(psi_len)]
     assert run(cmd)[0] == 0
     assert load_model_file(cmd[1]).window.max_len == 4
@@ -958,13 +1026,13 @@ def test_solve_psi_checks_gen_map_where_a_letter_fits(extra, checked, tmp_path):
 def test_a_leibniz_residual_exits_with_the_residual_code(monkeypatch):
     # The declared pairing is compatible by construction, so no file makes
     # the solver's consistency check fail: the solver is made to raise.
-    import facalc.evalhom
+    import facalc.solver
     from facalc.errors import LeibnizResidual
 
     def failing(*args, **kwargs):
         raise LeibnizResidual("reconstruction differs on word c1")
 
-    monkeypatch.setattr(facalc.evalhom, "solve_psi", failing)
+    monkeypatch.setattr(facalc.solver, "solve_psi", failing)
     code, text = run(["solve-psi", "tests/fixtures/psi_roundtrip.json"])
     assert code == 1
     assert text == "residual: reconstruction differs on word c1\n"

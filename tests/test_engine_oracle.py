@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from facalc import levels, novikov, tcoalg
+from facalc import engine, levels, novikov, tcoalg
 from facalc.errors import ConvergenceUndecided, FacalcError, ObjectMismatch, VariantMismatch
 from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.ainfty import _hom_str, _word_checks, word_name
@@ -1912,3 +1912,220 @@ def test_bounded_blocks_sweep_as_the_unbounded_walk(data):
             patch.setattr(_Trie, "blocks", unbounded_blocks)
             want = basis_sweep(mode, specs, n, c, cutoff, fresh=True)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Steps by a unit letter, against the product they skip
+
+# Pools in which most letters are a unit, of one variant or of two, among
+# multi-term and plain scalars: a unit step then meets partials of both
+# variants, and the first product of two variants is an error.
+UNIT_POOLS = [
+    [novikov.one(), novikov.one(), MULTI, novikov.one(), novikov.monomial(-1), novikov.nov_neg(MULTI)],
+    [novikov.one(), novikov.one("q"), MULTI, novikov.one(), *PLAIN_SCALARS, novikov.monomial(2, 0, 1),
+     novikov.one("q")],
+]
+
+
+def pool_table(salt: int, sparsity: int, pool, empties: bool):
+    """Letters drawn from pool on the table words and, with empties, on the
+    empty words."""
+    comps = {}
+    for w in TABLE_WORDS + ([Word(obj) for obj in QUIVER.objects] if empties else []):
+        v = letter_for(salt, sparsity, w, pool)
+        if not v.is_zero():
+            comps.setdefault(len(w), {})[comp_key(w)] = v
+    return comps
+
+
+@st.composite
+def pool_specs(draw, n_singles):
+    """(salt, sparsity, complete_upto or None, lazy) per owner: the families,
+    then the singles."""
+    return draw(st.lists(st.tuples(
+        st.integers(0, 10**6), st.integers(1, 2), st.sampled_from([None, 1, 2]), st.booleans(),
+    ), min_size=2 * n_singles + 1, max_size=2 * n_singles + 1))
+
+
+def pool_owners(specs, degs, pool):
+    """Flat families and a chain between them, their letters from pool; a
+    lazy owner's compute raises on some words."""
+    n_singles = len(degs)
+
+    def kw(salt, sparsity, upto, lazy):
+        if not lazy:
+            return {}
+        hits = lambda w: _hash(salt + 9, w) % 7 == 0
+        return {"complete_upto": upto, "compute": RaisingCompute(salt + 7, sparsity, hits, pool)}
+
+    families = [
+        Cofunctor(f"f{i}", QUIVER, QUIVER, IDENTITY, pool_table(salt, sparsity, pool, False), "rat", "nov",
+                  **kw(salt, sparsity, upto, lazy))
+        for i, (salt, sparsity, upto, lazy) in enumerate(specs[: n_singles + 1])
+    ]
+    chain = [
+        Coderivation(f"r{i}", families[i], families[i + 1], deg, R0, pool_table(salt, sparsity, pool, True),
+                     **kw(salt, sparsity, upto, lazy))
+        for i, (deg, (salt, sparsity, upto, lazy)) in enumerate(zip(degs, specs[n_singles + 1:]))
+    ]
+    return families, chain
+
+
+class ProductRow(tuple):
+    """A letter row with no unit marked."""
+
+    def __new__(cls, terms):
+        row = super().__new__(cls, terms)
+        row.units = (False,) * len(row)
+        return row
+
+
+@seed(facalc_seed())
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_unit_steps_match_the_products_on_mixed_pools(data):
+    # The same sweeps with letter rows that mark no coefficient as the
+    # unit, so that every step calls ``nov_mul``: values, flags, term types,
+    # computes in order and the first error, with its message.
+    pool = data.draw(st.sampled_from(UNIT_POOLS), label="pool")
+    n_singles = data.draw(st.integers(0, 2), label="singles")
+    specs = data.draw(pool_specs(n_singles), label="owners")
+    degs = data.draw(st.lists(st.integers(-1, 2), min_size=n_singles, max_size=n_singles), label="degs")
+    x = data.draw(multi_elements(pool, max_len=4 - n_singles), label="x")
+    window = TruncWindow(6, levels.rat(data.draw(st.integers(1, 3), label="cutoff")))
+
+    def run():
+        families, chain = pool_owners(specs, degs, pool)
+        computes = []
+        record_computes(families + chain, computes)
+        try:
+            result = "ok", slot_value(x, chain_slots(chain, families[0]), window)
+        except FacalcError as exc:
+            result = "raised", type(exc), str(exc)
+        return result, computes
+
+    got = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_Row", ProductRow)
+        want = run()
+    assert got == want
+    if got[0][0] == "ok":
+        for _, c in got[0][1][0].terms:
+            assert all(type(a) is Fraction and type(lam) is Fraction and type(n) is int for a, lam, n in c.terms)
+
+
+def test_a_unit_step_keeps_the_variant_check():
+    # The one letter of f is the unit of 'nov'; the element's coefficient
+    # is of 'q', so the product, skipped or not, is an error.
+    a = QUIVER.gen("a")
+    f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, {1: {("a",): HomElement.from_gen(a, novikov.one())}}, "rat", "nov")
+    x = TensorElement.from_word(Word.from_gens([a]), novikov.monomial(3, 0, 0, "q"))
+    with pytest.raises(VariantMismatch, match=r"^variants 'q' and 'nov'$"):
+        slot_value(x, cofunctor_slots(f), TruncWindow(6, levels.rat(3)))
+    assert f.rows[("a",)].units == (True,)
+
+
+# ---------------------------------------------------------------------------
+# chain_sum builds each element once, from its accumulation
+
+
+@seed(facalc_seed())
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_chain_sum_builds_each_element_as_the_constructor_would(data):
+    # Every element chain_sum returns is built once, by
+    # ``TensorElement.merged``, from its word's accumulation; the
+    # constructor, given the same terms, builds the same element, with the
+    # same word and coefficient objects in the same order.  Chains of one
+    # span drawn with both signs cancel, so some accumulations hold zeros.
+    n_singles = data.draw(st.sampled_from([1, 2]), label="singles")
+    family_specs = data.draw(st.lists(owner_specs(), min_size=n_singles + 1, max_size=n_singles + 1))
+    single_specs = data.draw(st.lists(owner_specs(), min_size=n_singles, max_size=n_singles))
+    for sp in family_specs + single_specs:
+        sp["raise_mod"] = None
+    words_ = [w for w, _ in data.draw(elements(max_len=4 - n_singles), label="x").terms]
+    c = data.draw(st.sampled_from(SCALARS), label="coeff")
+    window = TruncWindow(data.draw(st.integers(1, 6), label="length"), levels.rat(data.draw(st.integers(1, 3))))
+    spans = [(a, b) for a in range(n_singles) for b in range(a + 1, n_singles + 1)]
+    picked = data.draw(st.lists(
+        st.tuples(st.sampled_from([1, -1]), st.sampled_from(spans)), min_size=1, max_size=4
+    ), label="chains")
+    families, chain = build_owners(family_specs, single_specs)
+    chains = [(sign, tuple(chain[a:b])) for sign, (a, b) in picked]
+
+    built = []
+    merged = TensorElement.merged
+
+    def recorded(src, dst, acc):
+        out = merged(src, dst, acc)
+        built.append((src, dst, list(acc.items()), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TensorElement, "merged", recorded)
+        got = outcome(lambda: chain_sum(words_, c, chains, window), FacalcError)
+    if got[0] != "ok":
+        return
+    assert [value for value, _ in got[1]] == [out for _, _, _, out in built]
+    for src, dst, terms, out in built:
+        want = TensorElement(src, dst, terms)
+        assert (out.src, out.dst) == (want.src, want.dst)
+        assert len(out.terms) == len(want.terms)
+        assert all(w is v and cw is cv for (w, cw), (v, cv) in zip(out.terms, want.terms))
+
+
+def test_chain_sum_raises_the_first_term_off_a_words_ends():
+    # r runs from f to h, which keep the objects, and s from f to g, which
+    # swaps them: on a (X -> Y) r gives a, from X to Y, and s gives x, from
+    # X to X; on b (Y -> X) r gives b and s gives y.  The sum of the two
+    # chains has no ends, so the word's element is the first chain's ends
+    # with the second chain's first kept word off them.  t, swept last,
+    # gives b on a, off its own chain's ends: that error comes first.
+    a, b, xl, yl = (QUIVER.gen(n) for n in "abxy")
+    one = novikov.one()
+    f = Cofunctor("f", QUIVER, QUIVER, IDENTITY, {}, "rat", "nov")
+    g = Cofunctor("g", QUIVER, QUIVER, {"X": "Y", "Y": "X"}, {}, "rat", "nov")
+    h = Cofunctor("h", QUIVER, QUIVER, IDENTITY, {}, "rat", "nov")
+
+    def single(name, end, letters):
+        return Coderivation(name, f, end, 1, R0, {1: {(w,): HomElement.from_gen(v, one) for w, v in letters}})
+
+    r = single("r", h, [("a", a), ("b", b)])
+    s = single("s", g, [("a", xl), ("b", yl)])
+    t = single("t", h, [("a", b)])
+    window = TruncWindow(6, levels.rat(3))
+    wa, wb = Word.from_gens([a]), Word.from_gens([b])
+
+    def message(words_, chains):
+        with pytest.raises(ObjectMismatch) as info:
+            chain_sum(words_, one, chains, window)
+        return str(info.value)
+
+    chains = [(1, (r,)), (-1, (s,))]
+    assert message([wa, wb], chains) == "word Word(x) does not run 'X' -> 'Y'"
+    assert message([wb, wa], chains) == "word Word(y) does not run 'Y' -> 'X'"
+    for w in (wa, wb):
+        with pytest.raises(ObjectMismatch) as info:
+            literal_chain_sum(TensorElement.from_word(w, one), chains, window)
+        assert str(info.value) == message([w], chains)
+    assert message([wa, wb], chains + [(1, (t,))]) == "word Word(b) does not run 'X' -> 'Y'"
+
+
+# ---------------------------------------------------------------------------
+# The least base level below a basis node
+
+
+def test_the_least_base_level_reads_its_table_only_below_zero():
+    # u has level -1: the least base level of a word of at most 3 letters
+    # from X is -3 (u.u.u), so the room at the root is the cap of -3.
+    # Without a negative generator it is the cap of 0, and no table is
+    # filled.
+    cap = lambda base: int(3 - base.value)
+    for levels_, room, table in (((-1, 2), 6, True), ((0, 2), 3, False)):
+        quiver = FiltQuiver("N", ["X"], [
+            HomGenerator(gid, "X", "X", 0, levels.rat(lvl)) for gid, lvl in zip("uv", levels_)
+        ])
+        trie = _Trie(Basis(quiver, 3), "rat")
+        (root,) = trie.roots
+        assert trie.rooms(cap)[root] == room
+        assert bool(trie.lows) is table

@@ -7,7 +7,9 @@ refactor leaves behind.  A name imported on purpose for other modules is
 marked with a ``# re-exported`` comment on its own line of the import.
 
 A last check keeps what one call imports small: a short check loads no
-``dataclasses`` or ``inspect``, and only ``solve-psi`` loads the solver.
+``dataclasses`` or ``inspect``, only ``solve-psi`` loads the solver
+(``facalc.solver``), and no command loads the composition code of
+``facalc.evalhom``.
 """
 
 import ast
@@ -227,7 +229,7 @@ for argv in (["check-b2", "tests/fixtures/b1_only.json"], ["solve-psi", "tests/f
 print(json.dumps(added))
 """
 
-UNNEEDED = {"dataclasses", "inspect", "facalc.evalhom"}
+UNNEEDED = {"dataclasses", "inspect", "facalc.solver", "facalc.evalhom"}
 
 
 def test_a_check_imports_neither_dataclasses_nor_the_solver():
@@ -241,4 +243,5 @@ def test_a_check_imports_neither_dataclasses_nor_the_solver():
     assert code == 0 and "facalc.cli" in modules
     assert UNNEEDED.isdisjoint(modules)
     code, modules = added["solve-psi"]
-    assert code == 0 and "facalc.evalhom" in modules
+    assert code == 0 and "facalc.solver" in modules
+    assert "facalc.evalhom" not in modules

@@ -118,6 +118,19 @@ def test_level():
     assert nov_level(nov_mul(monomial(1, 1, 0), monomial(1, 1, 0)), "rat") == rat(2)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@seed(facalc_seed())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_level_is_the_least_energy(variant, data):
+    # nov_level reads the first term; the oracle is the least energy of all.
+    drawn = kernel_scalars(variant) if variant == PLAIN else st.one_of(kernel_scalars(variant), multi_term_scalars(variant))
+    x = data.draw(drawn, label="x")
+    for instance in ("rat", "ratplus") if variant != NOV else ("rat",):
+        want = INFINITY if x.is_zero() else levels.make_level(instance, min(lam for _, lam, _ in x.terms))
+        assert nov_level(x, instance) == want
+
+
 def test_level_multiplicative_exhaustive():
     pool = [
         zero(),
