@@ -101,11 +101,11 @@ INFINITY = Level(_INF, None)
 
 
 def rat(x: RationalLike) -> Level:
-    return Level(RAT, Fraction(x))
+    return Level(RAT, x if type(x) is Fraction else Fraction(x))
 
 
 def ratplus(x: RationalLike) -> Level:
-    q = Fraction(x)
+    q = x if type(x) is Fraction else Fraction(x)
     if q < 0:
         raise FacalcError(f"ratplus level must be >= 0, got {q}")
     return Level(RATPLUS, q)
@@ -196,6 +196,11 @@ def level_add(a: Level, b: Level) -> Level:
     inst = _join_instance(a, b)
     if a.value is None or b.value is None:
         return INFINITY if inst == _INF else Level(inst, None) if inst == DISCRETE else INFINITY
+    # Both are finite, so both are in inst: a zero returns the other.
+    if not a.value:
+        return b
+    if not b.value:
+        return a
     return Level(inst, a.value + b.value)
 
 
@@ -252,9 +257,11 @@ def _steps(start: Level, step: Level, cutoff: Level) -> Optional[int]:
     return math.ceil((cutoff.value - start.value) / step.value)
 
 
+_ZEROS = {instance: Level(instance, Fraction(0)) for instance in (RAT, RATPLUS, DISCRETE)}
+
+
 def zero(instance: str) -> Level:
-    if instance == DISCRETE:
-        return discrete(0)
-    if instance in (RAT, RATPLUS):
-        return Level(instance, Fraction(0))
-    raise FacalcError(f"unknown level instance {instance!r}")
+    """The zero of instance, built once."""
+    if instance not in _ZEROS:
+        raise FacalcError(f"unknown level instance {instance!r}")
+    return _ZEROS[instance]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
@@ -92,8 +93,12 @@ def zero(variant: str = NOV) -> NovikovScalar:
     return scalar((), variant)
 
 
+_ONES = {variant: NovikovScalar(((Fraction(1), Fraction(0), 0),), variant) for variant in VARIANTS}
+
+
 def one(variant: str = NOV) -> NovikovScalar:
-    return scalar([(1, 0, 0)], variant)
+    """The unit of variant, built once; an unknown variant raises as in ``scalar``."""
+    return _ONES[variant] if variant in _ONES else scalar([(1, 0, 0)], variant)
 
 
 def monomial(coeff, energy=0, expo: int = 0, variant: str = NOV) -> NovikovScalar:
@@ -271,7 +276,14 @@ def parse_scalar(text: str, variant: str = NOV) -> NovikovScalar:
 
 
 def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """q as ``p`` or ``p/q``.  A result can hold a number past the digit
+    bound (``levels.past_digit_bound``) though every input is within it,
+    and printing it is then an error that names the bound."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        # The one ValueError of printing an int: it is past the bound.
+        raise FacalcError(f"cannot print a number of more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def format_scalar(x: NovikovScalar) -> str:

@@ -12,6 +12,12 @@ syntax.  ``model_to_json``, written out by ``dump_document``, always
 emits canonical form, so load -> print -> load is the identity on
 normalized files; every command that prints a structure file prints a
 ``Model`` through it.
+
+A load reads each distinct literal once: ``load_model`` makes a literal
+table for its own call, which maps each scalar text to its
+``NovikovScalar`` and each (level kind, text) to its ``Level``, and every
+other occurrence shares that immutable value.  A check formats its
+location and message only when it fails.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Dict, Optional
 
 from . import levels, novikov
 from .ainfty import AInfCategory, CoderQuiver, ainf_category, shift_degree
-from .errors import ConvergenceUndecided, FacalcError, ParseError, ResolveError
+from .errors import ConvergenceUndecided, FacalcError, ObjectMismatch, ParseError, ResolveError
 from .filtquiver import FiltQuiver, HomElement, HomGenerator
 from .levels import Level
 from .morphisms import (
@@ -33,7 +39,7 @@ from .morphisms import (
     comp_key,
 )
 from .novikov import NovikovScalar
-from .tcoalg import TensorElement, TruncWindow, Word
+from .tcoalg import TensorElement, TruncWindow, Word, quiver_word
 
 ALLOWED_PAIRS = {
     ("rat", "nov"),
@@ -68,30 +74,30 @@ class Model:
         self.tasks: Dict[str, dict] = {}
 
 
-def _fail(loc: str, msg: str) -> ParseError:
-    return ParseError(loc, msg)
-
-
-def _expect(cond: bool, loc: str, msg: str) -> None:
-    if not cond:
-        raise _fail(loc, msg)
-
-
 def _is_int(value) -> bool:
     """A JSON integer; ``bool`` is an ``int`` subclass in Python."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _name_at(value, loc: str, required: bool = True):
-    """A name field: a string, or absent (None) where ``required`` is False
-    so that the lookup reports the name as unresolved."""
-    _expect(isinstance(value, str) or (value is None and not required), loc, "name must be a string")
-    return value
+def _path(loc: str, keys) -> str:
+    """The location loc followed by keys: ``[i]`` for a list index, ``.key``
+    for an object key.  A check passes its location as ``loc, *keys`` and
+    joins it here only when it fails, as it formats its message."""
+    return loc + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def _name_at(value, loc: str, *keys, required: bool = True):
+    """A name field at ``_path(loc, keys)``: a string, or absent (None) where
+    ``required`` is False so that the lookup reports the name as unresolved."""
+    if isinstance(value, str) or (value is None and not required):
+        return value
+    raise ParseError(_path(loc, keys), "name must be a string")
 
 
 def _list_at(obj: dict, key: str, loc: str) -> list:
     value = obj.get(key, [])
-    _expect(isinstance(value, list), f"{loc}.{key}", f"{key} must be a list")
+    if not isinstance(value, list):
+        raise ParseError(f"{loc}.{key}", f"{key} must be a list")
     return value
 
 
@@ -101,18 +107,24 @@ def _named_entries(doc: dict, key: str, noun: str, table: dict):
     entry to ``table`` before it asks for the next."""
     for i, obj in enumerate(_list_at(doc, key, "$")):
         loc = f"$.{key}[{i}]"
-        _expect(isinstance(obj, dict), loc, f"{noun} must be an object")
+        if not isinstance(obj, dict):
+            raise ParseError(loc, f"{noun} must be an object")
         name = obj.get("name")
-        _expect(isinstance(name, str) and name, f"{loc}.name", f"{noun} needs a name")
-        _expect(name not in table, f"{loc}.name", f"duplicate {noun} {name!r}")
+        if not (isinstance(name, str) and name):
+            raise ParseError(f"{loc}.name", f"{noun} needs a name")
+        if name in table:
+            raise ParseError(f"{loc}.name", f"duplicate {noun} {name!r}")
         yield loc, obj, name
 
 
-def resolve(table: dict, name, loc: str, noun: str, where: str = ""):
+def resolve(table: dict, name, loc: str, noun: str, *keys, quiver: Optional[str] = None):
     """``table[name]``: the one lookup of a declared name, whose miss is the
-    resolve error ``<loc>: unknown <noun> <name><where>``."""
+    resolve error ``<loc>: unknown <noun> <name>``, with ``keys`` joined to
+    loc as ``_path`` joins them and `` in quiver <quiver>`` after the name
+    when a quiver is given."""
     if name not in table:
-        raise ResolveError(f"{loc}: unknown {noun} {name!r}{where}")
+        where = "" if quiver is None else f" in quiver {quiver!r}"
+        raise ResolveError(f"{_path(loc, keys)}: unknown {noun} {name!r}{where}")
     return table[name]
 
 
@@ -124,28 +136,36 @@ def _built(loc: str, build, *args, **kwargs):
     except ConvergenceUndecided:
         raise
     except FacalcError as exc:
-        raise _fail(loc, str(exc)) from None
+        raise ParseError(loc, str(exc)) from None
 
 
-def parse_level(obj, loc: str) -> Level:
-    """A level object: ``{"infinity": true}``, or an instance's key with a
-    written level, a string or a JSON number, which is read as the text it
-    prints; `levels.read_level` reads both."""
-    _expect(isinstance(obj, dict) and len(obj) == 1, loc, "level must be a one-key object")
+def parse_level(obj, lits: dict, loc: str, *keys) -> Level:
+    """A level object at ``_path(loc, keys)``: ``{"infinity": true}``, or an
+    instance's key with a written level, a string or a JSON number, which is
+    read as the text it prints; `levels.read_level` reads both, once per
+    (kind, text) of the load's literal table ``lits``."""
+    if not (isinstance(obj, dict) and len(obj) == 1):
+        raise ParseError(_path(loc, keys), "level must be a one-key object")
     (key, val), = obj.items()
     if key == "infinity":
-        _expect(val is True, loc, "infinity level must be true")
+        if val is not True:
+            raise ParseError(_path(loc, keys), "infinity level must be true")
         return levels.INFINITY
-    _expect(
-        isinstance(val, (int, float, str)) and not isinstance(val, bool),
-        loc,
-        "level value must be a number or a string",
-    )
-    _expect(key in (levels.RAT, levels.RATPLUS, levels.DISCRETE), loc, f"unknown level kind {key!r}")
-    try:
-        return levels.read_level(key, val if isinstance(val, str) else json.dumps(val))
-    except FacalcError as exc:
-        raise _fail(loc, f"bad level value: {exc}") from None
+    if isinstance(val, str):
+        text = val
+    elif isinstance(val, (int, float)) and not isinstance(val, bool):
+        text = json.dumps(val)
+    else:
+        raise ParseError(_path(loc, keys), "level value must be a number or a string")
+    if key not in (levels.RAT, levels.RATPLUS, levels.DISCRETE):
+        raise ParseError(_path(loc, keys), f"unknown level kind {key!r}")
+    lvl = lits.get((key, text))
+    if lvl is None:
+        try:
+            lvl = lits[key, text] = levels.read_level(key, text)
+        except FacalcError as exc:
+            raise ParseError(_path(loc, keys), f"bad level value: {exc}") from None
+    return lvl
 
 
 def level_to_json(lvl: Level):
@@ -156,149 +176,177 @@ def level_to_json(lvl: Level):
     return {lvl.instance: novikov._frac_str(lvl.value)}
 
 
-def parse_scalar_at(text, variant: str, loc: str) -> NovikovScalar:
-    _expect(isinstance(text, str), loc, "scalar must be a string")
-    return _built(loc, novikov.parse_scalar, text, variant)
+def parse_scalar_at(text, variant: str, lits: dict, loc: str, *keys) -> NovikovScalar:
+    """The scalar written at ``_path(loc, keys)``, read once per text of the
+    load's literal table ``lits``: one load has one variant."""
+    if not isinstance(text, str):
+        raise ParseError(_path(loc, keys), "scalar must be a string")
+    x = lits.get(text)
+    if x is None:
+        try:
+            x = lits[text] = novikov.parse_scalar(text, variant)
+        except FacalcError as exc:
+            raise ParseError(_path(loc, keys), str(exc)) from None
+    return x
 
 
-def _parse_hom_value(obj, quiver: FiltQuiver, variant: str, loc: str) -> HomElement:
-    _expect(isinstance(obj, list), loc, "value must be a list of [generator, scalar] pairs")
+def _parse_hom_value(obj, quiver: FiltQuiver, variant: str, lits: dict, loc: str, *keys) -> HomElement:
+    if not isinstance(obj, list):
+        raise ParseError(_path(loc, keys), "value must be a list of [generator, scalar] pairs")
     terms = []
-    src = dst = None
     for i, pair in enumerate(obj):
-        ploc = f"{loc}[{i}]"
-        _expect(isinstance(pair, list) and len(pair) == 2, ploc, "expected [generator, scalar]")
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError(_path(loc, (*keys, i)), "expected [generator, scalar]")
         gid, scal = pair
-        g = resolve(quiver.by_id, _name_at(gid, f"{ploc}[0]"), ploc, "generator", f" in quiver {quiver.name!r}")
-        if src is None:
-            src, dst = g.src, g.dst
-        terms.append((g, parse_scalar_at(scal, variant, ploc)))
-    _expect(src is not None, loc, "empty value list; use [] only for zero with known endpoints")
-    return _built(loc, HomElement, src, dst, terms)
-
-
-def _parse_word(obj: dict, quiver: FiltQuiver, loc: str) -> Word:
-    """The basis word of a component or element term: the empty word at
-    ``obj["at"]``, else the non-empty list ``obj["word"]`` of generator ids.
-    An unknown id is unresolved; a word that does not compose is malformed."""
-    if "at" in obj:
-        _expect(obj["at"] in quiver.objects, loc, f"unknown object {obj['at']!r}")
-        return Word(obj["at"])
-    gids = obj.get("word")
-    _expect(isinstance(gids, list) and gids, loc, "give 'at' or a non-empty 'word' list")
-    for i, gid in enumerate(gids):
-        _name_at(gid, f"{loc}.word[{i}]")
+        g = resolve(quiver.by_id, _name_at(gid, loc, *keys, i, 0), loc, "generator", *keys, i, quiver=quiver.name)
+        terms.append((g, parse_scalar_at(scal, variant, lits, loc, *keys, i)))
+    if not terms:
+        raise ParseError(_path(loc, keys), "empty value list; use [] only for zero with known endpoints")
+    g = terms[0][0]
     try:
-        gens = [quiver.gen(g) for g in gids]
+        return HomElement(g.src, g.dst, terms)
     except FacalcError as exc:
-        raise ResolveError(f"{loc}: {exc}") from None
-    return _built(f"{loc}.word", Word.from_gens, gens)
+        raise ParseError(_path(loc, keys), str(exc)) from None
 
 
-def _parse_component_entry(entry, quiver: FiltQuiver, target: FiltQuiver, variant: str, loc: str):
-    _expect(isinstance(entry, dict), loc, "component must be an object")
-    _expect(("word" in entry) != ("at" in entry), loc, "give exactly one of 'word' or 'at'")
-    w = _parse_word(entry, quiver, loc)
-    value = _parse_hom_value(entry.get("value"), target, variant, f"{loc}.value")
-    return len(w), comp_key(w), value
+def _parse_word(obj: dict, quiver: FiltQuiver, loc: str, *keys) -> Word:
+    """The kept word (``tcoalg.quiver_word``) of a component or element term
+    at ``_path(loc, keys)``: the empty word at ``obj["at"]``, else the path
+    of the non-empty list ``obj["word"]`` of generator ids.  An undeclared
+    object or id is unresolved; a word that does not compose is malformed."""
+    if "at" in obj:
+        at = _name_at(obj["at"], loc, *keys, "at")
+        resolve(dict.fromkeys(quiver.objects), at, loc, "object", *keys)
+        return quiver_word(quiver, at)
+    gids = obj.get("word")
+    if not (isinstance(gids, list) and gids):
+        raise ParseError(_path(loc, keys), "give 'at' or a non-empty 'word' list")
+    for i, gid in enumerate(gids):
+        _name_at(gid, loc, *keys, "word", i)
+    for gid in gids:
+        resolve(quiver.by_id, gid, loc, "generator", *keys, quiver=quiver.name)
+    try:
+        return quiver_word(quiver, tuple(gids))
+    except ObjectMismatch as exc:
+        raise ParseError(_path(loc, (*keys, "word")), str(exc)) from None
 
 
 def _parse_components(
-    entries, quiver: FiltQuiver, target: FiltQuiver, variant: str, loc: str
+    obj: dict, quiver: FiltQuiver, target: FiltQuiver, variant: str, lits: dict, loc: str
 ) -> Components:
-    _expect(isinstance(entries, list), loc, "components must be a list")
+    """The list ``obj["components"]`` of the entry at loc."""
+    entries = obj.get("components", [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{loc}.components", "components must be a list")
     comps: Components = {}
     for i, entry in enumerate(entries):
-        k, key, value = _parse_component_entry(entry, quiver, target, variant, f"{loc}[{i}]")
-        table = comps.setdefault(k, {})
-        _expect(key not in table, f"{loc}[{i}]", f"duplicate component at {key!r}")
+        if not isinstance(entry, dict):
+            raise ParseError(f"{loc}.components[{i}]", "component must be an object")
+        if ("word" in entry) == ("at" in entry):
+            raise ParseError(f"{loc}.components[{i}]", "give exactly one of 'word' or 'at'")
+        w = _parse_word(entry, quiver, loc, "components", i)
+        value = _parse_hom_value(entry.get("value"), target, variant, lits, loc, "components", i, "value")
+        key = comp_key(w)
+        table = comps.setdefault(len(w), {})
+        if key in table:
+            raise ParseError(f"{loc}.components[{i}]", f"duplicate component at {key!r}")
         table[key] = value
     return comps
 
 
 def load_model(text: str) -> Model:
+    """The model a structure file declares.  The literal table made here, for
+    this call alone, reads each distinct scalar text and each (level kind,
+    text) once; every other occurrence shares the immutable
+    ``NovikovScalar`` or ``Level`` read."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+        raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
     except ValueError as exc:
         # int() refuses a JSON integer of more digits than its bound.
-        raise _fail("$", str(exc).split(";")[0]) from None
-    _expect(isinstance(doc, dict), "$", "top level must be an object")
+        raise ParseError("$", str(exc).split(";")[0]) from None
+    if not isinstance(doc, dict):
+        raise ParseError("$", "top level must be an object")
 
     monoid = doc.get("level_monoid")
-    _expect(monoid in ("rat", "ratplus", "discrete"), "$.level_monoid", f"bad instance {monoid!r}")
+    if monoid not in ("rat", "ratplus", "discrete"):
+        raise ParseError("$.level_monoid", f"bad instance {monoid!r}")
     variant = doc.get("coefficients")
-    _expect(variant in ("nov", "nov0", "q"), "$.coefficients", f"bad variant {variant!r}")
-    _expect(
-        (monoid, variant) in ALLOWED_PAIRS,
-        "$.coefficients",
-        f"variant {variant!r} cannot be filtered over instance {monoid!r}",
-    )
+    if variant not in ("nov", "nov0", "q"):
+        raise ParseError("$.coefficients", f"bad variant {variant!r}")
+    if (monoid, variant) not in ALLOWED_PAIRS:
+        raise ParseError("$.coefficients", f"variant {variant!r} cannot be filtered over instance {monoid!r}")
+    lits: dict = {}
 
     wobj = doc.get("window")
-    _expect(isinstance(wobj, dict), "$.window", "window must be an object")
-    _expect(_is_int(wobj.get("max_len")), "$.window.max_len", "max_len must be an integer")
-    cutoff = parse_level(wobj.get("cutoff"), "$.window.cutoff")
-    _expect(cutoff.instance == monoid, "$.window.cutoff", "cutoff must live in the active instance")
+    if not isinstance(wobj, dict):
+        raise ParseError("$.window", "window must be an object")
+    if not _is_int(wobj.get("max_len")):
+        raise ParseError("$.window.max_len", "max_len must be an integer")
+    cutoff = parse_level(wobj.get("cutoff"), lits, "$.window.cutoff")
+    if cutoff.instance != monoid:
+        raise ParseError("$.window.cutoff", "cutoff must live in the active instance")
     window = _built("$.window", TruncWindow, wobj["max_len"], cutoff)
 
     model = Model(monoid, variant, window)
 
     for loc, qobj, name in _named_entries(doc, "quivers", "quiver", model.quivers):
         objs = qobj.get("objects")
-        _expect(
-            isinstance(objs, list) and all(isinstance(o, str) for o in objs),
-            f"{loc}.objects",
-            "objects must be a list of names",
-        )
+        if not (isinstance(objs, list) and all(isinstance(o, str) for o in objs)):
+            raise ParseError(f"{loc}.objects", "objects must be a list of names")
         gens = []
         for gi, gobj in enumerate(_list_at(qobj, "generators", loc)):
-            gloc = f"{loc}.generators[{gi}]"
-            _expect(isinstance(gobj, dict), gloc, "generator must be an object")
+            gkeys = ("generators", gi)
+            if not isinstance(gobj, dict):
+                raise ParseError(_path(loc, gkeys), "generator must be an object")
             for key in ("id", "src", "dst"):
-                _name_at(gobj.get(key), f"{gloc}.{key}")
+                _name_at(gobj.get(key), loc, *gkeys, key)
             has_sdeg = "sdeg" in gobj
-            has_deg = "deg" in gobj
-            _expect(has_sdeg != has_deg, gloc, "give exactly one of 'sdeg' or 'deg'")
+            if has_sdeg == ("deg" in gobj):
+                raise ParseError(_path(loc, gkeys), "give exactly one of 'sdeg' or 'deg'")
             declared = gobj["sdeg"] if has_sdeg else gobj["deg"]
-            _expect(_is_int(declared), gloc, "degree must be an integer")
+            if not _is_int(declared):
+                raise ParseError(_path(loc, gkeys), "degree must be an integer")
             sdeg = declared if has_sdeg else shift_degree(declared)
-            base = parse_level(gobj.get("base_level"), f"{gloc}.base_level")
-            _expect(
-                base.instance == monoid and not base.is_infinite(),
-                f"{gloc}.base_level",
-                "base level must be finite in the active instance",
-            )
-            fields = (gobj.get("id"), gobj.get("src"), gobj.get("dst"), sdeg, base)
-            gens.append(_built(gloc, HomGenerator, *fields))
+            base = parse_level(gobj.get("base_level"), lits, loc, *gkeys, "base_level")
+            if base.instance != monoid or base.is_infinite():
+                raise ParseError(
+                    _path(loc, (*gkeys, "base_level")), "base level must be finite in the active instance"
+                )
+            # A finite base level is all HomGenerator checks.
+            gens.append(HomGenerator(gobj["id"], gobj["src"], gobj["dst"], sdeg, base))
         model.quivers[name] = _built(loc, FiltQuiver, name, objs, gens)
 
     def get_quiver(obj: dict, key: str, loc: str) -> FiltQuiver:
-        return resolve(model.quivers, _name_at(obj.get(key), f"{loc}.{key}", required=False), loc, "quiver")
+        return resolve(model.quivers, _name_at(obj.get(key), loc, key, required=False), loc, "quiver")
 
     for bi, bobj in enumerate(_list_at(doc, "b_components", "$")):
         loc = f"$.b_components[{bi}]"
-        _expect(isinstance(bobj, dict), loc, "entry must be an object")
+        if not isinstance(bobj, dict):
+            raise ParseError(loc, "entry must be an object")
         quiver = get_quiver(bobj, "quiver", loc)
-        _expect(quiver.name not in model.cats, f"{loc}.quiver", f"duplicate entry for quiver {quiver.name!r}")
-        comps = _parse_components(bobj.get("components", []), quiver, quiver, variant, f"{loc}.components")
+        if quiver.name in model.cats:
+            raise ParseError(f"{loc}.quiver", f"duplicate entry for quiver {quiver.name!r}")
+        comps = _parse_components(bobj, quiver, quiver, variant, lits, loc)
         model.cats[quiver.name] = _built(loc, ainf_category, quiver, comps, window, variant)
 
     for loc, fobj, name in _named_entries(doc, "functors", "functor", model.functors):
         src = get_quiver(fobj, "src", loc)
         dst = get_quiver(fobj, "dst", loc)
         obj_map = fobj.get("obj_map")
-        _expect(isinstance(obj_map, dict), f"{loc}.obj_map", "obj_map must be an object")
+        if not isinstance(obj_map, dict):
+            raise ParseError(f"{loc}.obj_map", "obj_map must be an object")
         for x, y in obj_map.items():
             if x not in src.objects or y not in dst.objects:
                 raise ResolveError(f"{loc}.obj_map: bad pair {x!r} -> {y!r}")
         for x in src.objects:
             if x not in obj_map:
                 raise ResolveError(f"{loc}.obj_map: no image for object {x!r}")
-        comps = _parse_components(fobj.get("components", []), src, dst, variant, f"{loc}.components")
+        comps = _parse_components(fobj, src, dst, variant, lits, loc)
         bound = fobj.get("convergence_bound", 16)
-        _expect(_is_int(bound) and bound >= 1, f"{loc}.convergence_bound", "bad bound")
+        if not (_is_int(bound) and bound >= 1):
+            raise ParseError(f"{loc}.convergence_bound", "bad bound")
         model.functors[name] = _built(
             loc, cofunctor_from_components, name, src, dst, obj_map, comps, window, variant,
             convergence_bound=bound,
@@ -306,49 +354,49 @@ def load_model(text: str) -> Model:
 
     for loc, robj, name in _named_entries(doc, "coderivations", "coderivation", model.coderivations):
         f, g = (
-            resolve(model.functors, _name_at(robj.get(side), at, required=False), at, "functor")
-            for side, at in (("from", f"{loc}.from"), ("to", f"{loc}.to"))
+            resolve(model.functors, _name_at(robj.get(side), loc, side, required=False), loc, "functor", side)
+            for side in ("from", "to")
         )
         deg = robj.get("degree")
-        _expect(_is_int(deg), f"{loc}.degree", "degree must be an integer")
-        lvl = parse_level(robj.get("level"), f"{loc}.level")
-        comps = _parse_components(robj.get("components", []), f.src, f.dst, variant, f"{loc}.components")
+        if not _is_int(deg):
+            raise ParseError(f"{loc}.degree", "degree must be an integer")
+        lvl = parse_level(robj.get("level"), lits, loc, "level")
+        comps = _parse_components(robj, f.src, f.dst, variant, lits, loc)
         model.coderivations[name] = _built(loc, coderivation_from_components, name, f, g, deg, lvl, comps)
 
     for loc, eobj, name in _named_entries(doc, "elements", "element", model.elements):
         quiver = get_quiver(eobj, "quiver", loc)
         terms = []
         for ti, tobj in enumerate(_list_at(eobj, "terms", loc)):
-            tloc = f"{loc}.terms[{ti}]"
-            _expect(isinstance(tobj, dict), tloc, "term must be an object")
-            coeff = parse_scalar_at(tobj.get("coeff", "1*T^{0}*e^{0}"), variant, f"{tloc}.coeff")
-            terms.append((_parse_word(tobj, quiver, tloc), coeff))
+            if not isinstance(tobj, dict):
+                raise ParseError(_path(loc, ("terms", ti)), "term must be an object")
+            coeff = parse_scalar_at(tobj.get("coeff", "1*T^{0}*e^{0}"), variant, lits, loc, "terms", ti, "coeff")
+            terms.append((_parse_word(tobj, quiver, loc, "terms", ti), coeff))
         if terms:
             src, dst = terms[0][0].src, terms[0][0].dst
         else:
             src, dst = eobj.get("src"), eobj.get("dst")
-            _expect(
-                src in quiver.objects and dst in quiver.objects,
-                loc,
-                "an element without terms needs explicit 'src' and 'dst'",
-            )
+            if not (src in quiver.objects and dst in quiver.objects):
+                raise ParseError(loc, "an element without terms needs explicit 'src' and 'dst'")
         model.elements[name] = _built(loc, TensorElement, src, dst, terms)
         model.element_quivers[name] = quiver.name
 
     if "coder_quiver" in doc:
         loc = "$.coder_quiver"
         cobj = doc["coder_quiver"]
-        _expect(isinstance(cobj, dict), loc, "coder_quiver must be an object")
+        if not isinstance(cobj, dict):
+            raise ParseError(loc, "coder_quiver must be an object")
         for key in ("source", "target"):
-            qname = _name_at(cobj.get(key), f"{loc}.{key}", required=False)
+            qname = _name_at(cobj.get(key), loc, key, required=False)
             if qname not in model.cats:
                 raise ResolveError(f"{loc}: quiver {qname!r} has no codifferential")
 
         def members(key: str, table: dict, noun: str) -> list:
             out = []
             for i, name in enumerate(_list_at(cobj, key, loc)):
-                member = resolve(table, _name_at(name, f"{loc}.{key}[{i}]"), f"{loc}.{key}", noun)
-                _expect(member not in out, f"{loc}.{key}[{i}]", f"duplicate {noun} {name!r}")
+                member = resolve(table, _name_at(name, loc, key, i), loc, noun, key)
+                if member in out:
+                    raise ParseError(f"{loc}.{key}[{i}]", f"duplicate {noun} {name!r}")
                 out.append(member)
             return out
 
@@ -362,24 +410,28 @@ def load_model(text: str) -> Model:
     if "psi" in doc:
         loc = "$.psi"
         pobj = doc["psi"]
-        _expect(isinstance(pobj, dict), loc, "psi must be an object")
+        if not isinstance(pobj, dict):
+            raise ParseError(loc, "psi must be an object")
         source = get_quiver(pobj, "source", loc)
         obj_map = pobj.get("obj_map", {})
         gen_map = pobj.get("gen_map", {})
         for key, table in (("obj_map", obj_map), ("gen_map", gen_map)):
-            _expect(isinstance(table, dict), f"{loc}.{key}", f"{key} must be an object")
+            if not isinstance(table, dict):
+                raise ParseError(f"{loc}.{key}", f"{key} must be an object")
         for o, fname in obj_map.items():
-            resolve(dict.fromkeys(source.objects), o, f"{loc}.obj_map", "object")
-            resolve(model.functors, _name_at(fname, f"{loc}.obj_map.{o}"), f"{loc}.obj_map", "functor")
+            resolve(dict.fromkeys(source.objects), o, loc, "object", "obj_map")
+            resolve(model.functors, _name_at(fname, loc, "obj_map", o), loc, "functor", "obj_map")
         for gid, rname in gen_map.items():
-            resolve(source.by_id, gid, f"{loc}.gen_map", "generator")
-            resolve(model.coderivations, _name_at(rname, f"{loc}.gen_map.{gid}"), f"{loc}.gen_map", "coderivation")
+            resolve(source.by_id, gid, loc, "generator", "gen_map")
+            resolve(model.coderivations, _name_at(rname, loc, "gen_map", gid), loc, "coderivation", "gen_map")
         for o in source.objects:
-            _expect(o in obj_map, loc, f"psi object map misses {o!r}")
+            if o not in obj_map:
+                raise ParseError(loc, f"psi object map misses {o!r}")
         model.psi = PsiSpec(source, dict(obj_map), dict(gen_map))
 
     tasks = doc.get("tasks", {})
-    _expect(isinstance(tasks, dict), "$.tasks", "tasks must be an object")
+    if not isinstance(tasks, dict):
+        raise ParseError("$.tasks", "tasks must be an object")
     model.tasks = tasks
     return model
 

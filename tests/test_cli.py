@@ -243,6 +243,10 @@ def _no_tasks(doc):
 UNKNOWN_NAMES = {
     "generator": (_set(["b_components", 0, "components", 0, "value", 0, 0], "zz"), ["normalize"],
                   "$.b_components[0].components[0].value[0]: unknown generator 'zz' in quiver 'A'"),
+    "component-object": (_set(["b_components", 0, "components", 0], {"at": "Z", "value": [["q", ONE_TERM]]}),
+                         ["normalize"], "$.b_components[0].components[0]: unknown object 'Z'"),
+    "component-generator": (_set(["functors", 0, "components", 0, "word"], ["zz"]), ["normalize"],
+                            "$.functors[0].components[0]: unknown generator 'zz' in quiver 'A'"),
     "quiver": (_set(["b_components", 0, "quiver"], "Z"), ["normalize"], "$.b_components[0]: unknown quiver 'Z'"),
     "functor-side": (_set(["coderivations", 0, "to"], "nope"), ["normalize"],
                      "$.coderivations[0].to: unknown functor 'nope'"),
@@ -664,6 +668,20 @@ def test_a_number_past_the_digit_bound_exits_64_at_once(where, value, want, tmp_
         assert code == 0, out
     else:
         assert code == 64 and out.startswith(want) and (want.endswith(" ") or out == want), out[:300]
+
+
+def test_a_result_past_the_digit_bound_is_an_error_that_names_it(tmp_path):
+    # Two coefficients of LIMIT digits each are read; eval multiplies them
+    # into one of twice as many, which cannot be printed.  The checks'
+    # residuals cancel, so they print nothing past the bound.
+    doc = json.loads((ROOT / B1).read_text(encoding="utf-8"))
+    big = f"{'9' * LIMIT}*T^{{0}}*e^{{0}}"
+    doc["coderivations"][0]["components"][0]["value"][0][1] = big
+    doc["elements"][0]["terms"][0]["coeff"] = big
+    assert run_doc(["eval"], doc, tmp_path) == (64, f"error: cannot print a number of more than {LIMIT} digits\n")
+    for command in ("check-functor", "check-coder-b2"):
+        code, out = run_doc([command], doc, tmp_path)
+        assert code == 0 and out.endswith("exit 0\n"), out[-300:]
 
 
 USAGE_ERRORS = {
@@ -1165,3 +1183,67 @@ def test_fixture_with_one_field_swapped_never_tracebacks(data):
         code, text = run([argv[0], str(mutated), *argv[2:]])
     assert code in (0, 1, 2, 64, 65)
     assert "Traceback" not in text
+
+
+# Values of the right type that are out of range, by the key they are set at.
+OUT_OF_RANGE = {
+    "max_len": [-1, -10**6],
+    "convergence_bound": [0, -1],
+    "sdeg": [10**6, -10**6],
+    "deg": [10**6, -10**6],
+    "degree": [10**6, -10**6],
+}
+
+
+def out_of_range(doc, key):
+    if key == "cutoff":
+        return [{doc.get("level_monoid"): "0"}, {doc.get("level_monoid"): "-1"}]
+    return OUT_OF_RANGE.get(key, [])
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@seed(facalc_seed())
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fixture_with_two_fields_changed_never_tracebacks(data):
+    # Two unrelated fields change at once: their values are exchanged, or
+    # each is set to a value of the wrong type or out of range for its key.
+    argv = data.draw(st.sampled_from(FUZZ_CASES), label="command")
+    doc = json.loads((ROOT / argv[1]).read_text(encoding="utf-8"))
+    paths = list(field_paths(doc))
+    first = data.draw(st.sampled_from(paths), label="first")
+    second = data.draw(
+        st.sampled_from([p for p in paths if p[:len(first)] != first and first[:len(p)] != p]), label="second"
+    )
+    if data.draw(st.booleans(), label="exchange"):
+        values = [_at(doc, second), _at(doc, first)]
+    else:
+        values = [data.draw(st.sampled_from(REPLACEMENTS + out_of_range(doc, p[-1])), label="value")
+                  for p in (first, second)]
+    for path, value in zip((first, second), values):
+        _at(doc, path[:-1])[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = pathlib.Path(tmp) / "mutated.json"
+        mutated.write_text(json.dumps(doc), encoding="utf-8")
+        code, text = run([argv[0], str(mutated), *argv[2:]])
+    assert code in (0, 1, 2, 64, 65)
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("key", sorted(OUT_OF_RANGE) + ["cutoff"])
+def test_every_out_of_range_value_is_refused_or_run(key, tmp_path):
+    # Each out-of-range value of the fuzz test, at each place it can stand
+    # in b1_only and curved_compose, on the command that reads the file.
+    for fixture, command in ((B1, "check-b2"), ("tests/fixtures/curved_compose.json", "compose")):
+        doc = json.loads((ROOT / fixture).read_text(encoding="utf-8"))
+        for path in [p for p in field_paths(doc) if p[-1] == key]:
+            for value in out_of_range(doc, key):
+                mutated = json.loads(json.dumps(doc))
+                _at(mutated, path[:-1])[path[-1]] = value
+                code, text = run_doc([command], mutated, tmp_path)
+                assert code in (0, 1, 2, 64, 65) and "Traceback" not in text, (path, value, text[-300:])

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels
 from facalc.errors import FacalcError, InstanceMismatch
@@ -12,6 +12,8 @@ from facalc.levels import (
     rat,
     ratplus,
 )
+
+from conftest import facalc_seed
 
 rationals = st.fractions(max_denominator=12)
 nonneg_rationals = rationals.map(abs)
@@ -159,3 +161,39 @@ def test_steps_is_the_least_count(start, step, cutoff):
 def test_steps_rejects_mixed_instances():
     with pytest.raises(InstanceMismatch):
         levels._steps(rat(0), rat(1), ratplus(1))
+
+
+def _plain_add(a, b):
+    """The monoid sum as the sum of the values, with no shortcut for a zero:
+    INFINITY absorbs, two discrete levels stay discrete, and instances must
+    agree."""
+    if INFINITY.instance not in (a.instance, b.instance) and a.instance != b.instance:
+        raise InstanceMismatch(f"levels from instances {a.instance!r} and {b.instance!r}")
+    inst = b.instance if a.instance == INFINITY.instance else a.instance
+    if a.value is None or b.value is None:
+        return levels.Level(inst, None) if inst == levels.DISCRETE else INFINITY
+    return levels.Level(inst, a.value + b.value)
+
+
+ANY_LEVEL = st.one_of(
+    rat_levels(),
+    ratplus_levels(),
+    discrete_levels(),
+    st.sampled_from([INFINITY, levels.zero("rat"), levels.zero("ratplus"), levels.zero("discrete")]),
+)
+
+
+@seed(facalc_seed())
+@settings(max_examples=300)
+@given(a=ANY_LEVEL, b=ANY_LEVEL)
+def test_level_add_of_a_zero_is_the_plain_sum(a, b):
+    # The zero shortcut runs after the instance check, so it raises where
+    # the plain sum does and returns what the plain sum returns.
+    try:
+        want = _plain_add(a, b)
+    except InstanceMismatch as exc:
+        with pytest.raises(InstanceMismatch) as got:
+            level_add(a, b)
+        assert str(got.value) == str(exc)
+    else:
+        assert level_add(a, b) == want
