@@ -67,10 +67,6 @@ class AInfCategory:
         self.b = b
 
     @property
-    def instance(self) -> str:
-        return self.b.instance
-
-    @property
     def variant(self) -> str:
         return self.b.variant
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass with sound windows; 1 a relation has a nonzero
 residual; 2 no residual failures but some outcome was LOSSY or UNDECIDED;
-64 parse or usage error (with location); 65 unresolved name.
+an error exits by its row of ``ERRORS`` (64 parse or usage, 65 unresolved).
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ EXIT_RESIDUAL = 1
 EXIT_UNDECIDED = 2
 EXIT_PARSE = 64
 EXIT_RESOLVE = 65
+
+# Each error's stderr label and exit code: the first row the error is an instance of.
+ERRORS = (
+    (ParseError, "parse error", EXIT_PARSE),
+    (ResolveError, "resolve error", EXIT_RESOLVE),
+    (ConvergenceUndecided, "undecided", EXIT_UNDECIDED),
+    (LeibnizResidual, "residual", EXIT_RESIDUAL),
+    (FacalcError, "error", EXIT_PARSE),
+)
 
 
 class Report:
@@ -421,21 +430,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         out, code = PRINTERS[args.command](model, window, args)
         sys.stdout.write(out)
         return code
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except ResolveError as exc:
-        sys.stderr.write(f"resolve error: {exc}\n")
-        return EXIT_RESOLVE
-    except ConvergenceUndecided as exc:
-        sys.stderr.write(f"undecided: {exc}\n")
-        return EXIT_UNDECIDED
-    except LeibnizResidual as exc:
-        sys.stderr.write(f"residual: {exc}\n")
-        return EXIT_RESIDUAL
     except FacalcError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        label, code = next((label, code) for kind, label, code in ERRORS if isinstance(exc, kind))
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

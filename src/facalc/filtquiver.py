@@ -43,20 +43,21 @@ class FiltQuiver:
     ``words`` keeps every word of this quiver made so far, one per path,
     keyed by the tuple of its generator ids, as ``morphisms.comp_key`` keys
     a block (the empty word by its object); ``tcoalg.quiver_word`` fills
-    it.  ``by_id`` maps each generator id to its generator.  ``tries``
-    keeps the engine's trie of each basis it has swept (``engine._trie``),
-    keyed by (max_len, instance)."""
+    it.  ``by_object`` maps each object name to itself and ``by_id`` each
+    generator id to its generator: the tables a structure file's names are
+    resolved in.  ``tries`` keeps the engine's trie of each basis it has
+    swept (``engine._trie``), keyed by (max_len, instance)."""
 
     def __init__(self, name: str, objects: Iterable[str], gens: Iterable[HomGenerator]):
         self.name = name
         self.objects: Tuple[str, ...] = tuple(objects)
-        if len(set(self.objects)) != len(self.objects):
+        self.by_object: Dict[str, str] = {o: o for o in self.objects}
+        if len(self.by_object) != len(self.objects):
             raise FacalcError(f"duplicate object names in quiver {name!r}")
-        obj_set = set(self.objects)
         self.gens: Tuple[HomGenerator, ...] = tuple(gens)
         self.by_id: Dict[str, HomGenerator] = {}
         for g in self.gens:
-            if g.src not in obj_set or g.dst not in obj_set:
+            if g.src not in self.by_object or g.dst not in self.by_object:
                 raise ObjectMismatch(f"generator {g.gid!r} uses undeclared objects")
             if g.gid in self.by_id:
                 raise FacalcError(f"duplicate generator id {g.gid!r} in quiver {name!r}")

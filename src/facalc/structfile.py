@@ -211,14 +211,16 @@ def _parse_hom_value(obj, quiver: FiltQuiver, variant: str, lits: dict, loc: str
 
 def _parse_word(obj: dict, quiver: FiltQuiver, loc: str, *keys) -> Word:
     """The kept word (``tcoalg.quiver_word``) of a component or element term
-    at ``_path(loc, keys)``: the empty word at ``obj["at"]``, else the path
-    of the non-empty list ``obj["word"]`` of generator ids.  An undeclared
-    object or id is unresolved; a word that does not compose is malformed."""
+    at ``_path(loc, keys)``, which gives exactly one of: ``at``, an object,
+    for its empty word, or ``word``, a non-empty list of generator ids.  An
+    undeclared object or id is unresolved; a word that does not compose is
+    malformed."""
+    if ("word" in obj) == ("at" in obj):
+        raise ParseError(_path(loc, keys), "give exactly one of 'word' or 'at'")
     if "at" in obj:
-        at = _name_at(obj["at"], loc, *keys, "at")
-        resolve(dict.fromkeys(quiver.objects), at, loc, "object", *keys)
+        at = resolve(quiver.by_object, _name_at(obj["at"], loc, *keys, "at"), loc, "object", *keys)
         return quiver_word(quiver, at)
-    gids = obj.get("word")
+    gids = obj["word"]
     if not (isinstance(gids, list) and gids):
         raise ParseError(_path(loc, keys), "give 'at' or a non-empty 'word' list")
     for i, gid in enumerate(gids):
@@ -242,8 +244,6 @@ def _parse_components(
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"{loc}.components[{i}]", "component must be an object")
-        if ("word" in entry) == ("at" in entry):
-            raise ParseError(f"{loc}.components[{i}]", "give exactly one of 'word' or 'at'")
         w = _parse_word(entry, quiver, loc, "components", i)
         value = _parse_hom_value(entry.get("value"), target, variant, lits, loc, "components", i, "value")
         key = comp_key(w)
@@ -252,6 +252,20 @@ def _parse_components(
             raise ParseError(f"{loc}.components[{i}]", f"duplicate component at {key!r}")
         table[key] = value
     return comps
+
+
+def _obj_map(omap, src: FiltQuiver, images: dict, noun: str, loc: str) -> Dict[str, str]:
+    """The object map ``omap`` at ``<loc>.obj_map``: each object of src, and
+    no other name, mapped to a name that ``images`` declares as a noun."""
+    if not isinstance(omap, dict):
+        raise ParseError(f"{loc}.obj_map", "obj_map must be an object")
+    for x, y in omap.items():
+        resolve(src.by_object, x, loc, "object", "obj_map")
+        resolve(images, _name_at(y, loc, "obj_map", x), loc, noun, "obj_map")
+    for x in src.objects:
+        if x not in omap:
+            raise ParseError(f"{loc}.obj_map", f"no image for object {x!r}")
+    return dict(omap)
 
 
 def load_model(text: str) -> Model:
@@ -295,13 +309,14 @@ def load_model(text: str) -> Model:
         objs = qobj.get("objects")
         if not (isinstance(objs, list) and all(isinstance(o, str) for o in objs)):
             raise ParseError(f"{loc}.objects", "objects must be a list of names")
+        objects = _built(loc, FiltQuiver, name, objs, ()).by_object  # where generator ends resolve
         gens = []
         for gi, gobj in enumerate(_list_at(qobj, "generators", loc)):
             gkeys = ("generators", gi)
             if not isinstance(gobj, dict):
                 raise ParseError(_path(loc, gkeys), "generator must be an object")
-            for key in ("id", "src", "dst"):
-                _name_at(gobj.get(key), loc, *gkeys, key)
+            gid, src, dst = (_name_at(gobj.get(key), loc, *gkeys, key) for key in ("id", "src", "dst"))
+            src, dst = (resolve(objects, x, loc, "object", *gkeys) for x in (src, dst))
             has_sdeg = "sdeg" in gobj
             if has_sdeg == ("deg" in gobj):
                 raise ParseError(_path(loc, gkeys), "give exactly one of 'sdeg' or 'deg'")
@@ -315,7 +330,7 @@ def load_model(text: str) -> Model:
                     _path(loc, (*gkeys, "base_level")), "base level must be finite in the active instance"
                 )
             # A finite base level is all HomGenerator checks.
-            gens.append(HomGenerator(gobj["id"], gobj["src"], gobj["dst"], sdeg, base))
+            gens.append(HomGenerator(gid, src, dst, sdeg, base))
         model.quivers[name] = _built(loc, FiltQuiver, name, objs, gens)
 
     def get_quiver(obj: dict, key: str, loc: str) -> FiltQuiver:
@@ -334,15 +349,7 @@ def load_model(text: str) -> Model:
     for loc, fobj, name in _named_entries(doc, "functors", "functor", model.functors):
         src = get_quiver(fobj, "src", loc)
         dst = get_quiver(fobj, "dst", loc)
-        obj_map = fobj.get("obj_map")
-        if not isinstance(obj_map, dict):
-            raise ParseError(f"{loc}.obj_map", "obj_map must be an object")
-        for x, y in obj_map.items():
-            if x not in src.objects or y not in dst.objects:
-                raise ResolveError(f"{loc}.obj_map: bad pair {x!r} -> {y!r}")
-        for x in src.objects:
-            if x not in obj_map:
-                raise ResolveError(f"{loc}.obj_map: no image for object {x!r}")
+        obj_map = _obj_map(fobj.get("obj_map"), src, dst.by_object, "object", loc)
         comps = _parse_components(fobj, src, dst, variant, lits, loc)
         bound = fobj.get("convergence_bound", 16)
         if not (_is_int(bound) and bound >= 1):
@@ -375,9 +382,10 @@ def load_model(text: str) -> Model:
         if terms:
             src, dst = terms[0][0].src, terms[0][0].dst
         else:
-            src, dst = eobj.get("src"), eobj.get("dst")
-            if not (src in quiver.objects and dst in quiver.objects):
+            if "src" not in eobj or "dst" not in eobj:
                 raise ParseError(loc, "an element without terms needs explicit 'src' and 'dst'")
+            src, dst = (resolve(quiver.by_object, _name_at(eobj[k], loc, k), loc, "object", k)
+                        for k in ("src", "dst"))
         model.elements[name] = _built(loc, TensorElement, src, dst, terms)
         model.element_quivers[name] = quiver.name
 
@@ -386,8 +394,8 @@ def load_model(text: str) -> Model:
         cobj = doc["coder_quiver"]
         if not isinstance(cobj, dict):
             raise ParseError(loc, "coder_quiver must be an object")
-        for key in ("source", "target"):
-            qname = _name_at(cobj.get(key), loc, key, required=False)
+        source, target = (get_quiver(cobj, key, loc).name for key in ("source", "target"))
+        for qname in (source, target):
             if qname not in model.cats:
                 raise ResolveError(f"{loc}: quiver {qname!r} has no codifferential")
 
@@ -401,8 +409,7 @@ def load_model(text: str) -> Model:
             return out
 
         model.coder_quiver = CoderQuiver(
-            model.cats[cobj["source"]],
-            model.cats[cobj["target"]],
+            model.cats[source], model.cats[target],
             members("functors", model.functors, "functor"),
             members("coderivations", model.coderivations, "coderivation"),
         )
@@ -413,21 +420,14 @@ def load_model(text: str) -> Model:
         if not isinstance(pobj, dict):
             raise ParseError(loc, "psi must be an object")
         source = get_quiver(pobj, "source", loc)
-        obj_map = pobj.get("obj_map", {})
+        obj_map = _obj_map(pobj.get("obj_map", {}), source, model.functors, "functor", loc)
         gen_map = pobj.get("gen_map", {})
-        for key, table in (("obj_map", obj_map), ("gen_map", gen_map)):
-            if not isinstance(table, dict):
-                raise ParseError(f"{loc}.{key}", f"{key} must be an object")
-        for o, fname in obj_map.items():
-            resolve(dict.fromkeys(source.objects), o, loc, "object", "obj_map")
-            resolve(model.functors, _name_at(fname, loc, "obj_map", o), loc, "functor", "obj_map")
+        if not isinstance(gen_map, dict):
+            raise ParseError(f"{loc}.gen_map", "gen_map must be an object")
         for gid, rname in gen_map.items():
             resolve(source.by_id, gid, loc, "generator", "gen_map")
             resolve(model.coderivations, _name_at(rname, loc, "gen_map", gid), loc, "coderivation", "gen_map")
-        for o in source.objects:
-            if o not in obj_map:
-                raise ParseError(loc, f"psi object map misses {o!r}")
-        model.psi = PsiSpec(source, dict(obj_map), dict(gen_map))
+        model.psi = PsiSpec(source, obj_map, dict(gen_map))
 
     tasks = doc.get("tasks", {})
     if not isinstance(tasks, dict):

@@ -24,8 +24,10 @@ from facalc.ainfty import (
     shift_degree,
     word_name,
 )
-from facalc.filtquiver import HomElement, koszul_sign
+from facalc.cli import Report
+from facalc.filtquiver import FiltQuiver, HomElement, HomGenerator, koszul_sign
 from facalc.morphisms import (
+    Cofunctor,
     _crossing_sign,
     coderivation_from_components,
     coderivation_slots,
@@ -348,6 +350,22 @@ def test_coder_chains_stop_at_n_max(chain_cat):
     for n_max in range(4):
         assert [chain for chain, _ in _chains(Qq, n_max)] == [(r,) * n for n in range(n_max + 1)]
         assert {e.n for e in check_coder_b_squared(Qq, W, n_max, 1)} == set(range(n_max + 1))
+
+
+def test_a_chain_whose_sums_cannot_be_bounded_is_one_undecided_entry():
+    # The loader refuses a family curved at level <= 0, so only the library
+    # reaches this entry: flat's curvature c has level 0, and no window
+    # bounds the sum of its insertions.
+    A = FiltQuiver("A", ["X"], [HomGenerator("c", "X", "X", 0, levels.rat(0))])
+    c = hom(A.gen("c"))
+    window = TruncWindow(3, levels.rat(2))
+    cat = ainf_category(A, {}, window, "nov")
+    flat = Cofunctor("flat", A, A, {"X": "X"}, {0: {"X": c}, 1: {("c",): c}}, "rat", "nov")
+    entries = check_coder_b_squared(CoderQuiver(cat, cat, [flat], []), window, 1, 2)
+    assert [(e.relation, e.n, e.word, e.residual, e.flag) for e in entries] == [
+        ("coder-b2", 0, "1_flat", "?", "UNDECIDED")
+    ]
+    assert Report("check-coder-b2", "flat", entries).exit_code() == 2
 
 
 def test_all_zero_differential_gives_zero_B():

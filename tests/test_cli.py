@@ -133,6 +133,36 @@ def _second_object(path, value):
     return second_object
 
 
+def _term_with_at_and_word(doc):
+    doc["elements"][0]["terms"][0]["at"] = "X"
+
+
+def _term_without_at_or_word(doc):
+    del doc["elements"][0]["terms"][0]["word"]
+
+
+def _psi_without_images(doc):
+    _psi(obj_map={})(doc)
+
+
+def _termless(**fields):
+    """Make element a1 of b1_only termless on X -> X, then set the given
+    fields; None deletes one."""
+
+    def termless(doc):
+        element = doc["elements"][0]
+        element.update({"terms": [], "src": "X", "dst": "X", **fields})
+        for key in [key for key, value in fields.items() if value is None]:
+            del element[key]
+
+    return termless
+
+
+def _coder_target_without_codifferential(doc):
+    doc["quivers"].append({"name": "B", "objects": [], "generators": []})
+    doc["coder_quiver"]["target"] = "B"
+
+
 def _duplicate_element(doc):
     doc["elements"].append(dict(doc["elements"][0]))
 
@@ -162,7 +192,13 @@ MALFORMED = [
     (_set(["b_components", 0, "components", 0, "value"], [[BAD, ONE_TERM]]),
      "$.b_components[0].components[0].value[0][0]", 64),
     (_set(["functors", 0, "src"], BAD), "$.functors[0].src", 64),
-    (_set(["functors", 0, "obj_map"], {}), "$.functors[0].obj_map", 65),
+    (_set(["functors", 0, "obj_map"], {}), "$.functors[0].obj_map", 64, "no image for object 'X'"),
+    (_psi_without_images, "$.psi.obj_map", 64, "no image for object 'X'"),
+    (_set(["functors", 0, "obj_map", "X"], 5), "$.functors[0].obj_map.X", 64, "name must be a string"),
+    (_term_with_at_and_word, "$.elements[0].terms[0]", 64, "give exactly one of 'word' or 'at'"),
+    (_term_without_at_or_word, "$.elements[0].terms[0]", 64, "give exactly one of 'word' or 'at'"),
+    (_termless(src=None), "$.elements[0]", 64, "an element without terms needs explicit 'src' and 'dst'"),
+    (_termless(src=5), "$.elements[0].src", 64, "name must be a string"),
     (_set(["coderivations", 0, "from"], BAD), "$.coderivations[0].from", 64),
     (_set(["coderivations", 0, "to"], 5), "$.coderivations[0].to", 64),
     (_set(["elements", 0, "quiver"], BAD), "$.elements[0].quiver", 64),
@@ -184,6 +220,7 @@ MALFORMED = [
     (_second_object(["b_components", 0, "components", 0, "value"], [["q", ONE_TERM], ["s", ONE_TERM]]),
      "$.b_components[0].components[0].value", 64),
     (_set(["coder_quiver", "source"], BAD), "$.coder_quiver.source", 64),
+    (_coder_target_without_codifferential, "$.coder_quiver", 65, "quiver 'B' has no codifferential"),
     (_set(["coder_quiver", "functors"], BAD), "$.coder_quiver.functors[0]", 64),
     (_set(["coder_quiver", "coderivations"], BAD), "$.coder_quiver.coderivations[0]", 64),
     (_set(["coder_quiver", "functors"], ["idA", "idA"]), "$.coder_quiver.functors[1]", 64),
@@ -212,18 +249,20 @@ MALFORMED_TASKS = [
     (_set(["tasks", "eval", "boundary"], 5), "$.tasks.eval.boundary", "eval"),
     (_set(["tasks", "eval", "chain"], "r"), "$.tasks.eval.chain", "eval"),
     (_set(["tasks", "eval", "chain"], ["r", BAD]), "$.tasks.eval.chain[1]", "eval"),
+    (_set(["tasks", "compose"], 5), "$.tasks.compose", "compose", "task must be an object"),
 ]
-CASES = [(m, w, c, "check-b2") for m, w, c in MALFORMED] + [
-    (m, w, 64, command) for m, w, command in MALFORMED_TASKS
+# A case that also gives its message pins the whole of stderr.
+CASES = [(m, w, c, msg[0] if msg else None, "check-b2") for m, w, c, *msg in MALFORMED] + [
+    (m, w, 64, msg[0] if msg else None, command) for m, w, command, *msg in MALFORMED_TASKS
 ]
 
 
 @pytest.mark.parametrize(
-    "mutate, where, code, command",
+    "mutate, where, code, message, command",
     CASES,
-    ids=[f"{mutate.__name__}-{where}" for mutate, where, _, _ in CASES],
+    ids=[f"{mutate.__name__}-{where}" for mutate, where, *_ in CASES],
 )
-def test_malformed_fields_are_parse_errors(mutate, where, code, command, tmp_path):
+def test_malformed_fields_are_parse_errors(mutate, where, code, message, command, tmp_path):
     doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text(encoding="utf-8"))
     mutate(doc)
     path = tmp_path / "mutated.json"
@@ -232,6 +271,7 @@ def test_malformed_fields_are_parse_errors(mutate, where, code, command, tmp_pat
     assert got == code
     kind = {64: "parse", 65: "resolve"}[code]
     assert text.startswith(f"{kind} error: {where}:")
+    assert message is None or text == f"{kind} error: {where}: {message}\n"
 
 
 def _no_tasks(doc):
@@ -247,7 +287,16 @@ UNKNOWN_NAMES = {
                          ["normalize"], "$.b_components[0].components[0]: unknown object 'Z'"),
     "component-generator": (_set(["functors", 0, "components", 0, "word"], ["zz"]), ["normalize"],
                             "$.functors[0].components[0]: unknown generator 'zz' in quiver 'A'"),
+    "generator-object": (_set(["quivers", 0, "generators", 0, "src"], "Z"), ["normalize"],
+                         "$.quivers[0].generators[0]: unknown object 'Z'"),
+    "functor-object": (_set(["functors", 0, "obj_map", "Z"], "X"), ["normalize"],
+                       "$.functors[0].obj_map: unknown object 'Z'"),
+    "functor-image": (_set(["functors", 0, "obj_map", "X"], "Z"), ["normalize"],
+                      "$.functors[0].obj_map: unknown object 'Z'"),
+    "element-object": (_termless(src="Z"), ["normalize"], "$.elements[0].src: unknown object 'Z'"),
     "quiver": (_set(["b_components", 0, "quiver"], "Z"), ["normalize"], "$.b_components[0]: unknown quiver 'Z'"),
+    "coder-quiver-source": (_set(["coder_quiver", "source"], "Z"), ["normalize"],
+                            "$.coder_quiver: unknown quiver 'Z'"),
     "functor-side": (_set(["coderivations", 0, "to"], "nope"), ["normalize"],
                      "$.coderivations[0].to: unknown functor 'nope'"),
     "coder-quiver-member": (_set(["coder_quiver", "coderivations"], ["r", "nope"]), ["normalize"],
@@ -270,6 +319,18 @@ def test_an_unknown_name_is_unresolved_with_its_message(mutate, argv, message, t
     doc = json.loads((ROOT / "tests/fixtures/b1_only.json").read_text(encoding="utf-8"))
     mutate(doc)
     assert run_doc(argv, doc, tmp_path) == (65, f"resolve error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-functor", "tests/fixtures/curved_compose.json", "--functor", "fc"],
+         "check-functor: quiver 'B' has no codifferential"),
+        (["check-coder-b2", "tests/fixtures/assoc.json"], "check-coder-b2: file has no coder_quiver section"),
+    ],
+)
+def test_a_check_of_a_file_without_what_it_checks_is_unresolved(argv, message):
+    assert run(argv) == (65, f"resolve error: {message}\n")
 
 
 COMPONENT_ERRORS = {
