@@ -98,10 +98,13 @@ class CheckEntry:
         return self.residual == "0"
 
 
-def _hom_str(h: HomElement) -> str:
-    if h.is_zero():
+def _hom_str(x) -> str:
+    """A residual as every report prints it: 0, or (scalar)*name per term, a
+    generator named by its id and a word by ``word_name``."""
+    if x.is_zero():
         return "0"
-    return " + ".join(f"({novikov.format_scalar(c)})*{g.gid}" for g, c in h.terms)
+    name = word_name if isinstance(x, TensorElement) else (lambda g: g.gid)
+    return " + ".join(f"({novikov.format_scalar(c)})*{name(b)}" for b, c in x.terms)
 
 
 def word_name(w: Word) -> str:
@@ -309,7 +312,7 @@ def _chain_checks(
         try:
             values = residual(chain, boundary)
             for a, (res, flag) in zip(words, _in_order(values, words)):
-                res_str = "0" if res is None or res.is_zero() else repr(res)
+                res_str = "0" if res is None else _hom_str(res)
                 entries.append(CheckEntry(relation, len(chain), f"{name}|{word_name(a)}", res_str, str(flag)))
         except ConvergenceUndecided:
             entries.append(CheckEntry(relation, len(chain), name, "?", "UNDECIDED"))

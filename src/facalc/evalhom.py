@@ -71,8 +71,8 @@ def compose_chain(
     """Solve the composition pairing for two chains: evaluating the first
     chain and feeding the result to the second.  The returned solution holds
     the composite cofunctors at empty words and one coderivation per pair of
-    sub-words; the full input pair's component is ``solution.component`` at
-    the corresponding key."""
+    sub-words; the full input pair's component is ``solution.comps`` at the
+    corresponding key."""
     C1, letters1, functors1 = _letter_quiver("L", rchain, r_boundary)
     C2, letters2, functors2 = _letter_quiver("R", tchain, t_boundary)
     a_quiver = (rchain[0].f if rchain else r_boundary).src

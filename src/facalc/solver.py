@@ -1,30 +1,34 @@
 """The component solver: it recovers a cofunctor's components from the
 values of a pairing, one factor word at a time.
 
+In a ``PsiSolution``, a factor word with no stored component is zero, as a
+component table's missing key is (``morphisms._comp_value``); a solved
+family keeps the range it was solved for and raises beyond it.
 ``PsiSolution.full_chains`` splits a product of factor words in one walk
 over cut positions that carries the interchange sign step by step, and
-turns each split into a signed chain of solved components, which
-``morphisms.chain_sum`` evaluates and sums over all the source words of a
-call, one sweep of the block engine per chain into one accumulation per
-word; a chain the engine finds zero sweeps nothing.
+turns each split whose blocks all store a component into a signed chain,
+which ``morphisms.chain_sum`` evaluates and sums over all the source words
+of a call, one sweep of the block engine per chain into one accumulation
+per word; a chain the engine finds zero sweeps nothing.
 
 ``solve_psi`` inverts the pairing: given the values of a cofunctor on mixed
 elements (with the chain side a product of tensor factors), it recovers the
 unique family indexed by the factor words whose evaluation reproduces those
 values.  It takes one step per factor word, in order of total length.  The
 values on all the source words are the pairing (``PhiValues``, on a list of
-words) minus the correction sum over the word's proper splits, whose
-chains only involve strictly shorter factor words, are built once per
-word, and are empty at total length 0 and 1.  Their components are read
-off with ``morphisms._extract_components`` and built into a cofunctor at an
+words) minus the correction sum over the word's chains: the word stores
+nothing yet, so they are its proper splits, built once per word and empty
+at total length 0 and 1.  Their components are read off with
+``morphisms._extract_components`` and built into a cofunctor at an
 empty factor word (the objects) or a coderivation at any other word.  The
 reconstruction is then re-evaluated on every source word and compared with
 the values; a mismatch (the input was not actually compatible with the
 comultiplications) raises LeibnizResidual.
 
-``psi_fixture`` assembles a structure file's declared solver section into
-the family ``solve-psi`` evaluates.  That command is the only one that
-imports this module; ``evalhom`` builds chain composition on it.
+``psi_fixture`` assembles a structure file's declared solver section, its
+cofunctors and letters, into the family ``solve-psi`` evaluates.  That
+command is the only one that imports this module; ``evalhom`` builds chain
+composition on it.
 """
 
 from __future__ import annotations
@@ -87,11 +91,15 @@ def cword_dst(cwords: Sequence[Word]) -> CObjKey:
 class PsiSolution:
     """Cofunctors at factor objects plus one coderivation per factor word,
     each set once and never replaced (``solve_psi`` sets them in order of
-    total length)."""
+    total length).  A word that stores none is zero, within the range
+    ``max_factor_len`` (one bound per factor) of a solved family; a
+    declared family has no range."""
 
-    def __init__(self, a_quiver: Optional[FiltQuiver], factors: Tuple[FiltQuiver, ...]):
+    def __init__(self, a_quiver: Optional[FiltQuiver], factors: Tuple[FiltQuiver, ...],
+                 max_factor_len: Optional[Tuple[int, ...]] = None):
         self.a_quiver = a_quiver
         self.factors = factors
+        self.max_factor_len = max_factor_len
         self.objects: Dict[CObjKey, Cofunctor] = {}
         self.comps: Dict[CWordKey, Coderivation] = {}
 
@@ -101,32 +109,24 @@ class PsiSolution:
         except KeyError:
             raise FacalcError(f"no solved cofunctor at objects {key!r}") from None
 
-    def component(self, cwords: Sequence[Word]) -> Coderivation:
-        key = cword_key(cwords)
-        try:
-            return self.comps[key]
-        except KeyError:
-            raise FacalcError(f"no solved component at {key!r}") from None
-
-    def full_chains(
-        self, cwords: Sequence[Word], least: int = 1
-    ) -> List[Tuple[int, Tuple[Coderivation, ...]]]:
-        """The signed chains of the splits of a factor word into at least
-        ``least`` nonempty blocks, each block replaced by its solved
-        coderivation.  ``least=1`` expands the full cofunctor value, which
-        on an empty factor word is the empty chain at the boundary
-        ``object_at(cword_src(cwords))``; ``least=2`` the proper splits.
+    def full_chains(self, cwords: Sequence[Word]) -> List[Tuple[int, Tuple[Coderivation, ...]]]:
+        """The signed chains of the splits of a factor word into nonempty
+        blocks, each replaced by its stored coderivation: the full cofunctor
+        value.  A split through a block that stores nothing is dropped
+        before its sign, and the empty chain of an empty factor word, at the
+        boundary ``object_at(cword_src(cwords))``, is listed once that
+        boundary is solved.  A word beyond ``max_factor_len`` raises.
 
         One walk over cut positions: a step takes the next block of every
         factor, nonempty in total.  The interchange sign, ``koszul_sign`` of
         factor t's blocks on factor s's for each s < t, is carried per step:
         factor s's new block crosses the blocks every later factor has
-        taken so far.  A step that would end the word with fewer than
-        ``least`` blocks is skipped before its lookup (at ``least=2``, the
-        unsplit word, which is the one being solved)."""
+        taken so far."""
+        if self.max_factor_len is not None and any(len(w) > n for w, n in zip(cwords, self.max_factor_len)):
+            raise FacalcError(f"no solved component at {cword_key(cwords)!r}")
         ends = tuple(len(w) for w in cwords)
         if not any(ends):
-            return [(1, ())] if least <= 1 else []
+            return [(1, ())] if cword_src(cwords) in self.objects else []
         # sub[s][i][j]: factor s's block between cut positions i <= j, a kept word.
         sub = [[[quiver_word(f, w.gids[i:j] or at) for j in range(len(w) + 1)]
                 for i, at in enumerate([w.src] + [g.dst for g in w.gens])] for f, w in zip(self.factors, cwords)]
@@ -138,13 +138,16 @@ class PsiSolution:
                 return
             taken = [sub[t][0][c].sdeg for t, c in enumerate(cuts)]
             for nxt in product(*(range(c, n + 1) for c, n in zip(cuts, ends))):
-                if nxt == cuts or (nxt == ends and len(chain) + 1 < least):
+                if nxt == cuts:
                     continue
                 blocks = [sub[s][c][d] for s, (c, d) in enumerate(zip(cuts, nxt))]
+                r = self.comps.get(cword_key(blocks))
+                if r is None:
+                    continue
                 step = sign
                 for s, b in enumerate(blocks):
                     step *= _crossing_sign(b.sdeg, sum(taken[s + 1:]))
-                walk(nxt, step, chain + (self.component(blocks),))
+                walk(nxt, step, chain + (r,))
 
         walk(tuple(0 for _ in ends), 1, ())
         return out
@@ -166,9 +169,10 @@ PhiObjMap = Callable[[str, CObjKey], str]
 
 def psi_fixture(model: Model, window: TruncWindow, max_len: int) -> PsiSolution:
     """Assemble the file's declared solver section (``model.psi``) into an
-    evaluable family on factor words up to max_len.  The checks name
-    ``solve-psi``, the one command that reads the section; the ``gen_map``
-    ones run if max_len or the window length is at least 1."""
+    evaluable family: its cofunctors and its ``gen_map`` letters, every
+    longer factor word being zero.  The checks name ``solve-psi``, the one
+    command that reads the section; the letters are read, and checked, if
+    max_len or the window length is at least 1."""
     spec = model.psi
     assert spec is not None
     if not spec.source.objects:
@@ -177,28 +181,16 @@ def psi_fixture(model: Model, window: TruncWindow, max_len: int) -> PsiSolution:
     sol = PsiSolution(None, (spec.source,))
     for o in spec.source.objects:
         sol.objects[(o,)] = model.functors[spec.obj_map[o]]
-    for w in basis_words(spec.source, max(max_len, min(window.max_len, 1)), include_empty=False):
-        key = cword_key((w,))
-        if len(w) == 1:
-            gid = w.gens[0].gid
-            if gid not in spec.gen_map:
-                raise ResolveError(f"solve-psi: generator {gid!r} missing from gen_map")
-            r = model.coderivations[spec.gen_map[gid]]
-            g = spec.source.gen(gid)
-            if g.sdeg != r.deg:
-                raise ResolveError(f"solve-psi: degree of {gid!r} differs from {r.name!r}")
-            if (r.f.name, r.g.name) != (
-                spec.obj_map[g.src],
-                spec.obj_map[g.dst],
-            ):
-                raise ResolveError(f"solve-psi: endpoints of {gid!r} differ from {r.name!r}")
-            sol.comps[key] = r
-        else:
-            f0 = sol.objects[(w.src,)]
-            g0 = sol.objects[(w.dst,)]
-            sol.comps[key] = coderivation_from_components(
-                f"zero@{key}", f0, g0, w.sdeg, w.base_level(window.instance), {}
-            )
+    letters = sorted(spec.source.gens, key=lambda g: g.gid) if max_len or window.max_len else []
+    for g in letters:
+        if g.gid not in spec.gen_map:
+            raise ResolveError(f"solve-psi: generator {g.gid!r} missing from gen_map")
+        r = model.coderivations[spec.gen_map[g.gid]]
+        if g.sdeg != r.deg:
+            raise ResolveError(f"solve-psi: degree of {g.gid!r} differs from {r.name!r}")
+        if (r.f.name, r.g.name) != (spec.obj_map[g.src], spec.obj_map[g.dst]):
+            raise ResolveError(f"solve-psi: endpoints of {g.gid!r} differ from {r.name!r}")
+        sol.comps[cword_key((quiver_word(spec.source, (g.gid,)),))] = r
     sol.a_quiver = next(iter(sol.objects.values())).src
     return sol
 
@@ -223,13 +215,13 @@ def solve_psi(
     """
     if not factors:
         raise FacalcError("solve_psi needs at least one factor")
-    sol = PsiSolution(a_quiver, tuple(factors))
+    sol = PsiSolution(a_quiver, tuple(factors), tuple(max_factor_len))
     one = novikov.one(variant)
     a_words = basis_words(a_quiver, window.max_len)
     factor_words = product(*(basis_words(f, b) for f, b in zip(factors, max_factor_len)))
 
     for cwords in sorted(factor_words, key=lambda cw: sum(len(w) for w in cw)):
-        chains = sol.full_chains(cwords, least=2)
+        chains = sol.full_chains(cwords)
 
         def value(words: Sequence[Word], _c=cwords, _chains=chains) -> List[TensorElement]:
             """The pairing minus the correction sum over the proper splits."""

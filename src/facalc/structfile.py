@@ -86,10 +86,10 @@ def _path(loc: str, keys) -> str:
     return loc + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
 
 
-def _name_at(value, loc: str, *keys, required: bool = True):
-    """A name field at ``_path(loc, keys)``: a string, or absent (None) where
-    ``required`` is False so that the lookup reports the name as unresolved."""
-    if isinstance(value, str) or (value is None and not required):
+def _name_at(value, loc: str, *keys):
+    """A name field at ``_path(loc, keys)``, which must be a string: an
+    absent field is malformed, not an unknown name."""
+    if isinstance(value, str):
         return value
     raise ParseError(_path(loc, keys), "name must be a string")
 
@@ -334,7 +334,7 @@ def load_model(text: str) -> Model:
         model.quivers[name] = _built(loc, FiltQuiver, name, objs, gens)
 
     def get_quiver(obj: dict, key: str, loc: str) -> FiltQuiver:
-        return resolve(model.quivers, _name_at(obj.get(key), loc, key, required=False), loc, "quiver")
+        return resolve(model.quivers, _name_at(obj.get(key), loc, key), loc, "quiver", key)
 
     for bi, bobj in enumerate(_list_at(doc, "b_components", "$")):
         loc = f"$.b_components[{bi}]"
@@ -361,7 +361,7 @@ def load_model(text: str) -> Model:
 
     for loc, robj, name in _named_entries(doc, "coderivations", "coderivation", model.coderivations):
         f, g = (
-            resolve(model.functors, _name_at(robj.get(side), loc, side, required=False), loc, "functor", side)
+            resolve(model.functors, _name_at(robj.get(side), loc, side), loc, "functor", side)
             for side in ("from", "to")
         )
         deg = robj.get("degree")

@@ -232,6 +232,15 @@ def main() -> None:
     ]
     dump("nonassoc.json", nonassoc)
 
+    # coder_multi's coder quiver on nonassoc's codifferential: b^2 != 0, so
+    # check-coder-b2 reports nonzero residuals on words.
+    coder_nonassoc = header()
+    coder_nonassoc["quivers"] = nonassoc["quivers"]
+    coder_nonassoc["b_components"] = nonassoc["b_components"]
+    for key in ("functors", "coderivations", "coder_quiver"):
+        coder_nonassoc[key] = multi[key]
+    dump("coder_nonassoc.json", coder_nonassoc)
+
     # Empty quiver: zero relations to check.
     empty = header()
     empty["quivers"] = [{"name": "A", "objects": [], "generators": []}]

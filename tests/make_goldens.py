@@ -69,6 +69,14 @@ GOLDEN_CASES = {
         "--n-max",
         "2",
     ],
+    "check_coder_b2_nonassoc": [
+        "check-coder-b2",
+        "tests/fixtures/coder_nonassoc.json",
+        "--n-max",
+        "1",
+        "--word-len-max",
+        "3",
+    ],
     "compose_b1_only": ["compose", "tests/fixtures/b1_only.json"],
     "compose_curved": ["compose", "tests/fixtures/curved_compose.json"],
     "compose_curved_w9_6": ["compose", "tests/fixtures/curved_compose.json", "--window", "9,6"],

@@ -410,7 +410,8 @@ def test_b_squared_failure_propagates_to_B():
 
 def _coder_b2_oracle(Q, window, n_max, word_len_max):
     """The residual sum of check_coder_b_squared written literally: each
-    term negated with neg() and accumulated with add()."""
+    term negated with neg() and accumulated with add(), and printed term by
+    term as (scalar)*word, the word by its generator ids."""
     one = novikov.one(Q.source.variant)
     out = []
     for chain, boundary in _chains(Q, n_max):
@@ -427,7 +428,9 @@ def _coder_b2_oracle(Q, window, n_max, word_len_max):
                 flag = join_flags(flag, fl)
                 val = val if s == 1 else val.neg()
                 residual = val if residual is None else residual.add(val)
-            res = "0" if residual is None or residual.is_zero() else repr(residual)
+            res = "0" if residual is None or residual.is_zero() else " + ".join(
+                f"({novikov.format_scalar(c)})*{word_name(w)}" for w, c in residual.terms
+            )
             out.append((_chain_name(chain, boundary) + "|" + word_name(a), res, str(flag)))
     return out
 

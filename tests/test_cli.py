@@ -102,6 +102,21 @@ def _set(path, value):
     return mutate
 
 
+def _delete(path):
+    def delete(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+
+    return delete
+
+
+def _psi_without_source(doc):
+    _psi()(doc)
+    del doc["psi"]["source"]
+
+
 def _deg_without_sdeg(doc):
     gen = doc["quivers"][0]["generators"][0]
     del gen["sdeg"]
@@ -234,6 +249,17 @@ MALFORMED = [
     (_set(["elements", 0, "terms", 0, "coeff"], "1*T^{1/0}*e^{0}"), "$.elements[0].terms[0].coeff", 64),
     (_set(["b_components", 0, "components", 0, "value"], [["q", "1/0*T^{0}*e^{0}"]]),
      "$.b_components[0].components[0].value[0]", 64),
+    # An absent name field is malformed, as an absent generator id is.
+    (_delete(["b_components", 0, "quiver"]), "$.b_components[0].quiver", 64, "name must be a string"),
+    (_delete(["functors", 0, "src"]), "$.functors[0].src", 64, "name must be a string"),
+    (_delete(["functors", 0, "dst"]), "$.functors[0].dst", 64, "name must be a string"),
+    (_delete(["coderivations", 0, "from"]), "$.coderivations[0].from", 64, "name must be a string"),
+    (_delete(["coderivations", 0, "to"]), "$.coderivations[0].to", 64, "name must be a string"),
+    (_delete(["elements", 0, "quiver"]), "$.elements[0].quiver", 64, "name must be a string"),
+    (_psi_without_source, "$.psi.source", 64, "name must be a string"),
+    (_delete(["coder_quiver", "source"]), "$.coder_quiver.source", 64, "name must be a string"),
+    (_delete(["coder_quiver", "target"]), "$.coder_quiver.target", 64, "name must be a string"),
+    (_delete(["quivers", 0, "generators", 0, "id"]), "$.quivers[0].generators[0].id", 64, "name must be a string"),
 ]
 # Task fields are read by the command that runs the task, not by the loader.
 MALFORMED_TASKS = [
@@ -294,9 +320,13 @@ UNKNOWN_NAMES = {
     "functor-image": (_set(["functors", 0, "obj_map", "X"], "Z"), ["normalize"],
                       "$.functors[0].obj_map: unknown object 'Z'"),
     "element-object": (_termless(src="Z"), ["normalize"], "$.elements[0].src: unknown object 'Z'"),
-    "quiver": (_set(["b_components", 0, "quiver"], "Z"), ["normalize"], "$.b_components[0]: unknown quiver 'Z'"),
+    "quiver": (_set(["b_components", 0, "quiver"], "Z"), ["normalize"],
+               "$.b_components[0].quiver: unknown quiver 'Z'"),
+    "functor-quiver": (_set(["functors", 0, "dst"], "Z"), ["normalize"], "$.functors[0].dst: unknown quiver 'Z'"),
+    "element-quiver": (_set(["elements", 0, "quiver"], "Z"), ["normalize"], "$.elements[0].quiver: unknown quiver 'Z'"),
+    "psi-source": (_psi(source="Z"), ["normalize"], "$.psi.source: unknown quiver 'Z'"),
     "coder-quiver-source": (_set(["coder_quiver", "source"], "Z"), ["normalize"],
-                            "$.coder_quiver: unknown quiver 'Z'"),
+                            "$.coder_quiver.source: unknown quiver 'Z'"),
     "functor-side": (_set(["coderivations", 0, "to"], "nope"), ["normalize"],
                      "$.coderivations[0].to: unknown functor 'nope'"),
     "coder-quiver-member": (_set(["coder_quiver", "coderivations"], ["r", "nope"]), ["normalize"],
@@ -1063,19 +1093,31 @@ def test_solve_psi_reads_the_family_up_to_psi_len(extra, same_as):
 
 @pytest.mark.parametrize("psi_len", [0, 1, 2, 3])
 def test_solve_psi_builds_the_family_up_to_psi_len(psi_len, monkeypatch):
-    # The window (length 4) does not widen the family: the solver reads it
-    # up to --psi-len.  The letters c1, c2 are mapped at every length.
+    # The window (length 4) does not widen the solved family: it is solved
+    # up to --psi-len, and keeps that range.  The declared family stores
+    # only its letters c1, c2, at every length: a longer word is zero.
     import facalc.solver
 
-    built = []
-    assemble = facalc.solver.psi_fixture
-    monkeypatch.setattr(facalc.solver, "psi_fixture", lambda *args: built.append(assemble(*args)) or built[-1])
+    built = {}
+
+    def record(f):
+        def recorded(*args, **kwargs):
+            built[f.__name__] = f(*args, **kwargs)
+            return built[f.__name__]
+
+        return recorded
+
+    for name in ("psi_fixture", "solve_psi"):
+        monkeypatch.setattr(facalc.solver, name, record(getattr(facalc.solver, name)))
     cmd = ["solve-psi", "tests/fixtures/psi_roundtrip.json", "--psi-len", str(psi_len)]
     assert run(cmd)[0] == 0
     assert load_model_file(cmd[1]).window.max_len == 4
-    (fixture,) = built
-    lengths = [len(gids) for ((_, gids),) in fixture.comps]
-    assert sorted(lengths) == [n for n in range(1, max(psi_len, 1) + 1) for _ in range(2 ** n)]
+    fixture, sol = built["psi_fixture"], built["solve_psi"]
+    assert sorted(fixture.comps) == [(("o", ("c1",)),), (("o", ("c2",)),)]
+    assert fixture.max_factor_len is None
+    lengths = [len(gids) for ((_, gids),) in sol.comps]
+    assert sorted(lengths) == [n for n in range(1, psi_len + 1) for _ in range(2 ** n)]
+    assert sol.max_factor_len == (psi_len,)
 
 
 @pytest.mark.parametrize(

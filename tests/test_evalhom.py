@@ -1,3 +1,6 @@
+import json
+import pathlib
+import re
 from collections import Counter
 from itertools import product
 
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from facalc import levels, novikov
-from facalc.errors import LeibnizResidual
+from facalc.errors import FacalcError, LeibnizResidual
 from facalc.evalhom import (
     PsiSolution,
     compose_chain,
@@ -22,14 +25,18 @@ from facalc.morphisms import (
     compose_cofunctors,
     evaluate_coderivation,
     identity_cofunctor,
+    hom_truncate,
     pull_coderivation,
     push_coderivation,
 )
+from facalc.solver import psi_fixture
+from facalc.structfile import load_model, load_model_file
 from facalc.tcoalg import (
     TensorElement,
     TruncWindow,
     Word,
     basis_words,
+    quiver_word,
     truncate_element,
     word_blocks,
 )
@@ -37,6 +44,7 @@ from facalc.tcoalg import (
 from conftest import facalc_seed, loop_quiver, seq_splits
 
 ONE = novikov.one()
+PSI_ROUNDTRIP = pathlib.Path(__file__).parent / "fixtures" / "psi_roundtrip.json"
 W = TruncWindow(4, levels.rat(3))
 W3 = TruncWindow(3, levels.rat(3))
 
@@ -230,20 +238,16 @@ def test_multi_box_splits_sign_matches_loop(factors, k, nonempty):
 
 
 class KeyComponents(dict):
-    """A stand-in for ``PsiSolution.comps`` whose component at each key is
-    the key itself, so chains compare as tuples of keys; it records every
-    key looked up and has no component at the keys in ``absent``."""
+    """A stand-in for ``PsiSolution.comps`` that stores, at every key but
+    those in ``absent``, the key itself, so chains compare as tuples of
+    keys."""
 
     def __init__(self, absent=()):
         super().__init__()
         self.absent = set(absent)
-        self.looked_up = []
 
-    def __missing__(self, key):
-        self.looked_up.append(key)
-        if key in self.absent:
-            raise KeyError(key)
-        return key
+    def get(self, key, default=None):
+        return default if key in self.absent else key
 
 
 @seed(facalc_seed())
@@ -254,23 +258,30 @@ class KeyComponents(dict):
         min_size=1,
         max_size=3,
     ).filter(lambda fs: sum(len(f) for f in fs) <= 6),
-    least=st.sampled_from([1, 2]),
+    data=st.data(),
 )
-def test_full_chains_match_the_split_oracle(factors, least):
+def test_full_chains_match_the_split_oracle(factors, data):
     # The cut walk yields the same multiset of (sign, chain) as enumerating
-    # every split with at least ``least`` nonempty blocks.
+    # every split into nonempty blocks, restricted to the splits whose
+    # blocks all have a component; an empty factor word's one chain, the
+    # empty one, needs its boundary solved.
     cwords = factor_words(factors)
-    sol = PsiSolution(None, (FACTOR,) * len(cwords))
-    sol.comps = KeyComponents()
     total = sum(len(w) for w in cwords)
+    splits = [split for k in range(1, total + 1) for split in multi_box_splits(cwords, k, nonempty=True)]
+    keys = sorted({cword_key(b) for blocks, _ in splits for b in blocks})
+    absent = data.draw(st.sets(st.sampled_from(keys))) if keys else set()
+    sol = PsiSolution(None, (FACTOR,) * len(cwords))
+    sol.comps = KeyComponents(absent)
+    if data.draw(st.booleans()):
+        sol.objects[cword_src(cwords)] = "boundary"
     want = Counter(
         (sign, tuple(cword_key(b) for b in blocks))
-        for k in range(least, total + 1)
-        for blocks, sign in multi_box_splits(cwords, k, nonempty=True)
+        for blocks, sign in splits
+        if not any(cword_key(b) in absent for b in blocks)
     )
-    if total == 0 and least <= 1:
+    if total == 0 and cword_src(cwords) in sol.objects:
         want[(1, ())] += 1
-    assert Counter(sol.full_chains(cwords, least)) == want
+    assert Counter(sol.full_chains(cwords)) == want
 
 
 @pytest.mark.parametrize(
@@ -278,13 +289,13 @@ def test_full_chains_match_the_split_oracle(factors, least):
     [[["g0"]], [["g1", "g2", "g0"]], [["g1"], []], [["g0", "g1"], ["g2"]], [["g1"], ["g1"], ["g2"]]],
 )
 def test_proper_chains_never_look_up_the_unsplit_word(factors):
-    # The solver asks for the proper chains of the word it is solving, so
-    # that word has no component yet.
+    # The solver asks for the chains of the word it is solving, which
+    # stores nothing yet: no chain takes the unsplit word, and the chains
+    # left are exactly its proper splits.
     cwords = factor_words(factors)
     sol = PsiSolution(None, (FACTOR,) * len(cwords))
     sol.comps = KeyComponents(absent=[cword_key(cwords)])
-    chains = sol.full_chains(cwords, least=2)
-    assert cword_key(cwords) not in sol.comps.looked_up
+    chains = sol.full_chains(cwords)
     assert all(len(chain) >= 2 for _, chain in chains)
     assert len(chains) == sum(
         1 for k in range(2, sum(map(len, cwords)) + 1)
@@ -292,25 +303,15 @@ def test_proper_chains_never_look_up_the_unsplit_word(factors):
     )
 
 
-def make_fixture_psi(Q, ida, letter_map, max_len=2):
-    C = FiltQuiver(
-        "C",
-        ["o"],
-        [
-            HomGenerator(gid, "o", "o", r.deg, r.lvl)
-            for gid, r in letter_map.items()
-        ],
-    )
+def make_fixture_psi(Q, ida, letter_map):
+    """A declared family as ``psi_fixture`` assembles one: the object's
+    cofunctor and one letter per entry of letter_map, every longer factor
+    word storing nothing."""
+    C = FiltQuiver("C", ["o"], [HomGenerator(gid, "o", "o", r.deg, r.lvl) for gid, r in letter_map.items()])
     fixture = PsiSolution(Q, (C,))
     fixture.objects[("o",)] = ida
-    for cw in basis_words(C, max_len, include_empty=False):
-        key = cword_key((cw,))
-        if len(cw) == 1:
-            fixture.comps[key] = letter_map[cw.gens[0].gid]
-        else:
-            fixture.comps[key] = coderivation_from_components(
-                f"zero{key}", ida, ida, cw.sdeg, levels.rat(0), {}
-            )
+    for g in C.gens:
+        fixture.comps[cword_key((Word.from_gens([g]),))] = letter_map[g.gid]
     return C, fixture
 
 
@@ -322,10 +323,12 @@ def test_solver_roundtrip_both_directions(setup):
         return [value for value, _ in fixture.apply(words, ONE, cwords, W)]
 
     sol = solve_psi(phi, lambda o, c: "X", Q, Q, [C], W, "nov", max_factor_len=(2,))
-    # Recover every component exactly.
-    for key, r in fixture.comps.items():
-        got = sol.comps[key]
-        assert got.comps == r.comps and got.deg == r.deg
+    # Recover every component exactly: the letters, and zero at each word
+    # of length 2.
+    for cw in basis_words(C, 2, include_empty=False):
+        key = cword_key((cw,))
+        got, r = sol.comps[key], fixture.comps.get(key)
+        assert got.comps == ({} if r is None else r.comps) and got.deg == cw.sdeg
     assert sol.objects[("o",)].comps == ida.comps
     # Converse: the recovered family reproduces the pairing.
     for cw in basis_words(C, 2):
@@ -339,7 +342,7 @@ def test_solver_trivial_case_is_direct_projection(setup):
     # Factor words that never split leave no correction sum: the solved
     # component is the literal projection of the pairing.
     Q, ida, r1, _ = setup
-    C, fixture = make_fixture_psi(Q, ida, {"c1": r1}, max_len=1)
+    C, fixture = make_fixture_psi(Q, ida, {"c1": r1})
 
     def phi(words, cwords):
         return [value for value, _ in fixture.apply(words, ONE, cwords, W)]
@@ -358,7 +361,7 @@ def test_solver_rejects_incompatible_pairing(setup, total, built):
     # Corrupting the values on the empty factor word fails the object
     # cofunctor's check; on the word c1, the coderivation's check.
     Q, ida, r1, _ = setup
-    C, fixture = make_fixture_psi(Q, ida, {"c1": r1}, max_len=1)
+    C, fixture = make_fixture_psi(Q, ida, {"c1": r1})
 
     def phi_bad(words, cwords):
         values = [value for value, _ in fixture.apply(words, ONE, cwords, W)]
@@ -538,3 +541,131 @@ def test_ev_is_comultiplication_compatible(setup):
                         rhs[key] = novikov.nov_add(rhs[key], cc) if key in rhs else cc
         rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
         assert lhs == rhs, aw
+
+
+# ---------------------------------------------------------------------------
+# A factor word that stores no component is zero, within the solved range
+
+
+def psi_roundtrip_family(doc=None):
+    """psi_roundtrip's declared family, as ``solve-psi`` assembles it, and
+    the file's window; doc replaces the file's contents."""
+    model = load_model_file(str(PSI_ROUNDTRIP)) if doc is None else load_model(json.dumps(doc))
+    return psi_fixture(model, model.window, 4), model.window
+
+
+def mixed_family(mixed):
+    """The mixed families as a declared family on a two-object factor
+    quiver: a: o0 -> o1 is rf (ida to f), b: o1 -> o1 is t (f to f)."""
+    Q, ida, f, t, rf = mixed
+    C = FiltQuiver("C", ["o0", "o1"], [HomGenerator("a", "o0", "o1", rf.deg, rf.lvl),
+                                       HomGenerator("b", "o1", "o1", t.deg, t.lvl)])
+    family = PsiSolution(Q, (C,))
+    family.objects.update({("o0",): ida, ("o1",): f})
+    family.comps.update({cword_key((Word.from_gens([g]),)): r for g, r in zip(C.gens, (rf, t))})
+    return family, W
+
+
+def with_zero_words(family, max_len, window):
+    """The declared family as it used to be assembled: family's, with a
+    zero coderivation stored at every factor word of length 2 to max_len."""
+    dense = PsiSolution(family.a_quiver, family.factors)
+    dense.objects, dense.comps = dict(family.objects), dict(family.comps)
+    (C,) = family.factors
+    for cw in basis_words(C, max_len, include_empty=False):
+        if len(cw) >= 2:
+            key = cword_key((cw,))
+            dense.comps[key] = coderivation_from_components(
+                f"zero@{key}", dense.objects[(cw.src,)], dense.objects[(cw.dst,)], cw.sdeg,
+                cw.base_level(window.instance), {},
+            )
+    return dense
+
+
+def solve_declared(family, window, psi_len):
+    """``solve-psi``'s solve: the declared family's pairing, solved on
+    factor words up to psi_len."""
+    (C,) = family.factors
+    return solve_psi(
+        lambda words, cwords: [value for value, _ in family.apply(words, ONE, cwords, window)],
+        lambda a_obj, c_objs: family.objects[c_objs].obj_map[a_obj],
+        family.a_quiver, next(iter(family.objects.values())).dst, [C], window, "nov",
+        max_factor_len=(psi_len,),
+    )
+
+
+@pytest.mark.parametrize("name", ["psi_roundtrip", "mixed"])
+def test_a_declared_family_without_its_zero_words_evaluates_alike(name, mixed):
+    # Storing a zero coderivation at every longer factor word changes no
+    # value and no flag: on every factor word up to length 4 and every
+    # source word up to the window.
+    family, window = psi_roundtrip_family() if name == "psi_roundtrip" else mixed_family(mixed)
+    dense = with_zero_words(family, 4, window)
+    (C,) = family.factors
+    a_words = basis_words(family.a_quiver, window.max_len)
+    for cw in basis_words(C, 4):
+        assert family.apply(a_words, ONE, (cw,), window) == dense.apply(a_words, ONE, (cw,), window), cw
+
+
+@pytest.mark.parametrize("name", ["psi_roundtrip", "compose"])
+def test_a_solved_word_has_one_chain_per_proper_split(name, mixed, monkeypatch):
+    # Every block of a proper split is solved before the word it splits, so
+    # nothing is dropped inside the solved range, and the word being
+    # solved, which stores nothing yet, adds no chain.
+    seen = []
+    full_chains = PsiSolution.full_chains
+
+    def recorded(self, cwords):
+        chains = full_chains(self, cwords)
+        if self.max_factor_len is not None:
+            seen.append((cwords, chains))
+        return chains
+
+    monkeypatch.setattr(PsiSolution, "full_chains", recorded)
+    if name == "psi_roundtrip":
+        sol = solve_declared(*psi_roundtrip_family(), 4)
+    else:
+        Q, ida, f, t, rf = mixed
+        sol = compose_chain([rf], [t, t], W3)
+    assert len(seen) == len(sol.objects) + len(sol.comps)
+    for cwords, chains in seen:
+        assert all(len(chain) >= 2 for _, chain in chains)
+        assert len(chains) == sum(
+            1 for k in range(2, sum(map(len, cwords)) + 1) for _ in multi_box_splits(cwords, k, nonempty=True)
+        )
+
+
+def test_a_solved_family_has_no_component_beyond_its_range():
+    # A missing component is zero only inside the range the family was
+    # solved for; the declared family has no range.
+    family, window = psi_roundtrip_family()
+    sol = solve_declared(family, window, 2)
+    (C,) = family.factors
+    inside, beyond = quiver_word(C, ("c1", "c2")), quiver_word(C, ("c1", "c2", "c1"))
+    assert len(sol.full_chains((inside,))) == 2
+    message = re.escape("no solved component at (('o', ('c1', 'c2', 'c1')),)")
+    with pytest.raises(FacalcError, match=message):
+        sol.full_chains((beyond,))
+    with pytest.raises(FacalcError, match=message):
+        sol.apply(basis_words(family.a_quiver, 1), ONE, (beyond,), window)
+    letters = [family.comps[cword_key((quiver_word(C, (gid,)),))] for gid in beyond.gids]
+    assert family.full_chains((beyond,)) == [(1, tuple(letters))]
+
+
+def test_a_solved_letter_beyond_the_window_is_the_declared_letter():
+    # At window length 2, a solved component at a source word of length 3
+    # is computed on demand from the pairing on that word: it must be the
+    # declared letter's component there, which r2 makes nonzero on p.p.p.
+    doc = json.loads(PSI_ROUNDTRIP.read_text(encoding="utf-8"))
+    r2 = next(r for r in doc["coderivations"] if r["name"] == "r2")
+    r2["components"].append({"word": ["p", "p", "p"], "value": [["p", "1*T^{0}*e^{0}"]]})
+    doc["window"]["max_len"] = 2
+    family, window = psi_roundtrip_family(doc)
+    sol = solve_declared(family, window, 1)
+    pairs = [
+        (sol.comps[key].comp_value(w), hom_truncate(letter.comp_value(w), window))
+        for key, letter in family.comps.items()
+        for w in basis_words(family.a_quiver, 3) if len(w) == 3
+    ]
+    assert all(got == want for got, want in pairs)
+    assert (len(pairs), sum(not want.is_zero() for _, want in pairs)) == (16, 1)
